@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-lp bench-fw bench-spf profile-fw fuzz-smoke chaos transition swap daemon degrade
+.PHONY: all build vet test race bench bench-parallel bench-lp bench-fw bench-spf bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
 
 all: build vet test
 
@@ -48,6 +48,12 @@ bench-fw:
 bench-spf:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalSPFSummary' -benchtime 1x -timeout 60m .
 
+# bench-smoke vets and tests the nested benchmark module (bench/ has its
+# own go.mod, so the root `go test ./...` never compiles it), mirroring
+# the CI bench-smoke step.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # profile-fw captures CPU and allocation profiles of a precompute on the
 # generated topology via r3plan's -cpuprofile/-memprofile flags; inspect
 # with `go tool pprof cpu_fw.pprof`.
@@ -94,8 +100,8 @@ daemon: vet
 # degrade runs the generalized-scenario suite under the race detector —
 # degradation-envelope property tests and polytope differentials,
 # hard-failure byte-identity gates, workload-grammar parsers, scenario
-# evaluation and emulator degradation — plus a quick sweep, mirroring
-# the CI workload-smoke job.
+# evaluation and emulator degradation — plus a quick sweep and the pinned
+# degradation plan digest, mirroring the CI workload-smoke job.
 degrade: vet
 	$(GO) test -race -count=1 -run 'TestDegradation|TestScenario|TestSurge|TestWorkload|TestParse|TestVerify|TestEnumerate|TestSample|TestApplyScenario|TestEffectiveKind|TestNodeScenario' ./internal/core
 	$(GO) test -race -count=1 -run 'TestCapScale' ./internal/mcf
@@ -104,6 +110,7 @@ degrade: vet
 	$(GO) test -race -count=1 -run 'TestDegradationSweep' ./internal/exp
 	$(GO) test -race -count=1 -run 'TestScenarioEndpoint' ./internal/controlplane
 	$(GO) run ./cmd/r3sim -exp degrade -quick
+	$(GO) run ./cmd/r3plan -net sbc -degrade 0.5 -budget 2 -effort 60 -fingerprint | grep -qx 'plan digest: 1ec22dedf367705a'
 
 # fuzz-smoke runs each fuzz target briefly, mirroring the CI job.
 fuzz-smoke:

@@ -51,17 +51,17 @@ func BenchmarkSPF(b *testing.B) {
 }
 
 // BenchmarkWorstLoad measures the inner-maximization evaluation over a
-// generated-topology-sized column for small F (insertion buffer) and
-// large F (quickselect partial selection).
+// generated-topology-sized column for small F (insertion buffer), large
+// F (quickselect partial selection) and degradation envelopes (the
+// knapsack walk over the same kind of insertion buffer).
 func BenchmarkWorstLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	v := make([]float64, 460)
 	for i := range v {
 		v[i] = rng.Float64() * 100
 	}
-	for _, f := range []int{1, 2, 4, 40} {
-		m := core.ArbitraryFailures{F: f}
-		b.Run(fmt.Sprintf("F%d", f), func(b *testing.B) {
+	run := func(name string, m core.FailureModel) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float64
 			for i := 0; i < b.N; i++ {
@@ -70,6 +70,13 @@ func BenchmarkWorstLoad(b *testing.B) {
 			_ = sink
 		})
 	}
+	for _, f := range []int{1, 2, 4, 40} {
+		run(fmt.Sprintf("F%d", f), core.ArbitraryFailures{F: f})
+	}
+	// Degradation envelopes: a 4-step and a 20-step knapsack walk, both on
+	// the allocation-free insertion buffer (0 allocs/op).
+	run("degrade-b0.5-B2", core.DegradationModel{Beta: 0.5, Budget: 2})
+	run("degrade-b0.1-B2", core.DegradationModel{Beta: 0.1, Budget: 2})
 }
 
 // BenchmarkPrecompute runs the full solver on SBC at a scale CI can

@@ -101,7 +101,79 @@ func (m DegradationModel) ActiveSet(v []float64, y []float64) {
 	m.worst(v, y)
 }
 
+// knapMaxSteps bounds the knapsack walk the allocation-free kernels
+// handle: the uniform-β u-sequence must fit a colTop buffer (like
+// sumTopK's k <= 32 insertion buffer). Longer walks and per-link β stay on
+// the sort-based reference.
+const knapMaxSteps = 32
+
+// knapSteps computes the model's u-sequence into u: u_j is the degraded
+// fraction the greedy knapsack assigns to the j-th ranked link,
+// min(β, remaining budget), by the same repeated subtraction the reference
+// walk performs — so a residual budget left by float rounding yields the
+// same extra (tiny) step there and here. For uniform β the sequence depends
+// on the rank alone, never on the values, which is what lets the colTop
+// buffers answer the envelope. ok is false when the model needs the
+// reference walk: per-link β, more than knapMaxSteps steps (tiny β, an
+// infinite budget), or an unvalidated non-positive budget. β = 0 marks
+// nothing degradable: n = 0 and every worst load is 0.
+func (m DegradationModel) knapSteps(u *[knapMaxSteps]float64) (n int, ok bool) {
+	if m.LinkBeta != nil || !(m.Budget > 0) {
+		return 0, false
+	}
+	if !(m.Beta > 0) {
+		return 0, true
+	}
+	for budget := m.Budget; budget > 0; n++ {
+		if n == knapMaxSteps {
+			return 0, false
+		}
+		step := m.Beta
+		if step > budget {
+			step = budget
+		}
+		u[n] = step
+		budget -= step
+	}
+	return n, true
+}
+
+// worst evaluates the envelope, marking the maximizer into mark when
+// non-nil. Uniform-β models with a short walk — every model the CLIs, r3d
+// and WorkloadSpec.Model build — select the top len(u) entries into a
+// stack colTop (an insertion buffer in rankBefore order, like sumTopK's)
+// and walk it: no allocation, no sort, and the same entries, multipliers
+// and summation order as worstSorted, hence the same bits.
 func (m DegradationModel) worst(v []float64, mark []float64) float64 {
+	var ub [knapMaxSteps]float64
+	n, ok := m.knapSteps(&ub)
+	if !ok {
+		return m.worstSorted(v, mark)
+	}
+	if n == 0 {
+		return 0
+	}
+	u := ub[:n]
+	var t colTop
+	t.rebuild(v, n)
+	w, anchored := t.worstKnap(u)
+	if mark == nil || t.n == 0 {
+		return w
+	}
+	if anchored {
+		mark[t.idx[0]] = 1
+		return w
+	}
+	for j := 0; j < t.n; j++ {
+		mark[t.idx[j]] = u[j]
+	}
+	return w
+}
+
+// worstSorted is the reference evaluation: rank every degradable positive
+// entry with sort.Slice and walk the knapsack. It serves per-link β and
+// long walks, and is the oracle the kernels are tested against.
+func (m DegradationModel) worstSorted(v []float64, mark []float64) float64 {
 	// Degradable links with positive value, ranked like sumTopK: value
 	// descending, index ascending. The deterministic order makes the
 	// greedy sum and the marked active set reproducible bit for bit.
@@ -125,11 +197,7 @@ func (m DegradationModel) worst(v []float64, mark []float64) float64 {
 		if u > budget {
 			u = budget
 		}
-		if u == 1 {
-			knap += v[l] // exact: matches sumTopK bit for bit in the β=1 limit
-		} else {
-			knap += u * v[l]
-		}
+		knap += knapTerm(u, v[l])
 		budget -= u
 	}
 	// Full single-failure anchor: idx[0] is the most valuable degradable
@@ -158,10 +226,26 @@ func (m DegradationModel) worst(v []float64, mark []float64) float64 {
 	return knap
 }
 
+// knapTerm is one knapsack summand u·v. u == 1 adds v itself, which matches
+// sumTopK bit for bit in the β = 1 limit; the explicit conversion rounds
+// the product before the caller's add, so no platform fuses the two and
+// every kernel sums the same terms as the reference.
+func knapTerm(u, v float64) float64 {
+	if u == 1 {
+		return v
+	}
+	return float64(u * v)
+}
+
 // MaxFailures implements FailureModel: the envelope contains at most
 // floor(Budget) full-strength link losses (and always covers one, through
 // the anchor), which sizes evaluation scenarios.
 func (m DegradationModel) MaxFailures() int {
+	if m.Budget > 1<<30 {
+		// Out-of-range float→int conversion is implementation-defined;
+		// clamp like degenerate() does.
+		return 1 << 30
+	}
 	if f := int(m.Budget); f > 1 {
 		return f
 	}

@@ -18,18 +18,27 @@ import (
 // TestColTopRandomizedDifferential drives a colTop through long random
 // update sequences — the exact workload of the p block sweep — and after
 // every mutation checks worstArb and stats against the reference scans
-// (sumTopK, insertionStats) on the full column. Any drift in the
-// incremental maintenance would surface here bit for bit.
+// (sumTopK, insertionStats) on the full column, and the knapsack walks
+// (worstKnap, worstKnapAt) against DegradationModel's sort-based reference
+// on the materialized column. Any drift in the incremental maintenance
+// would surface here bit for bit.
 func TestColTopRandomizedDifferential(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 9; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		nL := 20 + int(seed)*13
 		maxF := 1 + int(seed)%4
 		K := maxF + 1
+		// The last seeds run sparse columns — what pcol looks like in the
+		// solver — so buffers run short, empty out, and hold only the
+		// probed index.
+		sparse := seed >= 6
 		col := make([]float64, nL)
 		for l := range col {
 			// Mix of zeros, duplicates and distinct positives: ties exercise
 			// the (value desc, index asc) total order.
+			if sparse && rng.Intn(25) != 0 {
+				continue
+			}
 			switch rng.Intn(4) {
 			case 0:
 				col[l] = 0
@@ -41,9 +50,16 @@ func TestColTopRandomizedDifferential(t *testing.T) {
 		}
 		var top colTop
 		top.rebuild(col, K)
+		// One buffer per knapsack model, each at its tight capacity
+		// (walk length + 1), maintained in lockstep with top.
+		knaps := newKnapCases(t, col)
+		krng := rand.New(rand.NewSource(700 + seed)) // leaves rng's update sequence as it was
 
 		check := func(step int) {
 			t.Helper()
+			for i := range knaps {
+				knaps[i].check(t, krng, col, seed, step)
+			}
 			for F := 1; F <= maxF; F++ {
 				if F < nL {
 					if got, want := top.worstArb(F), sumTopK(col, F, nil); got != want {
@@ -65,7 +81,11 @@ func TestColTopRandomizedDifferential(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			l := rng.Intn(nL)
 			var nv float64
-			switch rng.Intn(5) {
+			mode := rng.Intn(5)
+			if sparse && rng.Intn(25) != 0 {
+				mode = 0
+			}
+			switch mode {
 			case 0:
 				nv = 0 // drop to inactive
 			case 1:
@@ -77,8 +97,101 @@ func TestColTopRandomizedDifferential(t *testing.T) {
 			}
 			col[l] = nv
 			top.update(int32(l), nv, col, K)
+			for i := range knaps {
+				kc := &knaps[i]
+				if step%97 == 96 {
+					kc.top.rebuild(col, kc.K) // the epoch-boundary refresh
+				} else {
+					kc.top.update(int32(l), nv, col, kc.K)
+				}
+			}
 			check(step)
 		}
+	}
+}
+
+// knapCase is one uniform-β degradation model riding a colTop of its own
+// in TestColTopRandomizedDifferential.
+type knapCase struct {
+	m   DegradationModel
+	u   []float64
+	K   int
+	top colTop
+}
+
+// newKnapCases covers β = 1 (the exact-add limit), dyadic and non-dyadic β
+// (repeated subtraction leaves a rounding residue that becomes one more
+// tiny step), fractional budgets, and anchor-wins models (β·steps < 1).
+func newKnapCases(t *testing.T, col []float64) []knapCase {
+	t.Helper()
+	var cases []knapCase
+	for _, beta := range []float64{1, 0.5, 0.3, 0.1} {
+		for _, budget := range []float64{0.35, 1, 1.5, 2, 2.75} {
+			m := DegradationModel{Beta: beta, Budget: budget}
+			var ub [knapMaxSteps]float64
+			n, ok := m.knapSteps(&ub)
+			if !ok || n == 0 {
+				t.Fatalf("%v: knapSteps = (%d, %v), want a short walk", m, n, ok)
+			}
+			kc := knapCase{m: m, u: append([]float64(nil), ub[:n]...), K: n + 1}
+			kc.top.rebuild(col, kc.K)
+			cases = append(cases, kc)
+		}
+	}
+	return cases
+}
+
+// check holds the buffer's two knapsack walks to the reference on the
+// materialized column, bit for bit: worstKnap against the column as is,
+// worstKnapAt against the column with one entry replaced by a probe value
+// (zero, unchanged, ranked first, ranked last, tied with the plateau,
+// random).
+func (kc *knapCase) check(t *testing.T, rng *rand.Rand, col []float64, seed int64, step int) {
+	t.Helper()
+	same := func(what string, got float64, v []float64) {
+		t.Helper()
+		want := kc.m.worstSorted(v, nil)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d step %d %v: %s = %v, sort reference %v", seed, step, kc.m, what, got, want)
+		}
+		if fast := kc.m.WorstLoad(v); math.Float64bits(fast) != math.Float64bits(want) {
+			t.Fatalf("seed %d step %d %v: WorstLoad = %v, sort reference %v", seed, step, kc.m, fast, want)
+		}
+	}
+	w, _ := kc.top.worstKnap(kc.u)
+	same("worstKnap", w, col)
+
+	// ActiveSet marks of the allocation-free walk match the sort body's.
+	y1, y2 := make([]float64, len(col)), make([]float64, len(col))
+	kc.m.ActiveSet(col, y1)
+	kc.m.worstSorted(col, y2)
+	for i := range y1 {
+		if math.Float64bits(y1[i]) != math.Float64bits(y2[i]) {
+			t.Fatalf("seed %d step %d %v: ActiveSet[%d] = %v, sort reference %v", seed, step, kc.m, i, y1[i], y2[i])
+		}
+	}
+
+	probe := make([]float64, len(col))
+	for trial := 0; trial < 6; trial++ {
+		l := rng.Intn(len(col))
+		var x float64
+		switch trial {
+		case 0:
+			x = 0
+		case 1:
+			x = col[l]
+		case 2:
+			x = 11 // ranked first
+		case 3:
+			x = 1e-9 // ranked last among positives
+		case 4:
+			x = 5 // tied with the plateau: index order decides
+		default:
+			x = rng.Float64() * 10
+		}
+		copy(probe, col)
+		probe[l] = x
+		same("worstKnapAt", kc.top.worstKnapAt(kc.u, int32(l), x), probe)
 	}
 }
 
@@ -263,20 +376,22 @@ func TestBaseLoadsColumnsZeroAllocsWarm(t *testing.T) {
 func TestPrecomputeDeterministicInlineVsPooled(t *testing.T) {
 	g := topo.Mesh("det-inline", 10, 30, 21, 1000)
 	d := traffic.Gravity(g, 800, 22)
-	cfg := Config{Model: ArbitraryFailures{F: 1}, Iterations: 25}
+	for _, model := range []FailureModel{ArbitraryFailures{F: 1}, DegradationModel{Beta: 0.5, Budget: 2}} {
+		cfg := Config{Model: model, Iterations: 25}
 
-	want := encodePlan(t, precomputeAt(t, g, d, cfg, 1))
+		want := encodePlan(t, precomputeAt(t, g, d, cfg, 1))
 
-	prev := runtime.GOMAXPROCS(1)
-	inline := encodePlan(t, precomputeAt(t, g, d, cfg, 8))
-	runtime.GOMAXPROCS(4)
-	pooled := encodePlan(t, precomputeAt(t, g, d, cfg, 8))
-	runtime.GOMAXPROCS(prev)
+		prev := runtime.GOMAXPROCS(1)
+		inline := encodePlan(t, precomputeAt(t, g, d, cfg, 8))
+		runtime.GOMAXPROCS(4)
+		pooled := encodePlan(t, precomputeAt(t, g, d, cfg, 8))
+		runtime.GOMAXPROCS(prev)
 
-	if !bytes.Equal(inline, want) {
-		t.Fatal("inline (GOMAXPROCS=1) plan differs from serial plan")
-	}
-	if !bytes.Equal(pooled, want) {
-		t.Fatal("pooled (GOMAXPROCS=4) plan differs from serial plan")
+		if !bytes.Equal(inline, want) {
+			t.Fatalf("%v: inline (GOMAXPROCS=1) plan differs from serial plan", model)
+		}
+		if !bytes.Equal(pooled, want) {
+			t.Fatalf("%v: pooled (GOMAXPROCS=4) plan differs from serial plan", model)
+		}
 	}
 }

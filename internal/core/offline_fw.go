@@ -454,12 +454,17 @@ type fwState struct {
 	// hot-path arenas: every per-epoch buffer the solver used to allocate
 	// lives here and is reused across epochs (see DESIGN.md §9). csr is
 	// the flat graph view the SPF kernel reads; tops maintains each pcol
-	// column's largest entries incrementally when every requirement is an
-	// ArbitraryFailures model (topK = max F + 1; 0 disables it).
+	// column's largest entries incrementally when one colTop kernel serves
+	// every requirement (topK is the buffer capacity; 0 disables it): the
+	// top-F sums of ArbitraryFailures (arbF, topK = max F + 1) or the
+	// knapsack walks of uniform-β DegradationModels (knapU, nil unless
+	// every model is one; topK = longest walk + 1).
 	csr     *graph.CSR
 	ar      fwArena
 	tops    []colTop
 	topK    int
+	arbF    []int
+	knapU   [][]float64
 	spfPool spf.ScratchPool
 	bufMu   sync.Mutex
 	bufFree [][]float64 // free list of len-nL rows for per-worker scratch
@@ -481,6 +486,10 @@ type fwState struct {
 type fwArena struct {
 	objLoads [][]float64 // objective(): base loads [req][link]
 	loads    [][]float64 // run(): epoch base loads [req][link]
+	W        [][]float64 // run(): worst-case virtual loads [req][link]
+	sFm1     [][]float64 // p-sweep: top-(F-1) sum excluding the block's link [req][link]
+	aF       [][]float64 // p-sweep: F-th largest excluding the block's link [req][link]
+	xDir     []float64   // block sweeps: oracle direction per link
 	q        [][]float64 // softmax gradient weights [req][link]
 	u0       [][]float64 // r-sweep: static utilizations [req][link]
 	expu     [][]float64 // r-sweep: cached exp terms for u0 [req][link]
@@ -528,6 +537,10 @@ func (s *fwState) ensureArena() {
 	nI, nK, nL := len(s.reqs), len(s.comms), s.g.NumLinks()
 	a := &s.ar
 	a.loads = newMatrix(nI, nL)
+	a.W = newMatrix(nI, nL)
+	a.sFm1 = newMatrix(nI, nL)
+	a.aF = newMatrix(nI, nL)
+	a.xDir = make([]float64, nL)
 	a.q = newMatrix(nI, nL)
 	a.u0 = newMatrix(nI, nL)
 	a.expu = newMatrix(nI, nL)
@@ -754,14 +767,19 @@ func (s *fwState) run(effort int) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
 
-	// Fast insertion-stats evaluation applies when every model is
-	// ArbitraryFailures (the common case, including priorities), with a
-	// second fast path for GroupFailures with K=1 (the SRLG+MLG model the
-	// US-ISP experiments use).
+	// Fast evaluation from the maintained colTop buffers applies when every
+	// model is ArbitraryFailures (the common case, including priorities) or
+	// every model is a uniform-β DegradationModel with a short knapsack walk
+	// (every one the CLIs and r3d build), with a third fast path for
+	// GroupFailures with K=1 (the SRLG+MLG model the US-ISP experiments
+	// use). Everything else — GroupFailures{K>1}, F > 32, per-link β, long
+	// walks — takes the generic evaluation through the FailureModel
+	// interface, which is also the oracle the kernels are tested against.
 	arbF := make([]int, nI)
 	allArb := true
 	grp1 := make([]GroupFailures, nI)
 	allGrp1 := true
+	var knapU [][]float64
 	for i, r := range s.reqs {
 		// insertionStats supports F <= 32; larger F (e.g. the naive
 		// all-links ablation) falls back to the generic evaluation.
@@ -775,7 +793,18 @@ func (s *fwState) run(effort int) {
 		} else {
 			allGrp1 = false
 		}
+		if m, ok := r.model.(DegradationModel); ok {
+			var ub [knapMaxSteps]float64
+			if n, short := m.knapSteps(&ub); short {
+				knapU = append(knapU, append([]float64{}, ub[:n]...))
+			}
+		}
 	}
+	allKnap := len(knapU) == nI
+	if !allKnap {
+		knapU = nil
+	}
+	s.arbF, s.knapU = arbF, knapU
 
 	s.bestObj = math.Inf(1)
 	s.ensureArena()
@@ -788,26 +817,27 @@ func (s *fwState) run(effort int) {
 		}
 	}
 
-	// Incremental top-F selection per pcol column: valid whenever every
-	// model is ArbitraryFailures. K is one more than the largest F so the
-	// per-link line-search stats (which exclude one index) always find
-	// enough entries in the buffer.
+	// Incremental top selection per pcol column. K is one more than the
+	// largest F (or the longest knapsack walk) so the per-link line-search
+	// evaluations, which exclude one index, always find enough entries in
+	// the buffer.
 	s.topK = 0
-	if allArb {
-		maxF := 0
+	if allArb || allKnap {
+		need := 0
 		for _, f := range arbF {
-			if f > maxF {
-				maxF = f
-			}
+			need = max(need, f)
 		}
-		s.topK = maxF + 1
+		for _, u := range knapU {
+			need = max(need, len(u))
+		}
+		s.topK = need + 1
 		if s.tops == nil {
 			s.tops = make([]colTop, nL)
 		}
 	}
-	// The incremental p sweep rides on the colTop fast path (allArb with
-	// worstArb-valid F on every requirement); ModeFlat keeps the reference
-	// evaluation, which the differential tests compare against.
+	// The incremental p sweep rides on the colTop kernels (worstArb-valid F
+	// on every top-F requirement); ModeFlat keeps the reference evaluation,
+	// which the differential tests compare against.
 	incSweep := s.spfMode != spf.ModeFlat && s.topK > 0
 	for _, f := range arbF {
 		if f >= nL {
@@ -833,13 +863,18 @@ func (s *fwState) run(effort int) {
 
 	loads := s.baseLoads(s.R, s.ar.loads)
 	s.pcol = s.columns(s.P, s.pcol)
-	W := make([][]float64, nI)
-	for i := range W {
-		W[i] = make([]float64, nL)
-	}
+	W := s.ar.W
 	nC := par.NumChunks(nL)
 	fillW := func(i, lo, hi int) {
 		Wi := W[i]
+		if allKnap {
+			// The knapsack walk over the buffer is WorstLoad bit for bit.
+			u := knapU[i]
+			for e := lo; e < hi; e++ {
+				Wi[e], _ = s.tops[e].worstKnap(u)
+			}
+			return
+		}
 		// The maintained top buffers answer sumTopK bit for bit as long as
 		// F stays below the column length (the reference switches to
 		// index-order summation at F >= len).
@@ -893,24 +928,15 @@ func (s *fwState) run(effort int) {
 	}
 
 	scratchCol := make([]float64, nL)
-	xDir := make([]float64, nL)
-	sFm1 := make([][]float64, nI)
-	aF := make([][]float64, nI)
+	xDir := s.ar.xDir
+	sFm1, aF := s.ar.sFm1, s.ar.aF
 	// Group-model stats: best group sum not containing l (sS/sM) and best
 	// sum among groups containing l with l's own entry removed (mSl/mMl),
 	// per requirement and link.
-	sS := make([][]float64, nI)
-	mSl := make([][]float64, nI)
-	sM := make([][]float64, nI)
-	mMl := make([][]float64, nI)
-	for i := range sFm1 {
-		sFm1[i] = make([]float64, nL)
-		aF[i] = make([]float64, nL)
-		sS[i] = make([]float64, nL)
-		mSl[i] = make([]float64, nL)
-		sM[i] = make([]float64, nL)
-		mMl[i] = make([]float64, nL)
-	}
+	sS := newMatrix(nI, nL)
+	mSl := newMatrix(nI, nL)
+	sM := newMatrix(nI, nL)
+	mMl := newMatrix(nI, nL)
 
 	obj := trueObj()
 	s.snapshotBest(obj)
@@ -1177,64 +1203,8 @@ func (s *fwState) run(effort int) {
 		// ---- p block sweep ----
 		pSweepSp := epochSp.Child("p-sweep")
 		if incSweep {
-			// Incremental evaluation of the reference sweep in the else
-			// branch. For block l a cell (i, e) is static when p_l(e) = 0
-			// and e is off the oracle path: its mixed value x stays
-			// exactly +0, and the insertion stats walked at x = 0
-			// reproduce the buffer-order top-F sum — tops[e].worstArb —
-			// bit for bit (l holds no positive entry, so the first F
-			// non-l entries are the first F entries, summed in the same
-			// order). Static utilizations and their exp terms are
-			// therefore cached like the r sweep's, keyed on the current
-			// reference point, and every eval computes math.Exp only at
-			// the active cells plus cache refills; the z sum still adds
-			// all cells in ascending order so its float association —
-			// and the accepted plan — matches the reference exactly.
-			u0 := s.ar.u0
-			expu := s.ar.expu
-			stamp := s.ar.stampE
-			act := s.ar.active
-			prevAct := s.ar.active2
-			nPrev := 0
-			fillU0P := func(i, lo, hi int) {
-				li, u0i := loads[i], u0[i]
-				F := arbF[i]
-				for e := lo; e < hi; e++ {
-					u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
-				}
-			}
-			if s.pool.Inline() {
-				for i := 0; i < nI; i++ {
-					fillU0P(i, 0, nL)
-				}
-			} else {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					fillU0P(i, lo, hi)
-				})
-			}
-			cachedWorst := math.NaN()
-			refill := func(worst float64) {
-				fill := func(i, lo, hi int) {
-					u0i, ei := u0[i], expu[i]
-					for e := lo; e < hi; e++ {
-						ei[e] = math.Exp((u0i[e] - worst) / mu)
-					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fill(i, 0, nL)
-					}
-				} else {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						fill(i, lo, hi)
-					})
-				}
-				cachedWorst = worst
-			}
+			s.pSweepInc(pPaths, mu)
+		} else {
 			for l := 0; l < nL; l++ {
 				path := pPaths[l]
 				if path == nil {
@@ -1245,83 +1215,103 @@ func (s *fwState) run(effort int) {
 					xDir[e] = 0
 				}
 				for _, id := range path {
-					xDir[id] = cl
+					xDir[id] = cl // direction in v-space: c_l × direction frac
 				}
 				pl := s.P[l]
-				// Active cells: the support of p_l plus the oracle path.
-				// p_l(e) != 0 iff pcol[e][l] != 0 (pcol mirrors c_l·P
-				// exactly in columns and the accept loop, and the values
-				// never reach the subnormal range where the product or
-				// quotient could flush to zero), so the contiguous P row
-				// substitutes for a strided pcol scan.
-				s.stampGen++
-				gen := s.stampGen
-				nAct := 0
-				for e := 0; e < nL; e++ {
-					if pl[e] != 0 {
-						stamp[e] = gen
-						act[nAct] = int32(e)
-						nAct++
-					}
-				}
-				for _, id := range path {
-					if stamp[id] != gen {
-						stamp[id] = gen
-						act[nAct] = int32(id)
-						nAct++
-					}
-				}
-				// Insertion stats only where fresh evaluation happens.
-				for i := 0; i < nI; i++ {
-					F := arbF[i]
-					sfi, afi := sFm1[i], aF[i]
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
-					}
-				}
-				evalW := func(i, e int, x float64) float64 {
-					if x > aF[i][e] {
-						return sFm1[i][e] + x
-					}
-					return sFm1[i][e] + aF[i][e]
-				}
-				staticMax := 0.0
-				for i := 0; i < nI; i++ {
-					u0i := u0[i]
-					for e := 0; e < nL; e++ {
-						if stamp[e] != gen && u0i[e] > staticMax {
-							staticMax = u0i[e]
+
+				var evalW func(i, e int, x float64) float64
+				switch {
+				case allArb:
+					// Insertion stats: top-(F-1) sum and F-th largest of the
+					// column with entry l excluded; then the worst virtual
+					// load as a function of x = c_l p_l(e) is
+					// sFm1 + max(x, aF). The maintained colTop buffers answer
+					// both in O(F) per cell instead of rescanning the column,
+					// bit-identical to insertionStats (same selection order,
+					// same summation order).
+					fillStats := func(i, lo, hi int) {
+						F := arbF[i]
+						sfi, afi := sFm1[i], aF[i]
+						for e := lo; e < hi; e++ {
+							sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
 						}
 					}
+					if s.pool.Inline() {
+						for i := 0; i < nI; i++ {
+							fillStats(i, 0, nL)
+						}
+					} else {
+						s.pool.ForEach(nI*nC, func(t int) {
+							i := t / nC
+							lo, hi := par.Chunk(nL, t%nC)
+							fillStats(i, lo, hi)
+						})
+					}
+					evalW = func(i, e int, x float64) float64 {
+						if x > aF[i][e] {
+							return sFm1[i][e] + x
+						}
+						return sFm1[i][e] + aF[i][e]
+					}
+				case allGrp1:
+					// With K=1, the worst case is one SRLG plus one MLG: the
+					// best group either avoids l entirely (sum precomputed) or
+					// contains l and gains x.
+					s.pool.ForEach(nI*nC, func(t int) {
+						i := t / nC
+						lo, hi := par.Chunk(nL, t%nC)
+						groupStats(grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], lo, hi)
+						groupStats(grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], lo, hi)
+					})
+					evalW = func(i, e int, x float64) float64 {
+						srlg := sS[i][e]
+						if v := mSl[i][e] + x; v > srlg {
+							srlg = v
+						}
+						if srlg < 0 {
+							srlg = 0
+						}
+						mlg := sM[i][e]
+						if v := mMl[i][e] + x; v > mlg {
+							mlg = v
+						}
+						if mlg < 0 {
+							mlg = 0
+						}
+						return srlg + mlg
+					}
+				case allKnap:
+					// The knapsack walk over the maintained buffer, with l
+					// skipped and (x, l) merged at its rank, is WorstLoad on
+					// the column with entry l set to x, bit for bit.
+					evalW = func(i, e int, x float64) float64 {
+						return s.tops[e].worstKnapAt(knapU[i], int32(l), x)
+					}
+				default:
+					evalW = func(i, e int, x float64) float64 {
+						copy(scratchCol, s.pcol[e])
+						scratchCol[l] = x
+						return s.reqs[i].model.WorstLoad(scratchCol)
+					}
 				}
+
 				eval := func(gamma float64) float64 {
-					worst := staticMax
+					worst := 0.0
 					for i := 0; i < nI; i++ {
-						li := loads[i]
-						for _, e32 := range act[:nAct] {
-							e := int(e32)
+						for e := 0; e < nL; e++ {
 							x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-							u := (li[e] + evalW(i, e, x)) / s.capac[e]
+							u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
 							if u > worst {
 								worst = u
 							}
 						}
 					}
-					if worst != cachedWorst {
-						refill(worst)
-					}
 					var z float64
 					for i := 0; i < nI; i++ {
-						li, ei := loads[i], expu[i]
 						for e := 0; e < nL; e++ {
-							if stamp[e] == gen {
-								x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-								u := (li[e] + evalW(i, e, x)) / s.capac[e]
-								z += math.Exp((u - worst) / mu)
-							} else {
-								z += ei[e]
-							}
+							x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
+							u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
+							z += math.Exp((u - worst) / mu)
 						}
 					}
 					return worst + mu*math.Log(z)
@@ -1330,8 +1320,7 @@ func (s *fwState) run(effort int) {
 				if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 					continue
 				}
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
+				for e := 0; e < nL; e++ {
 					old := s.pcol[e][l]
 					nv := (1-gamma)*old + gamma*xDir[e]
 					s.pcol[e][l] = nv
@@ -1340,190 +1329,24 @@ func (s *fwState) run(effort int) {
 						s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
 					}
 				}
-				// The reference refresh rewrites every W cell: active
-				// cells take the insertion-stats value at the accepted x;
-				// static cells collapse back to the buffer-order worstArb
-				// sum. Only the previous accepted block's active cells can
-				// hold insertion-order bits, so the rewrite touches
-				// prevAct \ act plus act — every other cell already
-				// stores worstArb of an unchanged top buffer.
-				for i := 0; i < nI; i++ {
-					F := arbF[i]
-					Wi := W[i]
-					for _, e32 := range prevAct[:nPrev] {
-						e := int(e32)
-						if stamp[e] != gen {
-							Wi[e] = s.tops[e].worstArb(F)
-						}
-					}
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						Wi[e] = evalW(i, e, s.pcol[e][l])
-					}
-				}
-				// Refresh the static view and exp cache at the cells the
-				// accept moved (their top buffers changed), at the current
-				// reference point.
-				for i := 0; i < nI; i++ {
-					F := arbF[i]
-					li, u0i, ei := loads[i], u0[i], expu[i]
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
-						ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
-					}
-				}
-				copy(prevAct[:nAct], act[:nAct])
-				nPrev = nAct
-			}
-			pSweepSp.End()
-
-			obj = trueObj()
-			if obj < s.bestObj {
-				s.snapshotBest(obj)
-			}
-			s.o.mlu.Set(obj)
-			s.o.epochs.Inc()
-			epochSp.SetFloat("mlu", obj)
-			epochSp.SetFloat("step", gamma)
-			epochSp.SetFloat("mu", mu)
-			epochSp.End()
-			continue
-		}
-		for l := 0; l < nL; l++ {
-			path := pPaths[l]
-			if path == nil {
-				continue
-			}
-			cl := s.capac[l]
-			for e := range xDir {
-				xDir[e] = 0
-			}
-			for _, id := range path {
-				xDir[id] = cl // direction in v-space: c_l × direction frac
-			}
-			pl := s.P[l]
-
-			var evalW func(i, e int, x float64) float64
-			switch {
-			case allArb:
-				// Insertion stats: top-(F-1) sum and F-th largest of the
-				// column with entry l excluded; then the worst virtual
-				// load as a function of x = c_l p_l(e) is
-				// sFm1 + max(x, aF). The maintained colTop buffers answer
-				// both in O(F) per cell instead of rescanning the column,
-				// bit-identical to insertionStats (same selection order,
-				// same summation order).
-				fillStats := func(i, lo, hi int) {
-					F := arbF[i]
-					sfi, afi := sFm1[i], aF[i]
-					for e := lo; e < hi; e++ {
-						sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
-					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fillStats(i, 0, nL)
-					}
-				} else {
+				// Refresh W from the accepted step. The fast-path evalW
+				// closures only read precomputed stats or the updated top
+				// buffers; the generic fallback evaluates WorstLoad on the
+				// updated column directly. Both are pure per-cell reads, so
+				// the refresh is slot-parallel.
+				if allArb || allGrp1 || allKnap {
 					s.pool.ForEach(nI*nC, func(t int) {
 						i := t / nC
 						lo, hi := par.Chunk(nL, t%nC)
-						fillStats(i, lo, hi)
-					})
-				}
-				evalW = func(i, e int, x float64) float64 {
-					if x > aF[i][e] {
-						return sFm1[i][e] + x
-					}
-					return sFm1[i][e] + aF[i][e]
-				}
-			case allGrp1:
-				// With K=1, the worst case is one SRLG plus one MLG: the
-				// best group either avoids l entirely (sum precomputed) or
-				// contains l and gains x.
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					groupStats(grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], lo, hi)
-					groupStats(grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], lo, hi)
-				})
-				evalW = func(i, e int, x float64) float64 {
-					srlg := sS[i][e]
-					if v := mSl[i][e] + x; v > srlg {
-						srlg = v
-					}
-					if srlg < 0 {
-						srlg = 0
-					}
-					mlg := sM[i][e]
-					if v := mMl[i][e] + x; v > mlg {
-						mlg = v
-					}
-					if mlg < 0 {
-						mlg = 0
-					}
-					return srlg + mlg
-				}
-			default:
-				evalW = func(i, e int, x float64) float64 {
-					copy(scratchCol, s.pcol[e])
-					scratchCol[l] = x
-					return s.reqs[i].model.WorstLoad(scratchCol)
-				}
-			}
-
-			eval := func(gamma float64) float64 {
-				worst := 0.0
-				for i := 0; i < nI; i++ {
-					for e := 0; e < nL; e++ {
-						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-						u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-						if u > worst {
-							worst = u
+						for e := lo; e < hi; e++ {
+							W[i][e] = evalW(i, e, s.pcol[e][l])
 						}
-					}
+					})
+				} else {
+					recomputeW()
 				}
-				var z float64
-				for i := 0; i < nI; i++ {
-					for e := 0; e < nL; e++ {
-						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-						u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-						z += math.Exp((u - worst) / mu)
-					}
-				}
-				return worst + mu*math.Log(z)
-			}
-			gamma := ternaryMin(eval, 12)
-			if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
-				continue
-			}
-			for e := 0; e < nL; e++ {
-				old := s.pcol[e][l]
-				nv := (1-gamma)*old + gamma*xDir[e]
-				s.pcol[e][l] = nv
-				pl[e] = nv / cl
-				if s.topK > 0 && nv != old {
-					s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
-				}
-			}
-			// Refresh W from the accepted step. The fast-path evalW
-			// closures only read precomputed stats; the generic fallback
-			// evaluates WorstLoad on the updated column directly. Both are
-			// pure per-cell reads, so the refresh is slot-parallel.
-			if allArb || allGrp1 {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					for e := lo; e < hi; e++ {
-						W[i][e] = evalW(i, e, s.pcol[e][l])
-					}
-				})
-			} else {
-				recomputeW()
 			}
 		}
-
 		pSweepSp.End()
 
 		obj = trueObj()
@@ -1538,6 +1361,226 @@ func (s *fwState) run(effort int) {
 		epochSp.End()
 	}
 	s.restoreBest()
+}
+
+// pSweepInc runs one p block sweep incrementally: the reference sweep in
+// run's else branch with the static cells cached. For block l a cell
+// (i, e) is static when p_l(e) = 0 and e is off the oracle path: its mixed
+// value x stays exactly +0 and l holds no entry in tops[e], so the probe
+// collapses to the column's own worst load — the top-F insertion stats
+// walked at x = 0 reproduce the buffer-order sum tops[e].worstArb bit for
+// bit (the first F non-l entries are the first F entries, summed in the
+// same order), and the knapsack walk skips and merges nothing, which is
+// worstKnap. Static utilizations and their exp terms are therefore cached
+// like the r sweep's, keyed on the current reference point, and every eval
+// computes the kernel and math.Exp only at the active cells plus cache
+// refills; the z sum still adds all cells in ascending order so its float
+// association — and the accepted plan — matches the reference exactly.
+//
+// The two colTop kernels differ only where a probe is evaluated: top-F
+// reads per-block insertion stats (sFm1 + max(x, aF), "others first, x
+// last"), the knapsack walks the buffer with l skipped and (x, l) merged
+// at its rank. Each probe evaluates the active cells once into uAct; the
+// max and the z sum read them back.
+func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
+	nL := s.g.NumLinks()
+	nI := len(s.reqs)
+	loads, W := s.ar.loads, s.ar.W
+	arbF, knapU := s.arbF, s.knapU
+	knap := knapU != nil
+	sFm1, aF, xDir := s.ar.sFm1, s.ar.aF, s.ar.xDir
+	u0 := s.ar.u0
+	expu := s.ar.expu
+	uAct := s.ar.us // [req*link], free between global steps
+	stamp := s.ar.stampE
+	act := s.ar.active
+	prevAct := s.ar.active2
+	nPrev := 0
+	// The static fills below are a few thousand flops per call: plain
+	// loops, no pool hand-off, and — with no closure escaping into a pool —
+	// a warm sweep allocates nothing.
+	for i := 0; i < nI; i++ {
+		li, u0i := loads[i], u0[i]
+		if knap {
+			u := knapU[i]
+			for e := 0; e < nL; e++ {
+				w, _ := s.tops[e].worstKnap(u)
+				u0i[e] = (li[e] + w) / s.capac[e]
+			}
+			continue
+		}
+		F := arbF[i]
+		for e := 0; e < nL; e++ {
+			u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
+		}
+	}
+	cachedWorst := math.NaN()
+	refill := func(worst float64) {
+		for i := 0; i < nI; i++ {
+			u0i, ei := u0[i], expu[i]
+			for e := 0; e < nL; e++ {
+				ei[e] = math.Exp((u0i[e] - worst) / mu)
+			}
+		}
+		cachedWorst = worst
+	}
+	for l := 0; l < nL; l++ {
+		path := pPaths[l]
+		if path == nil {
+			continue
+		}
+		cl := s.capac[l]
+		for e := range xDir {
+			xDir[e] = 0
+		}
+		for _, id := range path {
+			xDir[id] = cl
+		}
+		pl := s.P[l]
+		// Active cells: the support of p_l plus the oracle path.
+		// p_l(e) != 0 iff pcol[e][l] != 0 (pcol mirrors c_l·P exactly in
+		// columns and the accept loop, and the values never reach the
+		// subnormal range where the product or quotient could flush to
+		// zero), so the contiguous P row substitutes for a strided pcol
+		// scan.
+		s.stampGen++
+		gen := s.stampGen
+		nAct := 0
+		for e := 0; e < nL; e++ {
+			if pl[e] != 0 {
+				stamp[e] = gen
+				act[nAct] = int32(e)
+				nAct++
+			}
+		}
+		for _, id := range path {
+			if stamp[id] != gen {
+				stamp[id] = gen
+				act[nAct] = int32(id)
+				nAct++
+			}
+		}
+		// Insertion stats only where fresh evaluation happens.
+		if !knap {
+			for i := 0; i < nI; i++ {
+				F := arbF[i]
+				sfi, afi := sFm1[i], aF[i]
+				for _, e32 := range act[:nAct] {
+					e := int(e32)
+					sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
+				}
+			}
+		}
+		evalW := func(i, e int, x float64) float64 {
+			if x > aF[i][e] {
+				return sFm1[i][e] + x
+			}
+			return sFm1[i][e] + aF[i][e]
+		}
+		staticMax := 0.0
+		for i := 0; i < nI; i++ {
+			u0i := u0[i]
+			for e := 0; e < nL; e++ {
+				if stamp[e] != gen && u0i[e] > staticMax {
+					staticMax = u0i[e]
+				}
+			}
+		}
+		eval := func(gamma float64) float64 {
+			worst := staticMax
+			for i := 0; i < nI; i++ {
+				li, ua := loads[i], uAct[i*nL:(i+1)*nL]
+				if knap {
+					u := knapU[i]
+					for _, e32 := range act[:nAct] {
+						e := int(e32)
+						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
+						ua[e] = (li[e] + s.tops[e].worstKnapAt(u, int32(l), x)) / s.capac[e]
+					}
+				} else {
+					for _, e32 := range act[:nAct] {
+						e := int(e32)
+						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
+						ua[e] = (li[e] + evalW(i, e, x)) / s.capac[e]
+					}
+				}
+				for _, e32 := range act[:nAct] {
+					if u := ua[e32]; u > worst {
+						worst = u
+					}
+				}
+			}
+			if worst != cachedWorst {
+				refill(worst)
+			}
+			var z float64
+			for i := 0; i < nI; i++ {
+				ua, ei := uAct[i*nL:(i+1)*nL], expu[i]
+				for e := 0; e < nL; e++ {
+					if stamp[e] == gen {
+						z += math.Exp((ua[e] - worst) / mu)
+					} else {
+						z += ei[e]
+					}
+				}
+			}
+			return worst + mu*math.Log(z)
+		}
+		gamma := ternaryMin(eval, 12)
+		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+			continue
+		}
+		for _, e32 := range act[:nAct] {
+			e := int(e32)
+			old := s.pcol[e][l]
+			nv := (1-gamma)*old + gamma*xDir[e]
+			s.pcol[e][l] = nv
+			pl[e] = nv / cl
+			if nv != old {
+				s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
+			}
+		}
+		// The reference refresh rewrites every W cell. The knapsack walk
+		// has one summation order, so W always holds worstKnap of the
+		// current buffer and only the moved cells change. Top-F active
+		// cells take the insertion-stats value at the accepted x while
+		// static cells collapse back to the buffer-order worstArb sum;
+		// only the previous accepted block's active cells can hold
+		// insertion-order bits, so the rewrite touches prevAct \ act plus
+		// act — every other cell already stores worstArb of an unchanged
+		// top buffer.
+		// Either way the moved cells' static view and exp cache are
+		// refreshed from their updated buffers, at the current reference
+		// point.
+		for i := 0; i < nI; i++ {
+			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
+			if knap {
+				u := knapU[i]
+				for _, e32 := range act[:nAct] {
+					e := int(e32)
+					Wi[e], _ = s.tops[e].worstKnap(u)
+					u0i[e] = (li[e] + Wi[e]) / s.capac[e]
+					ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+				}
+				continue
+			}
+			F := arbF[i]
+			for _, e32 := range prevAct[:nPrev] {
+				e := int(e32)
+				if stamp[e] != gen {
+					Wi[e] = s.tops[e].worstArb(F)
+				}
+			}
+			for _, e32 := range act[:nAct] {
+				e := int(e32)
+				Wi[e] = evalW(i, e, s.pcol[e][l])
+				u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
+				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+			}
+		}
+		copy(prevAct[:nAct], act[:nAct])
+		nPrev = nAct
+	}
 }
 
 // globalStep moves every commodity toward its oracle path simultaneously

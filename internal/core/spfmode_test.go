@@ -19,7 +19,9 @@ import (
 // generated transit-stub topology. CI's bench-smoke job runs this test;
 // it is the end-to-end guarantee behind defaulting ModeAuto on. The
 // Abilene case adds a delay envelope so the kernel-based
-// delayBoundedPath rewrite is under the differential too.
+// delayBoundedPath rewrite is under the differential too, and the
+// degradation case holds the knapsack kernel's incremental p sweep
+// (incremental, delta) to its reference sweep (flat).
 func TestSPFModeByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,6 +32,7 @@ func TestSPFModeByteIdentity(t *testing.T) {
 		{"ring5", ring5(t), 11, Config{Model: ArbitraryFailures{F: 1}, Iterations: 80}},
 		{"abilene", topo.Abilene(), 3, Config{Model: ArbitraryFailures{F: 1}, Iterations: 60, DelayEnvelope: 2.5}},
 		{"gen-small", topo.Mesh("GenSmall", 24, 100, 5, topo.OC48), 7, Config{Model: ArbitraryFailures{F: 2}, Iterations: 50}},
+		{"gen-small-degrade", topo.Mesh("GenSmall", 24, 100, 5, topo.OC48), 7, Config{Model: DegradationModel{Beta: 0.3, Budget: 1.5}, Iterations: 50}},
 	}
 	modes := []spf.Mode{spf.ModeFlat, spf.ModeIncremental, spf.ModeDelta}
 	for _, tc := range cases {

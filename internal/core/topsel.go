@@ -2,13 +2,15 @@ package core
 
 // colTop maintains the largest positive entries of one pcol column across
 // the p block sweep, so per-link line searches read their insertion stats
-// in O(F) instead of rescanning the whole column per cell.
+// (top-F) or knapsack walk (degradation envelopes) in O(K) instead of
+// rescanning the whole column per cell.
 //
 // Invariants. Entries are ordered by the strict total order "value
 // descending, index ascending among equal values" — exactly the order the
 // insertion buffers in sumTopK and insertionStats produce — and the buffer
 // always holds the first min(K, #positives) entries of the column in that
-// order, where K is the configured capacity (max F over requirements,
+// order, where K is the configured capacity (max F over requirements — or
+// the longest knapsack walk when the buffers serve degradation envelopes —
 // plus one). capped reports that positive entries beyond the buffer exist;
 // capped implies a full buffer, so every query for F <= K-1 is answered
 // from buffered entries alone and never needs the tail. Sums are taken in
@@ -190,4 +192,77 @@ func (t *colTop) stats(skip int32, F int) (sFm1, aF float64) {
 	// Fewer than F positives besides skip: the top-(F-1) sum holds all of
 	// them and no F-th largest exists.
 	return sFm1, 0
+}
+
+// worstKnap returns DegradationModel.WorstLoad(col) bit for bit for a
+// uniform-β model whose knapsack walk is u (see knapSteps): the buffer
+// holds the column's positives in the reference's rankBefore order, so the
+// walk takes the same entries with the same multipliers in the same
+// summation order, floored by the same single-failure anchor val[0].
+// anchored reports that the anchor won (the maximizer is link idx[0] at
+// full strength). Requires len(u) <= K; an empty u (β = 0) yields 0.
+//
+// Top-F and the knapsack share the buffer, not the sum: stats feeds
+// "others first, x last" sums that the top-F goldens depend on, while the
+// knapsack must add in rank order to match its reference.
+func (t *colTop) worstKnap(u []float64) (w float64, anchored bool) {
+	n := t.n
+	if len(u) < n {
+		n = len(u)
+	}
+	if n == 0 {
+		return 0, false
+	}
+	var knap float64
+	for j := 0; j < n; j++ {
+		knap += knapTerm(u[j], t.val[j])
+	}
+	if a := t.val[0]; a > knap {
+		return a, true
+	}
+	return knap, false
+}
+
+// worstKnapAt returns the same maximum for the column with entry l
+// replaced by x — the p sweep's line-search probe — without materializing
+// it: the walk skips index l and merges (x, l) at its topBefore rank when
+// x is positive. Requires len(u) <= K-1, so that a capped buffer still
+// holds len(u) entries besides l. With x = +0 and l absent from the buffer
+// (a static cell) this is worstKnap exactly.
+func (t *colTop) worstKnapAt(u []float64, l int32, x float64) float64 {
+	var knap, anchor float64
+	j := 0
+	pending := x > 0
+	for p := 0; p < t.n && j < len(u); p++ {
+		i := t.idx[p]
+		if i == l {
+			continue
+		}
+		v := t.val[p]
+		if pending && topBefore(x, l, v, i) {
+			pending = false
+			if j == 0 {
+				anchor = x
+			}
+			knap += knapTerm(u[j], x)
+			if j++; j == len(u) {
+				break
+			}
+		}
+		if j == 0 {
+			anchor = v
+		}
+		knap += knapTerm(u[j], v)
+		j++
+	}
+	if pending && j < len(u) {
+		if j == 0 {
+			anchor = x
+		}
+		knap += knapTerm(u[j], x)
+	}
+	if anchor > knap {
+		return anchor
+	}
+	return knap
 }
