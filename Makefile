@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-lp bench-fw bench-spf bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
+.PHONY: all build vet test race bench bench-parallel bench-fw bench-spf bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
 
 all: build vet test
 
@@ -26,11 +26,6 @@ bench:
 # speedup is bounded by the cores available).
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelSummary' -benchtime 1x .
-
-# bench-lp compares cold vs warm-started exact LP scenario solves and
-# writes BENCH_lp.json (pivot/refactorization/recovery counters).
-bench-lp:
-	$(GO) test -run '^$$' -bench 'BenchmarkLPColdVsWarm' -benchtime 1x .
 
 # bench-fw times the serial Frank–Wolfe solver on the generated topology
 # against the committed BENCH_parallel.json baseline and writes
@@ -117,4 +112,5 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/topo
 	$(GO) test -fuzz '^FuzzParseMatrix$$' -fuzztime 10s ./internal/traffic
 	$(GO) test -fuzz '^FuzzLPDifferential$$' -fuzztime 10s ./internal/lp
+	$(GO) test -fuzz '^FuzzLUSolve$$' -fuzztime 10s ./internal/lp
 	$(GO) test -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/core

@@ -20,7 +20,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -383,85 +382,6 @@ func BenchmarkEvaluateParallel8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		en.Evaluate(d, scenarios)
-	}
-}
-
-// --- LP warm starting (DESIGN.md §8) -------------------------------------
-
-// BenchmarkLPColdVsWarm compares cold exact per-scenario optimal solves
-// (a fresh solver per scenario, so every LP starts from scratch) against
-// the evaluation engine's warm-started exact mode (one no-failure solve
-// seeds a shared basis; every scenario re-solves from it via the dual
-// simplex) over all connected single-link failures of Abilene, and
-// writes the pivot/refactorization/recovery counters to BENCH_lp.json.
-func BenchmarkLPColdVsWarm(b *testing.B) {
-	g := topo.Abilene()
-	d := traffic.NewMatrix(g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		d.Set(graph.NodeID(n), graph.NodeID((n+2)%g.NumNodes()), 120)
-	}
-	scenarios := eval.FilterConnected(g, eval.SingleLinks(g))
-
-	for i := 0; i < b.N; i++ {
-		coldReg, warmReg := obs.NewRegistry(), obs.NewRegistry()
-
-		start := time.Now()
-		for _, failed := range scenarios {
-			cold := &protect.Optimal{G: g, Exact: true, Obs: coldReg}
-			cold.Loads(failed, d)
-		}
-		coldSec := time.Since(start).Seconds()
-
-		en := &eval.Engine{
-			G:            g,
-			Schemes:      []protect.Scheme{&protect.OSPFRecon{G: g}},
-			ExactOptimal: true,
-			Workers:      1,
-			Obs:          warmReg,
-		}
-		start = time.Now()
-		en.Evaluate(d, scenarios)
-		warmSec := time.Since(start).Seconds()
-
-		if i != 0 {
-			continue
-		}
-		coldC := coldReg.Snapshot().Counters
-		warmC := warmReg.Snapshot().Counters
-		if warmC["lp.warm_starts"] == 0 {
-			b.Fatal("engine exact mode never warm-started")
-		}
-		if warmC["lp.pivots"] >= coldC["lp.pivots"] {
-			b.Fatalf("warm pivots %d >= cold pivots %d", warmC["lp.pivots"], coldC["lp.pivots"])
-		}
-		pivotRatio := float64(coldC["lp.pivots"]) / float64(warmC["lp.pivots"])
-		counters := func(c map[string]int64) map[string]any {
-			return map[string]any{
-				"solves":           c["lp.solves"],
-				"pivots":           c["lp.pivots"],
-				"warm_starts":      c["lp.warm_starts"],
-				"refactorizations": c["lp.refactorizations"],
-				"recoveries":       c["lp.recoveries"],
-			}
-		}
-		summary := map[string]any{
-			"topology":          g.Name,
-			"nodes":             g.NumNodes(),
-			"links":             g.NumLinks(),
-			"scenarios":         len(scenarios),
-			"note":              "cold = fresh exact solver per scenario; warm = engine seeds the no-failure basis once and every scenario re-solves from it",
-			"cold":              counters(coldC),
-			"warm":              counters(warmC),
-			"cold_seconds":      coldSec,
-			"warm_seconds":      warmSec,
-			"pivot_ratio":       pivotRatio,
-			"wallclock_speedup": coldSec / warmSec,
-		}
-		writeBenchFile(b, "BENCH_lp.json", summary)
-		b.Logf("pivots over %d scenarios: cold %d vs warm %d (%.1fx); %0.3fs vs %0.3fs",
-			len(scenarios), coldC["lp.pivots"], warmC["lp.pivots"], pivotRatio, coldSec, warmSec)
-		b.ReportMetric(pivotRatio, "pivot-ratio")
-		b.ReportMetric(float64(warmC["lp.pivots"])/float64(len(scenarios)), "warm-pivots/scenario")
 	}
 }
 

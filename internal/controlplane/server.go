@@ -2,11 +2,15 @@ package controlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -200,8 +204,18 @@ func (s *Server) worker() {
 // build computes (or looks up) the plan for the inputs and publishes it
 // as a new revision with a staged rollout attached. It is called from
 // New (synchronously) and from the worker; inputs are immutable
-// snapshots.
-func (s *Server) build(g *graph.Graph, d *traffic.Matrix) error {
+// snapshots. A panic anywhere under it (the solvers are the likely
+// source) comes back as an error with the stack logged: the revision
+// being served is unaffected, so the daemon keeps serving it, the worker
+// counts a breaker failure, and nothing is published.
+func (s *Server) build(g *graph.Graph, d *traffic.Matrix) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.reg.Counter("cp.rebuild_panics").Inc()
+			slog.Error("r3d: rebuild panicked", "panic", r, "stack", string(debug.Stack()))
+			err = fmt.Errorf("controlplane: rebuild panicked: %v", r)
+		}
+	}()
 	if s.testBuildErr != nil {
 		if err := s.testBuildErr(); err != nil {
 			return err
@@ -589,6 +603,25 @@ func (s *Server) admitUpdate(w http.ResponseWriter) bool {
 	return true
 }
 
+// maxBodyBytes caps the POST /v1/topology and /v1/traffic bodies. A dense
+// 1000-node matrix, the largest input the planner takes, is about 25 MB
+// of text.
+const maxBodyBytes = 64 << 20
+
+// writeBodyError answers a failed parse of a capped request body: 413
+// when the cap is what cut the input short, 400 otherwise. The parsers
+// report a truncated body as whatever its last line looks like, so the
+// capped reader is asked directly: past the limit it fails every read.
+func writeBodyError(w http.ResponseWriter, body io.Reader, err error) {
+	var tooBig *http.MaxBytesError
+	if _, rerr := body.Read(make([]byte, 1)); errors.As(rerr, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%v: limit is %d bytes", rerr, tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, err.Error())
+}
+
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	if !s.admitUpdate(w) {
 		return
@@ -596,9 +629,10 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	g := s.g
 	s.mu.Unlock()
-	d, err := traffic.ParseMatrix(r.Body, g.NumNodes(), g.NodeByName)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	d, err := traffic.ParseMatrix(body, g.NumNodes(), g.NodeByName)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, body, err)
 		return
 	}
 	s.mu.Lock()
@@ -615,9 +649,10 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if !s.admitUpdate(w) {
 		return
 	}
-	g, err := topo.Parse(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	g, err := topo.Parse(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, body, err)
 		return
 	}
 	s.mu.Lock()

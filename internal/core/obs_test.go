@@ -106,4 +106,8 @@ func TestObsLPRecordsSolveCounters(t *testing.T) {
 	if snap.Vecs["lp.status"]["optimal"] != snap.Counters["lp.solves"] {
 		t.Fatalf("lp.status = %v, want all %d solves optimal", snap.Vecs["lp.status"], snap.Counters["lp.solves"])
 	}
+	if snap.Gauges["lp.lu_nnz"] == 0 || snap.Gauges["lp.basis_nnz"] == 0 || snap.Counters["lp.eta_nnz"] == 0 {
+		t.Fatalf("fill telemetry missing: lu_nnz %d, basis_nnz %d, eta_nnz %d",
+			snap.Gauges["lp.lu_nnz"], snap.Gauges["lp.basis_nnz"], snap.Counters["lp.eta_nnz"])
+	}
 }

@@ -113,3 +113,30 @@ func TestEngineShardSeedIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestExactWarmStartsCutPivots pins what the engine's exact mode is for:
+// over every connected single-link failure of Abilene, seeding one
+// no-failure basis and re-solving each scenario from it warm-starts, and
+// spends fewer simplex pivots than a fresh exact solver per scenario.
+func TestExactWarmStartsCutPivots(t *testing.T) {
+	g := topo.Abilene()
+	d := traffic.NewMatrix(g.NumNodes())
+	for n := 0; n < g.NumNodes(); n++ {
+		d.Set(graph.NodeID(n), graph.NodeID((n+2)%g.NumNodes()), 120)
+	}
+	scenarios := FilterConnected(g, SingleLinks(g))
+	coldReg, warmReg := obs.NewRegistry(), obs.NewRegistry()
+	for _, failed := range scenarios {
+		cold := &protect.Optimal{G: g, Exact: true, Obs: coldReg}
+		cold.Loads(failed, d)
+	}
+	en := &Engine{G: g, ExactOptimal: true, Workers: 1, Obs: warmReg}
+	en.Evaluate(d, scenarios)
+	cold, warm := coldReg.Snapshot().Counters, warmReg.Snapshot().Counters
+	if warm["lp.warm_starts"] == 0 {
+		t.Fatal("engine exact mode never warm-started")
+	}
+	if warm["lp.pivots"] >= cold["lp.pivots"] {
+		t.Fatalf("warm pivots %d >= cold pivots %d over %d scenarios", warm["lp.pivots"], cold["lp.pivots"], len(scenarios))
+	}
+}

@@ -21,9 +21,9 @@ type AblationSolverGap struct {
 }
 
 // SolverGap runs the ablation on a five-node ring with chords — an
-// instance the dense simplex solves exactly in well under a second (LP
-// (7) has O(|V|^2·|E|+|E|^2) variables and network LPs are highly
-// degenerate, so exact solves only scale to small networks; that
+// instance the simplex solves exactly in milliseconds (LP (7) has
+// O(|V|^2·|E|+|E|^2) variables and network LPs are highly degenerate,
+// so exact solves stop scaling at mid-size networks; that
 // size-vs-exactness trade-off is the point of this ablation).
 func SolverGap(o Options) *AblationSolverGap {
 	o = o.withDefaults()

@@ -114,3 +114,75 @@ func FuzzLPDifferential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLUSolve factorizes a fuzzer-shaped sparse basis of up to 8 rows and
+// checks what a caller relies on, in both directions: a solve through a
+// basis judged nonsingular leaves a residual ‖B·x − v‖ (‖Bᵀ·y − v‖) at
+// rounding level relative to ‖B‖·‖x‖ + ‖v‖ however ill-conditioned the
+// basis is, and a basis judged singular is one the dense oracle also finds
+// a pivot under 1e-6 in. Byte 0 sets the size; each following byte is one
+// cell, zero two times in three, then the right-hand side.
+func FuzzLUSolve(f *testing.F) {
+	f.Add([]byte{3, 255, 1, 2, 4, 255, 5, 7, 8, 255, 10, 20, 30})
+	f.Add([]byte{2, 90, 90, 90, 90, 1, 2})                      // rank 1
+	f.Add([]byte{6, 3, 0, 0, 0, 0, 6, 9, 3, 0, 0, 0, 0, 0, 12}) // mostly empty
+	f.Add([]byte{4, 30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 63, 66, 69, 72, 75, 200, 100, 50, 25})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := 2 + int(data[0])%7
+		at := func(k int) byte {
+			if 1+k < len(data) {
+				return data[1+k]
+			}
+			return 0
+		}
+		cols := make([][]entry, m)
+		bMax := 0.0
+		for c := 0; c < m; c++ {
+			for r := 0; r < m; r++ {
+				if b := at(c*m + r); b%3 == 0 && b != 0 {
+					v := byteCoef(b, -2, 2)
+					cols[c] = append(cols[c], entry{r, v})
+					bMax = math.Max(bMax, math.Abs(v))
+				}
+			}
+		}
+		v := make([]float64, m)
+		for i := range v {
+			v[i] = byteCoef(at(m*m+i), -1, 1)
+		}
+		sf, basis := basisOf(cols)
+		sparse, dense := newLU(m), newDenseLU(m)
+		if !sparse.factorize(sf, basis) {
+			if dense.factorize(sf, basis) {
+				for k := 0; k < m; k++ {
+					if math.Abs(dense.a[k*m+k]) < 1e-6 {
+						return
+					}
+				}
+				t.Fatalf("judged singular, but the dense oracle's pivots are all above 1e-6")
+			}
+			return
+		}
+		x := append([]float64(nil), v...)
+		sparse.ftran(x)
+		y := append([]float64(nil), v...)
+		sparse.btran(y)
+		rx := append([]float64(nil), v...) // v − B·x
+		ry := append([]float64(nil), v...) // v − Bᵀ·y
+		for c, col := range cols {
+			for _, e := range col {
+				rx[e.idx] -= e.val * x[c]
+				ry[c] -= e.val * y[e.idx]
+			}
+		}
+		for dir, res := range [][]float64{rx, ry} {
+			sol := [][]float64{x, y}[dir]
+			if bound := 1e-9 * (maxAbs(v) + float64(m)*bMax*maxAbs(sol)); !(maxAbs(res) <= bound) {
+				t.Fatalf("direction %d: residual %v over %v (|solution|∞ = %v)", dir, maxAbs(res), bound, maxAbs(sol))
+			}
+		}
+	})
+}

@@ -3,6 +3,8 @@ package lp
 import (
 	"errors"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // defaultRefactorEvery bounds the product-form eta file: the basis is
@@ -17,33 +19,48 @@ const tolDual = 1e-7
 var errSingular = errors.New("singular basis during refactorization")
 
 // solver is one revised-simplex run over a stdForm: a basis maintained
-// as a dense LU factorization plus a product-form eta file, periodically
+// as a sparse LU factorization plus a product-form eta file, periodically
 // refactorized.
 type solver struct {
-	sf          *stdForm
-	basis       []int // basic column per row
-	pos         []int // column -> basic row, or -1
-	lu          *luFact
-	etas        []etaCol
-	xB          []float64 // current basic values (B⁻¹b)
-	refactEvery int
-	maxIter     int
-	feasTol     float64
+	sf    *stdForm
+	basis []int // basic column per row
+	pos   []int // column -> basic row, or -1
+	lu    *luFact
+	// The eta file, one product-form update per pivot since the last
+	// refactorization: replacing the basis column at position etaR[t]
+	// gives B_new⁻¹ = E·B_old⁻¹, E the identity but for column etaR[t],
+	// whose nonzeros (pivot included, in index order) are
+	// eta[etaStart[t]:etaStart[t+1]].
+	etaR, etaStart []int
+	eta            []entry
+	xB             []float64 // current basic values (B⁻¹b)
+	refactEvery    int
+	maxIter        int
+	feasTol        float64
 
 	pivots, refactors, repairs, recoveries int
+
+	// Passive fill telemetry (nil without a registry): factor and basis
+	// nonzeros at the latest refactorization, eta nonzeros appended.
+	luNnz, basisNnz *obs.Gauge
+	etaNnz          *obs.Counter
 
 	// scratch vectors, length m
 	y, w, cB, rho []float64
 }
 
-func newSolver(sf *stdForm, maxIter int) *solver {
+func newSolver(sf *stdForm, maxIter int, reg *obs.Registry) *solver {
 	m := sf.m
 	return &solver{
 		sf:          sf,
 		basis:       make([]int, m),
 		pos:         make([]int, sf.total),
 		lu:          newLU(m),
+		etaStart:    make([]int, 1, defaultRefactorEvery+1),
 		xB:          make([]float64, m),
+		luNnz:       reg.Gauge("lp.lu_nnz"),
+		basisNnz:    reg.Gauge("lp.basis_nnz"),
+		etaNnz:      reg.Counter("lp.eta_nnz"),
 		refactEvery: defaultRefactorEvery,
 		maxIter:     maxIter,
 		feasTol:     tolZero * (1 + sf.bNorm),
@@ -89,15 +106,26 @@ func (s *solver) setBasisChecked(cols []int) bool {
 // ftranVec solves B·x = v through the factorization and the eta file.
 func (s *solver) ftranVec(v []float64) {
 	s.lu.ftran(v)
-	for i := range s.etas {
-		s.etas[i].ftran(v)
+	for t, r := range s.etaR {
+		xr := v[r]
+		if xr == 0 {
+			continue
+		}
+		v[r] = 0 // the slab holds E's pivot entry, not the identity's 1
+		for _, e := range s.eta[s.etaStart[t]:s.etaStart[t+1]] {
+			v[e.idx] += e.val * xr
+		}
 	}
 }
 
 // btranVec solves Bᵀ·y = c: eta transposes newest-first, then the LU.
 func (s *solver) btranVec(v []float64) {
-	for i := len(s.etas) - 1; i >= 0; i-- {
-		s.etas[i].btran(v)
+	for t := len(s.etaR) - 1; t >= 0; t-- {
+		sum := 0.0
+		for _, e := range s.eta[s.etaStart[t]:s.etaStart[t+1]] {
+			sum += e.val * v[e.idx]
+		}
+		v[s.etaR[t]] = sum
 	}
 	s.lu.btran(v)
 }
@@ -107,15 +135,31 @@ func (s *solver) computeXB() {
 	s.ftranVec(s.xB)
 }
 
+// testRefactor, when non-nil, is shown every basis about to be
+// refactorized, so tests can hold the factorization of the bases a real
+// solve visits against the dense oracle.
+var testRefactor func(sf *stdForm, basis []int)
+
 // refactor rebuilds the LU from the current basis, discards the eta
 // file, and recomputes the basic values from scratch.
 func (s *solver) refactor() error {
+	if testRefactor != nil {
+		testRefactor(s.sf, s.basis)
+	}
 	if !s.lu.factorize(s.sf, s.basis) {
 		return errSingular
 	}
 	s.refactors++
-	s.etas = s.etas[:0]
+	s.etaR, s.etaStart, s.eta = s.etaR[:0], s.etaStart[:1], s.eta[:0]
 	s.computeXB()
+	s.luNnz.Set(int64(s.lu.nnz()))
+	if s.basisNnz != nil {
+		n := 0
+		for _, b := range s.basis {
+			n += len(s.sf.cols[b])
+		}
+		s.basisNnz.Set(int64(n))
+	}
 	return nil
 }
 
@@ -125,7 +169,7 @@ func (s *solver) colFtran(j int, w []float64) {
 		w[i] = 0
 	}
 	for _, e := range s.sf.cols[j] {
-		w[e.row] = e.val
+		w[e.idx] = e.val
 	}
 	s.ftranVec(w)
 }
@@ -134,30 +178,27 @@ func (s *solver) colFtran(j int, w []float64) {
 // update and refactorizing when the eta file reaches its cap. w must be
 // B⁻¹·a_enter.
 func (s *solver) pivot(enter, leave int, w []float64) error {
-	m := s.sf.m
 	inv := 1 / w[leave]
-	v := make([]float64, m)
-	for i := 0; i < m; i++ {
-		if i == leave {
-			v[i] = inv
-		} else {
-			v[i] = -w[i] * inv
-		}
-	}
-	s.etas = append(s.etas, etaCol{r: leave, v: v})
 	t := s.xB[leave] * inv
-	for i := 0; i < m; i++ {
-		if i != leave && w[i] != 0 {
-			s.xB[i] -= t * w[i]
+	for i, wi := range w {
+		switch {
+		case i == leave:
+			s.eta = append(s.eta, entry{i, inv})
+			s.xB[i] = t
+		case wi != 0:
+			s.eta = append(s.eta, entry{i, -wi * inv})
+			s.xB[i] -= t * wi
 		}
 	}
-	s.xB[leave] = t
+	s.etaNnz.Add(int64(len(s.eta) - s.etaStart[len(s.etaR)]))
+	s.etaR = append(s.etaR, leave)
+	s.etaStart = append(s.etaStart, len(s.eta))
 	old := s.basis[leave]
 	s.pos[old] = -1
 	s.basis[leave] = enter
 	s.pos[enter] = leave
 	s.pivots++
-	if len(s.etas) >= s.refactEvery {
+	if len(s.etaR) >= s.refactEvery {
 		return s.refactor()
 	}
 	return nil
@@ -413,12 +454,9 @@ func (s *solver) warm(cols []int) (handled bool, st Status) {
 	if !s.setBasisChecked(cols) {
 		return false, IterLimit
 	}
-	if !s.lu.factorize(s.sf, s.basis) {
+	if s.refactor() != nil {
 		return false, IterLimit
 	}
-	s.refactors++
-	s.etas = s.etas[:0]
-	s.computeXB()
 	// A basic artificial off zero encodes a violated row that the
 	// phase-2-only repairs below cannot fix.
 	for i, b := range s.basis {
@@ -485,13 +523,8 @@ func (s *solver) reoptimize() bool {
 // point is available.
 func (s *solver) recover(attempt int) bool {
 	s.recoveries++
-	if attempt == 0 && s.lu.factorize(s.sf, s.basis) {
-		s.refactors++
-		s.etas = s.etas[:0]
-		s.computeXB()
-		if s.reoptimize() {
-			return true
-		}
+	if attempt == 0 && s.refactor() == nil && s.reoptimize() {
+		return true
 	}
 	s.refactEvery /= 4
 	if s.refactEvery < 8 {

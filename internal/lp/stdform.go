@@ -6,9 +6,11 @@ import (
 	"sort"
 )
 
-// entry is one nonzero of a sparse constraint column.
+// entry is one nonzero of a sparse vector: idx is the constraint row in a
+// stdForm column, and whatever the owning slab says in the basis
+// factorization and the eta file.
 type entry struct {
-	row int
+	idx int
 	val float64
 }
 
@@ -193,7 +195,7 @@ func buildStdForm(p *Problem) (*stdForm, error) {
 func colDot(sf *stdForm, y []float64, j int) float64 {
 	s := 0.0
 	for _, e := range sf.cols[j] {
-		s += y[e.row] * e.val
+		s += y[e.idx] * e.val
 	}
 	return s
 }

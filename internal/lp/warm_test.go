@@ -131,7 +131,7 @@ func TestRecoveryRepairsCorruptedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSolver(sf, 10000)
+	s := newSolver(sf, 10000, nil)
 	st, _, err := s.cold()
 	if st != Optimal || err != nil {
 		t.Fatalf("cold solve: %v %v", st, err)

@@ -348,9 +348,12 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	f := routing.NewFlow(g, comms)
 	reach := make([]bool, len(comms))
 	dropped := 0
+	distTo := make([][]float64, g.NumNodes()) // hop distances, one reverse Dijkstra per distinct destination
 	for k, c := range comms {
-		distTo := spf.DijkstraTo(g, c.Dst, opts.Alive, func(graph.LinkID) float64 { return 1 })
-		if math.IsInf(distTo[c.Src], 1) {
+		if distTo[c.Dst] == nil {
+			distTo[c.Dst] = spf.DijkstraTo(g, c.Dst, opts.Alive, func(graph.LinkID) float64 { return 1 })
+		}
+		if math.IsInf(distTo[c.Dst][c.Src], 1) {
 			dropped++
 			continue
 		}
@@ -360,15 +363,12 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	p := lp.NewProblem()
 	p.Obs = opts.Obs
 	mluVar := p.AddVariable("MLU", 1)
-	// varOf[k][e] is the variable index of commodity k on link e. Every
+	// varOf[k*nL+e] is the variable index of commodity k on link e. Every
 	// (commodity, link) pair gets a variable so the shape is
 	// scenario-independent; kill rows force dead-link flow to zero.
-	varOf := make([][]int, len(comms))
-	for k := range comms {
-		varOf[k] = make([]int, nL)
-		for e := 0; e < nL; e++ {
-			varOf[k][e] = p.AddVariable(fmt.Sprintf("f%d_%d", k, e), 0)
-		}
+	varOf := make([]int, len(comms)*nL)
+	for i := range varOf {
+		varOf[i] = p.AddVariable("", 0)
 	}
 
 	// Routing constraints [R1]-[R3] per reachable commodity. An
@@ -378,7 +378,7 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 		if !reach[k] {
 			terms := make([]lp.Term, 0, nL)
 			for e := 0; e < nL; e++ {
-				terms = append(terms, lp.Term{Var: varOf[k][e], Coef: 1})
+				terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: 1})
 			}
 			p.AddConstraint(terms, lp.EQ, 0)
 			continue
@@ -386,12 +386,12 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 		// [R2] source emits one unit net (allowing no return flow [R3]).
 		var src []lp.Term
 		for _, id := range g.Out(c.Src) {
-			src = append(src, lp.Term{Var: varOf[k][int(id)], Coef: 1})
+			src = append(src, lp.Term{Var: varOf[k*nL+int(id)], Coef: 1})
 		}
 		p.AddConstraint(src, lp.EQ, 1)
 		// [R3] nothing enters the source.
 		for _, id := range g.In(c.Src) {
-			p.AddConstraint([]lp.Term{{Var: varOf[k][int(id)], Coef: 1}}, lp.EQ, 0)
+			p.AddConstraint([]lp.Term{{Var: varOf[k*nL+int(id)], Coef: 1}}, lp.EQ, 0)
 		}
 		// [R1] conservation at intermediate nodes.
 		for n := 0; n < g.NumNodes(); n++ {
@@ -401,10 +401,10 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 			}
 			var terms []lp.Term
 			for _, id := range g.In(node) {
-				terms = append(terms, lp.Term{Var: varOf[k][int(id)], Coef: 1})
+				terms = append(terms, lp.Term{Var: varOf[k*nL+int(id)], Coef: 1})
 			}
 			for _, id := range g.Out(node) {
-				terms = append(terms, lp.Term{Var: varOf[k][int(id)], Coef: -1})
+				terms = append(terms, lp.Term{Var: varOf[k*nL+int(id)], Coef: -1})
 			}
 			if terms != nil {
 				p.AddConstraint(terms, lp.EQ, 0)
@@ -427,7 +427,7 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 		terms := []lp.Term{{Var: mluVar, Coef: -cEdge}}
 		for k, c := range comms {
 			if c.Demand > 0 {
-				terms = append(terms, lp.Term{Var: varOf[k][e], Coef: c.Demand})
+				terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: c.Demand})
 			}
 		}
 		rhs := 0.0
@@ -455,7 +455,7 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	for e := 0; e < nL; e++ {
 		terms := make([]lp.Term, 0, len(comms))
 		for k := range comms {
-			terms = append(terms, lp.Term{Var: varOf[k][e], Coef: kcoef[k]})
+			terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: kcoef[k]})
 		}
 		rhs := 0.0
 		if aliveLinks[e] {
@@ -479,7 +479,7 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 			// Dead links carry only kill-row tolerance noise; zero it so
 			// extracted flows match the alive-only formulation exactly.
 			if aliveLinks[e] {
-				f.Frac[k][e] = sol.X[varOf[k][e]]
+				f.Frac[k][e] = sol.X[varOf[k*nL+e]]
 			}
 		}
 	}

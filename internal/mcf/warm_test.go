@@ -98,3 +98,37 @@ func TestMinMLUExactKillRowsMatchLegacySemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestExactAbileneCold runs the LP behind r3d's certificate — the cold
+// exact min-MLU solve on Abilene under the benchmark's hour-0 gravity
+// matrix, 3 081 variables by 1 436 rows — and pins its optimum to the
+// value the dense-LU solver reached (0.37817308734842009), with no
+// recovery, and the same pivot count on a second run: the factorization's
+// ordering is a function of the basis alone.
+func TestExactAbileneCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full-size exact solves")
+	}
+	g := topo.Abilene()
+	d := traffic.DiurnalSeries(traffic.Gravity(g, 0.15*g.TotalCapacity(), 1), 24, 1)[0]
+	comms := routing.ODCommodities(g.NumNodes(), d.At)
+	var pivots [2]int64
+	for run := range pivots {
+		reg := obs.NewRegistry()
+		res, err := MinMLUExact(g, comms, Options{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 0.37817308734842009; math.Abs(res.MLU-want) > 1e-9 {
+			t.Fatalf("run %d: MLU %.17g, want %.17g", run, res.MLU, want)
+		}
+		c := reg.Snapshot().Counters
+		if c["lp.recoveries"] != 0 {
+			t.Fatalf("run %d: %d recoveries", run, c["lp.recoveries"])
+		}
+		pivots[run] = c["lp.pivots"]
+	}
+	if pivots[0] != pivots[1] || pivots[0] == 0 {
+		t.Fatalf("pivot counts %v differ between identical runs", pivots)
+	}
+}
