@@ -68,10 +68,14 @@ chaos: vet
 # transition runs the staged-reconfiguration suite under the race
 # detector — scheduler property/differential tests, delta/round
 # versioning, staged delivery through the emulator, and the
-# staged-vs-one-shot sweep — mirroring the CI transition-smoke job.
+# staged-vs-one-shot sweep — and the copy-on-write State gates (eager-copy
+# oracle, plan-never-written hash, concurrent NewState, allocation bound),
+# mirroring the CI transition-smoke job. vet's copylocks check is what
+# keeps core.Plan from being copied by value.
 transition: vet
 	$(GO) test -race -count=1 ./internal/transition
 	$(GO) test -race -count=1 -run 'TestDiff|TestApplyRound|TestApplyDelta|TestFailAll' ./internal/mplsff ./internal/core
+	$(GO) test -race -count=1 -run 'TestState|TestNewState|TestCloneIsolation|TestFailAll' ./internal/core ./internal/mplsff
 	$(GO) test -race -count=1 -run 'TestStaged|TestFailAtSilent' ./internal/netem
 	$(GO) test -race -count=1 -run 'TestTransitionSweep' ./internal/exp
 

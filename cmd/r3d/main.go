@@ -111,7 +111,7 @@ func main() {
 	fmt.Printf("r3d: revision %d ready in %v (MLU %.4f, normal %.4f, digest %016x)\n",
 		rev.ID, time.Since(start).Round(time.Millisecond), rev.Plan.MLU, rev.Plan.NormalMLU, rev.Digest)
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := obs.NewHTTPServer(*listen, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -2,12 +2,18 @@ package controlplane
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // commentLines is an endless body of "#\n" comment lines, which both
@@ -91,5 +97,46 @@ func TestRebuildPanicTripsBreaker(t *testing.T) {
 	_, after, hdrAfter := get(t, ts.URL+"/v1/plan")
 	if s.Active().ID != 1 || !bytes.Equal(before, after) || hdr.Get("X-R3-Digest") != hdrAfter.Get("X-R3-Digest") {
 		t.Fatalf("served plan changed across a panicking build (revision %d)", s.Active().ID)
+	}
+}
+
+// TestSlowHeaderClientIsDropped: r3d serves through obs.NewHTTPServer,
+// whose timeouts end a connection that never finishes its request line
+// and headers, while other clients keep being answered. The header
+// timeout is shortened here so the test does not sit out the real one.
+func TestSlowHeaderClientIsDropped(t *testing.T) {
+	s, _, _ := newTestServer(t, testFWConfig(), nil)
+	srv := obs.NewHTTPServer("", s.Handler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("server left without a timeout: header %v, read %v, write %v, idle %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv
+	ts.Start()
+	defer ts.Close()
+
+	slow, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: r3d\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz answered %d while a slow client was connected", code)
+	}
+	// The server hangs up on the unfinished request; only our own
+	// deadline firing means it did not.
+	if err := slow.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(slow); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a client that never finished its headers was still connected after 10 s")
+	}
+	if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz answered %d after the slow client was dropped", code)
 	}
 }

@@ -87,6 +87,17 @@ func TestCloneIsolation(t *testing.T) {
 	if st.Detour(0)[2] == 99 {
 		t.Fatal("clone shares detour storage with the original")
 	}
+
+	// And the other way round: a clone taken now must not see what the
+	// original does next, although both started from the same rows.
+	snap := st.Clone()
+	want := st.Clone()
+	if err := st.Fail(2); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Failed().Contains(2) || !snap.BaseEquals(want, 0) || !snap.ProtEquals(want, 0) {
+		t.Fatal("failing a link on the original leaked into its clone")
+	}
 }
 
 // TestFailWithCustomDetour: FailWith applies updates (9)/(10) with the
@@ -106,10 +117,13 @@ func TestFailWithCustomDetour(t *testing.T) {
 	}
 
 	// A custom detour (all of e1's traffic via e4) shifts base load there.
-	st := NewState(examplePlan(t))
-	st.Base().Frac[0][3] = 0
-	st.Base().Frac[0][0] = 1 // route the commodity over e1
-	st.Base().Comms[0].Demand = 10
+	// The plan is edited before NewState: rows reached through
+	// State.Base() alias the plan and are read-only.
+	plan := examplePlan(t)
+	plan.Base.Frac[0][3] = 0
+	plan.Base.Frac[0][0] = 1 // route the commodity over e1
+	plan.Base.Comms[0].Demand = 10
+	st := NewState(plan)
 	custom := []float64{0, 0, 0, 1}
 	if err := st.FailWith(0, custom); err != nil {
 		t.Fatal(err)

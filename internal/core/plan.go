@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -11,6 +12,14 @@ import (
 
 // Plan is the output of offline precomputation: the base routing r, the
 // protection routing p, and the achieved objective over d + X_F.
+//
+// A plan is frozen once it has been handed to NewState: every State built
+// from it aliases the rows of Base.Frac and Prot (copy-on-write) and reads
+// them through a nonzero pattern the plan caches, so writing a row
+// afterwards silently corrupts every such state. The solvers and the
+// codec finish all their writes before they return the plan; nothing else
+// in the tree writes one. Pass plans by pointer (the cached pattern makes
+// the struct non-copyable, and go vet's copylocks check enforces it).
 type Plan struct {
 	G *graph.Graph
 	// Model is the failure model the plan protects against.
@@ -32,6 +41,39 @@ type Plan struct {
 	// re-precomputation of the same problem shape. The codec does not
 	// serialize it, so the wire format is unchanged.
 	LPBasis *lp.Basis
+
+	// pattern is the nonzero pattern of Base.Frac, built by the first
+	// NewState (concurrent callers included) and shared by every State.
+	patternOnce sync.Once
+	pattern     *rowPattern
+}
+
+// rowPattern is the nonzero pattern of a plan's base routing in CSR form:
+// row k's nonzero link indices are idx[off[k]:off[k+1]], ascending. Values
+// are not stored; readers fetch them from the rows themselves. (int32
+// offsets are ample: the dense rows of a plan with 2^31 nonzeros would
+// take 16 GiB first.)
+type rowPattern struct {
+	off []int32
+	idx []int32
+}
+
+// basePattern returns the plan's cached base-routing pattern, building it
+// on first use.
+func (p *Plan) basePattern() *rowPattern {
+	p.patternOnce.Do(func() {
+		pat := &rowPattern{off: make([]int32, len(p.Base.Frac)+1)}
+		for k, fr := range p.Base.Frac {
+			for l, v := range fr {
+				if v != 0 {
+					pat.idx = append(pat.idx, int32(l))
+				}
+			}
+			pat.off[k+1] = int32(len(pat.idx))
+		}
+		p.pattern = pat
+	})
+	return p.pattern
 }
 
 // CongestionFree reports whether the plan carries Theorem 1's guarantee:
@@ -41,9 +83,13 @@ func (p *Plan) CongestionFree() bool { return p.MLU <= 1+1e-9 }
 // VirtualLoad returns the worst-case virtual (rerouted) load on link e
 // under the plan's failure model.
 func (p *Plan) VirtualLoad(e graph.LinkID) float64 {
-	nL := p.G.NumLinks()
-	v := make([]float64, nL)
-	for l := 0; l < nL; l++ {
+	return p.virtualLoad(e, make([]float64, p.G.NumLinks()))
+}
+
+// virtualLoad is VirtualLoad with a caller-supplied column buffer v of
+// length NumLinks, every entry of which it overwrites.
+func (p *Plan) virtualLoad(e graph.LinkID, v []float64) float64 {
+	for l := range v {
 		v[l] = p.G.Link(graph.LinkID(l)).Capacity * p.Prot[l][e]
 	}
 	return p.Model.WorstLoad(v)
@@ -54,9 +100,10 @@ func (p *Plan) VirtualLoad(e graph.LinkID) float64 {
 // verification counterpart of the offline solvers.
 func (p *Plan) Evaluate() float64 {
 	baseLoads := p.Base.Loads()
+	col := make([]float64, p.G.NumLinks())
 	worst := 0.0
 	for e := 0; e < p.G.NumLinks(); e++ {
-		u := (baseLoads[e] + p.VirtualLoad(graph.LinkID(e))) / p.G.Link(graph.LinkID(e)).Capacity
+		u := (baseLoads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity
 		if u > worst {
 			worst = u
 		}
@@ -68,11 +115,22 @@ func (p *Plan) Evaluate() float64 {
 // (reconfigured) base and protection routings plus the set of failed
 // links. Fail applies the paper's online reconfiguration — the rescaling
 // of equation (8) and the updates (9), (10) — exactly.
+//
+// A State is a copy-on-write overlay on its plan: base.Frac[k] and prot[u]
+// alias the plan's rows until the state first writes them, so a failure
+// costs the rows it reroutes rather than a copy of the plan (DESIGN.md §9).
 type State struct {
-	G      *graph.Graph
-	base   *routing.Flow
-	prot   [][]float64
-	failed graph.LinkSet
+	G    *graph.Graph
+	base *routing.Flow
+	prot [][]float64
+	// pattern is the plan's nonzero pattern; it describes exactly the base
+	// rows this state does not own.
+	pattern *rowPattern
+	// ownBase[k] / ownProt[u] mark the rows this state has copied and may
+	// write; every other row still belongs to the plan.
+	ownBase []bool
+	ownProt []bool
+	failed  graph.LinkSet
 	// detours remembers ξ_e for every failed link (diagnostics and the
 	// MPLS-ff data plane read these).
 	detours map[graph.LinkID][]float64
@@ -82,28 +140,27 @@ type State struct {
 	degraded map[graph.LinkID]float64
 }
 
-// NewState copies a plan into a mutable online state.
+// NewState starts an online state from a plan. It copies the commodities
+// (demands are per-state) and the row headers only: the rows themselves
+// stay the plan's until Fail, FailWith or Degrade rewrites them, so the
+// plan must not be written once a State exists (see Plan).
 func NewState(plan *Plan) *State {
-	prot := make([][]float64, len(plan.Prot))
-	for i := range prot {
-		prot[i] = append([]float64(nil), plan.Prot[i]...)
-	}
 	return &State{
 		G:       plan.G,
-		base:    plan.Base.Clone(),
-		prot:    prot,
+		base:    shareFlow(plan.Base, nil),
+		prot:    shareRows(plan.Prot, nil),
+		pattern: plan.basePattern(),
+		ownBase: make([]bool, len(plan.Base.Frac)),
+		ownProt: make([]bool, len(plan.Prot)),
 		detours: make(map[graph.LinkID][]float64),
 	}
 }
 
-// Clone deep-copies the state, so tentative failure sequences (the
-// transition scheduler's feasibility search) can be explored without
-// disturbing the live state.
+// Clone copies the state, so tentative failure sequences (the transition
+// scheduler's feasibility search) can be explored without disturbing the
+// live state. Only the rows s owns are copied; rows still aliasing the
+// plan are shared, as in NewState.
 func (s *State) Clone() *State {
-	prot := make([][]float64, len(s.prot))
-	for i := range prot {
-		prot[i] = append([]float64(nil), s.prot[i]...)
-	}
 	detours := make(map[graph.LinkID][]float64, len(s.detours))
 	for e, xi := range s.detours {
 		detours[e] = append([]float64(nil), xi...)
@@ -117,12 +174,46 @@ func (s *State) Clone() *State {
 	}
 	return &State{
 		G:        s.G,
-		base:     s.base.Clone(),
-		prot:     prot,
+		base:     shareFlow(s.base, s.ownBase),
+		prot:     shareRows(s.prot, s.ownProt),
+		pattern:  s.pattern,
+		ownBase:  append([]bool(nil), s.ownBase...),
+		ownProt:  append([]bool(nil), s.ownProt...),
 		failed:   s.failed.Clone(),
 		detours:  detours,
 		degraded: degraded,
 	}
+}
+
+// shareRows copies the row headers and, of the rows themselves, only the
+// ones marked in own (none when own is nil); the rest stay shared.
+func shareRows(rows [][]float64, own []bool) [][]float64 {
+	out := append([][]float64(nil), rows...)
+	for i, o := range own {
+		if o {
+			out[i] = append([]float64(nil), rows[i]...)
+		}
+	}
+	return out
+}
+
+// shareFlow is shareRows for a flow; the commodities are always copied.
+func shareFlow(f *routing.Flow, own []bool) *routing.Flow {
+	return &routing.Flow{
+		G:     f.G,
+		Comms: append([]routing.Commodity(nil), f.Comms...),
+		Frac:  shareRows(f.Frac, own),
+	}
+}
+
+// ownRow returns rows[i] ready for writing, replacing the plan's row by a
+// private copy the first time.
+func ownRow(rows [][]float64, own []bool, i int) []float64 {
+	if !own[i] {
+		rows[i] = append([]float64(nil), rows[i]...)
+		own[i] = true
+	}
+	return rows[i]
 }
 
 // Failed returns the set of failed links applied so far.
@@ -133,11 +224,13 @@ func (s *State) Failed() graph.LinkSet { return s.failed.Clone() }
 func (s *State) HasFailed(e graph.LinkID) bool { return s.failed.Contains(e) }
 
 // Base returns the current (reconfigured) base routing. The caller must
-// not modify it.
+// not modify it: rows the state has not rewritten are the plan's own, so a
+// write through them would corrupt the plan and every state sharing it.
 func (s *State) Base() *routing.Flow { return s.base }
 
 // Prot returns the current (reconfigured) protection routing. The caller
-// must not modify it.
+// must not modify it, for the same reason as Base: untouched rows alias
+// the plan.
 func (s *State) Prot() [][]float64 { return s.prot }
 
 // Detour returns ξ_e for a failed link e (nil if e has not failed).
@@ -181,10 +274,11 @@ func (s *State) ComputeDetour(e graph.LinkID) []float64 {
 // so that no demand traverses e. Failing an already-failed link is an
 // error.
 func (s *State) Fail(e graph.LinkID) error {
-	if s.failed.Contains(e) {
-		return fmt.Errorf("core: link %d already failed", e)
+	if err := s.checkFail(e); err != nil {
+		return err
 	}
-	return s.FailWith(e, s.ComputeDetour(e))
+	s.fail(e, s.ComputeDetour(e))
+	return nil
 }
 
 // FailWith applies the failure of link e using a caller-supplied detour
@@ -192,14 +286,29 @@ func (s *State) Fail(e graph.LinkID) error {
 // to model interim LP-computed detours. xi[l] is the fraction of e's
 // rerouted traffic carried by link l; xi[e] must be zero and len(xi)
 // must be NumLinks. Updates (9) and (10) are applied exactly as in Fail.
+// The state keeps its own copy of xi.
 func (s *State) FailWith(e graph.LinkID, xi []float64) error {
+	if err := s.checkFail(e); err != nil {
+		return err
+	}
+	if nL := s.G.NumLinks(); len(xi) != nL {
+		return fmt.Errorf("core: detour for link %d has %d entries, want %d", e, len(xi), nL)
+	}
+	if xi[e] != 0 {
+		return fmt.Errorf("core: detour for link %d routes through the failed link itself", e)
+	}
+	s.fail(e, append([]float64(nil), xi...))
+	return nil
+}
+
+// checkFail reports why link e cannot be failed now, or nil.
+func (s *State) checkFail(e graph.LinkID) error {
 	if int(e) < 0 || int(e) >= s.G.NumLinks() {
 		return fmt.Errorf("core: link %d out of range", e)
 	}
 	if s.failed.Contains(e) {
 		return fmt.Errorf("core: link %d already failed", e)
 	}
-	nL := s.G.NumLinks()
 	if _, ok := s.degraded[e]; ok {
 		// The degradation envelope does not cover fail-after-degrade
 		// composition on one link: the detour ξ_e was already partially
@@ -207,48 +316,57 @@ func (s *State) FailWith(e graph.LinkID, xi []float64) error {
 		// certified bound.
 		return fmt.Errorf("core: link %d already degraded; cannot also fail it", e)
 	}
-	if len(xi) != nL {
-		return fmt.Errorf("core: detour for link %d has %d entries, want %d", e, len(xi), nL)
-	}
-	if xi[e] != 0 {
-		return fmt.Errorf("core: detour for link %d routes through the failed link itself", e)
-	}
-
-	// (9): r'_ab(l) = r_ab(l) + r_ab(e)·ξ_e(l).
-	for k := range s.base.Frac {
-		fr := s.base.Frac[k]
-		fe := fr[e]
-		if fe == 0 {
-			continue
-		}
-		for l := 0; l < nL; l++ {
-			if xi[l] != 0 {
-				fr[l] += fe * xi[l]
-			}
-		}
-		fr[e] = 0
-	}
-	// (10): p'_uv(l) = p_uv(l) + p_uv(e)·ξ_e(l) for surviving links uv.
-	for u := 0; u < nL; u++ {
-		if u == int(e) || s.failed.Contains(graph.LinkID(u)) {
-			continue
-		}
-		pu := s.prot[u]
-		pue := pu[e]
-		if pue == 0 {
-			continue
-		}
-		for l := 0; l < nL; l++ {
-			if xi[l] != 0 {
-				pu[l] += pue * xi[l]
-			}
-		}
-		pu[e] = 0
-	}
-
-	s.failed.Add(e)
-	s.detours[e] = append([]float64(nil), xi...)
 	return nil
+}
+
+// fail applies a validated failure of e and takes ownership of xi.
+func (s *State) fail(e graph.LinkID, xi []float64) {
+	s.reroute(e, xi, 1)
+	s.failed.Add(e)
+	s.detours[e] = xi
+}
+
+// reroute moves the share frac of everything routed over link e onto the
+// detour xi: update (9) on every base row and update (10) on the
+// protection row of every other surviving link. frac = 1 is a hard
+// failure (nothing stays on e); frac in (0, 1) is a degradation, which
+// leaves (1-frac) of each fraction on e. Only rows that cross e are
+// written, and each is copied from the plan the first time.
+func (s *State) reroute(e graph.LinkID, xi []float64, frac float64) {
+	var nz []int32
+	for l, x := range xi {
+		if x != 0 {
+			nz = append(nz, int32(l))
+		}
+	}
+	splice := func(rows [][]float64, own []bool, i int) {
+		v := rows[i][e]
+		if v == 0 {
+			return
+		}
+		moved, left := v, 0.0
+		if frac < 1 {
+			moved, left = v*frac, v*(1-frac)
+		}
+		row := ownRow(rows, own, i)
+		for _, l := range nz {
+			row[l] += moved * xi[l]
+		}
+		row[e] = left
+	}
+	// (9): r'_ab(l) = r_ab(l) + r_ab(e)·frac·ξ_e(l).
+	for k := range s.base.Frac {
+		splice(s.base.Frac, s.ownBase, k)
+	}
+	// (10): p'_uv(l) = p_uv(l) + p_uv(e)·frac·ξ_e(l) for surviving links
+	// uv. Row e itself is left alone: a failed link's row is a snapshot,
+	// and a degraded link keeps its remaining strength because further
+	// disruption of it is forbidden.
+	for u := range s.prot {
+		if u != int(e) && !s.failed.Contains(graph.LinkID(u)) {
+			splice(s.prot, s.ownProt, u)
+		}
+	}
 }
 
 // Degrade applies a partial capacity loss to link e: a fraction frac of
@@ -278,45 +396,7 @@ func (s *State) Degrade(e graph.LinkID, frac float64) error {
 	if _, ok := s.degraded[e]; ok {
 		return fmt.Errorf("core: link %d already degraded", e)
 	}
-	nL := s.G.NumLinks()
-	xi := s.ComputeDetour(e)
-
-	// (9), scaled: r'_ab(l) = r_ab(l) + r_ab(e)·frac·ξ_e(l),
-	// r'_ab(e) = r_ab(e)·(1-frac).
-	for k := range s.base.Frac {
-		fr := s.base.Frac[k]
-		fe := fr[e]
-		if fe == 0 {
-			continue
-		}
-		moved := fe * frac
-		for l := 0; l < nL; l++ {
-			if xi[l] != 0 {
-				fr[l] += moved * xi[l]
-			}
-		}
-		fr[e] = fe * (1 - frac)
-	}
-	// (10), scaled, for every other surviving link's protection row. Row
-	// e itself keeps its remaining strength untouched: further disruption
-	// of e is forbidden below, so the row is never consumed again.
-	for u := 0; u < nL; u++ {
-		if u == int(e) || s.failed.Contains(graph.LinkID(u)) {
-			continue
-		}
-		pu := s.prot[u]
-		pue := pu[e]
-		if pue == 0 {
-			continue
-		}
-		moved := pue * frac
-		for l := 0; l < nL; l++ {
-			if xi[l] != 0 {
-				pu[l] += moved * xi[l]
-			}
-		}
-		pu[e] = pue * (1 - frac)
-	}
+	s.reroute(e, s.ComputeDetour(e), frac)
 
 	if s.degraded == nil {
 		s.degraded = make(map[graph.LinkID]float64)
@@ -416,8 +496,33 @@ func (s *State) FailAll(links ...graph.LinkID) error {
 
 // Loads returns the per-link load of the current base routing (demands ×
 // reconfigured fractions). Failed links always carry zero load.
+//
+// Rows still aliasing the plan are walked through the plan's nonzero
+// pattern, rows the state owns densely. Both visit commodities in order
+// and add the same d·v products routing.Flow.Loads would, so the sums are
+// bit-identical to the dense pass.
 func (s *State) Loads() []float64 {
-	return s.base.Loads()
+	loads := make([]float64, s.G.NumLinks())
+	off, idx := s.pattern.off, s.pattern.idx
+	for k := range s.base.Comms {
+		d := s.base.Comms[k].Demand
+		if d == 0 {
+			continue
+		}
+		fr := s.base.Frac[k]
+		if !s.ownBase[k] {
+			for _, l := range idx[off[k]:off[k+1]] {
+				loads[l] += d * fr[l]
+			}
+			continue
+		}
+		for l, v := range fr {
+			if v != 0 {
+				loads[l] += d * v
+			}
+		}
+	}
+	return loads
 }
 
 // MLU returns the maximum utilization over surviving links, measured

@@ -72,3 +72,49 @@ func TestFingerprintSeesDivergence(t *testing.T) {
 		t.Fatal("views with different failure knowledge share a fingerprint")
 	}
 }
+
+// TestStateSharedByClonedNetworks: Build and Clone share the plan's rows
+// through the copy-on-write core.State, so a failure applied to one view
+// must stay invisible to its clones, to the view it was cloned from and
+// to the plan itself.
+func TestStateSharedByClonedNetworks(t *testing.T) {
+	plan, a := buildAbilene(t)
+	wire, err := plan.WireFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := a.Fingerprint()
+
+	b := a.Clone()
+	if err := b.OnFailure(0); err != nil {
+		t.Fatal(err)
+	}
+	c := b.Clone()
+	if err := c.OnFailure(8); err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() != pristine {
+		t.Fatal("a failure on a clone reprogrammed the network it was cloned from")
+	}
+
+	ref := Build(plan)
+	if ref.Fingerprint() != pristine {
+		t.Fatal("a fresh Build of the plan differs after its clones failed links")
+	}
+	if err := ref.OnFailure(0); err != nil {
+		t.Fatal(err)
+	}
+	if b.Fingerprint() != ref.Fingerprint() {
+		t.Fatal("a failure on a clone of the clone leaked back into it")
+	}
+	if err := ref.OnFailure(8); err != nil {
+		t.Fatal(err)
+	}
+	if c.Fingerprint() != ref.Fingerprint() {
+		t.Fatal("clone of a failed view does not match an independent replay")
+	}
+
+	if got, err := plan.WireFingerprint(); err != nil || got != wire {
+		t.Fatalf("plan changed under its networks: %016x -> %016x (%v)", wire, got, err)
+	}
+}

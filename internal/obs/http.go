@@ -6,7 +6,34 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"time"
 )
+
+// Timeouts of every HTTP server this repository starts (r3d's API and the
+// debug server). Without them one client that opens a connection and
+// never finishes its request holds a goroutine and a descriptor forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	// writeTimeout bounds handler time plus the response write; it must
+	// outlast /debug/pprof/profile's default 30 s capture, and pprof
+	// refuses a longer ?seconds= up front rather than being cut off.
+	writeTimeout = 90 * time.Second
+	idleTimeout  = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for handler on addr with the
+// repository's read, write and idle timeouts set.
+func NewHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // Handler serves the registry's debug surface:
 //
@@ -49,7 +76,7 @@ func StartDebugServer(addr string, reg *Registry) (bound string, shutdown func()
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: Handler(reg)}
+	srv := NewHTTPServer("", Handler(reg))
 	go func() {
 		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
 			slog.Warn("obs: debug server stopped", "err", serr)
