@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-fw bench-spf bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
+.PHONY: all build vet test race bench bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
 
 all: build vet test
 
@@ -20,28 +20,6 @@ race: build vet
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# bench-parallel compares serial vs 8-worker precomputation/evaluation
-# and writes BENCH_parallel.json (includes the CPU count: wall-clock
-# speedup is bounded by the cores available).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelSummary' -benchtime 1x .
-
-# bench-fw times the serial Frank–Wolfe solver on the generated topology
-# against the committed BENCH_parallel.json baseline and writes
-# BENCH_fw.json, then runs the hot-path micro benchmarks (SPF kernel,
-# worst-load selection, full precompute) with allocation accounting.
-bench-fw:
-	$(GO) test -run '^$$' -bench 'BenchmarkFWSummary' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkSPF$$|BenchmarkWorstLoad|BenchmarkPrecompute$$' -benchmem .
-
-# bench-spf asserts byte-identical plans across SPF kernels, compares
-# serial flat vs incremental precompute on the 100-node generated
-# topology, runs the 1000-node Generated1K preset, and writes
-# BENCH_spf.json (guarded: refuses to overwrite results from a machine
-# with more CPUs unless -force is added).
-bench-spf:
-	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalSPFSummary' -benchtime 1x -timeout 60m .
 
 # bench-smoke vets and tests the nested benchmark module (bench/ has its
 # own go.mod, so the root `go test ./...` never compiles it), mirroring

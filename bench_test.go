@@ -10,19 +10,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/exp"
-	"repro/internal/graph"
-	"repro/internal/protect"
-	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // benchOpts is the benchmark scale: full scenario shapes with moderated
@@ -304,131 +296,5 @@ func BenchmarkAblationHashSplit(b *testing.B) {
 				b.Logf("%d bits: max error %.4f", r.Bits, r.MaxError)
 			}
 		}
-	}
-}
-
-// --- Parallel precomputation and evaluation (DESIGN.md §6) ---------------
-//
-// The benchmarks below compare the Frank–Wolfe solver and the evaluation
-// engine at Workers=1 against Workers=8 on the GT-ITM-style generated
-// topology (100 nodes, 460 links) and SBC, and write a machine-readable
-// summary to BENCH_parallel.json. The solver guarantees bit-identical
-// plans for every worker count, so the speedup is pure wall-clock; on a
-// single-CPU machine the ratio is necessarily ~1x, which is why the JSON
-// records the CPU count alongside the timings.
-
-// timePrecompute runs one full Precompute at the given worker count and
-// returns the wall-clock seconds.
-func timePrecompute(b *testing.B, g *graph.Graph, d *traffic.Matrix, workers int) float64 {
-	b.Helper()
-	start := time.Now()
-	if _, err := core.Precompute(g, d, core.Config{
-		Model: core.ArbitraryFailures{F: 1}, Iterations: 20, Workers: workers,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return time.Since(start).Seconds()
-}
-
-func BenchmarkPrecomputeGeneratedSerial(b *testing.B) {
-	g := topo.Generated()
-	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 33)
-	for i := 0; i < b.N; i++ {
-		timePrecompute(b, g, d, 1)
-	}
-}
-
-func BenchmarkPrecomputeGeneratedParallel8(b *testing.B) {
-	g := topo.Generated()
-	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 33)
-	for i := 0; i < b.N; i++ {
-		timePrecompute(b, g, d, 8)
-	}
-}
-
-// evalEngine builds a small scheme lineup on SBC for the Evaluate
-// benchmarks.
-func evalEngine(b *testing.B, workers int) (*eval.Engine, *traffic.Matrix, []graph.LinkSet) {
-	b.Helper()
-	g := topo.SBC()
-	d := traffic.Gravity(g, 0.1*g.TotalCapacity(), 35)
-	plan, err := core.Precompute(g, d, core.Config{Model: core.ArbitraryFailures{F: 1}, Iterations: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
-	en := &eval.Engine{
-		G: g,
-		Schemes: []protect.Scheme{
-			&protect.CSPFDetour{G: g},
-			&protect.OSPFRecon{G: g},
-			&eval.R3Scheme{Label: "MPLS-ff+R3", Plan: plan},
-		},
-		OptimalIterations: 30,
-		Workers:           workers,
-	}
-	return en, d, eval.SingleLinks(g)
-}
-
-func BenchmarkEvaluateSerial(b *testing.B) {
-	en, d, scenarios := evalEngine(b, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		en.Evaluate(d, scenarios)
-	}
-}
-
-func BenchmarkEvaluateParallel8(b *testing.B) {
-	en, d, scenarios := evalEngine(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		en.Evaluate(d, scenarios)
-	}
-}
-
-// BenchmarkParallelSummary measures serial vs 8-worker Precompute and
-// Engine.Evaluate back to back and writes BENCH_parallel.json next to the
-// test binary's working directory (the repo root under `go test .`).
-func BenchmarkParallelSummary(b *testing.B) {
-	g := topo.Generated()
-	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 33)
-	for i := 0; i < b.N; i++ {
-		pSerial := timePrecompute(b, g, d, 1)
-		pPar := timePrecompute(b, g, d, 8)
-
-		enS, dS, scS := evalEngine(b, 1)
-		start := time.Now()
-		enS.Evaluate(dS, scS)
-		eSerial := time.Since(start).Seconds()
-		enP, dP, scP := evalEngine(b, 8)
-		start = time.Now()
-		enP.Evaluate(dP, scP)
-		ePar := time.Since(start).Seconds()
-
-		if i != 0 {
-			continue
-		}
-		summary := map[string]any{
-			"cpus":       runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"note":       "plans are bit-identical across worker counts; speedup is wall-clock and is bounded by the CPU count (1x on a single-CPU machine)",
-			"precompute": map[string]any{
-				"topology": g.Name, "nodes": g.NumNodes(), "links": g.NumLinks(),
-				"iterations": 20, "workers": 8,
-				"serial_seconds":   pSerial,
-				"parallel_seconds": pPar,
-				"speedup":          pSerial / pPar,
-			},
-			"evaluate": map[string]any{
-				"topology": "sbc", "scenarios": len(scS), "workers": 8,
-				"serial_seconds":   eSerial,
-				"parallel_seconds": ePar,
-				"speedup":          eSerial / ePar,
-			},
-		}
-		writeBenchFile(b, "BENCH_parallel.json", summary)
-		b.Logf("precompute %0.2fs serial vs %0.2fs x8 (%.2fx); evaluate %0.2fs vs %0.2fs (%.2fx) on %d CPUs",
-			pSerial, pPar, pSerial/pPar, eSerial, ePar, eSerial/ePar, runtime.NumCPU())
-		b.ReportMetric(pSerial/pPar, "precompute-speedup")
-		b.ReportMetric(eSerial/ePar, "evaluate-speedup")
 	}
 }

@@ -13,6 +13,7 @@ package controlplane
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 
@@ -31,6 +32,12 @@ type CacheKey struct {
 	Traffic uint64
 	// Config is ConfigHash of the solver configuration.
 	Config uint64
+}
+
+// String renders the key as topo/traffic/config in hex, the form log
+// lines carry.
+func (k CacheKey) String() string {
+	return fmt.Sprintf("%016x/%016x/%016x", k.Topo, k.Traffic, k.Config)
 }
 
 // TopologyDigest returns graph.Digest(g): the content hash of everything

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,6 +99,80 @@ func TestRebuildPanicTripsBreaker(t *testing.T) {
 	_, after, hdrAfter := get(t, ts.URL+"/v1/plan")
 	if s.Active().ID != 1 || !bytes.Equal(before, after) || hdr.Get("X-R3-Digest") != hdrAfter.Get("X-R3-Digest") {
 		t.Fatalf("served plan changed across a panicking build (revision %d)", s.Active().ID)
+	}
+}
+
+// TestStatusKeepsLastRebuildError: a failed rebuild — an error return or a
+// recovered panic — keeps its text. It reaches the log with the generation
+// and cache key, GET /v1/status carries it as last_error while the previous
+// revision keeps being served, and the next successful build clears it.
+func TestStatusKeepsLastRebuildError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func() error
+		want string
+	}{
+		{"error", func() error { return errors.New("injected precompute failure") }, "injected precompute failure"},
+		{"panic", func() error { panic("injected solver panic") }, "rebuild panicked: injected solver panic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged bytes.Buffer
+			prev := slog.Default()
+			slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+			defer slog.SetDefault(prev)
+
+			s, ts, _ := newTestServer(t, testFWConfig(), nil)
+			lastError := func() (string, bool) {
+				t.Helper()
+				_, body, _ := get(t, ts.URL+"/v1/status")
+				var st map[string]any
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Fatalf("%v: %s", err, body)
+				}
+				text, ok := st["last_error"].(string)
+				return text, ok
+			}
+			if text, ok := lastError(); ok {
+				t.Fatalf("last_error = %q before any failure", text)
+			}
+
+			// Race-free for the reason given in TestBreakerEndToEnd.
+			var failing atomic.Bool
+			failing.Store(true)
+			s.testBuildErr = func() error {
+				if failing.Load() {
+					return tc.fail()
+				}
+				return nil
+			}
+			g := testGraph()
+			d := perturb(t, testMatrix(g, 150, 1), 1)
+			if code, resp := post(t, ts.URL+"/v1/traffic", matrixText(t, g, d)); code != http.StatusAccepted {
+				t.Fatalf("update = %d: %s", code, resp)
+			}
+			waitIdle(t, s)
+			if text, _ := lastError(); !strings.Contains(text, tc.want) {
+				t.Fatalf("last_error = %q, want it to contain %q", text, tc.want)
+			}
+			if s.Active().ID != 1 {
+				t.Fatalf("failed build published revision %d", s.Active().ID)
+			}
+			out := logged.String()
+			for _, want := range []string{"r3d: rebuild failed", "generation=1", "cache_key=" + s.keyFor(g, d).String(), tc.want} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("log lacks %q: %s", want, out)
+				}
+			}
+
+			failing.Store(false)
+			if code, resp := post(t, ts.URL+"/v1/traffic", matrixText(t, g, perturb(t, d, 2))); code != http.StatusAccepted {
+				t.Fatalf("healing update = %d: %s", code, resp)
+			}
+			waitIdle(t, s)
+			if text, ok := lastError(); ok || s.Active().ID != 2 {
+				t.Fatalf("after a good build: last_error = %q (present=%v), revision %d", text, ok, s.Active().ID)
+			}
+		})
 	}
 }
 

@@ -71,8 +71,9 @@ type Server struct {
 	mu       sync.Mutex
 	g        *graph.Graph
 	d        *traffic.Matrix
-	gen      int64 // bumped per accepted update
-	builtGen int64 // last generation the worker finished (success or not)
+	gen      int64  // bumped per accepted update
+	builtGen int64  // last generation the worker finished (success or not)
+	lastErr  string // text of the last failed rebuild; cleared by the next success
 
 	draining bool // guarded by mu; checked by updates and /readyz
 
@@ -131,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.routes()
 
-	if err := s.build(cfg.Graph, cfg.Traffic); err != nil {
+	if err := s.build(0, cfg.Graph, cfg.Traffic); err != nil {
 		return nil, fmt.Errorf("controlplane: initial precompute: %w", err)
 	}
 	go s.worker()
@@ -183,14 +184,18 @@ func (s *Server) worker() {
 			if gen == built {
 				break
 			}
-			if err := s.build(g, d); err != nil {
+			lastErr := ""
+			if err := s.build(gen, g, d); err != nil {
 				s.breaker.Failure()
 				s.reg.Counter("cp.rebuild_errors").Inc()
+				slog.Warn("r3d: rebuild failed", "generation", gen, "cache_key", s.keyFor(g, d), "error", err)
+				lastErr = err.Error()
 			} else {
 				s.breaker.Success()
 			}
 			s.mu.Lock()
 			s.builtGen = gen
+			s.lastErr = lastErr
 			s.mu.Unlock()
 			select {
 			case <-s.quit:
@@ -201,14 +206,21 @@ func (s *Server) worker() {
 	}
 }
 
+// keyFor is the cache identity of the plan for the inputs under the
+// server's solver configuration.
+func (s *Server) keyFor(g *graph.Graph, d *traffic.Matrix) CacheKey {
+	return CacheKey{Topo: TopologyDigest(g), Traffic: d.Fingerprint(), Config: s.cfgHash}
+}
+
 // build computes (or looks up) the plan for the inputs and publishes it
 // as a new revision with a staged rollout attached. It is called from
-// New (synchronously) and from the worker; inputs are immutable
-// snapshots. A panic anywhere under it (the solvers are the likely
-// source) comes back as an error with the stack logged: the revision
-// being served is unaffected, so the daemon keeps serving it, the worker
-// counts a breaker failure, and nothing is published.
-func (s *Server) build(g *graph.Graph, d *traffic.Matrix) (err error) {
+// New (synchronously, generation 0) and from the worker; inputs are
+// immutable snapshots and gen only labels log lines. A panic anywhere
+// under it (the solvers are the likely source) comes back as an error
+// with the stack logged: the revision being served is unaffected, so the
+// daemon keeps serving it, the worker counts a breaker failure, and
+// nothing is published.
+func (s *Server) build(gen int64, g *graph.Graph, d *traffic.Matrix) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter("cp.rebuild_panics").Inc()
@@ -221,7 +233,7 @@ func (s *Server) build(g *graph.Graph, d *traffic.Matrix) (err error) {
 			return err
 		}
 	}
-	key := CacheKey{Topo: TopologyDigest(g), Traffic: d.Fingerprint(), Config: s.cfgHash}
+	key := s.keyFor(g, d)
 	active := s.store.Active()
 
 	plan, bytes, ok := s.cache.Get(key)
@@ -266,6 +278,7 @@ func (s *Server) build(g *graph.Graph, d *traffic.Matrix) (err error) {
 		if err != nil {
 			rollout = nil
 			s.reg.Counter("cp.rollout_errors").Inc()
+			slog.Warn("r3d: rollout not scheduled; the revision ships without one", "generation", gen, "cache_key", key, "error", err)
 		}
 	}
 
@@ -568,7 +581,7 @@ func (s *Server) handleRevisions(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	gen, built, draining := s.gen, s.builtGen, s.draining
+	gen, built, draining, lastErr := s.gen, s.builtGen, s.draining, s.lastErr
 	s.mu.Unlock()
 	resp := map[string]any{
 		"generation":       gen,
@@ -577,6 +590,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		"breaker":          s.breaker.State().String(),
 		"draining":         draining,
 		"cache_entries":    s.cache.Len(),
+	}
+	if lastErr != "" {
+		resp["last_error"] = lastErr
 	}
 	if rev := s.store.Active(); rev != nil {
 		resp["active"] = viewOf(rev)

@@ -100,8 +100,8 @@ func TestGroupStatsAgainstGeneric(t *testing.T) {
 		mSl := make([]float64, 1)
 		sM := make([]float64, 1)
 		mMl := make([]float64, 1)
-		groupStats(m.SRLGs, pcol, skip, sS, mSl, 0, 1)
-		groupStats(m.MLGs, pcol, skip, sM, mMl, 0, 1)
+		groupStats(m.SRLGs, pcol, skip, sS, mSl)
+		groupStats(m.MLGs, pcol, skip, sM, mMl)
 		srlg := math.Max(0, math.Max(sS[0], mSl[0]+x))
 		mlg := math.Max(0, math.Max(sM[0], mMl[0]+x))
 		got := srlg + mlg

@@ -333,10 +333,9 @@ func newTestFWState(t testing.TB, g *graph.Graph, F int) *fwState {
 }
 
 // TestObjectiveZeroAllocsWarmArena pins the arena fix: with warm buffers
-// on a serial pool, the true-objective evaluation (baseLoads + columns +
-// worst-load scan) must not allocate at all. This is the call the epoch
-// loop makes after every accepted step — it used to build a fresh loads
-// matrix each time.
+// the true-objective evaluation (baseLoads + columns + worst-load scan)
+// must not allocate at all. This is the call the epoch loop makes after
+// every accepted step — it used to build a fresh loads matrix each time.
 func TestObjectiveZeroAllocsWarmArena(t *testing.T) {
 	s := newTestFWState(t, mesh6(t), 2)
 	first := s.objective() // warm objLoads and pcol
@@ -350,7 +349,7 @@ func TestObjectiveZeroAllocsWarmArena(t *testing.T) {
 }
 
 // TestBaseLoadsColumnsZeroAllocsWarm: the two arena-backed matrix
-// producers must also be allocation-free once warm on the inline path.
+// producers must also be allocation-free once warm.
 func TestBaseLoadsColumnsZeroAllocsWarm(t *testing.T) {
 	s := newTestFWState(t, mesh6(t), 1)
 	s.ensureArena()
@@ -370,9 +369,9 @@ func TestBaseLoadsColumnsZeroAllocsWarm(t *testing.T) {
 
 // TestPrecomputeDeterministicInlineVsPooled extends the worker-count
 // determinism contract across the runtime dimension: a wide pool clamped
-// to one scheduling slot takes the inline fast paths (plain loops, no
-// goroutines), and its plan must stay byte-identical to both the serial
-// plan and the genuinely concurrent plan.
+// to one scheduling slot runs its loops on the calling goroutine, and its
+// plan must stay byte-identical to both the serial plan and the genuinely
+// concurrent plan.
 func TestPrecomputeDeterministicInlineVsPooled(t *testing.T) {
 	g := topo.Mesh("det-inline", 10, 30, 21, 1000)
 	d := traffic.Gravity(g, 800, 22)

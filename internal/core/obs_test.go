@@ -85,6 +85,33 @@ func TestObsFWRecordsSolverProgress(t *testing.T) {
 	}
 }
 
+// TestPoolCarriesOnlyLinkSizedItems is the gate on the solver's execution
+// policy (DESIGN.md §6): the pool runs the two direction loops of
+// pDirections, the r fan-out and the global step's line-search fills (a
+// 14-step ternary search plus the two accept probes: 30) and nothing else.
+// A joint solve (no PenaltyEnvelope, so the r sweep and its cache refills
+// run) must stay within 40 pool loops per epoch; one O(1)-per-cell loop put
+// back on the pool costs hundreds.
+func TestPoolCarriesOnlyLinkSizedItems(t *testing.T) {
+	g := mesh6(t)
+	reg := obs.NewRegistry()
+	if _, err := Precompute(g, traffic.Gravity(g, 40, 11), Config{
+		Model: ArbitraryFailures{F: 1}, Iterations: 60, Workers: 2, Obs: reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	loops, epochs := snap.Gauges["fw.pool_loops"], snap.Counters["fw.epochs"]
+	if epochs == 0 || loops == 0 {
+		t.Fatalf("fw.pool_loops = %d over fw.epochs = %d, want both positive", loops, epochs)
+	}
+	if loops > 40*epochs {
+		t.Fatalf("fw.pool_loops / fw.epochs = %d / %d = %.1f, want <= 40: a fine-grained loop is back on the pool",
+			loops, epochs, float64(loops)/float64(epochs))
+	}
+	t.Logf("fw.pool_loops / fw.epochs = %d / %d", loops, epochs)
+}
+
 // TestObsLPRecordsSolveCounters checks the LP instrumentation path end to
 // end through Precompute with the exact solver.
 func TestObsLPRecordsSolveCounters(t *testing.T) {

@@ -52,10 +52,13 @@ type Config struct {
 	// solver's own tolerance).
 	PenaltyEnvelope float64
 	// Workers bounds the FW solver's parallelism (default GOMAXPROCS;
-	// 1 forces serial execution). The solver's parallel loops reduce in a
-	// fixed index order, so the produced plan is bit-identical for every
-	// worker count — Workers trades only wall-clock time. The LP solver
-	// ignores it.
+	// 1 forces serial execution). It governs the three loops whose items
+	// are at least one O(links) pass — the two oracle fan-outs and the
+	// global step's line-search fill — and nothing else; every parallel
+	// item writes only slots it owns, so the produced plan is bit-identical
+	// for every worker count and Workers trades only wall-clock time. Below
+	// a few hundred links expect ≈ 1.0×; the gain shows at thousands
+	// (DESIGN.md §6). The LP solver ignores it.
 	Workers int
 	// Obs, when non-nil, receives solver metrics and traces: per-epoch
 	// MLU/step-size spans under trace "fw", SPF and epoch counters, LP
@@ -150,8 +153,8 @@ func PrecomputeVariations(g *graph.Graph, ds []*traffic.Matrix, cfg Config) (*Pl
 		}
 		return precomputeLP(g, ds[0], cfg)
 	}
-	// Union of OD supports, demands from the envelope max... no: each
-	// hull vertex is its own requirement with the same failure model.
+	// Commodities span the union of OD supports; each hull vertex is its
+	// own requirement with the same failure model.
 	comms := unionCommodities(ds)
 	reqs := make([]requirement, len(ds))
 	for i, d := range ds {
@@ -453,21 +456,26 @@ type fwState struct {
 
 	// hot-path arenas: every per-epoch buffer the solver used to allocate
 	// lives here and is reused across epochs (see DESIGN.md §9). csr is
-	// the flat graph view the SPF kernel reads; tops maintains each pcol
-	// column's largest entries incrementally when one colTop kernel serves
-	// every requirement (topK is the buffer capacity; 0 disables it): the
-	// top-F sums of ArbitraryFailures (arbF, topK = max F + 1) or the
-	// knapsack walks of uniform-β DegradationModels (knapU, nil unless
-	// every model is one; topK = longest walk + 1).
-	csr     *graph.CSR
-	ar      fwArena
-	tops    []colTop
-	topK    int
-	arbF    []int
-	knapU   [][]float64
-	spfPool spf.ScratchPool
-	bufMu   sync.Mutex
-	bufFree [][]float64 // free list of len-nL rows for per-worker scratch
+	// the flat graph view the SPF kernel reads. selectKernels sets the
+	// rest: tops maintains each pcol column's largest entries
+	// incrementally when one colTop kernel serves every requirement (topK
+	// is the buffer capacity; 0 disables it) — the top-F sums of
+	// ArbitraryFailures (arbF, topK = max F + 1) or the knapsack walks of
+	// uniform-β DegradationModels (knapU, topK = longest walk + 1); grp1
+	// is the GroupFailures{K: 1} kernel. Each of arbF, knapU and grp1 is
+	// nil unless every requirement's model is of its kind. incSweep
+	// selects pSweepInc over pSweepRef.
+	csr      *graph.CSR
+	ar       fwArena
+	tops     []colTop
+	topK     int
+	arbF     []int
+	knapU    [][]float64
+	grp1     []GroupFailures
+	incSweep bool
+	spfPool  spf.ScratchPool
+	bufMu    sync.Mutex
+	bufFree  [][]float64 // free list of len-nL scratch rows (getBuf)
 
 	// Incremental-SPF state (spfMode != ModeFlat): one dynamic reverse
 	// tree per protected link, repaired across epochs from the sparse
@@ -485,10 +493,14 @@ type fwState struct {
 // across an epoch boundary.
 type fwArena struct {
 	objLoads [][]float64 // objective(): base loads [req][link]
-	loads    [][]float64 // run(): epoch base loads [req][link]
-	W        [][]float64 // run(): worst-case virtual loads [req][link]
+	loads    [][]float64 // epoch state: base loads [req][link]
+	W        [][]float64 // epoch state: worst-case virtual loads [req][link]
 	sFm1     [][]float64 // p-sweep: top-(F-1) sum excluding the block's link [req][link]
 	aF       [][]float64 // p-sweep: F-th largest excluding the block's link [req][link]
+	grpS     [][]float64 // p-sweep, grp1 only: best SRLG sum avoiding the block's link [req][link]
+	grpSl    [][]float64 // p-sweep, grp1 only: best SRLG sum through it, its own entry removed
+	grpM     [][]float64 // p-sweep, grp1 only: the same two for MLGs
+	grpMl    [][]float64
 	xDir     []float64   // block sweeps: oracle direction per link
 	q        [][]float64 // softmax gradient weights [req][link]
 	u0       [][]float64 // r-sweep: static utilizations [req][link]
@@ -572,9 +584,9 @@ func (s *fwState) ensureArena() {
 	}
 }
 
-// getBuf and putBuf recycle len-nL float rows for per-worker scratch in
-// parallel loops (scratch contents never affect results, so recycling
-// order is immaterial to determinism).
+// getBuf and putBuf recycle len-nL float rows for scratch taken inside a
+// pool item (scratch contents never affect results, so recycling order is
+// immaterial to determinism).
 func (s *fwState) getBuf() []float64 {
 	s.bufMu.Lock()
 	defer s.bufMu.Unlock()
@@ -593,46 +605,17 @@ func (s *fwState) putBuf(b []float64) {
 }
 
 // baseLoads computes per-requirement per-link base loads for fractions R
-// into dst (allocated when nil). Work is split over (requirement,
-// link-chunk) tasks: each link cell is zeroed and then summed over
-// commodities in ascending k order by exactly one worker, so the result is
-// bit-identical for any worker count; the inline variant runs the same
-// zero-then-accumulate per cell without spawning closures, so warm calls
-// are allocation-free on a serial pool.
+// into dst (allocated when nil). Each cell is zeroed and then summed over
+// commodities in ascending k order; warm calls allocate nothing.
 func (s *fwState) baseLoads(R [][]float64, dst [][]float64) [][]float64 {
 	nL := s.g.NumLinks()
 	if dst == nil {
 		dst = newMatrix(len(s.reqs), nL)
 	}
-	if s.pool.Inline() {
-		for i := range s.reqs {
-			dem := s.reqs[i].demands
-			li := dst[i]
-			for e := range li {
-				li[e] = 0
-			}
-			for k := range s.comms {
-				d := dem[k]
-				if d == 0 {
-					continue
-				}
-				rk := R[k]
-				for e := 0; e < nL; e++ {
-					if v := rk[e]; v != 0 {
-						li[e] += d * v
-					}
-				}
-			}
-		}
-		return dst
-	}
-	nC := par.NumChunks(nL)
-	s.pool.ForEach(len(s.reqs)*nC, func(t int) {
-		i := t / nC
-		lo, hi := par.Chunk(nL, t%nC)
+	for i := range s.reqs {
 		dem := s.reqs[i].demands
 		li := dst[i]
-		for e := lo; e < hi; e++ {
+		for e := range li {
 			li[e] = 0
 		}
 		for k := range s.comms {
@@ -641,70 +624,43 @@ func (s *fwState) baseLoads(R [][]float64, dst [][]float64) [][]float64 {
 				continue
 			}
 			rk := R[k]
-			for e := lo; e < hi; e++ {
+			for e := 0; e < nL; e++ {
 				if v := rk[e]; v != 0 {
 					li[e] += d * v
 				}
 			}
 		}
-	})
+	}
 	return dst
 }
 
-// columns builds pcol[e][l] = c_l * P[l][e].
+// columns builds pcol[e][l] = c_l * P[l][e] into dst (allocated when nil).
 func (s *fwState) columns(P [][]float64, dst [][]float64) [][]float64 {
 	nL := s.g.NumLinks()
 	if dst == nil {
-		dst = make([][]float64, nL)
-		for e := range dst {
-			dst[e] = make([]float64, nL)
+		dst = newMatrix(nL, nL)
+	}
+	for e := 0; e < nL; e++ {
+		col := dst[e]
+		for l := range col {
+			col[l] = 0
 		}
 	}
-	// Each worker owns a contiguous range of columns dst[e][·]; entries
-	// are pure assignments, so any split is bit-identical to serial. The
-	// inline variant performs the same assignments with plain loops.
-	if s.pool.Inline() {
+	for l := 0; l < nL; l++ {
+		cl := s.capac[l]
+		pl := P[l]
 		for e := 0; e < nL; e++ {
-			col := dst[e]
-			for l := range col {
-				col[l] = 0
+			if v := pl[e]; v != 0 {
+				dst[e][l] = cl * v
 			}
 		}
-		for l := 0; l < nL; l++ {
-			cl := s.capac[l]
-			pl := P[l]
-			for e := 0; e < nL; e++ {
-				if v := pl[e]; v != 0 {
-					dst[e][l] = cl * v
-				}
-			}
-		}
-		return dst
 	}
-	s.pool.ForEachChunk(nL, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			col := dst[e]
-			for l := range col {
-				col[l] = 0
-			}
-		}
-		for l := 0; l < nL; l++ {
-			cl := s.capac[l]
-			pl := P[l]
-			for e := lo; e < hi; e++ {
-				if v := pl[e]; v != 0 {
-					dst[e][l] = cl * v
-				}
-			}
-		}
-	})
 	return dst
 }
 
 // objective evaluates the true (non-smoothed) objective of the current
-// iterate: max over requirements and links of utilization. Per-cell values
-// feed a max, which is order-insensitive, so the inline and chunk-reduced
-// evaluations agree bit for bit.
+// iterate from scratch, through the FailureModel interface: max over
+// requirements and links of utilization.
 func (s *fwState) objective() float64 {
 	nL := s.g.NumLinks()
 	if s.ar.objLoads == nil {
@@ -713,38 +669,17 @@ func (s *fwState) objective() float64 {
 	loads := s.baseLoads(s.R, s.ar.objLoads)
 	s.pcol = s.columns(s.P, s.pcol)
 	worst := 0.0
-	if s.pool.Inline() {
-		for i := range s.reqs {
-			li := loads[i]
-			model := s.reqs[i].model
-			for e := 0; e < nL; e++ {
-				if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > worst {
-					worst = u
-				}
-			}
-		}
-		return worst
-	}
 	for i := range s.reqs {
 		li := loads[i]
 		model := s.reqs[i].model
-		wi := par.Reduce(s.pool, nL, 0.0, func(lo, hi int) float64 {
-			w := 0.0
-			for e := lo; e < hi; e++ {
-				if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > w {
-					w = u
-				}
+		for e := 0; e < nL; e++ {
+			if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > worst {
+				worst = u
 			}
-			return w
-		}, math.Max)
-		if wi > worst {
-			worst = wi
 		}
 	}
 	return worst
 }
-
-// run executes the Frank–Wolfe loop.
 
 // run executes the offline optimization as a hybrid of global Frank–Wolfe
 // steps and block-coordinate refinement. Each epoch: (1) compute softmax
@@ -756,600 +691,60 @@ func (s *fwState) objective() float64 {
 // which refines solutions global FW only reaches with O(1/t) zig-zagging.
 // The best iterate by true objective is kept. effort scales the epoch
 // count.
+//
+// Execution policy (DESIGN.md §6): an item on the worker pool is at least
+// one O(links) pass, which is the oracle fan-outs in rDirections and
+// pDirections and the line-search fill in globalStep. Every other loop of
+// every phase costs O(1) per cell and is a plain loop.
 func (s *fwState) run(effort int) {
-	epochs := effort / 5
-	if epochs < 12 {
-		epochs = 12
-	}
-	if epochs > 120 {
-		epochs = 120
-	}
-	nL := s.g.NumLinks()
-	nI := len(s.reqs)
-
-	// Fast evaluation from the maintained colTop buffers applies when every
-	// model is ArbitraryFailures (the common case, including priorities) or
-	// every model is a uniform-β DegradationModel with a short knapsack walk
-	// (every one the CLIs and r3d build), with a third fast path for
-	// GroupFailures with K=1 (the SRLG+MLG model the US-ISP experiments
-	// use). Everything else — GroupFailures{K>1}, F > 32, per-link β, long
-	// walks — takes the generic evaluation through the FailureModel
-	// interface, which is also the oracle the kernels are tested against.
-	arbF := make([]int, nI)
-	allArb := true
-	grp1 := make([]GroupFailures, nI)
-	allGrp1 := true
-	var knapU [][]float64
-	for i, r := range s.reqs {
-		// insertionStats supports F <= 32; larger F (e.g. the naive
-		// all-links ablation) falls back to the generic evaluation.
-		if m, ok := r.model.(ArbitraryFailures); ok && m.F <= 32 {
-			arbF[i] = m.F
-		} else {
-			allArb = false
-		}
-		if m, ok := r.model.(GroupFailures); ok && m.K == 1 {
-			grp1[i] = m
-		} else {
-			allGrp1 = false
-		}
-		if m, ok := r.model.(DegradationModel); ok {
-			var ub [knapMaxSteps]float64
-			if n, short := m.knapSteps(&ub); short {
-				knapU = append(knapU, append([]float64{}, ub[:n]...))
-			}
-		}
-	}
-	allKnap := len(knapU) == nI
-	if !allKnap {
-		knapU = nil
-	}
-	s.arbF, s.knapU = arbF, knapU
-
+	epochs := min(max(effort/5, 12), 120)
+	s.selectKernels()
 	s.bestObj = math.Inf(1)
-	s.ensureArena()
-	s.csr = s.g.CSR()
-	if s.spfMode != spf.ModeFlat && s.pTrees == nil {
-		s.pTrees = make([]spf.DynTree, nL)
-		useDelta := s.spfMode == spf.ModeDelta
-		for l := 0; l < nL; l++ {
-			s.pTrees[l].Reset(s.csr, s.g.Link(graph.LinkID(l)).Dst, useDelta)
-		}
-	}
-
-	// Incremental top selection per pcol column. K is one more than the
-	// largest F (or the longest knapsack walk) so the per-link line-search
-	// evaluations, which exclude one index, always find enough entries in
-	// the buffer.
-	s.topK = 0
-	if allArb || allKnap {
-		need := 0
-		for _, f := range arbF {
-			need = max(need, f)
-		}
-		for _, u := range knapU {
-			need = max(need, len(u))
-		}
-		s.topK = need + 1
-		if s.tops == nil {
-			s.tops = make([]colTop, nL)
-		}
-	}
-	// The incremental p sweep rides on the colTop kernels (worstArb-valid F
-	// on every top-F requirement); ModeFlat keeps the reference evaluation,
-	// which the differential tests compare against.
-	incSweep := s.spfMode != spf.ModeFlat && s.topK > 0
-	for _, f := range arbF {
-		if f >= nL {
-			incSweep = false
-		}
-	}
-	rebuildTops := func() {
-		if s.topK == 0 {
-			return
-		}
-		if s.pool.Inline() {
-			for e := 0; e < nL; e++ {
-				s.tops[e].rebuild(s.pcol[e], s.topK)
-			}
-			return
-		}
-		s.pool.ForEachChunk(nL, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				s.tops[e].rebuild(s.pcol[e], s.topK)
-			}
-		})
-	}
-
-	loads := s.baseLoads(s.R, s.ar.loads)
+	s.baseLoads(s.R, s.ar.loads)
 	s.pcol = s.columns(s.P, s.pcol)
-	W := s.ar.W
-	nC := par.NumChunks(nL)
-	fillW := func(i, lo, hi int) {
-		Wi := W[i]
-		if allKnap {
-			// The knapsack walk over the buffer is WorstLoad bit for bit.
-			u := knapU[i]
-			for e := lo; e < hi; e++ {
-				Wi[e], _ = s.tops[e].worstKnap(u)
-			}
-			return
-		}
-		// The maintained top buffers answer sumTopK bit for bit as long as
-		// F stays below the column length (the reference switches to
-		// index-order summation at F >= len).
-		if s.topK > 0 && arbF[i] < nL {
-			F := arbF[i]
-			for e := lo; e < hi; e++ {
-				Wi[e] = s.tops[e].worstArb(F)
-			}
-			return
-		}
-		model := s.reqs[i].model
-		for e := lo; e < hi; e++ {
-			Wi[e] = model.WorstLoad(s.pcol[e])
-		}
-	}
-	recomputeW := func() {
-		if s.pool.Inline() {
-			for i := 0; i < nI; i++ {
-				fillW(i, 0, nL)
-			}
-			return
-		}
-		s.pool.ForEach(nI*nC, func(t int) {
-			i := t / nC
-			lo, hi := par.Chunk(nL, t%nC)
-			fillW(i, lo, hi)
-		})
-	}
-	rebuildTops()
-	recomputeW()
+	s.refreshW()
 
-	rowU := func(i, e int) float64 { return (loads[i][e] + W[i][e]) / s.capac[e] }
-	trueObj := func() float64 {
-		worst := 0.0
-		for i := 0; i < nI; i++ {
-			i := i
-			wi := par.Reduce(s.pool, nL, 0.0, func(lo, hi int) float64 {
-				w := 0.0
-				for e := lo; e < hi; e++ {
-					if u := rowU(i, e); u > w {
-						w = u
-					}
-				}
-				return w
-			}, math.Max)
-			if wi > worst {
-				worst = wi
-			}
-		}
-		return worst
-	}
-
-	scratchCol := make([]float64, nL)
-	xDir := s.ar.xDir
-	sFm1, aF := s.ar.sFm1, s.ar.aF
-	// Group-model stats: best group sum not containing l (sS/sM) and best
-	// sum among groups containing l with l's own entry removed (mSl/mMl),
-	// per requirement and link.
-	sS := newMatrix(nI, nL)
-	mSl := newMatrix(nI, nL)
-	sM := newMatrix(nI, nL)
-	mMl := newMatrix(nI, nL)
-
-	obj := trueObj()
+	obj := s.trueObj()
 	s.snapshotBest(obj)
 	s.o.mlu.Set(obj)
 	runSp := s.o.trace.Start("fw.run")
 	defer runSp.End()
 
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < epochs && obj != 0; epoch++ {
 		mu := math.Max(obj*0.002, obj*0.05*math.Pow(0.8, float64(epoch)))
-		if obj == 0 {
-			break
-		}
 		epochSp := runSp.Child("epoch")
+		s.softmaxWeights(obj, mu)
 
-		// ---- Softmax gradient weights ----
-		// The exp fill is slot-parallel; the normalizing sum stays serial
-		// in (i, e) order so its float association never changes.
-		q := s.ar.q
-		if s.pool.Inline() {
-			for i := 0; i < nI; i++ {
-				qi := q[i]
-				for e := 0; e < nL; e++ {
-					qi[e] = math.Exp((rowU(i, e) - obj) / mu)
-				}
-			}
-		} else {
-			s.pool.ForEach(nI*nC, func(t int) {
-				i := t / nC
-				lo, hi := par.Chunk(nL, t%nC)
-				qi := q[i]
-				for e := lo; e < hi; e++ {
-					qi[e] = math.Exp((rowU(i, e) - obj) / mu)
-				}
-			})
-		}
-		var zsum float64
-		for i := 0; i < nI; i++ {
-			for e := 0; e < nL; e++ {
-				zsum += q[i][e]
-			}
-		}
-		inv := 1 / zsum
-		for i := 0; i < nI; i++ {
-			for e := 0; e < nL; e++ {
-				q[i][e] *= inv
-			}
-		}
-
-		// ---- Oracle directions ----
 		dirSp := epochSp.Child("directions")
 		var rPaths [][]graph.LinkID
 		if s.optimizeBase {
-			rPaths = s.rDirections(q)
+			rPaths = s.rDirections()
 		}
-		pPaths := s.pDirections(q)
+		pPaths := s.pDirections()
 		dirSp.End()
 
-		// ---- Global step ----
 		gsSp := epochSp.Child("global-step")
-		gamma := s.globalStep(loads, W, q, rPaths, pPaths, mu)
+		gamma := s.globalStep(rPaths, pPaths, mu)
 		gsSp.End()
 		s.o.step.Set(gamma)
-		rebuildTops()
-		recomputeW()
-		s.baseLoads(s.R, loads)
+		s.refreshW()
+		s.baseLoads(s.R, s.ar.loads)
 
-		// ---- r block sweep ----
-		// A commodity block moves at most the links on its oracle path and
-		// its current support; every other (requirement, link) cell is
-		// static during the line search. The reference evaluation computes
-		// u = (loads + gamma*d*(xDir-rk) + W) / capac for every cell; for a
-		// static cell the middle term is a signed zero (gamma*d >= 0 times
-		// diff, which is +0 when zero, or gamma*0 = +0 times any diff,
-		// which is at worst -0), and adding a signed zero to loads (never
-		// -0: base loads are sums of nonnegative terms with exact
-		// cancellation rounding to +0) reproduces loads bitwise. Static
-		// utilizations u0 are therefore constant across the whole sweep
-		// between accepted blocks, and their exp terms exp((u0 - worst)/mu)
-		// depend only on the current reference point `worst`: they are
-		// cached in expu keyed on cachedWorst and refilled only when worst
-		// moves. The z sum still walks every (i, e) cell in ascending order
-		// adding bitwise-identical values, so the evaluation — and the
-		// accepted plan — matches the reference exactly while computing
-		// math.Exp only for the few active cells plus cache refills.
 		rSweepSp := epochSp.Child("r-sweep")
 		if s.optimizeBase {
-			u0 := s.ar.u0
-			expu := s.ar.expu
-			diff := s.ar.diff
-			act := s.ar.active
-			fillU0 := func(i, lo, hi int) {
-				li, Wi, u0i := loads[i], W[i], u0[i]
-				for e := lo; e < hi; e++ {
-					u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-				}
-			}
-			if s.pool.Inline() {
-				for i := 0; i < nI; i++ {
-					fillU0(i, 0, nL)
-				}
-			} else {
-				s.pool.ForEach(nI*nC, func(t int) {
-					i := t / nC
-					lo, hi := par.Chunk(nL, t%nC)
-					fillU0(i, lo, hi)
-				})
-			}
-			cachedWorst := math.NaN()
-			refill := func(worst float64) {
-				fill := func(i, lo, hi int) {
-					u0i, ei := u0[i], expu[i]
-					for e := lo; e < hi; e++ {
-						ei[e] = math.Exp((u0i[e] - worst) / mu)
-					}
-				}
-				if s.pool.Inline() {
-					for i := 0; i < nI; i++ {
-						fill(i, 0, nL)
-					}
-				} else {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						fill(i, lo, hi)
-					})
-				}
-				cachedWorst = worst
-			}
-			for k := range s.comms {
-				path := rPaths[k]
-				if path == nil {
-					continue
-				}
-				for e := range xDir {
-					xDir[e] = 0
-				}
-				for _, id := range path {
-					xDir[id] = 1
-				}
-				rk := s.R[k]
-				nAct := 0
-				for e := 0; e < nL; e++ {
-					d := xDir[e] - rk[e]
-					diff[e] = d
-					if d != 0 {
-						act[nAct] = int32(e)
-						nAct++
-					}
-				}
-				hasDemand := false
-				for i := 0; i < nI; i++ {
-					if s.reqs[i].demands[k] != 0 {
-						hasDemand = true
-						break
-					}
-				}
-				if nAct == 0 || !hasDemand {
-					// Every cell is static: the reference evaluation is
-					// constant in gamma, so its accept test
-					// eval(gamma) >= eval(0) - 1e-15 always rejects, and a
-					// rejected block leaves rk, loads and the caches
-					// untouched. Skipping is bit-identical.
-					continue
-				}
-				// Max over the static cells; max is order-insensitive, so
-				// folding them per row here and merging with the active
-				// cells below reproduces the reference max exactly.
-				staticMax := 0.0
-				for i := 0; i < nI; i++ {
-					u0i := u0[i]
-					if s.reqs[i].demands[k] == 0 {
-						for e := 0; e < nL; e++ {
-							if u0i[e] > staticMax {
-								staticMax = u0i[e]
-							}
-						}
-						continue
-					}
-					for e := 0; e < nL; e++ {
-						if diff[e] == 0 && u0i[e] > staticMax {
-							staticMax = u0i[e]
-						}
-					}
-				}
-				eval := func(gamma float64) float64 {
-					worst := staticMax
-					for i := 0; i < nI; i++ {
-						d := s.reqs[i].demands[k]
-						if d == 0 {
-							continue
-						}
-						gd := gamma * d
-						li, Wi := loads[i], W[i]
-						for _, e32 := range act[:nAct] {
-							e := int(e32)
-							u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
-							if u > worst {
-								worst = u
-							}
-						}
-					}
-					if worst != cachedWorst {
-						refill(worst)
-					}
-					var z float64
-					for i := 0; i < nI; i++ {
-						d := s.reqs[i].demands[k]
-						ei := expu[i]
-						if d == 0 {
-							for e := 0; e < nL; e++ {
-								z += ei[e]
-							}
-							continue
-						}
-						gd := gamma * d
-						li, Wi := loads[i], W[i]
-						for e := 0; e < nL; e++ {
-							if diff[e] != 0 {
-								u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
-								z += math.Exp((u - worst) / mu)
-							} else {
-								z += ei[e]
-							}
-						}
-					}
-					return worst + mu*math.Log(z)
-				}
-				gamma := ternaryMin(eval, 12)
-				if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
-					continue
-				}
-				for i := 0; i < nI; i++ {
-					d := s.reqs[i].demands[k]
-					if d == 0 {
-						continue
-					}
-					li := loads[i]
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						li[e] += gamma * d * diff[e]
-					}
-				}
-				for e := 0; e < nL; e++ {
-					rk[e] = (1-gamma)*rk[e] + gamma*xDir[e]
-				}
-				// The accepted step moved loads only on active cells of
-				// rows with demand; refresh their static view and exp cache
-				// (at the current reference point) for the next blocks.
-				for i := 0; i < nI; i++ {
-					if s.reqs[i].demands[k] == 0 {
-						continue
-					}
-					li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-						ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
-					}
-				}
-			}
+			s.rSweep(rPaths, mu)
 		}
 		rSweepSp.End()
 
-		// ---- p block sweep ----
 		pSweepSp := epochSp.Child("p-sweep")
-		if incSweep {
+		if s.incSweep {
 			s.pSweepInc(pPaths, mu)
 		} else {
-			for l := 0; l < nL; l++ {
-				path := pPaths[l]
-				if path == nil {
-					continue
-				}
-				cl := s.capac[l]
-				for e := range xDir {
-					xDir[e] = 0
-				}
-				for _, id := range path {
-					xDir[id] = cl // direction in v-space: c_l × direction frac
-				}
-				pl := s.P[l]
-
-				var evalW func(i, e int, x float64) float64
-				switch {
-				case allArb:
-					// Insertion stats: top-(F-1) sum and F-th largest of the
-					// column with entry l excluded; then the worst virtual
-					// load as a function of x = c_l p_l(e) is
-					// sFm1 + max(x, aF). The maintained colTop buffers answer
-					// both in O(F) per cell instead of rescanning the column,
-					// bit-identical to insertionStats (same selection order,
-					// same summation order).
-					fillStats := func(i, lo, hi int) {
-						F := arbF[i]
-						sfi, afi := sFm1[i], aF[i]
-						for e := lo; e < hi; e++ {
-							sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
-						}
-					}
-					if s.pool.Inline() {
-						for i := 0; i < nI; i++ {
-							fillStats(i, 0, nL)
-						}
-					} else {
-						s.pool.ForEach(nI*nC, func(t int) {
-							i := t / nC
-							lo, hi := par.Chunk(nL, t%nC)
-							fillStats(i, lo, hi)
-						})
-					}
-					evalW = func(i, e int, x float64) float64 {
-						if x > aF[i][e] {
-							return sFm1[i][e] + x
-						}
-						return sFm1[i][e] + aF[i][e]
-					}
-				case allGrp1:
-					// With K=1, the worst case is one SRLG plus one MLG: the
-					// best group either avoids l entirely (sum precomputed) or
-					// contains l and gains x.
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						groupStats(grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], lo, hi)
-						groupStats(grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], lo, hi)
-					})
-					evalW = func(i, e int, x float64) float64 {
-						srlg := sS[i][e]
-						if v := mSl[i][e] + x; v > srlg {
-							srlg = v
-						}
-						if srlg < 0 {
-							srlg = 0
-						}
-						mlg := sM[i][e]
-						if v := mMl[i][e] + x; v > mlg {
-							mlg = v
-						}
-						if mlg < 0 {
-							mlg = 0
-						}
-						return srlg + mlg
-					}
-				case allKnap:
-					// The knapsack walk over the maintained buffer, with l
-					// skipped and (x, l) merged at its rank, is WorstLoad on
-					// the column with entry l set to x, bit for bit.
-					evalW = func(i, e int, x float64) float64 {
-						return s.tops[e].worstKnapAt(knapU[i], int32(l), x)
-					}
-				default:
-					evalW = func(i, e int, x float64) float64 {
-						copy(scratchCol, s.pcol[e])
-						scratchCol[l] = x
-						return s.reqs[i].model.WorstLoad(scratchCol)
-					}
-				}
-
-				eval := func(gamma float64) float64 {
-					worst := 0.0
-					for i := 0; i < nI; i++ {
-						for e := 0; e < nL; e++ {
-							x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-							u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-							if u > worst {
-								worst = u
-							}
-						}
-					}
-					var z float64
-					for i := 0; i < nI; i++ {
-						for e := 0; e < nL; e++ {
-							x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-							u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-							z += math.Exp((u - worst) / mu)
-						}
-					}
-					return worst + mu*math.Log(z)
-				}
-				gamma := ternaryMin(eval, 12)
-				if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
-					continue
-				}
-				for e := 0; e < nL; e++ {
-					old := s.pcol[e][l]
-					nv := (1-gamma)*old + gamma*xDir[e]
-					s.pcol[e][l] = nv
-					pl[e] = nv / cl
-					if s.topK > 0 && nv != old {
-						s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
-					}
-				}
-				// Refresh W from the accepted step. The fast-path evalW
-				// closures only read precomputed stats or the updated top
-				// buffers; the generic fallback evaluates WorstLoad on the
-				// updated column directly. Both are pure per-cell reads, so
-				// the refresh is slot-parallel.
-				if allArb || allGrp1 || allKnap {
-					s.pool.ForEach(nI*nC, func(t int) {
-						i := t / nC
-						lo, hi := par.Chunk(nL, t%nC)
-						for e := lo; e < hi; e++ {
-							W[i][e] = evalW(i, e, s.pcol[e][l])
-						}
-					})
-				} else {
-					recomputeW()
-				}
-			}
+			s.pSweepRef(pPaths, mu)
 		}
 		pSweepSp.End()
 
-		obj = trueObj()
+		obj = s.trueObj()
 		if obj < s.bestObj {
 			s.snapshotBest(obj)
 		}
@@ -1363,8 +758,485 @@ func (s *fwState) run(effort int) {
 	s.restoreBest()
 }
 
-// pSweepInc runs one p block sweep incrementally: the reference sweep in
-// run's else branch with the static cells cached. For block l a cell
+// selectKernels picks the worst-load evaluation the whole solve uses and
+// sizes the state that goes with it. Fast evaluation from the maintained
+// colTop buffers applies when every model is ArbitraryFailures (the common
+// case, including priorities; arbF) or every model is a uniform-β
+// DegradationModel with a short knapsack walk (every one the CLIs and r3d
+// build; knapU), with a third fast path for GroupFailures with K=1 (the
+// SRLG+MLG model the US-ISP experiments use; grp1). At most one of the
+// three is non-nil. Everything else — GroupFailures{K>1}, F > 32, per-link
+// β, long walks — takes the generic evaluation through the FailureModel
+// interface, which is also the oracle the kernels are tested against.
+func (s *fwState) selectKernels() {
+	nL := s.g.NumLinks()
+	nI := len(s.reqs)
+	s.arbF, s.grp1, s.knapU = nil, nil, nil
+	for _, r := range s.reqs {
+		switch m := r.model.(type) {
+		case ArbitraryFailures:
+			// insertionStats supports F <= 32; larger F (e.g. the naive
+			// all-links ablation) falls back to the generic evaluation.
+			if m.F <= 32 {
+				s.arbF = append(s.arbF, m.F)
+			}
+		case GroupFailures:
+			if m.K == 1 {
+				s.grp1 = append(s.grp1, m)
+			}
+		case DegradationModel:
+			var ub [knapMaxSteps]float64
+			if n, short := m.knapSteps(&ub); short {
+				s.knapU = append(s.knapU, append([]float64{}, ub[:n]...))
+			}
+		}
+	}
+	if len(s.arbF) != nI {
+		s.arbF = nil
+	}
+	if len(s.grp1) != nI {
+		s.grp1 = nil
+	}
+	if len(s.knapU) != nI {
+		s.knapU = nil
+	}
+
+	s.ensureArena()
+	s.csr = s.g.CSR()
+	if s.spfMode != spf.ModeFlat && s.pTrees == nil {
+		s.pTrees = make([]spf.DynTree, nL)
+		useDelta := s.spfMode == spf.ModeDelta
+		for l := 0; l < nL; l++ {
+			s.pTrees[l].Reset(s.csr, s.g.Link(graph.LinkID(l)).Dst, useDelta)
+		}
+	}
+	if s.grp1 != nil && s.ar.grpS == nil {
+		a := &s.ar
+		a.grpS, a.grpSl = newMatrix(nI, nL), newMatrix(nI, nL)
+		a.grpM, a.grpMl = newMatrix(nI, nL), newMatrix(nI, nL)
+	}
+
+	// Incremental top selection per pcol column. K is one more than the
+	// largest F (or the longest knapsack walk) so the per-link line-search
+	// evaluations, which exclude one index, always find enough entries in
+	// the buffer.
+	s.topK = 0
+	if s.arbF != nil || s.knapU != nil {
+		need := 0
+		for _, f := range s.arbF {
+			need = max(need, f)
+		}
+		for _, u := range s.knapU {
+			need = max(need, len(u))
+		}
+		s.topK = need + 1
+		if s.tops == nil {
+			s.tops = make([]colTop, nL)
+		}
+	}
+	// The incremental p sweep rides on the colTop kernels (worstArb-valid F
+	// on every top-F requirement); ModeFlat keeps the reference evaluation,
+	// which the differential tests compare against.
+	s.incSweep = s.spfMode != spf.ModeFlat && s.topK > 0
+	for _, f := range s.arbF {
+		if f >= nL {
+			s.incSweep = false
+		}
+	}
+}
+
+// refreshW recomputes the worst-case virtual loads W from the current
+// pcol, rebuilding the colTop buffers first when a kernel maintains them.
+func (s *fwState) refreshW() {
+	nL := s.g.NumLinks()
+	if s.topK > 0 {
+		for e := range s.tops {
+			s.tops[e].rebuild(s.pcol[e], s.topK)
+		}
+	}
+	for i, Wi := range s.ar.W {
+		switch {
+		case s.knapU != nil:
+			// The knapsack walk over the buffer is WorstLoad bit for bit.
+			u := s.knapU[i]
+			for e := range Wi {
+				Wi[e], _ = s.tops[e].worstKnap(u)
+			}
+		case s.arbF != nil && s.arbF[i] < nL:
+			// The maintained top buffers answer sumTopK bit for bit as long
+			// as F stays below the column length (the reference switches to
+			// index-order summation at F >= len).
+			F := s.arbF[i]
+			for e := range Wi {
+				Wi[e] = s.tops[e].worstArb(F)
+			}
+		default:
+			model := s.reqs[i].model
+			for e := range Wi {
+				Wi[e] = model.WorstLoad(s.pcol[e])
+			}
+		}
+	}
+}
+
+// trueObj is the true objective of the epoch state (loads, W): the largest
+// utilization over requirements and links.
+func (s *fwState) trueObj() float64 {
+	worst := 0.0
+	for i, li := range s.ar.loads {
+		Wi := s.ar.W[i]
+		for e, c := range s.capac {
+			if u := (li[e] + Wi[e]) / c; u > worst {
+				worst = u
+			}
+		}
+	}
+	return worst
+}
+
+// softmaxWeights fills q with the gradient weights of the smoothed
+// objective at the epoch state: exp((u - obj)/mu) per cell, normalized by
+// their sum taken in (requirement, link) order.
+func (s *fwState) softmaxWeights(obj, mu float64) {
+	var zsum float64
+	for i, qi := range s.ar.q {
+		li, Wi := s.ar.loads[i], s.ar.W[i]
+		for e, c := range s.capac {
+			qi[e] = math.Exp(((li[e]+Wi[e])/c - obj) / mu)
+			zsum += qi[e]
+		}
+	}
+	inv := 1 / zsum
+	for _, qi := range s.ar.q {
+		for e := range qi {
+			qi[e] *= inv
+		}
+	}
+}
+
+// rSweep runs one r block sweep: every commodity in turn moves toward its
+// oracle path by its own exact line search on the smoothed objective.
+//
+// A commodity block moves at most the links on its oracle path and its
+// current support; every other (requirement, link) cell is static during
+// the line search. The reference evaluation computes
+// u = (loads + gamma*d*(xDir-rk) + W) / capac for every cell; for a static
+// cell the middle term is a signed zero (gamma*d >= 0 times diff, which is
+// +0 when zero, or gamma*0 = +0 times any diff, which is at worst -0), and
+// adding a signed zero to loads (never -0: base loads are sums of
+// nonnegative terms with exact cancellation rounding to +0) reproduces
+// loads bitwise. Static utilizations u0 are therefore constant across the
+// whole sweep between accepted blocks, and their exp terms
+// exp((u0 - worst)/mu) depend only on the current reference point `worst`:
+// they are cached in expu keyed on cachedWorst and refilled only when worst
+// moves. The z sum still walks every (i, e) cell in ascending order adding
+// bitwise-identical values, so the evaluation — and the accepted plan —
+// matches the reference exactly while computing math.Exp only for the few
+// active cells plus cache refills.
+func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
+	nL := s.g.NumLinks()
+	nI := len(s.reqs)
+	loads, W := s.ar.loads, s.ar.W
+	u0, expu := s.ar.u0, s.ar.expu
+	xDir, diff, act := s.ar.xDir, s.ar.diff, s.ar.active
+	for i := 0; i < nI; i++ {
+		li, Wi, u0i := loads[i], W[i], u0[i]
+		for e := 0; e < nL; e++ {
+			u0i[e] = (li[e] + Wi[e]) / s.capac[e]
+		}
+	}
+	cachedWorst := math.NaN()
+	refill := func(worst float64) {
+		for i := 0; i < nI; i++ {
+			u0i, ei := u0[i], expu[i]
+			for e := 0; e < nL; e++ {
+				ei[e] = math.Exp((u0i[e] - worst) / mu)
+			}
+		}
+		cachedWorst = worst
+	}
+	for k := range s.comms {
+		path := rPaths[k]
+		if path == nil {
+			continue
+		}
+		for e := range xDir {
+			xDir[e] = 0
+		}
+		for _, id := range path {
+			xDir[id] = 1
+		}
+		rk := s.R[k]
+		nAct := 0
+		for e := 0; e < nL; e++ {
+			d := xDir[e] - rk[e]
+			diff[e] = d
+			if d != 0 {
+				act[nAct] = int32(e)
+				nAct++
+			}
+		}
+		hasDemand := false
+		for i := 0; i < nI; i++ {
+			if s.reqs[i].demands[k] != 0 {
+				hasDemand = true
+				break
+			}
+		}
+		if nAct == 0 || !hasDemand {
+			// Every cell is static: the reference evaluation is
+			// constant in gamma, so its accept test
+			// eval(gamma) >= eval(0) - 1e-15 always rejects, and a
+			// rejected block leaves rk, loads and the caches
+			// untouched. Skipping is bit-identical.
+			continue
+		}
+		// Max over the static cells; max is order-insensitive, so
+		// folding them per row here and merging with the active
+		// cells below reproduces the reference max exactly.
+		staticMax := 0.0
+		for i := 0; i < nI; i++ {
+			u0i := u0[i]
+			if s.reqs[i].demands[k] == 0 {
+				for e := 0; e < nL; e++ {
+					if u0i[e] > staticMax {
+						staticMax = u0i[e]
+					}
+				}
+				continue
+			}
+			for e := 0; e < nL; e++ {
+				if diff[e] == 0 && u0i[e] > staticMax {
+					staticMax = u0i[e]
+				}
+			}
+		}
+		eval := func(gamma float64) float64 {
+			worst := staticMax
+			for i := 0; i < nI; i++ {
+				d := s.reqs[i].demands[k]
+				if d == 0 {
+					continue
+				}
+				gd := gamma * d
+				li, Wi := loads[i], W[i]
+				for _, e32 := range act[:nAct] {
+					e := int(e32)
+					u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
+					if u > worst {
+						worst = u
+					}
+				}
+			}
+			if worst != cachedWorst {
+				refill(worst)
+			}
+			var z float64
+			for i := 0; i < nI; i++ {
+				d := s.reqs[i].demands[k]
+				ei := expu[i]
+				if d == 0 {
+					for e := 0; e < nL; e++ {
+						z += ei[e]
+					}
+					continue
+				}
+				gd := gamma * d
+				li, Wi := loads[i], W[i]
+				for e := 0; e < nL; e++ {
+					if diff[e] != 0 {
+						u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
+						z += math.Exp((u - worst) / mu)
+					} else {
+						z += ei[e]
+					}
+				}
+			}
+			return worst + mu*math.Log(z)
+		}
+		gamma := ternaryMin(eval, 12)
+		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+			continue
+		}
+		for i := 0; i < nI; i++ {
+			d := s.reqs[i].demands[k]
+			if d == 0 {
+				continue
+			}
+			li := loads[i]
+			for _, e32 := range act[:nAct] {
+				e := int(e32)
+				li[e] += gamma * d * diff[e]
+			}
+		}
+		for e := 0; e < nL; e++ {
+			rk[e] = (1-gamma)*rk[e] + gamma*xDir[e]
+		}
+		// The accepted step moved loads only on active cells of
+		// rows with demand; refresh their static view and exp cache
+		// (at the current reference point) for the next blocks.
+		for i := 0; i < nI; i++ {
+			if s.reqs[i].demands[k] == 0 {
+				continue
+			}
+			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
+			for _, e32 := range act[:nAct] {
+				e := int(e32)
+				u0i[e] = (li[e] + Wi[e]) / s.capac[e]
+				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+			}
+		}
+	}
+}
+
+// pSweepRef runs one p block sweep by the reference evaluation: every
+// line-search probe of block l recomputes every (requirement, link) cell,
+// through the selected kernel's per-block statistics or, in the generic
+// case, through WorstLoad on a copy of the column with entry l replaced.
+// It serves every model the incremental sweep does not (GroupFailures, the
+// generic path) and ModeFlat, where it is the oracle pSweepInc is tested
+// against.
+func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
+	nL := s.g.NumLinks()
+	nI := len(s.reqs)
+	loads, W := s.ar.loads, s.ar.W
+	sFm1, aF, xDir := s.ar.sFm1, s.ar.aF, s.ar.xDir
+	// Group-model stats: best group sum not containing l (sS/sM) and best
+	// sum among groups containing l with l's own entry removed (mSl/mMl),
+	// per requirement and link.
+	sS, mSl, sM, mMl := s.ar.grpS, s.ar.grpSl, s.ar.grpM, s.ar.grpMl
+	scratchCol := s.getBuf()
+	defer s.putBuf(scratchCol)
+	for l := 0; l < nL; l++ {
+		path := pPaths[l]
+		if path == nil {
+			continue
+		}
+		cl := s.capac[l]
+		for e := range xDir {
+			xDir[e] = 0
+		}
+		for _, id := range path {
+			xDir[id] = cl // direction in v-space: c_l × direction frac
+		}
+		pl := s.P[l]
+
+		var evalW func(i, e int, x float64) float64
+		switch {
+		case s.arbF != nil:
+			// Insertion stats: top-(F-1) sum and F-th largest of the
+			// column with entry l excluded; then the worst virtual
+			// load as a function of x = c_l p_l(e) is
+			// sFm1 + max(x, aF). The maintained colTop buffers answer
+			// both in O(F) per cell instead of rescanning the column,
+			// bit-identical to insertionStats (same selection order,
+			// same summation order).
+			for i := 0; i < nI; i++ {
+				F := s.arbF[i]
+				sfi, afi := sFm1[i], aF[i]
+				for e := 0; e < nL; e++ {
+					sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
+				}
+			}
+			evalW = func(i, e int, x float64) float64 {
+				if x > aF[i][e] {
+					return sFm1[i][e] + x
+				}
+				return sFm1[i][e] + aF[i][e]
+			}
+		case s.grp1 != nil:
+			// With K=1, the worst case is one SRLG plus one MLG: the
+			// best group either avoids l entirely (sum precomputed) or
+			// contains l and gains x.
+			for i := 0; i < nI; i++ {
+				groupStats(s.grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i])
+				groupStats(s.grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i])
+			}
+			evalW = func(i, e int, x float64) float64 {
+				srlg := sS[i][e]
+				if v := mSl[i][e] + x; v > srlg {
+					srlg = v
+				}
+				if srlg < 0 {
+					srlg = 0
+				}
+				mlg := sM[i][e]
+				if v := mMl[i][e] + x; v > mlg {
+					mlg = v
+				}
+				if mlg < 0 {
+					mlg = 0
+				}
+				return srlg + mlg
+			}
+		case s.knapU != nil:
+			// The knapsack walk over the maintained buffer, with l
+			// skipped and (x, l) merged at its rank, is WorstLoad on
+			// the column with entry l set to x, bit for bit.
+			evalW = func(i, e int, x float64) float64 {
+				return s.tops[e].worstKnapAt(s.knapU[i], int32(l), x)
+			}
+		default:
+			evalW = func(i, e int, x float64) float64 {
+				copy(scratchCol, s.pcol[e])
+				scratchCol[l] = x
+				return s.reqs[i].model.WorstLoad(scratchCol)
+			}
+		}
+
+		eval := func(gamma float64) float64 {
+			worst := 0.0
+			for i := 0; i < nI; i++ {
+				for e := 0; e < nL; e++ {
+					x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
+					u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
+					if u > worst {
+						worst = u
+					}
+				}
+			}
+			var z float64
+			for i := 0; i < nI; i++ {
+				for e := 0; e < nL; e++ {
+					x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
+					u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
+					z += math.Exp((u - worst) / mu)
+				}
+			}
+			return worst + mu*math.Log(z)
+		}
+		gamma := ternaryMin(eval, 12)
+		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+			continue
+		}
+		for e := 0; e < nL; e++ {
+			old := s.pcol[e][l]
+			nv := (1-gamma)*old + gamma*xDir[e]
+			s.pcol[e][l] = nv
+			pl[e] = nv / cl
+			if s.topK > 0 && nv != old {
+				s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
+			}
+		}
+		// Refresh W from the accepted step. The fast-path evalW
+		// closures only read precomputed stats or the updated top
+		// buffers; the generic fallback evaluates WorstLoad on the
+		// updated column directly.
+		if s.topK == 0 && s.grp1 == nil {
+			s.refreshW()
+			continue
+		}
+		for i := 0; i < nI; i++ {
+			Wi := W[i]
+			for e := 0; e < nL; e++ {
+				Wi[e] = evalW(i, e, s.pcol[e][l])
+			}
+		}
+	}
+}
+
+// pSweepInc runs one p block sweep incrementally: pSweepRef with the
+// static cells cached. For block l a cell
 // (i, e) is static when p_l(e) = 0 and e is off the oracle path: its mixed
 // value x stays exactly +0 and l holds no entry in tops[e], so the probe
 // collapses to the column's own worst load — the top-F insertion stats
@@ -1396,9 +1268,7 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 	act := s.ar.active
 	prevAct := s.ar.active2
 	nPrev := 0
-	// The static fills below are a few thousand flops per call: plain
-	// loops, no pool hand-off, and — with no closure escaping into a pool —
-	// a warm sweep allocates nothing.
+	// No closure below escapes, so a warm sweep allocates nothing.
 	for i := 0; i < nI; i++ {
 		li, u0i := loads[i], u0[i]
 		if knap {
@@ -1587,87 +1457,53 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 // with one shared line-searched step on the smoothed objective. It mutates
 // s.R, s.P and s.pcol (the caller refreshes loads and W) and returns the
 // accepted step size (0 when the line search rejects the direction).
-func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths [][]graph.LinkID, mu float64) float64 {
+func (s *fwState) globalStep(rPaths, pPaths [][]graph.LinkID, mu float64) float64 {
 	nL := s.g.NumLinks()
-	nI := len(s.reqs)
-	_ = W
+	nT := len(s.reqs) * nL
+	loads := s.ar.loads
 
-	// Direction loads for r. Rows are fully overwritten (zeroed or copied)
-	// before use, so the arena needs no clearing between epochs.
-	dirR := s.ar.dirR
-	fillDirR := func(k int) {
-		row := dirR[k]
-		if rPaths == nil || rPaths[k] == nil {
-			copy(row, s.R[k])
-			return
+	// Direction rows for r and p: the oracle path's indicator, or the
+	// current row where the oracle found none. Rows are fully overwritten,
+	// so the arena needs no clearing between epochs.
+	dirR, dirP := s.ar.dirR, s.ar.dirP
+	for k := range s.comms {
+		var path []graph.LinkID
+		if rPaths != nil {
+			path = rPaths[k]
 		}
-		for e := range row {
-			row[e] = 0
-		}
-		for _, id := range rPaths[k] {
-			row[id] = 1
-		}
+		pathRow(dirR[k], s.R[k], path)
 	}
-	// Direction columns for p.
-	dirP := s.ar.dirP
-	fillDirP := func(l int) {
-		row := dirP[l]
-		if pPaths[l] == nil {
-			copy(row, s.P[l])
-			return
-		}
-		for e := range row {
-			row[e] = 0
-		}
-		for _, id := range pPaths[l] {
-			row[id] = 1
-		}
-	}
-	if s.pool.Inline() {
-		for k := range s.comms {
-			fillDirR(k)
-		}
-		for l := 0; l < nL; l++ {
-			fillDirP(l)
-		}
-	} else {
-		s.pool.ForEach(len(s.comms), fillDirR)
-		s.pool.ForEach(nL, fillDirP)
+	for l := 0; l < nL; l++ {
+		pathRow(dirP[l], s.P[l], pPaths[l])
 	}
 	dirLoads := s.baseLoads(dirR, s.ar.dirLoads)
 	pcolDir := s.columns(dirP, s.ar.pcolDir)
 
-	// Each utilization cell mixes a full p-column (O(links) WorstLoad), so
-	// the fill dominates the line search; it is slot-parallel with a
-	// per-worker mixing buffer. The max and the exp sum stay serial over
-	// the slot order, keeping the float association fixed.
+	// Each utilization cell mixes a full p-column and runs an O(links)
+	// WorstLoad on it, so the fill dominates the line search and goes on
+	// the pool, one chunk of cells per item with a mixing buffer of its
+	// own. The max and the exp sum stay serial over the slot order, keeping
+	// the float association fixed.
 	us := s.ar.us
-	eval := func(gamma float64) float64 {
-		if s.pool.Inline() {
-			col := s.getBuf()
-			for t := 0; t < nI*nL; t++ {
-				i, e := t/nL, t%nL
-				a, b := s.pcol[e], pcolDir[e]
-				for l := 0; l < nL; l++ {
-					col[l] = (1-gamma)*a[l] + gamma*b[l]
-				}
-				bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
-				us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
+	var probe float64 // the step size fill evaluates; one closure serves all 30 probes
+	fill := func(c int) {
+		gamma := probe
+		lo, hi := par.Chunk(nT, c)
+		col := s.getBuf()
+		for t := lo; t < hi; t++ {
+			i, e := t/nL, t%nL
+			a, b := s.pcol[e], pcolDir[e]
+			for l := 0; l < nL; l++ {
+				col[l] = (1-gamma)*a[l] + gamma*b[l]
 			}
-			s.putBuf(col)
-		} else {
-			par.ForEachChunkScratchFree(s.pool, nI*nL, s.getBuf, func(lo, hi int, col []float64) {
-				for t := lo; t < hi; t++ {
-					i, e := t/nL, t%nL
-					a, b := s.pcol[e], pcolDir[e]
-					for l := 0; l < nL; l++ {
-						col[l] = (1-gamma)*a[l] + gamma*b[l]
-					}
-					bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
-					us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
-				}
-			}, s.putBuf)
+			bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
+			us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
 		}
+		s.putBuf(col)
+	}
+	eval := func(gamma float64) float64 {
+		probe = gamma
+		s.pool.ForEach(par.NumChunks(nT), fill)
 		worst := 0.0
 		for _, u := range us {
 			if u > worst {
@@ -1684,29 +1520,45 @@ func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths
 	if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 		return 0
 	}
-	s.pool.ForEach(len(s.comms), func(k int) {
-		rk, dk := s.R[k], dirR[k]
-		for e := 0; e < nL; e++ {
+	for k, rk := range s.R {
+		dk := dirR[k]
+		for e := range rk {
 			rk[e] = (1-gamma)*rk[e] + gamma*dk[e]
 		}
-	})
-	s.pool.ForEach(nL, func(l int) {
-		pl, dl := s.P[l], dirP[l]
-		for e := 0; e < nL; e++ {
+	}
+	for l, pl := range s.P {
+		dl := dirP[l]
+		for e := range pl {
 			pl[e] = (1-gamma)*pl[e] + gamma*dl[e]
 		}
-	})
+	}
 	s.pcol = s.columns(s.P, s.pcol)
 	return gamma
 }
 
+// pathRow fills one direction row: the indicator of path, or a copy of the
+// current row cur when the oracle found no path.
+func pathRow(row, cur []float64, path []graph.LinkID) {
+	if path == nil {
+		copy(row, cur)
+		return
+	}
+	for e := range row {
+		row[e] = 0
+	}
+	for _, id := range path {
+		row[id] = 1
+	}
+}
+
 // pDirections computes the oracle path per protected link from the active
 // sets of the current iterate: a link e costs q weight only where l's
-// virtual demand is part of the worst case at e. Cost accumulation is
-// split by link column e — every cell costP[·][e] belongs to one worker
-// and sums requirements in ascending order — and the per-link SPF fan-out
-// is slot-parallel, with an ActiveSet scratch per worker. All buffers come
-// from the arena: costP rows are zeroed up front, the kernel scratch and
+// virtual demand is part of the worst case at e. Both halves go on the
+// pool, because an item of either is at least one O(links) pass: cost
+// accumulation (accumulateCostP) is split by chunk of link columns e, each
+// cell of which runs an ActiveSet scan of a full p-column, and the SPF
+// fan-out (pOraclePath) is one tree per protected link. All buffers come
+// from the arena: costP rows are cleared up front, the kernel scratch and
 // y rows recycle through pools, and paths append into retained storage.
 //
 // Under an incremental SPF mode the per-link trees persist across epochs:
@@ -1717,159 +1569,141 @@ func (s *fwState) globalStep(loads, W [][]float64, q [][]float64, rPaths, pPaths
 // candidate cells, with costP[l][e] + 1e-12 — the same float add the flat
 // path bakes in place — as the candidate cost, which makes the repaired
 // tree and the produced path bit-identical to the flat sweep.
-func (s *fwState) pDirections(q [][]float64) [][]graph.LinkID {
+func (s *fwState) pDirections() [][]graph.LinkID {
 	nL := s.g.NumLinks()
-	nI := len(s.reqs)
-	costP := s.ar.costP
-	incremental := s.spfMode != spf.ModeFlat
-	paths := s.ar.pPaths
-
-	zeroRows := func(lo, hi int) {
-		for l := lo; l < hi; l++ {
-			if incremental {
-				// Only pattern cells are ever nonzero; clear just those.
-				row := costP[l]
-				for _, e := range s.ar.pPat[l] {
-					row[e] = 0
-				}
-				s.ar.pPatNew[l] = s.ar.pPatNew[l][:0]
-				continue
-			}
-			row := costP[l]
+	for l, row := range s.ar.costP {
+		if s.spfMode == spf.ModeFlat {
 			for e := range row {
 				row[e] = 0
 			}
+			continue
 		}
+		// Only pattern cells are ever nonzero; clear just those.
+		for _, e := range s.ar.pPat[l] {
+			row[e] = 0
+		}
+		s.ar.pPatNew[l] = s.ar.pPatNew[l][:0]
 	}
-	// accumulate fills chunk c (columns [lo, hi)). In incremental mode the
-	// first contribution to a cell records the (l, e) pair in the chunk's
-	// pair buffer; chunks partition e, so each cell has exactly one owner
-	// and the per-chunk buffers concatenate to the full pattern in
-	// ascending-e order.
-	accumulate := func(c, lo, hi int, y []float64) {
-		var pairs []int32
-		if incremental {
-			pairs = s.ar.patPairs[c][:0]
-		}
-		for e := lo; e < hi; e++ {
-			for i := 0; i < nI; i++ {
-				if q[i][e] == 0 {
-					continue
-				}
-				s.reqs[i].model.ActiveSet(s.pcol[e], y)
-				w := q[i][e] / s.capac[e]
-				for l := 0; l < nL; l++ {
-					if y[l] > 0 {
-						if incremental && costP[l][e] == 0 {
-							pairs = append(pairs, int32(l), int32(e))
-						}
-						costP[l][e] += w * y[l]
-					}
-				}
-			}
-		}
-		if incremental {
-			s.ar.patPairs[c] = pairs
-		}
-	}
-	sweep := func(l int) {
-		link := s.g.Link(graph.LinkID(l))
-		row := costP[l]
-		var next []int32
-		if incremental {
-			tree := &s.pTrees[l]
-			if !tree.Ready() {
-				buf := s.getBuf()
-				for e := 0; e < nL; e++ {
-					buf[e] = row[e] + 1e-12
-				}
-				tree.Full(buf)
-				s.putBuf(buf)
-				s.o.fallbacks.Inc()
-			} else {
-				// Candidates: old ∪ new nonzero cells, merged in ascending
-				// link order (both lists are e-sorted). Cells outside both
-				// patterns cost exactly 1e-12 before and after.
-				ids, vals := s.ar.pIDs[l][:0], s.ar.pVals[l][:0]
-				oldP, newP := s.ar.pPat[l], s.ar.pPatNew[l]
-				oi, ni := 0, 0
-				for oi < len(oldP) || ni < len(newP) {
-					var e int32
-					switch {
-					case oi == len(oldP):
-						e = newP[ni]
-						ni++
-					case ni == len(newP):
-						e = oldP[oi]
-						oi++
-					case oldP[oi] < newP[ni]:
-						e = oldP[oi]
-						oi++
-					case oldP[oi] > newP[ni]:
-						e = newP[ni]
-						ni++
-					default:
-						e = oldP[oi]
-						oi, ni = oi+1, ni+1
-					}
-					ids = append(ids, e)
-					vals = append(vals, row[e]+1e-12)
-				}
-				s.ar.pIDs[l], s.ar.pVals[l] = ids, vals
-				kind, frac := tree.Update(ids, vals, 0.25)
-				s.o.noteUpdate(kind, frac)
-			}
-			s.o.spf.Inc()
-			next = tree.Next()
-		} else {
-			// Bake the tie-breaking floor into the row: the reference cost
-			// closure evaluated costP[l][id] + 1e-12 per relaxation, the
-			// same float add performed here once per link.
-			for id := 0; id < nL; id++ {
-				row[id] = row[id] + 1e-12
-			}
-			sc := s.spfPool.Get()
-			spf.SPFTo(s.csr, link.Dst, row, nil, sc)
-			s.o.spf.Inc()
-			next = sc.Next
-			defer s.spfPool.Put(sc)
-		}
-		p := spf.PathFromNext(s.csr, link.Src, next, s.ar.pPathBuf[l][:0])
-		if p != nil {
-			s.ar.pPathBuf[l] = p
-		}
-		paths[l] = p
-	}
-	if s.pool.Inline() {
-		zeroRows(0, nL)
-		if s.ar.patPairs == nil {
-			s.ar.patPairs = make([][]int32, 1)
-		}
-		y := s.getBuf()
-		accumulate(0, 0, nL, y)
-		s.putBuf(y)
-		s.mergePatterns(1)
-		for l := 0; l < nL; l++ {
-			sweep(l)
-		}
-		s.swapPatterns()
-		return paths
-	}
-	s.pool.ForEachChunk(nL, zeroRows)
 	nC := par.NumChunks(nL)
-	if s.ar.patPairs == nil || len(s.ar.patPairs) < nC {
+	if len(s.ar.patPairs) < nC {
 		s.ar.patPairs = make([][]int32, nC)
 	}
-	s.pool.ForEach(nC, func(c int) {
-		lo, hi := par.Chunk(nL, c)
-		y := s.getBuf()
-		accumulate(c, lo, hi, y)
-		s.putBuf(y)
-	})
+	s.pool.ForEach(nC, s.accumulateCostP)
 	s.mergePatterns(nC)
-	s.pool.ForEach(nL, sweep)
+	s.pool.ForEach(nL, s.pOraclePath)
 	s.swapPatterns()
-	return paths
+	return s.ar.pPaths
+}
+
+// accumulateCostP fills the gradient costs costP[·][e] for the columns e of
+// chunk c, summing requirements in ascending order. Chunks partition e, so
+// each cell has exactly one owner. In incremental mode the first
+// contribution to a cell records the (l, e) pair in the chunk's pair
+// buffer, and the per-chunk buffers concatenate to the full pattern in
+// ascending-e order.
+func (s *fwState) accumulateCostP(c int) {
+	nL := s.g.NumLinks()
+	lo, hi := par.Chunk(nL, c)
+	q, costP := s.ar.q, s.ar.costP
+	incremental := s.spfMode != spf.ModeFlat
+	pairs := s.ar.patPairs[c][:0]
+	y := s.getBuf()
+	for e := lo; e < hi; e++ {
+		for i := range s.reqs {
+			if q[i][e] == 0 {
+				continue
+			}
+			s.reqs[i].model.ActiveSet(s.pcol[e], y)
+			w := q[i][e] / s.capac[e]
+			for l := 0; l < nL; l++ {
+				if y[l] > 0 {
+					if incremental && costP[l][e] == 0 {
+						pairs = append(pairs, int32(l), int32(e))
+					}
+					costP[l][e] += w * y[l]
+				}
+			}
+		}
+	}
+	s.putBuf(y)
+	s.ar.patPairs[c] = pairs
+}
+
+// pOraclePath runs protected link l's shortest-path oracle over its
+// gradient-cost row and stores the path in s.ar.pPaths[l] (nil when the
+// link's head cannot reach its tail).
+func (s *fwState) pOraclePath(l int) {
+	nL := s.g.NumLinks()
+	link := s.g.Link(graph.LinkID(l))
+	row := s.ar.costP[l]
+	s.o.spf.Inc()
+	if s.spfMode == spf.ModeFlat {
+		// Bake the tie-breaking floor into the row: the reference cost
+		// closure evaluated costP[l][id] + 1e-12 per relaxation, the
+		// same float add performed here once per link.
+		for id := range row {
+			row[id] = row[id] + 1e-12
+		}
+		sc := s.spfPool.Get()
+		spf.SPFTo(s.csr, link.Dst, row, nil, sc)
+		s.setPPath(l, link.Src, sc.Next)
+		s.spfPool.Put(sc)
+		return
+	}
+	tree := &s.pTrees[l]
+	if !tree.Ready() {
+		buf := s.getBuf()
+		for e := 0; e < nL; e++ {
+			buf[e] = row[e] + 1e-12
+		}
+		tree.Full(buf)
+		s.putBuf(buf)
+		s.o.fallbacks.Inc()
+		s.setPPath(l, link.Src, tree.Next())
+		return
+	}
+	// Candidates: old ∪ new nonzero cells, merged in ascending link order
+	// (both lists are e-sorted). Cells outside both patterns cost exactly
+	// 1e-12 before and after.
+	ids, vals := s.ar.pIDs[l][:0], s.ar.pVals[l][:0]
+	oldP, newP := s.ar.pPat[l], s.ar.pPatNew[l]
+	oi, ni := 0, 0
+	for oi < len(oldP) || ni < len(newP) {
+		var e int32
+		switch {
+		case oi == len(oldP):
+			e = newP[ni]
+			ni++
+		case ni == len(newP):
+			e = oldP[oi]
+			oi++
+		case oldP[oi] < newP[ni]:
+			e = oldP[oi]
+			oi++
+		case oldP[oi] > newP[ni]:
+			e = newP[ni]
+			ni++
+		default:
+			e = oldP[oi]
+			oi, ni = oi+1, ni+1
+		}
+		ids = append(ids, e)
+		vals = append(vals, row[e]+1e-12)
+	}
+	s.ar.pIDs[l], s.ar.pVals[l] = ids, vals
+	kind, frac := tree.Update(ids, vals, 0.25)
+	s.o.noteUpdate(kind, frac)
+	s.setPPath(l, link.Src, tree.Next())
+}
+
+// setPPath extracts protected link l's oracle path from a next-link vector
+// into the link's retained storage.
+func (s *fwState) setPPath(l int, src graph.NodeID, next []int32) {
+	p := spf.PathFromNext(s.csr, src, next, s.ar.pPathBuf[l][:0])
+	if p != nil {
+		s.ar.pPathBuf[l] = p
+	}
+	s.ar.pPaths[l] = p
 }
 
 // mergePatterns scatters the per-chunk (l, e) pair buffers into per-link
@@ -1915,10 +1749,11 @@ func ternaryMin(f func(float64) float64, iters int) float64 {
 // rDirections computes the oracle path per OD commodity under the current
 // gradient weights, honoring the delay envelope. With one requirement the
 // cost is shared and grouped by destination; with several the costs are
-// demand-weighted per commodity.
-func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
+// demand-weighted per commodity. Either way an item on the pool is at
+// least one full SPF.
+func (s *fwState) rDirections() [][]graph.LinkID {
 	nL := s.g.NumLinks()
-	paths := s.ar.rPaths
+	q := s.ar.q
 	if len(s.reqs) == 1 {
 		cost := s.ar.rCost
 		for e := 0; e < nL; e++ {
@@ -1946,31 +1781,21 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 		// Commodity sets of distinct destinations are disjoint, so every
 		// paths[k] slot has exactly one writer; the sorted destination
 		// list only fixes the task indexing.
-		sweep := func(di int) {
+		s.pool.ForEach(len(s.ar.dsts), func(di int) {
 			sc := s.spfPool.Get()
 			spf.SPFTo(s.csr, s.ar.dsts[di], cost, nil, sc)
 			s.o.spf.Inc()
 			for _, k := range s.ar.dstComms[di] {
-				p := spf.PathFromNext(s.csr, s.comms[k].Src, sc.Next, s.ar.rPathBuf[k][:0])
-				if p != nil {
-					s.ar.rPathBuf[k] = p
-				}
-				paths[k] = s.checkedPath(k, p, cost)
+				s.setRPath(k, sc.Next, cost)
 			}
 			s.spfPool.Put(sc)
-		}
-		if s.pool.Inline() {
-			for di := range s.ar.dsts {
-				sweep(di)
-			}
-		} else {
-			s.pool.ForEach(len(s.ar.dsts), sweep)
-		}
-		return paths
+		})
+		return s.ar.rPaths
 	}
-	// Demand-weighted per-commodity costs: one SPF per commodity, with a
-	// per-worker cost buffer (fully overwritten for every item).
-	sweep := func(k int, cost []float64) {
+	// Demand-weighted per-commodity costs: one SPF per commodity, over a
+	// cost row of its own (fully overwritten for every item).
+	s.pool.ForEach(len(s.comms), func(k int) {
+		cost := s.getBuf()
 		for e := 0; e < nL; e++ {
 			var w float64
 			for i := range s.reqs {
@@ -1983,23 +1808,22 @@ func (s *fwState) rDirections(q [][]float64) [][]graph.LinkID {
 		sc := s.spfPool.Get()
 		spf.SPFTo(s.csr, s.comms[k].Dst, cost, nil, sc)
 		s.o.spf.Inc()
-		p := spf.PathFromNext(s.csr, s.comms[k].Src, sc.Next, s.ar.rPathBuf[k][:0])
-		if p != nil {
-			s.ar.rPathBuf[k] = p
-		}
-		paths[k] = s.checkedPath(k, p, cost)
+		s.setRPath(k, sc.Next, cost)
 		s.spfPool.Put(sc)
-	}
-	if s.pool.Inline() {
-		cost := s.getBuf()
-		for k := range s.comms {
-			sweep(k, cost)
-		}
 		s.putBuf(cost)
-		return paths
+	})
+	return s.ar.rPaths
+}
+
+// setRPath extracts commodity k's oracle path from a next-link vector into
+// the commodity's retained storage and applies the delay envelope. cost is
+// the per-link cost row the oracle ran with.
+func (s *fwState) setRPath(k int, next []int32, cost []float64) {
+	p := spf.PathFromNext(s.csr, s.comms[k].Src, next, s.ar.rPathBuf[k][:0])
+	if p != nil {
+		s.ar.rPathBuf[k] = p
 	}
-	par.ForEachScratchFree(s.pool, len(s.comms), s.getBuf, sweep, s.putBuf)
-	return paths
+	s.ar.rPaths[k] = s.checkedPath(k, p, cost)
 }
 
 // checkedPath applies the delay envelope to an oracle path, substituting a
@@ -2137,15 +1961,14 @@ func (s *fwState) delayBoundedPath(k int, cost []float64, bound float64) []graph
 	return out
 }
 
-// groupStats fills, for every link e in [lo, hi), best[e] = the largest
-// positive group sum over columns pcol[e] treating index skip as absent
-// among groups NOT containing skip (0 when none), and withSkip[e] = the
-// largest sum among groups containing skip with skip's own entry removed
-// (negative infinity when no group contains skip). Each cell depends only
-// on its own column, so disjoint ranges can be filled concurrently.
-func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, best, withSkip []float64, lo, hi int) {
+// groupStats fills, for every link e, best[e] = the largest positive group
+// sum over columns pcol[e] treating index skip as absent among groups NOT
+// containing skip (0 when none), and withSkip[e] = the largest sum among
+// groups containing skip with skip's own entry removed (negative infinity
+// when no group contains skip).
+func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, best, withSkip []float64) {
 	negInf := math.Inf(-1)
-	for e := lo; e < hi; e++ {
+	for e := range best {
 		best[e] = 0
 		withSkip[e] = negInf
 	}
@@ -2157,7 +1980,7 @@ func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, be
 				break
 			}
 		}
-		for e := lo; e < hi; e++ {
+		for e := range best {
 			col := pcol[e]
 			var sum float64
 			for _, l := range grp {

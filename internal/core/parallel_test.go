@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -38,10 +39,10 @@ func precomputeAt(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Config, w
 // TestPrecomputeDeterministicAcrossWorkers is the solver's parallelism
 // contract: for seeded random topologies and several failure models, the
 // plan produced with Workers=8 (and intermediate counts) is byte-identical
-// to the serial Workers=1 plan. The FW solver's parallel loops write
-// index-owned slots and reduce over a worker-independent chunk grid, so
-// any scheduling-dependent float association would show up here as a
-// one-bit diff in the encoded plan.
+// to the serial Workers=1 plan. The FW solver's pooled loops write
+// index-owned slots over a worker-independent chunk grid, so any
+// scheduling-dependent float association would show up here as a one-bit
+// diff in the encoded plan.
 func TestPrecomputeDeterministicAcrossWorkers(t *testing.T) {
 	type tc struct {
 		name string
@@ -81,6 +82,20 @@ func TestPrecomputeDeterministicAcrossWorkers(t *testing.T) {
 		"groups", gGrp, traffic.Gravity(gGrp, 700, 10),
 		Config{Model: ModelFromGraph(gGrp, 1), Iterations: 25},
 	})
+	// Delay envelope: delayBoundedPath runs inside the pooled r fan-out
+	// and shares the path-buffer and SPF-scratch free lists across workers.
+	gDel := topo.Mesh("det-delay", 12, 36, 23, 1000)
+	cases = append(cases, tc{
+		"delay-envelope", gDel, traffic.Gravity(gDel, 800, 24),
+		Config{Model: ArbitraryFailures{F: 1}, Iterations: 25, DelayEnvelope: 1.1},
+	})
+	// Degradation envelope: the knapsack kernel's ActiveSet under the
+	// pooled gradient-cost accumulation.
+	gDeg := topo.Mesh("det-degrade", 12, 36, 25, 1000)
+	cases = append(cases, tc{
+		"degradation", gDeg, traffic.Gravity(gDeg, 800, 26),
+		Config{Model: DegradationModel{Beta: 0.5, Budget: 2}, Iterations: 25},
+	})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -97,8 +112,8 @@ func TestPrecomputeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPrecomputeVariationsDeterministicAcrossWorkers covers the
-// multi-requirement path: several hull matrices means the per-requirement
-// loops (baseLoads, columns, objective) actually fan out.
+// multi-requirement path: several hull matrices send rDirections down its
+// per-commodity fan-out (one demand-weighted SPF per pool item).
 func TestPrecomputeVariationsDeterministicAcrossWorkers(t *testing.T) {
 	g := topo.Mesh("det-var", 12, 36, 13, 1000)
 	ds := []*traffic.Matrix{
@@ -143,6 +158,41 @@ func TestPrecomputePrioritizedDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		if got := run(w); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d prioritized plan differs from serial", w)
+		}
+	}
+}
+
+// TestPrecomputeConcurrentCalls covers the parallelism r3d (a rebuild
+// beside GET /v1/scenario) and exp actually use: several Precompute calls
+// at once on one shared graph. Each call owns its solver state and pool,
+// the graph is read-only, so every plan must equal the serial call's bytes
+// — and the race detector must stay quiet.
+func TestPrecomputeConcurrentCalls(t *testing.T) {
+	g := topo.Abilene()
+	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
+	for _, model := range []FailureModel{ArbitraryFailures{F: 1}, DegradationModel{Beta: 0.5, Budget: 2}} {
+		cfg := Config{Model: model, Iterations: 25}
+		want := encodePlan(t, precomputeAt(t, g, d, cfg, 1))
+		plans := make([]*Plan, 4)
+		errs := make([]error, len(plans))
+		var wg sync.WaitGroup
+		for i := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := cfg
+				c.Workers = 2
+				plans[i], errs[i] = Precompute(g, d, c)
+			}()
+		}
+		wg.Wait()
+		for i, plan := range plans {
+			if errs[i] != nil {
+				t.Fatalf("%v: concurrent call %d: %v", model, i, errs[i])
+			}
+			if !bytes.Equal(encodePlan(t, plan), want) {
+				t.Fatalf("%v: concurrent call %d differs from the serial plan", model, i)
+			}
 		}
 	}
 }

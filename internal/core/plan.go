@@ -48,28 +48,43 @@ type Plan struct {
 	pattern     *rowPattern
 }
 
-// rowPattern is the nonzero pattern of a plan's base routing in CSR form:
-// row k's nonzero link indices are idx[off[k]:off[k+1]], ascending. Values
-// are not stored; readers fetch them from the rows themselves. (int32
+// rowPattern is a plan's base routing in CSR form: row k's nonzero link
+// indices are idx[off[k]:off[k+1]], ascending, and val holds the fractions
+// at those indices. The plan is frozen, so the copies never go stale, and
+// State.Loads streams them instead of making one scattered read per
+// nonzero into rows that span tens of megabytes (DESIGN.md §9). (int32
 // offsets are ample: the dense rows of a plan with 2^31 nonzeros would
 // take 16 GiB first.)
 type rowPattern struct {
 	off []int32
 	idx []int32
+	val []float64
 }
 
 // basePattern returns the plan's cached base-routing pattern, building it
-// on first use.
+// on first use: one pass to count, so idx and val are allocated exactly.
 func (p *Plan) basePattern() *rowPattern {
 	p.patternOnce.Do(func() {
 		pat := &rowPattern{off: make([]int32, len(p.Base.Frac)+1)}
 		for k, fr := range p.Base.Frac {
+			n := pat.off[k]
+			for _, v := range fr {
+				if v != 0 {
+					n++
+				}
+			}
+			pat.off[k+1] = n
+		}
+		nnz := pat.off[len(p.Base.Frac)]
+		pat.idx = make([]int32, 0, nnz)
+		pat.val = make([]float64, 0, nnz)
+		for _, fr := range p.Base.Frac {
 			for l, v := range fr {
 				if v != 0 {
 					pat.idx = append(pat.idx, int32(l))
+					pat.val = append(pat.val, v)
 				}
 			}
-			pat.off[k+1] = int32(len(pat.idx))
 		}
 		p.pattern = pat
 	})
@@ -497,26 +512,27 @@ func (s *State) FailAll(links ...graph.LinkID) error {
 // Loads returns the per-link load of the current base routing (demands ×
 // reconfigured fractions). Failed links always carry zero load.
 //
-// Rows still aliasing the plan are walked through the plan's nonzero
+// Rows still aliasing the plan are read from the plan's cached nonzero
 // pattern, rows the state owns densely. Both visit commodities in order
 // and add the same d·v products routing.Flow.Loads would, so the sums are
 // bit-identical to the dense pass.
 func (s *State) Loads() []float64 {
 	loads := make([]float64, s.G.NumLinks())
-	off, idx := s.pattern.off, s.pattern.idx
+	off, idx, val := s.pattern.off, s.pattern.idx, s.pattern.val
 	for k := range s.base.Comms {
 		d := s.base.Comms[k].Demand
 		if d == 0 {
 			continue
 		}
-		fr := s.base.Frac[k]
 		if !s.ownBase[k] {
-			for _, l := range idx[off[k]:off[k+1]] {
-				loads[l] += d * fr[l]
+			lo, hi := off[k], off[k+1]
+			vs := val[lo:hi]
+			for j, l := range idx[lo:hi] {
+				loads[l] += d * vs[j]
 			}
 			continue
 		}
-		for l, v := range fr {
+		for l, v := range s.base.Frac[k] {
 			if v != 0 {
 				loads[l] += d * v
 			}

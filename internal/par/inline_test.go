@@ -15,111 +15,60 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-func TestInlineDetection(t *testing.T) {
-	if !Serial.Inline() {
-		t.Fatal("Serial pool must report inline execution")
-	}
-	if !New(1).Inline() {
-		t.Fatal("1-worker pool must report inline execution")
-	}
-	var nilPool *Pool
-	if !nilPool.Inline() {
-		t.Fatal("nil pool must report inline execution")
-	}
-	withGOMAXPROCS(t, 1, func() {
-		if !New(8).Inline() {
-			t.Fatal("8-worker pool must degrade to inline on a single-slot runtime")
-		}
-	})
-	withGOMAXPROCS(t, 4, func() {
-		if New(8).Inline() {
-			t.Fatal("8-worker pool must not report inline with 4 scheduler slots")
-		}
-	})
-}
-
 // TestInlineSpawnsNoWorkers: on a single-slot runtime even a wide pool
-// must run every construct on the calling goroutine — the spawned-worker
-// counter stays flat across ForEach, chunked loops and Reduce.
+// must run ForEach on the calling goroutine — the spawned-worker counter
+// stays flat — and a 1-worker or nil pool never spawns at all.
 func TestInlineSpawnsNoWorkers(t *testing.T) {
+	const n = 1000
+	out := make([]float64, n)
+	fill := func(i int) { out[i] = float64(i) * 1.5 }
 	withGOMAXPROCS(t, 1, func() {
 		p := New(8)
-		before := p.SpawnedWorkers()
-
-		const n = 1000
-		out := make([]float64, n)
-		p.ForEach(n, func(i int) { out[i] = float64(i) * 1.5 })
-		p.ForEachChunk(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] += 1
-			}
-		})
-		ForEachScratchFree(p, n,
-			func() []float64 { return make([]float64, 4) },
-			func(i int, s []float64) { s[0] = out[i] },
-			func(s []float64) {})
-		_ = Reduce(p, n, 0.0,
-			func(lo, hi int) float64 {
-				sum := 0.0
-				for i := lo; i < hi; i++ {
-					sum += out[i]
-				}
-				return sum
-			},
-			func(a, b float64) float64 { return a + b })
-
-		if d := p.SpawnedWorkers() - before; d != 0 {
+		p.ForEach(n, fill)
+		if d := p.SpawnedWorkers(); d != 0 {
 			t.Fatalf("inline execution spawned %d workers, want 0", d)
 		}
 	})
+	withGOMAXPROCS(t, 4, func() {
+		p := New(1)
+		p.ForEach(n, fill)
+		var nilPool *Pool
+		nilPool.ForEach(n, fill)
+		if d := p.SpawnedWorkers() + nilPool.SpawnedWorkers(); d != 0 {
+			t.Fatalf("1-worker and nil pools spawned %d workers, want 0", d)
+		}
+	})
 }
 
-// TestInlinePooledIdentical: the same loop on a serial pool and a wide
-// pool clamped to one slot must produce bit-identical results — including
-// the floating-point fold order of Reduce, which is where a sloppy inline
-// fast path would diverge first.
+// TestInlinePooledIdentical: the same loop on a serial pool, on a wide
+// pool clamped to one slot and on a wide pool with slots to spare must
+// fill its index-owned slots with the same bits.
 func TestInlinePooledIdentical(t *testing.T) {
 	const n = 12345
 	vals := make([]float64, n)
 	for i := range vals {
-		// Values with wildly different magnitudes make the fold order
-		// observable in the low bits.
 		vals[i] = math.Sin(float64(i)) * math.Pow(10, float64(i%17)-8)
 	}
-	sumChunk := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += vals[i]
-		}
-		return s
+	run := func(p *Pool) []float64 {
+		out := make([]float64, n)
+		p.ForEach(n, func(i int) { out[i] = vals[i] * 3 })
+		return out
 	}
-	add := func(a, b float64) float64 { return a + b }
-
-	serial := Reduce(Serial, n, 0.0, sumChunk, add)
-	withGOMAXPROCS(t, 1, func() {
-		if got := Reduce(New(8), n, 0.0, sumChunk, add); got != serial {
-			t.Fatalf("inline wide-pool Reduce = %x, serial = %x", got, serial)
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s ForEach diverged at %d", what, i)
+			}
 		}
-	})
-	// And with scheduling slots available, the pooled path must still agree
-	// bit for bit (chunk grid + ascending fold pins it).
+	}
+	serial := run(Serial)
+	withGOMAXPROCS(t, 1, func() { same("inline wide-pool", run(New(8)), serial) })
 	withGOMAXPROCS(t, 4, func() {
 		p := New(8)
-		if got := Reduce(p, n, 0.0, sumChunk, add); got != serial {
-			t.Fatalf("pooled Reduce = %x, serial = %x", got, serial)
-		}
+		same("pooled", run(p), serial)
 		if p.SpawnedWorkers() == 0 {
-			t.Fatal("pooled Reduce with 4 slots should have spawned workers")
-		}
-
-		outS := make([]float64, n)
-		outP := make([]float64, n)
-		Serial.ForEach(n, func(i int) { outS[i] = vals[i] * 3 })
-		p.ForEach(n, func(i int) { outP[i] = vals[i] * 3 })
-		for i := range outS {
-			if outS[i] != outP[i] {
-				t.Fatalf("ForEach diverged at %d", i)
-			}
+			t.Fatal("pooled ForEach with 4 slots should have spawned workers")
 		}
 	})
 }

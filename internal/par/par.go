@@ -3,26 +3,22 @@
 // bit-identical to a serial execution, regardless of worker count or
 // goroutine scheduling.
 //
-// Determinism contract. Every construct here either (a) writes results
-// into caller-owned slots addressed by loop index (ForEach, ForEachChunk,
-// ForEachScratch), so scheduling cannot reorder anything observable, or
-// (b) reduces per-chunk partial values in ascending chunk order (Reduce).
-// Chunk grids are a pure function of the problem size — never of the
-// worker count — so a 1-worker pool and an N-worker pool associate
-// floating-point reductions identically. Callers keep the contract by
-// never accumulating across indices inside a parallel body; the Frank–
-// Wolfe solver in internal/core leans on this to make Workers=1 and
-// Workers=8 produce byte-identical plans.
+// Determinism contract. ForEach writes results into caller-owned slots
+// addressed by loop index, so scheduling cannot reorder anything
+// observable. The chunk grid (ChunkSize, NumChunks, Chunk) and the shard
+// grid (ShardRanges) are pure functions of the problem size — never of the
+// worker count — so a caller that hands one chunk or shard to each loop
+// item visits the same index ranges on a 1-worker pool and an N-worker
+// pool. Callers keep the contract by never accumulating across indices
+// inside a parallel body; the Frank–Wolfe solver in internal/core leans on
+// this to make Workers=1 and Workers=8 produce byte-identical plans.
 //
 // Panics inside a body are captured and re-raised on the caller's
 // goroutine (the panic from the lowest-indexed failing item wins, again
-// for determinism). Context cancellation is cooperative: ForEachCtx stops
-// handing out new items once the context is done.
+// for determinism).
 package par
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,7 +43,7 @@ type Pool struct {
 }
 
 // Stats reports how many parallel loops the pool has run and how many
-// loop items (or chunks) it has executed. Nil pools report zeros.
+// loop items it has executed. Nil pools report zeros.
 func (p *Pool) Stats() (loops, items int64) {
 	if p == nil {
 		return 0, 0
@@ -64,12 +60,14 @@ func (p *Pool) Pending() int64 {
 	return p.pending.Load()
 }
 
-func (p *Pool) noteLoop(n int) {
+// SpawnedWorkers reports the total number of worker goroutines the pool
+// has launched across all loops, beside the callers themselves. Loops that
+// ran on the calling goroutine alone spawn none. Nil pools report 0.
+func (p *Pool) SpawnedWorkers() int64 {
 	if p == nil {
-		return
+		return 0
 	}
-	p.loops.Add(1)
-	p.pending.Add(int64(n))
+	return p.spawned.Load()
 }
 
 func (p *Pool) noteItemDone() {
@@ -89,7 +87,7 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Serial is a 1-worker pool: every construct degenerates to a plain loop.
+// Serial is a 1-worker pool: ForEach degenerates to a plain loop.
 var Serial = New(1)
 
 // Workers reports the pool's bound. A nil or zero pool reports 1.
@@ -100,85 +98,36 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Inline reports whether loops on this pool execute on the calling
-// goroutine without any worker handoff: a 1-worker pool, or any pool when
-// the runtime has a single scheduling slot (GOMAXPROCS=1), where spawning
-// workers can only add overhead. Callers with allocation-sensitive hot
-// paths can branch on it to run plain loops instead of closures.
-func (p *Pool) Inline() bool {
-	return p.Workers() == 1 || runtime.GOMAXPROCS(0) == 1
-}
-
-// SpawnedWorkers reports the total number of worker goroutines the pool
-// has launched across all loops. Inline executions spawn none. Nil pools
-// report 0.
-func (p *Pool) SpawnedWorkers() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.spawned.Load()
-}
-
-func (p *Pool) noteSpawn() {
-	if p == nil {
-		return
-	}
-	p.spawned.Add(1)
-}
-
-// panicked carries a captured worker panic to the calling goroutine.
-type panicked struct {
-	index int
-	value any
-}
-
-func (p panicked) String() string {
-	return fmt.Sprintf("par: panic at index %d: %v", p.index, p.value)
-}
-
 // firstPanic tracks the lowest-index panic across workers.
 type firstPanic struct {
-	mu  sync.Mutex
-	set bool
-	p   panicked
+	mu    sync.Mutex
+	set   bool
+	index int
+	value any
 }
 
 func (f *firstPanic) record(index int, value any) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.set || index < f.p.index {
-		f.set = true
-		f.p = panicked{index: index, value: value}
+	if !f.set || index < f.index {
+		f.set, f.index, f.value = true, index, value
 	}
 }
 
 // rethrow re-raises the recorded panic value on the caller's goroutine.
 func (f *firstPanic) rethrow() {
 	if f.set {
-		panic(f.p.value)
+		panic(f.value)
 	}
 }
 
 // ForEach runs fn(i) for every i in [0, n), using up to Workers()
-// concurrent executions. fn must only write state owned by index i.
+// concurrent executions, the calling goroutine's among them. fn must only
+// write state owned by index i. A 1-worker pool — or any pool when the
+// runtime has a single scheduling slot (GOMAXPROCS=1), where goroutine
+// handoff buys no parallelism — runs the plain loop on the calling
+// goroutine.
 func (p *Pool) ForEach(n int, fn func(i int)) {
-	ForEachScratch(p, n, func() struct{} { return struct{}{} }, func(i int, _ struct{}) { fn(i) })
-}
-
-// ForEachScratch is ForEach with a per-worker scratch value: newScratch
-// runs once per worker goroutine (once total in serial execution), and fn
-// may mutate the scratch freely — it is never shared between concurrent
-// executions. Scratch state must not leak information between items in a
-// way that affects results (buffers, not accumulators).
-func ForEachScratch[S any](p *Pool, n int, newScratch func() S, fn func(i int, s S)) {
-	ForEachScratchFree(p, n, newScratch, fn, nil)
-}
-
-// ForEachScratchFree is ForEachScratch with a release hook: free (when
-// non-nil) runs once for every scratch value created, after its worker has
-// finished all items — one call total in serial execution. It lets callers
-// recycle scratch buffers through a pool instead of allocating per loop.
-func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i int, s S), free func(S)) {
 	if n <= 0 {
 		return
 	}
@@ -186,13 +135,13 @@ func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i in
 	if w > n {
 		w = n
 	}
-	// On a single-slot runtime, goroutine handoff buys no parallelism and
-	// costs scheduling overhead; degrade to the inline serial loop. The
-	// chunk grid is unchanged, so results stay bit-identical.
 	if w > 1 && runtime.GOMAXPROCS(0) == 1 {
 		w = 1
 	}
-	p.noteLoop(n)
+	if p != nil {
+		p.loops.Add(1)
+		p.pending.Add(int64(n))
+	}
 	var done atomic.Int64
 	// Reconcile the pending gauge for items never executed (an early exit
 	// via panic); on a normal completion this adjusts by zero.
@@ -202,14 +151,10 @@ func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i in
 		}
 	}()
 	if w == 1 {
-		s := newScratch()
 		for i := 0; i < n; i++ {
-			fn(i, s)
+			fn(i)
 			done.Add(1)
 			p.noteItemDone()
-		}
-		if free != nil {
-			free(s)
 		}
 		return
 	}
@@ -217,42 +162,46 @@ func ForEachScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(i in
 	next.Store(-1)
 	var fp firstPanic
 	var wg sync.WaitGroup
-	body := func(i int, s S) {
+	body := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				fp.record(i, r)
 			}
 		}()
-		fn(i, s)
+		fn(i)
 	}
-	for g := 0; g < w; g++ {
+	work := func() {
+		for {
+			i := int(next.Add(1))
+			if i >= n {
+				return
+			}
+			body(i)
+			done.Add(1)
+			p.noteItemDone()
+		}
+	}
+	// The caller is one of the w workers: it starts on the items at once
+	// instead of parking until a freshly woken thread has done them, so a
+	// loop too short to amortize that wake-up degrades toward the plain
+	// loop, not below it.
+	for g := 1; g < w; g++ {
 		wg.Add(1)
-		p.noteSpawn()
+		p.spawned.Add(1)
 		go func() {
 			defer wg.Done()
-			s := newScratch()
-			if free != nil {
-				defer free(s)
-			}
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				body(i, s)
-				done.Add(1)
-				p.noteItemDone()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	fp.rethrow()
 }
 
-// ChunkSize returns the fixed chunk width used by ForEachChunk and Reduce
-// for a loop of n items. It depends only on n — never on the worker
-// count — so the chunk grid (and therefore any per-chunk floating-point
-// association) is identical for every pool.
+// ChunkSize returns the fixed chunk width of the grid over n items. It
+// depends only on n — never on the worker count — so the chunk grid (and
+// therefore any per-chunk floating-point association) is identical for
+// every pool.
 func ChunkSize(n int) int {
 	// Aim for a fixed ~32-way grid: fine enough to balance 8–16 workers,
 	// coarse enough that dispatch cost stays negligible.
@@ -263,8 +212,7 @@ func ChunkSize(n int) int {
 	return c
 }
 
-// NumChunks reports how many chunks ForEachChunk and Reduce split n items
-// into.
+// NumChunks reports how many chunks the fixed grid splits n items into.
 func NumChunks(n int) int {
 	if n <= 0 {
 		return 0
@@ -274,8 +222,8 @@ func NumChunks(n int) int {
 }
 
 // Chunk returns the half-open index range [lo, hi) of chunk ci in the
-// fixed grid over [0, n). Useful when a caller flattens several
-// dimensions into one task index and needs the bounds back.
+// fixed grid over [0, n): a chunked loop is ForEach(NumChunks(n), …) with
+// each item recovering its bounds here.
 func Chunk(n, ci int) (lo, hi int) {
 	c := ChunkSize(n)
 	lo = ci * c
@@ -308,158 +256,4 @@ func ShardRanges(n, shards int) [][2]int {
 		out[s] = [2]int{s * n / shards, (s + 1) * n / shards}
 	}
 	return out
-}
-
-// ForEachChunk splits [0, n) into the fixed grid of ChunkSize(n)-wide
-// chunks and runs fn(lo, hi) for each chunk. fn must only write state
-// owned by indices in [lo, hi).
-func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	c := ChunkSize(n)
-	p.ForEach(NumChunks(n), func(ci int) {
-		lo := ci * c
-		hi := lo + c
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}
-
-// ForEachChunkScratch is ForEachChunk with a per-worker scratch value.
-func ForEachChunkScratch[S any](p *Pool, n int, newScratch func() S, fn func(lo, hi int, s S)) {
-	ForEachChunkScratchFree(p, n, newScratch, fn, nil)
-}
-
-// ForEachChunkScratchFree is ForEachChunkScratch with a release hook (see
-// ForEachScratchFree).
-func ForEachChunkScratchFree[S any](p *Pool, n int, newScratch func() S, fn func(lo, hi int, s S), free func(S)) {
-	if n <= 0 {
-		return
-	}
-	c := ChunkSize(n)
-	ForEachScratchFree(p, NumChunks(n), newScratch, func(ci int, s S) {
-		lo := ci * c
-		hi := lo + c
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi, s)
-	}, free)
-}
-
-// Reduce maps each chunk of the fixed grid over [0, n) to a partial value
-// and folds the partials in ascending chunk order: the result is
-// init ⊕ map(chunk 0) ⊕ map(chunk 1) ⊕ … with a deterministic
-// association, independent of worker count and scheduling.
-func Reduce[A any](p *Pool, n int, init A, mapFn func(lo, hi int) A, mergeFn func(into, next A) A) A {
-	if n <= 0 {
-		return init
-	}
-	if p.Inline() {
-		// Same chunk grid and fold order as the parallel path, without the
-		// partials slice: init ⊕ map(chunk 0) ⊕ map(chunk 1) ⊕ …
-		c := ChunkSize(n)
-		acc := init
-		for lo := 0; lo < n; lo += c {
-			hi := lo + c
-			if hi > n {
-				hi = n
-			}
-			acc = mergeFn(acc, mapFn(lo, hi))
-		}
-		return acc
-	}
-	parts := make([]A, NumChunks(n))
-	p.ForEachChunk(n, func(lo, hi int) {
-		parts[lo/ChunkSize(n)] = mapFn(lo, hi)
-	})
-	acc := init
-	for _, part := range parts {
-		acc = mergeFn(acc, part)
-	}
-	return acc
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// no new items are started and the context error is returned. fn errors
-// abort the loop the same way; among concurrent failures the error of the
-// lowest-indexed item wins. Items already running when the first error or
-// cancellation lands still complete.
-func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
-	if w > 1 && runtime.GOMAXPROCS(0) == 1 {
-		w = 1
-	}
-	p.noteLoop(n)
-	var done atomic.Int64
-	defer func() {
-		if p != nil {
-			p.pending.Add(done.Load() - int64(n))
-		}
-	}()
-	var next atomic.Int64
-	next.Store(-1)
-	var (
-		errMu    sync.Mutex
-		errIdx   = n
-		firstErr error
-	)
-	record := func(i int, err error) {
-		errMu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		errMu.Unlock()
-	}
-	stopped := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	var fp firstPanic
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		p.noteSpawn()
-		go func() {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					record(int(next.Load())+1, err)
-					return
-				}
-				if stopped() {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							fp.record(i, r)
-						}
-					}()
-					if err := fn(i); err != nil {
-						record(i, err)
-					}
-				}()
-				done.Add(1)
-				p.noteItemDone()
-			}
-		}()
-	}
-	wg.Wait()
-	fp.rethrow()
-	return firstErr
 }

@@ -1,11 +1,7 @@
 package par
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,28 +60,6 @@ func TestConcurrencyIsBounded(t *testing.T) {
 	}
 }
 
-func TestForEachScratchIsPerWorker(t *testing.T) {
-	p := New(4)
-	var created int32
-	out := make([]int, 200)
-	ForEachScratch(p, 200, func() *[]int {
-		atomic.AddInt32(&created, 1)
-		buf := make([]int, 1)
-		return &buf
-	}, func(i int, s *[]int) {
-		(*s)[0] = i // scratch is exclusively ours for this item
-		out[i] = (*s)[0] * 2
-	})
-	if created > 4 {
-		t.Fatalf("scratch created %d times for 4 workers", created)
-	}
-	for i, v := range out {
-		if v != 2*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestChunkGridIsWorkerIndependent(t *testing.T) {
 	for _, n := range []int{1, 5, 31, 32, 33, 460, 10000} {
 		c := ChunkSize(n)
@@ -96,56 +70,24 @@ func TestChunkGridIsWorkerIndependent(t *testing.T) {
 			t.Fatalf("n=%d: %d chunks of %d do not tile [0,n)", n, NumChunks(n), c)
 		}
 	}
-	// The grid handed to ForEachChunk must be identical for every pool.
+	// A chunked loop — one ForEach item per chunk — must tile [0, n) with
+	// the same ranges on every pool.
 	for _, n := range []int{17, 460} {
-		ref := [][2]int{}
-		Serial.ForEachChunk(n, func(lo, hi int) { ref = append(ref, [2]int{lo, hi}) })
-		got := make(map[[2]int]bool)
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		New(8).ForEachChunk(n, func(lo, hi int) {
-			<-mu
-			got[[2]int{lo, hi}] = true
-			mu <- struct{}{}
-		})
-		if len(got) != len(ref) {
-			t.Fatalf("n=%d: %d chunks parallel vs %d serial", n, len(got), len(ref))
-		}
-		for _, ch := range ref {
-			if !got[ch] {
-				t.Fatalf("n=%d: chunk %v missing under 8 workers", n, ch)
-			}
-		}
-	}
-}
-
-// TestReduceBitIdentical is the determinism keystone: summing values whose
-// magnitudes differ wildly is association-sensitive, so a scheduling-
-// dependent reduction order would flip low bits. Reduce must produce the
-// exact same float for every worker count, every time.
-func TestReduceBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 4096)
-	for i := range vals {
-		vals[i] = math.Exp(40 * (rng.Float64() - 0.5))
-	}
-	sum := func(p *Pool) float64 {
-		return Reduce(p, len(vals), 0.0,
-			func(lo, hi int) float64 {
-				var s float64
-				for i := lo; i < hi; i++ {
-					s += vals[i]
+		for _, p := range []*Pool{Serial, New(8)} {
+			got := make([][2]int, NumChunks(n))
+			p.ForEach(len(got), func(ci int) {
+				lo, hi := Chunk(n, ci)
+				got[ci] = [2]int{lo, hi}
+			})
+			next := 0
+			for ci, ch := range got {
+				if ch[0] != next || ch[1] <= ch[0] || ch[1]-ch[0] > ChunkSize(n) {
+					t.Fatalf("n=%d workers=%d: chunk %d = %v after %d", n, p.Workers(), ci, ch, next)
 				}
-				return s
-			},
-			func(a, b float64) float64 { return a + b })
-	}
-	ref := sum(Serial)
-	for _, w := range []int{2, 3, 8, 16} {
-		p := New(w)
-		for trial := 0; trial < 20; trial++ {
-			if got := sum(p); math.Float64bits(got) != math.Float64bits(ref) {
-				t.Fatalf("workers=%d trial %d: %x != %x", w, trial, math.Float64bits(got), math.Float64bits(ref))
+				next = ch[1]
+			}
+			if next != n {
+				t.Fatalf("n=%d workers=%d: chunks end at %d", n, p.Workers(), next)
 			}
 		}
 	}
@@ -167,50 +109,6 @@ func TestPanicPropagatesLowestIndex(t *testing.T) {
 			panic(fmt.Sprintf("boom %d", i))
 		}
 	})
-}
-
-func TestForEachCtxCancellation(t *testing.T) {
-	p := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int32
-	err := p.ForEachCtx(ctx, 10000, func(i int) error {
-		if atomic.AddInt32(&ran, 1) == 8 {
-			cancel()
-		}
-		time.Sleep(50 * time.Microsecond)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := atomic.LoadInt32(&ran); n > 9000 {
-		t.Fatalf("cancellation did not stop the loop: %d items ran", n)
-	}
-}
-
-func TestForEachCtxFirstErrorWins(t *testing.T) {
-	p := New(8)
-	errLow := errors.New("low")
-	errHigh := errors.New("high")
-	for trial := 0; trial < 10; trial++ {
-		err := p.ForEachCtx(context.Background(), 200, func(i int) error {
-			switch i {
-			case 5:
-				return errLow
-			case 150:
-				return errHigh
-			}
-			return nil
-		})
-		// 150 may never run once 5 fails; either way the reported error
-		// must be the lowest-indexed one actually recorded.
-		if err == nil {
-			t.Fatal("expected an error")
-		}
-		if errors.Is(err, errHigh) {
-			t.Fatalf("trial %d: high-index error beat low-index error", trial)
-		}
-	}
 }
 
 // TestShardRanges pins the shard partitioner: exact cover of [0, n) in
