@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke profile-fw fuzz-smoke chaos transition swap daemon degrade
+.PHONY: all build vet test race bench bench-smoke profile-fw fuzz-smoke chaos transition daemon degrade
 
 all: build vet test
 
@@ -43,28 +43,24 @@ chaos: vet
 	$(GO) test -count=1 -run 'TestFingerprint' ./internal/mplsff
 	$(GO) test -count=1 -run 'TestChaosLossSweep' ./internal/exp
 
-# transition runs the staged-reconfiguration suite under the race
-# detector — scheduler property/differential tests, delta/round
-# versioning, staged delivery through the emulator, and the
-# staged-vs-one-shot sweep — and the copy-on-write State gates (eager-copy
-# oracle, plan-never-written hash, concurrent NewState, allocation bound),
-# mirroring the CI transition-smoke job. vet's copylocks check is what
-# keeps core.Plan from being copied by value.
-transition: vet
+# transition runs exactly the commands of the CI transition-smoke job:
+# under the race detector, the scheduler suite (both models: sequence
+# goldens, property/differential tests, the crossing-commodities
+# constructs), delta/round versioning, staged delivery of both kinds of
+# sequence through the emulator, both staged-vs-one-shot sweeps, and the
+# copy-on-write State gates (eager-copy oracle, plan-never-written hash,
+# concurrent NewState, allocation bound); then the staged scheduling smoke
+# runs. go vet, whose copylocks check keeps core.Plan from being copied by
+# value, runs in `make race`, as it does in the CI race job.
+transition:
 	$(GO) test -race -count=1 ./internal/transition
 	$(GO) test -race -count=1 -run 'TestDiff|TestApplyRound|TestApplyDelta|TestFailAll' ./internal/mplsff ./internal/core
+	$(GO) test -race -count=1 -run 'TestStaged|TestFailAtSilent|TestSwapStaged' ./internal/netem
+	$(GO) test -race -count=1 -run 'TestTransitionSweep|TestSwapSweep' ./internal/exp
 	$(GO) test -race -count=1 -run 'TestState|TestNewState|TestCloneIsolation|TestFailAll' ./internal/core ./internal/mplsff
-	$(GO) test -race -count=1 -run 'TestStaged|TestFailAtSilent' ./internal/netem
-	$(GO) test -race -count=1 -run 'TestTransitionSweep' ./internal/exp
-
-# swap runs the plan-swap scheduler suite under the race detector — the
-# crossing-commodities acceptance constructs, the 16-seed property
-# harness, staged delivery through the emulator, and the
-# staged-vs-one-shot swap sweep.
-swap: vet
-	$(GO) test -race -count=1 -run 'TestSchedulePlanSwap|TestSwapProperty|TestDiffPlans' ./internal/transition
-	$(GO) test -race -count=1 -run 'TestSwapStaged' ./internal/netem
-	$(GO) test -race -count=1 -run 'TestSwapSweep|TestPrintSwapSweep' ./internal/exp
+	$(GO) run ./cmd/r3plan -net abilene -total 150 -effort 40 -fail 12,13,18,19 -stage
+	$(GO) run ./cmd/r3emu -transition -transition-seeds 2 -effort 40
+	$(GO) run ./cmd/r3emu -swap -swap-seeds 2 -effort 40
 
 # daemon runs the control-plane suite under the race detector (lifecycle
 # byte-identity, concurrent reads across swaps, cache determinism,

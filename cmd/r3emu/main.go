@@ -60,12 +60,12 @@ func main() {
 	}
 	if *transitionF {
 		sum := exp.TransitionSweep(cfg, *transitionSeeds)
-		exp.PrintTransitionSweep(sum, os.Stdout)
+		exp.PrintStagedSweep(sum, os.Stdout)
 		return
 	}
 	if *swapF {
 		sum := exp.SwapSweep(cfg, *swapSeeds)
-		exp.PrintSwapSweep(sum, os.Stdout)
+		exp.PrintStagedSweep(sum, os.Stdout)
 		return
 	}
 	switch *fig {

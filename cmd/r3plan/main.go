@@ -289,59 +289,47 @@ func main() {
 	}
 }
 
-// printStaged schedules the failure set into staged rounds and prints
-// each round's feasibility evidence: the rescaled state's MLU, the
-// asynchronous-application envelope, and the exact LP certificate.
+// printStaged schedules the failure set into staged rounds.
 func printStaged(plan *core.Plan, failed []graph.LinkID, reg *obs.Registry) {
 	seq, err := transition.Schedule(plan, failed, transition.Options{Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nstaged reconfiguration: %d rounds, transient MLU %.4f, %d LP solves, %d bytes on the wire\n",
-		len(seq.Rounds), seq.TransientMLU, seq.LPSolves, seq.WireBytes())
-	for _, r := range seq.Rounds {
-		kind := "activate"
-		if r.Kind == transition.Swap {
-			kind = "swap"
-		}
-		fmt.Printf("  round %d [%s]", r.Seq, kind)
-		if len(r.Links) > 0 {
-			fmt.Printf(" links %v", r.Links)
-		}
-		fmt.Printf(": MLU %.4f, envelope %.4f", r.StateMLU, r.EnvelopeMLU)
-		if !math.IsNaN(r.LPMLU) {
-			fmt.Printf(", LP certificate %.4f", r.LPMLU)
-		}
-		if r.Fallback {
-			fmt.Print(", LP interim detour")
-		}
-		if r.CongestionFree {
-			fmt.Print(", congestion-free")
-		} else {
-			fmt.Print(", OVERLOADED")
-		}
-		fmt.Printf(", %d B\n", r.Delta.WireSize())
-	}
-	if seq.CongestionFree {
-		fmt.Println("verdict: congestion-free staged transition — every intermediate configuration within capacity (Theorem 2)")
-	} else {
-		fmt.Printf("verdict: best-effort transition; transient MLU bounded by %.4f\n", seq.TransientMLU)
-	}
+	printSequence(seq, "staged reconfiguration", "LP interim detour",
+		"congestion-free staged transition — every intermediate configuration within capacity (Theorem 2)",
+		"best-effort transition")
 }
 
 // printSwap schedules the old→next plan migration into per-commodity
-// batches and prints each round's feasibility evidence: the migrated OD
-// count, the post-round state MLU, the asynchronous mixing envelope, and
-// the exact LP certificate.
+// batches.
 func printSwap(old, next *core.Plan, reg *obs.Registry) {
 	seq, err := transition.SchedulePlanSwap(old, next, transition.Options{Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nplan swap: %d rounds, transient MLU %.4f, %d LP solves, %d bytes on the wire\n",
-		len(seq.Rounds), seq.TransientMLU, seq.LPSolves, seq.WireBytes())
+	printSequence(seq, "plan swap", "LP interim routing",
+		"congestion-free plan swap — every mixed old/new configuration within capacity",
+		"best-effort swap")
+}
+
+// printSequence prints a staged transition round by round with its
+// feasibility evidence — what the round moves (links taken down, or OD
+// commodities migrated), the post-round state's MLU, the
+// asynchronous-application envelope and the exact LP certificate — then
+// the verdict.
+func printSequence(seq *transition.Sequence, title, interim, congestionFree, bestEffort string) {
+	fmt.Printf("\n%s: %d rounds, transient MLU %.4f, %d LP solves, %d bytes on the wire\n",
+		title, len(seq.Rounds), seq.TransientMLU, seq.LPSolves, seq.WireBytes())
 	for _, r := range seq.Rounds {
-		fmt.Printf("  round %d [%d ODs]: MLU %.4f, envelope %.4f", r.Seq, len(r.ODs), r.StateMLU, r.EnvelopeMLU)
+		switch {
+		case r.ODs != nil:
+			fmt.Printf("  round %d [%d ODs]", r.Seq, len(r.ODs))
+		case len(r.Links) > 0:
+			fmt.Printf("  round %d [%s] links %v", r.Seq, r.Kind, r.Links)
+		default:
+			fmt.Printf("  round %d [%s]", r.Seq, r.Kind)
+		}
+		fmt.Printf(": MLU %.4f, envelope %.4f", r.StateMLU, r.EnvelopeMLU)
 		if !math.IsNaN(r.LPMLU) {
 			fmt.Printf(", LP certificate %.4f", r.LPMLU)
 		}
@@ -349,7 +337,7 @@ func printSwap(old, next *core.Plan, reg *obs.Registry) {
 			fmt.Printf(", certify error: %v", r.CertifyErr)
 		}
 		if r.Fallback {
-			fmt.Print(", LP interim routing")
+			fmt.Printf(", %s", interim)
 		}
 		if r.CongestionFree {
 			fmt.Print(", congestion-free")
@@ -359,9 +347,9 @@ func printSwap(old, next *core.Plan, reg *obs.Registry) {
 		fmt.Printf(", %d B\n", r.Delta.WireSize())
 	}
 	if seq.CongestionFree {
-		fmt.Println("verdict: congestion-free plan swap — every mixed old/new configuration within capacity")
+		fmt.Printf("verdict: %s\n", congestionFree)
 	} else {
-		fmt.Printf("verdict: best-effort swap; transient MLU bounded by %.4f\n", seq.TransientMLU)
+		fmt.Printf("verdict: %s; transient MLU bounded by %.4f\n", bestEffort, seq.TransientMLU)
 	}
 }
 

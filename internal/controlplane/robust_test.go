@@ -10,12 +10,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/traffic"
 )
 
 // commentLines is an endless body of "#\n" comment lines, which both
@@ -214,5 +218,111 @@ func TestSlowHeaderClientIsDropped(t *testing.T) {
 	}
 	if code, _, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz answered %d after the slow client was dropped", code)
+	}
+}
+
+// TestRolloutSchedulingErrorIsLoggedOnBothPaths: when the swap scheduler
+// refuses a rollout, the revision still ships (without one), and both the
+// rebuild path and the rollback path count cp.rollout_errors and say why
+// in the log — rollback used to count only. The scheduler is made to fail
+// by filing, under the serving topology's cache key, a revision whose
+// plan is over a graph with different capacities: SchedulePlanSwap
+// rejects the topology digest mismatch.
+func TestRolloutSchedulingErrorIsLoggedOnBothPaths(t *testing.T) {
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(prev)
+
+	s, ts, reg := newTestServer(t, testFWConfig(), nil)
+	key := s.Active().Key
+	g2 := graph.New("ring5")
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		g2.AddNode(name)
+	}
+	for i := 0; i < 5; i++ {
+		g2.AddDuplex(graph.NodeID(i), graph.NodeID((i+1)%5), 200, 1, 1)
+	}
+	g2.AddDuplex(0, 2, 200, 1, 1)
+	g2.AddDuplex(1, 3, 200, 1, 1)
+	alien, err := core.Precompute(g2, testMatrix(g2, 150, 1), testFWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alienBytes, err := alien.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileAlien := func() *Revision {
+		return s.store.Swap(&Revision{Key: key, Plan: alien, Bytes: alienBytes, Digest: fingerprint(alienBytes)})
+	}
+	check := func(path string, rev *Revision, errs int64, attr string) {
+		t.Helper()
+		if rev.Rollout != nil {
+			t.Fatalf("%s: revision %d carries a rollout the scheduler refused", path, rev.ID)
+		}
+		if got := reg.Snapshot().Counters["cp.rollout_errors"]; got != errs {
+			t.Fatalf("%s: cp.rollout_errors = %d, want %d", path, got, errs)
+		}
+		out := logged.String()
+		logged.Reset()
+		for _, want := range []string{"rollout not scheduled", "different topologies", attr} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: log lacks %q: %q", path, want, out)
+			}
+		}
+	}
+
+	// Rollback path: revision 1 restored over the alien revision 2.
+	fileAlien()
+	if code, body := post(t, ts.URL+"/v1/rollback?rev=1", nil); code != http.StatusOK {
+		t.Fatalf("rollback = %d: %s", code, body)
+	}
+	if rev := s.Active(); rev.ID != 3 || rev.RollbackOf != 1 {
+		t.Fatalf("after rollback: revision %d rollback_of %d, want 3 and 1", rev.ID, rev.RollbackOf)
+	}
+	check("rollback", s.Active(), 1, "rollback_of=1")
+
+	// Rebuild path: a traffic update built over the alien revision 4.
+	fileAlien()
+	g := testGraph()
+	if code, body := post(t, ts.URL+"/v1/traffic", matrixText(t, g, perturb(t, testMatrix(g, 150, 1), 1))); code != http.StatusAccepted {
+		t.Fatalf("update = %d: %s", code, body)
+	}
+	check("rebuild", waitRevision(t, s, 5), 2, "generation=1")
+}
+
+// TestScenarioStagePreviewCapsFailureGroups: the staged preview answers
+// 400, promptly, when the link list holds more failure groups than the
+// scheduler's subset masks can index — it used to never return. 64
+// groups still schedule.
+func TestScenarioStagePreviewCapsFailureGroups(t *testing.T) {
+	g := graph.New("ring70")
+	for i := 0; i < 70; i++ {
+		g.AddNode("n" + strconv.Itoa(i))
+	}
+	for i := 0; i < 70; i++ {
+		g.AddDuplex(graph.NodeID(i), graph.NodeID((i+1)%70), 100, 1, 1)
+	}
+	d := traffic.NewMatrix(70)
+	d.Set(0, 35, 10)
+	d.Set(20, 50, 10)
+	pc := testFWConfig()
+	pc.Iterations = 5
+	_, ts, _ := newTestServer(t, pc, func(c *Config) { c.Graph, c.Traffic = g, d })
+
+	links := func(groups int) string {
+		ids := make([]string, 2*groups)
+		for i := range ids {
+			ids[i] = strconv.Itoa(i)
+		}
+		return strings.Join(ids, ",")
+	}
+	if code, body, _ := get(t, ts.URL+"/v1/scenario?stage=1&links="+links(64)); code != http.StatusOK {
+		t.Fatalf("64 groups = %d: %s", code, body)
+	}
+	code, body, _ := get(t, ts.URL+"/v1/scenario?stage=1&links="+links(65))
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "65 failure groups") {
+		t.Fatalf("65 groups = %d, want 400 naming the group count: %s", code, body)
 	}
 }

@@ -260,27 +260,13 @@ func (s *Server) build(gen int64, g *graph.Graph, d *traffic.Matrix) (err error)
 		s.cache.Put(key, plan, bytes)
 	}
 
-	// Attach the staged rollout: an LP-certified plan-to-plan swap from
-	// the previously active revision. A topology change invalidates
-	// row-level deltas (router/link identities moved), so those swaps
-	// ship without a rollout.
-	var rollout *transition.Sequence
-	if active != nil && active.Key.Topo == key.Topo {
-		var warm *lp.Basis
-		if active.Rollout != nil {
-			warm = active.Rollout.Basis
-		}
-		var err error
-		rollout, err = transition.SchedulePlanSwap(active.Plan, plan, transition.Options{
-			Warm: warm,
-			Obs:  s.reg,
-		})
-		if err != nil {
-			rollout = nil
-			s.reg.Counter("cp.rollout_errors").Inc()
-			slog.Warn("r3d: rollout not scheduled; the revision ships without one", "generation", gen, "cache_key", key, "error", err)
-		}
+	// Attach the staged rollout, LP-certified and warm-started from the
+	// previous rollout's basis.
+	var warm *lp.Basis
+	if active != nil && active.Rollout != nil {
+		warm = active.Rollout.Basis
 	}
+	rollout := s.rollout(active, key, plan, transition.Options{Warm: warm}, "generation", gen)
 
 	s.store.Swap(&Revision{
 		Key:     key,
@@ -290,6 +276,25 @@ func (s *Server) build(gen int64, g *graph.Graph, d *traffic.Matrix) (err error)
 		Rollout: rollout,
 	})
 	return nil
+}
+
+// rollout schedules the staged plan-to-plan swap from the revision being
+// replaced. A topology change invalidates row-level deltas (router/link
+// identities moved), so those swaps — like the first revision, and like
+// one the scheduler refuses — ship without a rollout. attrs label the
+// refusal's log line.
+func (s *Server) rollout(from *Revision, key CacheKey, to *core.Plan, opts transition.Options, attrs ...any) *transition.Sequence {
+	if from == nil || from.Key.Topo != key.Topo {
+		return nil
+	}
+	opts.Obs = s.reg
+	seq, err := transition.SchedulePlanSwap(from.Plan, to, opts)
+	if err != nil {
+		s.reg.Counter("cp.rollout_errors").Inc()
+		slog.Warn("r3d: rollout not scheduled; the revision ships without one", append(attrs, "cache_key", key, "error", err)...)
+		return nil
+	}
+	return seq
 }
 
 // bumpGen records an accepted input update and wakes the worker. Returns
@@ -480,7 +485,9 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 			Obs:         s.reg,
 		})
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+			// Every Schedule error is about the link list: repeated links,
+			// or more failure groups than can be staged.
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		resp["staged"] = rolloutSummary(seq)
@@ -722,18 +729,8 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// SkipCertify: a rollback wants the swap now, not after an LP solve;
-	// the delta and the elementwise-max envelope still ship.
-	var rollout *transition.Sequence
-	if current != nil && current.Key.Topo == target.Key.Topo {
-		rollout, err = transition.SchedulePlanSwap(current.Plan, target.Plan, transition.Options{
-			SkipCertify: true,
-			Obs:         s.reg,
-		})
-		if err != nil {
-			rollout = nil
-			s.reg.Counter("cp.rollout_errors").Inc()
-		}
-	}
+	// the rounds, their deltas and their mixing envelopes still ship.
+	rollout := s.rollout(current, target.Key, target.Plan, transition.Options{SkipCertify: true}, "rollback_of", target.ID)
 	rev := s.store.Swap(&Revision{
 		Key:        target.Key,
 		Plan:       target.Plan,

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -12,35 +11,6 @@ import (
 	"repro/internal/traffic"
 	"repro/internal/transition"
 )
-
-// SwapRun is one seeded comparison of a staged (multi-round) plan swap
-// against one-shot installation of the target plan under the same chaos.
-type SwapRun struct {
-	Seed int64
-	// StagedPeak and OneShotPeak are the worst measured link utilization
-	// over the migration window, on an identical measurement grid.
-	StagedPeak, OneShotPeak float64
-	// StagedDropKB and OneShotDropKB are bytes dropped over the window,
-	// in kilobytes.
-	StagedDropKB, OneShotDropKB float64
-	// Match reports that both runs converged and the staged end state is
-	// byte-identical to the one-shot install.
-	Match      bool
-	Violations int
-}
-
-// SwapSummary aggregates a SwapSweep.
-type SwapSummary struct {
-	Rounds         int     // scheduled swap rounds k
-	TransientMLU   float64 // the scheduler's analytic transient bound
-	CongestionFree bool    // every round analytically congestion-free
-	OneShotMLU     float64 // analytic mixing envelope of the one-shot swap
-	WireKB         float64 // staged round deltas over the wire
-	Runs           []SwapRun
-	StagedWorse    int // runs where the staged peak exceeded one-shot's
-	Matches        int
-	Violations     int
-}
 
 // swapHubPlans builds the crossing-commodities construct the swap
 // scheduler's tests pin down: sources a,b and sinks c,d around a narrow
@@ -112,109 +82,25 @@ func swapHubPlans(effort int) (*core.Plan, *core.Plan, *traffic.Matrix) {
 // the staged-round flood; the one-shot run floods the entire old→new
 // delta as a single round, so routers cut over asynchronously as the
 // flood reaches them — exactly the unsound mixing the scheduler's
-// per-commodity envelope bounds. Both runs share the traffic seed and
-// chaos seed and are measured on an identical 100 ms grid.
-func SwapSweep(cfg EmulationConfig, seeds int) *SwapSummary {
+// per-commodity envelope bounds.
+func SwapSweep(cfg EmulationConfig, seeds int) *StagedSummary {
 	cfg.defaults()
 	old, next, d := swapHubPlans(cfg.Effort)
-	g := old.G
 	seq, err := transition.SchedulePlanSwap(old, next, transition.Options{SkipCertify: true, Obs: cfg.Obs})
 	if err != nil {
 		panic(err)
 	}
 	oneShot := mplsff.Diff(mplsff.Build(old), mplsff.Build(next))
-
-	// Analytic one-shot mixing envelope: per commodity the max of its old
-	// and new loads, summed per link.
-	env := make([]float64, g.NumLinks())
-	for k := range old.Base.Comms {
-		dOld, dNew := old.Base.Comms[k].Demand, next.Base.Comms[k].Demand
-		for e := range env {
-			o, n := dOld*old.Base.Frac[k][e], dNew*next.Base.Frac[k][e]
-			if n > o {
-				env[e] += n
-			} else {
-				env[e] += o
-			}
-		}
+	sum := &StagedSummary{
+		Title:      "Staged vs one-shot plan swap (crossing commodities over a two-path core)",
+		OneShotMLU: transition.OneShotEnvelope(old, next),
 	}
-
-	sum := &SwapSummary{
-		Rounds: len(seq.Rounds), TransientMLU: seq.TransientMLU,
-		CongestionFree: seq.CongestionFree, OneShotMLU: routing.MLU(g, env),
-		WireKB: float64(seq.WireBytes()) / 1024,
-	}
-
-	const (
-		warmup   = 1.0
-		roundGap = 0.25
-		tail     = 1.2
-		binW     = 0.1
-	)
-	stop := warmup + roundGap*float64(len(seq.Rounds)) + tail
-
-	drive := func(chaos netem.ChaosConfig, staged bool) (*netem.Emulator, *netem.R3DistributedForwarder) {
-		fw := netem.NewR3Distributed(old)
-		em := netem.New(netem.Config{G: g, Forwarder: fw, Seed: cfg.Seed, Obs: cfg.Obs, Chaos: chaos})
-		d.Pairs(func(a, b graph.NodeID, mbps float64) {
-			em.AddCBRTraffic(a, b, mbps*1e6/8, stop)
-		})
+	return stagedSweep(cfg, seeds, sum, old, d, seq, func(em *netem.Emulator, staged bool) func() bool {
 		if staged {
-			for i, r := range seq.Rounds {
-				em.StageRoundAt(warmup+float64(i)*roundGap, 0, r.Seq, r.Delta)
-			}
+			stageRounds(em, seq, sweepWarmup)
 		} else {
-			em.StageRoundAt(warmup, 0, 1, oneShot)
+			em.StageRoundAt(sweepWarmup, 0, 1, oneShot)
 		}
-		for t := warmup + binW; t < stop; t += binW {
-			em.MarkPhaseAt(t)
-		}
-		em.Run(stop)
-		return em, fw
-	}
-
-	for s := 0; s < seeds; s++ {
-		chaos := cfg.Chaos
-		if !chaos.Enabled {
-			chaos = netem.ChaosConfig{Enabled: true, CtrlDrop: 0.20, CtrlDup: 0.10, CtrlJitter: 0.002}
-		}
-		chaos.Seed += int64(s)
-		run := SwapRun{Seed: chaos.Seed}
-
-		emS, fwS := drive(chaos, true)
-		emO, fwO := drive(chaos, false)
-
-		var sDrop, oDrop int64
-		run.StagedPeak, sDrop = transientPeak(emS, g, warmup)
-		run.OneShotPeak, oDrop = transientPeak(emO, g, warmup)
-		run.StagedDropKB = float64(sDrop) / 1024
-		run.OneShotDropKB = float64(oDrop) / 1024
-		run.Match = emS.StagesConverged() && emO.StagesConverged() &&
-			fwS.ViewFingerprint(0) == fwO.ViewFingerprint(0)
-		run.Violations = len(emS.Violations()) + len(emO.Violations())
-
-		if run.Match {
-			sum.Matches++
-		}
-		if run.StagedPeak > run.OneShotPeak+transientTol {
-			sum.StagedWorse++
-		}
-		sum.Violations += run.Violations
-		sum.Runs = append(sum.Runs, run)
-	}
-	return sum
-}
-
-// PrintSwapSweep renders the sweep as the r3emu -swap table.
-func PrintSwapSweep(sum *SwapSummary, w io.Writer) {
-	fmt.Fprintf(w, "# Staged vs one-shot plan swap (crossing commodities over a two-path core)\n")
-	fmt.Fprintf(w, "# rounds=%d scheduler_transient_mlu=%.4f congestion_free=%v one_shot_envelope_mlu=%.4f wire_KB=%.1f\n",
-		sum.Rounds, sum.TransientMLU, sum.CongestionFree, sum.OneShotMLU, sum.WireKB)
-	fmt.Fprintln(w, "# seed\tstaged_peak\toneshot_peak\tstaged_dropKB\toneshot_dropKB\tmatch")
-	for _, r := range sum.Runs {
-		fmt.Fprintf(w, "%d\t%.4f\t%.4f\t%.1f\t%.1f\t%v\n",
-			r.Seed, r.StagedPeak, r.OneShotPeak, r.StagedDropKB, r.OneShotDropKB, r.Match)
-	}
-	fmt.Fprintf(w, "# staged peak <= one-shot peak in %d/%d runs; end states match in %d/%d; violations %d\n",
-		len(sum.Runs)-sum.StagedWorse, len(sum.Runs), sum.Matches, len(sum.Runs), sum.Violations)
+		return em.StagesConverged
+	})
 }

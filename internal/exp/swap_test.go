@@ -18,7 +18,7 @@ func TestSwapSweep(t *testing.T) {
 	}
 	sum := SwapSweep(EmulationConfig{Effort: 30, Seed: 1}, 8)
 	if testing.Verbose() {
-		PrintSwapSweep(sum, os.Stdout)
+		PrintStagedSweep(sum, os.Stdout)
 	}
 	if sum.Rounds < 2 {
 		t.Fatalf("scheduler produced %d rounds, want >= 2", sum.Rounds)
@@ -46,10 +46,10 @@ func TestSwapSweep(t *testing.T) {
 // TestPrintSwapSweepShape pins the table header so the r3emu -swap output
 // stays machine-greppable.
 func TestPrintSwapSweepShape(t *testing.T) {
-	sum := &SwapSummary{Rounds: 2, CongestionFree: true, OneShotMLU: 1.2, WireKB: 1,
-		Runs: []SwapRun{{Seed: 1, Match: true}}, Matches: 1}
+	sum := &StagedSummary{Rounds: 2, CongestionFree: true, OneShotMLU: 1.2, WireKB: 1,
+		Runs: []StagedRun{{Seed: 1, Match: true}}, Matches: 1}
 	var b strings.Builder
-	PrintSwapSweep(sum, &b)
+	PrintStagedSweep(sum, &b)
 	out := b.String()
 	for _, want := range []string{"one_shot_envelope_mlu=1.2000", "staged_peak", "end states match in 1/1"} {
 		if !strings.Contains(out, want) {

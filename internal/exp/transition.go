@@ -12,9 +12,9 @@ import (
 	"repro/internal/transition"
 )
 
-// TransitionRun is one seeded comparison of staged vs one-shot activation
-// of the same failure set under the same chaos.
-type TransitionRun struct {
+// StagedRun is one seeded comparison of a staged transition against its
+// one-shot alternative under the same chaos.
+type StagedRun struct {
 	Seed int64
 	// StagedPeak and OneShotPeak are the worst measured link utilization
 	// over the transition window, on an identical measurement grid.
@@ -23,18 +23,20 @@ type TransitionRun struct {
 	// (blackholes plus queue overflow), in kilobytes.
 	StagedDropKB, OneShotDropKB float64
 	// Match reports that both runs converged and the staged end state is
-	// byte-identical to one-shot activation.
+	// byte-identical to the one-shot one.
 	Match      bool
 	Violations int
 }
 
-// TransitionSummary aggregates a TransitionSweep.
-type TransitionSummary struct {
+// StagedSummary aggregates a TransitionSweep or a SwapSweep.
+type StagedSummary struct {
+	Title          string  // what was staged against what, for the table header
 	Rounds         int     // staged rounds k
 	TransientMLU   float64 // the scheduler's analytic transient bound
 	CongestionFree bool    // every round analytically congestion-free
+	OneShotMLU     float64 // analytic mixing envelope of the one-shot alternative (plan swaps only)
 	WireKB         float64 // staged round deltas over the wire
-	Runs           []TransitionRun
+	Runs           []StagedRun
 	StagedWorse    int // runs where the staged peak exceeded one-shot's
 	Matches        int
 	Violations     int
@@ -44,16 +46,91 @@ type TransitionSummary struct {
 // shared 100 ms grid) when comparing staged vs one-shot peaks.
 const transientTol = 0.02
 
+// The transient plays out on a sub-second scale regardless of
+// cfg.PhaseSeconds: one warmup second, rounds 250 ms apart, then a
+// settling tail, measured in 100 ms bins.
+const (
+	sweepWarmup   = 1.0
+	sweepRoundGap = 0.25
+	sweepTail     = 1.2
+	sweepBin      = 0.1
+)
+
+// stagedSweep runs the seeded staged-vs-one-shot comparison both sweeps
+// share. Every router starts from plan and carries d; inject schedules
+// the transition's events on a fresh emulator — seq's rounds when staged,
+// the one-shot alternative otherwise — and returns that emulator's
+// convergence check. Both runs of a seed share the traffic seed and the
+// chaos seed and are measured on an identical grid, so the per-seed
+// peak-utilization comparison isolates the activation strategy.
+func stagedSweep(cfg EmulationConfig, seeds int, sum *StagedSummary, plan *core.Plan, d *traffic.Matrix,
+	seq *transition.Sequence, inject func(em *netem.Emulator, staged bool) (converged func() bool)) *StagedSummary {
+	sum.Rounds, sum.TransientMLU, sum.CongestionFree = len(seq.Rounds), seq.TransientMLU, seq.CongestionFree
+	sum.WireKB = float64(seq.WireBytes()) / 1024
+	g := plan.G
+	stop := sweepWarmup + sweepRoundGap*float64(len(seq.Rounds)) + sweepTail
+
+	type outcome struct {
+		peak, dropKB float64
+		converged    bool
+		fingerprint  uint64
+		violations   int
+	}
+	drive := func(chaos netem.ChaosConfig, staged bool) outcome {
+		fw := netem.NewR3Distributed(plan)
+		em := netem.New(netem.Config{G: g, Forwarder: fw, Seed: cfg.Seed, Obs: cfg.Obs, Chaos: chaos})
+		d.Pairs(func(a, b graph.NodeID, mbps float64) {
+			em.AddCBRTraffic(a, b, mbps*1e6/8, stop)
+		})
+		converged := inject(em, staged)
+		for t := sweepWarmup + sweepBin; t < stop; t += sweepBin {
+			em.MarkPhaseAt(t)
+		}
+		em.Run(stop)
+		peak, drop := transientPeak(em, g, sweepWarmup)
+		return outcome{peak, float64(drop) / 1024, converged(), fw.ViewFingerprint(0), len(em.Violations())}
+	}
+
+	for s := 0; s < seeds; s++ {
+		chaos := cfg.Chaos
+		if !chaos.Enabled {
+			chaos = netem.ChaosConfig{Enabled: true, CtrlDrop: 0.20, CtrlDup: 0.10, CtrlJitter: 0.002}
+		}
+		chaos.Seed += int64(s)
+		st, one := drive(chaos, true), drive(chaos, false)
+		run := StagedRun{
+			Seed:       chaos.Seed,
+			StagedPeak: st.peak, OneShotPeak: one.peak,
+			StagedDropKB: st.dropKB, OneShotDropKB: one.dropKB,
+			Match:      st.converged && one.converged && st.fingerprint == one.fingerprint,
+			Violations: st.violations + one.violations,
+		}
+		if run.Match {
+			sum.Matches++
+		}
+		if run.StagedPeak > run.OneShotPeak+transientTol {
+			sum.StagedWorse++
+		}
+		sum.Violations += run.Violations
+		sum.Runs = append(sum.Runs, run)
+	}
+	return sum
+}
+
+// stageRounds floods seq's rounds from router 0, the first at time at.
+func stageRounds(em *netem.Emulator, seq *transition.Sequence, at float64) {
+	for i, r := range seq.Rounds {
+		em.StageRoundAt(at+float64(i)*sweepRoundGap, 0, r.Seq, r.Delta)
+	}
+}
+
 // TransitionSweep compares staged against one-shot activation of the §5.3
 // Houston–KansasCity + Chicago–Indianapolis duplex failures on Abilene
 // across seeded chaos runs. The staged run takes the links down silently
 // and delivers the transition scheduler's rounds through the staged-round
 // flood; the one-shot run uses the classic failure-notification flood, so
-// every router reconfigures the moment it hears. Both runs share the
-// traffic seed and chaos seed and are measured on an identical 100 ms
-// grid, so the per-seed peak-utilization comparison isolates the
-// activation strategy.
-func TransitionSweep(cfg EmulationConfig, seeds int) *TransitionSummary {
+// every router reconfigures the moment it hears.
+func TransitionSweep(cfg EmulationConfig, seeds int) *StagedSummary {
 	cfg.defaults()
 	g := topo.Abilene()
 	d := traffic.AbileneMatrix(g, cfg.TotalMbps)
@@ -73,76 +150,18 @@ func TransitionSweep(cfg EmulationConfig, seeds int) *TransitionSummary {
 	if err != nil {
 		panic(err)
 	}
-
-	sum := &TransitionSummary{
-		Rounds: len(seq.Rounds), TransientMLU: seq.TransientMLU,
-		CongestionFree: seq.CongestionFree, WireKB: float64(seq.WireBytes()) / 1024,
-	}
-
-	// The transient plays out on a sub-second scale regardless of
-	// cfg.PhaseSeconds: one warmup second, rounds 250 ms apart, then a
-	// settling tail.
-	const (
-		warmup   = 1.0
-		roundGap = 0.25
-		tail     = 1.2
-		binW     = 0.1
-	)
-	stop := warmup + roundGap*float64(len(seq.Rounds)) + tail
-
-	drive := func(chaos netem.ChaosConfig, staged bool) (*netem.Emulator, *netem.R3DistributedForwarder) {
-		fw := netem.NewR3Distributed(plan)
-		em := netem.New(netem.Config{G: g, Forwarder: fw, Seed: cfg.Seed, Obs: cfg.Obs, Chaos: chaos})
-		d.Pairs(func(a, b graph.NodeID, mbps float64) {
-			em.AddCBRTraffic(a, b, mbps*1e6/8, stop)
-		})
-		if staged {
-			em.FailAtSilent(warmup, canon...)
-			for i, r := range seq.Rounds {
-				em.StageRoundAt(warmup+0.02+float64(i)*roundGap, 0, r.Seq, r.Delta)
-			}
-		} else {
+	sum := &StagedSummary{Title: "Staged vs one-shot activation (Abilene, Houston-KC + Chicago-Indy duplex failures)"}
+	return stagedSweep(cfg, seeds, sum, plan, d, seq, func(em *netem.Emulator, staged bool) func() bool {
+		if !staged {
 			for _, e := range canon {
-				em.FailAt(warmup, e)
+				em.FailAt(sweepWarmup, e)
 			}
+			return em.FloodConverged
 		}
-		for t := warmup + binW; t < stop; t += binW {
-			em.MarkPhaseAt(t)
-		}
-		em.Run(stop)
-		return em, fw
-	}
-
-	for s := 0; s < seeds; s++ {
-		chaos := cfg.Chaos
-		if !chaos.Enabled {
-			chaos = netem.ChaosConfig{Enabled: true, CtrlDrop: 0.20, CtrlDup: 0.10, CtrlJitter: 0.002}
-		}
-		chaos.Seed += int64(s)
-		run := TransitionRun{Seed: chaos.Seed}
-
-		emS, fwS := drive(chaos, true)
-		emO, fwO := drive(chaos, false)
-
-		var sDrop, oDrop int64
-		run.StagedPeak, sDrop = transientPeak(emS, g, warmup)
-		run.OneShotPeak, oDrop = transientPeak(emO, g, warmup)
-		run.StagedDropKB = float64(sDrop) / 1024
-		run.OneShotDropKB = float64(oDrop) / 1024
-		run.Match = emS.StagesConverged() && emO.FloodConverged() &&
-			fwS.ViewFingerprint(0) == fwO.ViewFingerprint(0)
-		run.Violations = len(emS.Violations()) + len(emO.Violations())
-
-		if run.Match {
-			sum.Matches++
-		}
-		if run.StagedPeak > run.OneShotPeak+transientTol {
-			sum.StagedWorse++
-		}
-		sum.Violations += run.Violations
-		sum.Runs = append(sum.Runs, run)
-	}
-	return sum
+		em.FailAtSilent(sweepWarmup, canon...)
+		stageRounds(em, seq, sweepWarmup+0.02)
+		return em.StagesConverged
+	})
 }
 
 // transientPeak scans the measurement phases from the failure instant on
@@ -165,11 +184,14 @@ func transientPeak(em *netem.Emulator, g *graph.Graph, from float64) (peak float
 	return peak, dropBytes
 }
 
-// PrintTransitionSweep renders the sweep as the r3emu -transition table.
-func PrintTransitionSweep(sum *TransitionSummary, w io.Writer) {
-	fmt.Fprintf(w, "# Staged vs one-shot activation (Abilene, Houston-KC + Chicago-Indy duplex failures)\n")
-	fmt.Fprintf(w, "# rounds=%d scheduler_transient_mlu=%.4f congestion_free=%v wire_KB=%.1f\n",
-		sum.Rounds, sum.TransientMLU, sum.CongestionFree, sum.WireKB)
+// PrintStagedSweep renders a sweep as the r3emu -transition / -swap table.
+func PrintStagedSweep(sum *StagedSummary, w io.Writer) {
+	fmt.Fprintf(w, "# %s\n", sum.Title)
+	fmt.Fprintf(w, "# rounds=%d scheduler_transient_mlu=%.4f congestion_free=%v", sum.Rounds, sum.TransientMLU, sum.CongestionFree)
+	if sum.OneShotMLU > 0 {
+		fmt.Fprintf(w, " one_shot_envelope_mlu=%.4f", sum.OneShotMLU)
+	}
+	fmt.Fprintf(w, " wire_KB=%.1f\n", sum.WireKB)
 	fmt.Fprintln(w, "# seed\tstaged_peak\toneshot_peak\tstaged_dropKB\toneshot_dropKB\tmatch")
 	for _, r := range sum.Runs {
 		fmt.Fprintf(w, "%d\t%.4f\t%.4f\t%.1f\t%.1f\t%v\n",

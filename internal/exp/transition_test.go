@@ -16,7 +16,7 @@ func TestTransitionSweep(t *testing.T) {
 	}
 	sum := TransitionSweep(EmulationConfig{TotalMbps: 220, Effort: 80, Seed: 1}, 32)
 	if testing.Verbose() {
-		PrintTransitionSweep(sum, os.Stdout)
+		PrintStagedSweep(sum, os.Stdout)
 	}
 	if sum.Rounds == 0 {
 		t.Fatal("scheduler produced no rounds")

@@ -3,11 +3,11 @@ package transition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/mplsff"
 	"repro/internal/routing"
@@ -27,15 +27,16 @@ import (
 // both endpoint plans are congestion-free (two commodities trading
 // places on a pair of links each push their max onto both). The
 // scheduler decomposes the row-level delta into per-commodity migration
-// batches so that every round's mixed old/new envelope is ≤ 1+Tol:
+// batches so that every round's mixed old/new envelope is within
+// tolerance:
 //
 //   - If the whole-delta envelope already fits, one swap round ships the
 //     full diff (the common case for small shifts).
-//   - Otherwise, for ≤ MaxExactGroups changed commodities, the exact
-//     minimal-k BFS over the subset lattice (the same machinery Schedule
-//     uses for failure groups) finds the fewest rounds whose every
-//     envelope fits; larger instances use a greedy batcher that packs
-//     each round with the commodities minimizing the post-round MLU.
+//   - Otherwise the shared search driver decides: for ≤ MaxExactGroups
+//     changed commodities the exact minimal-k BFS over the subset lattice
+//     finds the fewest rounds whose every envelope fits; larger instances
+//     use a greedy batcher that packs each round with the commodities
+//     minimizing the post-round MLU.
 //   - When no pure old→new ordering is feasible, the exact LP computes a
 //     warm-started interim routing for the in-flight commodities
 //     (changed ODs as LP commodities, unchanged ODs as fixed
@@ -63,37 +64,33 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 	if od, nd := graph.Digest(old.G), graph.Digest(next.G); od != nd {
 		return nil, fmt.Errorf("transition: plan swap across different topologies (digest %016x vs %016x)", od, nd)
 	}
-	tol := 1 + opts.Tol
-	reg := opts.Obs
-	span := reg.Trace("transition").Start("plan_swap")
-	defer span.End()
-
-	startNet := mplsff.Build(old)
-	targetNet := mplsff.Build(next)
-	seq := &Sequence{CongestionFree: true, Final: targetNet}
+	r := begin(old.G, opts, "plan_swap", "swap round certificate")
+	startNet, targetNet := mplsff.Build(old), mplsff.Build(next)
+	seq := r.seq
+	seq.Final = targetNet
 	seq.FinalMLU = routing.MLU(next.G, next.Base.Loads())
 	seq.TransientMLU = seq.FinalMLU
-	seq.Basis = opts.Warm
 
-	if mplsff.Diff(startNet, targetNet).Empty() {
-		span.SetFloat("rounds", 0)
+	whole := mplsff.Diff(startNet, targetNet)
+	if whole.Empty() {
+		seq.Basis = opts.Warm
+		r.span.SetFloat("rounds", 0)
+		r.span.End()
 		return seq, nil
 	}
 
-	sw := newSwapper(old, next, opts)
-	batches := sw.plan()
+	sw := newSwapper(old, next, r)
+	sw.plan(opts.MaxExactGroups)
 
 	prev := startNet
-	for bi := range batches {
-		b := &batches[bi]
-		var cu *mplsff.Network
-		if b.done && !b.interim {
-			// The last old→new batch lands on the target network itself,
-			// sweeping along the ILM (protection) changes and any rows the
-			// per-OD walk cannot express — staged and one-shot activation
-			// end bit-identical.
-			cu = targetNet
-		} else {
+	for bi := range sw.batches {
+		b := &sw.batches[bi]
+		// The last old→new batch lands on the target network itself,
+		// sweeping along the ILM (protection) changes and any rows the
+		// per-OD walk cannot express — staged and one-shot activation end
+		// bit-identical.
+		cu := targetNet
+		if !b.done || b.interim {
 			cu = prev.Clone()
 			for _, i := range b.idx {
 				if b.interim {
@@ -103,62 +100,45 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 				}
 			}
 		}
+		delta := whole // a single whole-delta round: already diffed
+		if bi > 0 || cu != targetNet {
+			delta = mplsff.Diff(prev, cu)
+		}
 		round := &Round{
-			Seq:         bi + 1,
 			Kind:        Swap,
-			Delta:       mplsff.Diff(prev, cu),
+			Delta:       delta,
 			ODs:         sw.odsOf(b.idx),
 			StateMLU:    b.stateMLU,
 			EnvelopeMLU: b.envMLU,
-			LPMLU:       math.NaN(),
 			Fallback:    b.interim,
 		}
-		if !opts.SkipCertify {
-			round.LPMLU, round.CertifyErr = sw.certifyRound(b.certDemands)
-			if round.CertifyErr != nil {
-				seq.CertifyErrs++
-			}
+		for i := range sw.comms {
+			sw.comms[i].Demand = b.certDemands[i]
 		}
-		round.CongestionFree = round.StateMLU <= tol && round.EnvelopeMLU <= tol
-		seq.Rounds = append(seq.Rounds, round)
-		if b.interim {
-			seq.Fallbacks++
-		} else {
-			seq.Swaps++
-		}
-		if round.EnvelopeMLU > seq.TransientMLU {
-			seq.TransientMLU = round.EnvelopeMLU
-		}
-		if !round.CongestionFree {
-			seq.CongestionFree = false
-		}
+		round.LPMLU, round.CertifyErr = r.cert.certify(sw.comms, mcf.Options{Background: sw.static})
+		r.emit(round)
 		prev = cu
 	}
 	seq.Final = prev
-	seq.LPSolves = sw.lpSolves
-	if sw.certBasis != nil {
-		seq.Basis = sw.certBasis
-	}
 
-	span.SetFloat("rounds", float64(len(seq.Rounds)))
-	span.SetFloat("groups", float64(len(sw.groups)))
-	span.SetFloat("transient_mlu", seq.TransientMLU)
-	reg.Counter("transition.plan_swaps").Inc()
-	reg.Counter("transition.rounds").Add(int64(len(seq.Rounds)))
-	reg.Counter("transition.lp_solves").Add(int64(seq.LPSolves))
-	reg.Counter("transition.fallbacks").Add(int64(seq.Fallbacks))
-	if !seq.CongestionFree {
-		if sw.feasSolved && sw.feasErr == nil && sw.feasMLU > tol {
-			// The exact LP itself certified the in-flight demand mix
-			// unroutable: genuinely best-effort.
-			reg.Counter("transition.best_effort").Inc()
-		} else {
-			// The LP found (or was never asked for) a feasible routing but
-			// the scheduler could not reach it in envelope-safe batches.
-			reg.Counter("transition.swap_stuck").Inc()
-		}
+	r.cert.reg.Counter("transition.plan_swaps").Inc()
+	// Not congestion-free counts as best-effort only when the exact LP
+	// itself certified the in-flight demand mix unroutable; when it found
+	// (or was never asked for) a feasible routing but the scheduler could
+	// not reach it in envelope-safe batches, the swap is stuck.
+	over := "transition.swap_stuck"
+	if sw.feasFlow != nil && sw.feasMLU > feasTol {
+		over = "transition.best_effort"
 	}
-	return seq, nil
+	return r.finish(len(sw.groups), over), nil
+}
+
+// OneShotEnvelope is the asynchronous mixing bound of shipping the whole
+// old→next delta as a single round: what SchedulePlanSwap compares with
+// capacity before it decomposes.
+func OneShotEnvelope(old, next *core.Plan) float64 {
+	sw := newSwapper(old, next, nil)
+	return sw.mixing(sw.all(), false)
 }
 
 // swapGroup is one OD pair whose base routing differs between the two
@@ -177,7 +157,6 @@ type swapGroup struct {
 type swapBatch struct {
 	idx      []int // group indices migrating this round
 	interim  bool  // migrate to the LP interim routing, not the final one
-	forced   bool  // best-effort remainder; envelope exceeds tolerance
 	done     bool  // after this batch every group is at its final routing
 	envMLU   float64
 	stateMLU float64
@@ -192,16 +171,15 @@ const (
 	posNew
 )
 
-// swapper carries the per-SchedulePlanSwap migration state.
+// swapper is the plan-swap model: additive per-OD load vectors, plus the
+// migration's position in them.
 type swapper struct {
-	g    *graph.Graph
-	opts Options
-	tol  float64
+	*run
+	g *graph.Graph
 
 	groups []swapGroup
 	// static is the fixed background: commodities routed identically in
-	// both plans, at the elementwise max of their two demand-weighted
-	// loads.
+	// both plans, at the larger of their two demands.
 	static []float64
 	caps   []float64
 
@@ -209,56 +187,53 @@ type swapper struct {
 	pos   []int
 	loads []float64 // static + Σ cur
 
+	batches []swapBatch
+
 	// comms is the changed-OD commodity set shared by every LP in this
 	// swap (certificates and the interim feasibility solve); only the
 	// demands vary, so the LP shape is constant and bases chain warm.
-	comms     []routing.Commodity
-	certBasis *lp.Basis
-	lpSolves  int
+	comms []routing.Commodity
 
 	// Interim feasibility LP (solved at most once, on the first stuck
 	// round): can the full in-flight demand mix be routed at all?
-	feasSolved bool
-	feasFlow   *routing.Flow
-	feasMLU    float64
-	feasErr    error
-	interims   [][]float64
+	feasFlow *routing.Flow
+	feasMLU  float64
+	// interims is each group's demand-weighted load vector on that LP's
+	// routing, at its worst-case migration demand.
+	interims [][]float64
 
 	envMemo map[uint64]float64
 }
 
-func newSwapper(old, next *core.Plan, opts Options) *swapper {
+func newSwapper(old, next *core.Plan, r *run) *swapper {
 	g := old.G
 	E := g.NumLinks()
 	sw := &swapper{
-		g:         g,
-		opts:      opts,
-		tol:       1 + opts.Tol,
-		static:    make([]float64, E),
-		caps:      make([]float64, E),
-		certBasis: opts.Warm,
+		run:    r,
+		g:      g,
+		static: make([]float64, E),
+		caps:   make([]float64, E),
 	}
 	for e := 0; e < E; e++ {
 		sw.caps[e] = g.Link(graph.LinkID(e)).Capacity
 	}
 
-	oldIdx := make(map[[2]graph.NodeID]int, len(old.Base.Comms))
-	for k, c := range old.Base.Comms {
-		oldIdx[[2]graph.NodeID{c.Src, c.Dst}] = k
+	// Each OD's demand and base row under the old plan [0] and the new [1]
+	// (zero where the plan lacks the OD), in OD order.
+	type side struct {
+		d  float64
+		fr []float64
 	}
-	newIdx := make(map[[2]graph.NodeID]int, len(next.Base.Comms))
-	for k, c := range next.Base.Comms {
-		newIdx[[2]graph.NodeID{c.Src, c.Dst}] = k
-	}
+	sides := make(map[[2]graph.NodeID]*[2]side)
 	var keys [][2]graph.NodeID
-	seen := make(map[[2]graph.NodeID]bool)
-	for _, comms := range [][]routing.Commodity{old.Base.Comms, next.Base.Comms} {
-		for _, c := range comms {
+	for which, base := range []*routing.Flow{old.Base, next.Base} {
+		for k, c := range base.Comms {
 			od := [2]graph.NodeID{c.Src, c.Dst}
-			if !seen[od] {
-				seen[od] = true
+			if sides[od] == nil {
+				sides[od] = new([2]side)
 				keys = append(keys, od)
 			}
+			sides[od][which] = side{c.Demand, base.Frac[k]}
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -269,35 +244,18 @@ func newSwapper(old, next *core.Plan, opts Options) *swapper {
 	})
 
 	for _, od := range keys {
-		var dOld, dNew float64
-		var frOld, frNew []float64
-		if k, ok := oldIdx[od]; ok {
-			dOld, frOld = old.Base.Comms[k].Demand, old.Base.Frac[k]
-		}
-		if k, ok := newIdx[od]; ok {
-			dNew, frNew = next.Base.Comms[k].Demand, next.Base.Frac[k]
-		}
-		oldVec := scaleVec(dOld, frOld, E)
-		newVec := scaleVec(dNew, frNew, E)
-		if frOld != nil && frNew != nil && equalVec(frOld, frNew) {
+		dOld, frOld := sides[od][0].d, sides[od][0].fr
+		dNew, frNew := sides[od][1].d, sides[od][1].fr
+		d := max(dOld, dNew)
+		if frOld != nil && slices.Equal(frOld, frNew) {
 			// Identical rows in both plans: the delta never touches this
 			// OD, so it rides as background at the worse of its two loads
 			// (only the demand may have shifted).
-			for e := range sw.static {
-				if newVec[e] > oldVec[e] {
-					sw.static[e] += newVec[e]
-				} else {
-					sw.static[e] += oldVec[e]
-				}
-			}
+			addVec(sw.static, scaleVec(d, frOld, E))
 			continue
 		}
-		d := dOld
-		if dNew > d {
-			d = dNew
-		}
 		sw.groups = append(sw.groups, swapGroup{
-			od: od, oldVec: oldVec, newVec: newVec,
+			od: od, oldVec: scaleVec(dOld, frOld, E), newVec: scaleVec(dNew, frNew, E),
 			dOld: dOld, dNew: dNew, demand: d,
 		})
 		sw.comms = append(sw.comms, routing.Commodity{Src: od[0], Dst: od[1], Demand: d, Link: -1})
@@ -309,9 +267,7 @@ func newSwapper(old, next *core.Plan, opts Options) *swapper {
 	sw.loads = append([]float64(nil), sw.static...)
 	for i := range sw.groups {
 		sw.cur[i] = sw.groups[i].oldVec
-		for e, v := range sw.cur[i] {
-			sw.loads[e] += v
-		}
+		addVec(sw.loads, sw.cur[i])
 	}
 	return sw
 }
@@ -327,13 +283,23 @@ func scaleVec(d float64, fr []float64, E int) []float64 {
 	return v
 }
 
-func equalVec(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+func addVec(dst, src []float64) {
+	for e, v := range src {
+		dst[e] += v
+	}
+}
+
+// inFlight adds to env, link by link, what a commodity can put on top of
+// the cur it already contributes while routers switch it to tgt one by
+// one: max(cur, tgt) − cur. Every mixing bound of the swap model —
+// static + Σ_k max(old_k, new_k) — is loads plus this, per commodity in
+// flight.
+func inFlight(env, cur, tgt []float64) {
+	for e, c := range cur {
+		if t := tgt[e]; t > c {
+			env[e] += t - c
 		}
 	}
-	return true
 }
 
 func (sw *swapper) odsOf(idx []int) [][2]graph.NodeID {
@@ -342,6 +308,14 @@ func (sw *swapper) odsOf(idx []int) [][2]graph.NodeID {
 		ods[j] = sw.groups[i].od
 	}
 	return ods
+}
+
+func (sw *swapper) all() []int {
+	all := make([]int, len(sw.groups))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 func (sw *swapper) mlu(loads []float64) float64 {
@@ -357,7 +331,7 @@ func (sw *swapper) mlu(loads []float64) float64 {
 // target is the load vector group i migrates to this round.
 func (sw *swapper) target(i int, interim bool) []float64 {
 	if interim {
-		return sw.interimVec(i)
+		return sw.interims[i]
 	}
 	return sw.groups[i].newVec
 }
@@ -365,57 +339,22 @@ func (sw *swapper) target(i int, interim bool) []float64 {
 // plan decides the migration batches. It mutates the swapper's
 // cur/pos/loads as it goes, so the recorded per-batch MLUs reflect the
 // walked intermediate states.
-func (sw *swapper) plan() []swapBatch {
-	n := len(sw.groups)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+func (sw *swapper) plan(maxExact int) {
+	all := sw.all()
+	// One round carries the full diff when nothing but the ILM changes
+	// (protection routing differs, base identical), or when the true
+	// asynchronous envelope of the whole delta fits.
+	if len(all) == 0 || sw.mixing(all, false) <= feasTol {
+		sw.applyBatch(all, false)
+		return
 	}
-	if n == 0 {
-		// ILM-only change (protection routing differs, base identical):
-		// a single swap round carrying the full diff.
-		return []swapBatch{sw.applyBatch(nil, false)}
-	}
-
-	// Whole-delta single round when the true asynchronous envelope fits.
-	env := append([]float64(nil), sw.static...)
-	for _, grp := range sw.groups {
-		for e := range env {
-			if grp.newVec[e] > grp.oldVec[e] {
-				env[e] += grp.newVec[e]
-			} else {
-				env[e] += grp.oldVec[e]
-			}
-		}
-	}
-	if sw.mlu(env) <= sw.tol {
-		return []swapBatch{sw.applyBatch(all, false)}
-	}
-
-	// Exact minimal-k search over the subset lattice for small instances.
-	if n <= sw.opts.MaxExactGroups {
-		if masks := minKPath(n, sw.tol, sw.maskEnvelope); masks != nil {
-			batches := make([]swapBatch, 0, len(masks))
-			for _, m := range masks {
-				var idx []int
-				for i := 0; i < n; i++ {
-					if m&(1<<i) != 0 {
-						idx = append(idx, i)
-					}
-				}
-				batches = append(batches, sw.applyBatch(idx, false))
-			}
-			return batches
-		}
-	}
-	return sw.greedy()
+	search(len(all), maxExact, sw.maskEnvelope, func(idx []int) { sw.applyBatch(idx, false) }, sw.greedy)
 }
 
 // greedy packs envelope-safe batches toward the final routing,
 // falling back to LP interim-routing rounds when stuck, and to a single
 // forced best-effort round when even the LP cannot help.
-func (sw *swapper) greedy() []swapBatch {
-	var batches []swapBatch
+func (sw *swapper) greedy() {
 	for {
 		var remaining []int
 		for i, p := range sw.pos {
@@ -424,31 +363,26 @@ func (sw *swapper) greedy() []swapBatch {
 			}
 		}
 		if len(remaining) == 0 {
-			break
+			return
 		}
-		if idx := sw.pickBatch(remaining, false); len(idx) > 0 {
-			batches = append(batches, sw.applyBatch(idx, false))
-			continue
-		}
+		idx, interim := sw.pickBatch(remaining, false), false
 		// Stuck: no commodity can migrate to its final routing within the
 		// envelope. Ask the exact LP whether the in-flight demand mix is
 		// routable at all; its routing becomes the interim target.
-		sw.ensureFeasibility()
-		if sw.feasErr != nil || sw.feasMLU > sw.tol {
-			batches = append(batches, sw.forceBatch(remaining))
-			break
+		if len(idx) == 0 && sw.interimFeasible() {
+			idx, interim = sw.pickBatch(remaining, true), true
 		}
-		idx := sw.pickBatch(remaining, true)
 		if len(idx) == 0 {
-			// The LP certifies a feasible routing exists, but no
-			// envelope-safe batch reaches it either: give up cleanly
-			// (counted as swap_stuck, not best_effort).
-			batches = append(batches, sw.forceBatch(remaining))
-			break
+			// The LP cannot help, or it certifies a feasible routing
+			// exists but no envelope-safe batch reaches it either: move
+			// every remaining group to its final routing in one
+			// best-effort round. The recorded envelope is honest (and over
+			// tolerance, or the batch would have been pickable).
+			sw.applyBatch(remaining, false)
+			return
 		}
-		batches = append(batches, sw.applyBatch(idx, true))
+		sw.applyBatch(idx, interim)
 	}
-	return batches
 }
 
 // pickBatch grows a batch of groups migrating to their target (final or
@@ -456,8 +390,9 @@ func (sw *swapper) greedy() []swapBatch {
 // tolerance, greedily adding the group whose migration yields the lowest
 // post-batch MLU. Returns nil when no candidate fits.
 func (sw *swapper) pickBatch(cands []int, interim bool) []int {
-	base := append([]float64(nil), sw.loads...) // envelope with chosen max-contributions
-	post := append([]float64(nil), sw.loads...) // post-migration loads
+	env := append([]float64(nil), sw.loads...)  // loads with the chosen groups in flight
+	post := append([]float64(nil), sw.loads...) // loads once the chosen groups have landed
+	trial := make([]float64, len(env))
 	var batch []int
 	inBatch := make(map[int]bool)
 	for {
@@ -467,18 +402,9 @@ func (sw *swapper) pickBatch(cands []int, interim bool) []int {
 				continue
 			}
 			tgt := sw.target(i, interim)
-			feasible := true
-			for e, c := range sw.cur[i] {
-				l := base[e]
-				if t := tgt[e]; t > c {
-					l += t - c
-				}
-				if l/sw.caps[e] > sw.tol {
-					feasible = false
-					break
-				}
-			}
-			if !feasible {
+			copy(trial, env)
+			inFlight(trial, sw.cur[i], tgt)
+			if sw.mlu(trial) > feasTol {
 				continue
 			}
 			pm := 0.0
@@ -497,30 +423,28 @@ func (sw *swapper) pickBatch(cands []int, interim bool) []int {
 		inBatch[best] = true
 		batch = append(batch, best)
 		tgt := sw.target(best, interim)
+		inFlight(env, sw.cur[best], tgt)
 		for e, c := range sw.cur[best] {
-			if t := tgt[e]; t > c {
-				base[e] += t - c
-			}
 			post[e] += tgt[e] - c
 		}
 	}
 }
 
-// applyBatch commits a batch: records its envelope (load with each
-// migrating commodity at the max of its current and target vectors) and
-// post-state MLU, then advances cur/pos/loads.
-func (sw *swapper) applyBatch(idx []int, interim bool) swapBatch {
-	b := swapBatch{idx: idx, interim: interim}
+// mixing is the asynchronous envelope of migrating idx in one round: the
+// current loads with each migrating commodity at the max of its current
+// and target vectors.
+func (sw *swapper) mixing(idx []int, interim bool) float64 {
 	env := append([]float64(nil), sw.loads...)
 	for _, i := range idx {
-		tgt := sw.target(i, interim)
-		for e, c := range sw.cur[i] {
-			if t := tgt[e]; t > c {
-				env[e] += t - c
-			}
-		}
+		inFlight(env, sw.cur[i], sw.target(i, interim))
 	}
-	b.envMLU = sw.mlu(env)
+	return sw.mlu(env)
+}
+
+// applyBatch commits a batch: records its envelope and post-state MLU,
+// then advances cur/pos/loads.
+func (sw *swapper) applyBatch(idx []int, interim bool) {
+	b := swapBatch{idx: idx, interim: interim, envMLU: sw.mixing(idx, interim)}
 	for _, i := range idx {
 		tgt := sw.target(i, interim)
 		for e, c := range sw.cur[i] {
@@ -548,22 +472,13 @@ func (sw *swapper) applyBatch(idx []int, interim bool) swapBatch {
 			b.done = false
 		}
 	}
-	return b
-}
-
-// forceBatch moves every remaining group to its final routing in one
-// best-effort round; the recorded envelope is honest (and over
-// tolerance, or the batch would have been pickable).
-func (sw *swapper) forceBatch(idx []int) swapBatch {
-	b := sw.applyBatch(idx, false)
-	b.forced = true
-	return b
+	sw.batches = append(sw.batches, b)
 }
 
 // maskEnvelope is the lattice-search envelope: groups in cum at their
-// new vector, groups in add at the elementwise max of old and new, the
-// rest at old, plus the static background. Memoized; only used for
-// n ≤ MaxExactGroups, before any batch has been applied.
+// new vector, groups in add in flight from old to new, the rest at old,
+// plus the static background. Memoized; only used for n ≤
+// MaxExactGroups, before any batch has been applied.
 func (sw *swapper) maskEnvelope(cum, add uint64) float64 {
 	key := cum<<uint(len(sw.groups)) | add
 	if m, ok := sw.envMemo[key]; ok {
@@ -572,24 +487,13 @@ func (sw *swapper) maskEnvelope(cum, add uint64) float64 {
 	env := append([]float64(nil), sw.static...)
 	for i := range sw.groups {
 		grp := &sw.groups[i]
-		bit := uint64(1) << i
-		switch {
-		case add&bit != 0:
-			for e := range env {
-				if grp.newVec[e] > grp.oldVec[e] {
-					env[e] += grp.newVec[e]
-				} else {
-					env[e] += grp.oldVec[e]
-				}
-			}
-		case cum&bit != 0:
-			for e := range env {
-				env[e] += grp.newVec[e]
-			}
-		default:
-			for e := range env {
-				env[e] += grp.oldVec[e]
-			}
+		if cum&(1<<i) != 0 {
+			addVec(env, grp.newVec)
+			continue
+		}
+		addVec(env, grp.oldVec)
+		if add&(1<<i) != 0 {
+			inFlight(env, grp.oldVec, grp.newVec)
 		}
 	}
 	m := sw.mlu(env)
@@ -600,71 +504,28 @@ func (sw *swapper) maskEnvelope(cum, add uint64) float64 {
 	return m
 }
 
-// ensureFeasibility solves (once) the interim feasibility LP: route
-// every changed OD at its worst-case migration demand over the static
-// background. Its optimal MLU is the certificate deciding best-effort vs
-// stuck, and its flow supplies the interim routing targets.
-func (sw *swapper) ensureFeasibility() {
-	if sw.feasSolved {
-		return
+// interimFeasible solves (once) the interim feasibility LP — every
+// changed OD at its worst-case migration demand over the static
+// background — and reports whether the in-flight demand mix is routable
+// at all. Its optimal MLU decides best-effort vs stuck, and its flow
+// supplies the interim routing targets. It rides the certificates' warm
+// chain: same commodities, same LP shape.
+func (sw *swapper) interimFeasible() bool {
+	if sw.feasFlow == nil {
+		for i := range sw.comms {
+			sw.comms[i].Demand = sw.groups[i].demand
+		}
+		res, err := sw.cert.chained(sw.comms, mcf.Options{Background: sw.static})
+		if err != nil {
+			return false
+		}
+		res.Flow.RemoveLoops()
+		sw.feasFlow, sw.feasMLU = res.Flow, res.MLU
+		for i, grp := range sw.groups {
+			sw.interims = append(sw.interims, scaleVec(grp.demand, res.Flow.Frac[i], len(sw.caps)))
+		}
 	}
-	sw.feasSolved = true
-	for i := range sw.comms {
-		sw.comms[i].Demand = sw.groups[i].demand
-	}
-	res, err := solveExact(sw.g, sw.comms, mcf.Options{
-		Background: sw.static,
-		Warm:       sw.certBasis,
-		Obs:        sw.opts.Obs,
-	})
-	sw.lpSolves++
-	if err != nil {
-		sw.feasErr = err
-		return
-	}
-	res.Flow.RemoveLoops()
-	sw.feasFlow = res.Flow
-	sw.feasMLU = res.MLU
-	sw.certBasis = res.Basis
-}
-
-// interimVec is group i's demand-weighted load vector on the LP interim
-// routing (at its worst-case migration demand).
-func (sw *swapper) interimVec(i int) []float64 {
-	if sw.interims == nil {
-		sw.interims = make([][]float64, len(sw.groups))
-	}
-	if v := sw.interims[i]; v != nil {
-		return v
-	}
-	v := scaleVec(sw.groups[i].demand, sw.feasFlow.Frac[i], sw.g.NumLinks())
-	sw.interims[i] = v
-	return v
-}
-
-// certifyRound runs the Theorem-2 certificate for one round's post-state
-// demand mix: the changed ODs at their post-round demands over the
-// static background, warm-chained from the previous solve (the LP shape
-// is round-invariant). Solver failures are recorded, not swallowed.
-func (sw *swapper) certifyRound(demands []float64) (float64, error) {
-	if sw.opts.SkipCertify {
-		return math.NaN(), nil
-	}
-	for i := range sw.comms {
-		sw.comms[i].Demand = demands[i]
-	}
-	res, err := solveExact(sw.g, sw.comms, mcf.Options{
-		Background: sw.static,
-		Warm:       sw.certBasis,
-		Obs:        sw.opts.Obs,
-	})
-	sw.lpSolves++
-	if err != nil {
-		sw.opts.Obs.Counter("transition.certify_errors").Inc()
-		return math.NaN(), fmt.Errorf("transition: swap round certificate: %w", err)
-	}
-	sw.certBasis = res.Basis
-	return res.MLU, nil
+	return sw.feasMLU <= feasTol
 }
 
 // programInterim overwrites the network's FIB rows for group i's OD with

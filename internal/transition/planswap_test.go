@@ -59,6 +59,16 @@ func TestSchedulePlanSwapAppliesToNextPlan(t *testing.T) {
 	if got, want := n.Fingerprint(), seq.Final.Fingerprint(); got != want {
 		t.Fatalf("post-swap fingerprint %x != Sequence.Final %x", got, want)
 	}
+	// The round is the whole plan-to-plan delta: non-empty, and applying
+	// it unversioned reproduces the target network too.
+	if round.Delta.Empty() {
+		t.Fatal("diff of two different plans is empty")
+	}
+	raw := mplsff.Build(old)
+	raw.ApplyDelta(round.Delta)
+	if raw.Fingerprint() != mplsff.Build(next).Fingerprint() {
+		t.Fatal("applying the plan delta does not reproduce the target plan's network")
+	}
 
 	// Envelope: at least both end states' MLUs (each commodity routes the
 	// old or new way, so either pure state is one realizable extreme).

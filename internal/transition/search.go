@@ -1,40 +1,39 @@
 package transition
 
-import (
-	"math"
-
-	"repro/internal/graph"
-	"repro/internal/mplsff"
-)
-
-// search picks the round decomposition: a list of disjoint group
-// bitmasks, in activation order. Small instances get the exact minimal-k
-// search over the subset lattice; large ones (or instances with no fully
-// feasible ordering) fall back to the greedy order, whose infeasible
-// rounds execute() repairs with LP interim detours.
-func (sc *scheduler) search() []uint64 {
-	n := len(sc.groups)
-	if n == 0 {
-		return nil
-	}
-	full := uint64(1)<<n - 1
-	if n <= sc.opts.MaxExactGroups && sc.mluOf(full) <= 1+sc.opts.Tol {
-		if batches := minKPath(n, 1+sc.opts.Tol, sc.envelope); batches != nil {
-			return batches
+// search decides the round decomposition and hands each round's group
+// indices to apply, in order. Small instances get the exact minimal-k
+// search over the subset lattice; larger ones, and instances with no
+// fully feasible ordering, go to the model's greedy, which calls apply
+// itself (and repairs what does not fit with LP interim steps).
+// envelope(full, 0) is the end state's MLU: no feasible path can end
+// above tolerance, so the lattice is not walked then.
+func search(n, maxExact int, envelope func(cum, add uint64) float64, apply func(idx []int), greedy func()) {
+	if n <= maxExact && envelope(uint64(1)<<n-1, 0) <= feasTol {
+		if masks := minKPath(n, envelope); masks != nil {
+			for _, m := range masks {
+				var idx []int
+				for i := 0; i < n; i++ {
+					if m&(1<<i) != 0 {
+						idx = append(idx, i)
+					}
+				}
+				apply(idx)
+			}
+			return
 		}
 	}
-	return sc.greedy(full)
+	greedy()
 }
 
 // minKPath is a BFS over the subset lattice of n groups from ∅ to the
 // full set, where an edge S → S∪A (one round applying batch A) exists
-// when envelope(S, A) ≤ tol — the transient bound for asynchronous
+// when envelope(S, A) ≤ feasTol — the transient bound for asynchronous
 // application of the batch on top of the already-applied set. Batches
 // are tried largest-first, so the minimal-k solution prefers few big
 // rounds. Returns nil when no fully feasible path exists. The envelope
-// is a closure so both failure activation (intermediate-subset MLUs) and
-// plan swaps (mixed old/new commodity loads) search the same lattice.
-func minKPath(n int, tol float64, envelope func(cum, add uint64) float64) []uint64 {
+// is the model's: intermediate-subset MLUs for failure activation, mixed
+// old/new commodity loads for plan swaps.
+func minKPath(n int, envelope func(cum, add uint64) float64) []uint64 {
 	const inf = int(1) << 30
 	full := uint64(1)<<n - 1
 	dist := make([]int, full+1)
@@ -56,7 +55,7 @@ func minKPath(n int, tol float64, envelope func(cum, add uint64) float64) []uint
 			if dist[t] != inf {
 				continue
 			}
-			if envelope(s, add) > tol {
+			if envelope(s, add) > feasTol {
 				continue
 			}
 			dist[t] = dist[s] + 1
@@ -73,194 +72,4 @@ func minKPath(n int, tol float64, envelope func(cum, add uint64) float64) []uint
 		s &^= prev[s]
 	}
 	return batches
-}
-
-// greedy orders groups one per round by smallest post-activation MLU,
-// tie-broken by freed headroom (the load currently carried by the
-// group's links — taking a loaded link down first frees the most
-// capacity for later detours), then by smallest link ID for determinism.
-func (sc *scheduler) greedy(full uint64) []uint64 {
-	var batches []uint64
-	cur := uint64(0)
-	for cur != full {
-		loads := sc.stateOf(cur).Loads()
-		best := -1
-		bestMLU, bestFreed := math.Inf(1), -1.0
-		for i := range sc.groups {
-			bit := uint64(1) << i
-			if cur&bit != 0 {
-				continue
-			}
-			m := sc.mluOf(cur | bit)
-			freed := 0.0
-			for _, e := range sc.groups[i] {
-				freed += loads[e]
-			}
-			if best < 0 || m < bestMLU-1e-12 ||
-				(m <= bestMLU+1e-12 && freed > bestFreed+1e-12) {
-				best, bestMLU, bestFreed = i, m, freed
-			}
-		}
-		batches = append(batches, uint64(1)<<best)
-		cur |= uint64(1) << best
-	}
-	return batches
-}
-
-// maxInto raises dst to the elementwise max of dst and src.
-func maxInto(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// utilOver returns the worst load/capacity ratio over links outside the
-// excluded set.
-func (sc *scheduler) utilOver(loads []float64, excluded graph.LinkSet) float64 {
-	worst := 0.0
-	for e, l := range loads {
-		if excluded.Contains(graph.LinkID(e)) {
-			continue
-		}
-		if u := l / sc.g.Link(graph.LinkID(e)).Capacity; u > worst {
-			worst = u
-		}
-	}
-	return worst
-}
-
-// execute walks the chosen batches, maintains the data state (what the
-// network actually routes, including any interim detours) alongside the
-// canonical book state, materializes each intermediate configuration,
-// and emits the per-round deltas with their feasibility evidence. When
-// any round fell back to an interim detour — or applied failures in a
-// non-canonical arithmetic order — a final swap round reconciles every
-// router to the canonical R3 end state, so the staged fingerprint equals
-// one-shot activation.
-func (sc *scheduler) execute(batches []uint64) *Sequence {
-	tol := 1 + sc.opts.Tol
-	seq := &Sequence{CongestionFree: true}
-	prevNet := sc.materialize(sc.stateOf(0))
-	data := sc.stateOf(0) // read-only; cloned before any mutation
-	canon := true         // data == stateOf(cum) bit-for-bit
-	cum := uint64(0)
-	seq.TransientMLU = sc.mluOf(0)
-
-	for _, b := range batches {
-		links := sc.linksOf(b)
-		next := cum | b
-		var round *Round
-
-		if canon {
-			// Pure R3 activation of the whole batch, canonical order.
-			stMLU, envMLU := sc.mluOf(next), sc.envelope(cum, b)
-			if stMLU <= tol && envMLU <= tol {
-				data = sc.stateOf(next)
-				round = &Round{Links: links, StateMLU: stMLU, EnvelopeMLU: envMLU}
-			}
-		}
-		if round == nil {
-			// Per-link activation on the live data state, with the LP
-			// interim-detour fallback for links whose pure R3 detour
-			// overloads. Leaves the data state non-canonical.
-			cand := data.Clone()
-			envLoads := append([]float64(nil), cand.Loads()...)
-			preFailed := cand.Failed()
-			fellBack := false
-			for i, e := range links {
-				pure := cand.Clone()
-				if err := pure.Fail(e); err != nil {
-					panic(err) // unreachable: validated, not yet failed
-				}
-				if pure.MLU() <= tol {
-					cand = pure
-				} else if xi, _, err := sc.interimDetour(cand, e, links[i+1:]); err == nil {
-					if err := cand.FailWith(e, xi); err != nil {
-						panic(err)
-					}
-					fellBack = true
-				} else {
-					// The LP cannot help (e.g. partition): best effort.
-					cand = pure
-				}
-				maxInto(envLoads, cand.Loads())
-			}
-			data = cand
-			canon = false
-			round = &Round{
-				Links:       links,
-				StateMLU:    cand.MLU(),
-				EnvelopeMLU: sc.utilOver(envLoads, preFailed),
-				Fallback:    fellBack,
-			}
-			if fellBack {
-				seq.Fallbacks++
-			}
-		}
-
-		round.Seq = len(seq.Rounds) + 1
-		round.Kind = Activate
-		round.LPMLU, round.CertifyErr = sc.certify(data.Failed())
-		if round.CertifyErr != nil {
-			seq.CertifyErrs++
-		}
-		round.CongestionFree = round.StateMLU <= tol && round.EnvelopeMLU <= tol
-		net := sc.materialize(data)
-		round.Delta = mplsff.Diff(prevNet, net)
-		prevNet = net
-		seq.Rounds = append(seq.Rounds, round)
-		if round.EnvelopeMLU > seq.TransientMLU {
-			seq.TransientMLU = round.EnvelopeMLU
-		}
-		if !round.CongestionFree {
-			seq.CongestionFree = false
-		}
-		cum = next
-	}
-
-	if !canon {
-		// Reconcile to the canonical end state. The envelope of a swap
-		// between two states is the elementwise max of their loads, so a
-		// swap between two feasible states is always feasible.
-		book := sc.stateOf(cum)
-		bookNet := sc.materialize(book)
-		if delta := mplsff.Diff(prevNet, bookNet); !delta.Empty() {
-			envLoads := data.Loads()
-			maxInto(envLoads, book.Loads())
-			round := &Round{
-				Seq:         len(seq.Rounds) + 1,
-				Kind:        Swap,
-				Delta:       delta,
-				StateMLU:    sc.mluOf(cum),
-				EnvelopeMLU: sc.utilOver(envLoads, data.Failed()),
-			}
-			round.LPMLU = lastLPMLU(seq) // same failure scenario as the last round
-			round.CongestionFree = round.StateMLU <= tol && round.EnvelopeMLU <= tol
-			seq.Rounds = append(seq.Rounds, round)
-			seq.Swaps++
-			if round.EnvelopeMLU > seq.TransientMLU {
-				seq.TransientMLU = round.EnvelopeMLU
-			}
-			if !round.CongestionFree {
-				seq.CongestionFree = false
-			}
-		}
-		data = book
-		prevNet = bookNet
-	}
-
-	seq.FinalMLU = data.MLU()
-	seq.Final = prevNet
-	seq.LPSolves = sc.lpSolves
-	seq.Basis = sc.certBasis
-	return seq
-}
-
-func lastLPMLU(seq *Sequence) float64 {
-	if n := len(seq.Rounds); n > 0 {
-		return seq.Rounds[n-1].LPMLU
-	}
-	return math.NaN()
 }

@@ -3,6 +3,7 @@ package transition
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -59,7 +60,17 @@ func hubPlan(t testing.TB, g *graph.Graph, dem float64, via map[[2]string]string
 	d := traffic.NewMatrix(g.NumNodes())
 	var comms []routing.Commodity
 	var paths [][]graph.NodeID
-	for od, mid := range via {
+	// Sorted, so the plan (and every sequence digest pinned on it) does
+	// not depend on map iteration order.
+	ods := make([][2]string, 0, len(via))
+	for od := range via {
+		ods = append(ods, od)
+	}
+	sort.Slice(ods, func(i, j int) bool {
+		return ods[i][0]+ods[i][1] < ods[j][0]+ods[j][1]
+	})
+	for _, od := range ods {
+		mid := via[od]
 		src, dst := node(od[0]), node(od[1])
 		d.Set(src, dst, dem)
 		comms = append(comms, routing.Commodity{Src: src, Dst: dst, Demand: dem, Link: -1})

@@ -1,37 +1,44 @@
 // Package transition implements congestion-free staged reconfiguration:
-// turning "activate this failure set" into a sequence of k batched,
+// turning a change of routing state into a sequence of k batched,
 // versioned, idempotent table-update rounds such that every intermediate
-// configuration is capacity-feasible (Theorem 2), verified by the exact
-// LP.
+// configuration — including the mixed ones routers pass through while
+// they apply a round asynchronously — is capacity-feasible, with the
+// exact LP's Theorem-2 certificate on every round.
 //
-// The problem mirrors the sequence-of-intermediate-configurations
-// literature (DAG rerouting, reroutable flows): activating several
-// planned failures at once may transit an overloaded state even when the
-// end state is fine, while a well-chosen order — or an interim
-// LP-computed detour that is swapped out at the end — stays under
-// capacity throughout.
+// Two changes are staged, and both are the problem of the
+// sequence-of-intermediate-configurations literature (DAG rerouting,
+// reroutable flows): order groups of rule changes so that every mixed
+// state fits. They differ in what a group is and in how a mixed state's
+// load is bounded, so each keeps its own model:
 //
-// The scheduler reasons over R3's online states. Theorem 3 makes the
-// state after activating a *set* of failures order-independent, so the
-// search space is the subset lattice of failure groups (duplex pairs
-// fail together, as a fiber cut would). For small instances an exact
-// BFS over the lattice finds the minimal number of rounds whose every
-// intermediate subset stays feasible; otherwise a greedy order activates
-// the group that minimizes the next state's MLU (tie-broken by freed
-// headroom). When no pure-R3 step is feasible but the exact LP certifies
-// the scenario itself has a feasible routing, the scheduler splits the
-// traffic shift: the offending link gets an LP-optimal interim detour
-// (applied via core.FailWith), and a final swap round reconciles every
-// router to the canonical R3 state — so the staged end state is
-// byte-identical to one-shot activation.
+//   - Schedule (activate.go) activates a failure set. A group is a duplex
+//     link pair (a fiber cut takes both directions). Theorem 3 makes the
+//     R3 state after activating a *set* order-independent, so states are
+//     indexed by group subset; they are not additive across groups, and a
+//     round's envelope is the worst MLU over every intermediate subset.
+//     When no pure-R3 step fits but the scenario itself is routable, the
+//     offending link gets an LP interim detour (core.FailWith) and a
+//     final reconcile round returns every router to the canonical R3
+//     state, so the staged end state is byte-identical to one-shot
+//     activation.
+//   - SchedulePlanSwap (planswap.go) swaps one plan for another. A group
+//     is an OD commodity whose base rows differ; loads are additive per
+//     commodity, and a round's envelope is static + Σ_k max(old_k, new_k)
+//     over the commodities in flight. When no pure old→new order fits,
+//     commodities migrate old→interim→new through an LP interim routing.
+//
+// Everything that does not depend on the model is written once: the
+// search driver (search.go: exact minimal-k BFS over the subset lattice
+// for small instances, the model's greedy otherwise), the certifier (the
+// only caller of the exact LP: warm-chained basis, solve count,
+// certify-error counter), and the run (run.emit is the only place a
+// Round joins a Sequence; run.finish closes the span and the counters).
 package transition
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/mcf"
@@ -72,8 +79,11 @@ type Round struct {
 	// StateMLU is the MLU of the configuration after the round completes.
 	StateMLU float64
 	// EnvelopeMLU bounds the transient MLU while routers apply the round
-	// asynchronously: the worst MLU over every intermediate activation
-	// subset between the previous and the new configuration.
+	// asynchronously. For an activation round it is the worst MLU over
+	// every intermediate activation subset between the previous and the
+	// new configuration; for a plan-swap round, static + Σ_k max(old_k,
+	// new_k) over the commodities in flight; for a failure path's
+	// reconcile round, the elementwise max of the two whole states' loads.
 	EnvelopeMLU float64
 	// LPMLU is the exact LP's optimal MLU for the post-round scenario —
 	// the Theorem-2 certificate (≤ 1 means a feasible routing exists; it
@@ -134,251 +144,139 @@ func (s *Sequence) WireBytes() int {
 	return n
 }
 
-// Options configures Schedule.
+// feasTol is the feasibility threshold: an MLU up to 1+1e-6 counts as
+// congestion-free.
+const feasTol = 1 + 1e-6
+
+// Options configures Schedule and SchedulePlanSwap.
 type Options struct {
-	// Tol is the feasibility tolerance: MLU ≤ 1+Tol counts as
-	// congestion-free (default 1e-6).
-	Tol float64
 	// MaxExactGroups caps the exact subset-lattice search (default 6
-	// failure groups = 64 subsets); larger instances go straight to the
-	// greedy order.
+	// groups = 64 subsets); larger instances go straight to the greedy
+	// order.
 	MaxExactGroups int
 	// SkipCertify disables the per-round exact-LP certificate (LPMLU
 	// becomes NaN). The interim-detour fallback still uses the LP.
 	SkipCertify bool
 	// Warm seeds the first certificate solve with a basis from a prior
-	// Schedule over the same plan (the LP shape is scenario-invariant).
+	// schedule over the same plan (the LP shape is scenario-invariant).
 	Warm *lp.Basis
 	// Obs receives transition.* counters and the "transition" trace.
 	Obs *obs.Registry
 }
 
 func (o *Options) defaults() {
-	if o.Tol == 0 {
-		o.Tol = 1e-6
-	}
 	if o.MaxExactGroups == 0 {
 		o.MaxExactGroups = 6
 	}
 }
 
-// DiffPlans diffs two precomputed plans at mplsff row granularity (base
-// FIB and protection ILM), the raw material of a plan-to-plan
-// transition. Both plans must be over the same graph.
-func DiffPlans(old, next *core.Plan) *mplsff.Delta {
-	return mplsff.Diff(mplsff.Build(old), mplsff.Build(next))
-}
-
-// solveExact indirects mcf.MinMLUExact so tests can inject certificate
-// solver failures; production code always points at the real solver.
+// solveExact indirects mcf.MinMLUExact so tests can inject solver
+// failures; production code always points at the real solver.
 var solveExact = mcf.MinMLUExact
 
-// Schedule decomposes the activation of a failure set into staged
-// rounds. The returned sequence's rounds are numbered 1..k and are meant
-// to be applied via mplsff.ApplyRound (directly or through the
-// emulator's staged delivery); applying all of them transforms
-// mplsff.Build(plan) into Sequence.Final.
-func Schedule(plan *core.Plan, failures []graph.LinkID, opts Options) (*Sequence, error) {
-	opts.defaults()
-	g := plan.G
-	var seen graph.LinkSet
-	for _, e := range failures {
-		if int(e) < 0 || int(e) >= g.NumLinks() {
-			return nil, fmt.Errorf("transition: link %d out of range", e)
-		}
-		if seen.Contains(e) {
-			return nil, fmt.Errorf("transition: link %d listed twice", e)
-		}
-		seen.Add(e)
-	}
-
-	sc := &scheduler{
-		plan:      plan,
-		g:         g,
-		opts:      opts,
-		states:    make(map[uint64]*core.State),
-		mlus:      make(map[uint64]float64),
-		certBasis: opts.Warm,
-	}
-	sc.groupFailures(failures)
-
-	reg := opts.Obs
-	span := reg.Trace("transition").Start("schedule")
-	span.SetFloat("failures", float64(len(failures)))
-	span.SetFloat("groups", float64(len(sc.groups)))
-
-	seq := sc.execute(sc.search())
-
-	span.SetFloat("rounds", float64(len(seq.Rounds)))
-	span.SetFloat("transient_mlu", seq.TransientMLU)
-	span.SetFloat("lp_solves", float64(seq.LPSolves))
-	span.End()
-	reg.Counter("transition.rounds").Add(int64(len(seq.Rounds)))
-	reg.Counter("transition.lp_solves").Add(int64(seq.LPSolves))
-	reg.Counter("transition.fallbacks").Add(int64(seq.Fallbacks))
-	reg.Counter("transition.swaps").Add(int64(seq.Swaps))
-	if !seq.CongestionFree {
-		reg.Counter("transition.best_effort").Inc()
-	}
-	return seq, nil
-}
-
-// scheduler carries the per-Schedule search state.
-type scheduler struct {
-	plan *core.Plan
+// certifier is the only caller of the exact LP. It counts every solve
+// and owns the warm chain: solves that share an LP shape (the round
+// certificates, and a plan swap's interim feasibility solve) start from
+// the previous one's optimal basis and leave theirs behind.
+type certifier struct {
 	g    *graph.Graph
-	opts Options
-	// groups are the activation units: duplex link pairs fail together.
-	groups [][]graph.LinkID
-	// states/mlus cache the canonical (sorted-order) R3 state per group
-	// subset; Theorem 3 makes the subset, not the order, the identity.
-	states map[uint64]*core.State
-	mlus   map[uint64]float64
-
-	certBasis *lp.Basis
-	lpSolves  int
+	skip bool
+	reg  *obs.Registry
+	// what names the certificate in error texts.
+	what   string
+	basis  *lp.Basis
+	solves int
 }
 
-// groupFailures partitions the failure list into duplex groups: when
-// both directions of a duplex link are failing they activate atomically
-// (a fiber cut takes both), otherwise the directed link is its own
-// group. Groups are sorted by their smallest link ID.
-func (sc *scheduler) groupFailures(failures []graph.LinkID) {
-	var set graph.LinkSet
-	for _, e := range failures {
-		set.Add(e)
-	}
-	sorted := append([]graph.LinkID(nil), failures...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var assigned graph.LinkSet
-	for _, e := range sorted {
-		if assigned.Contains(e) {
-			continue
-		}
-		grp := []graph.LinkID{e}
-		assigned.Add(e)
-		if rev := sc.g.Link(e).Reverse; rev >= 0 && set.Contains(rev) && !assigned.Contains(rev) {
-			grp = append(grp, rev)
-			assigned.Add(rev)
-		}
-		sc.groups = append(sc.groups, grp)
-	}
+// solve runs one exact LP outside the chain (a different LP shape).
+func (c *certifier) solve(comms []routing.Commodity, o mcf.Options) (*mcf.Result, error) {
+	o.Obs = c.reg
+	c.solves++
+	return solveExact(c.g, comms, o)
 }
 
-// linksOf expands a group bitmask into a sorted directed-link list.
-func (sc *scheduler) linksOf(mask uint64) []graph.LinkID {
-	var links []graph.LinkID
-	for i := range sc.groups {
-		if mask&(1<<i) != 0 {
-			links = append(links, sc.groups[i]...)
-		}
+// chained runs one exact LP on the warm chain.
+func (c *certifier) chained(comms []routing.Commodity, o mcf.Options) (*mcf.Result, error) {
+	o.Warm = c.basis
+	res, err := c.solve(comms, o)
+	if err == nil {
+		c.basis = res.Basis
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	return links
+	return res, err
 }
 
-// stateOf returns the canonical R3 state after activating the subset:
-// failures applied in sorted link order from the pristine plan. Cached;
-// callers must treat the result as read-only (Clone before mutating).
-func (sc *scheduler) stateOf(mask uint64) *core.State {
-	if st, ok := sc.states[mask]; ok {
-		return st
-	}
-	st := core.NewState(sc.plan)
-	if err := st.FailAll(sc.linksOf(mask)...); err != nil {
-		// Unreachable: Schedule validated the failure list.
-		panic(fmt.Sprintf("transition: canonical state %b: %v", mask, err))
-	}
-	sc.states[mask] = st
-	return st
-}
-
-func (sc *scheduler) mluOf(mask uint64) float64 {
-	if m, ok := sc.mlus[mask]; ok {
-		return m
-	}
-	m := sc.stateOf(mask).MLU()
-	sc.mlus[mask] = m
-	return m
-}
-
-// envelope bounds the transient MLU of a round that takes the
-// configuration from subset cum to cum|add while routers update
-// asynchronously: the worst MLU over every intermediate subset. (The
-// per-link transient load is bounded by the worst load that link carries
-// in any intermediate configuration.)
-func (sc *scheduler) envelope(cum, add uint64) float64 {
-	worst := sc.mluOf(cum)
-	for sub := add; ; sub = (sub - 1) & add {
-		if m := sc.mluOf(cum | sub); m > worst {
-			worst = m
-		}
-		if sub == 0 {
-			break
-		}
-	}
-	return worst
-}
-
-// certify runs the Theorem-2 certificate for a failure scenario: the
-// exact LP's optimal MLU over the plan's demands restricted to surviving
-// links. Warm-started from the previous certificate (the LP shape is
-// scenario-invariant). Returns NaN when disabled; a solver failure
-// returns NaN with the error, so callers can record it on the round
-// instead of silently shipping an uncertified sequence.
-func (sc *scheduler) certify(failed graph.LinkSet) (float64, error) {
-	if sc.opts.SkipCertify {
+// certify runs the Theorem-2 certificate for a round's post-state: the
+// exact LP's optimal MLU (≤ 1 means a feasible routing exists). Returns
+// NaN when disabled; a solver failure returns NaN with the error and is
+// counted, so callers record it on the round instead of silently
+// shipping an uncertified sequence.
+func (c *certifier) certify(comms []routing.Commodity, o mcf.Options) (float64, error) {
+	if c.skip {
 		return math.NaN(), nil
 	}
-	res, err := solveExact(sc.g, sc.plan.Base.Comms, mcf.Options{
-		Alive: failed.Alive(),
-		Warm:  sc.certBasis,
-		Obs:   sc.opts.Obs,
-	})
-	sc.lpSolves++
+	res, err := c.chained(comms, o)
 	if err != nil {
-		sc.opts.Obs.Counter("transition.certify_errors").Inc()
-		return math.NaN(), fmt.Errorf("transition: round certificate: %w", err)
+		c.reg.Counter("transition.certify_errors").Inc()
+		return math.NaN(), fmt.Errorf("transition: %s: %w", c.what, err)
 	}
-	sc.certBasis = res.Basis
 	return res.MLU, nil
 }
 
-// interimDetour asks the exact LP for the best detour for link e's
-// current load: a single head→tail commodity over surviving links (also
-// excluding links about to fail in the same round), with the rest of the
-// network's load as background. Returns the detour fractions ξ̃ and the
-// resulting MLU.
-func (sc *scheduler) interimDetour(st *core.State, e graph.LinkID, alsoDown []graph.LinkID) ([]float64, float64, error) {
-	loads := st.Loads()
-	link := sc.g.Link(e)
-	bg := append([]float64(nil), loads...)
-	bg[e] = 0
-	dead := st.Failed()
-	dead.Add(e)
-	for _, x := range alsoDown {
-		dead.Add(x)
-	}
-	res, err := mcf.MinMLUExact(sc.g,
-		[]routing.Commodity{{Src: link.Src, Dst: link.Dst, Demand: loads[e], Link: e}},
-		mcf.Options{Alive: dead.Alive(), Background: bg, Obs: sc.opts.Obs})
-	sc.lpSolves++
-	if err != nil {
-		return nil, 0, err
-	}
-	if res.Dropped > 0 {
-		return nil, 0, fmt.Errorf("transition: link %d's head is partitioned from its tail", e)
-	}
-	xi := append([]float64(nil), res.Flow.Frac[0]...)
-	xi[e] = 0
-	return xi, res.MLU, nil
+// run is the model-independent half of a schedule in progress: the
+// sequence being built, its certifier (which also holds the registry the
+// epilogue reports to) and the span.
+type run struct {
+	seq  *Sequence
+	cert certifier
+	span obs.Span
 }
 
-// materialize programs a reference network for a state: fresh build
-// (deterministic salts and rows), then ILM reprogrammed from the state.
-// The base FIB keeps the pre-failure routing, exactly like OnFailure.
-func (sc *scheduler) materialize(st *core.State) *mplsff.Network {
-	n := mplsff.Build(sc.plan)
-	n.ReprogramILM(st)
-	return n
+func begin(g *graph.Graph, opts Options, spanName, certificate string) *run {
+	return &run{
+		seq: &Sequence{CongestionFree: true},
+		cert: certifier{g: g, skip: opts.SkipCertify, reg: opts.Obs,
+			what: certificate, basis: opts.Warm},
+		span: opts.Obs.Trace("transition").Start(spanName),
+	}
+}
+
+// emit numbers a round, derives its verdict and folds it into the
+// sequence totals. The caller has filled in Kind, the unit (Links or
+// ODs), Delta, the two MLUs, the certificate and Fallback.
+func (r *run) emit(round *Round) {
+	seq := r.seq
+	round.Seq = len(seq.Rounds) + 1
+	round.CongestionFree = round.StateMLU <= feasTol && round.EnvelopeMLU <= feasTol
+	seq.Rounds = append(seq.Rounds, round)
+	switch {
+	case round.Fallback:
+		seq.Fallbacks++
+	case round.Kind == Swap:
+		seq.Swaps++
+	}
+	if round.CertifyErr != nil {
+		seq.CertifyErrs++
+	}
+	seq.TransientMLU = max(seq.TransientMLU, round.EnvelopeMLU)
+	seq.CongestionFree = seq.CongestionFree && round.CongestionFree
+}
+
+// finish closes the span and the counters. overCounter names what a
+// sequence that is not congestion-free counts as.
+func (r *run) finish(groups int, overCounter string) *Sequence {
+	seq := r.seq
+	seq.LPSolves, seq.Basis = r.cert.solves, r.cert.basis
+	r.span.SetFloat("groups", float64(groups))
+	r.span.SetFloat("rounds", float64(len(seq.Rounds)))
+	r.span.SetFloat("transient_mlu", seq.TransientMLU)
+	r.span.SetFloat("lp_solves", float64(seq.LPSolves))
+	r.span.End()
+	reg := r.cert.reg
+	reg.Counter("transition.rounds").Add(int64(len(seq.Rounds)))
+	reg.Counter("transition.lp_solves").Add(int64(seq.LPSolves))
+	reg.Counter("transition.fallbacks").Add(int64(seq.Fallbacks))
+	if !seq.CongestionFree {
+		reg.Counter(overCounter).Inc()
+	}
+	return seq
 }

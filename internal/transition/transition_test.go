@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -210,23 +211,6 @@ func TestScheduleEmptyAndInvalid(t *testing.T) {
 	}
 }
 
-func TestDiffPlans(t *testing.T) {
-	plan, hot := abilenePlans(t)
-	if !DiffPlans(plan, plan).Empty() {
-		t.Fatal("self-diff of a plan is not empty")
-	}
-	d := DiffPlans(plan, hot)
-	if d.Empty() {
-		t.Fatal("diff of two different plans is empty")
-	}
-	// Applying the plan-to-plan delta transforms old into new.
-	n := mplsff.Build(plan)
-	n.ApplyDelta(d)
-	if n.Fingerprint() != mplsff.Build(hot).Fingerprint() {
-		t.Fatal("applying the plan delta does not reproduce the target plan's network")
-	}
-}
-
 // TestSchedulePropertyRandomInstances is the property harness: across
 // ≥16 randomized (topology, traffic, failure-pair) instances, every
 // round the scheduler emits respects its own feasibility claims, the
@@ -345,4 +329,51 @@ func pickFailures(t testing.TB, g *graph.Graph, seed int64) []graph.LinkID {
 
 func fmtSeed(seed int64) string {
 	return "seed" + string(rune('0'+seed/10)) + string(rune('0'+seed%10))
+}
+
+// TestScheduleGroupLimit: group subsets are 64-bit masks, so 64 failure
+// groups still schedule and 65 are refused with an error — promptly: the
+// 65th group's bit used to shift out to zero and the greedy order picked
+// it forever.
+func TestScheduleGroupLimit(t *testing.T) {
+	g := graph.New("ring70")
+	for i := 0; i < 70; i++ {
+		g.AddNode(fmtSeed(int64(i)))
+	}
+	for i := 0; i < 70; i++ {
+		g.AddDuplex(graph.NodeID(i), graph.NodeID((i+1)%70), 100, 1, 1)
+	}
+	d := traffic.NewMatrix(70)
+	d.Set(0, 35, 10)
+	d.Set(20, 50, 10)
+	plan, err := core.Precompute(g, d, core.Config{Model: core.ArbitraryFailures{F: 1}, Iterations: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := make([]graph.LinkID, 2*65)
+	for i := range fails {
+		fails[i] = graph.LinkID(i)
+	}
+
+	seq, err := Schedule(plan, fails[:2*64], Options{SkipCertify: true})
+	if err != nil {
+		t.Fatalf("64 groups: %v", err)
+	}
+	if len(seq.Rounds) == 0 || seq.Final.Fingerprint() != oneShot(t, plan, fails[:2*64]).Fingerprint() {
+		t.Fatalf("64 groups: %d rounds, or an end state that differs from one-shot activation", len(seq.Rounds))
+	}
+
+	refused := make(chan error, 1)
+	go func() {
+		_, err := Schedule(plan, fails, Options{SkipCertify: true})
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if err == nil {
+			t.Fatal("65 groups scheduled: the subset masks cannot index them")
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Schedule still running on 65 groups after 20 s")
+	}
 }
