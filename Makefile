@@ -21,10 +21,17 @@ race: build vet
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-smoke vets and tests the nested benchmark module (bench/ has its
-# own go.mod, so the root `go test ./...` never compiles it), mirroring
-# the CI bench-smoke step.
+# bench-smoke runs exactly the commands of the CI bench-smoke job: the
+# hot-path gates (zero-allocation kernels, the pinned-base allocation
+# ceiling, cross-kernel plan bytes, worst-load differentials, the dense
+# oracles of the sparse commodity rows, the benchmark plan's digest, the plan
+# encoder against encoding/json and its allocation whatever the collector did),
+# the incremental-vs-flat SPF plan differential, and vet plus the smoke
+# test of the nested benchmark module (bench/ has its own go.mod, so the
+# root `go test ./...` never compiles it).
 bench-smoke:
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf
+	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # profile-fw captures CPU and allocation profiles of a precompute on the

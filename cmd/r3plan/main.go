@@ -178,26 +178,21 @@ func main() {
 		fmt.Println("certificate: NOT congestion-free (MLU > 1); reroutes are best-effort")
 	}
 
-	if *fprint {
-		fp, err := plan.WireFingerprint()
+	// The digest and the saved file are the same bytes: encode once.
+	if *fprint || *save != "" {
+		wire, err := plan.EncodeBytes()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("plan digest: %016x\n", fp)
-	}
-
-	if *save != "" {
-		w, err := os.Create(*save)
-		if err != nil {
-			fatal(err)
+		if *fprint {
+			fmt.Printf("plan digest: %016x\n", core.Fingerprint(wire))
 		}
-		if err := plan.Encode(w); err != nil {
-			fatal(err)
+		if *save != "" {
+			if err := os.WriteFile(*save, wire, 0o666); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("plan written to %s\n", *save)
 		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("plan written to %s\n", *save)
 	}
 
 	if *verify > 0 {

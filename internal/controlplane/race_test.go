@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestConcurrentReadsDuringSwaps hammers GET /v1/plan from many readers
@@ -65,7 +67,7 @@ func TestConcurrentReadsDuringSwaps(t *testing.T) {
 				}
 				// Tear check: the body must hash to the digest the handler
 				// stamped from the same revision snapshot.
-				if got, want := fmt.Sprintf("%016x", fingerprint(body)), resp.Header.Get("X-R3-Digest"); got != want {
+				if got, want := fmt.Sprintf("%016x", core.Fingerprint(body)), resp.Header.Get("X-R3-Digest"); got != want {
 					errCh <- fmt.Errorf("torn read: body fingerprint %s, header %s", got, want)
 					return
 				}

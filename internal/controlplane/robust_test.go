@@ -254,7 +254,7 @@ func TestRolloutSchedulingErrorIsLoggedOnBothPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	fileAlien := func() *Revision {
-		return s.store.Swap(&Revision{Key: key, Plan: alien, Bytes: alienBytes, Digest: fingerprint(alienBytes)})
+		return s.store.Swap(&Revision{Key: key, Plan: alien, Bytes: alienBytes, Digest: core.Fingerprint(alienBytes)})
 	}
 	check := func(path string, rev *Revision, errs int64, attr string) {
 		t.Helper()

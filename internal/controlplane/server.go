@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"math"
@@ -272,7 +271,7 @@ func (s *Server) build(gen int64, g *graph.Graph, d *traffic.Matrix) (err error)
 		Key:     key,
 		Plan:    plan,
 		Bytes:   bytes,
-		Digest:  fingerprint(bytes),
+		Digest:  core.Fingerprint(bytes),
 		Rollout: rollout,
 	})
 	return nil
@@ -310,12 +309,6 @@ func (s *Server) bumpGen() int64 {
 	default:
 	}
 	return gen
-}
-
-func fingerprint(b []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return h.Sum64()
 }
 
 // ---------------------------------------------------------------------

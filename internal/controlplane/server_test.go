@@ -35,7 +35,7 @@ func TestLifecycle(t *testing.T) {
 	if hdr.Get("X-R3-Revision") != "1" {
 		t.Fatalf("revision header %q, want 1", hdr.Get("X-R3-Revision"))
 	}
-	if got, want := hdr.Get("X-R3-Digest"), fmt.Sprintf("%016x", fingerprint(body)); got != want {
+	if got, want := hdr.Get("X-R3-Digest"), fmt.Sprintf("%016x", core.Fingerprint(body)); got != want {
 		t.Fatalf("digest header %s != body fingerprint %s", got, want)
 	}
 

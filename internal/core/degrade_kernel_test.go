@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/spf"
 	"repro/internal/topo"
@@ -104,7 +105,7 @@ func TestDegradationSweepZeroAllocsWarm(t *testing.T) {
 	s.reqs[0].model = DegradationModel{Beta: 0.5, Budget: 2}
 	s.spfMode = spf.ModeIncremental
 	s.pool = par.Serial
-	s.run(60)
+	s.run(60, obs.Span{})
 	if s.knapU == nil || s.topK != 5 {
 		t.Fatalf("knapsack kernel not selected: knapU=%v topK=%d", s.knapU, s.topK)
 	}

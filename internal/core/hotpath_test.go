@@ -308,14 +308,15 @@ func newTestFWState(t testing.TB, g *graph.Graph, F int) *fwState {
 	comms := routing.ODCommodities(g.NumNodes(), d.At)
 	nK, nL := len(comms), g.NumLinks()
 	dem := make([]float64, nK)
-	R := newMatrix(nK, nL)
+	R := make([]routing.SparseRow, nK)
 	for k, c := range comms {
 		dem[k] = c.Demand
 		// Spread each commodity over the source's outgoing links; objective
 		// only needs some fixed fractions, not a consistent routing.
 		out := g.Out(c.Src)
 		for _, id := range out {
-			R[k][id] = 1 / float64(len(out))
+			R[k].Idx = append(R[k].Idx, int32(id))
+			R[k].Val = append(R[k].Val, 1/float64(len(out)))
 		}
 	}
 	P := newMatrix(nL, nL)
@@ -353,10 +354,10 @@ func TestObjectiveZeroAllocsWarmArena(t *testing.T) {
 func TestBaseLoadsColumnsZeroAllocsWarm(t *testing.T) {
 	s := newTestFWState(t, mesh6(t), 1)
 	s.ensureArena()
-	s.baseLoads(s.R, s.ar.loads)
+	s.baseLoads(nil, s.ar.loads)
 	s.pcol = s.columns(s.P, s.pcol)
 	if n := testing.AllocsPerRun(20, func() {
-		s.baseLoads(s.R, s.ar.loads)
+		s.baseLoads(nil, s.ar.loads)
 	}); n != 0 {
 		t.Fatalf("warm baseLoads allocates %v per run, want 0", n)
 	}
@@ -393,4 +394,28 @@ func TestPrecomputeDeterministicInlineVsPooled(t *testing.T) {
 			t.Fatalf("%v: pooled (GOMAXPROCS=4) plan differs from serial plan", model)
 		}
 	}
+}
+
+// TestPinnedPrecomputeAllocationCeiling: with the base pinned (the path
+// every CLI default, r3d and the benchmark take) the solver holds the base
+// routing as sparse rows and a path per commodity, never as
+// [commodity][link] matrices. One such Precompute on SBC allocated
+// 4 067 277 B while MinMLU and fwState kept dense iterate, direction and
+// best-iterate matrices; it allocates 1 876 949 B now. The ceiling is half
+// of the former, so any one of those matrices coming back fails it.
+func TestPinnedPrecomputeAllocationCeiling(t *testing.T) {
+	g := topo.SBC()
+	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
+	const ceiling = 4067277 / 2
+	got := allocBytes(3, func() {
+		if _, err := Precompute(g, d, Config{
+			Model: ArbitraryFailures{F: 1}, Iterations: 100, PenaltyEnvelope: 1.1, Workers: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Fatalf("pinned-base Precompute on SBC allocates %.0f B, want at most %d B", got, ceiling)
+	}
+	t.Logf("pinned-base Precompute on SBC allocates %.0f B", got)
 }

@@ -23,6 +23,7 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 		cfg  Config
 	}{
 		{"fw", mesh, traffic.Gravity(mesh, 40, 11), Config{Model: ArbitraryFailures{F: 1}, Iterations: 40}},
+		{"fw-pinned", mesh, traffic.Gravity(mesh, 40, 11), Config{Model: ArbitraryFailures{F: 1}, Iterations: 40, PenaltyEnvelope: 1.1}},
 		{"lp", ring, ring5Demand(ring, 20), Config{Model: ArbitraryFailures{F: 1}, Solver: SolverLP}},
 	} {
 		t.Run(solver.name, func(t *testing.T) {
@@ -39,8 +40,8 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 
 // TestObsFWRecordsSolverProgress checks the substance of the FW
 // instrumentation: epoch/SPF counters advance, the final MLU gauge equals
-// the plan's, and the span tree holds one fw.run root whose epoch children
-// match the epoch counter.
+// the plan's, and the span tree holds one fw.run root whose children are
+// base-init, one epoch per counted epoch, and package.
 func TestObsFWRecordsSolverProgress(t *testing.T) {
 	g := mesh6(t)
 	d := traffic.Gravity(g, 40, 11)
@@ -66,11 +67,18 @@ func TestObsFWRecordsSolverProgress(t *testing.T) {
 	if len(roots) != 1 || roots[0].Name != "fw.run" {
 		t.Fatalf("fw trace roots = %+v, want one fw.run", roots)
 	}
+	// The root covers the whole solve: base initialization first, then the
+	// epochs, then packaging, and nothing else.
+	kids := roots[0].Children
+	if n := len(kids); n < 3 || kids[0].Name != "base-init" || kids[n-1].Name != "package" {
+		t.Fatalf("fw.run children = %+v, want base-init, epochs, package", kids)
+	}
 	var epochSpans int64
-	for _, c := range roots[0].Children {
-		if c.Name == "epoch" {
-			epochSpans++
+	for _, c := range kids[1 : len(kids)-1] {
+		if c.Name != "epoch" {
+			t.Fatalf("fw.run has a %q span between base-init and package, want only epochs", c.Name)
 		}
+		epochSpans++
 	}
 	if epochSpans != epochs {
 		t.Fatalf("trace has %d epoch spans, counter says %d", epochSpans, epochs)

@@ -255,9 +255,16 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		capac[e] = g.Link(graph.LinkID(e)).Capacity
 	}
 
+	// The fw.run span covers the whole solve: base initialization, the
+	// epochs, and packaging.
+	o := newFWObs(cfg.Obs)
+	runSp := o.trace.Start("fw.run")
+	defer runSp.End()
+
 	// ---- Initialization ----
+	initSp := runSp.Child("base-init")
 	optimizeBase := cfg.BaseRouting == nil
-	R := make([][]float64, nK)
+	R := make([]routing.SparseRow, nK)
 	totalDemand := reqs[0].demands
 	if optimizeBase {
 		initComms := make([]routing.Commodity, nK)
@@ -275,7 +282,7 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		}
 		res := mcf.MinMLU(g, initComms, mcf.Options{Iterations: initIters})
 		for k := 0; k < nK; k++ {
-			R[k] = append([]float64(nil), res.Flow.Frac[k]...)
+			R[k].SetDense(res.Flow.Frac[k])
 		}
 	} else {
 		// Match provided flow rows by OD pair.
@@ -289,7 +296,11 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 			if !ok {
 				return nil, fmt.Errorf("core: base routing missing OD pair %d->%d", c.Src, c.Dst)
 			}
-			R[k] = append([]float64(nil), row...)
+			if len(row) != nL {
+				// A flow built over another graph.
+				return nil, fmt.Errorf("core: base routing has %d links, topology has %d", len(row), nL)
+			}
+			R[k].SetDense(row)
 		}
 	}
 
@@ -330,12 +341,7 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 			}
 			delayCap[k] = cfg.DelayEnvelope * dist[c.Src]
 			if optimizeBase {
-				for e := range R[k] {
-					R[k][e] = 0
-				}
-				for _, id := range spf.PathVia(g, c.Src, nextCache[c.Dst]) {
-					R[k][id] = 1
-				}
+				R[k].SetPath(spf.PathVia(g, c.Src, nextCache[c.Dst]))
 			}
 		}
 	}
@@ -345,7 +351,7 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		R: R, P: P, delayCap: delayCap,
 		optimizeBase: optimizeBase,
 		pool:         par.New(cfg.Workers),
-		o:            newFWObs(cfg.Obs),
+		o:            o,
 		spfMode:      cfg.SPF.Resolve(g.NumNodes()),
 	}
 	if cfg.Obs != nil {
@@ -354,15 +360,23 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		cfg.Obs.GaugeFunc("fw.pool_loops", func() int64 { loops, _ := pool.Stats(); return loops })
 		cfg.Obs.GaugeFunc("fw.pool_items", func() int64 { _, items := pool.Stats(); return items })
 	}
-	st.run(iters)
+	initSp.End()
+	st.run(iters, runSp)
 
 	// ---- Package the plan ----
+	// The plan's base is the dense view of the iterate with loops removed;
+	// the rows are re-read from it so the reported objective is the plan's.
+	pkgSp := runSp.Child("package")
+	defer pkgSp.End()
 	base := routing.NewFlow(g, comms)
 	for k := 0; k < nK; k++ {
-		base.Frac[k] = st.R[k]
+		st.R[k].Scatter(base.Frac[k])
 		base.Comms[k].Demand = totalDemand[k]
 	}
 	base.RemoveLoops()
+	for k := 0; k < nK; k++ {
+		st.R[k].SetDense(base.Frac[k])
+	}
 	sanitizeProt(g, st.P)
 	plan := &Plan{
 		G:     g,
@@ -399,7 +413,7 @@ type fwObs struct {
 	epochs    *obs.Counter    // completed FW epochs
 	mlu       *obs.FloatGauge // latest true objective
 	step      *obs.FloatGauge // latest accepted global step size
-	trace     *obs.Trace      // span tree: fw.run > epoch > {directions, global-step, r-sweep, p-sweep}
+	trace     *obs.Trace      // span tree: fw.run > {base-init, epoch > {directions, global-step, r-sweep, p-sweep}, package}
 }
 
 func newFWObs(reg *obs.Registry) fwObs {
@@ -438,9 +452,9 @@ type fwState struct {
 	comms        []routing.Commodity
 	reqs         []requirement
 	capac        []float64
-	R            [][]float64 // [commodity][link]
-	P            [][]float64 // [protected link][link]
-	delayCap     []float64   // nil when no delay envelope
+	R            []routing.SparseRow // [commodity], over links
+	P            [][]float64         // [protected link][link]
+	delayCap     []float64           // nil when no delay envelope
 	optimizeBase bool
 	pool         *par.Pool
 	o            fwObs
@@ -448,7 +462,7 @@ type fwState struct {
 
 	// best-so-far snapshot by true objective
 	bestObj float64
-	bestR   [][]float64
+	bestR   []routing.SparseRow
 	bestP   [][]float64
 
 	// scratch
@@ -487,10 +501,11 @@ type fwState struct {
 }
 
 // fwArena holds the solver's reusable buffers. Ownership rule: a buffer is
-// either fully overwritten by its producer before any read (q, us, dirR,
-// dirP, pcolDir, dirLoads, rCost, diff) or explicitly zeroed at the start
-// of the producing pass (costP, loads); consumers never read a buffer
-// across an epoch boundary.
+// either fully overwritten by its producer before any read (q, us, dirP,
+// pcolDir, dirLoads, rCost, diff, rk) or explicitly zeroed at the start of
+// the producing pass (costP, loads); consumers never read a buffer across
+// an epoch boundary. mix is the exception: all zero between uses, which
+// every SparseRow.MoveToward restores.
 type fwArena struct {
 	objLoads [][]float64 // objective(): base loads [req][link]
 	loads    [][]float64 // epoch state: base loads [req][link]
@@ -507,8 +522,9 @@ type fwArena struct {
 	expu     [][]float64 // r-sweep: cached exp terms for u0 [req][link]
 	diff     []float64   // r-sweep: xDir - rk per link
 	active   []int32     // r-sweep: links with nonzero diff
-	dirR     [][]float64 // global step: direction fractions [commodity][link]
-	dirLoads [][]float64 // global step: direction loads [req][link]
+	rk       []float64   // r-sweep: dense view of the block's commodity row
+	mix      []float64   // global step: SparseRow.MoveToward scratch, all zero between uses
+	dirLoads [][]float64 // global step: direction loads [req][link] (joint base only)
 	dirP     [][]float64 // global step: direction protection [link][link]
 	pcolDir  [][]float64 // global step: direction columns [link][link]
 	us       []float64   // global step: utilization cells [req*link]
@@ -558,7 +574,8 @@ func (s *fwState) ensureArena() {
 	a.expu = newMatrix(nI, nL)
 	a.diff = make([]float64, nL)
 	a.active = make([]int32, nL)
-	a.dirR = newMatrix(nK, nL)
+	a.rk = make([]float64, nL)
+	a.mix = make([]float64, nL)
 	a.dirLoads = newMatrix(nI, nL)
 	a.dirP = newMatrix(nL, nL)
 	a.pcolDir = newMatrix(nL, nL)
@@ -604,34 +621,31 @@ func (s *fwState) putBuf(b []float64) {
 	s.bufMu.Unlock()
 }
 
-// baseLoads computes per-requirement per-link base loads for fractions R
-// into dst (allocated when nil). Each cell is zeroed and then summed over
-// commodities in ascending k order; warm calls allocate nothing.
-func (s *fwState) baseLoads(R [][]float64, dst [][]float64) [][]float64 {
-	nL := s.g.NumLinks()
-	if dst == nil {
-		dst = newMatrix(len(s.reqs), nL)
-	}
+// baseLoads computes per-requirement per-link base loads into dst: of the
+// iterate R when paths is nil, and otherwise of the global step's r
+// direction, which is commodity k's oracle path paths[k] or its current
+// row where the oracle found none (a path cell holds 1, so it adds the
+// demand itself; the direction rows are never materialized). Each cell is
+// zeroed and then summed over commodities in ascending k order; the pass
+// costs R's nonzeros and allocates nothing.
+func (s *fwState) baseLoads(paths [][]graph.LinkID, dst [][]float64) {
 	for i := range s.reqs {
-		dem := s.reqs[i].demands
 		li := dst[i]
 		for e := range li {
 			li[e] = 0
 		}
-		for k := range s.comms {
-			d := dem[k]
-			if d == 0 {
-				continue
-			}
-			rk := R[k]
-			for e := 0; e < nL; e++ {
-				if v := rk[e]; v != 0 {
-					li[e] += d * v
+		for k, d := range s.reqs[i].demands {
+			switch {
+			case d == 0:
+			case paths == nil || paths[k] == nil:
+				s.R[k].AddLoads(d, li)
+			default:
+				for _, id := range paths[k] {
+					li[id] += d
 				}
 			}
 		}
 	}
-	return dst
 }
 
 // columns builds pcol[e][l] = c_l * P[l][e] into dst (allocated when nil).
@@ -666,7 +680,8 @@ func (s *fwState) objective() float64 {
 	if s.ar.objLoads == nil {
 		s.ar.objLoads = newMatrix(len(s.reqs), nL)
 	}
-	loads := s.baseLoads(s.R, s.ar.objLoads)
+	loads := s.ar.objLoads
+	s.baseLoads(nil, loads)
 	s.pcol = s.columns(s.P, s.pcol)
 	worst := 0.0
 	for i := range s.reqs {
@@ -696,19 +711,17 @@ func (s *fwState) objective() float64 {
 // one O(links) pass, which is the oracle fan-outs in rDirections and
 // pDirections and the line-search fill in globalStep. Every other loop of
 // every phase costs O(1) per cell and is a plain loop.
-func (s *fwState) run(effort int) {
+func (s *fwState) run(effort int, runSp obs.Span) {
 	epochs := min(max(effort/5, 12), 120)
 	s.selectKernels()
 	s.bestObj = math.Inf(1)
-	s.baseLoads(s.R, s.ar.loads)
+	s.baseLoads(nil, s.ar.loads)
 	s.pcol = s.columns(s.P, s.pcol)
 	s.refreshW()
 
 	obj := s.trueObj()
 	s.snapshotBest(obj)
 	s.o.mlu.Set(obj)
-	runSp := s.o.trace.Start("fw.run")
-	defer runSp.End()
 
 	for epoch := 0; epoch < epochs && obj != 0; epoch++ {
 		mu := math.Max(obj*0.002, obj*0.05*math.Pow(0.8, float64(epoch)))
@@ -728,7 +741,7 @@ func (s *fwState) run(effort int) {
 		gsSp.End()
 		s.o.step.Set(gamma)
 		s.refreshW()
-		s.baseLoads(s.R, s.ar.loads)
+		s.baseLoads(nil, s.ar.loads)
 
 		rSweepSp := epochSp.Child("r-sweep")
 		if s.optimizeBase {
@@ -939,6 +952,7 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 	loads, W := s.ar.loads, s.ar.W
 	u0, expu := s.ar.u0, s.ar.expu
 	xDir, diff, act := s.ar.xDir, s.ar.diff, s.ar.active
+	rk := s.ar.rk
 	for i := 0; i < nI; i++ {
 		li, Wi, u0i := loads[i], W[i], u0[i]
 		for e := 0; e < nL; e++ {
@@ -966,7 +980,11 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 		for _, id := range path {
 			xDir[id] = 1
 		}
-		rk := s.R[k]
+		// The block works on a dense view of the commodity's row.
+		for e := range rk {
+			rk[e] = 0
+		}
+		s.R[k].Scatter(rk)
 		nAct := 0
 		for e := 0; e < nL; e++ {
 			d := xDir[e] - rk[e]
@@ -1072,6 +1090,7 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 		for e := 0; e < nL; e++ {
 			rk[e] = (1-gamma)*rk[e] + gamma*xDir[e]
 		}
+		s.R[k].Gather(rk, path)
 		// The accepted step moved loads only on active cells of
 		// rows with demand; refresh their static view and exp cache
 		// (at the current reference point) for the next blocks.
@@ -1462,21 +1481,21 @@ func (s *fwState) globalStep(rPaths, pPaths [][]graph.LinkID, mu float64) float6
 	nT := len(s.reqs) * nL
 	loads := s.ar.loads
 
-	// Direction rows for r and p: the oracle path's indicator, or the
-	// current row where the oracle found none. Rows are fully overwritten,
-	// so the arena needs no clearing between epochs.
-	dirR, dirP := s.ar.dirR, s.ar.dirP
-	for k := range s.comms {
-		var path []graph.LinkID
-		if rPaths != nil {
-			path = rPaths[k]
-		}
-		pathRow(dirR[k], s.R[k], path)
-	}
+	// Direction rows for p: the oracle path's indicator, or the current row
+	// where the oracle found none. Rows are fully overwritten, so the arena
+	// needs no clearing between epochs. The r direction is never a matrix:
+	// its loads come straight from the paths, and a pinned base (rPaths nil)
+	// is its own direction, whose loads are s.ar.loads — baseLoads of the
+	// current R, by construction, bit for bit.
+	dirP := s.ar.dirP
 	for l := 0; l < nL; l++ {
 		pathRow(dirP[l], s.P[l], pPaths[l])
 	}
-	dirLoads := s.baseLoads(dirR, s.ar.dirLoads)
+	dirLoads := loads
+	if rPaths != nil {
+		dirLoads = s.ar.dirLoads
+		s.baseLoads(rPaths, dirLoads)
+	}
 	pcolDir := s.columns(dirP, s.ar.pcolDir)
 
 	// Each utilization cell mixes a full p-column and runs an O(links)
@@ -1520,10 +1539,11 @@ func (s *fwState) globalStep(rPaths, pPaths [][]graph.LinkID, mu float64) float6
 	if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 		return 0
 	}
-	for k, rk := range s.R {
-		dk := dirR[k]
-		for e := range rk {
-			rk[e] = (1-gamma)*rk[e] + gamma*dk[e]
+	for k := range s.R {
+		if rPaths != nil && rPaths[k] != nil {
+			s.R[k].MoveToward(gamma, rPaths[k], s.ar.mix)
+		} else {
+			s.R[k].SelfMix(gamma)
 		}
 	}
 	for l, pl := range s.P {
@@ -1863,17 +1883,14 @@ func (s *fwState) putPathBuf(b []graph.LinkID) {
 func (s *fwState) snapshotBest(obj float64) {
 	s.bestObj = obj
 	if s.bestR == nil {
-		s.bestR = make([][]float64, len(s.R))
-		for k := range s.R {
-			s.bestR[k] = make([]float64, len(s.R[k]))
-		}
+		s.bestR = make([]routing.SparseRow, len(s.R))
 		s.bestP = make([][]float64, len(s.P))
 		for l := range s.P {
 			s.bestP[l] = make([]float64, len(s.P[l]))
 		}
 	}
 	for k := range s.R {
-		copy(s.bestR[k], s.R[k])
+		s.bestR[k].CopyFrom(&s.R[k])
 	}
 	for l := range s.P {
 		copy(s.bestP[l], s.P[l])
@@ -1886,7 +1903,7 @@ func (s *fwState) restoreBest() {
 		return
 	}
 	for k := range s.R {
-		copy(s.R[k], s.bestR[k])
+		s.R[k].CopyFrom(&s.bestR[k])
 	}
 	for l := range s.P {
 		copy(s.P[l], s.bestP[l])

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/spf"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -65,6 +68,25 @@ func TestFixedBaseMissingPairRejected(t *testing.T) {
 		Model: ArbitraryFailures{F: 1}, BaseRouting: partial, Iterations: 20,
 	}); err == nil {
 		t.Fatalf("base routing missing OD pairs accepted")
+	}
+}
+
+// TestFixedBaseOfAnotherWidthRejected: a base routing whose rows are not
+// NumLinks wide — a flow built over another graph — is hostile input and
+// gets an error naming both widths; it used to index-panic deep in the
+// solver.
+func TestFixedBaseOfAnotherWidthRejected(t *testing.T) {
+	g := topo.Abilene()
+	d := traffic.Gravity(g, 300, 1)
+	ospf := spf.ECMPFlow(g, routing.ODCommodities(g.NumNodes(), d.At), nil, spf.WeightCost(g))
+	for k := range ospf.Frac {
+		ospf.Frac[k] = ospf.Frac[k][:10]
+	}
+	_, err := Precompute(g, d, Config{
+		Model: ArbitraryFailures{F: 1}, BaseRouting: ospf, Iterations: 20,
+	})
+	if want := "core: base routing has 10 links, topology has 28"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -84,10 +84,14 @@ type Result struct {
 // the given commodities (with their demands) over alive links, on top of
 // the optional background load. Unreachable commodities are dropped with
 // zero allocation.
+//
+// The iterate is one sparse row per commodity and the Frank–Wolfe direction
+// one retained path per commodity, so an iteration costs the trees it runs
+// plus the rows' nonzeros; the dense Flow is materialized once, for loop
+// removal and the returned Result.
 func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	opts.defaults()
 	nL := g.NumLinks()
-	f := routing.NewFlow(g, comms)
 
 	cap := make([]float64, nL)
 	for e := 0; e < nL; e++ {
@@ -101,85 +105,57 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		bg = make([]float64, nL)
 	}
 
-	// Reachability screen; remember reachable commodities.
-	reach := make([]bool, len(comms))
-	dropped := 0
-	distCache := map[graph.NodeID][]float64{}
-	costW := func(id graph.LinkID) float64 { return 1 }
-	for k, c := range comms {
-		distTo, ok := distCache[c.Dst]
-		if !ok {
-			distTo = spf.DijkstraTo(g, c.Dst, opts.Alive, costW)
-			distCache[c.Dst] = distTo
+	o := newPathOracle(g, comms, opts.Alive)
+	rows := make([]routing.SparseRow, len(comms))
+	flow := func() *routing.Flow {
+		f := routing.NewFlow(g, comms)
+		for k := range rows {
+			rows[k].Scatter(f.Frac[k])
 		}
-		if math.IsInf(distTo[c.Src], 1) {
-			dropped++
-			continue
-		}
-		reach[k] = true
+		return f
 	}
 
 	// Initialize: route every reachable commodity on an
 	// inverse-capacity-cost shortest path (a reasonable starting point
 	// that avoids tiny links).
+	cost := make([]float64, nL)
+	for e := range cost {
+		cost[e] = 1e9 / cap[e]
+	}
 	loads := append([]float64(nil), bg...)
-	invCap := func(id graph.LinkID) float64 { return 1e9 / cap[id] }
-	assignShortest(g, f.Comms, reach, opts.Alive, invCap, func(k int, path []graph.LinkID) {
-		for _, id := range path {
-			f.Frac[k][id] = 1
-			loads[id] += comms[k].Demand
-		}
-	})
+	o.route(cost, loads)
+	for k, path := range o.paths {
+		rows[k].SetPath(path)
+	}
 
 	mlu := util(loads, cap)
 	if allZeroDemand(comms) || mlu == 0 {
-		return &Result{Flow: f, MLU: util(bg, cap), Dropped: dropped}
+		return &Result{Flow: flow(), MLU: util(bg, cap), Dropped: o.dropped}
 	}
 
 	// Frank–Wolfe on Φ_μ(loads) = μ ln Σ_e exp(util_e/μ), with μ shrinking
 	// as the objective tightens. The exact line search works on the true
 	// MLU (convex piecewise-linear along the segment); a zero step is a
 	// stall, escaped by the μ schedule and bounded by a stall counter.
-	dirFrac := make([][]float64, len(comms)) // reused direction rows
-	gotDir := make([]bool, len(comms))
+	q := make([]float64, nL)
+	dirLoads := make([]float64, 0, nL)
+	scratch := make([]float64, nL) // all zero between row updates
 	stalls := 0
 	for it := 0; it < opts.Iterations; it++ {
 		mu := math.Max(mlu/500, mlu*0.05*math.Pow(0.97, float64(it)))
-		q := softmax(loads, cap, mu)
+		softmax(q, loads, cap, mu)
 
 		// Linear minimization oracle: shortest paths under cost q_e/c_e.
-		cost := func(id graph.LinkID) float64 {
-			return q[id]/cap[id] + 1e-15
+		for e := range cost {
+			cost[e] = q[e]/cap[e] + 1e-15
 		}
-		dirLoads := append([]float64(nil), bg...)
-		for k := range dirFrac {
-			gotDir[k] = false
-			if dirFrac[k] == nil {
-				dirFrac[k] = make([]float64, nL)
-			} else {
-				for e := range dirFrac[k] {
-					dirFrac[k][e] = 0
-				}
-			}
-		}
-		assignShortest(g, f.Comms, reach, opts.Alive, cost, func(k int, path []graph.LinkID) {
-			gotDir[k] = true
-			for _, id := range path {
-				dirFrac[k][id] = 1
-				dirLoads[id] += comms[k].Demand
-			}
-		})
-		// A commodity without a fresh direction keeps its current routing.
-		for k := range comms {
-			if !reach[k] || gotDir[k] {
-				continue
-			}
-			copy(dirFrac[k], f.Frac[k])
-			d := comms[k].Demand
-			for e, v := range f.Frac[k] {
-				if v != 0 {
-					dirLoads[e] += d * v
-				}
+		dirLoads = append(dirLoads[:0], bg...)
+		o.route(cost, dirLoads)
+		// A commodity without a fresh direction keeps its current routing
+		// (a dropped commodity's row is empty, so it adds nothing).
+		for k, path := range o.paths {
+			if path == nil {
+				rows[k].AddLoads(comms[k].Demand, dirLoads)
 			}
 		}
 
@@ -201,50 +177,110 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		for e := 0; e < nL; e++ {
 			loads[e] = (1-gamma)*loads[e] + gamma*dirLoads[e]
 		}
-		for k := range comms {
-			if !reach[k] {
-				continue
-			}
-			fk, dk := f.Frac[k], dirFrac[k]
-			for e := 0; e < nL; e++ {
-				fk[e] = (1-gamma)*fk[e] + gamma*dk[e]
+		for k, path := range o.paths {
+			if path != nil {
+				rows[k].MoveToward(gamma, path, scratch)
+			} else {
+				rows[k].SelfMix(gamma)
 			}
 		}
 		mlu = util(loads, cap)
 	}
 
+	f := flow()
 	f.RemoveLoops()
 	// Recompute exactly from the final fractions.
 	final := append([]float64(nil), bg...)
 	f.AddLoads(final)
-	return &Result{Flow: f, MLU: util(final, cap), Dropped: dropped}
+	return &Result{Flow: f, MLU: util(final, cap), Dropped: o.dropped}
 }
 
-// assignShortest invokes emit(k, path) with one shortest path per
-// reachable commodity under the given cost, sharing one reverse Dijkstra
-// per destination. Paths follow the Dijkstra tree, so they are always
-// simple.
-func assignShortest(g *graph.Graph, comms []routing.Commodity, reach []bool, alive func(graph.LinkID) bool, cost spf.Cost, emit func(int, []graph.LinkID)) {
-	// Destinations are visited in first-seen commodity order, NOT map
-	// iteration order: callers accumulate floating-point loads in emit
-	// order, so a randomized order would make MinMLU's result vary run to
-	// run (and break the solver's bit-reproducibility guarantee).
-	groups := map[graph.NodeID][]int{}
-	var order []graph.NodeID
-	for k := range comms {
-		if reach[k] {
-			dst := comms[k].Dst
-			if groups[dst] == nil {
-				order = append(order, dst)
+// pathOracle is MinMLU's linear minimization oracle: one shortest path per
+// reachable commodity under a per-link cost row, sharing one reverse tree
+// per destination. It runs the CSR kernel on one Scratch and extracts paths
+// into storage retained per commodity, so a call allocates nothing once
+// the paths have reached their lengths. Paths follow the tree, so they are
+// always simple.
+type pathOracle struct {
+	csr     *graph.CSR
+	comms   []routing.Commodity
+	down    *graph.LinkSet // links outside Options.Alive; nil when all are alive
+	sc      spf.Scratch
+	dropped int // commodities with no path over alive links
+	// order lists the destinations of reachable commodities as first seen
+	// in commodity order, NOT in map or node order: callers accumulate
+	// floating-point loads in route's visiting order, so any other order
+	// would change MinMLU's result. groups holds each destination's
+	// reachable commodities, ascending.
+	order  []graph.NodeID
+	groups [][]int
+	// paths[k] is commodity k's path from the last route call, nil when it
+	// has none: a dropped commodity, or one whose source is its destination.
+	// Reachability does not depend on the cost, so a commodity that has a
+	// path has one in every call and its storage is reused.
+	paths [][]graph.LinkID
+}
+
+// newPathOracle screens reachability with one unit-cost tree per distinct
+// destination and groups the reachable commodities by destination.
+func newPathOracle(g *graph.Graph, comms []routing.Commodity, alive func(graph.LinkID) bool) *pathOracle {
+	nL := g.NumLinks()
+	o := &pathOracle{
+		csr: g.CSR(), comms: comms,
+		groups: make([][]int, g.NumNodes()),
+		paths:  make([][]graph.LinkID, len(comms)),
+	}
+	if alive != nil {
+		o.down = &graph.LinkSet{}
+		for e := 0; e < nL; e++ {
+			if !alive(graph.LinkID(e)) {
+				o.down.Add(graph.LinkID(e))
 			}
-			groups[dst] = append(groups[dst], k)
 		}
 	}
-	for _, dst := range order {
-		_, next := spf.DijkstraToWithNext(g, dst, alive, cost)
-		for _, k := range groups[dst] {
-			if path := spf.PathVia(g, comms[k].Src, next); path != nil {
-				emit(k, path)
+	for k, c := range comms {
+		o.groups[c.Dst] = append(o.groups[c.Dst], k)
+	}
+	hops := make([]float64, nL)
+	for e := range hops {
+		hops[e] = 1
+	}
+	reach := make([]bool, len(comms))
+	for dst, ks := range o.groups {
+		if len(ks) == 0 {
+			continue
+		}
+		spf.SPFTo(o.csr, graph.NodeID(dst), hops, o.down, &o.sc)
+		reachable := ks[:0]
+		for _, k := range ks {
+			if o.sc.Dist[comms[k].Src] != spf.Infinity {
+				reach[k] = true
+				reachable = append(reachable, k)
+			}
+		}
+		o.groups[dst] = reachable
+	}
+	seen := make([]bool, g.NumNodes())
+	for k, c := range comms {
+		if !reach[k] {
+			o.dropped++
+		} else if !seen[c.Dst] {
+			seen[c.Dst] = true
+			o.order = append(o.order, c.Dst)
+		}
+	}
+	return o
+}
+
+// route computes every reachable commodity's shortest path under cost into
+// o.paths and adds each routed commodity's demand to loads along its path.
+func (o *pathOracle) route(cost, loads []float64) {
+	for _, dst := range o.order {
+		spf.SPFTo(o.csr, dst, cost, o.down, &o.sc)
+		for _, k := range o.groups[dst] {
+			o.paths[k] = spf.PathFromNext(o.csr, o.comms[k].Src, o.sc.Next, o.paths[k][:0])
+			for _, id := range o.paths[k] {
+				loads[id] += o.comms[k].Demand
 			}
 		}
 	}
@@ -260,9 +296,9 @@ func util(loads, cap []float64) float64 {
 	return max
 }
 
-// softmax returns the gradient weights q_e ∝ exp(util_e/μ), summing to 1.
-func softmax(loads, cap []float64, mu float64) []float64 {
-	q := make([]float64, len(loads))
+// softmax fills q with the gradient weights q_e ∝ exp(util_e/μ), summing
+// to 1.
+func softmax(q, loads, cap []float64, mu float64) {
 	maxU := util(loads, cap)
 	var sum float64
 	for e := range q {
@@ -272,7 +308,6 @@ func softmax(loads, cap []float64, mu float64) []float64 {
 	for e := range q {
 		q[e] /= sum
 	}
-	return q
 }
 
 func innerUtil(q, loads, cap []float64) float64 {
