@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -22,15 +23,16 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-smoke runs exactly the commands of the CI bench-smoke job: the
-# hot-path gates (zero-allocation kernels, the pinned-base allocation
-# ceiling, cross-kernel plan bytes, worst-load differentials, the dense
-# oracles of the sparse commodity rows, the benchmark plan's digest, the plan
-# encoder against encoding/json and its allocation whatever the collector did),
-# the incremental-vs-flat SPF plan differential, and vet plus the smoke
-# test of the nested benchmark module (bench/ has its own go.mod, so the
-# root `go test ./...` never compiles it).
+# hot-path gates (zero-allocation kernels and sweeps, the pinned-base
+# allocation ceiling, cross-kernel plan bytes, worst-load differentials, the
+# dense oracles of the sparse commodity rows and of the sparse protection
+# half, the paired line-search probes against single ones, the pinned plan
+# digests, the plan encoder against encoding/json and its allocation whatever
+# the collector did), the incremental-vs-flat SPF plan differential, and vet
+# plus the smoke test of the nested benchmark module (bench/ has its own
+# go.mod, so the root `go test ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

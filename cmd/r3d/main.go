@@ -53,7 +53,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "gravity traffic seed")
 		solver   = flag.String("solver", "fw", "offline solver: fw|lp")
 		effort   = flag.Int("effort", 200, "FW solver effort")
-		workers  = flag.Int("workers", 0, "worker goroutines for the FW solver's oracle fan-outs and global-step fill (0 = all CPUs, 1 = serial; same plan either way, ≈ 1.0x below a few hundred links)")
+		workers  = flag.Int("workers", 0, "worker goroutines for the FW solver's oracle fan-outs and gradient-cost accumulation (0 = all CPUs, 1 = serial; same plan either way, ≈ 1.0x below a few hundred links)")
 		envelope = flag.Float64("envelope", 1.1, "normal-case penalty envelope (0 to disable)")
 
 		retain       = flag.Int("retain", 8, "revisions retained for rollback")

@@ -42,7 +42,7 @@ func main() {
 		degrLinks = flag.String("degradelinks", "", `comma-separated link:frac partial losses to apply online, e.g. "3:0.5,7:0.25" (combines with -fail)`)
 		total     = flag.Float64("total", 0, "total demand in Mbps (default: 15% of capacity)")
 		effort    = flag.Int("effort", 200, "solver effort")
-		workers   = flag.Int("workers", 0, "worker goroutines for the FW solver's oracle fan-outs and global-step fill (0 = all CPUs, 1 = serial; same plan either way, ≈ 1.0x below a few hundred links)")
+		workers   = flag.Int("workers", 0, "worker goroutines for the FW solver's oracle fan-outs and gradient-cost accumulation (0 = all CPUs, 1 = serial; same plan either way, ≈ 1.0x below a few hundred links)")
 		envelope  = flag.Float64("envelope", 1.1, "normal-case penalty envelope (0 to disable)")
 		seed      = flag.Int64("seed", 1, "gravity traffic seed")
 		topk      = flag.Int("topk", 0, "keep only the k heaviest gravity OD pairs (0 = dense; required for 1000-node-class topologies)")

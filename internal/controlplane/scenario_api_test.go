@@ -10,13 +10,13 @@ import (
 )
 
 type scenarioResp struct {
-	Revision       int64   `json:"revision"`
-	Kind           string  `json:"kind"`
-	MLU            float64 `json:"mlu"`
-	LostDemand     float64 `json:"lost_demand"`
-	CongestionFree bool    `json:"congestion_free"`
+	Revision       int64                  `json:"revision"`
+	Kind           string                 `json:"kind"`
+	MLU            float64                `json:"mlu"`
+	LostDemand     float64                `json:"lost_demand"`
+	CongestionFree bool                   `json:"congestion_free"`
 	Degraded       []core.LinkDegradation `json:"degraded"`
-	Surge          float64 `json:"surge"`
+	Surge          float64                `json:"surge"`
 }
 
 // TestScenarioEndpointGeneralized drives /v1/scenario through the
@@ -82,17 +82,17 @@ func TestScenarioEndpointGeneralized(t *testing.T) {
 
 	// Rejection surface.
 	bad := []string{
-		"",                    // nothing requested
-		"?degrade=3:1",        // full loss is a failure
-		"?degrade=3:0",        // zero fraction
-		"?degrade=99:0.5",     // out of range
+		"",                     // nothing requested
+		"?degrade=3:1",         // full loss is a failure
+		"?degrade=3:0",         // zero fraction
+		"?degrade=99:0.5",      // out of range
 		"?degrade=3:0.5,3:0.2", // duplicate
-		"?surge=1",            // not > 1
+		"?surge=1",             // not > 1
 		"?surge=0.5",
 		"?surge=NaN",
 		"?surge=+Inf",
-		"?links=0&degrade=0:0.5",       // fail+degrade same link
-		"?degrade=3:0.5&stage=1",       // staged preview is failures-only
+		"?links=0&degrade=0:0.5", // fail+degrade same link
+		"?degrade=3:0.5&stage=1", // staged preview is failures-only
 		"?surge=1.5&stage=1",
 	}
 	for _, q := range bad {

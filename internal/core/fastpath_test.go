@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -95,13 +96,15 @@ func TestGroupStatsAgainstGeneric(t *testing.T) {
 		x := rng.Float64() * 8
 
 		// Fast path, restricted to a single "link e" column.
-		pcol := [][]float64{col}
+		pcol := make([]routing.SparseRow, 1)
+		pcol[0].SetDense(col)
 		sS := make([]float64, 1)
 		mSl := make([]float64, 1)
 		sM := make([]float64, 1)
 		mMl := make([]float64, 1)
-		groupStats(m.SRLGs, pcol, skip, sS, mSl)
-		groupStats(m.MLGs, pcol, skip, sM, mMl)
+		zero := make([]float64, n)
+		groupStats(m.SRLGs, pcol, skip, sS, mSl, zero)
+		groupStats(m.MLGs, pcol, skip, sM, mMl, zero)
 		srlg := math.Max(0, math.Max(sS[0], mSl[0]+x))
 		mlg := math.Max(0, math.Max(sM[0], mMl[0]+x))
 		got := srlg + mlg
@@ -126,7 +129,7 @@ func TestTernaryMinFindsMinimum(t *testing.T) {
 		{func(x float64) float64 { return -x }, 1},
 		{func(x float64) float64 { return math.Abs(x - 0.85) }, 0.85},
 	} {
-		got := ternaryMin(tc.f, 40)
+		got := ternaryMin(func(a, b float64) (float64, float64) { return tc.f(a), tc.f(b) }, 40)
 		if math.Abs(got-tc.want) > 1e-6 {
 			t.Fatalf("ternaryMin = %v, want %v", got, tc.want)
 		}

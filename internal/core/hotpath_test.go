@@ -96,13 +96,19 @@ func TestColTopRandomizedDifferential(t *testing.T) {
 				nv = rng.Float64() * 10
 			}
 			col[l] = nv
-			top.update(int32(l), nv, col, K)
+			if !top.update(int32(l), nv, K) {
+				top.rebuild(col, K)
+			}
 			for i := range knaps {
 				kc := &knaps[i]
 				if step%97 == 96 {
-					kc.top.rebuild(col, kc.K) // the epoch-boundary refresh
-				} else {
-					kc.top.update(int32(l), nv, col, kc.K)
+					// The epoch-boundary refresh, from the column's entries as
+					// the solver holds them.
+					var sp routing.SparseRow
+					sp.SetDense(col)
+					kc.top.rebuildSparse(&sp, kc.K)
+				} else if !kc.top.update(int32(l), nv, kc.K) {
+					kc.top.rebuild(col, kc.K)
 				}
 			}
 			check(step)
@@ -319,11 +325,11 @@ func newTestFWState(t testing.TB, g *graph.Graph, F int) *fwState {
 			R[k].Val = append(R[k].Val, 1/float64(len(out)))
 		}
 	}
-	P := newMatrix(nL, nL)
+	P := make([]routing.SparseRow, nL)
 	capac := make([]float64, nL)
 	for l := 0; l < nL; l++ {
 		capac[l] = g.Link(graph.LinkID(l)).Capacity
-		P[l][(l+1)%nL] = 1
+		P[l].SetPath([]graph.LinkID{graph.LinkID((l + 1) % nL)})
 	}
 	return &fwState{
 		g: g, comms: comms, capac: capac,
@@ -355,14 +361,14 @@ func TestBaseLoadsColumnsZeroAllocsWarm(t *testing.T) {
 	s := newTestFWState(t, mesh6(t), 1)
 	s.ensureArena()
 	s.baseLoads(nil, s.ar.loads)
-	s.pcol = s.columns(s.P, s.pcol)
+	s.pcol = s.columns(nil, s.pcol)
 	if n := testing.AllocsPerRun(20, func() {
 		s.baseLoads(nil, s.ar.loads)
 	}); n != 0 {
 		t.Fatalf("warm baseLoads allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		s.columns(s.P, s.pcol)
+		s.columns(nil, s.pcol)
 	}); n != 0 {
 		t.Fatalf("warm columns allocates %v per run, want 0", n)
 	}
@@ -399,14 +405,18 @@ func TestPrecomputeDeterministicInlineVsPooled(t *testing.T) {
 // TestPinnedPrecomputeAllocationCeiling: with the base pinned (the path
 // every CLI default, r3d and the benchmark take) the solver holds the base
 // routing as sparse rows and a path per commodity, never as
-// [commodity][link] matrices. One such Precompute on SBC allocated
-// 4 067 277 B while MinMLU and fwState kept dense iterate, direction and
-// best-iterate matrices; it allocates 1 876 949 B now. The ceiling is half
-// of the former, so any one of those matrices coming back fails it.
+// [commodity][link] matrices, and the protection routing as sparse rows and
+// columns, never as [link][link] matrices. One such Precompute on SBC
+// allocated 4 067 277 B while MinMLU and fwState kept dense base matrices,
+// 1 867 424 B while fwState kept six dense protection matrices, and
+// allocates 1 674 363 B now (≈ 30 KB more under -race). The ceiling is the
+// figure plus one 70 × 70 float matrix (39 200 B), so any one of the
+// protection matrices coming back — 40 880 B with its row headers — fails
+// it.
 func TestPinnedPrecomputeAllocationCeiling(t *testing.T) {
 	g := topo.SBC()
 	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
-	const ceiling = 4067277 / 2
+	const ceiling = 1674363 + 70*70*8
 	got := allocBytes(3, func() {
 		if _, err := Precompute(g, d, Config{
 			Model: ArbitraryFailures{F: 1}, Iterations: 100, PenaltyEnvelope: 1.1, Workers: 1,

@@ -52,13 +52,13 @@ type Config struct {
 	// solver's own tolerance).
 	PenaltyEnvelope float64
 	// Workers bounds the FW solver's parallelism (default GOMAXPROCS;
-	// 1 forces serial execution). It governs the three loops whose items
-	// are at least one O(links) pass — the two oracle fan-outs and the
-	// global step's line-search fill — and nothing else; every parallel
-	// item writes only slots it owns, so the produced plan is bit-identical
-	// for every worker count and Workers trades only wall-clock time. Below
-	// a few hundred links expect ≈ 1.0×; the gain shows at thousands
-	// (DESIGN.md §6). The LP solver ignores it.
+	// 1 forces serial execution). It governs the loops whose items are at
+	// least one O(links) pass — the p directions' cost accumulation and the
+	// two oracle fan-outs — and nothing else; every parallel item writes
+	// only slots it owns, so the produced plan is bit-identical for every
+	// worker count and Workers trades only wall-clock time. Below a few
+	// hundred links expect ≈ 1.0×; the gain shows at thousands (DESIGN.md
+	// §6). The LP solver ignores it.
 	Workers int
 	// Obs, when non-nil, receives solver metrics and traces: per-epoch
 	// MLU/step-size spans under trace "fw", SPF and epoch counters, LP
@@ -244,15 +244,10 @@ func demandVector(comms []routing.Commodity, d *traffic.Matrix) []float64 {
 // solveFW is the iterative offline solver: smoothed Frank–Wolfe over the
 // product of flow polytopes for (r, p).
 func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg Config) (*Plan, error) {
-	nL := g.NumLinks()
 	nK := len(comms)
 	iters := cfg.Iterations
 	if iters == 0 {
 		iters = 200
-	}
-	capac := make([]float64, nL)
-	for e := 0; e < nL; e++ {
-		capac[e] = g.Link(graph.LinkID(e)).Capacity
 	}
 
 	// The fw.run span covers the whole solve: base initialization, the
@@ -261,8 +256,65 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	runSp := o.trace.Start("fw.run")
 	defer runSp.End()
 
-	// ---- Initialization ----
 	initSp := runSp.Child("base-init")
+	st, err := newFWState(g, comms, reqs, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Obs != nil {
+		pool := st.pool
+		cfg.Obs.GaugeFunc("fw.pool_pending", pool.Pending)
+		cfg.Obs.GaugeFunc("fw.pool_loops", func() int64 { loops, _ := pool.Stats(); return loops })
+		cfg.Obs.GaugeFunc("fw.pool_items", func() int64 { _, items := pool.Stats(); return items })
+	}
+	initSp.End()
+	st.run(iters, runSp)
+
+	// ---- Package the plan ----
+	// The plan's base is the dense view of the iterate with loops removed;
+	// the rows are re-read from it so the reported objective is the plan's.
+	// Its protection is sanitizeProt's dense view of P, re-read the same
+	// way.
+	pkgSp := runSp.Child("package")
+	defer pkgSp.End()
+	totalDemand := reqs[0].demands
+	base := routing.NewFlow(g, comms)
+	for k := 0; k < nK; k++ {
+		st.R[k].Scatter(base.Frac[k])
+		base.Comms[k].Demand = totalDemand[k]
+	}
+	base.RemoveLoops()
+	for k := 0; k < nK; k++ {
+		st.R[k].SetDense(base.Frac[k])
+	}
+	prot := sanitizeProt(g, st.P)
+	for l := range prot {
+		st.P[l].SetDense(prot[l])
+	}
+	plan := &Plan{
+		G:     g,
+		Model: reqs[highestModelIndex(reqs)].model,
+		Base:  base,
+		Prot:  prot,
+		MLU:   st.objective(),
+	}
+	plan.NormalMLU = routing.MLU(g, base.Loads())
+	// The epoch loop tracked the running objective; settle the gauge on
+	// the restored-best plan value.
+	st.o.mlu.Set(plan.MLU)
+	return plan, nil
+}
+
+// newFWState builds the solver's initial iterate: the base routing
+// (optimized by MinMLU, or matched from cfg.BaseRouting) and one shortest
+// detour per protected link.
+func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg Config, o fwObs) (*fwState, error) {
+	nL := g.NumLinks()
+	nK := len(comms)
+	capac := make([]float64, nL)
+	for e := 0; e < nL; e++ {
+		capac[e] = g.Link(graph.LinkID(e)).Capacity
+	}
 	optimizeBase := cfg.BaseRouting == nil
 	R := make([]routing.SparseRow, nK)
 	totalDemand := reqs[0].demands
@@ -306,20 +358,16 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 
 	// Protection init: shortest detour avoiding the link itself when one
 	// exists, otherwise route on the link (p_l(l)=1 means "unprotected").
-	P := make([][]float64, nL)
+	P := make([]routing.SparseRow, nL)
 	for l := 0; l < nL; l++ {
-		P[l] = make([]float64, nL)
 		lid := graph.LinkID(l)
 		link := g.Link(lid)
 		avoid := func(id graph.LinkID) bool { return id != lid }
 		path := spf.ShortestPath(g, link.Src, link.Dst, avoid, spf.WeightCost(g))
 		if path == nil {
-			P[l][l] = 1
-		} else {
-			for _, id := range path {
-				P[l][id] = 1
-			}
+			path = []graph.LinkID{lid}
 		}
+		P[l].SetPath(path)
 	}
 
 	// Delay envelope bounds per commodity. Average path delay is linear in
@@ -346,50 +394,14 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		}
 	}
 
-	st := &fwState{
+	return &fwState{
 		g: g, comms: comms, reqs: reqs, capac: capac,
 		R: R, P: P, delayCap: delayCap,
 		optimizeBase: optimizeBase,
 		pool:         par.New(cfg.Workers),
 		o:            o,
 		spfMode:      cfg.SPF.Resolve(g.NumNodes()),
-	}
-	if cfg.Obs != nil {
-		pool := st.pool
-		cfg.Obs.GaugeFunc("fw.pool_pending", pool.Pending)
-		cfg.Obs.GaugeFunc("fw.pool_loops", func() int64 { loops, _ := pool.Stats(); return loops })
-		cfg.Obs.GaugeFunc("fw.pool_items", func() int64 { _, items := pool.Stats(); return items })
-	}
-	initSp.End()
-	st.run(iters, runSp)
-
-	// ---- Package the plan ----
-	// The plan's base is the dense view of the iterate with loops removed;
-	// the rows are re-read from it so the reported objective is the plan's.
-	pkgSp := runSp.Child("package")
-	defer pkgSp.End()
-	base := routing.NewFlow(g, comms)
-	for k := 0; k < nK; k++ {
-		st.R[k].Scatter(base.Frac[k])
-		base.Comms[k].Demand = totalDemand[k]
-	}
-	base.RemoveLoops()
-	for k := 0; k < nK; k++ {
-		st.R[k].SetDense(base.Frac[k])
-	}
-	sanitizeProt(g, st.P)
-	plan := &Plan{
-		G:     g,
-		Model: reqs[highestModelIndex(reqs)].model,
-		Base:  base,
-		Prot:  st.P,
-		MLU:   st.objective(),
-	}
-	plan.NormalMLU = routing.MLU(g, base.Loads())
-	// The epoch loop tracked the running objective; settle the gauge on
-	// the restored-best plan value.
-	st.o.mlu.Set(plan.MLU)
-	return plan, nil
+	}, nil
 }
 
 func highestModelIndex(reqs []requirement) int {
@@ -413,6 +425,8 @@ type fwObs struct {
 	epochs    *obs.Counter    // completed FW epochs
 	mlu       *obs.FloatGauge // latest true objective
 	step      *obs.FloatGauge // latest accepted global step size
+	protNNZ   *obs.Gauge      // protection nonzeros after the latest epoch: what an epoch's p work scales with
+	splits    *obs.Counter    // paired block-sweep probes whose maxima differed and ran one after the other
 	trace     *obs.Trace      // span tree: fw.run > {base-init, epoch > {directions, global-step, r-sweep, p-sweep}, package}
 }
 
@@ -428,6 +442,8 @@ func newFWObs(reg *obs.Registry) fwObs {
 		epochs:    reg.Counter("fw.epochs"),
 		mlu:       reg.FloatGauge("fw.mlu"),
 		step:      reg.FloatGauge("fw.step"),
+		protNNZ:   reg.Gauge("fw.prot_nnz"),
+		splits:    reg.Counter("fw.probe_splits"),
 		trace:     reg.Trace("fw"),
 	}
 }
@@ -453,7 +469,7 @@ type fwState struct {
 	reqs         []requirement
 	capac        []float64
 	R            []routing.SparseRow // [commodity], over links
-	P            [][]float64         // [protected link][link]
+	P            []routing.SparseRow // [protected link], over links
 	delayCap     []float64           // nil when no delay envelope
 	optimizeBase bool
 	pool         *par.Pool
@@ -463,10 +479,14 @@ type fwState struct {
 	// best-so-far snapshot by true objective
 	bestObj float64
 	bestR   []routing.SparseRow
-	bestP   [][]float64
+	bestP   []routing.SparseRow
 
-	// scratch
-	pcol [][]float64 // [link e][protected l]: c_l * P[l][e]
+	// pcol[e] is column e of the virtual loads c_l·p_l(e): its entries in
+	// ascending l, one per nonzero p_l(e) (see columns). A p-sweep accept
+	// writes nv into it and nv/c_l into P, so an entry is not always
+	// c_l·P[l][e] recomputed, and the pinned trajectories hold both values.
+	pcol []routing.SparseRow
+	lse  sweepLSE // the block sweeps' cached line-search objective
 
 	// hot-path arenas: every per-epoch buffer the solver used to allocate
 	// lives here and is reused across epochs (see DESIGN.md §9). csr is
@@ -501,11 +521,15 @@ type fwState struct {
 }
 
 // fwArena holds the solver's reusable buffers. Ownership rule: a buffer is
-// either fully overwritten by its producer before any read (q, us, dirP,
-// pcolDir, dirLoads, rCost, diff, rk) or explicitly zeroed at the start of
-// the producing pass (costP, loads); consumers never read a buffer across
-// an epoch boundary. mix is the exception: all zero between uses, which
-// every SparseRow.MoveToward restores.
+// either fully overwritten by its producer before any read (q, us, dirLoads,
+// rCost, diff, rk, the union arrays) or explicitly reset at the start of the
+// producing pass (loads, pcolDir, the pattern lists and their costs);
+// consumers never read a buffer across an epoch boundary. mix, zero, xDir
+// during a p sweep and xCur are the exceptions: all zero between uses, which
+// every user restores (SparseRow.MoveToward and Gather restore mix; Clear
+// restores zero after a Scatter; the p sweeps clear xDir and xCur on the
+// cells a block wrote). The protection supports themselves are owned by
+// fwState: P and bestP rows, pcol and the colTop buffers.
 type fwArena struct {
 	objLoads [][]float64 // objective(): base loads [req][link]
 	loads    [][]float64 // epoch state: base loads [req][link]
@@ -516,20 +540,26 @@ type fwArena struct {
 	grpSl    [][]float64 // p-sweep, grp1 only: best SRLG sum through it, its own entry removed
 	grpM     [][]float64 // p-sweep, grp1 only: the same two for MLGs
 	grpMl    [][]float64
-	xDir     []float64   // block sweeps: oracle direction per link
-	q        [][]float64 // softmax gradient weights [req][link]
-	u0       [][]float64 // r-sweep: static utilizations [req][link]
-	expu     [][]float64 // r-sweep: cached exp terms for u0 [req][link]
-	diff     []float64   // r-sweep: xDir - rk per link
-	active   []int32     // r-sweep: links with nonzero diff
-	rk       []float64   // r-sweep: dense view of the block's commodity row
-	mix      []float64   // global step: SparseRow.MoveToward scratch, all zero between uses
-	dirLoads [][]float64 // global step: direction loads [req][link] (joint base only)
-	dirP     [][]float64 // global step: direction protection [link][link]
-	pcolDir  [][]float64 // global step: direction columns [link][link]
-	us       []float64   // global step: utilization cells [req*link]
-	costP    [][]float64 // pDirections: gradient costs [protected][link]
-	rCost    []float64   // rDirections: shared cost row (single requirement)
+	xDir     []float64           // block sweeps: oracle direction per link
+	xCur     []float64           // p sweeps: pcol[e][l] of the block's link l at the cells it holds
+	zero     []float64           // generic models: a column scattered for WorstLoad, all zero between uses
+	q        [][]float64         // softmax gradient weights [req][link]
+	u0       [][]float64         // block sweeps: static utilizations [req][link]
+	expu     [][]float64         // block sweeps: cached exp terms for u0 [req][link]
+	live     []bool              // r-sweep: requirements with demand on the block's commodity
+	diff     []float64           // r-sweep: xDir - rk per link
+	active   []int32             // block sweeps: the block's active cells (r: links with nonzero diff)
+	rk       []float64           // r-sweep: dense view of the block's commodity row
+	mix      []float64           // SparseRow.MoveToward / Gather scratch, all zero between uses
+	dirLoads [][]float64         // global step: direction loads [req][link] (joint base only)
+	pcolDir  []routing.SparseRow // global step: the p direction's columns, as pcol
+	unPtr    []int32             // global step: column e's cells are unIdx[unPtr[e]:unPtr[e+1]]
+	unIdx    []int32             // global step: protected links in pcol[e] ∪ pcolDir[e], ascending
+	unA      []float64           // global step: pcol[e][l] on those cells (0 where absent)
+	unB      []float64           // global step: pcolDir[e][l] on those cells (0 where absent)
+	mixVal   []float64           // global step: one probe's mixed column on the union
+	us       []float64           // line searches: utilization cells of two probes [2][req*link]
+	rCost    []float64           // rDirections: shared cost row (single requirement)
 	rPaths   [][]graph.LinkID
 	pPaths   [][]graph.LinkID
 	rPathBuf [][]graph.LinkID // retained path storage per commodity
@@ -537,13 +567,15 @@ type fwArena struct {
 	dsts     []graph.NodeID   // rDirections: sorted distinct destinations
 	dstComms [][]int          // rDirections: commodities per destination
 
-	// Incremental-SPF scratch (unused under ModeFlat).
-	pPat     [][]int32        // pDirections: previous epoch's nonzero cells per protected link
-	pPatNew  [][]int32        // pDirections: current epoch's nonzero cells per protected link
-	patPairs [][]int32        // pDirections: per-chunk (l, e) first-contribution pairs
-	pIDs     [][]int32        // pDirections: per-link candidate link ids (old ∪ new pattern)
-	pVals    [][]float64      // pDirections: per-link candidate costs, aligned with pIDs
-	stampE   []int32          // p-sweep: generation-stamped active-cell marker per link
+	// pDirections: the gradient costs live only on their nonzero pattern.
+	pPat     [][]int32        // previous epoch's pattern cells per protected link (incremental SPF)
+	pPatNew  [][]int32        // current epoch's pattern cells per protected link, ascending
+	pCost    [][]float64      // current epoch's costs, aligned with pPatNew
+	patPairs [][]int32        // per-chunk (l, e) first-contribution pairs
+	patVals  [][]float64      // per-chunk costs, one per pair
+	pIDs     [][]int32        // per-link candidate link ids (old ∪ new pattern)
+	pVals    [][]float64      // per-link candidate costs, aligned with pIDs
+	stampE   []int32          // block sweeps: generation-stamped active-cell marker per link
 	active2  []int32          // p-sweep: active cells of the last accepted block
 	delay    []float64        // delayBoundedPath: per-link propagation delay row
 	dPathBuf [][]graph.LinkID // retained delay-bounded path per commodity
@@ -569,18 +601,21 @@ func (s *fwState) ensureArena() {
 	a.sFm1 = newMatrix(nI, nL)
 	a.aF = newMatrix(nI, nL)
 	a.xDir = make([]float64, nL)
+	a.xCur = make([]float64, nL)
+	a.zero = make([]float64, nL)
 	a.q = newMatrix(nI, nL)
 	a.u0 = newMatrix(nI, nL)
 	a.expu = newMatrix(nI, nL)
+	a.live = make([]bool, nI)
 	a.diff = make([]float64, nL)
 	a.active = make([]int32, nL)
 	a.rk = make([]float64, nL)
 	a.mix = make([]float64, nL)
 	a.dirLoads = newMatrix(nI, nL)
-	a.dirP = newMatrix(nL, nL)
-	a.pcolDir = newMatrix(nL, nL)
-	a.us = make([]float64, nI*nL)
-	a.costP = newMatrix(nL, nL)
+	a.pcolDir = make([]routing.SparseRow, nL)
+	a.unPtr = make([]int32, nL+1)
+	a.mixVal = make([]float64, nL)
+	a.us = make([]float64, 2*nI*nL)
 	a.rCost = make([]float64, nL)
 	a.rPaths = make([][]graph.LinkID, nK)
 	a.pPaths = make([][]graph.LinkID, nL)
@@ -591,14 +626,13 @@ func (s *fwState) ensureArena() {
 		a.delay[e] = s.g.Link(graph.LinkID(e)).Delay
 	}
 	a.dPathBuf = make([][]graph.LinkID, nK)
-	if s.spfMode != spf.ModeFlat {
-		a.pPat = make([][]int32, nL)
-		a.pPatNew = make([][]int32, nL)
-		a.pIDs = make([][]int32, nL)
-		a.pVals = make([][]float64, nL)
-		a.stampE = make([]int32, nL)
-		a.active2 = make([]int32, nL)
-	}
+	a.pPat = make([][]int32, nL)
+	a.pPatNew = make([][]int32, nL)
+	a.pCost = make([][]float64, nL)
+	a.pIDs = make([][]int32, nL)
+	a.pVals = make([][]float64, nL)
+	a.stampE = make([]int32, nL)
+	a.active2 = make([]int32, nL)
 }
 
 // getBuf and putBuf recycle len-nL float rows for scratch taken inside a
@@ -648,47 +682,123 @@ func (s *fwState) baseLoads(paths [][]graph.LinkID, dst [][]float64) {
 	}
 }
 
-// columns builds pcol[e][l] = c_l * P[l][e] into dst (allocated when nil).
-func (s *fwState) columns(P [][]float64, dst [][]float64) [][]float64 {
-	nL := s.g.NumLinks()
+// columns transposes protection into columns of virtual loads, dst[e]
+// holding (l, c_l·x_l(e)) for every nonzero cell in ascending l, and
+// returns dst (allocated when nil). x_l is P[l] when paths is nil, and
+// otherwise the global step's p direction: the indicator of the oracle
+// path paths[l] (c_l·1 = c_l), or the current row where the oracle found
+// none. The pass costs the rows' nonzeros and allocates nothing warm.
+func (s *fwState) columns(paths [][]graph.LinkID, dst []routing.SparseRow) []routing.SparseRow {
 	if dst == nil {
-		dst = newMatrix(nL, nL)
+		dst = make([]routing.SparseRow, s.g.NumLinks())
 	}
-	for e := 0; e < nL; e++ {
-		col := dst[e]
-		for l := range col {
-			col[l] = 0
-		}
+	for e := range dst {
+		dst[e].Idx, dst[e].Val = dst[e].Idx[:0], dst[e].Val[:0]
 	}
-	for l := 0; l < nL; l++ {
+	for l := range s.P {
 		cl := s.capac[l]
-		pl := P[l]
-		for e := 0; e < nL; e++ {
-			if v := pl[e]; v != 0 {
-				dst[e][l] = cl * v
+		if paths != nil && paths[l] != nil {
+			for _, id := range paths[l] {
+				dst[id].Idx = append(dst[id].Idx, int32(l))
+				dst[id].Val = append(dst[id].Val, cl)
+			}
+			continue
+		}
+		row := &s.P[l]
+		for j, e := range row.Idx {
+			if v := row.Val[j]; v != 0 {
+				dst[e].Idx = append(dst[e].Idx, int32(l))
+				dst[e].Val = append(dst[e].Val, cl*v)
 			}
 		}
 	}
 	return dst
 }
 
+// colAt returns a column's entry for protected link l, 0 when it holds
+// none.
+func colAt(col *routing.SparseRow, l int32) float64 {
+	if j, ok := colFind(col, l); ok {
+		return col.Val[j]
+	}
+	return 0
+}
+
+// colSet writes a column's entry for protected link l, inserting it at its
+// ascending position when the column holds none.
+func colSet(col *routing.SparseRow, l int32, v float64) {
+	j, ok := colFind(col, l)
+	if ok {
+		col.Val[j] = v
+		return
+	}
+	col.Idx = append(col.Idx, 0)
+	col.Val = append(col.Val, 0)
+	copy(col.Idx[j+1:], col.Idx[j:])
+	copy(col.Val[j+1:], col.Val[j:])
+	col.Idx[j], col.Val[j] = l, v
+}
+
+// colFind binary-searches a column for protected link l: its position, or
+// where it would be inserted.
+func colFind(col *routing.SparseRow, l int32) (int, bool) {
+	lo, hi := 0, len(col.Idx)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if col.Idx[m] < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(col.Idx) && col.Idx[lo] == l
+}
+
+// worstAt returns requirement i's worst-case virtual load on one column —
+// model.WorstLoad of the dense column, bit for bit — through the selected
+// kernel when one serves (top must then be the column's colTop buffer) or,
+// for generic models, WorstLoad on the column scattered into ar.zero.
+func (s *fwState) worstAt(i int, top *colTop, col *routing.SparseRow) float64 {
+	switch {
+	case s.knapU != nil:
+		// The knapsack walk over the buffer is WorstLoad bit for bit.
+		w, _ := top.worstKnap(s.knapU[i])
+		return w
+	case s.arbF != nil && s.arbF[i] < len(s.capac):
+		// The buffer answers sumTopK bit for bit as long as F stays below
+		// the column length (the reference switches to index-order
+		// summation at F >= len).
+		return top.worstArb(s.arbF[i])
+	}
+	col.Scatter(s.ar.zero)
+	w := s.reqs[i].model.WorstLoad(s.ar.zero)
+	col.Clear(s.ar.zero)
+	return w
+}
+
 // objective evaluates the true (non-smoothed) objective of the current
-// iterate from scratch, through the FailureModel interface: max over
-// requirements and links of utilization.
+// iterate from scratch: max over requirements and links of utilization,
+// with the columns rebuilt from P.
 func (s *fwState) objective() float64 {
 	nL := s.g.NumLinks()
 	if s.ar.objLoads == nil {
 		s.ar.objLoads = newMatrix(len(s.reqs), nL)
 	}
+	if s.ar.zero == nil {
+		s.ar.zero = make([]float64, nL)
+	}
 	loads := s.ar.objLoads
 	s.baseLoads(nil, loads)
-	s.pcol = s.columns(s.P, s.pcol)
+	s.pcol = s.columns(nil, s.pcol)
+	var top colTop
 	worst := 0.0
-	for i := range s.reqs {
-		li := loads[i]
-		model := s.reqs[i].model
-		for e := 0; e < nL; e++ {
-			if u := (li[e] + model.WorstLoad(s.pcol[e])) / s.capac[e]; u > worst {
+	for e := range s.pcol {
+		col := &s.pcol[e]
+		if s.topK > 0 {
+			top.rebuildSparse(col, s.topK)
+		}
+		for i, li := range loads {
+			if u := (li[e] + s.worstAt(i, &top, col)) / s.capac[e]; u > worst {
 				worst = u
 			}
 		}
@@ -709,14 +819,14 @@ func (s *fwState) objective() float64 {
 //
 // Execution policy (DESIGN.md §6): an item on the worker pool is at least
 // one O(links) pass, which is the oracle fan-outs in rDirections and
-// pDirections and the line-search fill in globalStep. Every other loop of
-// every phase costs O(1) per cell and is a plain loop.
+// pDirections. Every other loop of every phase costs O(1) per cell or the
+// protection's nonzeros per column and is a plain loop.
 func (s *fwState) run(effort int, runSp obs.Span) {
 	epochs := min(max(effort/5, 12), 120)
 	s.selectKernels()
 	s.bestObj = math.Inf(1)
 	s.baseLoads(nil, s.ar.loads)
-	s.pcol = s.columns(s.P, s.pcol)
+	s.pcol = s.columns(nil, s.pcol)
 	s.refreshW()
 
 	obj := s.trueObj()
@@ -762,6 +872,7 @@ func (s *fwState) run(effort int, runSp obs.Span) {
 			s.snapshotBest(obj)
 		}
 		s.o.mlu.Set(obj)
+		s.o.protNNZ.Set(s.protNNZ())
 		s.o.epochs.Inc()
 		epochSp.SetFloat("mlu", obj)
 		epochSp.SetFloat("step", gamma)
@@ -861,33 +972,18 @@ func (s *fwState) selectKernels() {
 // refreshW recomputes the worst-case virtual loads W from the current
 // pcol, rebuilding the colTop buffers first when a kernel maintains them.
 func (s *fwState) refreshW() {
-	nL := s.g.NumLinks()
 	if s.topK > 0 {
 		for e := range s.tops {
-			s.tops[e].rebuild(s.pcol[e], s.topK)
+			s.tops[e].rebuildSparse(&s.pcol[e], s.topK)
 		}
 	}
+	var top *colTop
 	for i, Wi := range s.ar.W {
-		switch {
-		case s.knapU != nil:
-			// The knapsack walk over the buffer is WorstLoad bit for bit.
-			u := s.knapU[i]
-			for e := range Wi {
-				Wi[e], _ = s.tops[e].worstKnap(u)
+		for e := range Wi {
+			if s.topK > 0 {
+				top = &s.tops[e]
 			}
-		case s.arbF != nil && s.arbF[i] < nL:
-			// The maintained top buffers answer sumTopK bit for bit as long
-			// as F stays below the column length (the reference switches to
-			// index-order summation at F >= len).
-			F := s.arbF[i]
-			for e := range Wi {
-				Wi[e] = s.tops[e].worstArb(F)
-			}
-		default:
-			model := s.reqs[i].model
-			for e := range Wi {
-				Wi[e] = model.WorstLoad(s.pcol[e])
-			}
+			Wi[e] = s.worstAt(i, top, &s.pcol[e])
 		}
 	}
 }
@@ -927,6 +1023,87 @@ func (s *fwState) softmaxWeights(obj, mu float64) {
 	}
 }
 
+// sweepLSE evaluates a block sweep's line-search objective, the smoothed
+// max worst + μ·log Σ exp((u − worst)/μ) over every (requirement, link)
+// cell, with the cells the moving block cannot change read from a cache:
+// u0 holds their utilizations and expu their exp terms at the reference
+// point worst (NaN before the first fill). A cell is active when its
+// requirement is live (live nil: every requirement) and stamp[e] == gen;
+// the caller passes the active cells' utilizations as flat [req*link]
+// rows and the z sum walks every cell in ascending order, mixing fresh and
+// cached terms, so its association is that of the uncached evaluation.
+type sweepLSE struct {
+	u0, expu [][]float64
+	worst    float64
+	mu       float64
+	stamp    []int32
+	gen      int32
+	live     []bool
+	splits   *obs.Counter
+}
+
+// refill re-keys the exp cache on a new reference point.
+func (c *sweepLSE) refill(worst float64) {
+	for i, u0i := range c.u0 {
+		ei := c.expu[i][:len(u0i)]
+		for e, u := range u0i {
+			ei[e] = math.Exp((u - worst) / c.mu)
+		}
+	}
+	c.worst = worst
+}
+
+// pair returns the objective at the two probes of one line-search step,
+// given each probe's maximum over all cells (wa, wb) and its active cells'
+// utilizations (ua, ub). The result, and the cache state it leaves, are
+// those of evaluating probe a and then probe b on their own, bit for bit.
+// Equal maxima share one cache key, so one pass adds every cell into two
+// independent accumulators; different maxima (counted as a split) need the
+// cache keyed on each in turn, and the two evaluations run one after the
+// other in that order.
+func (c *sweepLSE) pair(wa, wb float64, ua, ub []float64) (fa, fb float64) {
+	if wa != c.worst {
+		c.refill(wa)
+	}
+	if wa == wb {
+		za, zb := c.sums(wa, ua, ub)
+		return wa + c.mu*math.Log(za), wb + c.mu*math.Log(zb)
+	}
+	c.splits.Inc()
+	za, _ := c.sums(wa, ua, ua)
+	c.refill(wb)
+	_, zb := c.sums(wb, ub, ub)
+	return wa + c.mu*math.Log(za), wb + c.mu*math.Log(zb)
+}
+
+// sums adds exp((u − worst)/μ) over every cell in ascending (requirement,
+// link) order, once with probe a's active utilizations and once with probe
+// b's, in two accumulators; static cells add their cached term to both.
+func (c *sweepLSE) sums(worst float64, ua, ub []float64) (za, zb float64) {
+	nL := len(c.stamp)
+	for i, ei := range c.expu {
+		ei = ei[:nL]
+		if c.live != nil && !c.live[i] {
+			for _, x := range ei {
+				za += x
+				zb += x
+			}
+			continue
+		}
+		ra, rb := ua[i*nL:(i+1)*nL], ub[i*nL:(i+1)*nL]
+		for e, x := range ei {
+			if c.stamp[e] == c.gen {
+				za += math.Exp((ra[e] - worst) / c.mu)
+				zb += math.Exp((rb[e] - worst) / c.mu)
+			} else {
+				za += x
+				zb += x
+			}
+		}
+	}
+	return za, zb
+}
+
 // rSweep runs one r block sweep: every commodity in turn moves toward its
 // oracle path by its own exact line search on the smoothed objective.
 //
@@ -939,36 +1116,26 @@ func (s *fwState) softmaxWeights(obj, mu float64) {
 // adding a signed zero to loads (never -0: base loads are sums of
 // nonnegative terms with exact cancellation rounding to +0) reproduces
 // loads bitwise. Static utilizations u0 are therefore constant across the
-// whole sweep between accepted blocks, and their exp terms
-// exp((u0 - worst)/mu) depend only on the current reference point `worst`:
-// they are cached in expu keyed on cachedWorst and refilled only when worst
-// moves. The z sum still walks every (i, e) cell in ascending order adding
-// bitwise-identical values, so the evaluation — and the accepted plan —
-// matches the reference exactly while computing math.Exp only for the few
-// active cells plus cache refills.
+// whole sweep between accepted blocks, and their exp terms are cached in
+// sweepLSE, so an evaluation computes math.Exp only for the few active
+// cells plus cache refills while matching the reference exactly.
 func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
+	nT := nI * nL
 	loads, W := s.ar.loads, s.ar.W
-	u0, expu := s.ar.u0, s.ar.expu
+	u0 := s.ar.u0
 	xDir, diff, act := s.ar.xDir, s.ar.diff, s.ar.active
-	rk := s.ar.rk
+	rk, live, stamp := s.ar.rk, s.ar.live, s.ar.stampE
+	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
 	for i := 0; i < nI; i++ {
 		li, Wi, u0i := loads[i], W[i], u0[i]
 		for e := 0; e < nL; e++ {
 			u0i[e] = (li[e] + Wi[e]) / s.capac[e]
 		}
 	}
-	cachedWorst := math.NaN()
-	refill := func(worst float64) {
-		for i := 0; i < nI; i++ {
-			u0i, ei := u0[i], expu[i]
-			for e := 0; e < nL; e++ {
-				ei[e] = math.Exp((u0i[e] - worst) / mu)
-			}
-		}
-		cachedWorst = worst
-	}
+	lse := &s.lse
+	*lse = sweepLSE{u0: u0, expu: s.ar.expu, worst: math.NaN(), mu: mu, stamp: stamp, live: live, splits: s.o.splits}
 	for k := range s.comms {
 		path := rPaths[k]
 		if path == nil {
@@ -985,21 +1152,22 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			rk[e] = 0
 		}
 		s.R[k].Scatter(rk)
+		s.stampGen++
+		gen := s.stampGen
 		nAct := 0
 		for e := 0; e < nL; e++ {
 			d := xDir[e] - rk[e]
 			diff[e] = d
 			if d != 0 {
+				stamp[e] = gen
 				act[nAct] = int32(e)
 				nAct++
 			}
 		}
 		hasDemand := false
 		for i := 0; i < nI; i++ {
-			if s.reqs[i].demands[k] != 0 {
-				hasDemand = true
-				break
-			}
+			live[i] = s.reqs[i].demands[k] != 0
+			hasDemand = hasDemand || live[i]
 		}
 		if nAct == 0 || !hasDemand {
 			// Every cell is static: the reference evaluation is
@@ -1009,13 +1177,14 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			// untouched. Skipping is bit-identical.
 			continue
 		}
+		lse.gen = gen
 		// Max over the static cells; max is order-insensitive, so
 		// folding them per row here and merging with the active
 		// cells below reproduces the reference max exactly.
 		staticMax := 0.0
 		for i := 0; i < nI; i++ {
 			u0i := u0[i]
-			if s.reqs[i].demands[k] == 0 {
+			if !live[i] {
 				for e := 0; e < nL; e++ {
 					if u0i[e] > staticMax {
 						staticMax = u0i[e]
@@ -1029,51 +1198,33 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 				}
 			}
 		}
-		eval := func(gamma float64) float64 {
-			worst := staticMax
+		eval := func(ga, gb float64) (float64, float64) {
+			wa, wb := staticMax, staticMax
 			for i := 0; i < nI; i++ {
-				d := s.reqs[i].demands[k]
-				if d == 0 {
+				if !live[i] {
 					continue
 				}
-				gd := gamma * d
+				d := s.reqs[i].demands[k]
+				gda, gdb := ga*d, gb*d
 				li, Wi := loads[i], W[i]
+				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
 				for _, e32 := range act[:nAct] {
 					e := int(e32)
-					u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
-					if u > worst {
-						worst = u
+					ua := (li[e] + gda*diff[e] + Wi[e]) / s.capac[e]
+					ub := (li[e] + gdb*diff[e] + Wi[e]) / s.capac[e]
+					ra[e], rb[e] = ua, ub
+					if ua > wa {
+						wa = ua
+					}
+					if ub > wb {
+						wb = ub
 					}
 				}
 			}
-			if worst != cachedWorst {
-				refill(worst)
-			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				d := s.reqs[i].demands[k]
-				ei := expu[i]
-				if d == 0 {
-					for e := 0; e < nL; e++ {
-						z += ei[e]
-					}
-					continue
-				}
-				gd := gamma * d
-				li, Wi := loads[i], W[i]
-				for e := 0; e < nL; e++ {
-					if diff[e] != 0 {
-						u := (li[e] + gd*diff[e] + Wi[e]) / s.capac[e]
-						z += math.Exp((u - worst) / mu)
-					} else {
-						z += ei[e]
-					}
-				}
-			}
-			return worst + mu*math.Log(z)
+			return lse.pair(wa, wb, usA, usB)
 		}
 		gamma := ternaryMin(eval, 12)
-		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+		if !accepts(gamma, eval) {
 			continue
 		}
 		for i := 0; i < nI; i++ {
@@ -1095,50 +1246,113 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 		// rows with demand; refresh their static view and exp cache
 		// (at the current reference point) for the next blocks.
 		for i := 0; i < nI; i++ {
-			if s.reqs[i].demands[k] == 0 {
+			if !live[i] {
 				continue
 			}
-			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
+			li, Wi, u0i, ei := loads[i], W[i], u0[i], s.ar.expu[i]
 			for _, e32 := range act[:nAct] {
 				e := int(e32)
 				u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+				ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
 			}
 		}
 	}
 }
 
+// openPBlock prepares protected link l's block for a p-sweep line search
+// and returns its active cells: those p_l holds nonzero, then the oracle
+// path's. Each is stamped with a fresh generation; xCur takes pcol[e][l] on
+// the held cells and xDir takes c_l on the path (the direction in v-space,
+// c_l × the direction's fraction). Both rows are zero everywhere else, so
+// (1-γ)·xCur[e] + γ·xDir[e] is the probe value of every cell, and exactly
+// +0 off the active ones. p_l(e) != 0 exactly when pcol[e] holds l: the
+// two are written together (columns, acceptP), and the values never reach
+// the subnormal range where the product or quotient could flush to zero.
+func (s *fwState) openPBlock(l int, path []graph.LinkID) []int32 {
+	s.stampGen++
+	gen := s.stampGen
+	stamp, act := s.ar.stampE, s.ar.active
+	xCur, xDir := s.ar.xCur, s.ar.xDir
+	row := &s.P[l]
+	n := 0
+	for j, e := range row.Idx {
+		if row.Val[j] != 0 {
+			stamp[e] = gen
+			act[n] = e
+			n++
+			xCur[e] = colAt(&s.pcol[e], int32(l))
+		}
+	}
+	cl := s.capac[l]
+	for _, id := range path {
+		xDir[id] = cl
+		if stamp[id] != gen {
+			stamp[id] = gen
+			act[n] = int32(id)
+			n++
+		}
+	}
+	return act[:n]
+}
+
+// closePBlock clears the block's cells from xCur and xDir.
+func (s *fwState) closePBlock(act []int32) {
+	for _, e := range act {
+		s.ar.xCur[e] = 0
+		s.ar.xDir[e] = 0
+	}
+}
+
+// acceptP moves protected link l's block by gamma on its active cells: each
+// entry pcol[e][l] becomes nv = (1-γ)·xCur[e] + γ·xDir[e], which xCur then
+// holds, p_l(e) becomes nv/c_l (the path's new cells joining p_l's
+// support), and every colTop buffer whose entry moved follows. Off the
+// active cells both are +0 before and after, so the update skips them.
+func (s *fwState) acceptP(l int, gamma float64, path []graph.LinkID, act []int32) {
+	cl := s.capac[l]
+	xCur, xDir, mix := s.ar.xCur, s.ar.xDir, s.ar.mix
+	for _, e32 := range act {
+		e := int(e32)
+		old := xCur[e]
+		nv := (1-gamma)*old + gamma*xDir[e]
+		xCur[e] = nv
+		mix[e] = nv / cl
+		if nv == old {
+			continue
+		}
+		colSet(&s.pcol[e], int32(l), nv)
+		if s.topK > 0 && !s.tops[e].update(int32(l), nv, s.topK) {
+			s.tops[e].rebuildSparse(&s.pcol[e], s.topK)
+		}
+	}
+	s.P[l].Gather(mix, path)
+}
+
 // pSweepRef runs one p block sweep by the reference evaluation: every
 // line-search probe of block l recomputes every (requirement, link) cell,
 // through the selected kernel's per-block statistics or, in the generic
-// case, through WorstLoad on a copy of the column with entry l replaced.
-// It serves every model the incremental sweep does not (GroupFailures, the
-// generic path) and ModeFlat, where it is the oracle pSweepInc is tested
-// against.
+// case, through WorstLoad on the column with entry l replaced. It serves
+// every model the incremental sweep does not (GroupFailures, the generic
+// path) and ModeFlat, where it is the oracle pSweepInc is tested against.
 func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
+	nT := nI * nL
 	loads, W := s.ar.loads, s.ar.W
-	sFm1, aF, xDir := s.ar.sFm1, s.ar.aF, s.ar.xDir
+	sFm1, aF := s.ar.sFm1, s.ar.aF
+	xCur, xDir, zero := s.ar.xCur, s.ar.xDir, s.ar.zero
+	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
 	// Group-model stats: best group sum not containing l (sS/sM) and best
 	// sum among groups containing l with l's own entry removed (mSl/mMl),
 	// per requirement and link.
 	sS, mSl, sM, mMl := s.ar.grpS, s.ar.grpSl, s.ar.grpM, s.ar.grpMl
-	scratchCol := s.getBuf()
-	defer s.putBuf(scratchCol)
+	clear(xDir) // the r sweep leaves its last block's path behind
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
 		if path == nil {
 			continue
 		}
-		cl := s.capac[l]
-		for e := range xDir {
-			xDir[e] = 0
-		}
-		for _, id := range path {
-			xDir[id] = cl // direction in v-space: c_l × direction frac
-		}
-		pl := s.P[l]
+		act := s.openPBlock(l, path)
 
 		var evalW func(i, e int, x float64) float64
 		switch {
@@ -1168,8 +1382,8 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 			// best group either avoids l entirely (sum precomputed) or
 			// contains l and gains x.
 			for i := 0; i < nI; i++ {
-				groupStats(s.grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i])
-				groupStats(s.grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i])
+				groupStats(s.grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], zero)
+				groupStats(s.grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], zero)
 			}
 			evalW = func(i, e int, x float64) float64 {
 				srlg := sS[i][e]
@@ -1197,96 +1411,96 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 			}
 		default:
 			evalW = func(i, e int, x float64) float64 {
-				copy(scratchCol, s.pcol[e])
-				scratchCol[l] = x
-				return s.reqs[i].model.WorstLoad(scratchCol)
+				col := &s.pcol[e]
+				col.Scatter(zero)
+				zero[l] = x
+				w := s.reqs[i].model.WorstLoad(zero)
+				col.Clear(zero)
+				zero[l] = 0
+				return w
 			}
 		}
 
-		eval := func(gamma float64) float64 {
-			worst := 0.0
+		eval := func(ga, gb float64) (float64, float64) {
+			wa, wb := 0.0, 0.0
 			for i := 0; i < nI; i++ {
+				li := loads[i]
+				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
 				for e := 0; e < nL; e++ {
-					x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-					u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-					if u > worst {
-						worst = u
+					xa := (1-ga)*xCur[e] + ga*xDir[e]
+					xb := (1-gb)*xCur[e] + gb*xDir[e]
+					ua := (li[e] + evalW(i, e, xa)) / s.capac[e]
+					ub := (li[e] + evalW(i, e, xb)) / s.capac[e]
+					ra[e], rb[e] = ua, ub
+					if ua > wa {
+						wa = ua
+					}
+					if ub > wb {
+						wb = ub
 					}
 				}
 			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				for e := 0; e < nL; e++ {
-					x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-					u := (loads[i][e] + evalW(i, e, x)) / s.capac[e]
-					z += math.Exp((u - worst) / mu)
-				}
+			var za, zb float64
+			for t, ua := range usA {
+				za += math.Exp((ua - wa) / mu)
+				zb += math.Exp((usB[t] - wb) / mu)
 			}
-			return worst + mu*math.Log(z)
+			return wa + mu*math.Log(za), wb + mu*math.Log(zb)
 		}
 		gamma := ternaryMin(eval, 12)
-		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
-			continue
-		}
-		for e := 0; e < nL; e++ {
-			old := s.pcol[e][l]
-			nv := (1-gamma)*old + gamma*xDir[e]
-			s.pcol[e][l] = nv
-			pl[e] = nv / cl
-			if s.topK > 0 && nv != old {
-				s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
+		if accepts(gamma, eval) {
+			s.acceptP(l, gamma, path, act)
+			// Refresh W from the accepted step. The fast-path evalW
+			// closures only read precomputed stats or the updated top
+			// buffers; the generic fallback evaluates WorstLoad on the
+			// updated column directly.
+			if s.topK == 0 && s.grp1 == nil {
+				s.refreshW()
+			} else {
+				for i := 0; i < nI; i++ {
+					Wi := W[i]
+					for e := 0; e < nL; e++ {
+						Wi[e] = evalW(i, e, xCur[e])
+					}
+				}
 			}
 		}
-		// Refresh W from the accepted step. The fast-path evalW
-		// closures only read precomputed stats or the updated top
-		// buffers; the generic fallback evaluates WorstLoad on the
-		// updated column directly.
-		if s.topK == 0 && s.grp1 == nil {
-			s.refreshW()
-			continue
-		}
-		for i := 0; i < nI; i++ {
-			Wi := W[i]
-			for e := 0; e < nL; e++ {
-				Wi[e] = evalW(i, e, s.pcol[e][l])
-			}
-		}
+		s.closePBlock(act)
 	}
 }
 
 // pSweepInc runs one p block sweep incrementally: pSweepRef with the
-// static cells cached. For block l a cell
-// (i, e) is static when p_l(e) = 0 and e is off the oracle path: its mixed
-// value x stays exactly +0 and l holds no entry in tops[e], so the probe
-// collapses to the column's own worst load — the top-F insertion stats
-// walked at x = 0 reproduce the buffer-order sum tops[e].worstArb bit for
-// bit (the first F non-l entries are the first F entries, summed in the
-// same order), and the knapsack walk skips and merges nothing, which is
-// worstKnap. Static utilizations and their exp terms are therefore cached
-// like the r sweep's, keyed on the current reference point, and every eval
-// computes the kernel and math.Exp only at the active cells plus cache
-// refills; the z sum still adds all cells in ascending order so its float
-// association — and the accepted plan — matches the reference exactly.
+// static cells cached. For block l a cell (i, e) is static when it is off
+// the block's active cells (openPBlock): its mixed value x stays exactly +0
+// and l holds no entry in tops[e], so the probe collapses to the column's
+// own worst load — the top-F insertion stats walked at x = 0 reproduce the
+// buffer-order sum tops[e].worstArb bit for bit (the first F non-l entries
+// are the first F entries, summed in the same order), and the knapsack walk
+// skips and merges nothing, which is worstKnap. Static utilizations and
+// their exp terms are therefore cached in sweepLSE like the r sweep's, and
+// every evaluation computes the kernel and math.Exp only at the active
+// cells plus cache refills.
 //
 // The two colTop kernels differ only where a probe is evaluated: top-F
 // reads per-block insertion stats (sFm1 + max(x, aF), "others first, x
 // last"), the knapsack walks the buffer with l skipped and (x, l) merged
-// at its rank. Each probe evaluates the active cells once into uAct; the
-// max and the z sum read them back.
+// at its rank. Each probe evaluates the active cells once into its half
+// of the us rows; the max and the z sum read them back.
 func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
+	nT := nI * nL
 	loads, W := s.ar.loads, s.ar.W
 	arbF, knapU := s.arbF, s.knapU
 	knap := knapU != nil
-	sFm1, aF, xDir := s.ar.sFm1, s.ar.aF, s.ar.xDir
-	u0 := s.ar.u0
-	expu := s.ar.expu
-	uAct := s.ar.us // [req*link], free between global steps
+	sFm1, aF := s.ar.sFm1, s.ar.aF
+	xCur, xDir := s.ar.xCur, s.ar.xDir
+	u0, expu := s.ar.u0, s.ar.expu
+	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
 	stamp := s.ar.stampE
-	act := s.ar.active
 	prevAct := s.ar.active2
 	nPrev := 0
+	clear(xDir) // the r sweep leaves its last block's path behind
 	// No closure below escapes, so a warm sweep allocates nothing.
 	for i := 0; i < nI; i++ {
 		li, u0i := loads[i], u0[i]
@@ -1303,64 +1517,31 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
 		}
 	}
-	cachedWorst := math.NaN()
-	refill := func(worst float64) {
-		for i := 0; i < nI; i++ {
-			u0i, ei := u0[i], expu[i]
-			for e := 0; e < nL; e++ {
-				ei[e] = math.Exp((u0i[e] - worst) / mu)
-			}
-		}
-		cachedWorst = worst
-	}
+	lse := &s.lse
+	*lse = sweepLSE{u0: u0, expu: expu, worst: math.NaN(), mu: mu, stamp: stamp, splits: s.o.splits}
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
 		if path == nil {
 			continue
 		}
-		cl := s.capac[l]
-		for e := range xDir {
-			xDir[e] = 0
-		}
-		for _, id := range path {
-			xDir[id] = cl
-		}
-		pl := s.P[l]
-		// Active cells: the support of p_l plus the oracle path.
-		// p_l(e) != 0 iff pcol[e][l] != 0 (pcol mirrors c_l·P exactly in
-		// columns and the accept loop, and the values never reach the
-		// subnormal range where the product or quotient could flush to
-		// zero), so the contiguous P row substitutes for a strided pcol
-		// scan.
-		s.stampGen++
+		l32 := int32(l)
+		act := s.openPBlock(l, path)
 		gen := s.stampGen
-		nAct := 0
-		for e := 0; e < nL; e++ {
-			if pl[e] != 0 {
-				stamp[e] = gen
-				act[nAct] = int32(e)
-				nAct++
-			}
-		}
-		for _, id := range path {
-			if stamp[id] != gen {
-				stamp[id] = gen
-				act[nAct] = int32(id)
-				nAct++
-			}
-		}
+		lse.gen = gen
 		// Insertion stats only where fresh evaluation happens.
 		if !knap {
 			for i := 0; i < nI; i++ {
 				F := arbF[i]
 				sfi, afi := sFm1[i], aF[i]
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
-					sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
+				for _, e := range act {
+					sfi[e], afi[e] = s.tops[e].stats(l32, F)
 				}
 			}
 		}
 		evalW := func(i, e int, x float64) float64 {
+			if knap {
+				return s.tops[e].worstKnapAt(knapU[i], l32, x)
+			}
 			if x > aF[i][e] {
 				return sFm1[i][e] + x
 			}
@@ -1375,60 +1556,34 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 				}
 			}
 		}
-		eval := func(gamma float64) float64 {
-			worst := staticMax
+		eval := func(ga, gb float64) (float64, float64) {
+			wa, wb := staticMax, staticMax
 			for i := 0; i < nI; i++ {
-				li, ua := loads[i], uAct[i*nL:(i+1)*nL]
-				if knap {
-					u := knapU[i]
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-						ua[e] = (li[e] + s.tops[e].worstKnapAt(u, int32(l), x)) / s.capac[e]
+				li := loads[i]
+				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
+				for _, e32 := range act {
+					e := int(e32)
+					xa := (1-ga)*xCur[e] + ga*xDir[e]
+					xb := (1-gb)*xCur[e] + gb*xDir[e]
+					ua := (li[e] + evalW(i, e, xa)) / s.capac[e]
+					ub := (li[e] + evalW(i, e, xb)) / s.capac[e]
+					ra[e], rb[e] = ua, ub
+					if ua > wa {
+						wa = ua
 					}
-				} else {
-					for _, e32 := range act[:nAct] {
-						e := int(e32)
-						x := (1-gamma)*s.pcol[e][l] + gamma*xDir[e]
-						ua[e] = (li[e] + evalW(i, e, x)) / s.capac[e]
-					}
-				}
-				for _, e32 := range act[:nAct] {
-					if u := ua[e32]; u > worst {
-						worst = u
+					if ub > wb {
+						wb = ub
 					}
 				}
 			}
-			if worst != cachedWorst {
-				refill(worst)
-			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				ua, ei := uAct[i*nL:(i+1)*nL], expu[i]
-				for e := 0; e < nL; e++ {
-					if stamp[e] == gen {
-						z += math.Exp((ua[e] - worst) / mu)
-					} else {
-						z += ei[e]
-					}
-				}
-			}
-			return worst + mu*math.Log(z)
+			return lse.pair(wa, wb, usA, usB)
 		}
 		gamma := ternaryMin(eval, 12)
-		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+		if !accepts(gamma, eval) {
+			s.closePBlock(act)
 			continue
 		}
-		for _, e32 := range act[:nAct] {
-			e := int(e32)
-			old := s.pcol[e][l]
-			nv := (1-gamma)*old + gamma*xDir[e]
-			s.pcol[e][l] = nv
-			pl[e] = nv / cl
-			if nv != old {
-				s.tops[e].update(int32(l), nv, s.pcol[e], s.topK)
-			}
-		}
+		s.acceptP(l, gamma, path, act)
 		// The reference refresh rewrites every W cell. The knapsack walk
 		// has one summation order, so W always holds worstKnap of the
 		// current buffer and only the moved cells change. Top-F active
@@ -1445,11 +1600,11 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
 			if knap {
 				u := knapU[i]
-				for _, e32 := range act[:nAct] {
+				for _, e32 := range act {
 					e := int(e32)
 					Wi[e], _ = s.tops[e].worstKnap(u)
 					u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-					ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+					ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
 				}
 				continue
 			}
@@ -1460,15 +1615,15 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 					Wi[e] = s.tops[e].worstArb(F)
 				}
 			}
-			for _, e32 := range act[:nAct] {
+			for _, e32 := range act {
 				e := int(e32)
-				Wi[e] = evalW(i, e, s.pcol[e][l])
+				Wi[e] = evalW(i, e, xCur[e])
 				u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
-				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+				ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
 			}
 		}
-		copy(prevAct[:nAct], act[:nAct])
-		nPrev = nAct
+		nPrev = copy(prevAct, act)
+		s.closePBlock(act)
 	}
 }
 
@@ -1479,95 +1634,118 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 func (s *fwState) globalStep(rPaths, pPaths [][]graph.LinkID, mu float64) float64 {
 	nL := s.g.NumLinks()
 	nT := len(s.reqs) * nL
-	loads := s.ar.loads
+	a := &s.ar
+	loads := a.loads
 
-	// Direction rows for p: the oracle path's indicator, or the current row
-	// where the oracle found none. Rows are fully overwritten, so the arena
-	// needs no clearing between epochs. The r direction is never a matrix:
-	// its loads come straight from the paths, and a pinned base (rPaths nil)
-	// is its own direction, whose loads are s.ar.loads — baseLoads of the
-	// current R, by construction, bit for bit.
-	dirP := s.ar.dirP
-	for l := 0; l < nL; l++ {
-		pathRow(dirP[l], s.P[l], pPaths[l])
-	}
+	// The r direction is never a matrix: its loads come straight from the
+	// paths, and a pinned base (rPaths nil) is its own direction, whose
+	// loads are a.loads — baseLoads of the current R, by construction, bit
+	// for bit. The p direction is its columns: c_l on the oracle path's
+	// cells, or the current row's where the oracle found none.
 	dirLoads := loads
 	if rPaths != nil {
-		dirLoads = s.ar.dirLoads
+		dirLoads = a.dirLoads
 		s.baseLoads(rPaths, dirLoads)
 	}
-	pcolDir := s.columns(dirP, s.ar.pcolDir)
+	a.pcolDir = s.columns(pPaths, a.pcolDir)
+	s.unionColumns()
 
-	// Each utilization cell mixes a full p-column and runs an O(links)
-	// WorstLoad on it, so the fill dominates the line search and goes on
-	// the pool, one chunk of cells per item with a mixing buffer of its
-	// own. The max and the exp sum stay serial over the slot order, keeping
-	// the float association fixed.
-	us := s.ar.us
-	var probe float64 // the step size fill evaluates; one closure serves all 30 probes
-	fill := func(c int) {
-		gamma := probe
-		lo, hi := par.Chunk(nT, c)
-		col := s.getBuf()
-		for t := lo; t < hi; t++ {
-			i, e := t/nL, t%nL
-			a, b := s.pcol[e], pcolDir[e]
-			for l := 0; l < nL; l++ {
-				col[l] = (1-gamma)*a[l] + gamma*b[l]
-			}
-			bl := (1-gamma)*loads[i][e] + gamma*dirLoads[i][e]
-			us[t] = (bl + s.reqs[i].model.WorstLoad(col)) / s.capac[e]
+	// A probe's mixed column (1-γ)·pcol[e] + γ·pcolDir[e] is +0 off the
+	// union of the two supports, so each cell mixes only the union and
+	// hands it to the selected kernel: a colTop buffer rebuilt from the
+	// mixed entries (ranked by value, then index, as WorstLoad ranks the
+	// dense column) or WorstLoad on the mixed column scattered. One pass
+	// fills both probes' cells; the maxima and the exp sums stay serial
+	// over the cell order, keeping the float association fixed.
+	usA, usB := a.us[:nT], a.us[nT:]
+	var top colTop
+	probe := func(gamma float64, col *routing.SparseRow, e int, us []float64) {
+		cur, dir := a.unA[a.unPtr[e]:a.unPtr[e+1]], a.unB[a.unPtr[e]:a.unPtr[e+1]]
+		for j := range col.Idx {
+			col.Val[j] = (1-gamma)*cur[j] + gamma*dir[j]
 		}
-		s.putBuf(col)
+		if s.topK > 0 {
+			top.rebuildSparse(col, s.topK)
+		}
+		for i, li := range loads {
+			bl := (1-gamma)*li[e] + gamma*dirLoads[i][e]
+			us[i*nL+e] = (bl + s.worstAt(i, &top, col)) / s.capac[e]
+		}
 	}
-	eval := func(gamma float64) float64 {
-		probe = gamma
-		s.pool.ForEach(par.NumChunks(nT), fill)
-		worst := 0.0
-		for _, u := range us {
-			if u > worst {
-				worst = u
+	eval := func(ga, gb float64) (float64, float64) {
+		for e := 0; e < nL; e++ {
+			lo, hi := a.unPtr[e], a.unPtr[e+1]
+			col := routing.SparseRow{Idx: a.unIdx[lo:hi], Val: a.mixVal[:hi-lo]}
+			probe(ga, &col, e, usA)
+			probe(gb, &col, e, usB)
+		}
+		wa, wb := 0.0, 0.0
+		for t, ua := range usA {
+			if ua > wa {
+				wa = ua
+			}
+			if ub := usB[t]; ub > wb {
+				wb = ub
 			}
 		}
-		var z float64
-		for _, u := range us {
-			z += math.Exp((u - worst) / mu)
+		var za, zb float64
+		for t, ua := range usA {
+			za += math.Exp((ua - wa) / mu)
+			zb += math.Exp((usB[t] - wb) / mu)
 		}
-		return worst + mu*math.Log(z)
+		return wa + mu*math.Log(za), wb + mu*math.Log(zb)
 	}
 	gamma := ternaryMin(eval, 14)
-	if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
+	if !accepts(gamma, eval) {
 		return 0
 	}
 	for k := range s.R {
 		if rPaths != nil && rPaths[k] != nil {
-			s.R[k].MoveToward(gamma, rPaths[k], s.ar.mix)
+			s.R[k].MoveToward(gamma, rPaths[k], a.mix)
 		} else {
 			s.R[k].SelfMix(gamma)
 		}
 	}
-	for l, pl := range s.P {
-		dl := dirP[l]
-		for e := range pl {
-			pl[e] = (1-gamma)*pl[e] + gamma*dl[e]
+	for l := range s.P {
+		if pPaths[l] != nil {
+			s.P[l].MoveToward(gamma, pPaths[l], a.mix)
+		} else {
+			s.P[l].SelfMix(gamma)
 		}
 	}
-	s.pcol = s.columns(s.P, s.pcol)
+	s.pcol = s.columns(nil, s.pcol)
 	return gamma
 }
 
-// pathRow fills one direction row: the indicator of path, or a copy of the
-// current row cur when the oracle found no path.
-func pathRow(row, cur []float64, path []graph.LinkID) {
-	if path == nil {
-		copy(row, cur)
-		return
-	}
-	for e := range row {
-		row[e] = 0
-	}
-	for _, id := range path {
-		row[id] = 1
+// unionColumns lays out, per column e, the protected links held by pcol[e]
+// or pcolDir[e] in ascending order, with both columns' values (0 where a
+// column holds none) — every cell a global-step probe can make nonzero.
+func (s *fwState) unionColumns() {
+	a := &s.ar
+	a.unIdx, a.unA, a.unB = a.unIdx[:0], a.unA[:0], a.unB[:0]
+	for e := range s.pcol {
+		x, y := &s.pcol[e], &a.pcolDir[e]
+		i, j := 0, 0
+		for i < len(x.Idx) || j < len(y.Idx) {
+			switch {
+			case j == len(y.Idx) || (i < len(x.Idx) && x.Idx[i] < y.Idx[j]):
+				a.unIdx = append(a.unIdx, x.Idx[i])
+				a.unA = append(a.unA, x.Val[i])
+				a.unB = append(a.unB, 0)
+				i++
+			case i == len(x.Idx) || y.Idx[j] < x.Idx[i]:
+				a.unIdx = append(a.unIdx, y.Idx[j])
+				a.unA = append(a.unA, 0)
+				a.unB = append(a.unB, y.Val[j])
+				j++
+			default:
+				a.unIdx = append(a.unIdx, x.Idx[i])
+				a.unA = append(a.unA, x.Val[i])
+				a.unB = append(a.unB, y.Val[j])
+				i, j = i+1, j+1
+			}
+		}
+		a.unPtr[e+1] = int32(len(a.unIdx))
 	}
 }
 
@@ -1575,145 +1753,185 @@ func pathRow(row, cur []float64, path []graph.LinkID) {
 // sets of the current iterate: a link e costs q weight only where l's
 // virtual demand is part of the worst case at e. Both halves go on the
 // pool, because an item of either is at least one O(links) pass: cost
-// accumulation (accumulateCostP) is split by chunk of link columns e, each
-// cell of which runs an ActiveSet scan of a full p-column, and the SPF
-// fan-out (pOraclePath) is one tree per protected link. All buffers come
-// from the arena: costP rows are cleared up front, the kernel scratch and
-// y rows recycle through pools, and paths append into retained storage.
+// accumulation (accumulateCostP) is split by chunk of link columns e, and
+// the SPF fan-out (pOraclePath) is one tree per protected link. The costs
+// exist only on their nonzero pattern: per-link cell lists with aligned
+// values, reset up front; the kernel scratch recycles through getBuf and
+// paths append into retained storage.
 //
 // Under an incremental SPF mode the per-link trees persist across epochs:
 // the gradient rows are sparse over a constant 1e-12 floor (a cell is
 // nonzero only where the link's virtual demand sits in some worst case),
 // so between epochs only the union of the old and new nonzero patterns
 // can change. Each link's DynTree is repaired from exactly those
-// candidate cells, with costP[l][e] + 1e-12 — the same float add the flat
-// path bakes in place — as the candidate cost, which makes the repaired
+// candidate cells, with cost + 1e-12 — the same float add the flat path
+// performs per cell — as the candidate cost, which makes the repaired
 // tree and the produced path bit-identical to the flat sweep.
 func (s *fwState) pDirections() [][]graph.LinkID {
 	nL := s.g.NumLinks()
-	for l, row := range s.ar.costP {
-		if s.spfMode == spf.ModeFlat {
-			for e := range row {
-				row[e] = 0
-			}
-			continue
-		}
-		// Only pattern cells are ever nonzero; clear just those.
-		for _, e := range s.ar.pPat[l] {
-			row[e] = 0
-		}
+	for l := range s.ar.pPatNew {
 		s.ar.pPatNew[l] = s.ar.pPatNew[l][:0]
+		s.ar.pCost[l] = s.ar.pCost[l][:0]
 	}
 	nC := par.NumChunks(nL)
 	if len(s.ar.patPairs) < nC {
 		s.ar.patPairs = make([][]int32, nC)
+		s.ar.patVals = make([][]float64, nC)
 	}
 	s.pool.ForEach(nC, s.accumulateCostP)
 	s.mergePatterns(nC)
 	s.pool.ForEach(nL, s.pOraclePath)
-	s.swapPatterns()
+	s.ar.pPat, s.ar.pPatNew = s.ar.pPatNew, s.ar.pPat
 	return s.ar.pPaths
 }
 
-// accumulateCostP fills the gradient costs costP[·][e] for the columns e of
-// chunk c, summing requirements in ascending order. Chunks partition e, so
-// each cell has exactly one owner. In incremental mode the first
-// contribution to a cell records the (l, e) pair in the chunk's pair
-// buffer, and the per-chunk buffers concatenate to the full pattern in
-// ascending-e order.
+// accumulateCostP computes the gradient costs of the columns e of chunk c:
+// cost(l, e) = Σ_i q[i][e]/c_e · y_i(l), summed over requirements in
+// ascending order, where y_i is the active set of requirement i's worst
+// case on column e. With a colTop kernel the active set is read off the
+// buffer — the first F entries for top-F (what sumTopK marks), the
+// knapsack's walk or its anchor for a degradation envelope (what
+// DegradationModel.worst marks) — at the cost of the column's nonzeros;
+// generic models run ActiveSet on the column scattered. The costs gather
+// in acc, a scratch indexed by protected link and all zero between
+// columns, and leave as (l, e) pairs in the order of each cell's first
+// contribution, with one value per pair. Chunks partition e, so each cell
+// has exactly one owner and the per-chunk buffers concatenate in
+// ascending e.
 func (s *fwState) accumulateCostP(c int) {
 	nL := s.g.NumLinks()
 	lo, hi := par.Chunk(nL, c)
-	q, costP := s.ar.q, s.ar.costP
-	incremental := s.spfMode != spf.ModeFlat
-	pairs := s.ar.patPairs[c][:0]
-	y := s.getBuf()
+	q := s.ar.q
+	pairs, vals := s.ar.patPairs[c][:0], s.ar.patVals[c][:0]
+	acc := s.getBuf()
+	clear(acc)
+	var v, y []float64
+	if s.topK == 0 {
+		v, y = s.getBuf(), s.getBuf()
+		clear(v)
+	}
 	for e := lo; e < hi; e++ {
+		first := len(pairs)
+		add := func(l int32, yl, w float64) {
+			if acc[l] == 0 {
+				pairs = append(pairs, l, int32(e))
+			}
+			acc[l] += w * yl
+		}
 		for i := range s.reqs {
 			if q[i][e] == 0 {
 				continue
 			}
-			s.reqs[i].model.ActiveSet(s.pcol[e], y)
 			w := q[i][e] / s.capac[e]
-			for l := 0; l < nL; l++ {
-				if y[l] > 0 {
-					if incremental && costP[l][e] == 0 {
-						pairs = append(pairs, int32(l), int32(e))
+			switch {
+			case s.arbF != nil:
+				top := &s.tops[e]
+				for _, l := range top.idx[:min(s.arbF[i], top.n)] {
+					add(l, 1, w)
+				}
+			case s.knapU != nil:
+				top, u := &s.tops[e], s.knapU[i]
+				if _, anchored := top.worstKnap(u); anchored {
+					add(top.idx[0], 1, w)
+					break
+				}
+				for j := 0; j < min(len(u), top.n); j++ {
+					add(top.idx[j], u[j], w)
+				}
+			default:
+				col := &s.pcol[e]
+				col.Scatter(v)
+				s.reqs[i].model.ActiveSet(v, y)
+				col.Clear(v)
+				for l, yl := range y {
+					if yl > 0 {
+						add(int32(l), yl, w)
 					}
-					costP[l][e] += w * y[l]
 				}
 			}
 		}
+		for j := first; j < len(pairs); j += 2 {
+			vals = append(vals, acc[pairs[j]])
+		}
+		for j := first; j < len(pairs); j += 2 {
+			acc[pairs[j]] = 0
+		}
 	}
-	s.putBuf(y)
-	s.ar.patPairs[c] = pairs
+	s.putBuf(acc)
+	if v != nil {
+		s.putBuf(v)
+		s.putBuf(y)
+	}
+	s.ar.patPairs[c], s.ar.patVals[c] = pairs, vals
 }
 
 // pOraclePath runs protected link l's shortest-path oracle over its
 // gradient-cost row and stores the path in s.ar.pPaths[l] (nil when the
 // link's head cannot reach its tail).
 func (s *fwState) pOraclePath(l int) {
-	nL := s.g.NumLinks()
 	link := s.g.Link(graph.LinkID(l))
-	row := s.ar.costP[l]
+	pat, cost := s.ar.pPatNew[l], s.ar.pCost[l]
 	s.o.spf.Inc()
 	if s.spfMode == spf.ModeFlat {
-		// Bake the tie-breaking floor into the row: the reference cost
-		// closure evaluated costP[l][id] + 1e-12 per relaxation, the
-		// same float add performed here once per link.
-		for id := range row {
-			row[id] = row[id] + 1e-12
-		}
+		row := s.pCostRow(pat, cost)
 		sc := s.spfPool.Get()
 		spf.SPFTo(s.csr, link.Dst, row, nil, sc)
 		s.setPPath(l, link.Src, sc.Next)
 		s.spfPool.Put(sc)
+		s.putBuf(row)
 		return
 	}
 	tree := &s.pTrees[l]
 	if !tree.Ready() {
-		buf := s.getBuf()
-		for e := 0; e < nL; e++ {
-			buf[e] = row[e] + 1e-12
-		}
-		tree.Full(buf)
-		s.putBuf(buf)
+		row := s.pCostRow(pat, cost)
+		tree.Full(row)
+		s.putBuf(row)
 		s.o.fallbacks.Inc()
 		s.setPPath(l, link.Src, tree.Next())
 		return
 	}
 	// Candidates: old ∪ new nonzero cells, merged in ascending link order
 	// (both lists are e-sorted). Cells outside both patterns cost exactly
-	// 1e-12 before and after.
+	// 1e-12 before and after; a cell only in the old one drops back to it.
 	ids, vals := s.ar.pIDs[l][:0], s.ar.pVals[l][:0]
-	oldP, newP := s.ar.pPat[l], s.ar.pPatNew[l]
+	oldP := s.ar.pPat[l]
 	oi, ni := 0, 0
-	for oi < len(oldP) || ni < len(newP) {
+	for oi < len(oldP) || ni < len(pat) {
 		var e int32
+		v := 1e-12
 		switch {
-		case oi == len(oldP):
-			e = newP[ni]
-			ni++
-		case ni == len(newP):
+		case ni == len(pat) || (oi < len(oldP) && oldP[oi] < pat[ni]):
 			e = oldP[oi]
 			oi++
-		case oldP[oi] < newP[ni]:
-			e = oldP[oi]
-			oi++
-		case oldP[oi] > newP[ni]:
-			e = newP[ni]
+		case oi == len(oldP) || oldP[oi] > pat[ni]:
+			e, v = pat[ni], cost[ni]+1e-12
 			ni++
 		default:
-			e = oldP[oi]
+			e, v = pat[ni], cost[ni]+1e-12
 			oi, ni = oi+1, ni+1
 		}
 		ids = append(ids, e)
-		vals = append(vals, row[e]+1e-12)
+		vals = append(vals, v)
 	}
 	s.ar.pIDs[l], s.ar.pVals[l] = ids, vals
 	kind, frac := tree.Update(ids, vals, 0.25)
 	s.o.noteUpdate(kind, frac)
 	s.setPPath(l, link.Src, tree.Next())
+}
+
+// pCostRow expands one link's gradient costs into a dense row from getBuf:
+// cost + 1e-12 on the pattern cells and the tie-breaking floor
+// 0 + 1e-12 = 1e-12 elsewhere, the float add the reference cost closure
+// evaluated per relaxation.
+func (s *fwState) pCostRow(pat []int32, cost []float64) []float64 {
+	row := s.getBuf()
+	for e := range row {
+		row[e] = 1e-12
+	}
+	for j, e := range pat {
+		row[e] = cost[j] + 1e-12
+	}
+	return row
 }
 
 // setPPath extracts protected link l's oracle path from a next-link vector
@@ -1726,44 +1944,45 @@ func (s *fwState) setPPath(l int, src graph.NodeID, next []int32) {
 	s.ar.pPaths[l] = p
 }
 
-// mergePatterns scatters the per-chunk (l, e) pair buffers into per-link
-// pattern lists. Chunks are walked in ascending order and each buffer is
-// internally e-sorted, so every pPatNew[l] comes out e-sorted.
+// mergePatterns scatters the per-chunk (l, e) pairs and their costs into
+// per-link pattern lists. Chunks are walked in ascending order and each
+// buffer is internally e-sorted, so every pPatNew[l] comes out e-sorted.
 func (s *fwState) mergePatterns(nC int) {
-	if s.spfMode == spf.ModeFlat {
-		return
-	}
 	for c := 0; c < nC; c++ {
-		pairs := s.ar.patPairs[c]
+		pairs, vals := s.ar.patPairs[c], s.ar.patVals[c]
 		for j := 0; j+1 < len(pairs); j += 2 {
 			l, e := pairs[j], pairs[j+1]
 			s.ar.pPatNew[l] = append(s.ar.pPatNew[l], e)
+			s.ar.pCost[l] = append(s.ar.pCost[l], vals[j/2])
 		}
 	}
 }
 
-// swapPatterns promotes this epoch's nonzero patterns to "previous" for
-// the next epoch's delta computation.
-func (s *fwState) swapPatterns() {
-	if s.spfMode == spf.ModeFlat {
-		return
-	}
-	s.ar.pPat, s.ar.pPatNew = s.ar.pPatNew, s.ar.pPat
-}
-
-// ternaryMin minimizes a convex function on [0,1] by ternary search.
-func ternaryMin(f func(float64) float64, iters int) float64 {
+// ternaryMin minimizes a convex function on [0,1] by ternary search. f
+// evaluates the function at the two probes of a step together.
+func ternaryMin(f func(a, b float64) (float64, float64), iters int) float64 {
 	lo, hi := 0.0, 1.0
 	for t := 0; t < iters; t++ {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		if f(m1) <= f(m2) {
+		if f1, f2 := f(m1, m2); f1 <= f2 {
 			hi = m2
 		} else {
 			lo = m1
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// accepts is the line searches' acceptance test: a step is taken unless it
+// is negligible or fails to lower the objective, f evaluated at the step
+// and at 0, by more than 1e-15.
+func accepts(gamma float64, f func(a, b float64) (float64, float64)) bool {
+	if gamma <= 1e-9 {
+		return false
+	}
+	fg, f0 := f(gamma, 0)
+	return !(fg >= f0-1e-15)
 }
 
 // rDirections computes the oracle path per OD commodity under the current
@@ -1884,16 +2103,13 @@ func (s *fwState) snapshotBest(obj float64) {
 	s.bestObj = obj
 	if s.bestR == nil {
 		s.bestR = make([]routing.SparseRow, len(s.R))
-		s.bestP = make([][]float64, len(s.P))
-		for l := range s.P {
-			s.bestP[l] = make([]float64, len(s.P[l]))
-		}
+		s.bestP = make([]routing.SparseRow, len(s.P))
 	}
 	for k := range s.R {
 		s.bestR[k].CopyFrom(&s.R[k])
 	}
 	for l := range s.P {
-		copy(s.bestP[l], s.P[l])
+		s.bestP[l].CopyFrom(&s.P[l])
 	}
 }
 
@@ -1906,9 +2122,23 @@ func (s *fwState) restoreBest() {
 		s.R[k].CopyFrom(&s.bestR[k])
 	}
 	for l := range s.P {
-		copy(s.P[l], s.bestP[l])
+		s.P[l].CopyFrom(&s.bestP[l])
 	}
 }
+
+// protNNZ counts the protection routing's nonzero cells.
+func (s *fwState) protNNZ() int64 {
+	var n int64
+	for l := range s.P {
+		for _, v := range s.P[l].Val {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func pathDelay(g *graph.Graph, path []graph.LinkID) float64 {
 	var d float64
 	for _, id := range path {
@@ -1979,32 +2209,31 @@ func (s *fwState) delayBoundedPath(k int, cost []float64, bound float64) []graph
 }
 
 // groupStats fills, for every link e, best[e] = the largest positive group
-// sum over columns pcol[e] treating index skip as absent among groups NOT
+// sum over column pcol[e] treating index skip as absent among groups NOT
 // containing skip (0 when none), and withSkip[e] = the largest sum among
 // groups containing skip with skip's own entry removed (negative infinity
-// when no group contains skip).
-func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, best, withSkip []float64) {
+// when no group contains skip). Each column is scattered into zero, an
+// all-zero scratch of the column length that is left all zero, and read
+// there: the dense column's values, group by group in the same order.
+func groupStats(groups [][]graph.LinkID, pcol []routing.SparseRow, skip graph.LinkID, best, withSkip, zero []float64) {
 	negInf := math.Inf(-1)
 	for e := range best {
 		best[e] = 0
 		withSkip[e] = negInf
-	}
-	for _, grp := range groups {
-		contains := false
-		for _, l := range grp {
-			if l == skip {
-				contains = true
-				break
-			}
-		}
-		for e := range best {
-			col := pcol[e]
+		col := &pcol[e]
+		col.Scatter(zero)
+		for _, grp := range groups {
+			contains := false
 			var sum float64
 			for _, l := range grp {
-				if l == skip || int(l) >= len(col) {
+				if l == skip {
+					contains = true
 					continue
 				}
-				if v := col[l]; v > 0 {
+				if int(l) >= len(zero) {
+					continue
+				}
+				if v := zero[l]; v > 0 {
 					sum += v
 				}
 			}
@@ -2016,6 +2245,7 @@ func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, be
 				best[e] = sum
 			}
 		}
+		col.Clear(zero)
 	}
 }
 
@@ -2027,7 +2257,11 @@ func groupStats(groups [][]graph.LinkID, pcol [][]float64, skip graph.LinkID, be
 // p_e(e) approaches 1 under cascaded failures. Dropping sub-threshold
 // paths keeps p a valid routing ([R1]-[R4] are preserved by convex
 // combinations of paths) while bounding the noise.
-func sanitizeProt(g *graph.Graph, P [][]float64) {
+//
+// It returns the plan's dense protection rows, built in the flow it
+// decomposes: each row is decomposed before it is overwritten, and a row
+// without paths gets the solver's row back, as it was before loop removal.
+func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	const (
 		keepCoverage = 0.995 // retain paths until this much mass is kept
 		alwaysKeep   = 0.005 // paths at least this large are never dropped
@@ -2035,9 +2269,10 @@ func sanitizeProt(g *graph.Graph, P [][]float64) {
 	nL := g.NumLinks()
 	f := routing.NewFlow(g, routing.LinkCommodities(g))
 	for l := 0; l < nL; l++ {
-		copy(f.Frac[l], P[l])
+		prot[l].Scatter(f.Frac[l])
 	}
 	f.RemoveLoops()
+	P := f.Frac
 	for l := 0; l < nL; l++ {
 		paths := f.Decompose(l, 256)
 		sort.Slice(paths, func(i, j int) bool { return paths[i].Frac > paths[j].Frac })
@@ -2046,6 +2281,8 @@ func sanitizeProt(g *graph.Graph, P [][]float64) {
 			grand += p.Frac
 		}
 		if grand <= 0 {
+			clear(P[l])
+			prot[l].Scatter(P[l])
 			continue
 		}
 		var kept []routing.Path
@@ -2094,4 +2331,5 @@ func sanitizeProt(g *graph.Graph, P [][]float64) {
 			P[l][id] += self
 		}
 	}
+	return P
 }

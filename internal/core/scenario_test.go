@@ -113,16 +113,16 @@ func TestParseDegradations(t *testing.T) {
 		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", out, err)
 	}
 	bad := []string{
-		"3",        // missing fraction
-		"3:",       // empty fraction
-		"x:0.5",    // bad link id
-		"3:x",      // bad fraction
-		"10:0.5",   // out of range
-		"-1:0.5",   // negative id
-		"3:0",      // zero fraction
-		"3:1",      // full loss is a failure
-		"3:1.5",    // above one
-		"3:NaN",    // NaN
+		"3",           // missing fraction
+		"3:",          // empty fraction
+		"x:0.5",       // bad link id
+		"3:x",         // bad fraction
+		"10:0.5",      // out of range
+		"-1:0.5",      // negative id
+		"3:0",         // zero fraction
+		"3:1",         // full loss is a failure
+		"3:1.5",       // above one
+		"3:NaN",       // NaN
 		"3:0.5,3:0.2", // duplicate link
 	}
 	for _, s := range bad {

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/routing"
+
 // colTop maintains the largest positive entries of one pcol column across
 // the p block sweep, so per-link line searches read their insertion stats
 // (top-F) or knapsack walk (degradation envelopes) in O(K) instead of
@@ -19,10 +21,11 @@ package core
 //
 // Incremental updates are exact: an accepted p block changes a single
 // index l in every column, and update either re-ranks l inside the buffer
-// (when the buffer provably still holds the true top-K) or falls back to
-// a full column rescan (only when l leaves a full buffer with unknown
-// entries behind it — bounded by one rescan per column per accepted
-// block).
+// (when the buffer provably still holds the true top-K) or asks for a full
+// column rescan (only when l leaves a full buffer with unknown entries
+// behind it — bounded by one rescan per column per accepted block). The
+// buffer also serves columns that exist only for one line-search probe:
+// the global step rebuilds one per mixed column.
 type colTop struct {
 	n      int
 	capped bool
@@ -36,34 +39,36 @@ func topBefore(v1 float64, i1 int32, v2 float64, i2 int32) bool {
 	return v1 > v2 || (v1 == v2 && i1 < i2)
 }
 
-// rebuild recomputes the buffer from the column with capacity K.
+// rebuild recomputes the buffer from a dense column with capacity K.
 func (t *colTop) rebuild(col []float64, K int) {
-	t.n = 0
-	t.capped = false
-	n := 0
+	t.n, t.capped = 0, false
 	for i, x := range col {
-		if x <= 0 {
-			continue
-		}
-		if n == K && !topBefore(x, int32(i), t.val[n-1], t.idx[n-1]) {
-			t.capped = true
-			continue
-		}
-		j := n
-		if j == K {
-			j--
-			t.capped = true
-		}
-		for j > 0 && topBefore(x, int32(i), t.val[j-1], t.idx[j-1]) {
-			t.val[j], t.idx[j] = t.val[j-1], t.idx[j-1]
-			j--
-		}
-		t.val[j], t.idx[j] = x, int32(i)
-		if n < K {
-			n++
+		if x > 0 {
+			t.push(x, int32(i), K)
 		}
 	}
-	t.n = n
+}
+
+// rebuildSparse recomputes the buffer from a column held as its entries in
+// ascending index order — the solver's pcol columns. Absent entries are
+// zeros, which rebuild skips too, so both see the same positives in the
+// same order and fill the same buffer.
+func (t *colTop) rebuildSparse(col *routing.SparseRow, K int) {
+	t.n, t.capped = 0, false
+	for j, x := range col.Val {
+		if x > 0 {
+			t.push(x, col.Idx[j], K)
+		}
+	}
+}
+
+// push offers the positive entry (x, i) of a scan in ascending index order.
+func (t *colTop) push(x float64, i int32, K int) {
+	if t.n == K && !topBefore(x, i, t.val[K-1], t.idx[K-1]) {
+		t.capped = true
+		return
+	}
+	t.insert(x, i, K)
 }
 
 // insert places (nv, l) at its ordered position, dropping the last entry
@@ -101,29 +106,31 @@ func (t *colTop) find(l int32) int {
 	return -1
 }
 
-// update re-establishes the invariants after col[l] changed to nv (col is
-// the already-updated column, consulted only when a rescan is needed).
-func (t *colTop) update(l int32, nv float64, col []float64, K int) {
+// update re-establishes the invariants after entry l of the column changed
+// to nv. It reports false when it cannot — the K-th entry may now be one
+// the buffer never saw — and the caller must rebuild the buffer from the
+// updated column.
+func (t *colTop) update(l int32, nv float64, K int) bool {
 	p := t.find(l)
 	if p < 0 {
 		// l was not buffered: its old value ranks behind the buffer tail.
 		if nv <= 0 {
-			return
+			return true
 		}
 		if t.n < K {
 			// Uncapped buffers hold every positive entry; add the new one.
 			t.insert(nv, l, K)
-			return
+			return true
 		}
 		if topBefore(nv, l, t.val[t.n-1], t.idx[t.n-1]) {
 			// Beats the buffered minimum, which itself beats every
 			// unbuffered entry: (nv, l) is in the true top-K.
 			t.insert(nv, l, K)
-			return
+			return true
 		}
 		// Still behind the buffer: now a positive exists outside it.
 		t.capped = true
-		return
+		return true
 	}
 	// l was buffered. Removing it is exact unless the buffer is capped and
 	// the new entry may fall behind unknown unbuffered entries.
@@ -133,18 +140,17 @@ func (t *colTop) update(l int32, nv float64, col []float64, K int) {
 			bv, bi = t.val[p], t.idx[p] // l itself was the boundary
 		}
 		if nv <= 0 || !(topBefore(nv, l, bv, bi) || (nv == bv && l == bi)) {
-			// The K-th entry might now be an unbuffered one we never saw.
-			t.rebuild(col, K)
-			return
+			return false
 		}
 		t.remove(p)
 		t.insert(nv, l, K)
-		return
+		return true
 	}
 	t.remove(p)
 	if nv > 0 {
 		t.insert(nv, l, K)
 	}
+	return true
 }
 
 // worstArb returns the sum of the top-F entries — sumTopK(col, F, nil)

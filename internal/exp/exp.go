@@ -45,8 +45,8 @@ type Options struct {
 	Seed int64
 	// Workers bounds precompute and evaluation concurrency (default
 	// GOMAXPROCS; 1 forces serial): in the FW solver the oracle fan-outs
-	// and the global-step fill, in the evaluation engine the scenario
-	// shards. Plans and results are bit-identical for every worker count,
+	// and the gradient-cost accumulation, in the evaluation engine the
+	// scenario shards. Plans and results are bit-identical for every worker count,
 	// so Workers is purely a speed knob — and below a few hundred links it
 	// is expected to buy ≈ 1.0× on the solver (DESIGN.md §6).
 	Workers int

@@ -57,6 +57,14 @@ func (r *SparseRow) Scatter(dst []float64) {
 	}
 }
 
+// Clear zeroes a dense row on the row's support: it undoes a Scatter into a
+// row that was all zero before.
+func (r *SparseRow) Clear(dst []float64) {
+	for _, e := range r.Idx {
+		dst[e] = 0
+	}
+}
+
 // Gather reads the row back from a dense row that was edited on the row's
 // support and on path: support cells take their dense values, and path
 // cells outside the support join it when nonzero. Every cell read is

@@ -51,7 +51,8 @@ func randGamma(rng *rand.Rand) float64 {
 // — move toward a path, self-mix, edit through a scattered dense view and
 // gather back, snapshot and restore — and after every step compares the
 // row, and the loads it accumulates, bit for bit. The shared scratch must
-// come back all zero from every operation that borrows it.
+// come back all zero from every operation that borrows it, and Clear must
+// undo a Scatter.
 func TestSparseRowMatchesDenseRow(t *testing.T) {
 	const nL = 48
 	for seed := int64(0); seed < 20; seed++ {
@@ -95,6 +96,12 @@ func TestSparseRowMatchesDenseRow(t *testing.T) {
 			for e := range dense {
 				if math.Float64bits(got[e]) != math.Float64bits(dense[e]) {
 					t.Fatalf("seed %d step %d %s: row[%d] = %v, dense %v", seed, step, op, e, got[e], dense[e])
+				}
+			}
+			row.Clear(got)
+			for e, v := range got {
+				if v != 0 {
+					t.Fatalf("seed %d step %d %s: Clear left got[%d] = %v", seed, step, op, e, v)
 				}
 			}
 			d := 1 + 9*rng.Float64()
