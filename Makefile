@@ -28,11 +28,13 @@ bench:
 # dense oracles of the sparse commodity rows and of the sparse protection
 # half, the paired line-search probes against single ones, the pinned plan
 # digests, the plan encoder against encoding/json and its allocation whatever
-# the collector did), the incremental-vs-flat SPF plan differential, and vet
-# plus the smoke test of the nested benchmark module (bench/ has its own
-# go.mod, so the root `go test ./...` never compiles it).
+# the collector did, the shortest-path baselines' loads bit for bit), the
+# SPF kernel plan differential (flat reference, heap and delta-stepping
+# DynTree rebuilds), and vet plus the smoke test of the nested benchmark
+# module (bench/ has its own go.mod, so the root `go test ./...` never
+# compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -101,3 +103,4 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLPDifferential$$' -fuzztime 10s ./internal/lp
 	$(GO) test -fuzz '^FuzzLUSolve$$' -fuzztime 10s ./internal/lp
 	$(GO) test -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/core
+	$(GO) test -fuzz '^FuzzHopRule$$' -fuzztime 10s ./internal/spf

@@ -46,7 +46,6 @@ func main() {
 		envelope  = flag.Float64("envelope", 1.1, "normal-case penalty envelope (0 to disable)")
 		seed      = flag.Int64("seed", 1, "gravity traffic seed")
 		topk      = flag.Int("topk", 0, "keep only the k heaviest gravity OD pairs (0 = dense; required for 1000-node-class topologies)")
-		spfMode   = flag.String("spf", "auto", "planner SPF kernel: auto|flat|incremental|delta (byte-identical plans; speed only)")
 		baseMode  = flag.String("base", "opt", "base routing: opt (jointly optimized) or ospf (pinned to ECMP on current weights; required for 1000-node-class topologies)")
 		save      = flag.String("save", "", "write the plan to this file")
 		load      = flag.String("load", "", "read a plan from this file instead of solving")
@@ -101,10 +100,6 @@ func main() {
 		d = traffic.GravityTopK(g, demandTotal(*total, g), *seed, *topk)
 	} else {
 		d = traffic.Gravity(g, demandTotal(*total, g), *seed)
-	}
-	mode, err := spf.ParseMode(*spfMode)
-	if err != nil {
-		fatal(err)
 	}
 	// -base ospf pins the base routing to ECMP on the graph's current
 	// weights and optimizes only the protection routing (the OSPF+R3
@@ -164,7 +159,6 @@ func main() {
 			Iterations:      *effort,
 			PenaltyEnvelope: *envelope,
 			Workers:         *workers,
-			SPF:             mode,
 			Obs:             reg,
 		})
 		if err != nil {

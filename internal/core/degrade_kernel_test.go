@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/spf"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -103,7 +102,6 @@ func TestDegradationWorstLoadZeroAllocs(t *testing.T) {
 func TestDegradationSweepZeroAllocsWarm(t *testing.T) {
 	s := newTestFWState(t, topo.Abilene(), 1)
 	s.reqs[0].model = DegradationModel{Beta: 0.5, Budget: 2}
-	s.spfMode = spf.ModeIncremental
 	s.pool = par.Serial
 	s.run(60, obs.Span{})
 	if s.knapU == nil || s.topK != 5 {
@@ -140,15 +138,15 @@ func TestDegradationPlanDigests(t *testing.T) {
 		name   string
 		g      func() *graph.Graph
 		spec   WorkloadSpec
-		spf    spf.Mode
+		kernel spfKernel
 		digest uint64
 	}{
-		{"sbc-a0.5-B2", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2}, spf.ModeAuto, 0x1ec22dedf367705a},
-		{"abilene-a0.7-B1.5", topo.Abilene, WorkloadSpec{Alpha: 0.7, Budget: 1.5}, spf.ModeAuto, 0x14af38ab39e4b091},
-		{"level3-a0.5-B2", topo.Level3, WorkloadSpec{Alpha: 0.5, Budget: 2}, spf.ModeAuto, 0x52c28f0cc64e250f},
-		{"sbc-a0.9-B0.35", topo.SBC, WorkloadSpec{Alpha: 0.9, Budget: 0.35}, spf.ModeAuto, 0x3b5e80735d8ef814},
-		{"sbc-a0.5-B2-surge1.3", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2, Surge: 1.3, ODFrac: 1}, spf.ModeAuto, 0x24c4f2c9b50c2fc8},
-		{"sbc-a0.25-B3-flat", topo.SBC, WorkloadSpec{Alpha: 0.25, Budget: 3}, spf.ModeFlat, 0xaaa5efa6e4a5df9b},
+		{"sbc-a0.5-B2", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2}, kernelIncremental, 0x1ec22dedf367705a},
+		{"abilene-a0.7-B1.5", topo.Abilene, WorkloadSpec{Alpha: 0.7, Budget: 1.5}, kernelIncremental, 0x14af38ab39e4b091},
+		{"level3-a0.5-B2", topo.Level3, WorkloadSpec{Alpha: 0.5, Budget: 2}, kernelIncremental, 0x52c28f0cc64e250f},
+		{"sbc-a0.9-B0.35", topo.SBC, WorkloadSpec{Alpha: 0.9, Budget: 0.35}, kernelIncremental, 0x3b5e80735d8ef814},
+		{"sbc-a0.5-B2-surge1.3", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2, Surge: 1.3, ODFrac: 1}, kernelIncremental, 0x24c4f2c9b50c2fc8},
+		{"sbc-a0.25-B3-flat", topo.SBC, WorkloadSpec{Alpha: 0.25, Budget: 3}, kernelFlat, 0xaaa5efa6e4a5df9b},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +154,7 @@ func TestDegradationPlanDigests(t *testing.T) {
 			d, cfg := r3planInputs(g)
 			cfg.Model = tc.spec.Model(nil)
 			cfg.Surge = tc.spec.SurgeSpec()
-			cfg.SPF = tc.spf
+			cfg.kernel = tc.kernel
 			plan, err := Precompute(g, d, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -231,8 +229,8 @@ func TestKnapKernelMatchesGenericPath(t *testing.T) {
 		{Beta: 0.75, Budget: 3},
 		{Beta: 0, Budget: 1}, // nothing degradable
 	} {
-		for _, mode := range []spf.Mode{spf.ModeFlat, spf.ModeIncremental} {
-			cfg := Config{Iterations: 60, Workers: 1, SPF: mode}
+		for _, mode := range []spfKernel{kernelFlat, kernelIncremental} {
+			cfg := Config{Iterations: 60, Workers: 1, kernel: mode}
 			cfg.Model = m
 			fast, err := PrecomputeVariations(g, []*traffic.Matrix{d, d2}, cfg)
 			if err != nil {

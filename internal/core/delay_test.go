@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/spf"
 	"repro/internal/traffic"
 )
 
@@ -53,7 +52,7 @@ func TestDelayEnvelopeFW(t *testing.T) {
 		t.Fatalf("commodity missing")
 		return 0
 	}
-	dist := spf.DijkstraTo(g, c, nil, spf.DelayCost(g))
+	dist := delayDistTo(g, c)
 	minDelay := dist[a]
 	if got := delayOf(bound); got > 1.4*minDelay+1e-6 {
 		t.Fatalf("delay-bounded plan has delay %v > %v", got, 1.4*minDelay)

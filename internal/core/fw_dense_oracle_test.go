@@ -624,7 +624,7 @@ func pathRowDense(row, cur []float64, path []graph.LinkID) {
 func (d *denseFW) pDirections() [][]graph.LinkID {
 	nL := d.g.NumLinks()
 	for l, row := range d.costP {
-		if d.spfMode == spf.ModeFlat {
+		if d.flatSPF {
 			for e := range row {
 				row[e] = 0
 			}
@@ -640,7 +640,7 @@ func (d *denseFW) pDirections() [][]graph.LinkID {
 		d.ar.patPairs = make([][]int32, nC)
 	}
 	d.pool.ForEach(nC, d.accumulateCostP)
-	if d.spfMode != spf.ModeFlat {
+	if !d.flatSPF {
 		for c := 0; c < nC; c++ {
 			pairs := d.ar.patPairs[c]
 			for j := 0; j+1 < len(pairs); j += 2 {
@@ -650,7 +650,7 @@ func (d *denseFW) pDirections() [][]graph.LinkID {
 		}
 	}
 	d.pool.ForEach(nL, d.pOraclePath)
-	if d.spfMode != spf.ModeFlat {
+	if !d.flatSPF {
 		d.ar.pPat, d.ar.pPatNew = d.ar.pPatNew, d.ar.pPat
 	}
 	return d.ar.pPaths
@@ -660,7 +660,7 @@ func (d *denseFW) accumulateCostP(c int) {
 	nL := d.g.NumLinks()
 	lo, hi := par.Chunk(nL, c)
 	q, costP := d.ar.q, d.costP
-	incremental := d.spfMode != spf.ModeFlat
+	incremental := !d.flatSPF
 	pairs := d.ar.patPairs[c][:0]
 	y := make([]float64, nL)
 	for e := lo; e < hi; e++ {
@@ -687,7 +687,7 @@ func (d *denseFW) pOraclePath(l int) {
 	nL := d.g.NumLinks()
 	link := d.g.Link(graph.LinkID(l))
 	row := d.costP[l]
-	if d.spfMode == spf.ModeFlat {
+	if d.flatSPF {
 		for id := range row {
 			row[id] = row[id] + 1e-12
 		}

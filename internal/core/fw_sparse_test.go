@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/spf"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -149,7 +148,7 @@ func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Conf
 				scratch[e] = sp.ar.pCost[l][j]
 			}
 			for e, v := range scratch {
-				if sp.spfMode == spf.ModeFlat {
+				if sp.flatSPF {
 					v += 1e-12
 				}
 				same(at("p directions"), "cost", l, e, v, dn.costP[l][e])
@@ -221,9 +220,9 @@ func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
 			{"grp1", GroupFailures{SRLGs: srlgs, MLGs: mlgs, K: 1}, false},
 			{"generic", GroupFailures{SRLGs: srlgs, MLGs: mlgs, K: 2}, false},
 		} {
-			for _, mode := range []spf.Mode{spf.ModeFlat, spf.ModeIncremental} {
+			for _, mode := range []spfKernel{kernelFlat, kernelIncremental} {
 				t.Run(fmt.Sprintf("%s/%s/%v", tg.name, tm.name, mode), func(t *testing.T) {
-					cfg := Config{Model: tm.model, Workers: 1, SPF: mode}
+					cfg := Config{Model: tm.model, Workers: 1, kernel: mode}
 					if tm.pinned {
 						cfg.PenaltyEnvelope = 1.1
 					}
@@ -386,7 +385,6 @@ func warmFWState(t *testing.T, model FailureModel) *fwState {
 	t.Helper()
 	s := newTestFWState(t, topo.Abilene(), 1)
 	s.reqs[0].model = model
-	s.spfMode = spf.ModeIncremental
 	s.pool = par.Serial
 	s.run(60, obs.Span{})
 	paths := 0

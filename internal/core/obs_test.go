@@ -11,8 +11,8 @@ import (
 
 // TestObsDoesNotPerturbPlan is the observability determinism contract:
 // precomputing with a live registry must yield a byte-identical plan to
-// precomputing with none, for both solvers — instrumentation only reads
-// solver state.
+// precomputing with none, for both solvers and for both DynTree rebuild
+// kernels — instrumentation only reads solver state.
 func TestObsDoesNotPerturbPlan(t *testing.T) {
 	mesh := mesh6(t)
 	ring := ring5(t)
@@ -24,6 +24,7 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 	}{
 		{"fw", mesh, traffic.Gravity(mesh, 40, 11), Config{Model: ArbitraryFailures{F: 1}, Iterations: 40}},
 		{"fw-pinned", mesh, traffic.Gravity(mesh, 40, 11), Config{Model: ArbitraryFailures{F: 1}, Iterations: 40, PenaltyEnvelope: 1.1}},
+		{"fw-delta", mesh, traffic.Gravity(mesh, 40, 11), Config{Model: ArbitraryFailures{F: 1}, Iterations: 40, kernel: kernelDelta}},
 		{"lp", ring, ring5Demand(ring, 20), Config{Model: ArbitraryFailures{F: 1}, Solver: SolverLP}},
 	} {
 		t.Run(solver.name, func(t *testing.T) {
@@ -46,6 +47,15 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 			}
 			if splits := snap.Counters["fw.probe_splits"]; splits <= 0 {
 				t.Fatalf("fw.probe_splits = %d, want the split probe pairs counted", splits)
+			}
+			// The fw.run span says which kernel rebuilt the trees.
+			wantDelta := 0.0
+			if solver.cfg.kernel == kernelDelta {
+				wantDelta = 1
+			}
+			roots := snap.Traces["fw"]
+			if len(roots) != 1 || len(roots[0].Attrs) != 1 || roots[0].Attrs[0] != (obs.Attr{Key: "spf_delta", Value: wantDelta}) {
+				t.Fatalf("fw trace roots = %+v, want one fw.run with spf_delta = %v", roots, wantDelta)
 			}
 			t.Logf("fw.prot_nnz %d, fw.probe_splits %d", snap.Gauges["fw.prot_nnz"], snap.Counters["fw.probe_splits"])
 		})

@@ -80,19 +80,33 @@ type Config struct {
 	// Plan.LPBasis). A mismatched basis silently falls back to a cold
 	// solve, so passing a stale basis is safe; the FW solver ignores it.
 	LPWarmBasis *lp.Basis
-	// SPF selects the shortest-path kernel driving the FW solver's oracle
-	// sweeps (default spf.ModeAuto). Every mode produces bitwise-identical
-	// shortest-path trees (see the contract in internal/spf), so the plan
-	// is byte-identical whichever mode is active — SPF trades only
-	// wall-clock time. The LP solver ignores it.
-	SPF spf.Mode
 	// Surge, when non-nil, folds a traffic-surge envelope into the
 	// protection bound: for every input matrix, the surged variant (top
 	// Surge.Frac OD pairs scaled by Surge.Scale) is added as an extra
 	// vertex of the demand hull, so the plan is congestion-free for every
 	// partial surge up to Scale as well (convexity). FW solver only.
 	Surge *SurgeSpec
+
+	// kernel is the tests' hook over the FW solver's shortest-path kernel
+	// (see spfKernel); every solve outside them leaves it zero.
+	kernel spfKernel
 }
+
+// spfKernel selects the shortest-path kernel behind the FW solver's oracle
+// sweeps. Production solves use kernelIncremental. The core tests select
+// the others to hold every kernel to the flat reference byte for byte; all
+// of them return the same trees bit for bit (the contract in internal/spf),
+// so plans never depend on the choice.
+type spfKernel uint8
+
+const (
+	// kernelIncremental keeps one DynTree per protected link, repaired
+	// across epochs and rebuilt with delta-stepping from
+	// spf.DeltaCutoverNodes nodes and with the binary heap below.
+	kernelIncremental spfKernel = iota
+	kernelFlat                  // a full heap SPF per oracle call, and the reference p sweep
+	kernelDelta                 // DynTrees always rebuilt with delta-stepping
+)
 
 // Priority couples one traffic class with the number of failures it must
 // tolerate (paper §3.5, prioritized resilient routing).
@@ -268,6 +282,11 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		cfg.Obs.GaugeFunc("fw.pool_items", func() int64 { _, items := pool.Stats(); return items })
 	}
 	initSp.End()
+	spfDelta := 0.0
+	if st.deltaSPF {
+		spfDelta = 1
+	}
+	runSp.SetFloat("spf_delta", spfDelta)
 	st.run(iters, runSp)
 
 	// ---- Package the plan ----
@@ -359,11 +378,14 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 	// Protection init: shortest detour avoiding the link itself when one
 	// exists, otherwise route on the link (p_l(l)=1 means "unprotected").
 	P := make([]routing.SparseRow, nL)
+	var sc spf.Scratch
+	var down graph.LinkSet
 	for l := 0; l < nL; l++ {
 		lid := graph.LinkID(l)
 		link := g.Link(lid)
-		avoid := func(id graph.LinkID) bool { return id != lid }
-		path := spf.ShortestPath(g, link.Src, link.Dst, avoid, spf.WeightCost(g))
+		down.Add(lid)
+		path := spf.ShortestPath(g, link.Src, link.Dst, &down, spf.WeightCost(g), &sc)
+		down.Remove(lid)
 		if path == nil {
 			path = []graph.LinkID{lid}
 		}
@@ -377,19 +399,21 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 	var delayCap []float64
 	if cfg.DelayEnvelope >= 1 {
 		delayCap = make([]float64, nK)
-		nextCache := map[graph.NodeID][]graph.LinkID{}
-		distCache := map[graph.NodeID][]float64{}
+		byDst := make([][]int, g.NumNodes())
 		for k, c := range comms {
-			dist, ok := distCache[c.Dst]
-			if !ok {
-				var next []graph.LinkID
-				dist, next = spf.DijkstraToWithNext(g, c.Dst, nil, spf.DelayCost(g))
-				distCache[c.Dst] = dist
-				nextCache[c.Dst] = next
+			byDst[c.Dst] = append(byDst[c.Dst], k)
+		}
+		for dst, ks := range byDst {
+			if len(ks) == 0 {
+				continue
 			}
-			delayCap[k] = cfg.DelayEnvelope * dist[c.Src]
-			if optimizeBase {
-				R[k].SetPath(spf.PathVia(g, c.Src, nextCache[c.Dst]))
+			spf.SPFTo(g.CSR(), graph.NodeID(dst), spf.DelayCost(g), nil, &sc)
+			for _, k := range ks {
+				src := comms[k].Src
+				delayCap[k] = cfg.DelayEnvelope * sc.Dist[src]
+				if optimizeBase {
+					R[k].SetPath(spf.PathFromNext(g.CSR(), src, sc.Next, nil))
+				}
 			}
 		}
 	}
@@ -400,7 +424,8 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 		optimizeBase: optimizeBase,
 		pool:         par.New(cfg.Workers),
 		o:            o,
-		spfMode:      cfg.SPF.Resolve(g.NumNodes()),
+		flatSPF:      cfg.kernel == kernelFlat,
+		deltaSPF:     cfg.kernel == kernelDelta || cfg.kernel == kernelIncremental && g.NumNodes() >= spf.DeltaCutoverNodes,
 	}, nil
 }
 
@@ -474,7 +499,8 @@ type fwState struct {
 	optimizeBase bool
 	pool         *par.Pool
 	o            fwObs
-	spfMode      spf.Mode // resolved kernel mode (never ModeAuto)
+	flatSPF      bool // kernelFlat: a flat SPF per oracle call and pSweepRef, no DynTrees
+	deltaSPF     bool // the DynTrees rebuild by delta-stepping
 
 	// best-so-far snapshot by true objective
 	bestObj float64
@@ -511,7 +537,7 @@ type fwState struct {
 	bufMu    sync.Mutex
 	bufFree  [][]float64 // free list of len-nL scratch rows (getBuf)
 
-	// Incremental-SPF state (spfMode != ModeFlat): one dynamic reverse
+	// Incremental-SPF state (unless flatSPF): one dynamic reverse
 	// tree per protected link, repaired across epochs from the sparse
 	// gradient-cost deltas instead of rebuilt by a full Dijkstra.
 	pTrees   []spf.DynTree
@@ -927,11 +953,10 @@ func (s *fwState) selectKernels() {
 
 	s.ensureArena()
 	s.csr = s.g.CSR()
-	if s.spfMode != spf.ModeFlat && s.pTrees == nil {
+	if !s.flatSPF && s.pTrees == nil {
 		s.pTrees = make([]spf.DynTree, nL)
-		useDelta := s.spfMode == spf.ModeDelta
 		for l := 0; l < nL; l++ {
-			s.pTrees[l].Reset(s.csr, s.g.Link(graph.LinkID(l)).Dst, useDelta)
+			s.pTrees[l].Reset(s.csr, s.g.Link(graph.LinkID(l)).Dst, s.deltaSPF)
 		}
 	}
 	if s.grp1 != nil && s.ar.grpS == nil {
@@ -959,9 +984,9 @@ func (s *fwState) selectKernels() {
 		}
 	}
 	// The incremental p sweep rides on the colTop kernels (worstArb-valid F
-	// on every top-F requirement); ModeFlat keeps the reference evaluation,
+	// on every top-F requirement); kernelFlat keeps the reference evaluation,
 	// which the differential tests compare against.
-	s.incSweep = s.spfMode != spf.ModeFlat && s.topK > 0
+	s.incSweep = !s.flatSPF && s.topK > 0
 	for _, f := range s.arbF {
 		if f >= nL {
 			s.incSweep = false
@@ -1333,7 +1358,7 @@ func (s *fwState) acceptP(l int, gamma float64, path []graph.LinkID, act []int32
 // through the selected kernel's per-block statistics or, in the generic
 // case, through WorstLoad on the column with entry l replaced. It serves
 // every model the incremental sweep does not (GroupFailures, the generic
-// path) and ModeFlat, where it is the oracle pSweepInc is tested against.
+// path) and kernelFlat, where it is the oracle pSweepInc is tested against.
 func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
@@ -1872,7 +1897,7 @@ func (s *fwState) pOraclePath(l int) {
 	link := s.g.Link(graph.LinkID(l))
 	pat, cost := s.ar.pPatNew[l], s.ar.pCost[l]
 	s.o.spf.Inc()
-	if s.spfMode == spf.ModeFlat {
+	if s.flatSPF {
 		row := s.pCostRow(pat, cost)
 		sc := s.spfPool.Get()
 		spf.SPFTo(s.csr, link.Dst, row, nil, sc)
@@ -2150,10 +2175,8 @@ func pathDelay(g *graph.Graph, path []graph.LinkID) float64 {
 // delayBoundedPath finds a low-cost path for commodity k whose propagation
 // delay does not exceed bound, via Lagrangian bisection on cost + θ·delay.
 // Falls back to the minimum-delay path. Every probe runs on the
-// allocation-free reverse kernel with pooled scratch (the former
-// closure-based spf.ShortestPath calls allocated a visit set and a fresh
-// path per probe); the returned path lives in the commodity's retained
-// buffer, so warm calls allocate nothing.
+// allocation-free reverse kernel with pooled scratch; the returned path
+// lives in the commodity's retained buffer, so warm calls allocate nothing.
 func (s *fwState) delayBoundedPath(k int, cost []float64, bound float64) []graph.LinkID {
 	src, dst := s.comms[k].Src, s.comms[k].Dst
 	nL := s.g.NumLinks()
@@ -2268,6 +2291,8 @@ func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	)
 	nL := g.NumLinks()
 	f := routing.NewFlow(g, routing.LinkCommodities(g))
+	var sc spf.Scratch
+	var down graph.LinkSet
 	for l := 0; l < nL; l++ {
 		prot[l].Scatter(f.Frac[l])
 	}
@@ -2321,8 +2346,9 @@ func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 			continue
 		}
 		link := g.Link(lid)
-		avoid := func(id graph.LinkID) bool { return id != lid }
-		path := spf.ShortestPath(g, link.Src, link.Dst, avoid, spf.WeightCost(g))
+		down.Add(lid)
+		path := spf.ShortestPath(g, link.Src, link.Dst, &down, spf.WeightCost(g), &sc)
+		down.Remove(lid)
 		if path == nil {
 			continue // a true bridge: nothing can protect it
 		}

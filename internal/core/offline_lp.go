@@ -193,9 +193,10 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 
 	// Delay envelope rows: sum_e PD_e r_ab(e) <= γ × PD*_ab.
 	if cfg.DelayEnvelope >= 1 && optimizeBase {
+		var sc spf.Scratch
 		for k, c := range comms {
-			dist := spf.DijkstraTo(g, c.Dst, nil, spf.DelayCost(g))
-			bound := cfg.DelayEnvelope * dist[c.Src]
+			spf.SPFTo(g.CSR(), c.Dst, spf.DelayCost(g), nil, &sc)
+			bound := cfg.DelayEnvelope * sc.Dist[c.Src]
 			var terms []lp.Term
 			for e := 0; e < nL; e++ {
 				if v := rVar[k][e]; v >= 0 {

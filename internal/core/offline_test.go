@@ -259,7 +259,7 @@ func TestDelayEnvelopeLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, c := range plan.Base.Comms {
-		dist := spf.DijkstraTo(g, c.Dst, nil, spf.DelayCost(g))
+		dist := delayDistTo(g, c.Dst)
 		if got := plan.Base.AvgPathDelay(k); got > dist[c.Src]*1.0+1e-6 {
 			t.Fatalf("commodity %d delay %v exceeds bound %v", k, got, dist[c.Src])
 		}

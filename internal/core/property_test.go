@@ -112,7 +112,7 @@ func TestOrderIndependenceRandom(t *testing.T) {
 		for tries := 0; tries < 50; tries++ {
 			perm := rng.Perm(g.NumLinks())[:3]
 			cand := []graph.LinkID{graph.LinkID(perm[0]), graph.LinkID(perm[1]), graph.LinkID(perm[2])}
-			if g.Connected(graph.NewLinkSet(cand...).Alive()) {
+			if down := graph.NewLinkSet(cand...); g.Connected(&down) {
 				seq = cand
 				break
 			}
@@ -155,7 +155,7 @@ func TestRescalingConservesTraffic(t *testing.T) {
 		}
 		for e := 0; e < g.NumLinks(); e++ {
 			fail := graph.NewLinkSet(graph.LinkID(e))
-			if !g.Connected(fail.Alive()) {
+			if !g.Connected(&fail) {
 				continue
 			}
 			st := NewState(plan)

@@ -179,7 +179,7 @@ func Sample(events []graph.LinkSet, k, n int, seed int64) []graph.LinkSet {
 func FilterConnected(g *graph.Graph, scenarios []graph.LinkSet) []graph.LinkSet {
 	var out []graph.LinkSet
 	for _, sc := range scenarios {
-		if g.Connected(sc.Alive()) {
+		if g.Connected(&sc) {
 			out = append(out, sc)
 		}
 	}

@@ -222,32 +222,32 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Connected reports whether every node can reach every other node using
-// only links for which alive returns true. A nil alive means all links are
-// up. Graphs with fewer than two nodes are connected.
-func (g *Graph) Connected(alive func(LinkID) bool) bool {
+// Connected reports whether every node can reach every other node over
+// the links outside down (nil = all links up). Graphs with fewer than two
+// nodes are connected.
+func (g *Graph) Connected(down *LinkSet) bool {
 	n := len(g.nodes)
 	if n < 2 {
 		return true
 	}
 	// Strong connectivity via forward and reverse BFS from node 0.
-	if g.reachCount(0, alive, false) != n {
+	if g.reachCount(0, down, false) != n {
 		return false
 	}
-	return g.reachCount(0, alive, true) == n
+	return g.reachCount(0, down, true) == n
 }
 
-// ReachableFrom returns the set of nodes reachable from src over alive
-// links (including src itself).
-func (g *Graph) ReachableFrom(src NodeID, alive func(LinkID) bool) []bool {
+// ReachableFrom returns the set of nodes reachable from src over the links
+// outside down (including src itself).
+func (g *Graph) ReachableFrom(src NodeID, down *LinkSet) []bool {
 	seen := make([]bool, len(g.nodes))
-	g.bfs(src, alive, false, seen)
+	g.bfs(src, down, false, seen)
 	return seen
 }
 
-func (g *Graph) reachCount(src NodeID, alive func(LinkID) bool, reverse bool) int {
+func (g *Graph) reachCount(src NodeID, down *LinkSet, reverse bool) int {
 	seen := make([]bool, len(g.nodes))
-	g.bfs(src, alive, reverse, seen)
+	g.bfs(src, down, reverse, seen)
 	count := 0
 	for _, s := range seen {
 		if s {
@@ -257,7 +257,7 @@ func (g *Graph) reachCount(src NodeID, alive func(LinkID) bool, reverse bool) in
 	return count
 }
 
-func (g *Graph) bfs(src NodeID, alive func(LinkID) bool, reverse bool, seen []bool) {
+func (g *Graph) bfs(src NodeID, down *LinkSet, reverse bool, seen []bool) {
 	queue := []NodeID{src}
 	seen[src] = true
 	for len(queue) > 0 {
@@ -270,7 +270,7 @@ func (g *Graph) bfs(src NodeID, alive func(LinkID) bool, reverse bool, seen []bo
 			edges = g.out[u]
 		}
 		for _, id := range edges {
-			if alive != nil && !alive(id) {
+			if down != nil && down.Contains(id) {
 				continue
 			}
 			var v NodeID

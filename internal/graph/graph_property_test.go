@@ -31,7 +31,6 @@ func TestConnectedAgainstBruteForce(t *testing.T) {
 				failed.Add(id)
 			}
 		}
-		alive := failed.Alive()
 
 		// Brute force: Floyd-Warshall style closure.
 		reach := make([][]bool, n)
@@ -40,7 +39,7 @@ func TestConnectedAgainstBruteForce(t *testing.T) {
 			reach[i][i] = true
 		}
 		for _, l := range g.Links() {
-			if alive(l.ID) {
+			if !failed.Contains(l.ID) {
 				reach[l.Src][l.Dst] = true
 			}
 		}
@@ -62,11 +61,11 @@ func TestConnectedAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if got := g.Connected(alive); got != want {
+		if got := g.Connected(&failed); got != want {
 			t.Fatalf("trial %d: Connected = %v, brute force = %v", trial, got, want)
 		}
 		// ReachableFrom agrees with row 0 of the closure.
-		seen := g.ReachableFrom(ids[0], alive)
+		seen := g.ReachableFrom(ids[0], &failed)
 		for j := 0; j < n; j++ {
 			if seen[j] != reach[0][j] {
 				t.Fatalf("trial %d: ReachableFrom[%d] = %v, want %v", trial, j, seen[j], reach[0][j])

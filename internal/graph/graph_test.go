@@ -98,12 +98,12 @@ func TestConnected(t *testing.T) {
 	}
 	// Fail both directions of one edge: still connected via the third node.
 	fail := NewLinkSet(0, 1)
-	if !g.Connected(fail.Alive()) {
+	if !g.Connected(&fail) {
 		t.Fatalf("triangle minus one duplex edge should remain connected")
 	}
 	// Fail two duplex edges: node becomes isolated.
 	fail = NewLinkSet(0, 1, 4, 5)
-	if g.Connected(fail.Alive()) {
+	if g.Connected(&fail) {
 		t.Fatalf("triangle minus two duplex edges should be partitioned")
 	}
 }
@@ -122,7 +122,7 @@ func TestConnectedDirected(t *testing.T) {
 		t.Fatalf("cycle should be strongly connected")
 	}
 	fail := NewLinkSet(ca)
-	if g.Connected(fail.Alive()) {
+	if g.Connected(&fail) {
 		t.Fatalf("cycle minus one arc should not be strongly connected")
 	}
 }
@@ -141,7 +141,7 @@ func TestReachableFrom(t *testing.T) {
 		}
 	}
 	fail := NewLinkSet(ab)
-	seen = g.ReachableFrom(a, fail.Alive())
+	seen = g.ReachableFrom(a, &fail)
 	if seen[b] || seen[c] {
 		t.Fatalf("b,c should be unreachable after a->b fails: %v", seen)
 	}

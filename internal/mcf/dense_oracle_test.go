@@ -12,8 +12,8 @@ import (
 )
 
 // minMLUDense is MinMLU as it was before its iterate became sparse rows:
-// dense [commodity][link] matrices for the iterate and the direction, and
-// the closure-based Dijkstra wrappers for the oracle. It is kept as the
+// dense [commodity][link] matrices for the iterate and the direction, and a
+// fresh tree per destination and call for the oracle. It is kept as the
 // oracle MinMLU is held to bit for bit.
 func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	opts.defaults()
@@ -33,17 +33,17 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 	}
 
 	// Reachability screen; remember reachable commodities.
+	down := downSet(nL, opts.Alive)
 	reach := make([]bool, len(comms))
 	dropped := 0
-	distCache := map[graph.NodeID][]float64{}
-	costW := func(id graph.LinkID) float64 { return 1 }
+	unit := make([]float64, nL)
+	for e := range unit {
+		unit[e] = 1
+	}
+	var s spf.Scratch
 	for k, c := range comms {
-		distTo, ok := distCache[c.Dst]
-		if !ok {
-			distTo = spf.DijkstraTo(g, c.Dst, opts.Alive, costW)
-			distCache[c.Dst] = distTo
-		}
-		if math.IsInf(distTo[c.Src], 1) {
+		spf.SPFTo(g.CSR(), c.Dst, unit, down, &s)
+		if math.IsInf(s.Dist[c.Src], 1) {
 			dropped++
 			continue
 		}
@@ -54,8 +54,11 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 	// inverse-capacity-cost shortest path (a reasonable starting point
 	// that avoids tiny links).
 	loads := append([]float64(nil), bg...)
-	invCap := func(id graph.LinkID) float64 { return 1e9 / cap[id] }
-	assignShortestDense(g, f.Comms, reach, opts.Alive, invCap, func(k int, path []graph.LinkID) {
+	invCap := make([]float64, nL)
+	for e := range invCap {
+		invCap[e] = 1e9 / cap[e]
+	}
+	assignShortestDense(g, f.Comms, reach, down, invCap, func(k int, path []graph.LinkID) {
 		for _, id := range path {
 			f.Frac[k][id] = 1
 			loads[id] += comms[k].Demand
@@ -80,8 +83,9 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 		softmax(q, loads, cap, mu)
 
 		// Linear minimization oracle: shortest paths under cost q_e/c_e.
-		cost := func(id graph.LinkID) float64 {
-			return q[id]/cap[id] + 1e-15
+		cost := make([]float64, nL)
+		for e := range cost {
+			cost[e] = q[e]/cap[e] + 1e-15
 		}
 		dirLoads := append([]float64(nil), bg...)
 		for k := range dirFrac {
@@ -94,7 +98,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 				}
 			}
 		}
-		assignShortestDense(g, f.Comms, reach, opts.Alive, cost, func(k int, path []graph.LinkID) {
+		assignShortestDense(g, f.Comms, reach, down, cost, func(k int, path []graph.LinkID) {
 			gotDir[k] = true
 			for _, id := range path {
 				dirFrac[k][id] = 1
@@ -153,10 +157,10 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 }
 
 // assignShortest invokes emit(k, path) with one shortest path per
-// reachable commodity under the given cost, sharing one reverse Dijkstra
-// per destination. Paths follow the Dijkstra tree, so they are always
-// simple.
-func assignShortestDense(g *graph.Graph, comms []routing.Commodity, reach []bool, alive func(graph.LinkID) bool, cost spf.Cost, emit func(int, []graph.LinkID)) {
+// reachable commodity under the given cost over the links outside down,
+// sharing one reverse Dijkstra per destination. Paths follow the Dijkstra
+// tree, so they are always simple.
+func assignShortestDense(g *graph.Graph, comms []routing.Commodity, reach []bool, down *graph.LinkSet, cost []float64, emit func(int, []graph.LinkID)) {
 	// Destinations are visited in first-seen commodity order, NOT map
 	// iteration order: callers accumulate floating-point loads in emit
 	// order, so a randomized order would make MinMLU's result vary run to
@@ -172,10 +176,11 @@ func assignShortestDense(g *graph.Graph, comms []routing.Commodity, reach []bool
 			groups[dst] = append(groups[dst], k)
 		}
 	}
+	var s spf.Scratch
 	for _, dst := range order {
-		_, next := spf.DijkstraToWithNext(g, dst, alive, cost)
+		spf.SPFTo(g.CSR(), dst, cost, down, &s)
 		for _, k := range groups[dst] {
-			if path := spf.PathVia(g, comms[k].Src, next); path != nil {
+			if path := spf.PathFromNext(g.CSR(), comms[k].Src, s.Next, nil); path != nil {
 				emit(k, path)
 			}
 		}

@@ -105,7 +105,7 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		bg = make([]float64, nL)
 	}
 
-	o := newPathOracle(g, comms, opts.Alive)
+	o := newPathOracle(g, comms, downSet(nL, opts.Alive))
 	rows := make([]routing.SparseRow, len(comms))
 	flow := func() *routing.Flow {
 		f := routing.NewFlow(g, comms)
@@ -195,6 +195,21 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	return &Result{Flow: f, MLU: util(final, cap), Dropped: o.dropped}
 }
 
+// downSet flattens an Options.Alive predicate into the down-set the
+// shortest-path kernel reads: nil when every link is alive.
+func downSet(nL int, alive func(graph.LinkID) bool) *graph.LinkSet {
+	if alive == nil {
+		return nil
+	}
+	down := &graph.LinkSet{}
+	for e := 0; e < nL; e++ {
+		if !alive(graph.LinkID(e)) {
+			down.Add(graph.LinkID(e))
+		}
+	}
+	return down
+}
+
 // pathOracle is MinMLU's linear minimization oracle: one shortest path per
 // reachable commodity under a per-link cost row, sharing one reverse tree
 // per destination. It runs the CSR kernel on one Scratch and extracts paths
@@ -206,7 +221,8 @@ type pathOracle struct {
 	comms   []routing.Commodity
 	down    *graph.LinkSet // links outside Options.Alive; nil when all are alive
 	sc      spf.Scratch
-	dropped int // commodities with no path over alive links
+	reach   []bool // reach[k]: commodity k's destination is reachable over alive links
+	dropped int    // commodities with no path over alive links
 	// order lists the destinations of reachable commodities as first seen
 	// in commodity order, NOT in map or node order: callers accumulate
 	// floating-point loads in route's visiting order, so any other order
@@ -221,31 +237,23 @@ type pathOracle struct {
 	paths [][]graph.LinkID
 }
 
-// newPathOracle screens reachability with one unit-cost tree per distinct
-// destination and groups the reachable commodities by destination.
-func newPathOracle(g *graph.Graph, comms []routing.Commodity, alive func(graph.LinkID) bool) *pathOracle {
-	nL := g.NumLinks()
+// newPathOracle screens reachability over the links outside down with one
+// unit-cost tree per distinct destination and groups the reachable
+// commodities by destination.
+func newPathOracle(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet) *pathOracle {
 	o := &pathOracle{
-		csr: g.CSR(), comms: comms,
+		csr: g.CSR(), comms: comms, down: down,
+		reach:  make([]bool, len(comms)),
 		groups: make([][]int, g.NumNodes()),
 		paths:  make([][]graph.LinkID, len(comms)),
-	}
-	if alive != nil {
-		o.down = &graph.LinkSet{}
-		for e := 0; e < nL; e++ {
-			if !alive(graph.LinkID(e)) {
-				o.down.Add(graph.LinkID(e))
-			}
-		}
 	}
 	for k, c := range comms {
 		o.groups[c.Dst] = append(o.groups[c.Dst], k)
 	}
-	hops := make([]float64, nL)
+	hops := make([]float64, g.NumLinks())
 	for e := range hops {
 		hops[e] = 1
 	}
-	reach := make([]bool, len(comms))
 	for dst, ks := range o.groups {
 		if len(ks) == 0 {
 			continue
@@ -254,7 +262,7 @@ func newPathOracle(g *graph.Graph, comms []routing.Commodity, alive func(graph.L
 		reachable := ks[:0]
 		for _, k := range ks {
 			if o.sc.Dist[comms[k].Src] != spf.Infinity {
-				reach[k] = true
+				o.reach[k] = true
 				reachable = append(reachable, k)
 			}
 		}
@@ -262,7 +270,7 @@ func newPathOracle(g *graph.Graph, comms []routing.Commodity, alive func(graph.L
 	}
 	seen := make([]bool, g.NumNodes())
 	for k, c := range comms {
-		if !reach[k] {
+		if !o.reach[k] {
 			o.dropped++
 		} else if !seen[c.Dst] {
 			seen[c.Dst] = true
@@ -371,9 +379,10 @@ func allZeroDemand(comms []routing.Commodity) bool {
 func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Result, error) {
 	opts.defaults()
 	nL := g.NumLinks()
+	down := downSet(nL, opts.Alive)
 	aliveLinks := make([]bool, nL)
 	for e := 0; e < nL; e++ {
-		aliveLinks[e] = opts.Alive == nil || opts.Alive(graph.LinkID(e))
+		aliveLinks[e] = down == nil || !down.Contains(graph.LinkID(e))
 	}
 	bg := opts.Background
 	if bg == nil {
@@ -381,19 +390,8 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	}
 
 	f := routing.NewFlow(g, comms)
-	reach := make([]bool, len(comms))
-	dropped := 0
-	distTo := make([][]float64, g.NumNodes()) // hop distances, one reverse Dijkstra per distinct destination
-	for k, c := range comms {
-		if distTo[c.Dst] == nil {
-			distTo[c.Dst] = spf.DijkstraTo(g, c.Dst, opts.Alive, func(graph.LinkID) float64 { return 1 })
-		}
-		if math.IsInf(distTo[c.Dst][c.Src], 1) {
-			dropped++
-			continue
-		}
-		reach[k] = true
-	}
+	o := newPathOracle(g, comms, down)
+	reach, dropped := o.reach, o.dropped
 
 	p := lp.NewProblem()
 	p.Obs = opts.Obs

@@ -43,7 +43,7 @@ func TestMinMLUExactWarmMatchesColdAcrossFailures(t *testing.T) {
 	scenarios := 0
 	for e := 0; e < g.NumLinks() && scenarios < 8; e++ {
 		failed := graph.NewLinkSet(graph.LinkID(e))
-		if !g.Connected(failed.Alive()) {
+		if !g.Connected(&failed) {
 			continue
 		}
 		scenarios++

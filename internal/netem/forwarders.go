@@ -3,7 +3,6 @@ package netem
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/mplsff"
@@ -66,30 +65,16 @@ func (f *OSPFReconForwarder) ApplyFailure(e graph.LinkID) {
 
 func (f *OSPFReconForwarder) reconverge() {
 	g := f.G
-	alive := f.failed.Alive()
+	c := g.CSR()
 	cost := spf.WeightCost(g)
 	f.next = make(map[graph.NodeID][][]graph.LinkID, g.NumNodes())
-	const eps = 1e-9
+	var s spf.Scratch
 	for dvi := 0; dvi < g.NumNodes(); dvi++ {
 		dst := graph.NodeID(dvi)
-		distTo := spf.DijkstraTo(g, dst, alive, cost)
+		spf.SPFTo(c, dst, cost, &f.failed, &s)
 		table := make([][]graph.LinkID, g.NumNodes())
-		for u := 0; u < g.NumNodes(); u++ {
-			if math.IsInf(distTo[u], 1) || graph.NodeID(u) == dst {
-				continue
-			}
-			for _, id := range g.Out(graph.NodeID(u)) {
-				if !alive(id) {
-					continue
-				}
-				v := g.Link(id).Dst
-				if math.IsInf(distTo[v], 1) {
-					continue
-				}
-				if math.Abs(cost(id)+distTo[v]-distTo[graph.NodeID(u)]) < eps*(1+distTo[graph.NodeID(u)]) {
-					table[u] = append(table[u], id)
-				}
-			}
+		for u := range table {
+			table[u] = spf.Hops(c, graph.NodeID(u), cost, &f.failed, s.Dist, s.Next, nil)
 		}
 		f.next[dst] = table
 	}

@@ -260,3 +260,59 @@ func TestOSPFForwarderECMPConsistency(t *testing.T) {
 		t.Fatalf("ECMP choice not flow-consistent: %v %v", out1, out2)
 	}
 }
+
+// TestOSPFReconTablesAcyclic: on a triangle whose a-b weight (1e-12) lies
+// inside the equal-cost tolerance, a and b sit at the same distance from d,
+// and the reconverged tables used to send a to b and b back to a. Toward
+// every destination, before and after the a-d pair fails, every other node
+// must have a next hop and the hops must form no cycle. The same holds
+// where a-d weighs 1e6 and b has no b-d link, so that 1e6 + 1e-12 == 1e6
+// leaves b on a plateau whose one hop is its canonical next link.
+func TestOSPFReconTablesAcyclic(t *testing.T) {
+	for _, tc := range []struct {
+		ad, bd float64
+		fail   bool
+	}{{1, 1, true}, {1e6, 0, false}} {
+		g := graph.New("triangle")
+		a := g.AddNode("a")
+		b := g.AddNode("b")
+		d := g.AddNode("d")
+		g.AddDuplex(a, b, 100, 1, 1e-12)
+		ad, da := g.AddDuplex(a, d, 100, 1, tc.ad)
+		if tc.bd > 0 {
+			g.AddDuplex(b, d, 100, 1, tc.bd)
+		}
+		fw := NewOSPFRecon(g)
+		check := func() {
+			for dst, table := range fw.next {
+				state := make([]int8, len(table)) // 0 new, 1 on the walk, 2 done
+				var visit func(u graph.NodeID)
+				visit = func(u graph.NodeID) {
+					if u == dst || state[u] == 2 {
+						return
+					}
+					if state[u] == 1 {
+						t.Fatalf("next-hop cycle toward %d through %d: %v", dst, u, table)
+					}
+					if len(table[u]) == 0 {
+						t.Fatalf("node %d has no next hop toward %d", u, dst)
+					}
+					state[u] = 1
+					for _, id := range table[u] {
+						visit(g.Link(id).Dst)
+					}
+					state[u] = 2
+				}
+				for u := range table {
+					visit(graph.NodeID(u))
+				}
+			}
+		}
+		check()
+		if tc.fail {
+			fw.ApplyFailure(ad)
+			fw.ApplyFailure(da)
+			check()
+		}
+	}
+}

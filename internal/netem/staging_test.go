@@ -317,7 +317,7 @@ func pickStagedFailures(t testing.TB, g *graph.Graph, seed int64) []graph.LinkID
 		for _, e := range []graph.LinkID{a, g.Link(a).Reverse, b, g.Link(b).Reverse} {
 			dead.Add(e)
 		}
-		if g.Connected(dead.Alive()) {
+		if g.Connected(&dead) {
 			return dead.IDs()
 		}
 	}

@@ -47,35 +47,56 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 	}
 	fullMask := uint32(1)<<uint(len(fids)) - 1
 
-	// Per (dst, mask): ECMP next-hop sets from a reverse Dijkstra on the
-	// topology minus learned links. Cached across OD pairs.
+	// Per (dst, mask): the reverse tree of the topology minus the learned
+	// links, whose Hops are the snapshot's ECMP next hops. Cached across
+	// OD pairs, as are the per-mask down-sets.
+	c := g.CSR()
+	cost := spf.WeightCost(g)
+	downs := map[uint32]*graph.LinkSet{}
+	downFor := func(mask uint32) *graph.LinkSet {
+		if down, ok := downs[mask]; ok {
+			return down
+		}
+		down := &graph.LinkSet{}
+		for i, id := range fids {
+			if mask&(1<<uint(i)) != 0 {
+				down.Add(id)
+			}
+		}
+		downs[mask] = down
+		return down
+	}
 	type dagKey struct {
 		dst  graph.NodeID
 		mask uint32
 	}
-	dagCache := map[dagKey][]float64{} // distance-to-dst vectors
-	distFor := func(dst graph.NodeID, mask uint32) []float64 {
+	type tree struct {
+		dist []float64
+		next []int32
+	}
+	dagCache := map[dagKey]tree{}
+	var sc spf.Scratch
+	treeFor := func(dst graph.NodeID, mask uint32) tree {
 		k := dagKey{dst, mask}
-		if v, ok := dagCache[k]; ok {
-			return v
+		if t, ok := dagCache[k]; ok {
+			return t
 		}
-		alive := func(id graph.LinkID) bool {
-			i, isFailed := idxOf[id]
-			return !isFailed || mask&(1<<uint(i)) == 0
-		}
-		v := spf.DijkstraTo(g, dst, alive, spf.WeightCost(g))
-		dagCache[k] = v
-		return v
+		spf.SPFTo(c, dst, cost, downFor(mask), &sc)
+		t := tree{append([]float64(nil), sc.Dist...), append([]int32(nil), sc.Next...)}
+		dagCache[k] = t
+		return t
 	}
 
 	const eps = 1e-12
+	var hops []graph.LinkID
 	d.Pairs(func(a, b graph.NodeID, vol float64) {
 		// Fluid propagation over (node, mask) states. Masks only grow, so
 		// processing states by increasing mask popcount and, within a
 		// mask, by decreasing distance-to-dst terminates.
 		flow := map[fcpKey]float64{{a, 0}: vol}
 		for mask := uint32(0); mask <= fullMask; mask++ {
-			distTo := distFor(b, mask)
+			t := treeFor(b, mask)
+			down := downFor(mask)
 			// Same-mask propagation follows the ECMP DAG, which strictly
 			// decreases distance-to-destination; processing every node in
 			// decreasing-distance order therefore visits each aggregate
@@ -86,7 +107,7 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 				states = append(states, fcpKey{graph.NodeID(n), mask})
 			}
 			sort.Slice(states, func(i, j int) bool {
-				di, dj := distTo[states[i].node], distTo[states[j].node]
+				di, dj := t.dist[states[i].node], t.dist[states[j].node]
 				if math.IsInf(di, 1) != math.IsInf(dj, 1) {
 					return math.IsInf(di, 1)
 				}
@@ -101,33 +122,40 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 					continue
 				}
 				delete(flow, st)
-				if math.IsInf(distTo[st.node], 1) {
-					// Destination unreachable in this snapshot: dropped.
-					lost += f
-					continue
-				}
 				// ECMP next hops in the snapshot (failed links the packet
-				// has not learned yet still look usable).
-				hops := ecmpHops(g, st.node, distTo, mask, idxOf)
-				if len(hops) == 0 {
-					lost += f
-					continue
-				}
-				share := f / float64(len(hops))
-				for _, id := range hops {
-					if fi, isFailed := idxOf[id]; isFailed && mask&(1<<uint(fi)) == 0 {
-						// Packet hits the failed link, learns it, stays at
-						// the node with a bigger mask.
-						nk := fcpKey{st.node, mask | 1<<uint(fi)}
-						flow[nk] += share
-						continue
+				// has not learned yet still look usable). A plateau's one
+				// hop stays at its distance, where the sorted pass may have
+				// gone by already: the flow follows it at once.
+				for u := st.node; u != b; {
+					if hops = spf.Hops(c, u, cost, down, t.dist, t.next, hops); len(hops) == 0 {
+						// Destination unreachable in this snapshot: dropped.
+						lost += f
+						break
 					}
-					loads[id] += share
-					nk := fcpKey{g.Link(id).Dst, mask}
-					if nk.node == b {
-						continue // delivered
+					share := f / float64(len(hops))
+					walk := u
+					for _, id := range hops {
+						if fi, isFailed := idxOf[id]; isFailed && mask&(1<<uint(fi)) == 0 {
+							// Packet hits the failed link, learns it, stays at
+							// the node with a bigger mask.
+							nk := fcpKey{u, mask | 1<<uint(fi)}
+							flow[nk] += share
+							continue
+						}
+						loads[id] += share
+						v := g.Link(id).Dst
+						switch {
+						case v == b: // delivered
+						case t.dist[v] == t.dist[u]:
+							walk = v
+						default:
+							flow[fcpKey{v, mask}] += share
+						}
 					}
-					flow[nk] += share
+					if walk == u {
+						break
+					}
+					u = walk
 				}
 			}
 		}
@@ -135,25 +163,4 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 		// dropped above; leftover at dst keys is delivered.
 	})
 	return loads, lost
-}
-
-// ecmpHops returns the ECMP next-hop links at node u toward the
-// destination of distTo, over the snapshot where only links learned in
-// mask are removed.
-func ecmpHops(g *graph.Graph, u graph.NodeID, distTo []float64, mask uint32, idxOf map[graph.LinkID]int) []graph.LinkID {
-	const eps = 1e-9
-	var hops []graph.LinkID
-	for _, id := range g.Out(u) {
-		if fi, isFailed := idxOf[id]; isFailed && mask&(1<<uint(fi)) != 0 {
-			continue // learned: excluded from the snapshot
-		}
-		v := g.Link(id).Dst
-		if math.IsInf(distTo[v], 1) {
-			continue
-		}
-		if math.Abs(g.Link(id).Weight+distTo[v]-distTo[u]) < eps*(1+distTo[u]) {
-			hops = append(hops, id)
-		}
-	}
-	return hops
 }

@@ -64,7 +64,7 @@ func (s *OSPFRecon) Name() string { return "OSPF+recon" }
 // Loads implements Scheme.
 func (s *OSPFRecon) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
 	comms := routing.ODCommodities(s.G.NumNodes(), d.At)
-	f := spf.ECMPFlow(s.G, comms, failed.Alive(), spf.WeightCost(s.G))
+	f := spf.ECMPFlow(s.G, comms, &failed, spf.WeightCost(s.G))
 	loads := f.Loads()
 	var lost float64
 	for k, c := range f.Comms {
@@ -120,6 +120,7 @@ func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, 
 	loads := make([]float64, s.G.NumLinks())
 	copy(loads, baseLoads)
 	var lost float64
+	var sc spf.Scratch
 	for _, e := range failed.IDs() {
 		carried := baseLoads[e]
 		loads[e] = 0
@@ -127,7 +128,7 @@ func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, 
 			continue
 		}
 		link := s.G.Link(e)
-		bypass := spf.ShortestPath(s.G, link.Src, link.Dst, failed.Alive(), spf.WeightCost(s.G))
+		bypass := spf.ShortestPath(s.G, link.Src, link.Dst, &failed, spf.WeightCost(s.G), &sc)
 		if bypass == nil {
 			lost += carried
 			continue

@@ -3,6 +3,7 @@ package protect
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -124,6 +125,59 @@ func TestCSPFDetourUnprotectable(t *testing.T) {
 	_, lost := s.Loads(graph.NewLinkSet(0), d)
 	if math.Abs(lost-6) > 1e-9 {
 		t.Fatalf("lost = %v, want 6", lost)
+	}
+}
+
+// triangle builds a=0, b=1, d=2 with duplex links ab(0,1), ad(2,3) and,
+// when bd > 0, bd(4,5), at the given weights.
+func triangle(ab, ad, bd float64) (*graph.Graph, [3]graph.NodeID) {
+	g := graph.New("triangle")
+	a := g.AddNode("a")
+	b := g.AddNode("b")
+	d := g.AddNode("d")
+	g.AddDuplex(a, b, 100, 1, ab)
+	g.AddDuplex(a, d, 100, 1, ad)
+	if bd > 0 {
+		g.AddDuplex(b, d, 100, 1, bd)
+	}
+	return g, [3]graph.NodeID{a, b, d}
+}
+
+// TestNearTieSchemes: a-b weighs 1e-12, inside the equal-cost tolerance, so
+// a and b each look like an equal-cost hop of the other. With the a-d pair
+// down, CSPFDetour's bypass from a to d is the finite a->b->d (its
+// shortest-path walk used to bounce between a and b forever), and every
+// shortest-path scheme delivers the whole a->d demand. Where a-d weighs 1e6
+// and b has no b-d link, 1e6 + 1e-12 == 1e6 puts b on a plateau: its one
+// hop is its canonical next link, at its own distance, and the schemes
+// must still deliver a b->d demand.
+func TestNearTieSchemes(t *testing.T) {
+	watchdog := time.AfterFunc(20*time.Second, func() { panic("schemes did not finish within 20 s") })
+	defer watchdog.Stop()
+	g, n := triangle(1e-12, 1, 1)
+	failed := graph.NewLinkSet(2, 3)
+	loads, lost := (&CSPFDetour{G: g}).Loads(failed, singleOD(3, n[0], n[2], 8))
+	if lost != 0 || loads[0] != 8 || loads[4] != 8 {
+		t.Fatalf("CSPF bypass: loads %v, lost %v; want 8 on a->b and b->d", loads, lost)
+	}
+	plateau, pn := triangle(1e-12, 1e6, 0)
+	for _, tc := range []struct {
+		g        *graph.Graph
+		src, dst graph.NodeID
+		failed   []graph.LinkSet
+	}{
+		{g, n[0], n[2], []graph.LinkSet{{}, failed}},
+		{plateau, pn[1], pn[2], []graph.LinkSet{{}}},
+	} {
+		d := singleOD(3, tc.src, tc.dst, 8)
+		for _, s := range []Scheme{&CSPFDetour{G: tc.g}, &OSPFRecon{G: tc.g}, &FCP{G: tc.g}} {
+			for _, fail := range tc.failed {
+				if _, lost := s.Loads(fail, d); lost != 0 {
+					t.Fatalf("%s %d->%d under %v: lost %v", s.Name(), tc.src, tc.dst, fail, lost)
+				}
+				conservationCheck(t, tc.g, s, fail, d, tc.dst, 8)
+			}
+		}
 	}
 }
 

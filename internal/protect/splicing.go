@@ -28,10 +28,10 @@ type PathSplicing struct {
 	// scheme value can serve concurrent scenario evaluations.
 	mu           sync.Mutex
 	sliceWeights [][]float64
-	// nextCache[slice][dst] is the static next-hop tree of a slice;
-	// slices do not react to failures (only splicing does), so the cache
-	// persists across Loads calls.
-	nextCache map[int]map[graph.NodeID][]graph.LinkID
+	// nextCache[slice][dst] is the static next-link vector of a slice
+	// (spf.Scratch.Next); slices do not react to failures (only splicing
+	// does), so the cache persists across Loads calls.
+	nextCache map[int]map[graph.NodeID][]int32
 }
 
 // Name implements Scheme.
@@ -80,27 +80,28 @@ func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64
 	g := s.G
 	loads := make([]float64, g.NumLinks())
 	var lost float64
-	alive := failed.Alive()
+	alive := func(id int32) bool { return id >= 0 && !failed.Contains(graph.LinkID(id)) }
 
-	if s.nextCache == nil {
-		s.nextCache = make(map[int]map[graph.NodeID][]graph.LinkID)
-	}
 	// Next-hop link per (slice, dst, node): first link on the slice's
 	// shortest path (computed on the full topology — slices are static;
 	// only splicing reacts to failures).
-	nextFor := func(sl int, dst graph.NodeID) []graph.LinkID {
+	var sc spf.Scratch
+	nextFor := func(sl int, dst graph.NodeID) []int32 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if s.nextCache == nil {
+			s.nextCache = make(map[int]map[graph.NodeID][]int32)
+		}
 		m := s.nextCache[sl]
 		if m == nil {
-			m = make(map[graph.NodeID][]graph.LinkID)
+			m = make(map[graph.NodeID][]int32)
 			s.nextCache[sl] = m
 		}
 		if v, ok := m[dst]; ok {
 			return v
 		}
-		w := s.sliceWeights[sl]
-		_, next := spf.DijkstraToWithNext(g, dst, nil, func(id graph.LinkID) float64 { return w[id] })
+		spf.SPFTo(g.CSR(), dst, s.sliceWeights[sl], nil, &sc)
+		next := append([]int32(nil), sc.Next...)
 		m[dst] = next
 		return next
 	}
@@ -129,8 +130,8 @@ func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64
 					continue
 				}
 				nh := nextFor(st.slice, b)[st.node]
-				if nh >= 0 && alive(nh) {
-					v := g.Link(nh).Dst
+				if alive(nh) {
+					v := g.Link(graph.LinkID(nh)).Dst
 					loads[nh] += f
 					if v != b {
 						next[spliceState{v, st.slice}] += f
@@ -144,8 +145,7 @@ func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64
 					if sl == st.slice {
 						continue
 					}
-					h := nextFor(sl, b)[st.node]
-					if h >= 0 && alive(h) {
+					if alive(nextFor(sl, b)[st.node]) {
 						targets = append(targets, spliceState{st.node, sl})
 					}
 				}

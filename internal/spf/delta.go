@@ -14,6 +14,10 @@ import "repro/internal/graph"
 // identical to SPFTo for every input, regardless of Δ or pop order; the
 // differential tests in dynamic_test.go pin that.
 
+// DeltaCutoverNodes is the topology size from which the planner's DynTrees
+// rebuild with delta-stepping instead of the binary heap.
+const DeltaCutoverNodes = 768
+
 // DeltaScratch holds the bucket queue between calls so a warm scratch
 // allocates nothing. It must not be shared between concurrent calls.
 type DeltaScratch struct {

@@ -1,7 +1,6 @@
 package spf
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -226,30 +225,4 @@ func TestDeltaKernelMatchesFlat(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestModeParseRoundTrip pins flag parsing and Auto resolution.
-func TestModeParseRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeAuto, ModeFlat, ModeIncremental, ModeDelta} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode accepted bogus mode")
-	}
-	if m, _ := ParseMode(""); m != ModeAuto {
-		t.Fatalf("empty mode = %v, want auto", m)
-	}
-	if ModeAuto.Resolve(100) != ModeIncremental {
-		t.Fatal("Auto on a small graph should resolve to incremental")
-	}
-	if ModeAuto.Resolve(1000) != ModeDelta {
-		t.Fatal("Auto on a 1000-node graph should resolve to delta")
-	}
-	if ModeFlat.Resolve(1000) != ModeFlat {
-		t.Fatal("concrete modes must pass through Resolve")
-	}
-	_ = fmt.Sprintf("%v", ModeDelta)
 }

@@ -40,8 +40,7 @@ import (
 // not theoretical.
 
 // kItem is one heap entry: a tentative distance and the node it reaches.
-// Stale entries are skipped on pop (lazy deletion), exactly like the
-// closure-based implementation.
+// Stale entries are skipped on pop (lazy deletion).
 type kItem struct {
 	dist float64
 	node int32
@@ -267,44 +266,10 @@ func resolvePlateaus(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph
 	}
 }
 
-// SPFFrom runs forward Dijkstra from src over the CSR view, leaving
-// distances in s.Dist (s.Next is reset but not meaningful). Equivalent to
-// Dijkstra bit for bit, without its allocations.
-func SPFFrom(c *graph.CSR, src graph.NodeID, cost []float64, down *graph.LinkSet, s *Scratch) {
-	s.reset(c.N)
-	dist := s.Dist
-	dist[src] = 0
-	h := append(s.heap[:0], kItem{0, int32(src)})
-	for len(h) > 0 {
-		last := len(h) - 1
-		h[0], h[last] = h[last], h[0]
-		siftDown(h[:last], 0)
-		it := h[last]
-		h = h[:last]
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for a, b := c.OutHead[it.node], c.OutHead[it.node+1]; a < b; a++ {
-			id := c.OutLinks[a]
-			if down != nil && down.Contains(graph.LinkID(id)) {
-				continue
-			}
-			v := c.Dst[id]
-			nd := it.dist + cost[id]
-			if nd < dist[v] {
-				dist[v] = nd
-				h = append(h, kItem{nd, v})
-				siftUp(h, len(h)-1)
-			}
-		}
-	}
-	s.heap = h[:0]
-}
-
 // PathFromNext follows a next vector produced by SPFTo from src to the
 // tree's destination, appending the links to buf (typically buf[:0] of a
 // reusable slice) and returning it, or nil when src cannot reach the
-// destination. The flat-array analogue of PathVia.
+// destination.
 func PathFromNext(c *graph.CSR, src graph.NodeID, next []int32, buf []graph.LinkID) []graph.LinkID {
 	u := int32(src)
 	if next[u] < 0 {

@@ -40,7 +40,7 @@ func kernelRandGraph(t testing.TB, seed int64, nodes, extra int) *graph.Graph {
 	return g
 }
 
-// refItem / refPQ reimplement the closure-era priority queue on
+// refItem / refPQ reimplement the kernel's priority queue on
 // container/heap. Distances are a unique fixpoint, so the reference must
 // agree with the kernel bit for bit on Dist; Next is checked separately
 // against the canonical-next specification (a pure function of Dist).
@@ -96,8 +96,9 @@ func refSPFTo(g *graph.Graph, dst graph.NodeID, cost []float64, down *graph.Link
 	return dist, next
 }
 
-// refSPFFrom is the forward counterpart of refSPFTo.
-func refSPFFrom(g *graph.Graph, src graph.NodeID, cost []float64, down *graph.LinkSet) []float64 {
+// refForwardDist is the forward counterpart of refSPFTo: distances from
+// src.
+func refForwardDist(g *graph.Graph, src graph.NodeID, cost []float64, down *graph.LinkSet) []float64 {
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -232,31 +233,37 @@ func TestKernelMatchesHeapReference(t *testing.T) {
 					}
 				}
 				checkCanonicalNext(t, g, graph.NodeID(dst), cost, down, s.Dist, s.Next)
-				SPFFrom(c, graph.NodeID(dst), cost, down, &s)
-				fd := refSPFFrom(g, graph.NodeID(dst), cost, down)
-				for i := range fd {
-					if s.Dist[i] != fd[i] && !(math.IsInf(s.Dist[i], 1) && math.IsInf(fd[i], 1)) {
-						t.Fatalf("seed %d src %d: forward dist[%d] = %v, reference %v", seed, dst, i, s.Dist[i], fd[i])
-					}
-				}
 			}
 		}
 	}
 }
 
-// TestPathFromNextMatchesPathVia pins the flat path extractor against the
-// closure-based one on the same next vector.
-func TestPathFromNextMatchesPathVia(t *testing.T) {
+// graphWalkPath is the reference path extractor: it follows a next vector from
+// src over the graph's link records rather than the CSR arrays.
+func graphWalkPath(g *graph.Graph, src graph.NodeID, next []int32) []graph.LinkID {
+	if next[src] < 0 {
+		return nil
+	}
+	var path []graph.LinkID
+	for u := src; next[u] >= 0; {
+		id := graph.LinkID(next[u])
+		path = append(path, id)
+		u = g.Link(id).Dst
+	}
+	return path
+}
+
+// TestPathFromNextMatchesGraphWalk pins the flat path extractor against the
+// graph-walking reference on the same next vector.
+func TestPathFromNextMatchesGraphWalk(t *testing.T) {
 	g := kernelRandGraph(t, 7, 20, 30)
 	c := g.CSR()
+	var s Scratch
 	for dst := 0; dst < g.NumNodes(); dst += 2 {
-		distTo, next := DijkstraToWithNext(g, graph.NodeID(dst), nil, WeightCost(g))
-		var s Scratch
-		costs, _ := flatten(g, nil, WeightCost(g))
-		SPFTo(c, graph.NodeID(dst), costs, nil, &s)
+		SPFTo(c, graph.NodeID(dst), WeightCost(g), nil, &s)
 		var buf []graph.LinkID
 		for src := 0; src < g.NumNodes(); src++ {
-			want := PathVia(g, graph.NodeID(src), next)
+			want := graphWalkPath(g, graph.NodeID(src), s.Next)
 			got := PathFromNext(c, graph.NodeID(src), s.Next, buf[:0])
 			if got != nil {
 				buf = got
@@ -271,19 +278,19 @@ func TestPathFromNextMatchesPathVia(t *testing.T) {
 				}
 				sum += g.Link(got[i]).Weight
 			}
-			if want != nil && math.Abs(sum-distTo[src]) > 1e-9 {
-				t.Fatalf("dst %d src %d: path cost %v != dist %v", dst, src, sum, distTo[src])
+			if want != nil && math.Abs(sum-s.Dist[src]) > 1e-9 {
+				t.Fatalf("dst %d src %d: path cost %v != dist %v", dst, src, sum, s.Dist[src])
 			}
 		}
 	}
 }
 
-// TestKernelZeroAllocs: with a warm Scratch, SPFTo/SPFFrom and
-// PathFromNext must not touch the heap at all.
+// TestKernelZeroAllocs: with a warm Scratch, SPFTo, PathFromNext and Hops
+// must not touch the heap at all.
 func TestKernelZeroAllocs(t *testing.T) {
 	g := topo.SBC()
 	c := g.CSR()
-	costs, _ := flatten(g, nil, WeightCost(g))
+	costs := WeightCost(g)
 	var down graph.LinkSet
 	down.Add(0)
 	var s Scratch
@@ -295,22 +302,22 @@ func TestKernelZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm SPFTo allocates %v per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(50, func() {
-		SPFFrom(c, 3, costs, nil, &s)
-	}); n != 0 {
-		t.Fatalf("warm SPFFrom allocates %v per run, want 0", n)
-	}
 	SPFTo(c, 3, costs, nil, &s)
 	if n := testing.AllocsPerRun(50, func() {
 		buf = PathFromNext(c, 9, s.Next, buf[:0])
 	}); n != 0 {
 		t.Fatalf("warm PathFromNext allocates %v per run, want 0", n)
 	}
+	if n := testing.AllocsPerRun(50, func() {
+		buf = Hops(c, 9, costs, nil, s.Dist, s.Next, buf)
+	}); n != 0 {
+		t.Fatalf("warm Hops allocates %v per run, want 0", n)
+	}
 }
 
 // TestECMPScratchReusesRows pins the fix for the weight optimizer's
 // unbounded per-call distance cache: across repeated ECMPFlowScratch
-// invocations the per-destination rows must be the same backing arrays,
+// invocations the per-destination trees must be the same backing arrays,
 // invalidated by generation stamp rather than reallocation.
 func TestECMPScratchReusesRows(t *testing.T) {
 	g := topo.Abilene()
@@ -322,10 +329,11 @@ func TestECMPScratchReusesRows(t *testing.T) {
 	})
 	var sc ECMPScratch
 	f1 := ECMPFlowScratch(g, comms, nil, WeightCost(g), &sc)
-	rows := make([]*float64, len(sc.distTo))
-	for d := range sc.distTo {
-		if sc.distTo[d] != nil {
-			rows[d] = &sc.distTo[d][0]
+	rows := make([]*float64, len(sc.trees))
+	orders := make([]*graph.NodeID, len(sc.trees))
+	for d, tr := range sc.trees {
+		if tr.dist != nil {
+			rows[d], orders[d] = &tr.dist[0], &tr.order[0]
 		}
 	}
 	gen := sc.gen
@@ -342,18 +350,18 @@ func TestECMPScratchReusesRows(t *testing.T) {
 	if sc.gen != gen+25 {
 		t.Fatalf("generation stamp advanced %d, want 25", sc.gen-gen)
 	}
-	for d := range sc.distTo {
+	for d, tr := range sc.trees {
 		if rows[d] == nil {
 			continue
 		}
-		if &sc.distTo[d][0] != rows[d] {
-			t.Fatalf("distTo row %d was reallocated; the table must stay bounded", d)
+		if &tr.dist[0] != rows[d] || &tr.order[0] != orders[d] {
+			t.Fatalf("tree %d was reallocated; the table must stay bounded", d)
 		}
 	}
-	// The whole table is bounded by one row per destination: no growth
+	// The whole table is bounded by one tree per destination: no growth
 	// beyond the node count, ever.
-	if len(sc.distTo) != g.NumNodes() || len(sc.stamp) != g.NumNodes() {
-		t.Fatalf("scratch table sized %d/%d, want %d", len(sc.distTo), len(sc.stamp), g.NumNodes())
+	if len(sc.trees) != g.NumNodes() {
+		t.Fatalf("scratch table sized %d, want %d", len(sc.trees), g.NumNodes())
 	}
 }
 

@@ -20,8 +20,9 @@ func TestDelayCost(t *testing.T) {
 	g.AddLink(a, c, 1, 100, 1)
 	g.AddLink(a, b, 1, 2, 10)
 	g.AddLink(b, c, 1, 2, 10)
-	byWeight := ShortestPath(g, a, c, nil, WeightCost(g))
-	byDelay := ShortestPath(g, a, c, nil, DelayCost(g))
+	var s Scratch
+	byWeight := ShortestPath(g, a, c, nil, WeightCost(g), &s)
+	byDelay := ShortestPath(g, a, c, nil, DelayCost(g), &s)
 	if len(byWeight) != 1 {
 		t.Fatalf("weight path = %v", byWeight)
 	}
@@ -30,33 +31,39 @@ func TestDelayCost(t *testing.T) {
 	}
 }
 
-func TestPathViaUnreachable(t *testing.T) {
+// TestPathFromNextUnreachable: PathFromNext, and the graph-walking
+// reference it is checked against, return nil from a node that cannot
+// reach the destination and from the destination itself.
+func TestPathFromNextUnreachable(t *testing.T) {
 	g := graph.New("u")
 	a := g.AddNode("a")
 	b := g.AddNode("b")
 	g.AddLink(a, b, 1, 1, 1)
-	_, next := DijkstraToWithNext(g, a, nil, WeightCost(g))
-	if p := PathVia(g, b, next); p != nil {
-		t.Fatalf("path from unreachable node: %v", p)
-	}
-	// Trivial: path from the destination itself is empty (nil).
-	if p := PathVia(g, a, next); p != nil {
-		t.Fatalf("path from dst should be empty, got %v", p)
+	var s Scratch
+	SPFTo(g.CSR(), a, WeightCost(g), nil, &s)
+	for _, src := range []graph.NodeID{b, a} {
+		if p := PathFromNext(g.CSR(), src, s.Next, nil); p != nil {
+			t.Fatalf("PathFromNext from %d: %v, want nil", src, p)
+		}
+		if p := graphWalkPath(g, src, s.Next); p != nil {
+			t.Fatalf("reference path from %d: %v, want nil", src, p)
+		}
 	}
 }
 
-func TestDijkstraToWithNextTreeConsistency(t *testing.T) {
+func TestSPFToNextTreeConsistency(t *testing.T) {
 	// Following next pointers from any node yields a path whose cost
 	// equals the Dijkstra distance.
 	g := topo.SBC()
 	dst := graph.NodeID(3)
-	dist, next := DijkstraToWithNext(g, dst, nil, WeightCost(g))
+	var s Scratch
+	SPFTo(g.CSR(), dst, WeightCost(g), nil, &s)
 	for n := 0; n < g.NumNodes(); n++ {
 		src := graph.NodeID(n)
 		if src == dst {
 			continue
 		}
-		p := PathVia(g, src, next)
+		p := PathFromNext(g.CSR(), src, s.Next, nil)
 		if p == nil {
 			t.Fatalf("node %d unreachable in connected graph", n)
 		}
@@ -72,8 +79,8 @@ func TestDijkstraToWithNextTreeConsistency(t *testing.T) {
 		if at != dst {
 			t.Fatalf("path from %d ends at %d", src, at)
 		}
-		if math.Abs(cost-dist[src]) > 1e-9 {
-			t.Fatalf("path cost %v != dist %v", cost, dist[src])
+		if math.Abs(cost-s.Dist[src]) > 1e-9 {
+			t.Fatalf("path cost %v != dist %v", cost, s.Dist[src])
 		}
 	}
 }

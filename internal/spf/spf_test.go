@@ -29,11 +29,13 @@ func square(t *testing.T) (*graph.Graph, [4]graph.NodeID) {
 
 func TestDijkstraBasic(t *testing.T) {
 	g, n := square(t)
-	dist := Dijkstra(g, n[0], nil, WeightCost(g))
+	// The square is symmetric, so distances to a are distances from a.
+	var s Scratch
+	SPFTo(g.CSR(), n[0], WeightCost(g), nil, &s)
 	want := []float64{0, 1, 1, 2}
 	for i, w := range want {
-		if dist[i] != w {
-			t.Fatalf("dist[%d] = %v, want %v", i, dist[i], w)
+		if s.Dist[i] != w {
+			t.Fatalf("dist[%d] = %v, want %v", i, s.Dist[i], w)
 		}
 	}
 }
@@ -42,39 +44,44 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g, n := square(t)
 	// Cut all links out of a.
 	fail := graph.NewLinkSet(0, 2)
-	dist := Dijkstra(g, n[0], fail.Alive(), WeightCost(g))
-	if !math.IsInf(dist[n[3]], 1) {
-		t.Fatalf("d should be unreachable, dist = %v", dist[n[3]])
+	var s Scratch
+	SPFTo(g.CSR(), n[3], WeightCost(g), &fail, &s)
+	if !math.IsInf(s.Dist[n[0]], 1) {
+		t.Fatalf("d should be unreachable from a, dist = %v", s.Dist[n[0]])
 	}
 }
 
-func TestDijkstraToMatchesForward(t *testing.T) {
+// TestSPFToMatchesForward: the reverse kernel's distance from src to every
+// destination equals a forward Dijkstra's from src.
+func TestSPFToMatchesForward(t *testing.T) {
 	g := topo.Abilene()
 	src := graph.NodeID(0)
+	fwd := refForwardDist(g, src, WeightCost(g), nil)
+	var s Scratch
 	for dst := 1; dst < g.NumNodes(); dst++ {
-		fwd := Dijkstra(g, src, nil, WeightCost(g))
-		back := DijkstraTo(g, graph.NodeID(dst), nil, WeightCost(g))
-		if math.Abs(fwd[dst]-back[src]) > 1e-9 {
-			t.Fatalf("dst %d: forward %v != backward %v", dst, fwd[dst], back[src])
+		SPFTo(g.CSR(), graph.NodeID(dst), WeightCost(g), nil, &s)
+		if math.Abs(fwd[dst]-s.Dist[src]) > 1e-9 {
+			t.Fatalf("dst %d: forward %v != backward %v", dst, fwd[dst], s.Dist[src])
 		}
 	}
 }
 
 func TestShortestPathAvoidsFailed(t *testing.T) {
 	g, n := square(t)
-	p := ShortestPath(g, n[0], n[3], nil, WeightCost(g))
+	var s Scratch
+	p := ShortestPath(g, n[0], n[3], nil, WeightCost(g), &s)
 	// Unique shortest path a->b->d (a->c->d has weight 3).
 	if len(p) != 2 || g.Link(p[0]).Dst != n[1] {
 		t.Fatalf("path = %v", p)
 	}
 	fail := graph.NewLinkSet(0) // a->b down
-	p = ShortestPath(g, n[0], n[3], fail.Alive(), WeightCost(g))
+	p = ShortestPath(g, n[0], n[3], &fail, WeightCost(g), &s)
 	if len(p) != 2 || g.Link(p[0]).Dst != n[2] {
 		t.Fatalf("detour path = %v", p)
 	}
 	// Partition: no path.
 	fail = graph.NewLinkSet(0, 2)
-	if p = ShortestPath(g, n[0], n[3], fail.Alive(), WeightCost(g)); p != nil {
+	if p = ShortestPath(g, n[0], n[3], &fail, WeightCost(g), &s); p != nil {
 		t.Fatalf("path through failed links: %v", p)
 	}
 }
@@ -102,7 +109,7 @@ func TestECMPFlowUnreachableZeroRow(t *testing.T) {
 	g, n := square(t)
 	fail := graph.NewLinkSet(0, 2)
 	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4, Link: -1}}
-	f := ECMPFlow(g, comms, fail.Alive(), WeightCost(g))
+	f := ECMPFlow(g, comms, &fail, WeightCost(g))
 	for e, v := range f.Frac[0] {
 		if v != 0 {
 			t.Fatalf("unreachable commodity has frac[%d] = %v", e, v)
@@ -160,10 +167,11 @@ func TestOptimizeWeightsImproves(t *testing.T) {
 	}
 }
 
-func BenchmarkDijkstraUUNet(b *testing.B) {
+func BenchmarkSPFToUUNet(b *testing.B) {
 	g := topo.UUNet()
+	var s Scratch
 	for i := 0; i < b.N; i++ {
-		Dijkstra(g, graph.NodeID(i%g.NumNodes()), nil, WeightCost(g))
+		SPFTo(g.CSR(), graph.NodeID(i%g.NumNodes()), WeightCost(g), nil, &s)
 	}
 }
 

@@ -319,7 +319,7 @@ func pickFailures(t testing.TB, g *graph.Graph, seed int64) []graph.LinkID {
 		for _, e := range []graph.LinkID{a, g.Link(a).Reverse, b, g.Link(b).Reverse} {
 			dead.Add(e)
 		}
-		if g.Connected(dead.Alive()) {
+		if g.Connected(&dead) {
 			return dead.IDs()
 		}
 	}
