@@ -103,4 +103,5 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLPDifferential$$' -fuzztime 10s ./internal/lp
 	$(GO) test -fuzz '^FuzzLUSolve$$' -fuzztime 10s ./internal/lp
 	$(GO) test -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/core
+	$(GO) test -fuzz '^FuzzStateOracle$$' -fuzztime 10s ./internal/core
 	$(GO) test -fuzz '^FuzzHopRule$$' -fuzztime 10s ./internal/spf

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -14,12 +15,13 @@ import (
 // protection routing p, and the achieved objective over d + X_F.
 //
 // A plan is frozen once it has been handed to NewState: every State built
-// from it aliases the rows of Base.Frac and Prot (copy-on-write) and reads
-// them through a nonzero pattern the plan caches, so writing a row
-// afterwards silently corrupts every such state. The solvers and the
-// codec finish all their writes before they return the plan; nothing else
-// in the tree writes one. Pass plans by pointer (the cached pattern makes
-// the struct non-copyable, and go vet's copylocks check enforces it).
+// from it reads the plan's base rows and demands in place, aliases the
+// rows of Prot until it rewrites them (copy-on-write), and reads the base
+// routing through an index the plan caches, so writing the plan afterwards
+// silently corrupts every such state. The solvers and the codec finish all
+// their writes before they return the plan; nothing else in the tree
+// writes one. Pass plans by pointer (the cached index makes the struct
+// non-copyable, and go vet's copylocks check enforces it).
 type Plan struct {
 	G *graph.Graph
 	// Model is the failure model the plan protects against.
@@ -42,53 +44,96 @@ type Plan struct {
 	// serialize it, so the wire format is unchanged.
 	LPBasis *lp.Basis
 
-	// pattern is the nonzero pattern of Base.Frac, built by the first
-	// NewState (concurrent callers included) and shared by every State.
-	patternOnce sync.Once
-	pattern     *rowPattern
+	// index is the base routing in the compressed forms State reads. The
+	// first State that reroutes or asks for loads builds it (concurrent
+	// callers included), and every State of the plan shares it; NewState
+	// alone never does, so a plan nobody fails or queries never pays.
+	indexOnce sync.Once
+	index     *baseIndex
 }
 
-// rowPattern is a plan's base routing in CSR form: row k's nonzero link
-// indices are idx[off[k]:off[k+1]], ascending, and val holds the fractions
-// at those indices. The plan is frozen, so the copies never go stale, and
-// State.Loads streams them instead of making one scattered read per
-// nonzero into rows that span tens of megabytes (DESIGN.md §9). (int32
-// offsets are ample: the dense rows of a plan with 2^31 nonzeros would
-// take 16 GiB first.)
-type rowPattern struct {
+// baseIndex is a frozen plan's base routing r in the forms the online
+// State works from (DESIGN.md §9). The plan never changes, so none of it
+// goes stale.
+type baseIndex struct {
+	// rows is r by commodity: row k lists the links k uses.
+	rows sparseRows
+	// cols is its transpose: column l lists the commodities routed over
+	// l, ascending, and their fractions — the rows a failure of l
+	// rewrites and the terms of l's load.
+	cols sparseRows
+	// loads is r's per-link load under the plan's demands, with the bits
+	// routing.Flow.Loads produces.
+	loads []float64
+}
+
+// sparseRows is a compressed sparse matrix: row i's nonzero column
+// indices are idx[off[i]:off[i+1]], ascending, and val holds the entries
+// at them. (int32 offsets are ample: the dense rows of a plan with 2^31
+// nonzeros would take 16 GiB first.)
+type sparseRows struct {
 	off []int32
 	idx []int32
 	val []float64
 }
 
-// basePattern returns the plan's cached base-routing pattern, building it
-// on first use: one pass to count, so idx and val are allocated exactly.
-func (p *Plan) basePattern() *rowPattern {
-	p.patternOnce.Do(func() {
-		pat := &rowPattern{off: make([]int32, len(p.Base.Frac)+1)}
-		for k, fr := range p.Base.Frac {
-			n := pat.off[k]
-			for _, v := range fr {
-				if v != 0 {
-					n++
-				}
-			}
-			pat.off[k+1] = n
+// row returns row i's indices and values.
+func (m *sparseRows) row(i int) ([]int32, []float64) {
+	lo, hi := m.off[i], m.off[i+1]
+	return m.idx[lo:hi], m.val[lo:hi]
+}
+
+// baseIndex returns the plan's cached index, building it on first use:
+// one pass over the dense rows to count, so every array is allocated
+// exactly, and one to fill all three. Column entries are appended in
+// ascending commodity order, and each link's load adds d_k·r_k(l) in that
+// same order, skipping zero demands, as routing.Flow.Loads does.
+func (p *Plan) baseIndex() *baseIndex {
+	p.indexOnce.Do(func() {
+		nK, nL := len(p.Base.Frac), p.G.NumLinks()
+		ix := &baseIndex{
+			rows:  sparseRows{off: make([]int32, nK+1)},
+			cols:  sparseRows{off: make([]int32, nL+1)},
+			loads: make([]float64, nL),
 		}
-		nnz := pat.off[len(p.Base.Frac)]
-		pat.idx = make([]int32, 0, nnz)
-		pat.val = make([]float64, 0, nnz)
-		for _, fr := range p.Base.Frac {
+		for k, fr := range p.Base.Frac {
+			n := ix.rows.off[k]
 			for l, v := range fr {
 				if v != 0 {
-					pat.idx = append(pat.idx, int32(l))
-					pat.val = append(pat.val, v)
+					n++
+					ix.cols.off[l+1]++
+				}
+			}
+			ix.rows.off[k+1] = n
+		}
+		for l := 0; l < nL; l++ {
+			ix.cols.off[l+1] += ix.cols.off[l]
+		}
+		nnz := ix.rows.off[nK]
+		ix.rows.idx = make([]int32, 0, nnz)
+		ix.rows.val = make([]float64, 0, nnz)
+		ix.cols.idx = make([]int32, nnz)
+		ix.cols.val = make([]float64, nnz)
+		next := append([]int32(nil), ix.cols.off[:nL]...)
+		for k, fr := range p.Base.Frac {
+			d := p.Base.Comms[k].Demand
+			for l, v := range fr {
+				if v == 0 {
+					continue
+				}
+				ix.rows.idx = append(ix.rows.idx, int32(l))
+				ix.rows.val = append(ix.rows.val, v)
+				ix.cols.idx[next[l]] = int32(k)
+				ix.cols.val[next[l]] = v
+				next[l]++
+				if d != 0 {
+					ix.loads[l] += d * v
 				}
 			}
 		}
-		p.pattern = pat
+		p.index = ix
 	})
-	return p.pattern
+	return p.index
 }
 
 // CongestionFree reports whether the plan carries Theorem 1's guarantee:
@@ -131,19 +176,28 @@ func (p *Plan) Evaluate() float64 {
 // links. Fail applies the paper's online reconfiguration — the rescaling
 // of equation (8) and the updates (9), (10) — exactly.
 //
-// A State is a copy-on-write overlay on its plan: base.Frac[k] and prot[u]
-// alias the plan's rows until the state first writes them, so a failure
-// costs the rows it reroutes rather than a copy of the plan (DESIGN.md §9).
+// A State is an overlay on its plan (DESIGN.md §9). A rerouted base row
+// is held as the cells the reroutes rewrote, over the plan's row; a
+// protection row is the plan's until the state first writes it, then a
+// private copy; demands are the plan's until SetDemands or ScaleDemands
+// changes them. A failure therefore costs the cells it writes, and Loads
+// recomputes only the links a reroute touched. A State is not safe for
+// concurrent use (its queries update a cache); states sharing a plan are
+// independent.
 type State struct {
 	G    *graph.Graph
-	base *routing.Flow
+	plan *Plan
+	// demand is the state's own demand per commodity; nil while the
+	// demands are still the plan's.
+	demand []float64
+	// own lists the base rows this state has rerouted, ascending, and
+	// rows[i] holds row own[i]'s rewritten cells. A reroute replaces both
+	// slices and never writes them or an override, so clones share them.
+	own  []int32
+	rows []override
 	prot [][]float64
-	// pattern is the plan's nonzero pattern; it describes exactly the base
-	// rows this state does not own.
-	pattern *rowPattern
-	// ownBase[k] / ownProt[u] mark the rows this state has copied and may
+	// ownProt[u] marks the protection rows this state has copied and may
 	// write; every other row still belongs to the plan.
-	ownBase []bool
 	ownProt []bool
 	failed  graph.LinkSet
 	// detours remembers ξ_e for every failed link (diagnostics and the
@@ -153,19 +207,45 @@ type State struct {
 	// fraction (effective capacity (1-frac)·c). Nil until the first
 	// Degrade, so purely hard-failure replays allocate nothing new.
 	degraded map[graph.LinkID]float64
+	// loads caches the per-link loads. It is nil until the first query
+	// and again after a demand change; dirty holds the links rerouted
+	// since it was last brought up to date (while loads is nil and the
+	// demands are the plan's, since NewState).
+	loads []float64
+	dirty graph.LinkSet
 }
 
-// NewState starts an online state from a plan. It copies the commodities
-// (demands are per-state) and the row headers only: the rows themselves
-// stay the plan's until Fail, FailWith or Degrade rewrites them, so the
-// plan must not be written once a State exists (see Plan).
+// override is a rerouted base row: the absolute fractions at the links
+// idx, ascending. Every cell not listed is the plan's.
+type override struct {
+	idx []int32
+	val []float64
+}
+
+// at returns the row's fraction at link l, given the plan's cell there.
+// A list holds a few cells per reroute that crossed the row, so a scan
+// beats a binary search.
+func (o override) at(l int32, plan float64) float64 {
+	for a, i := range o.idx {
+		if i >= l {
+			if i == l {
+				return o.val[a]
+			}
+			break
+		}
+	}
+	return plan
+}
+
+// NewState starts an online state from a plan. It allocates per-link
+// headers only: base rows, protection rows and demands stay the plan's
+// until the state changes them, so the plan must not be written once a
+// State exists (see Plan).
 func NewState(plan *Plan) *State {
 	return &State{
 		G:       plan.G,
-		base:    shareFlow(plan.Base, nil),
+		plan:    plan,
 		prot:    shareRows(plan.Prot, nil),
-		pattern: plan.basePattern(),
-		ownBase: make([]bool, len(plan.Base.Frac)),
 		ownProt: make([]bool, len(plan.Prot)),
 		detours: make(map[graph.LinkID][]float64),
 	}
@@ -173,8 +253,9 @@ func NewState(plan *Plan) *State {
 
 // Clone copies the state, so tentative failure sequences (the transition
 // scheduler's feasibility search) can be explored without disturbing the
-// live state. Only the rows s owns are copied; rows still aliasing the
-// plan are shared, as in NewState.
+// live state. It shares the plan, the rerouted base rows (which are never
+// written) and the protection rows still aliasing the plan; it copies the
+// protection rows s owns, its demands and its load cache.
 func (s *State) Clone() *State {
 	detours := make(map[graph.LinkID][]float64, len(s.detours))
 	for e, xi := range s.detours {
@@ -189,14 +270,17 @@ func (s *State) Clone() *State {
 	}
 	return &State{
 		G:        s.G,
-		base:     shareFlow(s.base, s.ownBase),
+		plan:     s.plan,
+		demand:   append([]float64(nil), s.demand...),
+		own:      s.own,
+		rows:     s.rows,
 		prot:     shareRows(s.prot, s.ownProt),
-		pattern:  s.pattern,
-		ownBase:  append([]bool(nil), s.ownBase...),
 		ownProt:  append([]bool(nil), s.ownProt...),
 		failed:   s.failed.Clone(),
 		detours:  detours,
 		degraded: degraded,
+		loads:    append([]float64(nil), s.loads...),
+		dirty:    s.dirty.Clone(),
 	}
 }
 
@@ -212,15 +296,6 @@ func shareRows(rows [][]float64, own []bool) [][]float64 {
 	return out
 }
 
-// shareFlow is shareRows for a flow; the commodities are always copied.
-func shareFlow(f *routing.Flow, own []bool) *routing.Flow {
-	return &routing.Flow{
-		G:     f.G,
-		Comms: append([]routing.Commodity(nil), f.Comms...),
-		Frac:  shareRows(f.Frac, own),
-	}
-}
-
 // ownRow returns rows[i] ready for writing, replacing the plan's row by a
 // private copy the first time.
 func ownRow(rows [][]float64, own []bool, i int) []float64 {
@@ -231,6 +306,49 @@ func ownRow(rows [][]float64, own []bool, i int) []float64 {
 	return rows[i]
 }
 
+// demandOf returns commodity k's current demand.
+func (s *State) demandOf(k int) float64 {
+	if s.demand != nil {
+		return s.demand[k]
+	}
+	return s.plan.Base.Comms[k].Demand
+}
+
+// ownDemands gives the state its own demand vector, if it has none yet,
+// and drops the load cache the change is about to invalidate.
+func (s *State) ownDemands() {
+	if s.demand == nil {
+		s.demand = make([]float64, len(s.plan.Base.Comms))
+		for k, c := range s.plan.Base.Comms {
+			s.demand[k] = c.Demand
+		}
+	}
+	s.loads = nil
+}
+
+// column visits, in ascending commodity order, every base row that is
+// either in the plan's column l or rerouted by this state, with its
+// current fraction at l and its position in s.own (-1 if not rerouted).
+// Every row with a nonzero cell at l is among them.
+func (s *State) column(ix *baseIndex, l int32, visit func(k int32, j int, v float64)) {
+	ck, cv := ix.cols.row(int(l))
+	i, j := 0, 0
+	for i < len(ck) || j < len(s.own) {
+		if j == len(s.own) || (i < len(ck) && ck[i] < s.own[j]) {
+			visit(ck[i], -1, cv[i])
+			i++
+			continue
+		}
+		k, plan := s.own[j], 0.0
+		if i < len(ck) && ck[i] == k {
+			plan = cv[i]
+			i++
+		}
+		visit(k, j, s.rows[j].at(l, plan))
+		j++
+	}
+}
+
 // Failed returns the set of failed links applied so far.
 func (s *State) Failed() graph.LinkSet { return s.failed.Clone() }
 
@@ -238,14 +356,34 @@ func (s *State) Failed() graph.LinkSet { return s.failed.Clone() }
 // (the data plane consults this per packet).
 func (s *State) HasFailed(e graph.LinkID) bool { return s.failed.Contains(e) }
 
-// Base returns the current (reconfigured) base routing. The caller must
-// not modify it: rows the state has not rewritten are the plan's own, so a
-// write through them would corrupt the plan and every state sharing it.
-func (s *State) Base() *routing.Flow { return s.base }
+// Base returns the current (reconfigured) base routing as a dense flow
+// built on call: the commodities carry the state's demands, rerouted rows
+// are fresh copies, and every other row is the plan's own. The caller
+// must not modify the rows, since a write through a plan row would
+// corrupt the plan and every state sharing it.
+func (s *State) Base() *routing.Flow {
+	pb := s.plan.Base
+	f := &routing.Flow{
+		G:     pb.G,
+		Comms: append([]routing.Commodity(nil), pb.Comms...),
+		Frac:  append([][]float64(nil), pb.Frac...),
+	}
+	for k := range f.Comms {
+		f.Comms[k].Demand = s.demandOf(k)
+	}
+	for j, k := range s.own {
+		row := append([]float64(nil), f.Frac[k]...)
+		o := s.rows[j]
+		for a, l := range o.idx {
+			row[l] = o.val[a]
+		}
+		f.Frac[k] = row
+	}
+	return f
+}
 
 // Prot returns the current (reconfigured) protection routing. The caller
-// must not modify it, for the same reason as Base: untouched rows alias
-// the plan.
+// must not modify it: untouched rows alias the plan.
 func (s *State) Prot() [][]float64 { return s.prot }
 
 // Detour returns ξ_e for a failed link e (nil if e has not failed).
@@ -299,9 +437,10 @@ func (s *State) Fail(e graph.LinkID) error {
 // FailWith applies the failure of link e using a caller-supplied detour
 // ξ_e instead of R3's rescaling — the hook the transition scheduler uses
 // to model interim LP-computed detours. xi[l] is the fraction of e's
-// rerouted traffic carried by link l; xi[e] must be zero and len(xi)
-// must be NumLinks. Updates (9) and (10) are applied exactly as in Fail.
-// The state keeps its own copy of xi.
+// rerouted traffic carried by link l; xi[e] must be zero, every entry
+// finite (tiny negative LP values are accepted) and len(xi) must be
+// NumLinks. A rejected detour leaves the state untouched. Updates (9) and
+// (10) are applied exactly as in Fail. The state keeps its own copy of xi.
 func (s *State) FailWith(e graph.LinkID, xi []float64) error {
 	if err := s.checkFail(e); err != nil {
 		return err
@@ -311,6 +450,11 @@ func (s *State) FailWith(e graph.LinkID, xi []float64) error {
 	}
 	if xi[e] != 0 {
 		return fmt.Errorf("core: detour for link %d routes through the failed link itself", e)
+	}
+	for l, x := range xi {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: detour for link %d carries %v on link %d", e, x, l)
+		}
 	}
 	s.fail(e, append([]float64(nil), xi...))
 	return nil
@@ -341,47 +485,134 @@ func (s *State) fail(e graph.LinkID, xi []float64) {
 	s.detours[e] = xi
 }
 
+// split divides a fraction v on a link losing the share frac of its
+// capacity into the part that moves onto the detour and the part left.
+func split(v, frac float64) (moved, left float64) {
+	if frac < 1 {
+		return v * frac, v * (1 - frac)
+	}
+	return v, 0
+}
+
 // reroute moves the share frac of everything routed over link e onto the
 // detour xi: update (9) on every base row and update (10) on the
 // protection row of every other surviving link. frac = 1 is a hard
 // failure (nothing stays on e); frac in (0, 1) is a degradation, which
 // leaves (1-frac) of each fraction on e. Only rows that cross e are
-// written, and each is copied from the plan the first time.
+// written, and of those only the cells at ξ_e's nonzeros and at e.
 func (s *State) reroute(e graph.LinkID, xi []float64, frac float64) {
-	var nz []int32
+	// cells is nz(ξ_e) ∪ {e}, ascending: what each crossing row rewrites,
+	// and the links whose loads change.
+	var cells []int32
 	for l, x := range xi {
-		if x != 0 {
-			nz = append(nz, int32(l))
+		if x != 0 || l == int(e) {
+			cells = append(cells, int32(l))
 		}
 	}
-	splice := func(rows [][]float64, own []bool, i int) {
-		v := rows[i][e]
-		if v == 0 {
-			return
-		}
-		moved, left := v, 0.0
-		if frac < 1 {
-			moved, left = v*frac, v*(1-frac)
-		}
-		row := ownRow(rows, own, i)
-		for _, l := range nz {
-			row[l] += moved * xi[l]
-		}
-		row[e] = left
-	}
-	// (9): r'_ab(l) = r_ab(l) + r_ab(e)·frac·ξ_e(l).
-	for k := range s.base.Frac {
-		splice(s.base.Frac, s.ownBase, k)
+	s.rerouteBase(e, xi, cells, frac)
+	for _, l := range cells {
+		s.dirty.Add(graph.LinkID(l))
 	}
 	// (10): p'_uv(l) = p_uv(l) + p_uv(e)·frac·ξ_e(l) for surviving links
 	// uv. Row e itself is left alone: a failed link's row is a snapshot,
 	// and a degraded link keeps its remaining strength because further
 	// disruption of it is forbidden.
 	for u := range s.prot {
-		if u != int(e) && !s.failed.Contains(graph.LinkID(u)) {
-			splice(s.prot, s.ownProt, u)
+		if u == int(e) || s.failed.Contains(graph.LinkID(u)) {
+			continue
 		}
+		v := s.prot[u][e]
+		if v == 0 {
+			continue
+		}
+		moved, left := split(v, frac)
+		row := ownRow(s.prot, s.ownProt, u)
+		for _, l := range cells {
+			if l != int32(e) {
+				row[l] += moved * xi[l]
+			}
+		}
+		row[e] = left
 	}
+}
+
+// rerouteBase applies update (9), r'_ab(l) = r_ab(l) + r_ab(e)·frac·ξ_e(l),
+// to the base rows crossing e: column e of the plan merged with the rows
+// the state has already rerouted. Each crossing row gets a new override —
+// its old cells merged with cells, each new value computed with the float
+// operations of a dense splice — carved from one slab per call.
+func (s *State) rerouteBase(e graph.LinkID, xi []float64, cells []int32, frac float64) {
+	ix := s.plan.baseIndex()
+	le := int32(e)
+	// Size the slab and the new owned list; no cells means no crossing row.
+	nOwn, nCells := len(s.own), 0
+	s.column(ix, le, func(_ int32, j int, v float64) {
+		if v == 0 {
+			return
+		}
+		nCells += len(cells)
+		if j < 0 {
+			nOwn++
+		} else {
+			nCells += len(s.rows[j].idx)
+		}
+	})
+	if nCells == 0 {
+		return
+	}
+	own := make([]int32, 0, nOwn)
+	rows := make([]override, 0, nOwn)
+	idx := make([]int32, 0, nCells)
+	val := make([]float64, 0, nCells)
+	s.column(ix, le, func(k int32, j int, v float64) {
+		var old override
+		if j >= 0 {
+			old = s.rows[j]
+		}
+		if v == 0 {
+			if j >= 0 {
+				own = append(own, k)
+				rows = append(rows, old)
+			}
+			return
+		}
+		moved, left := split(v, frac)
+		// The plan's row is read from the index, which is sequential
+		// where the dense row would cost a cache miss per cell.
+		pi, pv := ix.rows.row(int(k))
+		start, a, b := len(idx), 0, 0
+		for _, l := range cells {
+			for a < len(old.idx) && old.idx[a] < l {
+				idx = append(idx, old.idx[a])
+				val = append(val, old.val[a])
+				a++
+			}
+			for b < len(pi) && pi[b] < l {
+				b++
+			}
+			cur := 0.0
+			if b < len(pi) && pi[b] == l {
+				cur = pv[b]
+			}
+			if a < len(old.idx) && old.idx[a] == l {
+				cur = old.val[a]
+				a++
+			}
+			if l == le {
+				cur = left
+			} else {
+				cur += moved * xi[l]
+			}
+			idx = append(idx, l)
+			val = append(val, cur)
+		}
+		idx = append(idx, old.idx[a:]...)
+		val = append(val, old.val[a:]...)
+		end := len(idx)
+		own = append(own, k)
+		rows = append(rows, override{idx[start:end:end], val[start:end:end]})
+	})
+	s.own, s.rows = own, rows
 }
 
 // Degrade applies a partial capacity loss to link e: a fraction frac of
@@ -435,11 +666,12 @@ func (s *State) Degraded() map[graph.LinkID]float64 {
 
 // ScaleDemands multiplies the demand of the listed OD pairs by factor
 // (every commodity when ods is nil) — the online form of a traffic
-// surge.
+// surge. The state gets its own demand vector.
 func (s *State) ScaleDemands(factor float64, ods []OD) {
+	s.ownDemands()
 	if ods == nil {
-		for k := range s.base.Comms {
-			s.base.Comms[k].Demand *= factor
+		for k := range s.demand {
+			s.demand[k] *= factor
 		}
 		return
 	}
@@ -447,10 +679,9 @@ func (s *State) ScaleDemands(factor float64, ods []OD) {
 	for _, od := range ods {
 		set[od] = true
 	}
-	for k := range s.base.Comms {
-		c := &s.base.Comms[k]
+	for k, c := range s.plan.Base.Comms {
 		if set[OD{c.Src, c.Dst}] {
-			c.Demand *= factor
+			s.demand[k] *= factor
 		}
 	}
 }
@@ -510,31 +741,89 @@ func (s *State) FailAll(links ...graph.LinkID) error {
 }
 
 // Loads returns the per-link load of the current base routing (demands ×
-// reconfigured fractions). Failed links always carry zero load.
+// reconfigured fractions) in a fresh slice the caller may keep. Failed
+// links always carry zero load.
 //
-// Rows still aliasing the plan are read from the plan's cached nonzero
-// pattern, rows the state owns densely. Both visit commodities in order
-// and add the same d·v products routing.Flow.Loads would, so the sums are
-// bit-identical to the dense pass.
+// Every load is the sum routing.Flow.Loads would form over the dense
+// rows: the products d_k·r_k(l) with d_k and r_k(l) nonzero, added for
+// ascending k. The state keeps the loads between queries and recomputes
+// only the links rerouted since, each one whole, from its column; with
+// the plan's demands the first query starts from the plan's loads.
 func (s *State) Loads() []float64 {
+	return append([]float64(nil), s.currentLoads()...)
+}
+
+// currentLoads brings the load cache up to date and returns it.
+func (s *State) currentLoads() []float64 {
+	ix := s.plan.baseIndex()
+	if s.loads == nil {
+		if s.demand != nil {
+			s.loads = s.rowLoads(ix)
+			s.dirty.Clear()
+			return s.loads
+		}
+		s.loads = append(make([]float64, 0, len(ix.loads)), ix.loads...)
+	}
+	if !s.dirty.Empty() {
+		for _, l := range s.dirty.IDs() {
+			s.loads[l] = s.linkLoad(ix, int32(l))
+		}
+		s.dirty.Clear()
+	}
+	return s.loads
+}
+
+// linkLoad sums link l's load over its column, in ascending commodity
+// order.
+func (s *State) linkLoad(ix *baseIndex, l int32) float64 {
+	var sum float64
+	s.column(ix, l, func(k int32, _ int, v float64) {
+		if v == 0 {
+			return
+		}
+		if d := s.demandOf(int(k)); d != 0 {
+			sum += d * v
+		}
+	})
+	return sum
+}
+
+// rowLoads computes every link's load row by row, in commodity order:
+// a row the state has not rerouted is streamed from the plan's index, a
+// rerouted one is that row merged with its overrides.
+func (s *State) rowLoads(ix *baseIndex) []float64 {
 	loads := make([]float64, s.G.NumLinks())
-	off, idx, val := s.pattern.off, s.pattern.idx, s.pattern.val
-	for k := range s.base.Comms {
-		d := s.base.Comms[k].Demand
+	j := 0
+	for k := range s.plan.Base.Frac {
+		var o override
+		if j < len(s.own) && int(s.own[j]) == k {
+			o = s.rows[j]
+			j++
+		}
+		d := s.demand[k]
 		if d == 0 {
 			continue
 		}
-		if !s.ownBase[k] {
-			lo, hi := off[k], off[k+1]
-			vs := val[lo:hi]
-			for j, l := range idx[lo:hi] {
-				loads[l] += d * vs[j]
+		li, lv := ix.rows.row(k)
+		a := 0
+		for b, l := range li {
+			for ; a < len(o.idx) && o.idx[a] < l; a++ {
+				if v := o.val[a]; v != 0 {
+					loads[o.idx[a]] += d * v
+				}
 			}
-			continue
-		}
-		for l, v := range s.base.Frac[k] {
+			v := lv[b]
+			if a < len(o.idx) && o.idx[a] == l {
+				v = o.val[a]
+				a++
+			}
 			if v != 0 {
 				loads[l] += d * v
+			}
+		}
+		for ; a < len(o.idx); a++ {
+			if v := o.val[a]; v != 0 {
+				loads[o.idx[a]] += d * v
 			}
 		}
 	}
@@ -543,11 +832,10 @@ func (s *State) Loads() []float64 {
 
 // MLU returns the maximum utilization over surviving links, measured
 // against effective capacities: a degraded link is judged at
-// (1-frac)·c_e.
+// (1-frac)·c_e. It is NaN if any surviving link's utilization is.
 func (s *State) MLU() float64 {
-	loads := s.Loads()
 	worst := 0.0
-	for e, l := range loads {
+	for e, l := range s.currentLoads() {
 		if s.failed.Contains(graph.LinkID(e)) {
 			continue
 		}
@@ -555,7 +843,11 @@ func (s *State) MLU() float64 {
 		if f, ok := s.degraded[graph.LinkID(e)]; ok {
 			c *= 1 - f
 		}
-		if u := l / c; u > worst {
+		u := l / c
+		if math.IsNaN(u) {
+			return u
+		}
+		if u > worst {
 			worst = u
 		}
 	}
@@ -566,13 +858,24 @@ func (s *State) MLU() float64 {
 // reaches its destination (1 unless reconfiguration dropped traffic at a
 // partition), measured as net inflow at the destination.
 func (s *State) Delivered(k int) float64 {
-	c := s.base.Comms[k]
-	var in, out float64
-	for _, id := range s.G.In(c.Dst) {
-		in += s.base.Frac[k][id]
+	var o override
+	if j, ok := slices.BinarySearch(s.own, int32(k)); ok {
+		o = s.rows[j]
 	}
-	for _, id := range s.G.Out(c.Dst) {
-		out += s.base.Frac[k][id]
+	return s.delivered(k, o)
+}
+
+// delivered is Delivered for base row k with overrides o (none if the
+// state has not rerouted it).
+func (s *State) delivered(k int, o override) float64 {
+	row := s.plan.Base.Frac[k]
+	dst := s.plan.Base.Comms[k].Dst
+	var in, out float64
+	for _, id := range s.G.In(dst) {
+		in += o.at(int32(id), row[id])
+	}
+	for _, id := range s.G.Out(dst) {
+		out += o.at(int32(id), row[id])
 	}
 	d := in - out
 	if d < 0 {
@@ -586,21 +889,41 @@ func (s *State) Delivered(k int) float64 {
 
 // SetDemands overwrites the demands of the state's base commodities, so a
 // precomputed plan can be evaluated against a different traffic matrix
-// (e.g. another interval of a diurnal series).
+// (e.g. another interval of a diurnal series). Demands that reproduce the
+// plan's bit for bit leave a state that still has the plan's demands as
+// it was; anything else gives the state its own demand vector.
 func (s *State) SetDemands(demand func(a, b graph.NodeID) float64) {
-	s.base.SetDemands(demand)
+	for k, c := range s.plan.Base.Comms {
+		d := demand(c.Src, c.Dst)
+		if s.demand == nil {
+			if math.Float64bits(d) == math.Float64bits(c.Demand) {
+				continue
+			}
+			s.ownDemands()
+		}
+		s.demand[k] = d
+	}
+	if s.demand != nil {
+		s.loads = nil
+	}
 }
 
 // LostDemand returns the total demand dropped because reconfiguration hit
 // a partition (sum over commodities of demand × undelivered fraction).
 func (s *State) LostDemand() float64 {
 	var lost float64
-	for k := range s.base.Comms {
-		d := s.base.Comms[k].Demand
+	j := 0
+	for k := range s.plan.Base.Comms {
+		var o override
+		if j < len(s.own) && int(s.own[j]) == k {
+			o = s.rows[j]
+			j++
+		}
+		d := s.demandOf(k)
 		if d == 0 {
 			continue
 		}
-		lost += d * (1 - s.Delivered(k))
+		lost += d * (1 - s.delivered(k, o))
 	}
 	return lost
 }
@@ -629,12 +952,13 @@ func (s *State) ProtEquals(o *State, eps float64) bool {
 // BaseEquals reports whether another state has the same base routing
 // within eps.
 func (s *State) BaseEquals(o *State, eps float64) bool {
-	if len(s.base.Frac) != len(o.base.Frac) {
+	a, b := s.Base().Frac, o.Base().Frac
+	if len(a) != len(b) {
 		return false
 	}
-	for k := range s.base.Frac {
-		for l := range s.base.Frac[k] {
-			if math.Abs(s.base.Frac[k][l]-o.base.Frac[k][l]) > eps {
+	for k := range a {
+		for l := range a[k] {
+			if math.Abs(a[k][l]-b[k][l]) > eps {
 				return false
 			}
 		}

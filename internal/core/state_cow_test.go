@@ -15,7 +15,7 @@ import (
 	"repro/internal/topo"
 )
 
-// cowPlans are the plans the copy-on-write State is checked on: a toy
+// cowPlans are the plans the overlay State is checked on: a toy
 // ring, Abilene F=1, SBC F=2 and an SBC degradation-envelope plan. They
 // are planned once per test binary; tests that need a plan nobody has
 // built a State from yet take freshCopy of one.
@@ -30,7 +30,7 @@ type namedPlan struct {
 	plan *Plan
 }
 
-func statePlans(t *testing.T) []namedPlan {
+func statePlans(t testing.TB) []namedPlan {
 	t.Helper()
 	cowPlans.once.Do(func() {
 		add := func(name string, g *graph.Graph, total float64, cfg Config) {
@@ -60,7 +60,7 @@ func statePlans(t *testing.T) []namedPlan {
 }
 
 // abilenePlan is the shared Abilene F=1 plan.
-func abilenePlan(t *testing.T) *Plan {
+func abilenePlan(t testing.TB) *Plan {
 	t.Helper()
 	for _, np := range statePlans(t) {
 		if np.name == "abilene-f1" {
@@ -72,7 +72,7 @@ func abilenePlan(t *testing.T) *Plan {
 }
 
 // freshCopy round-trips a plan through the wire codec: same routing bits,
-// but no State has touched it, so its nonzero pattern is not built yet.
+// but no State has touched it, so its index is not built yet.
 func freshCopy(t *testing.T, plan *Plan) *Plan {
 	t.Helper()
 	b, err := plan.EncodeBytes()
@@ -147,20 +147,30 @@ func (p statePair) check(t *testing.T, when string) {
 	if !st.Failed().Equal(or.failed) {
 		t.Fatalf("%s: failed set %v, oracle %v", when, st.Failed(), or.failed)
 	}
-	if !sameBits(st.Loads(), or.loads()) {
-		t.Fatalf("%s: Loads differ from the eager copy\n got %v\nwant %v", when, st.Loads(), or.loads())
+	loads := st.Loads()
+	if !sameBits(loads, or.loads()) {
+		t.Fatalf("%s: Loads differ from the eager copy\n got %v\nwant %v", when, loads, or.loads())
+	}
+	// The caller owns what Loads returned: scribbling on it must not
+	// reach the state.
+	for l := range loads {
+		loads[l] = math.Inf(1)
 	}
 	if got, want := st.MLU(), or.mlu(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: MLU %v, oracle %v", when, got, want)
 	}
+	if !sameBits(st.Loads(), or.loads()) {
+		t.Fatalf("%s: a write into an earlier Loads result reached the state", when)
+	}
 	if got, want := st.LostDemand(), or.lostDemand(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: LostDemand %v, oracle %v", when, got, want)
 	}
-	for k, c := range st.Base().Comms {
+	base := st.Base()
+	for k, c := range base.Comms {
 		if c != or.base.Comms[k] {
 			t.Fatalf("%s: commodity %d is %+v, oracle %+v", when, k, c, or.base.Comms[k])
 		}
-		if !sameBits(st.Base().Frac[k], or.base.Frac[k]) {
+		if !sameBits(base.Frac[k], or.base.Frac[k]) {
 			t.Fatalf("%s: base row %d differs from the eager copy", when, k)
 		}
 	}
@@ -180,13 +190,18 @@ func (p statePair) check(t *testing.T, when string) {
 
 // stateBattery drives random interleavings of every State mutator over a
 // small pool of states sharing one plan — clones and fresh NewStates
-// included — and checks each against the eager oracle after every step.
+// included — and checks each against the eager oracle. With queryEvery 1
+// every state is checked after every step and every clone as it is taken;
+// with queryEvery n > 1 the pool is checked after one step in n on
+// average, so several reroutes and demand changes pile up between two
+// queries and clones are taken with their source's loads out of date.
 // Operations are not filtered for validity: a rejected one must be
 // rejected with the same text and leave the same state.
-func stateBattery(t *testing.T, plan *Plan, seed int64, steps int) {
+func stateBattery(t *testing.T, plan *Plan, seed int64, steps, queryEvery int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nL := plan.G.NumLinks()
+	planDemand := demandOfPlan(plan)
 	pool := []statePair{newStatePair(plan)}
 	pool[0].check(t, "fresh state")
 	for step := 0; step < steps; step++ {
@@ -195,19 +210,26 @@ func stateBattery(t *testing.T, plan *Plan, seed int64, steps int) {
 		e := graph.LinkID(rng.Intn(nL))
 		var op string
 		var got, want error
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0, 1, 2:
 			op = fmt.Sprintf("Fail(%d)", e)
 			got, want = p.st.Fail(e), p.or.fail(e)
 		case 3:
 			// A made-up detour over up to three links; one time in eight it
-			// illegally includes e itself.
+			// illegally includes e itself, one in eight carries a NaN or an
+			// infinity, and one in eight a tiny negative LP value.
 			xi := make([]float64, nL)
 			for j := 0; j < 3; j++ {
 				xi[rng.Intn(nL)] += 1.0 / 3
 			}
 			if rng.Intn(8) != 0 {
 				xi[e] = 0
+			}
+			switch rng.Intn(8) {
+			case 0:
+				xi[rng.Intn(nL)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			case 1:
+				xi[rng.Intn(nL)] = -1e-15
 			}
 			op = fmt.Sprintf("FailWith(%d, %v)", e, xi)
 			got, want = p.st.FailWith(e, xi), p.or.failWith(e, xi)
@@ -242,10 +264,18 @@ func stateBattery(t *testing.T, plan *Plan, seed int64, steps int) {
 			op = fmt.Sprintf("SetDemands(salt %d)", salt)
 			p.st.SetDemands(demand)
 			p.or.base.SetDemands(demand)
-		case 9, 10:
+		case 9:
+			// The plan's own matrix: a state still on the plan's demands
+			// keeps them, any other goes back to them.
+			op = "SetDemands(plan's)"
+			p.st.SetDemands(planDemand)
+			p.or.base.SetDemands(planDemand)
+		case 10, 11:
 			op = fmt.Sprintf("Clone of state %d", i)
 			cl := statePair{p.st.Clone(), p.or.clone()}
-			cl.check(t, op)
+			if queryEvery == 1 {
+				cl.check(t, op)
+			}
 			if len(pool) < 4 {
 				pool = append(pool, cl)
 			} else {
@@ -257,22 +287,52 @@ func stateBattery(t *testing.T, plan *Plan, seed int64, steps int) {
 		}
 		when := fmt.Sprintf("seed %d step %d, %s on state %d", seed, step, op, i)
 		sameErr(t, when, got, want)
+		if queryEvery > 1 && rng.Intn(queryEvery) != 0 {
+			continue
+		}
 		// The operation may touch only the state it was applied to.
 		for j, q := range pool {
 			q.check(t, fmt.Sprintf("%s (checking state %d)", when, j))
 		}
 	}
+	for j, q := range pool {
+		q.check(t, fmt.Sprintf("seed %d, end of battery (checking state %d)", seed, j))
+	}
+}
+
+// demandOfPlan returns the plan's own traffic matrix as a demand function.
+func demandOfPlan(plan *Plan) func(a, b graph.NodeID) float64 {
+	d := make(map[OD]float64, len(plan.Base.Comms))
+	for _, c := range plan.Base.Comms {
+		d[OD{c.Src, c.Dst}] = c.Demand
+	}
+	return func(a, b graph.NodeID) float64 { return d[OD{a, b}] }
 }
 
 // TestStateMatchesEagerCopyOracle is the gate for any change to plan.go:
-// the copy-on-write State must be indistinguishable, bit for bit, from
+// the overlay State must be indistinguishable, bit for bit, from
 // the deep-copying State it replaced.
 func TestStateMatchesEagerCopyOracle(t *testing.T) {
 	for _, np := range statePlans(t) {
 		np := np
 		t.Run(np.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 6; seed++ {
-				stateBattery(t, np.plan, seed, 80)
+				stateBattery(t, np.plan, seed, 80, 1)
+			}
+		})
+	}
+}
+
+// TestStateMatchesEagerCopyOracleLazyQueries is the same battery with
+// queries one step in five: links rerouted by several failures,
+// degradations and demand changes must be brought up to date together,
+// and clones taken in between must carry the pending work with them.
+func TestStateMatchesEagerCopyOracleLazyQueries(t *testing.T) {
+	for _, np := range statePlans(t) {
+		np := np
+		t.Run(np.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 6; seed++ {
+				stateBattery(t, np.plan, seed, 120, 5)
 			}
 		})
 	}
@@ -291,7 +351,7 @@ func TestStateNeverWritesPlan(t *testing.T) {
 			}
 			bits0 := planBits(plan)
 
-			stateBattery(t, plan, 42, 120)
+			stateBattery(t, plan, 42, 120, 1)
 
 			// e0 fails before the clone is taken, so both sides start out
 			// owning rows; then each side reroutes over the other's links.
@@ -336,7 +396,7 @@ func TestStateNeverWritesPlan(t *testing.T) {
 }
 
 // TestNewStateSharesPlanConcurrently: goroutines racing to build the first
-// State of a plan (so the pattern is built under contention) and then
+// State of a plan (so the index is built under contention) and then
 // failing links on their own states see exactly the serial results. Run
 // under -race this is also the proof that states only ever read the plan.
 func TestNewStateSharesPlanConcurrently(t *testing.T) {
@@ -392,10 +452,28 @@ func TestNewStateSharesPlanConcurrently(t *testing.T) {
 	}
 }
 
+// TestStateIndexIsLazy: a plan's index is built by the first reroute or
+// load query, not by NewState or by the reads mplsff.Build makes, so a
+// plan nobody fails or queries never pays for it.
+func TestStateIndexIsLazy(t *testing.T) {
+	plan := freshCopy(t, abilenePlan(t))
+	st := NewState(plan)
+	_ = st.Base()
+	_ = st.Prot()
+	_ = st.Clone().Detour(0)
+	if plan.index != nil {
+		t.Fatal("NewState, Base, Prot or Clone built the plan's index")
+	}
+	st.MLU()
+	if plan.index == nil {
+		t.Fatal("a load query left the plan's index unbuilt")
+	}
+}
+
 // allocBytes returns the mean number of heap bytes one call of f
 // allocates (TotalAlloc never decreases, so a GC in between is harmless).
 func allocBytes(runs int, f func()) float64 {
-	f() // lazy set-up (the plan's pattern) happens outside the count
+	f() // lazy set-up (the plan's index) happens outside the count
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -405,53 +483,127 @@ func allocBytes(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestStateAllocationIsProportionalToWhatItWrites fails when a deep copy
-// of the plan finds its way back into NewState or Fail: NewState may
-// allocate headers only — a small multiple of K + L words, where one
-// dense copy is K·L — and a failure on top of it only the rows that
-// cross the failed link.
+// TestStateAllocationIsProportionalToWhatItWrites fails when a copy of
+// the plan, of its demands or of a dense row finds its way back into
+// NewState or Fail: NewState may allocate per-link headers only — a small
+// multiple of L words, where the plan's demands alone are K — and a
+// failure on top of it the cells it rewrites in each base row crossing
+// the failed link, plus the protection rows crossing it.
 func TestStateAllocationIsProportionalToWhatItWrites(t *testing.T) {
 	plan := abilenePlan(t)
 	K, nL := len(plan.Base.Frac), plan.G.NumLinks()
 	const word = 8
-	deepCopy := float64((K + nL) * nL * word)
 
-	// Per commodity: a row header (3 words), the commodity (4 words) and
-	// an ownership flag; per link: a row header and a flag.
-	headers := float64(10 * (K + nL) * word)
-	if headers > deepCopy/2 {
-		t.Fatalf("test plan too small to tell headers (%v B) from a deep copy (%v B)", headers, deepCopy)
+	// Per link: a protection row header (3 words) and an ownership flag;
+	// the State itself and its empty detour map fit in the rest. A copy of
+	// the commodities and their row headers, which NewState used to make,
+	// is 7 words per commodity; a copy of the demands alone is one, and on
+	// this plan (K = 110, L = 28) that too exceeds the slack.
+	headers := float64(6 * nL * word)
+	if headers > float64(7*K*word)/2 {
+		t.Fatalf("test plan too small to tell link headers (%v B) from a copy of its %d commodities", headers, K)
 	}
 	newState := allocBytes(50, func() { NewState(plan) })
 	if newState > headers {
-		t.Fatalf("NewState allocates %.0f B; want at most %.0f B (10 words per commodity and link; a deep copy is %.0f B)",
-			newState, headers, deepCopy)
+		t.Fatalf("NewState allocates %.0f B; want at most %.0f B (6 words per link; the demands alone are %d B)",
+			newState, headers, K*word)
 	}
 
-	// One size class of slack per copied row, plus ξ_e, its index list
-	// and the map entry.
+	// A protection row is copied whole (one size class of slack), as are
+	// ξ_e, its cell list, the failed and dirty sets and the map entry
+	// (four more rows' worth). A base row costs its id and override header
+	// (7 words) and |nz ξ_e|+1 cells of 1.5 words, with the same slack; a
+	// dense copy of it would be L words.
 	rowBytes := 1.25 * float64(nL*word)
 	for e := 0; e < nL; e++ {
-		crossing := 0
+		xi := NewState(plan).ComputeDetour(graph.LinkID(e))
+		cells := 1
+		for _, x := range xi {
+			if x != 0 {
+				cells++
+			}
+		}
+		cellBytes := 1.25 * (7 + 1.5*float64(cells)) * word
+		if cellBytes >= float64(nL*word) {
+			t.Fatalf("link %d: %d cells per row (%.0f B) cannot be told from a dense row (%d B)", e, cells, cellBytes, nL*word)
+		}
+		base, prot := 0, 0
 		for _, fr := range plan.Base.Frac {
 			if fr[e] != 0 {
-				crossing++
+				base++
 			}
 		}
 		for u, row := range plan.Prot {
 			if u != e && row[e] != 0 {
-				crossing++
+				prot++
 			}
 		}
-		limit := headers + float64(crossing+4)*rowBytes
+		limit := headers + float64(prot+4)*rowBytes + float64(base)*cellBytes
 		got := allocBytes(20, func() {
 			if err := NewState(plan).Fail(graph.LinkID(e)); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > limit {
-			t.Fatalf("NewState+Fail(%d) allocates %.0f B; want at most %.0f B for the %d rows crossing the link",
-				e, got, limit, crossing)
+			t.Fatalf("NewState+Fail(%d) allocates %.0f B; want at most %.0f B for %d crossing base rows of %d cells and %d protection rows",
+				e, got, limit, base, cells, prot)
 		}
+	}
+}
+
+// TestStateRejectsNonFiniteDetours: FailWith refuses a detour with a NaN
+// or an infinite entry and leaves the state as it was, accepts the tiny
+// negative values an LP returns, and MLU reports NaN rather than the
+// largest of the other utilizations when a surviving link's load is NaN.
+func TestStateRejectsNonFiniteDetours(t *testing.T) {
+	plan := abilenePlan(t)
+	nL := plan.G.NumLinks()
+	pristine := NewState(plan)
+	const e = graph.LinkID(0)
+	xi := pristine.ComputeDetour(e)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for l := 1; l < nL; l++ {
+			st := NewState(plan)
+			mlu := st.MLU() // a query before the attempt, so a cache exists
+			bent := append([]float64(nil), xi...)
+			bent[l] = bad
+			if err := st.FailWith(e, bent); err == nil {
+				t.Fatalf("FailWith(%d) accepted %v on link %d", e, bad, l)
+			}
+			if st.HasFailed(e) || st.Detour(e) != nil || !st.BaseEquals(pristine, 0) || !st.ProtEquals(pristine, 0) {
+				t.Fatalf("FailWith(%d) with %v on link %d was rejected but changed the state", e, bad, l)
+			}
+			if !sameBits(st.Loads(), pristine.Loads()) || math.Float64bits(st.MLU()) != math.Float64bits(mlu) {
+				t.Fatalf("FailWith(%d) with %v on link %d was rejected but moved the loads", e, bad, l)
+			}
+		}
+	}
+
+	lp := append([]float64(nil), xi...)
+	for l := 1; l < nL; l++ {
+		if lp[l] == 0 {
+			lp[l] = -1e-15
+			break
+		}
+	}
+	st := NewState(plan)
+	if err := st.FailWith(e, lp); err != nil {
+		t.Fatalf("FailWith rejected a detour with a tiny negative LP value: %v", err)
+	}
+	if m := st.MLU(); math.IsNaN(m) || m <= 0 {
+		t.Fatalf("MLU %v after an LP detour", m)
+	}
+
+	// One commodity's demand turns NaN: the links it uses carry NaN.
+	c := plan.Base.Comms[0]
+	one := NewState(plan)
+	one.ScaleDemands(math.NaN(), []OD{{c.Src, c.Dst}})
+	if m := one.MLU(); !math.IsNaN(m) {
+		t.Fatalf("MLU %v with a NaN load on a surviving link, want NaN", m)
+	}
+	all := NewState(plan)
+	all.ScaleDemands(math.NaN(), nil)
+	if m := all.MLU(); !math.IsNaN(m) {
+		t.Fatalf("MLU %v with every demand NaN, want NaN", m)
 	}
 }

@@ -112,6 +112,11 @@ func (s *eagerState) failWith(e graph.LinkID, xi []float64) error {
 	if xi[e] != 0 {
 		return fmt.Errorf("core: detour for link %d routes through the failed link itself", e)
 	}
+	for l, x := range xi {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: detour for link %d carries %v on link %d", e, x, l)
+		}
+	}
 	for k := range s.base.Frac {
 		fr := s.base.Frac[k]
 		fe := fr[e]
@@ -230,7 +235,11 @@ func (s *eagerState) mlu() float64 {
 		if f, ok := s.degraded[graph.LinkID(e)]; ok {
 			c *= 1 - f
 		}
-		if u := l / c; u > worst {
+		u := l / c
+		if math.IsNaN(u) {
+			return u
+		}
+		if u > worst {
 			worst = u
 		}
 	}
