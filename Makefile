@@ -25,16 +25,17 @@ bench:
 # bench-smoke runs exactly the commands of the CI bench-smoke job: the
 # hot-path gates (zero-allocation kernels and sweeps, the pinned-base
 # allocation ceiling, cross-kernel plan bytes, worst-load differentials, the
-# dense oracles of the sparse commodity rows and of the sparse protection
-# half, the paired line-search probes against single ones, the pinned plan
-# digests, the plan encoder against encoding/json and its allocation whatever
-# the collector did, the shortest-path baselines' loads bit for bit), the
+# dense oracles of the sparse commodity rows, of loop cancellation and of
+# the sparse protection half, the paired line-search probes against single
+# ones, the pinned plan digests, the plan encoder against encoding/json and
+# its allocation whatever the collector did, the shortest-path baselines'
+# loads bit for bit), the
 # SPF kernel plan differential (flat reference, heap and delta-stepping
 # DynTree rebuilds), and vet plus the smoke test of the nested benchmark
 # module (bench/ has its own go.mod, so the root `go test ./...` never
 # compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -105,3 +106,4 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWorkloadSpec$$' -fuzztime 10s ./internal/core
 	$(GO) test -fuzz '^FuzzStateOracle$$' -fuzztime 10s ./internal/core
 	$(GO) test -fuzz '^FuzzHopRule$$' -fuzztime 10s ./internal/spf
+	$(GO) test -fuzz '^FuzzCancelLoops$$' -fuzztime 10s ./internal/routing

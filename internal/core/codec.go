@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math"
@@ -85,6 +86,83 @@ func (p *Plan) Encode(w io.Writer) error {
 // so what an encode allocated depended on whether collections had emptied
 // the pool since the last one (33.6 MB more when they had).
 func (p *Plan) EncodeBytes() ([]byte, error) {
+	head, err := p.wireHead()
+	if err != nil {
+		return nil, err
+	}
+	s := wireSink{b: make([]byte, 0, len(head)+p.wireSizeBound())}
+	if err := p.encodeWire(&s, head); err != nil {
+		return nil, err
+	}
+	return s.b, nil
+}
+
+// WireFingerprint returns the Fingerprint of the plan's wire encoding. Two
+// plans share a fingerprint iff they serialize to the same bytes, which is
+// the identity the control plane's revision log and the byte-identity
+// tests care about. A caller that already holds the bytes hashes those.
+//
+// The encoding streams through the hash a buffer of wireChunk bytes at a
+// time, so the document is never built.
+func (p *Plan) WireFingerprint() (uint64, error) {
+	head, err := p.wireHead()
+	if err != nil {
+		return 0, err
+	}
+	s := wireSink{b: make([]byte, 0, wireChunk), h: fnv.New64a()}
+	if err := p.encodeWire(&s, head); err != nil {
+		return 0, err
+	}
+	_, _ = s.h.Write(s.b)
+	return s.h.Sum64(), nil
+}
+
+// Fingerprint is the FNV-1a content hash of a plan's wire bytes.
+func Fingerprint(wire []byte) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write(wire)
+	return h.Sum64()
+}
+
+// wireChunk is the buffer WireFingerprint streams the encoding through,
+// and wireSlack the most the encoder appends between two spills: one
+// commodity's opening or one allocation entry, with 20-digit ids and a
+// 25-byte number.
+const (
+	wireChunk = 32 << 10
+	wireSlack = 256
+)
+
+// wireSink receives the plan's wire encoding, either whole or streamed.
+// Without h, b grows into the document. With h, spill hands b to h
+// whenever fewer than wireSlack bytes of its wireChunk remain, so b never
+// grows past it.
+type wireSink struct {
+	b []byte
+	h hash.Hash64
+}
+
+// write puts p into the sink; when streaming, straight into the hash.
+func (s *wireSink) write(p []byte) {
+	if s.h == nil {
+		s.b = append(s.b, p...)
+		return
+	}
+	_, _ = s.h.Write(s.b)
+	_, _ = s.h.Write(p)
+	s.b = s.b[:0]
+}
+
+func (s *wireSink) spill() {
+	if s.h != nil && len(s.b) > wireChunk-wireSlack {
+		_, _ = s.h.Write(s.b)
+		s.b = s.b[:0]
+	}
+}
+
+// wireHead is the wire header: everything but the two routings, as
+// encoding/json writes it.
+func (p *Plan) wireHead() ([]byte, error) {
 	h := wireHeader{
 		Version:   planWireVersion,
 		Topology:  p.G.Name,
@@ -103,48 +181,51 @@ func (p *Plan) EncodeBytes() ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("core: cannot encode failure model %T", p.Model)
 	}
-	head, err := json.Marshal(h)
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, len(head)+p.wireSizeBound())
-	b = append(b, head[:len(head)-1]...) // reopened: the routings follow
+	return json.Marshal(h)
+}
 
-	b = append(b, `,"base":`...)
+// encodeWire is the one encoder body behind EncodeBytes and
+// WireFingerprint: the header reopened, then the two routings.
+func (p *Plan) encodeWire(s *wireSink, head []byte) error {
+	s.write(head[:len(head)-1]) // reopened: the routings follow
+
+	s.b = append(s.b, `,"base":`...)
 	sep := byte('[')
+	var err error
 	for k, c := range p.Base.Comms {
-		b = append(b, sep)
+		s.b = append(s.b, sep)
 		sep = ','
-		b = append(b, `{"src":`...)
-		b = strconv.AppendInt(b, int64(c.Src), 10)
-		b = append(b, `,"dst":`...)
-		b = strconv.AppendInt(b, int64(c.Dst), 10)
-		b = append(b, `,"demand":`...)
-		if b, err = appendWireFloat(b, c.Demand); err != nil {
-			return nil, err
+		s.b = append(s.b, `{"src":`...)
+		s.b = strconv.AppendInt(s.b, int64(c.Src), 10)
+		s.b = append(s.b, `,"dst":`...)
+		s.b = strconv.AppendInt(s.b, int64(c.Dst), 10)
+		s.b = append(s.b, `,"demand":`...)
+		if s.b, err = appendWireFloat(s.b, c.Demand); err != nil {
+			return err
 		}
-		b = append(b, `,"alloc":`...)
-		if b, err = appendWireEntries(b, p.Base.Frac[k]); err != nil {
-			return nil, err
+		s.b = append(s.b, `,"alloc":`...)
+		if err = s.entries(p.Base.Frac[k]); err != nil {
+			return err
 		}
-		b = append(b, '}')
+		s.b = append(s.b, '}')
 	}
 	if sep == '[' {
-		b = append(b, "null"...)
+		s.b = append(s.b, "null"...)
 	} else {
-		b = append(b, ']')
+		s.b = append(s.b, ']')
 	}
 
-	b = append(b, `,"prot":[`...)
+	s.b = append(s.b, `,"prot":[`...)
 	for l := range p.Prot {
 		if l > 0 {
-			b = append(b, ',')
+			s.b = append(s.b, ',')
 		}
-		if b, err = appendWireEntries(b, p.Prot[l]); err != nil {
-			return nil, err
+		if err = s.entries(p.Prot[l]); err != nil {
+			return err
 		}
 	}
-	return append(b, "]}\n"...), nil
+	s.b = append(s.b, "]}\n"...)
+	return nil
 }
 
 // wireSizeBound bounds what EncodeBytes writes after the header, so that
@@ -168,28 +249,32 @@ func (p *Plan) wireSizeBound() int {
 	return size
 }
 
-// appendWireEntries appends the nonzero cells of one dense row as a
-// []wireEntry: null when there are none.
-func appendWireEntries(b []byte, frac []float64) ([]byte, error) {
+// entries appends the nonzero cells of one dense row as a []wireEntry:
+// null when there are none.
+func (s *wireSink) entries(frac []float64) error {
 	sep := byte('[')
 	for e, v := range frac {
 		if v > 1e-12 {
-			b = append(b, sep)
+			s.spill()
+			s.b = append(s.b, sep)
 			sep = ','
-			b = append(b, `{"l":`...)
-			b = strconv.AppendInt(b, int64(e), 10)
-			b = append(b, `,"f":`...)
+			s.b = append(s.b, `{"l":`...)
+			s.b = strconv.AppendInt(s.b, int64(e), 10)
+			s.b = append(s.b, `,"f":`...)
 			var err error
-			if b, err = appendWireFloat(b, v); err != nil {
-				return nil, err
+			if s.b, err = appendWireFloat(s.b, v); err != nil {
+				return err
 			}
-			b = append(b, '}')
+			s.b = append(s.b, '}')
 		}
 	}
+	s.spill()
 	if sep == '[' {
-		return append(b, "null"...), nil
+		s.b = append(s.b, "null"...)
+	} else {
+		s.b = append(s.b, ']')
 	}
-	return append(b, ']'), nil
+	return nil
 }
 
 // appendWireFloat appends f as encoding/json writes a float64: shortest
@@ -209,25 +294,6 @@ func appendWireFloat(b []byte, f float64) ([]byte, error) {
 		b = b[:n-1]
 	}
 	return b, nil
-}
-
-// WireFingerprint returns the Fingerprint of the plan's wire encoding. Two
-// plans share a fingerprint iff they serialize to the same bytes, which is
-// the identity the control plane's revision log and the byte-identity
-// tests care about. A caller that already holds the bytes hashes those.
-func (p *Plan) WireFingerprint() (uint64, error) {
-	b, err := p.EncodeBytes()
-	if err != nil {
-		return 0, err
-	}
-	return Fingerprint(b), nil
-}
-
-// Fingerprint is the FNV-1a content hash of a plan's wire bytes.
-func Fingerprint(wire []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(wire)
-	return h.Sum64()
 }
 
 // DecodePlan reads a plan from its wire format and binds it to g, which

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // encodeJSON is the encoder EncodeBytes replaced, kept as its oracle: the
@@ -129,6 +131,9 @@ func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
 		if err := plan.Encode(&w); err != nil || !bytes.Equal(w.Bytes(), want) {
 			t.Errorf("%s: Encode differs from encoding/json (err %v)", name, err)
 		}
+		if fp, err := plan.WireFingerprint(); err != nil || fp != Fingerprint(got) {
+			t.Errorf("%s: WireFingerprint %016x (err %v), Fingerprint of the bytes %016x", name, fp, err, Fingerprint(got))
+		}
 	}
 
 	// What encoding/json refuses, EncodeBytes refuses in the same words.
@@ -143,6 +148,9 @@ func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
 			_, got := plan.EncodeBytes()
 			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 				t.Errorf("%v in position %d: EncodeBytes says %v, encoding/json %v", bad, i, got, want)
+			}
+			if _, fpErr := plan.WireFingerprint(); (fpErr == nil) != (want == nil) || (fpErr != nil && fpErr.Error() != want.Error()) {
+				t.Errorf("%v in position %d: WireFingerprint says %v, encoding/json %v", bad, i, fpErr, want)
 			}
 		}
 	}
@@ -204,4 +212,36 @@ func TestEncodeAllocIsSteady(t *testing.T) {
 		t.Fatalf("EncodeBytes allocated %d B right after an encode and %d B after two collections", warm, cold)
 	}
 	t.Logf("EncodeBytes: %d B warm, %d B cold", warm, cold)
+}
+
+// TestWireFingerprintStreams: the fingerprint hashes the encoding as it is
+// written, so it allocates one wireChunk buffer (plus the header and the
+// hash state) whatever the plan's size, where building the document cost
+// its whole length. SBC's document spans many chunks, so every spill point
+// is crossed, and the hash must still be the document's.
+func TestWireFingerprintStreams(t *testing.T) {
+	g := topo.SBC()
+	plan, err := Precompute(g, traffic.Gravity(g, 0.15*g.TotalCapacity(), 1), Config{
+		Model: ArbitraryFailures{F: 1}, Iterations: 20, PenaltyEnvelope: 1.1, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := plan.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) < 4*wireChunk {
+		t.Fatalf("SBC's document is %d B, want several %d B chunks", len(doc), wireChunk)
+	}
+	fp, err := plan.WireFingerprint()
+	if err != nil || fp != Fingerprint(doc) {
+		t.Fatalf("WireFingerprint %016x (err %v), Fingerprint of the document %016x", fp, err, Fingerprint(doc))
+	}
+	const ceiling = wireChunk + 2048
+	got := allocBytes(5, func() { _, _ = plan.WireFingerprint() })
+	if got > ceiling {
+		t.Fatalf("WireFingerprint allocates %.0f B on a %d B document, want at most %d B", got, len(doc), ceiling)
+	}
+	t.Logf("WireFingerprint allocates %.0f B on a %d B document", got, len(doc))
 }

@@ -290,21 +290,20 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	st.run(iters, runSp)
 
 	// ---- Package the plan ----
-	// The plan's base is the dense view of the iterate with loops removed;
-	// the rows are re-read from it so the reported objective is the plan's.
-	// Its protection is sanitizeProt's dense view of P, re-read the same
-	// way.
+	// The plan's base is the iterate with loops cancelled on its rows, so
+	// the reported objective is the plan's, scattered once into the dense
+	// Plan.Base. Its protection is sanitizeProt's dense view of P, re-read
+	// into the rows the same way.
 	pkgSp := runSp.Child("package")
 	defer pkgSp.End()
 	totalDemand := reqs[0].demands
 	base := routing.NewFlow(g, comms)
+	zero := make([]float64, g.NumLinks())
+	var ls routing.LoopScratch
 	for k := 0; k < nK; k++ {
+		st.R[k].CancelLoops(g, zero, &ls)
 		st.R[k].Scatter(base.Frac[k])
 		base.Comms[k].Demand = totalDemand[k]
-	}
-	base.RemoveLoops()
-	for k := 0; k < nK; k++ {
-		st.R[k].SetDense(base.Frac[k])
 	}
 	prot := sanitizeProt(g, st.P)
 	for l := range prot {
@@ -324,6 +323,22 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	return plan, nil
 }
 
+// checkBaseRow rejects a supplied base routing row the solvers cannot use:
+// one of another width (a flow built over another graph), or one holding a
+// NaN or infinite fraction, on which loop cancellation and every load sum
+// would go wrong without a word.
+func checkBaseRow(row []float64, nL int) error {
+	if len(row) != nL {
+		return fmt.Errorf("core: base routing has %d links, topology has %d", len(row), nL)
+	}
+	for e, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: base routing has fraction %v on link %d", v, e)
+		}
+	}
+	return nil
+}
+
 // newFWState builds the solver's initial iterate: the base routing
 // (optimized by MinMLU, or matched from cfg.BaseRouting) and one shortest
 // detour per protected link.
@@ -335,7 +350,7 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 		capac[e] = g.Link(graph.LinkID(e)).Capacity
 	}
 	optimizeBase := cfg.BaseRouting == nil
-	R := make([]routing.SparseRow, nK)
+	var R []routing.SparseRow
 	totalDemand := reqs[0].demands
 	if optimizeBase {
 		initComms := make([]routing.Commodity, nK)
@@ -351,12 +366,12 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 			initIters = 300
 			optimizeBase = false
 		}
-		res := mcf.MinMLU(g, initComms, mcf.Options{Iterations: initIters})
-		for k := 0; k < nK; k++ {
-			R[k].SetDense(res.Flow.Frac[k])
-		}
+		// MinMLU's rows are loop-free and in ascending link order with
+		// exact zeros dropped: what SetDense makes of its dense view.
+		R = mcf.MinMLU(g, initComms, mcf.Options{Iterations: initIters}).Rows
 	} else {
 		// Match provided flow rows by OD pair.
+		R = make([]routing.SparseRow, nK)
 		type pair struct{ a, b graph.NodeID }
 		rows := make(map[pair][]float64, len(cfg.BaseRouting.Comms))
 		for k, c := range cfg.BaseRouting.Comms {
@@ -367,9 +382,8 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 			if !ok {
 				return nil, fmt.Errorf("core: base routing missing OD pair %d->%d", c.Src, c.Dst)
 			}
-			if len(row) != nL {
-				// A flow built over another graph.
-				return nil, fmt.Errorf("core: base routing has %d links, topology has %d", len(row), nL)
+			if err := checkBaseRow(row, nL); err != nil {
+				return nil, err
 			}
 			R[k].SetDense(row)
 		}

@@ -49,6 +49,13 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 	// r variables (skipped when the base routing is fixed). rVar[k][e] =
 	// -1 for links entering the commodity source ([R3] by construction).
 	optimizeBase := cfg.BaseRouting == nil
+	if !optimizeBase {
+		for _, row := range cfg.BaseRouting.Frac {
+			if err := checkBaseRow(row, nL); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var rVar [][]int
 	if optimizeBase {
 		rVar = make([][]int, len(comms))

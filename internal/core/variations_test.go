@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -87,6 +89,39 @@ func TestFixedBaseOfAnotherWidthRejected(t *testing.T) {
 	})
 	if want := "core: base routing has 10 links, topology has 28"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestFixedBaseNonFiniteRejected: a base routing row holding NaN or an
+// infinite fraction is rejected with an error by both solvers, as a
+// mis-sized one is. A NaN row used to pass straight into loop cancellation,
+// where a cycle of NaN cells never empties: Precompute on Abilene was still
+// running after 20 s.
+func TestFixedBaseNonFiniteRejected(t *testing.T) {
+	g := topo.Abilene()
+	d := traffic.Gravity(g, 300, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, solver := range []Solver{SolverFW, SolverLP} {
+			ospf := spf.ECMPFlow(g, routing.ODCommodities(g.NumNodes(), d.At), nil, spf.WeightCost(g))
+			for e := range ospf.Frac[3] {
+				ospf.Frac[3][e] = bad
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Precompute(g, d, Config{
+					Model: ArbitraryFailures{F: 1}, BaseRouting: ospf, Iterations: 20, Solver: solver, Workers: 1,
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if want := "core: base routing has fraction"; err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("solver %v, a row of %v: err = %v, want %q", solver, bad, err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("solver %v, a row of %v: Precompute still running after 10 s", solver, bad)
+			}
+		}
 	}
 }
 

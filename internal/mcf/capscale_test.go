@@ -79,9 +79,10 @@ func TestCapScaleNilIdentity(t *testing.T) {
 	if plain.MLU != nilScale.MLU {
 		t.Fatalf("nil CapScale changed the solve: %v vs %v", nilScale.MLU, plain.MLU)
 	}
+	pf, nf := plain.Flow(), nilScale.Flow()
 	for e := 0; e < g.NumLinks(); e++ {
-		for k := range plain.Flow.Frac {
-			if plain.Flow.Frac[k][e] != nilScale.Flow.Frac[k][e] {
+		for k := range pf.Frac {
+			if pf.Frac[k][e] != nf.Frac[k][e] {
 				t.Fatalf("nil CapScale changed flow on link %d", e)
 			}
 		}

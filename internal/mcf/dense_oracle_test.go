@@ -2,6 +2,7 @@ package mcf
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,11 +12,18 @@ import (
 	"repro/internal/traffic"
 )
 
+// denseResult is what MinMLU's Result was while it held a dense Flow.
+type denseResult struct {
+	Flow    *routing.Flow
+	MLU     float64
+	Dropped int
+}
+
 // minMLUDense is MinMLU as it was before its iterate became sparse rows:
 // dense [commodity][link] matrices for the iterate and the direction, and a
 // fresh tree per destination and call for the oracle. It is kept as the
 // oracle MinMLU is held to bit for bit.
-func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
+func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *denseResult {
 	opts.defaults()
 	nL := g.NumLinks()
 	f := routing.NewFlow(g, comms)
@@ -67,7 +75,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 
 	mlu := util(loads, cap)
 	if allZeroDemand(comms) || mlu == 0 {
-		return &Result{Flow: f, MLU: util(bg, cap), Dropped: dropped}
+		return &denseResult{Flow: f, MLU: util(bg, cap), Dropped: dropped}
 	}
 
 	// Frank–Wolfe on Φ_μ(loads) = μ ln Σ_e exp(util_e/μ), with μ shrinking
@@ -153,7 +161,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *Resul
 	// Recompute exactly from the final fractions.
 	final := append([]float64(nil), bg...)
 	f.AddLoads(final)
-	return &Result{Flow: f, MLU: util(final, cap), Dropped: dropped}
+	return &denseResult{Flow: f, MLU: util(final, cap), Dropped: dropped}
 }
 
 // assignShortest invokes emit(k, path) with one shortest path per
@@ -264,9 +272,10 @@ func TestMinMLUMatchesDenseOracle(t *testing.T) {
 				if math.Float64bits(got.MLU) != math.Float64bits(want.MLU) {
 					t.Fatalf("MLU = %v, dense oracle %v", got.MLU, want.MLU)
 				}
+				gotFlow := got.Flow()
 				for k := range want.Flow.Frac {
 					for e, w := range want.Flow.Frac[k] {
-						if v := got.Flow.Frac[k][e]; math.Float64bits(v) != math.Float64bits(w) {
+						if v := gotFlow.Frac[k][e]; math.Float64bits(v) != math.Float64bits(w) {
 							t.Fatalf("Frac[%d][%d] = %v, dense oracle %v", k, e, v, w)
 						}
 					}
@@ -274,4 +283,26 @@ func TestMinMLUMatchesDenseOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestMinMLUAllocatesLessThanADenseFlow: MinMLU keeps its iterate, cancels
+// its loops and returns its result as sparse rows, so a whole solve on SBC
+// — the base a pinned-base Precompute starts from — allocates less than
+// one [commodity][link] matrix of float64s: less than the dense Flow it once
+// built and returned cost on its own.
+func TestMinMLUAllocatesLessThanADenseFlow(t *testing.T) {
+	g := topo.SBC()
+	comms := routing.ODCommodities(g.NumNodes(), traffic.Gravity(g, 0.15*g.TotalCapacity(), 1).At)
+	solve := func() { MinMLU(g, comms, Options{Iterations: 300}) }
+	solve() // the graph's CSR is built outside the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	dense := uint64(len(comms) * g.NumLinks() * 8)
+	if got >= dense {
+		t.Fatalf("MinMLU on SBC allocates %d B, a dense flow is %d B", got, dense)
+	}
+	t.Logf("MinMLU on SBC allocates %d B, a dense flow is %d B", got, dense)
 }

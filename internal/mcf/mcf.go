@@ -68,7 +68,10 @@ func (o *Options) defaults() {
 
 // Result is the outcome of a min-MLU solve.
 type Result struct {
-	Flow *routing.Flow
+	// Rows[k] is commodity k's routing with its loops cancelled, in
+	// ascending link order with exact zeros dropped: the nonzero cells of
+	// the dense row. A dropped commodity's row is empty.
+	Rows []routing.SparseRow
 	// MLU is the achieved maximum link utilization including background
 	// load.
 	MLU float64
@@ -78,6 +81,54 @@ type Result struct {
 	// warm-starting the next structurally identical solve via
 	// Options.Warm. Nil from MinMLU.
 	Basis *lp.Basis
+
+	g *graph.Graph
+	// comms is the caller's slice, read by Flow, AddLoads and Lost: a
+	// caller that changes it afterwards changes what they report.
+	comms []routing.Commodity
+}
+
+// Flow returns the dense view of the rows, built on each call: a
+// [commodity][link] matrix for callers that index fractions by link.
+func (r *Result) Flow() *routing.Flow {
+	f := routing.NewFlow(r.g, r.comms)
+	for k := range r.Rows {
+		r.Rows[k].Scatter(f.Frac[k])
+	}
+	return f
+}
+
+// AddLoads accumulates every commodity's demand × fraction into loads (of
+// link count length), commodity by commodity: the sums, bit for bit, of
+// Flow().AddLoads.
+func (r *Result) AddLoads(loads []float64) {
+	for k, c := range r.comms {
+		if c.Demand != 0 {
+			r.Rows[k].AddLoads(c.Demand, loads)
+		}
+	}
+}
+
+// Lost is the demand of the commodities the result routes nowhere: the
+// dropped ones, whose rows are empty.
+func (r *Result) Lost() float64 {
+	var lost float64
+	for k, c := range r.comms {
+		if len(r.Rows[k].Idx) == 0 {
+			lost += c.Demand
+		}
+	}
+	return lost
+}
+
+// cancelLoops cancels the rows' loops, which also puts each row in
+// ascending link order with exact zeros dropped.
+func (r *Result) cancelLoops() {
+	zero := make([]float64, r.g.NumLinks())
+	var s routing.LoopScratch
+	for k := range r.Rows {
+		r.Rows[k].CancelLoops(r.g, zero, &s)
+	}
 }
 
 // MinMLU approximately minimizes the maximum link utilization of routing
@@ -87,8 +138,9 @@ type Result struct {
 //
 // The iterate is one sparse row per commodity and the Frank–Wolfe direction
 // one retained path per commodity, so an iteration costs the trees it runs
-// plus the rows' nonzeros; the dense Flow is materialized once, for loop
-// removal and the returned Result.
+// plus the rows' nonzeros. Loops are cancelled on the rows too, and the
+// rows are the Result: no [commodity][link] matrix is built unless a
+// caller asks for Result.Flow.
 func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	opts.defaults()
 	nL := g.NumLinks()
@@ -107,13 +159,7 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 
 	o := newPathOracle(g, comms, downSet(nL, opts.Alive))
 	rows := make([]routing.SparseRow, len(comms))
-	flow := func() *routing.Flow {
-		f := routing.NewFlow(g, comms)
-		for k := range rows {
-			rows[k].Scatter(f.Frac[k])
-		}
-		return f
-	}
+	res := &Result{Rows: rows, Dropped: o.dropped, g: g, comms: comms}
 
 	// Initialize: route every reachable commodity on an
 	// inverse-capacity-cost shortest path (a reasonable starting point
@@ -130,7 +176,9 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 
 	mlu := util(loads, cap)
 	if allZeroDemand(comms) || mlu == 0 {
-		return &Result{Flow: flow(), MLU: util(bg, cap), Dropped: o.dropped}
+		res.cancelLoops()
+		res.MLU = util(bg, cap)
+		return res
 	}
 
 	// Frank–Wolfe on Φ_μ(loads) = μ ln Σ_e exp(util_e/μ), with μ shrinking
@@ -187,12 +235,13 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		mlu = util(loads, cap)
 	}
 
-	f := flow()
-	f.RemoveLoops()
-	// Recompute exactly from the final fractions.
+	// Recompute exactly from the final fractions. Each link still sees its
+	// commodities in ascending order, so the sums are the dense ones.
+	res.cancelLoops()
 	final := append([]float64(nil), bg...)
-	f.AddLoads(final)
-	return &Result{Flow: f, MLU: util(final, cap), Dropped: o.dropped}
+	res.AddLoads(final)
+	res.MLU = util(final, cap)
+	return res
 }
 
 // downSet flattens an Options.Alive predicate into the down-set the
@@ -254,6 +303,7 @@ func newPathOracle(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSe
 	for e := range hops {
 		hops[e] = 1
 	}
+	pathCap, total := make([]int, len(comms)), 0
 	for dst, ks := range o.groups {
 		if len(ks) == 0 {
 			continue
@@ -261,12 +311,20 @@ func newPathOracle(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSe
 		spf.SPFTo(o.csr, graph.NodeID(dst), hops, o.down, &o.sc)
 		reachable := ks[:0]
 		for _, k := range ks {
-			if o.sc.Dist[comms[k].Src] != spf.Infinity {
+			if d := o.sc.Dist[comms[k].Src]; d != spf.Infinity {
 				o.reach[k] = true
 				reachable = append(reachable, k)
+				pathCap[k] = 2 * int(d)
+				total += pathCap[k]
 			}
 		}
 		o.groups[dst] = reachable
+	}
+	// Every path starts in one slab, with room for twice its fewest hops; a
+	// path that outgrows its share moves out on its own.
+	slab := make([]graph.LinkID, total)
+	for k, n := range pathCap {
+		o.paths[k], slab = slab[:0:n], slab[n:]
 	}
 	seen := make([]bool, g.NumNodes())
 	for k, c := range comms {
@@ -389,7 +447,6 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 		bg = make([]float64, nL)
 	}
 
-	f := routing.NewFlow(g, comms)
 	o := newPathOracle(g, comms, down)
 	reach, dropped := o.reach, o.dropped
 
@@ -504,21 +561,24 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("mcf: LP status %v", sol.Status)
 	}
+	res := &Result{Rows: make([]routing.SparseRow, len(comms)), Dropped: dropped, Basis: sol.Basis, g: g, comms: comms}
 	for k := range comms {
 		if !reach[k] {
 			continue
 		}
+		row := &res.Rows[k]
 		for e := 0; e < nL; e++ {
-			// Dead links carry only kill-row tolerance noise; zero it so
-			// extracted flows match the alive-only formulation exactly.
-			if aliveLinks[e] {
-				f.Frac[k][e] = sol.X[varOf[k*nL+e]]
+			// Dead links carry only kill-row tolerance noise; leave them out
+			// so extracted flows match the alive-only formulation exactly.
+			if v := sol.X[varOf[k*nL+e]]; aliveLinks[e] && v != 0 {
+				row.Idx = append(row.Idx, int32(e))
+				row.Val = append(row.Val, v)
 			}
 		}
 	}
-	f.RemoveLoops()
+	res.cancelLoops()
 	final := append([]float64(nil), bg...)
-	f.AddLoads(final)
+	res.AddLoads(final)
 	mlu := 0.0
 	for e := 0; e < nL; e++ {
 		c := g.Link(graph.LinkID(e)).Capacity
@@ -529,5 +589,6 @@ func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Resu
 			mlu = u
 		}
 	}
-	return &Result{Flow: f, MLU: mlu, Dropped: dropped, Basis: sol.Basis}, nil
+	res.MLU = mlu
+	return res, nil
 }

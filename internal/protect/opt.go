@@ -121,14 +121,8 @@ func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, f
 	res := s.solveDetour(detourComms, failed, bg, iters)
 	loads := make([]float64, s.G.NumLinks())
 	copy(loads, bg)
-	res.Flow.AddLoads(loads)
-	var lost float64
-	for k := range res.Flow.Comms {
-		if rowZero(res.Flow.Frac[k]) {
-			lost += res.Flow.Comms[k].Demand
-		}
-	}
-	return loads, lost
+	res.AddLoads(loads)
+	return loads, res.Lost()
 }
 
 // Optimal is flow-based optimal routing recomputed from scratch for each
@@ -190,11 +184,7 @@ func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *tra
 	if res == nil {
 		res = mcf.MinMLU(s.G, comms, mcf.Options{Alive: failed.Alive(), CapScale: capScale, Iterations: iters})
 	}
-	var lost float64
-	for k := range res.Flow.Comms {
-		if rowZero(res.Flow.Frac[k]) {
-			lost += res.Flow.Comms[k].Demand
-		}
-	}
-	return res.Flow.Loads(), lost
+	loads := make([]float64, s.G.NumLinks())
+	res.AddLoads(loads)
+	return loads, res.Lost()
 }

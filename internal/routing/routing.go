@@ -86,7 +86,7 @@ func (f *Flow) Clone() *Flow {
 //	[R1] flow conservation at nodes other than the commodity endpoints;
 //	[R2] the source emits exactly one unit;
 //	[R3] nothing flows back into the source;
-//	[R4] every fraction lies in [0, 1].
+//	[R4] every fraction lies in [0, 1] (NaN does not).
 //
 // A commodity whose source equals its destination is rejected.
 func (f *Flow) Validate(eps float64) error {
@@ -96,7 +96,7 @@ func (f *Flow) Validate(eps float64) error {
 		}
 		fr := f.Frac[k]
 		for e, v := range fr {
-			if v < -eps || v > 1+eps {
+			if !(v >= -eps && v <= 1+eps) { // NaN fails both
 				return fmt.Errorf("commodity %d: frac[%d] = %v outside [0,1] [R4]", k, e, v)
 			}
 		}
@@ -197,7 +197,8 @@ type Path struct {
 func (f *Flow) Decompose(k int, maxPaths int) []Path {
 	c := f.Comms[k]
 	resid := append([]float64(nil), f.Frac[k]...)
-	removeCycles(f.G, resid)
+	var s LoopScratch
+	s.removeCycles(f.G.CSR(), resid)
 	var paths []Path
 	const eps = 1e-9
 	for len(paths) < maxPaths {
@@ -239,87 +240,14 @@ func (f *Flow) Decompose(k int, maxPaths int) []Path {
 	return paths
 }
 
-// removeCycles cancels circulations in a per-link fraction vector so the
-// remaining flow is acyclic. It repeatedly finds a directed cycle in the
-// support and subtracts its bottleneck.
-func removeCycles(g *graph.Graph, frac []float64) {
-	const eps = 1e-12
-	for {
-		cycle := findCycle(g, frac, eps)
-		if cycle == nil {
-			return
-		}
-		bottleneck := math.Inf(1)
-		for _, id := range cycle {
-			if frac[id] < bottleneck {
-				bottleneck = frac[id]
-			}
-		}
-		for _, id := range cycle {
-			frac[id] -= bottleneck
-			if frac[id] < eps {
-				frac[id] = 0
-			}
-		}
-	}
-}
-
-// findCycle returns the links of some directed cycle in the support of
-// frac, or nil.
-func findCycle(g *graph.Graph, frac []float64, eps float64) []graph.LinkID {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, g.NumNodes())
-	parent := make([]graph.LinkID, g.NumNodes())
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycle []graph.LinkID
-	var dfs func(u graph.NodeID) bool
-	dfs = func(u graph.NodeID) bool {
-		color[u] = gray
-		for _, id := range g.Out(u) {
-			if frac[id] <= eps {
-				continue
-			}
-			v := g.Link(id).Dst
-			switch color[v] {
-			case white:
-				parent[v] = id
-				if dfs(v) {
-					return true
-				}
-			case gray:
-				// Found a cycle: walk back from u to v.
-				cycle = []graph.LinkID{id}
-				for w := u; w != v; {
-					pid := parent[w]
-					cycle = append(cycle, pid)
-					w = g.Link(pid).Src
-				}
-				return true
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		if color[n] == white && dfs(graph.NodeID(n)) {
-			return cycle
-		}
-	}
-	return nil
-}
-
 // RemoveLoops cancels circulations in every commodity of the flow in
 // place. The paper's LP adds a small penalty or postprocesses to remove
 // loops; this is the postprocessing.
 func (f *Flow) RemoveLoops() {
+	var s LoopScratch
+	c := f.G.CSR()
 	for k := range f.Frac {
-		removeCycles(f.G, f.Frac[k])
+		s.removeCycles(c, f.Frac[k])
 	}
 }
 

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -234,5 +235,21 @@ func TestSetDemands(t *testing.T) {
 	f.SetDemands(func(a, b graph.NodeID) float64 { return 11 })
 	if f.Comms[0].Demand != 11 {
 		t.Fatalf("SetDemands failed")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN fails both range comparisons and every
+// conservation test, so an all-NaN row once validated; it is an [R4]
+// violation, as an infinite fraction is.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	g, n := diamond(t)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1, Link: -1}})
+		for e := range f.Frac[0] {
+			f.Frac[0][e] = v
+		}
+		if err := f.Validate(1e-9); err == nil || !strings.Contains(err.Error(), "[R4]") {
+			t.Fatalf("row of %v: Validate = %v, want an [R4] violation", v, err)
+		}
 	}
 }

@@ -35,6 +35,9 @@ func (r *SparseRow) SetDense(dense []float64) {
 
 // SetPath makes the row the indicator of a simple path.
 func (r *SparseRow) SetPath(path []graph.LinkID) {
+	if cap(r.Idx) < len(path) || cap(r.Val) < len(path) {
+		r.Idx, r.Val = make([]int32, 0, len(path)), make([]float64, 0, len(path))
+	}
 	r.Idx, r.Val = r.Idx[:0], r.Val[:0]
 	for _, id := range path {
 		r.Idx = append(r.Idx, int32(id))

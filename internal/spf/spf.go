@@ -136,21 +136,19 @@ func ECMPFlowScratch(g *graph.Graph, comms []routing.Commodity, down *graph.Link
 			slices.SortStableFunc(t.order, func(a, b graph.NodeID) int { return cmp.Compare(t.dist[b], t.dist[a]) })
 			t.stamp = sc.gen
 		}
-		if fr := sc.fractions(c, cm.Src, cm.Dst, cost, down, t); fr != nil {
-			f.Frac[k] = fr
-		}
+		sc.fractions(c, cm.Src, cm.Dst, cost, down, t, f.Frac[k])
 	}
 	return f
 }
 
-// fractions computes the ECMP split fractions of one unit injected at src
-// toward t's destination: equal splitting over Hops at every node, in t's
-// order. Returns nil if dst is unreachable from src.
-func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []float64, down *graph.LinkSet, t *ecmpTree) []float64 {
+// fractions adds the ECMP split fractions of one unit injected at src
+// toward t's destination into frac, a zero row: equal splitting over Hops
+// at every node, in t's order. frac stays zero if dst is unreachable from
+// src.
+func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []float64, down *graph.LinkSet, t *ecmpTree, frac []float64) {
 	if t.dist[src] == Infinity {
-		return nil
+		return
 	}
-	frac := make([]float64, c.NumLinks())
 	inflow := sc.inflow
 	inflow[src] = 1
 	for _, u := range t.order {
@@ -176,7 +174,6 @@ func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []flo
 			break
 		}
 	}
-	return frac
 }
 
 // InvCapWeights sets every link's weight to refCapacity/capacity (Cisco's

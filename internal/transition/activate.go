@@ -306,7 +306,8 @@ func (sc *scheduler) interimDetour(st *core.State, e graph.LinkID, alsoDown []gr
 	if res.Dropped > 0 {
 		return nil, fmt.Errorf("transition: link %d's head is partitioned from its tail", e)
 	}
-	xi := append([]float64(nil), res.Flow.Frac[0]...)
+	xi := make([]float64, sc.g.NumLinks())
+	res.Rows[0].Scatter(xi)
 	xi[e] = 0
 	return xi, nil
 }

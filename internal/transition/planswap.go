@@ -519,10 +519,9 @@ func (sw *swapper) interimFeasible() bool {
 		if err != nil {
 			return false
 		}
-		res.Flow.RemoveLoops()
-		sw.feasFlow, sw.feasMLU = res.Flow, res.MLU
+		sw.feasFlow, sw.feasMLU = res.Flow(), res.MLU
 		for i, grp := range sw.groups {
-			sw.interims = append(sw.interims, scaleVec(grp.demand, res.Flow.Frac[i], len(sw.caps)))
+			sw.interims = append(sw.interims, scaleVec(grp.demand, sw.feasFlow.Frac[i], len(sw.caps)))
 		}
 	}
 	return sw.feasMLU <= feasTol
