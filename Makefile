@@ -19,8 +19,10 @@ test:
 race: build vet
 	$(GO) test -race ./...
 
+# bench runs the repository's one benchmark, the command BENCHMARK.json
+# declares (bench/r3bench; see bench/README.md for its flags).
 bench:
-	$(GO) test -bench=. -benchmem .
+	bash bench/run.sh
 
 # bench-smoke runs exactly the commands of the CI bench-smoke job: the
 # hot-path gates (zero-allocation kernels and sweeps, the pinned-base

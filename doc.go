@@ -5,9 +5,10 @@
 // together with every substrate the paper's evaluation depends on.
 //
 // The library lives under internal/ (see DESIGN.md for the module map),
-// with runnable entry points in cmd/ and examples/. The root package
-// holds the benchmark suite: one testing.B benchmark per table and figure
-// of the paper's evaluation, plus ablations (bench_test.go).
+// with runnable entry points in cmd/ and examples/. cmd/r3sim prints
+// every table and figure of the paper's evaluation; the internal/exp tests
+// assert the claims EXPERIMENTS.md makes about them. The root package
+// holds only the pinned plan digests (plan_digest_test.go).
 //
 //   - internal/core — R3 offline precomputation and online reconfiguration
 //   - internal/protect — the baseline schemes R3 is compared against

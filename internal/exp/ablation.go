@@ -64,7 +64,7 @@ func EnvelopeSweep(betas []float64, o Options) []EnvelopeSweepRow {
 	o = o.withDefaults()
 	g := topo.SBC()
 	d := traffic.Gravity(g, 1000, o.Seed+62)
-	scaleToOptimalMLU(g, d, 0.5, o)
+	scaleToOptimalMLU(g, d, 0.5)
 	base, err := core.Precompute(g, d, core.Config{Model: core.ArbitraryFailures{F: 0}, Iterations: o.Effort, Workers: o.Workers})
 	if err != nil {
 		panic(err)
@@ -155,9 +155,6 @@ func HashSplit(bitWidths []int, flows int, o Options) []HashSplitRow {
 		buckets := 1 << uint(bits)
 		maxErr := 0.0
 		counts := make([]int, len(ratios))
-		for i := range counts {
-			counts[i] = 0
-		}
 		for i := 0; i < flows; i++ {
 			f := mplsff.FlowKey{
 				SrcIP: uint32(i * 2654435761), DstIP: uint32(i*40503 + 7),

@@ -58,7 +58,7 @@ func DegradationSweep(spec core.WorkloadSpec, o Options) *DegradeSweepResult {
 	}
 	g := topo.Abilene()
 	d := traffic.Gravity(g, 4000, o.Seed+77)
-	scaleToOptimalMLU(g, d, 0.4, o)
+	scaleToOptimalMLU(g, d, 0.4)
 	model := core.DegradationModel{Beta: 1 - spec.Alpha, Budget: spec.Budget}
 
 	failPlan, err := core.Precompute(g, d, core.Config{
@@ -88,16 +88,11 @@ func DegradationSweep(spec core.WorkloadSpec, o Options) *DegradeSweepResult {
 		scs = append(scs, spec.SurgeSpec().Scenario(d))
 	}
 
-	en := &eval.Engine{
-		G: g,
-		Schemes: []protect.Scheme{
-			&protect.OSPFRecon{G: g},
-			&eval.R3Scheme{Label: degradeSchemeFailure, Plan: failPlan},
-			&eval.R3Scheme{Label: degradeSchemeEnvelope, Plan: degrPlan},
-		},
-		OptimalIterations: o.OptIter, ExactOptimal: o.ExactOpt,
-		Workers: o.Workers, Shards: o.Shards, Obs: o.Obs,
-	}
+	en := newEngine(g, []protect.Scheme{
+		&protect.OSPFRecon{G: g},
+		&eval.R3Scheme{Label: degradeSchemeFailure, Plan: failPlan},
+		&eval.R3Scheme{Label: degradeSchemeEnvelope, Plan: degrPlan},
+	}, o)
 	results := en.EvaluateScenarios(d, scs)
 
 	byKind := map[string]*DegradeSweepRow{}

@@ -3,9 +3,10 @@
 // returns a result that can print the same rows/series the paper reports.
 //
 // Scale note: drivers accept an Options controlling solver effort and
-// scenario counts so the benchmark suite finishes in minutes; the cmd/r3sim
-// CLI can run everything at full scale. Reproduction targets are shapes
-// (who wins, by what factor), not absolute numbers — see EXPERIMENTS.md.
+// scenario counts; cmd/r3sim prints every series at full scale (or at
+// Quick scale), and this package's tests assert the paper's claims at a
+// reduced scale. Reproduction targets are shapes (who wins, by what
+// factor), not absolute numbers — see EXPERIMENTS.md.
 package exp
 
 import (
@@ -55,12 +56,6 @@ type Options struct {
 	// engine's per-scenario metrics all land in it. Purely passive —
 	// results are identical with or without it.
 	Obs *obs.Registry
-	// ExactOpt computes the per-scenario optimal baselines (the engine's
-	// ratio denominator and the OSPF+opt scheme) with the exact LP solver
-	// warm-started across scenarios, instead of Frank–Wolfe with OptIter
-	// iterations. Default false keeps the published experiment outputs
-	// unchanged; intended for small topologies.
-	ExactOpt bool
 	// Shards sets the evaluation engine's scenario shard count (see
 	// eval.Engine.Shards); 0 picks automatically. Results are
 	// byte-identical at every shard count, so this is purely a
@@ -141,18 +136,16 @@ func envelopeOf(o Options) float64 {
 // ospfR3Plan precomputes OSPF+R3: the base routing is fixed to ECMP on
 // the graph's current weights and only the protection routing is
 // optimized (the envelope is moot: the base is not a variable).
-func ospfR3Plan(g *graph.Graph, d *traffic.Matrix, f int, o Options) *core.Plan {
-	return ospfR3PlanModel(g, d, core.ArbitraryFailures{F: f}, o)
-}
-
-// odComms builds OD commodities for a matrix.
-func odComms(g *graph.Graph, d *traffic.Matrix) []routing.Commodity {
-	return routing.ODCommodities(g.NumNodes(), d.At)
-}
-
-// ecmpFlow is OSPF ECMP routing with the graph's current weights.
-func ecmpFlow(g *graph.Graph, comms []routing.Commodity) *routing.Flow {
-	return spf.ECMPFlow(g, comms, nil, spf.WeightCost(g))
+func ospfR3Plan(g *graph.Graph, d *traffic.Matrix, model core.FailureModel, o Options) *core.Plan {
+	comms := routing.ODCommodities(g.NumNodes(), d.At)
+	plan, err := core.Precompute(g, d, core.Config{
+		Model: model, BaseRouting: spf.ECMPFlow(g, comms, nil, spf.WeightCost(g)),
+		Iterations: o.Effort, Workers: o.Workers, Obs: o.Obs,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }
 
 // invCapWeights applies Cisco-style inverse-capacity weights, referenced
@@ -171,15 +164,28 @@ func invCapWeights(g *graph.Graph) {
 // OSPF+CSPF-detour, OSPF+recon, FCP, PathSplice, OSPF+R3, OSPF+opt and
 // MPLS-ff+R3 (optimal is the engine's built-in denominator).
 func standardSchemes(g *graph.Graph, d *traffic.Matrix, f int, o Options) []protect.Scheme {
+	ospfPlan := ospfR3Plan(g, d, core.ArbitraryFailures{F: f}, o)
+	return lineup(g, ospfPlan, r3Plan(g, d, f, o), o)
+}
+
+// lineup is the paper's scheme lineup (in SchemeOrder) around the two R3
+// plans: ospfPlan protects the ECMP base, mplsPlan is the joint plan.
+func lineup(g *graph.Graph, ospfPlan, mplsPlan *core.Plan, o Options) []protect.Scheme {
 	return []protect.Scheme{
 		&protect.CSPFDetour{G: g},
 		&protect.OSPFRecon{G: g},
 		&protect.FCP{G: g},
 		&protect.PathSplicing{G: g, Seed: o.Seed},
-		&eval.R3Scheme{Label: "OSPF+R3", Plan: ospfR3Plan(g, d, f, o)},
-		&protect.OptDetour{G: g, Iterations: o.OptIter, Exact: o.ExactOpt, Obs: o.Obs},
-		&eval.R3Scheme{Label: "MPLS-ff+R3", Plan: r3Plan(g, d, f, o)},
+		&eval.R3Scheme{Label: "OSPF+R3", Plan: ospfPlan},
+		&protect.OptDetour{G: g, Iterations: o.OptIter, Obs: o.Obs},
+		&eval.R3Scheme{Label: "MPLS-ff+R3", Plan: mplsPlan},
 	}
+}
+
+// newEngine is the evaluation engine every driver runs its schemes in,
+// with the per-scenario optimal denominator at OptIter iterations.
+func newEngine(g *graph.Graph, schemes []protect.Scheme, o Options) *eval.Engine {
+	return &eval.Engine{G: g, Schemes: schemes, OptimalIterations: o.OptIter, Workers: o.Workers, Shards: o.Shards, Obs: o.Obs}
 }
 
 // SchemeOrder is the presentation order used by the paper's legends.

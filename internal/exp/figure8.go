@@ -8,13 +8,14 @@ import (
 	"repro/internal/eval"
 	"repro/internal/graph"
 	"repro/internal/mcf"
+	"repro/internal/protect"
 	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
 // scaleToOptimalMLU rescales d in place so the optimal no-failure MLU on
 // g equals target.
-func scaleToOptimalMLU(g *graph.Graph, d *traffic.Matrix, target float64, o Options) {
+func scaleToOptimalMLU(g *graph.Graph, d *traffic.Matrix, target float64) {
 	comms := routing.ODCommodities(g.NumNodes(), d.At)
 	res := mcf.MinMLU(g, comms, mcf.Options{Iterations: 120})
 	if res.MLU > 0 {
@@ -89,7 +90,7 @@ func Figure8(w *USISPWorkload, o Options) *Figure8Result {
 		gs := &eval.R3Scheme{Label: "general", Plan: general}
 		for i, sc := range scenarios {
 			loads, _ := gs.Loads(sc, total)
-			ranked[i] = sb{sc, bottleneck(g, sc, loads)}
+			ranked[i] = sb{sc, protect.Bottleneck(g, sc, loads)}
 		}
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].b > ranked[j].b })
 		if n > len(ranked) {
@@ -127,7 +128,7 @@ func Figure8(w *USISPWorkload, o Options) *Figure8Result {
 			for _, variant := range []string{" (general R3)", " (R3 with priority)"} {
 				label := cls.String() + variant
 				vals := series[label]
-				sortFloats(vals)
+				sort.Float64s(vals)
 				panel.Labels = append(panel.Labels, label)
 				panel.Series = append(panel.Series, vals)
 			}
@@ -136,21 +137,6 @@ func Figure8(w *USISPWorkload, o Options) *Figure8Result {
 	}
 	return res
 }
-
-func bottleneck(g *graph.Graph, failed graph.LinkSet, loads []float64) float64 {
-	worst := 0.0
-	for e, l := range loads {
-		if failed.Contains(graph.LinkID(e)) {
-			continue
-		}
-		if u := l / g.Link(graph.LinkID(e)).Capacity; u > worst {
-			worst = u
-		}
-	}
-	return worst
-}
-
-func sortFloats(v []float64) { sort.Float64s(v) }
 
 // Print writes all three panels.
 func (r *Figure8Result) Print(w io.Writer) {

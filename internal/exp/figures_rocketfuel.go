@@ -27,7 +27,7 @@ func RocketfuelFigure(network string, failures int, o Options) *MultiFailureResu
 	}
 	// One random gravity matrix, scaled to a realistic operating point.
 	d := traffic.Gravity(g, 1000, o.Seed+17)
-	scaleToOptimalMLU(g, d, 0.5, o)
+	scaleToOptimalMLU(g, d, 0.5)
 
 	// Failure events are bidirectional (a fiber cut takes both directed
 	// links), so protecting against `failures` events means covering

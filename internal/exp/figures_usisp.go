@@ -27,18 +27,65 @@ func usispSchemes(w *USISPWorkload, day []*traffic.Matrix, k int, o Options) (*g
 	if err != nil {
 		panic(err)
 	}
-	ospfPlan := ospfR3PlanModel(g, env, model, o)
+	ospfPlan := ospfR3Plan(g, env, model, o)
+	return g, lineup(g, ospfPlan, mplsPlan, o)
+}
 
-	schemes := []protect.Scheme{
-		&protect.CSPFDetour{G: g},
-		&protect.OSPFRecon{G: g},
-		&protect.FCP{G: g},
-		&protect.PathSplicing{G: g, Seed: o.Seed},
-		&eval.R3Scheme{Label: "OSPF+R3", Plan: ospfPlan},
-		&protect.OptDetour{G: g, Iterations: o.OptIter, Exact: o.ExactOpt, Obs: o.Obs},
-		&eval.R3Scheme{Label: "MPLS-ff+R3", Plan: mplsPlan},
+// singleFailureDay is one day's single-failure evaluation, the data of
+// both Figure 3 and Figure 4: per hourly interval, each scheme's worst
+// bottleneck over every SRLG/MLG event and the worst optimal bottleneck.
+type singleFailureDay struct {
+	g *graph.Graph // the workload graph with the day's optimized weights
+	// worst[i][j] is interval i's worst bottleneck for SchemeOrder[j].
+	worst [][]float64
+	// opt[i] is interval i's worst optimal (per-event) bottleneck.
+	opt []float64
+}
+
+// dayKey identifies a day's evaluation: the day and every option that
+// moves a result (Obs, Workers and Shards never do).
+type dayKey struct {
+	day int
+	o   Options
+}
+
+// singleFailures evaluates day i once per workload and option set, so
+// Figure 4 reuses the day Figure 3 already evaluated in the same process
+// (a repeated call records nothing in o.Obs).
+func (w *USISPWorkload) singleFailures(i int, o Options) *singleFailureDay {
+	key := dayKey{i, o}
+	key.o.Obs, key.o.Workers, key.o.Shards = nil, 0, 0
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if ev, ok := w.days[key]; ok {
+		return ev
 	}
-	return g, schemes
+	day := w.Day(i)
+	g, schemes := usispSchemes(w, day, 1, o)
+	events := eval.SingleEvents(g)
+	en := newEngine(g, schemes, o)
+	ev := &singleFailureDay{g: g}
+	for _, d := range day {
+		results := en.Evaluate(d, events)
+		worst := eval.WorstCase(results)
+		row := make([]float64, len(SchemeOrder))
+		for j, name := range SchemeOrder {
+			row[j] = worst[name]
+		}
+		wOpt := 0.0
+		for _, r := range results {
+			if r.Optimal > wOpt {
+				wOpt = r.Optimal
+			}
+		}
+		ev.worst = append(ev.worst, row)
+		ev.opt = append(ev.opt, wOpt)
+	}
+	if w.days == nil {
+		w.days = make(map[dayKey]*singleFailureDay)
+	}
+	w.days[key] = ev
+	return ev
 }
 
 // Figure3Result is the normalized worst-case bottleneck per interval per
@@ -56,38 +103,27 @@ type Figure3Result struct {
 // optimal bottleneck in the trace.
 func Figure3(w *USISPWorkload, dayIdx int, o Options) *Figure3Result {
 	o = o.withDefaults()
-	day := w.Day(dayIdx)
-	g, schemes := usispSchemes(w, day, 1, o)
-	events := eval.SingleEvents(g)
-	en := &eval.Engine{G: g, Schemes: schemes, OptimalIterations: o.OptIter, ExactOptimal: o.ExactOpt, Workers: o.Workers, Shards: o.Shards, Obs: o.Obs}
+	ev := w.singleFailures(dayIdx, o)
 
 	// Normalization constant: highest no-failure optimal bottleneck.
 	norm := 0.0
-	opt := &protect.Optimal{G: g, Iterations: o.OptIter}
-	for _, d := range day {
+	opt := &protect.Optimal{G: ev.g, Iterations: o.OptIter}
+	for _, d := range w.Day(dayIdx) {
 		loads, _ := opt.Loads(graph.LinkSet{}, d)
-		if b := protect.Bottleneck(g, graph.LinkSet{}, loads); b > norm {
+		if b := protect.Bottleneck(ev.g, graph.LinkSet{}, loads); b > norm {
 			norm = b
 		}
 	}
 
 	res := &Figure3Result{Schemes: append(append([]string(nil), SchemeOrder...), "optimal")}
-	for _, d := range day {
-		results := en.Evaluate(d, events)
-		worst := eval.WorstCase(results)
+	for i, worst := range ev.worst {
 		row := make([]float64, 0, len(res.Schemes))
-		for _, name := range SchemeOrder {
-			row = append(row, worst[name]/norm)
+		for _, b := range worst {
+			row = append(row, b/norm)
 		}
 		// Optimal-with-failure line: worst over events of the optimal
 		// bottleneck.
-		wOpt := 0.0
-		for _, r := range results {
-			if r.Optimal > wOpt {
-				wOpt = r.Optimal
-			}
-		}
-		row = append(row, wOpt/norm)
+		row = append(row, ev.opt[i]/norm)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
@@ -113,36 +149,24 @@ type Figure4Result struct {
 func Figure4(w *USISPWorkload, o Options) *Figure4Result {
 	o = o.withDefaults()
 	res := &Figure4Result{Schemes: append([]string(nil), SchemeOrder...)}
-	perScheme := make(map[string][]float64)
-
+	perScheme := make([][]float64, len(SchemeOrder))
 	for day := 0; day < o.Days; day++ {
-		dayTMs := w.Day(day)
-		g, schemes := usispSchemes(w, dayTMs, 1, o)
-		events := eval.SingleEvents(g)
-		en := &eval.Engine{G: g, Schemes: schemes, OptimalIterations: o.OptIter, ExactOptimal: o.ExactOpt, Workers: o.Workers, Shards: o.Shards, Obs: o.Obs}
-		for _, d := range dayTMs {
-			results := en.Evaluate(d, events)
-			worst := eval.WorstCase(results)
-			wOpt := 0.0
-			for _, r := range results {
-				if r.Optimal > wOpt {
-					wOpt = r.Optimal
-				}
-			}
-			for _, name := range SchemeOrder {
+		ev := w.singleFailures(day, o)
+		for i, worst := range ev.worst {
+			wOpt := ev.opt[i]
+			for j, b := range worst {
 				ratio := 1.0
 				if wOpt > 0 {
-					ratio = worst[name] / wOpt
+					ratio = b / wOpt
 					if ratio < 1 {
 						ratio = 1
 					}
 				}
-				perScheme[name] = append(perScheme[name], ratio)
+				perScheme[j] = append(perScheme[j], ratio)
 			}
 		}
 	}
-	for _, name := range SchemeOrder {
-		s := perScheme[name]
+	for _, s := range perScheme {
 		sort.Float64s(s)
 		res.Sorted = append(res.Sorted, s)
 	}
@@ -151,15 +175,7 @@ func Figure4(w *USISPWorkload, o Options) *Figure4Result {
 
 // Print writes the sorted ratio series, one x per interval rank.
 func (r *Figure4Result) Print(w io.Writer) {
-	rows := make([][]float64, len(r.Sorted[0]))
-	for i := range rows {
-		row := make([]float64, len(r.Schemes))
-		for j := range r.Schemes {
-			row[j] = r.Sorted[j][i]
-		}
-		rows[i] = row
-	}
-	printSeries(w, "Figure 4: sorted performance ratio, single failure events, one week (US-ISP-like)", r.Schemes, rows)
+	printSeries(w, "Figure 4: sorted performance ratio, single failure events, one week (US-ISP-like)", r.Schemes, transpose(r.Sorted))
 }
 
 // MultiFailureResult is the sorted performance ratio across multi-failure
@@ -172,22 +188,13 @@ type MultiFailureResult struct {
 
 // Print writes the sorted series.
 func (r *MultiFailureResult) Print(w io.Writer) {
-	rows := make([][]float64, len(r.Sorted[0]))
-	for i := range rows {
-		row := make([]float64, len(r.Schemes))
-		for j := range r.Schemes {
-			row[j] = r.Sorted[j][i]
-		}
-		rows[i] = row
-	}
-	printSeries(w, r.Title, r.Schemes, rows)
+	printSeries(w, r.Title, r.Schemes, transpose(r.Sorted))
 }
 
 // multiFailure evaluates sorted performance ratios for scenarios built
 // from base events.
 func multiFailure(title string, g *graph.Graph, schemes []protect.Scheme, d *traffic.Matrix, scenarios []graph.LinkSet, o Options) *MultiFailureResult {
-	en := &eval.Engine{G: g, Schemes: schemes, OptimalIterations: o.OptIter, ExactOptimal: o.ExactOpt, Workers: o.Workers, Shards: o.Shards, Obs: o.Obs}
-	results := en.Evaluate(d, scenarios)
+	results := newEngine(g, schemes, o).Evaluate(d, scenarios)
 	res := &MultiFailureResult{Title: title, Schemes: schemeNames(schemes)}
 	for _, name := range res.Schemes {
 		res.Sorted = append(res.Sorted, eval.SortedRatios(results, name))
@@ -246,10 +253,6 @@ func Figure9(w *USISPWorkload, beta float64, o Options) *Figure9Result {
 	res := &Figure9Result{Schemes: []string{"R3 no PE", "OSPF", "R3", "optimal"}}
 
 	var norm float64
-	type interval struct {
-		vals [4]float64
-	}
-	var rows []interval
 	for day := 0; day < o.Days; day++ {
 		dayTMs := w.Day(day)
 		g := w.G.Clone()
@@ -268,26 +271,24 @@ func Figure9(w *USISPWorkload, beta float64, o Options) *Figure9Result {
 		recon := &protect.OSPFRecon{G: g}
 		none := graph.LinkSet{}
 		for _, d := range dayTMs {
-			var iv interval
+			row := make([]float64, 4)
 			// R3 base routings under this interval's traffic.
-			iv.vals[0] = planBottleneck(noPE, d)
+			row[0] = planBottleneck(noPE, d)
 			ol, _ := recon.Loads(none, d)
-			iv.vals[1] = protect.Bottleneck(g, none, ol)
-			iv.vals[2] = planBottleneck(withPE, d)
+			row[1] = protect.Bottleneck(g, none, ol)
+			row[2] = planBottleneck(withPE, d)
 			opl, _ := opt.Loads(none, d)
-			iv.vals[3] = protect.Bottleneck(g, none, opl)
-			if iv.vals[3] > norm {
-				norm = iv.vals[3]
+			row[3] = protect.Bottleneck(g, none, opl)
+			if row[3] > norm {
+				norm = row[3]
 			}
-			rows = append(rows, iv)
+			res.Rows = append(res.Rows, row)
 		}
 	}
-	for _, iv := range rows {
-		row := make([]float64, 4)
+	for _, row := range res.Rows {
 		for j := range row {
-			row[j] = iv.vals[j] / norm
+			row[j] /= norm
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
@@ -327,12 +328,12 @@ func Figure10(w *USISPWorkload, o Options) *Figure10Result {
 	gOpt := w.G.Clone()
 	optimizeDayWeights(gOpt, day, o)
 	model := core.ModelFromGraph(gOpt, 1)
-	planOpt := ospfR3PlanModel(gOpt, env, model, o)
+	planOpt := ospfR3Plan(gOpt, env, model, o)
 
 	// Inverse-capacity base.
 	gInv := w.G.Clone()
 	invCapWeights(gInv)
-	planInv := ospfR3PlanModel(gInv, env, core.ModelFromGraph(gInv, 1), o)
+	planInv := ospfR3Plan(gInv, env, core.ModelFromGraph(gInv, 1), o)
 
 	schemes := []protect.Scheme{
 		&eval.R3Scheme{Label: "OSPFInvCap+R3", Plan: planInv},
@@ -372,10 +373,8 @@ func sortedNormalized(g *graph.Graph, schemes []protect.Scheme, d *traffic.Matri
 
 // Print writes both panels.
 func (r *Figure10Result) Print(w io.Writer) {
-	rows := transpose(r.SortedSingle)
-	printSeries(w, "Figure 10a: sorted normalized bottleneck, single failure events", r.Schemes, rows)
-	rows = transpose(r.SortedDouble)
-	printSeries(w, "Figure 10b: sorted normalized bottleneck, two failure events", r.Schemes, rows)
+	printSeries(w, "Figure 10a: sorted normalized bottleneck, single failure events", r.Schemes, transpose(r.SortedSingle))
+	printSeries(w, "Figure 10b: sorted normalized bottleneck, two failure events", r.Schemes, transpose(r.SortedDouble))
 }
 
 func transpose(cols [][]float64) [][]float64 {
@@ -391,18 +390,4 @@ func transpose(cols [][]float64) [][]float64 {
 		rows[i] = row
 	}
 	return rows
-}
-
-// ospfR3PlanModel is ospfR3Plan with an explicit failure model.
-func ospfR3PlanModel(g *graph.Graph, d *traffic.Matrix, model core.FailureModel, o Options) *core.Plan {
-	comms := odComms(g, d)
-	base := ecmpFlow(g, comms)
-	plan, err := core.Precompute(g, d, core.Config{
-		Model: model, BaseRouting: base, Iterations: o.Effort,
-		Workers: o.Workers, Obs: o.Obs,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return plan
 }

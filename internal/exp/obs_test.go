@@ -9,18 +9,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDebugSnapshotServesUSISPMetrics is the PR's acceptance path: run a
-// US-ISP figure driver with a live registry attached (exactly what
-// `r3sim -debug-addr` wires up) and assert the served /debug/vars JSON
-// carries the per-scenario evaluation latency histogram and the FW solver
-// iteration trace.
+// TestDebugSnapshotServesUSISPMetrics runs a US-ISP figure driver with a
+// live registry attached (exactly what `r3sim -debug-addr` wires up) and
+// asserts the served /debug/vars JSON carries the per-scenario evaluation
+// latency histogram and the FW solver iteration trace.
 func TestDebugSnapshotServesUSISPMetrics(t *testing.T) {
-	miniUSISP(t)
-	reg := obs.NewRegistry()
-	o := tinyOpts()
-	o.Obs = reg
-	w := NewUSISP(o)
-	if r := Figure3(w, 0, o); len(r.Rows) == 0 {
+	r, reg := testFigure3()
+	if len(r.Rows) == 0 {
 		t.Fatal("Figure3 produced no rows")
 	}
 

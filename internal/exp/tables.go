@@ -17,16 +17,15 @@ func Table1(w io.Writer) {
 	fmt.Fprintln(w, "# Table 1: network topologies")
 	fmt.Fprintf(w, "%-12s %-14s %8s %8s\n", "Network", "Aggregation", "#Nodes", "#D-Links")
 	rows := []struct {
-		g     *graph.Graph
-		aggr  string
-		notes string
+		g    *graph.Graph
+		aggr string
 	}{
-		{topo.Abilene(), "router-level", ""},
-		{topo.Level3(), "PoP-level", ""},
-		{topo.SBC(), "PoP-level", ""},
-		{topo.UUNet(), "PoP-level", ""},
-		{topo.Generated(), "router-level", ""},
-		{topo.USISP(), "PoP-level", "synthetic US-ISP stand-in"},
+		{topo.Abilene(), "router-level"},
+		{topo.Level3(), "PoP-level"},
+		{topo.SBC(), "PoP-level"},
+		{topo.UUNet(), "PoP-level"},
+		{topo.Generated(), "router-level"},
+		{topo.USISP(), "PoP-level"}, // the synthetic US-ISP stand-in
 	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %-14s %8d %8d\n", r.g.Name, r.aggr, r.g.NumNodes(), r.g.NumLinks())

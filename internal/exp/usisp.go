@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/routing"
@@ -16,12 +18,15 @@ import (
 type USISPWorkload struct {
 	G    *graph.Graph
 	Week []*traffic.Matrix
+
+	mu   sync.Mutex
+	days map[dayKey]*singleFailureDay // Figures 3 and 4 share these
 }
 
 // NewUSISP builds the workload deterministically.
 func NewUSISP(o Options) *USISPWorkload {
 	o = o.withDefaults()
-	g := graphUSISP()
+	g := topo.USISP()
 	base := traffic.Gravity(g, 1000, o.Seed+31)
 	week := traffic.DiurnalSeries(base, 7*24, o.Seed+32)
 	// Scale so the envelope's optimal MLU is 0.55.
@@ -34,9 +39,6 @@ func NewUSISP(o Options) *USISPWorkload {
 	}
 	return &USISPWorkload{G: g, Week: week}
 }
-
-// graphUSISP is separated for test seams.
-var graphUSISP = func() *graph.Graph { return topo.USISP() }
 
 // Day returns the 24 matrices of day i (0-based).
 func (w *USISPWorkload) Day(i int) []*traffic.Matrix {
