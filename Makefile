@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke profile-fw fuzz-smoke chaos transition daemon degrade
+.PHONY: all build vet test race cover bench bench-smoke profile-fw fuzz-smoke chaos transition daemon degrade
 
 all: build vet test
 
@@ -14,30 +14,38 @@ vet:
 test:
 	$(GO) test ./...
 
+# Each CI job runs one or two of the targets below, so the test lists
+# exist once, here.
+
 # race runs the full suite under the race detector; the parallel solver
-# and evaluation engine must stay clean here at any worker count.
+# and evaluation engine must stay clean here at any worker count. It
+# includes the worker-pool gates (DESIGN.md §14) and go vet's copylocks
+# check, which keeps core.Plan from being copied by value.
 race: build vet
 	$(GO) test -race ./...
+
+# cover writes the suite's coverage profile, which CI keeps as an artifact.
+cover:
+	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 
 # bench runs the repository's one benchmark, the command BENCHMARK.json
 # declares (bench/r3bench; see bench/README.md for its flags).
 bench:
 	bash bench/run.sh
 
-# bench-smoke runs exactly the commands of the CI bench-smoke job: the
-# hot-path gates (zero-allocation kernels and sweeps, the pinned-base
-# allocation ceiling, cross-kernel plan bytes, worst-load differentials, the
-# dense oracles of the sparse commodity rows, of loop cancellation and of
-# the sparse protection half, the paired line-search probes against single
-# ones, the pinned plan digests, the plan encoder against encoding/json and
-# its allocation whatever the collector did, the shortest-path baselines'
-# loads bit for bit), the
-# SPF kernel plan differential (flat reference, heap and delta-stepping
-# DynTree rebuilds), and vet plus the smoke test of the nested benchmark
-# module (bench/ has its own go.mod, so the root `go test ./...` never
-# compiles it).
+# bench-smoke runs the hot-path gates (DESIGN.md §4–§8): zero-allocation
+# kernels and sweeps, the pinned-base allocation ceiling, worst-load
+# differentials, the dense oracles of the sparse commodity rows, of loop
+# cancellation and of the sparse protection half, the paired line-search
+# probes against single ones, the pinned plan digests, the plan encoder
+# against encoding/json and its allocation whatever the collector did,
+# the shortest-path baselines' loads bit for bit; then, verbosely, the SPF
+# kernel plan differential (flat reference, heap and delta-stepping DynTree
+# rebuilds); then vet plus the smoke test of the nested benchmark module
+# (bench/ has its own go.mod, so the root `go test ./...` never compiles
+# it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestSPFModeByteIdentity|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -50,22 +58,21 @@ profile-fw: build
 
 # chaos runs the seeded fault-injection property suite — the 30%-loss
 # convergence acceptance test, Theorem 3 permutation tests, the
-# loop-guard and invariant-checker tests — plus vet, mirroring the CI
-# chaos-smoke job.
+# loop-guard and invariant-checker tests — plus vet, then a seeded chaos
+# sweep (DESIGN.md §12).
 chaos: vet
 	$(GO) test -count=1 -run 'TestChaos|TestReliableFlood|TestFireOnce|TestReflood|TestTheorem3|TestForwardLoopGuard|TestInvariant|TestDetectDelay' ./internal/netem
 	$(GO) test -count=1 -run 'TestFingerprint' ./internal/mplsff
 	$(GO) test -count=1 -run 'TestChaosLossSweep' ./internal/exp
+	$(GO) run ./cmd/r3emu -fig sweep -phase 1 -effort 40 -chaos-runs 2
 
-# transition runs exactly the commands of the CI transition-smoke job:
-# under the race detector, the scheduler suite (both models: sequence
+# transition runs, under the race detector, the scheduler suite (both models: sequence
 # goldens, property/differential tests, the crossing-commodities
 # constructs), delta/round versioning, staged delivery of both kinds of
 # sequence through the emulator, both staged-vs-one-shot sweeps, and the
 # copy-on-write State gates (eager-copy oracle, plan-never-written hash,
-# concurrent NewState, allocation bound); then the staged scheduling smoke
-# runs. go vet, whose copylocks check keeps core.Plan from being copied by
-# value, runs in `make race`, as it does in the CI race job.
+# concurrent NewState, allocation bound; DESIGN.md §9); then the staged
+# scheduling smoke runs (DESIGN.md §10).
 transition:
 	$(GO) test -race -count=1 ./internal/transition
 	$(GO) test -race -count=1 -run 'TestDiff|TestApplyRound|TestApplyDelta|TestFailAll' ./internal/mplsff ./internal/core
@@ -78,8 +85,8 @@ transition:
 
 # daemon runs the control-plane suite under the race detector (lifecycle
 # byte-identity, concurrent reads across swaps, cache determinism,
-# breaker/rate-limit admission) and builds the r3d planner daemon,
-# mirroring the CI daemon-smoke job.
+# breaker/rate-limit admission) and builds the r3d planner daemon; CI's
+# daemon-smoke job then drives the binary over HTTP (DESIGN.md §11).
 daemon: vet
 	$(GO) test -race -count=1 ./internal/controlplane
 	$(GO) build -o r3d ./cmd/r3d
@@ -87,8 +94,9 @@ daemon: vet
 # degrade runs the generalized-scenario suite under the race detector —
 # degradation-envelope property tests and polytope differentials,
 # hard-failure byte-identity gates, workload-grammar parsers, scenario
-# evaluation and emulator degradation — plus a quick sweep and the pinned
-# degradation plan digest, mirroring the CI workload-smoke job.
+# evaluation and emulator degradation — plus quick sweeps with and without
+# a surge, envelope planning with a what-if replay, and the pinned
+# degradation plan digest (DESIGN.md §3).
 degrade: vet
 	$(GO) test -race -count=1 -run 'TestDegradation|TestScenario|TestSurge|TestWorkload|TestParse|TestVerify|TestEnumerate|TestSample|TestApplyScenario|TestEffectiveKind|TestNodeScenario' ./internal/core
 	$(GO) test -race -count=1 -run 'TestCapScale' ./internal/mcf
@@ -97,9 +105,12 @@ degrade: vet
 	$(GO) test -race -count=1 -run 'TestDegradationSweep' ./internal/exp
 	$(GO) test -race -count=1 -run 'TestScenarioEndpoint' ./internal/controlplane
 	$(GO) run ./cmd/r3sim -exp degrade -quick
+	$(GO) run ./cmd/r3sim -exp degrade -quick -surge 1.3 -surgefrac 0.25
+	$(GO) run ./cmd/r3plan -net abilene -total 150 -effort 40 -workload 'alpha=0.5,budget=1.5' -verify 1 -verifycap 64
+	$(GO) run ./cmd/r3plan -net abilene -total 150 -effort 40 -degrade 0.5 -degradelinks '4:0.5' -fail 0
 	$(GO) run ./cmd/r3plan -net sbc -degrade 0.5 -budget 2 -effort 60 -fingerprint | grep -qx 'plan digest: 1ec22dedf367705a'
 
-# fuzz-smoke runs each fuzz target briefly, mirroring the CI job.
+# fuzz-smoke runs each fuzz target briefly.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/topo
 	$(GO) test -fuzz '^FuzzParseMatrix$$' -fuzztime 10s ./internal/traffic

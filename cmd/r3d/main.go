@@ -8,7 +8,7 @@
 //	r3d -net abilene -listen :8080
 //	r3d -topo net.txt -traffic tm.txt -listen :8080 -solver lp
 //
-// API (see DESIGN.md §12):
+// API (see DESIGN.md §11):
 //
 //	GET  /v1/plan[?rev=N]      plan wire bytes (X-R3-Revision/-Digest headers)
 //	GET  /v1/scenario?links=.. failure-scenario lookup (&stage=1 for rounds)

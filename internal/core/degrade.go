@@ -25,7 +25,7 @@ import (
 // max_l v_l over degradable links: the online rescaling procedure
 // Degrade(e, θ) moves θ·load(e) through the same detour ξ_e as a hard
 // failure, and its congestion-freedom argument needs each protection row
-// covered at full strength, not β-scaled (see DESIGN.md §15). For β = 1,
+// covered at full strength, not β-scaled (see DESIGN.md §3). For β = 1,
 // B ≥ 1 the knapsack already contains the anchor, so the hard-failure
 // limit is unchanged.
 type DegradationModel struct {

@@ -11,7 +11,7 @@ import (
 
 // degradePlan precomputes a degradation-envelope plan over g, rescaling
 // the demand once if needed so the certified MLU drops below 1 — the
-// envelope's online soundness argument (DESIGN.md §15) needs a
+// envelope's online soundness argument (DESIGN.md §3) needs a
 // congestion-free certificate, exactly as the paper's Theorem 2 does for
 // hard failures.
 func degradePlan(t *testing.T, g *graph.Graph, d *traffic.Matrix, model DegradationModel, iters int) *Plan {

@@ -118,7 +118,7 @@ func TestObsFWRecordsSolverProgress(t *testing.T) {
 }
 
 // TestPoolCarriesOnlyLinkSizedItems is the gate on the solver's execution
-// policy (DESIGN.md §6): the pool runs the two loops of pDirections (cost
+// policy (DESIGN.md §14): the pool runs the two loops of pDirections (cost
 // accumulation, then the oracle fan-out) and the r fan-out, and nothing
 // else — the global step's line-search fill costs the protection's
 // nonzeros per column and is a plain loop. A joint solve (no

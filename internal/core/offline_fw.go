@@ -57,8 +57,8 @@ type Config struct {
 	// two oracle fan-outs — and nothing else; every parallel item writes
 	// only slots it owns, so the produced plan is bit-identical for every
 	// worker count and Workers trades only wall-clock time. Below a few
-	// hundred links expect ≈ 1.0×; the gain shows at thousands (DESIGN.md
-	// §6). The LP solver ignores it.
+	// hundred links expect ≈ 1.0×; at thousands the pool shortens only the
+	// oracle fan-outs (DESIGN.md §14). The LP solver ignores it.
 	Workers int
 	// Obs, when non-nil, receives solver metrics and traces: per-epoch
 	// MLU/step-size spans under trace "fw", SPF and epoch counters, LP
@@ -528,17 +528,16 @@ type fwState struct {
 	pcol []routing.SparseRow
 	lse  sweepLSE // the block sweeps' cached line-search objective
 
-	// hot-path arenas: every per-epoch buffer the solver used to allocate
-	// lives here and is reused across epochs (see DESIGN.md §9). csr is
-	// the flat graph view the SPF kernel reads. selectKernels sets the
-	// rest: tops maintains each pcol column's largest entries
-	// incrementally when one colTop kernel serves every requirement (topK
-	// is the buffer capacity; 0 disables it) — the top-F sums of
-	// ArbitraryFailures (arbF, topK = max F + 1) or the knapsack walks of
-	// uniform-β DegradationModels (knapU, topK = longest walk + 1); grp1
-	// is the GroupFailures{K: 1} kernel. Each of arbF, knapU and grp1 is
-	// nil unless every requirement's model is of its kind. incSweep
-	// selects pSweepInc over pSweepRef.
+	// hot-path arenas: every per-epoch buffer lives here and is reused
+	// across epochs (see DESIGN.md §4). csr is the flat graph view the SPF
+	// kernel reads. selectKernels sets the rest: tops maintains each pcol
+	// column's largest entries incrementally when one colTop kernel serves
+	// every requirement (topK is the buffer capacity; 0 disables it) — the
+	// top-F sums of ArbitraryFailures (arbF, topK = max F + 1) or the
+	// knapsack walks of uniform-β DegradationModels (knapU, topK = longest
+	// walk + 1); grp1 is the GroupFailures{K: 1} kernel. Each of arbF, knapU
+	// and grp1 is nil unless every requirement's model is of its kind.
+	// incSweep selects pSweepInc over pSweepRef.
 	csr      *graph.CSR
 	ar       fwArena
 	tops     []colTop
@@ -857,7 +856,7 @@ func (s *fwState) objective() float64 {
 // The best iterate by true objective is kept. effort scales the epoch
 // count.
 //
-// Execution policy (DESIGN.md §6): an item on the worker pool is at least
+// Execution policy (DESIGN.md §14): an item on the worker pool is at least
 // one O(links) pass, which is the oracle fan-outs in rDirections and
 // pDirections. Every other loop of every phase costs O(1) per cell or the
 // protection's nonzeros per column and is a plain loop.

@@ -21,7 +21,7 @@ import (
 // the fractional knapsack max Σ u_l·c_l·p_l(e) over 0 ≤ u_l ≤ β_l,
 // Σ u_l ≤ B; its LP dual replaces the π coefficient 1 with β_l and the
 // λ coefficient F with B. The envelope's full single-failure anchor
-// (DESIGN.md §15) is the elementwise max with max_l c_l·p_l(e), encoded
+// (DESIGN.md §3) is the elementwise max with max_l c_l·p_l(e), encoded
 // with one auxiliary variable m_e ≥ c_l·p_l(e) and a second capacity row
 // base(e) + m_e ≤ MLU·c_e.
 func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) {

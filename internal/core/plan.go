@@ -623,7 +623,7 @@ func (s *State) rerouteBase(e graph.LinkID, xi []float64, cells []int32, frac fl
 // the link's own utilization is invariant ((1-frac)·load / (1-frac)·c),
 // and every other link's certified bound covers the moved share because
 // the degradation envelope's anchor keeps each protection row at full
-// single-failure strength (DESIGN.md §15).
+// single-failure strength (DESIGN.md §3).
 //
 // frac must lie strictly in (0, 1): a full loss is a hard failure (use
 // Fail). Degrading a link twice, degrading a failed link, or failing a

@@ -49,7 +49,7 @@ type Options struct {
 	// and the gradient-cost accumulation, in the evaluation engine the
 	// scenario shards. Plans and results are bit-identical for every worker count,
 	// so Workers is purely a speed knob — and below a few hundred links it
-	// is expected to buy ≈ 1.0× on the solver (DESIGN.md §6).
+	// is expected to buy ≈ 1.0× on the solver (DESIGN.md §14).
 	Workers int
 	// Obs, when non-nil, threads the observability registry through the
 	// drivers: FW/LP precompute counters and traces, and the evaluation

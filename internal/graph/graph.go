@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -313,12 +312,4 @@ func (g *Graph) Clone() *Graph {
 		ng.mlgs = append(ng.mlgs, append([]LinkID(nil), grp...))
 	}
 	return ng
-}
-
-// SortedNodeNames returns node names in lexical order; useful for stable
-// test output.
-func (g *Graph) SortedNodeNames() []string {
-	names := append([]string(nil), g.nodes...)
-	sort.Strings(names)
-	return names
 }

@@ -109,9 +109,6 @@ func (p *Problem) AddVariable(name string, cost float64) int {
 	return len(p.cost) - 1
 }
 
-// NumVariables reports the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.cost) }
-
 // SetCost updates the objective coefficient of variable v.
 func (p *Problem) SetCost(v int, cost float64) { p.cost[v] = cost }
 

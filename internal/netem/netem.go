@@ -428,19 +428,6 @@ func (em *Emulator) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// DataFingerprint digests only the data-plane phase measurements,
-// excluding control-plane overhead — used to show the chaos layer at
-// zero probability does not perturb the emulation proper.
-func (em *Emulator) DataFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	for _, p := range em.phases {
-		buf = p.AppendCanonical(buf[:0])
-		h.Write(buf)
-	}
-	return h.Sum64()
-}
-
 func (em *Emulator) schedule(at float64, fn func()) {
 	em.seq++
 	heap.Push(&em.events, event{at: at, seq: em.seq, fn: fn})

@@ -15,12 +15,9 @@ import "repro/internal/graph"
 // the paper.
 const OC192 = 9953.0
 
-// OC48 and OC768 are used for capacity heterogeneity in the US-ISP-like
-// topology.
-const (
-	OC48  = 2488.0
-	OC768 = 39813.0
-)
+// OC48 is the capacity (in Mbps) of the generated topologies' stub links
+// (transitStub).
+const OC48 = 2488.0
 
 // abileneLink describes one bidirectional Abilene link.
 type abileneLink struct {
@@ -100,8 +97,8 @@ func Generated1K() *graph.Graph {
 }
 
 // USISP returns the synthetic tier-1 PoP network standing in for the
-// paper's proprietary US-ISP topology: 20 PoPs, 102 directed links,
-// heterogeneous OC48/OC192/OC768 capacities, SRLGs modeling shared fiber
+// paper's proprietary US-ISP topology: 20 PoPs, 102 directed links at
+// OC192 with 2×OC192 hub-to-hub bundles, SRLGs modeling shared fiber
 // conduits and a maintenance-link-group (MLG) event list.
 func USISP() *graph.Graph {
 	g := mesh("US-ISP", 20, 102, 13, OC192)

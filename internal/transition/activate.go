@@ -150,7 +150,7 @@ func (sc *scheduler) mluOf(mask uint64) float64 {
 // configuration from subset cum to cum|add while routers update
 // asynchronously: the worst MLU over every intermediate subset applied
 // network-wide. (It does not range over per-router version skew; see
-// DESIGN.md §11.)
+// DESIGN.md §10.)
 func (sc *scheduler) envelope(cum, add uint64) float64 {
 	worst := sc.mluOf(cum)
 	for sub := add; ; sub = (sub - 1) & add {
@@ -252,9 +252,9 @@ func (sc *scheduler) detour(round *Round) {
 // non-canonical arithmetic order, so the staged fingerprint equals
 // one-shot activation. The round's EnvelopeMLU is the utilization of the
 // elementwise max of the two whole states' loads. That is not the
-// per-commodity mixing bound DESIGN.md §13 requires of a plan swap, so
+// per-commodity mixing bound DESIGN.md §10 requires of a plan swap, so
 // it does not by itself make the round safe under per-router skew
-// (ROADMAP item 4's open half).
+// (ROADMAP item 6).
 func (sc *scheduler) reconcile() {
 	if sc.canon {
 		return
