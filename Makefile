@@ -37,7 +37,8 @@ bench:
 # kernels and sweeps, the pinned-base allocation ceiling, worst-load
 # differentials, the dense oracles of the sparse commodity rows, of loop
 # cancellation and of the sparse protection half, the paired line-search
-# probes against single ones, the pinned plan digests, the plan encoder
+# probes against single ones, the block sweeps' line-search objective
+# against its documented contract, the pinned plan digests, the plan encoder
 # against encoding/json and its allocation whatever the collector did,
 # the shortest-path baselines' loads bit for bit; then, verbosely, the SPF
 # kernel plan differential (flat reference, heap and delta-stepping DynTree
@@ -45,7 +46,7 @@ bench:
 # (bench/ has its own go.mod, so the root `go test ./...` never compiles
 # it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -108,7 +109,7 @@ degrade: vet
 	$(GO) run ./cmd/r3sim -exp degrade -quick -surge 1.3 -surgefrac 0.25
 	$(GO) run ./cmd/r3plan -net abilene -total 150 -effort 40 -workload 'alpha=0.5,budget=1.5' -verify 1 -verifycap 64
 	$(GO) run ./cmd/r3plan -net abilene -total 150 -effort 40 -degrade 0.5 -degradelinks '4:0.5' -fail 0
-	$(GO) run ./cmd/r3plan -net sbc -degrade 0.5 -budget 2 -effort 60 -fingerprint | grep -qx 'plan digest: 1ec22dedf367705a'
+	$(GO) run ./cmd/r3plan -net sbc -degrade 0.5 -budget 2 -effort 60 -fingerprint | grep -qx 'plan digest: 5f65cc6b98082ffd'
 
 # fuzz-smoke runs each fuzz target briefly.
 fuzz-smoke:

@@ -141,12 +141,12 @@ func TestDegradationPlanDigests(t *testing.T) {
 		kernel spfKernel
 		digest uint64
 	}{
-		{"sbc-a0.5-B2", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2}, kernelIncremental, 0x1ec22dedf367705a},
+		{"sbc-a0.5-B2", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2}, kernelIncremental, 0x5f65cc6b98082ffd},
 		{"abilene-a0.7-B1.5", topo.Abilene, WorkloadSpec{Alpha: 0.7, Budget: 1.5}, kernelIncremental, 0x14af38ab39e4b091},
 		{"level3-a0.5-B2", topo.Level3, WorkloadSpec{Alpha: 0.5, Budget: 2}, kernelIncremental, 0x52c28f0cc64e250f},
 		{"sbc-a0.9-B0.35", topo.SBC, WorkloadSpec{Alpha: 0.9, Budget: 0.35}, kernelIncremental, 0x3b5e80735d8ef814},
-		{"sbc-a0.5-B2-surge1.3", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2, Surge: 1.3, ODFrac: 1}, kernelIncremental, 0x24c4f2c9b50c2fc8},
-		{"sbc-a0.25-B3-flat", topo.SBC, WorkloadSpec{Alpha: 0.25, Budget: 3}, kernelFlat, 0xaaa5efa6e4a5df9b},
+		{"sbc-a0.5-B2-surge1.3", topo.SBC, WorkloadSpec{Alpha: 0.5, Budget: 2, Surge: 1.3, ODFrac: 1}, kernelIncremental, 0x9d500e309a542a8e},
+		{"sbc-a0.25-B3-flat", topo.SBC, WorkloadSpec{Alpha: 0.25, Budget: 3}, kernelFlat, 0x4111330b7e294bcf},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 // denseFW is the solver's protection half as it was while the protection
 // routing was dense: P, pcol, the p direction and its columns, and the
 // gradient costs as link × link matrices, every protection phase written
-// over them, and line searches that evaluate one probe at a time. The r
-// half (R, loads, q, rDirections, baseLoads, softmaxWeights, trueObj) is
-// the embedded fwState's own. It is the oracle the sparse solver is held
+// over them, and line searches that evaluate one probe at a time, every
+// cell from scratch through sweepLSE.direct. The r half (R, loads, q,
+// rDirections, baseLoads, softmaxWeights, trueObj) is the embedded
+// fwState's own. It is the oracle the sparse solver is held
 // to bit for bit (TestSparseProtectionMatchesDenseOracle), as minMLUDense
 // is for mcf.MinMLU.
 type denseFW struct {
@@ -111,25 +112,10 @@ func (d *denseFW) rSweep(rPaths [][]graph.LinkID, mu float64) {
 	nL := d.g.NumLinks()
 	nI := len(d.reqs)
 	loads, W := d.ar.loads, d.ar.W
-	u0, expu := d.ar.u0, d.ar.expu
-	xDir, diff, act := d.ar.xDir, d.ar.diff, d.ar.active
-	rk := d.ar.rk
-	for i := 0; i < nI; i++ {
-		li, Wi, u0i := loads[i], W[i], u0[i]
-		for e := 0; e < nL; e++ {
-			u0i[e] = (li[e] + Wi[e]) / d.capac[e]
-		}
-	}
-	cachedWorst := math.NaN()
-	refill := func(worst float64) {
-		for i := 0; i < nI; i++ {
-			u0i, ei := u0[i], expu[i]
-			for e := 0; e < nL; e++ {
-				ei[e] = math.Exp((u0i[e] - worst) / mu)
-			}
-		}
-		cachedWorst = worst
-	}
+	xDir, diff := d.ar.xDir, d.ar.diff
+	rk, live, stamp := d.ar.rk, d.ar.live, d.ar.stampE
+	u := d.ar.us[:nI*nL]
+	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: stamp, live: live}
 	for k := range d.comms {
 		path := rPaths[k]
 		if path == nil {
@@ -145,84 +131,34 @@ func (d *denseFW) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			rk[e] = 0
 		}
 		d.R[k].Scatter(rk)
+		d.stampGen++
+		lse.gen = d.stampGen
 		nAct := 0
 		for e := 0; e < nL; e++ {
 			dd := xDir[e] - rk[e]
 			diff[e] = dd
 			if dd != 0 {
-				act[nAct] = int32(e)
+				stamp[e] = lse.gen
 				nAct++
 			}
 		}
 		hasDemand := false
 		for i := 0; i < nI; i++ {
-			if d.reqs[i].demands[k] != 0 {
-				hasDemand = true
-				break
-			}
+			live[i] = d.reqs[i].demands[k] != 0
+			hasDemand = hasDemand || live[i]
 		}
 		if nAct == 0 || !hasDemand {
 			continue
 		}
-		staticMax := 0.0
-		for i := 0; i < nI; i++ {
-			u0i := u0[i]
-			if d.reqs[i].demands[k] == 0 {
-				for e := 0; e < nL; e++ {
-					if u0i[e] > staticMax {
-						staticMax = u0i[e]
-					}
-				}
-				continue
-			}
-			for e := 0; e < nL; e++ {
-				if diff[e] == 0 && u0i[e] > staticMax {
-					staticMax = u0i[e]
-				}
-			}
-		}
 		eval := func(gamma float64) float64 {
-			worst := staticMax
 			for i := 0; i < nI; i++ {
-				dm := d.reqs[i].demands[k]
-				if dm == 0 {
-					continue
-				}
-				gd := gamma * dm
-				li, Wi := loads[i], W[i]
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
-					u := (li[e] + gd*diff[e] + Wi[e]) / d.capac[e]
-					if u > worst {
-						worst = u
-					}
-				}
-			}
-			if worst != cachedWorst {
-				refill(worst)
-			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				dm := d.reqs[i].demands[k]
-				ei := expu[i]
-				if dm == 0 {
-					for e := 0; e < nL; e++ {
-						z += ei[e]
-					}
-					continue
-				}
-				gd := gamma * dm
+				gd := gamma * d.reqs[i].demands[k]
 				li, Wi := loads[i], W[i]
 				for e := 0; e < nL; e++ {
-					if diff[e] != 0 {
-						u := (li[e] + gd*diff[e] + Wi[e]) / d.capac[e]
-						z += math.Exp((u - worst) / mu)
-					} else {
-						z += ei[e]
-					}
+					u[i*nL+e] = (li[e] + gd*diff[e] + Wi[e]) / d.capac[e]
 				}
 			}
-			return worst + mu*math.Log(z)
+			return lse.direct(u)
 		}
 		gamma := ternaryMinSingle(eval, 12)
 		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
@@ -234,27 +170,33 @@ func (d *denseFW) rSweep(rPaths [][]graph.LinkID, mu float64) {
 				continue
 			}
 			li := loads[i]
-			for _, e32 := range act[:nAct] {
-				e := int(e32)
-				li[e] += gamma * dm * diff[e]
+			for e := 0; e < nL; e++ {
+				if diff[e] != 0 {
+					li[e] += gamma * dm * diff[e]
+				}
 			}
 		}
 		for e := 0; e < nL; e++ {
 			rk[e] = (1-gamma)*rk[e] + gamma*xDir[e]
 		}
 		d.R[k].Gather(rk, path)
-		for i := 0; i < nI; i++ {
-			if d.reqs[i].demands[k] == 0 {
-				continue
-			}
-			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
-			for _, e32 := range act[:nAct] {
-				e := int(e32)
-				u0i[e] = (li[e] + Wi[e]) / d.capac[e]
-				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
-			}
+	}
+}
+
+// stampP stamps protected link l's active cells — those P[l] holds nonzero
+// and the path's — with a fresh generation and returns it.
+func (d *denseFW) stampP(l int, path []graph.LinkID) int32 {
+	d.stampGen++
+	gen, stamp := d.stampGen, d.ar.stampE
+	for e, v := range d.P[l] {
+		if v != 0 {
+			stamp[e] = gen
 		}
 	}
+	for _, id := range path {
+		stamp[id] = gen
+	}
+	return gen
 }
 
 func (d *denseFW) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
@@ -264,11 +206,14 @@ func (d *denseFW) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	sFm1, aF, xDir := d.ar.sFm1, d.ar.aF, d.ar.xDir
 	sS, mSl, sM, mMl := d.ar.grpS, d.ar.grpSl, d.ar.grpM, d.ar.grpMl
 	scratchCol := make([]float64, nL)
+	u := d.ar.us[:nI*nL]
+	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: d.ar.stampE}
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
 		if path == nil {
 			continue
 		}
+		lse.gen = d.stampP(l, path)
 		cl := d.capac[l]
 		for e := range xDir {
 			xDir[e] = 0
@@ -329,25 +274,13 @@ func (d *denseFW) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 		}
 
 		eval := func(gamma float64) float64 {
-			worst := 0.0
 			for i := 0; i < nI; i++ {
 				for e := 0; e < nL; e++ {
 					x := (1-gamma)*d.pcol[e][l] + gamma*xDir[e]
-					u := (loads[i][e] + evalW(i, e, x)) / d.capac[e]
-					if u > worst {
-						worst = u
-					}
+					u[i*nL+e] = (loads[i][e] + evalW(i, e, x)) / d.capac[e]
 				}
 			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				for e := 0; e < nL; e++ {
-					x := (1-gamma)*d.pcol[e][l] + gamma*xDir[e]
-					u := (loads[i][e] + evalW(i, e, x)) / d.capac[e]
-					z += math.Exp((u - worst) / mu)
-				}
-			}
-			return worst + mu*math.Log(z)
+			return lse.direct(u)
 		}
 		gamma := ternaryMinSingle(eval, 12)
 		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
@@ -382,36 +315,27 @@ func (d *denseFW) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 	arbF, knapU := d.arbF, d.knapU
 	knap := knapU != nil
 	sFm1, aF, xDir := d.ar.sFm1, d.ar.aF, d.ar.xDir
-	u0, expu := d.ar.u0, d.ar.expu
-	uAct := d.ar.us
+	u := d.ar.us[:nI*nL]
 	stamp := d.ar.stampE
-	act := d.ar.active
 	prevAct := d.ar.active2
 	nPrev := 0
-	for i := 0; i < nI; i++ {
-		li, u0i := loads[i], u0[i]
-		if knap {
-			u := knapU[i]
-			for e := 0; e < nL; e++ {
-				w, _ := d.tops[e].worstKnap(u)
-				u0i[e] = (li[e] + w) / d.capac[e]
-			}
-			continue
+	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: stamp}
+	// evalW is the probe's worst virtual load of cell (i, e) at mixed value
+	// x: insertion stats or the knapsack walk on active cells, the column's
+	// own worst load on static ones.
+	evalW := func(i, e, l int, x float64) float64 {
+		switch {
+		case knap && stamp[e] == lse.gen:
+			return d.tops[e].worstKnapAt(knapU[i], int32(l), x)
+		case knap:
+			w, _ := d.tops[e].worstKnap(knapU[i])
+			return w
+		case stamp[e] != lse.gen:
+			return d.tops[e].worstArb(arbF[i])
+		case x > aF[i][e]:
+			return sFm1[i][e] + x
 		}
-		F := arbF[i]
-		for e := 0; e < nL; e++ {
-			u0i[e] = (li[e] + d.tops[e].worstArb(F)) / d.capac[e]
-		}
-	}
-	cachedWorst := math.NaN()
-	refill := func(worst float64) {
-		for i := 0; i < nI; i++ {
-			u0i, ei := u0[i], expu[i]
-			for e := 0; e < nL; e++ {
-				ei[e] = math.Exp((u0i[e] - worst) / mu)
-			}
-		}
-		cachedWorst = worst
+		return sFm1[i][e] + aF[i][e]
 	}
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
@@ -426,89 +350,36 @@ func (d *denseFW) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			xDir[id] = cl
 		}
 		pl := d.P[l]
-		d.stampGen++
-		gen := d.stampGen
-		nAct := 0
-		for e := 0; e < nL; e++ {
-			if pl[e] != 0 {
-				stamp[e] = gen
-				act[nAct] = int32(e)
-				nAct++
-			}
-		}
-		for _, id := range path {
-			if stamp[id] != gen {
-				stamp[id] = gen
-				act[nAct] = int32(id)
-				nAct++
-			}
-		}
+		lse.gen = d.stampP(l, path)
+		gen := lse.gen
 		if !knap {
 			for i := 0; i < nI; i++ {
 				F := arbF[i]
 				sfi, afi := sFm1[i], aF[i]
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
-					sfi[e], afi[e] = d.tops[e].stats(int32(l), F)
-				}
-			}
-		}
-		evalW := func(i, e int, x float64) float64 {
-			if x > aF[i][e] {
-				return sFm1[i][e] + x
-			}
-			return sFm1[i][e] + aF[i][e]
-		}
-		staticMax := 0.0
-		for i := 0; i < nI; i++ {
-			u0i := u0[i]
-			for e := 0; e < nL; e++ {
-				if stamp[e] != gen && u0i[e] > staticMax {
-					staticMax = u0i[e]
+				for e := 0; e < nL; e++ {
+					if stamp[e] == gen {
+						sfi[e], afi[e] = d.tops[e].stats(int32(l), F)
+					}
 				}
 			}
 		}
 		eval := func(gamma float64) float64 {
-			worst := staticMax
 			for i := 0; i < nI; i++ {
-				li, ua := loads[i], uAct[i*nL:(i+1)*nL]
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
-					x := (1-gamma)*d.pcol[e][l] + gamma*xDir[e]
-					if knap {
-						ua[e] = (li[e] + d.tops[e].worstKnapAt(knapU[i], int32(l), x)) / d.capac[e]
-					} else {
-						ua[e] = (li[e] + evalW(i, e, x)) / d.capac[e]
-					}
-				}
-				for _, e32 := range act[:nAct] {
-					if u := ua[e32]; u > worst {
-						worst = u
-					}
-				}
-			}
-			if worst != cachedWorst {
-				refill(worst)
-			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				ua, ei := uAct[i*nL:(i+1)*nL], expu[i]
 				for e := 0; e < nL; e++ {
-					if stamp[e] == gen {
-						z += math.Exp((ua[e] - worst) / mu)
-					} else {
-						z += ei[e]
-					}
+					x := (1-gamma)*d.pcol[e][l] + gamma*xDir[e]
+					u[i*nL+e] = (loads[i][e] + evalW(i, e, l, x)) / d.capac[e]
 				}
 			}
-			return worst + mu*math.Log(z)
+			return lse.direct(u)
 		}
 		gamma := ternaryMinSingle(eval, 12)
 		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
 			continue
 		}
-		for _, e32 := range act[:nAct] {
-			e := int(e32)
+		for e := 0; e < nL; e++ {
+			if stamp[e] != gen {
+				continue
+			}
 			old := d.pcol[e][l]
 			nv := (1-gamma)*old + gamma*xDir[e]
 			d.pcol[e][l] = nv
@@ -518,33 +389,29 @@ func (d *denseFW) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			}
 		}
 		for i := 0; i < nI; i++ {
-			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
-			if knap {
-				u := knapU[i]
-				for _, e32 := range act[:nAct] {
-					e := int(e32)
-					Wi[e], _ = d.tops[e].worstKnap(u)
-					u0i[e] = (li[e] + Wi[e]) / d.capac[e]
-					ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
-				}
-				continue
-			}
-			F := arbF[i]
+			Wi := W[i]
 			for _, e32 := range prevAct[:nPrev] {
-				e := int(e32)
-				if stamp[e] != gen {
-					Wi[e] = d.tops[e].worstArb(F)
+				if e := int(e32); stamp[e] != gen {
+					Wi[e] = evalW(i, e, l, 0)
 				}
 			}
-			for _, e32 := range act[:nAct] {
-				e := int(e32)
-				Wi[e] = evalW(i, e, d.pcol[e][l])
-				u0i[e] = (li[e] + d.tops[e].worstArb(F)) / d.capac[e]
-				ei[e] = math.Exp((u0i[e] - cachedWorst) / mu)
+			for e := 0; e < nL; e++ {
+				if stamp[e] == gen {
+					if knap {
+						Wi[e], _ = d.tops[e].worstKnap(knapU[i])
+					} else {
+						Wi[e] = evalW(i, e, l, d.pcol[e][l])
+					}
+				}
 			}
 		}
-		copy(prevAct[:nAct], act[:nAct])
-		nPrev = nAct
+		nPrev = 0
+		for e := 0; e < nL; e++ {
+			if stamp[e] == gen {
+				prevAct[nPrev] = int32(e)
+				nPrev++
+			}
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ func oracleGroups(g *graph.Graph) (srlgs, mlgs [][]graph.LinkID) {
 // side, both built by newFWState from the same inputs, and compares the
 // iterate bit for bit after every phase: the oracle paths and gradient
 // costs, the step size, P and pcol, W, the base loads and rows, and the
-// objective. It returns how many paired probes the sparse sweeps had to
-// split.
+// objective. It returns how many times the sparse sweeps keyed their
+// line-search cache.
 func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Config, epochs int) int64 {
 	t.Helper()
 	comms := unionCommodities([]*traffic.Matrix{d})
@@ -183,7 +183,7 @@ func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Conf
 		obj = sp.trueObj()
 		same(at("objective"), "obj", 0, 0, obj, dn.trueObj())
 	}
-	return reg.Snapshot().Counters["fw.probe_splits"]
+	return reg.Snapshot().Counters["fw.lse_rekeys"]
 }
 
 // TestSparseProtectionMatchesDenseOracle holds the sparse protection half
@@ -196,7 +196,7 @@ func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Conf
 // (GroupFailures with K = 2); under the flat and the incremental SPF
 // modes; with a jointly optimized base, plus a pinned one for F = 1.
 func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
-	var splits int64
+	var rekeys int64
 	for _, tg := range []struct {
 		name string
 		g    *graph.Graph
@@ -226,23 +226,22 @@ func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
 					if tm.pinned {
 						cfg.PenaltyEnvelope = 1.1
 					}
-					splits += stepAgainstOracle(t, tg.g, d, cfg, 8)
+					rekeys += stepAgainstOracle(t, tg.g, d, cfg, 8)
 				})
 			}
 		}
 	}
-	if splits == 0 {
-		t.Fatal("no paired probe split in any case: the sequential path of sweepLSE.pair went untested")
+	if rekeys == 0 {
+		t.Fatal("no sparse sweep keyed its line-search cache in any case: sweepLSE went untested")
 	}
 }
 
 // TestTernaryMinPairMatchesSingleProbe: the paired ternary search returns
 // the single-probe search's step exactly. On plain convex functions the
 // pair is two independent calls. Through sweepLSE — the block sweeps'
-// cached evaluator, against a single-probe evaluator with its own cache,
-// written the way the sweeps were — it also holds when a probe's active
-// cells carry the maximum, so the two probes' maxima differ and the pair
-// must run them one after the other; there the final cache must match too.
+// cached evaluator, its pair against its own single probe — it also holds
+// whether a probe's maximum sits on an active cell or on a static one, and
+// the accept test's pair matches the two single probes bit for bit.
 func TestTernaryMinPairMatchesSingleProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 200; trial++ {
@@ -262,7 +261,7 @@ func TestTernaryMinPairMatchesSingleProbe(t *testing.T) {
 		}
 	}
 
-	var splits, whole int
+	var activeMax, staticMax int
 	for trial := 0; trial < 300; trial++ {
 		nI, nL := 1+rng.Intn(3), 8+rng.Intn(40)
 		mu := 0.01 + rng.Float64()*0.2
@@ -273,16 +272,15 @@ func TestTernaryMinPairMatchesSingleProbe(t *testing.T) {
 			}
 		}
 		// Active cells: utilization a + γ·b, convex in γ after the max and
-		// the log-sum-exp. Large slopes let the active cells take the max
-		// (the maxima then differ between probes); small ones leave it to
-		// the static cells.
+		// the log-sum-exp. Large slopes let the active cells take the max;
+		// small ones leave it to the static cells.
 		stamp := make([]int32, nL)
 		const gen = 7
-		var act []int
+		var act []int32
 		for e := 0; e < nL; e++ {
 			if rng.Intn(4) == 0 {
 				stamp[e] = gen
-				act = append(act, e)
+				act = append(act, int32(e))
 			}
 		}
 		slope := 0.2
@@ -296,85 +294,209 @@ func TestTernaryMinPairMatchesSingleProbe(t *testing.T) {
 				cb[i][e] = slope * (rng.Float64() - 0.5)
 			}
 		}
-		util := func(gamma float64, out []float64) (worst float64) {
+		lse := sweepLSE{u0: u0, expu: newMatrix(nI, nL), key: math.NaN(), mu: mu, stamp: stamp}
+		lse.open(gen, act)
+		fill := func(gamma float64, out []float64) []float64 {
+			w := lse.smax
 			for i := 0; i < nI; i++ {
-				for e := 0; e < nL; e++ {
-					if stamp[e] != gen && u0[i][e] > worst {
-						worst = u0[i][e]
-					}
-				}
 				for _, e := range act {
 					u := ca[i][e] + gamma*cb[i][e]
-					out[i*nL+e] = u
-					worst = max(worst, u)
+					out[i*nL+int(e)] = u
+					w = max(w, u)
 				}
 			}
-			return worst
-		}
-
-		// The single-probe reference, cache and all.
-		refExp := newMatrix(nI, nL)
-		refWorst := math.NaN()
-		ua := make([]float64, nI*nL)
-		single := func(gamma float64) float64 {
-			worst := util(gamma, ua)
-			if worst != refWorst {
-				for i := range refExp {
-					for e := range refExp[i] {
-						refExp[i][e] = math.Exp((u0[i][e] - worst) / mu)
-					}
-				}
-				refWorst = worst
+			if w > lse.smax {
+				activeMax++
+			} else {
+				staticMax++
 			}
-			var z float64
-			for i := 0; i < nI; i++ {
-				for e := 0; e < nL; e++ {
-					if stamp[e] == gen {
-						z += math.Exp((ua[i*nL+e] - worst) / mu)
-					} else {
-						z += refExp[i][e]
-					}
-				}
-			}
-			return worst + mu*math.Log(z)
+			return out
 		}
-
-		reg := obs.NewRegistry()
-		lse := sweepLSE{u0: u0, expu: newMatrix(nI, nL), worst: math.NaN(), mu: mu, stamp: stamp, gen: gen, splits: reg.Counter("splits")}
-		pa, pb := make([]float64, nI*nL), make([]float64, nI*nL)
-		paired := func(a, b float64) (float64, float64) {
-			return lse.pair(util(a, pa), util(b, pb), pa, pb)
-		}
+		pa, pb, ps := make([]float64, nI*nL), make([]float64, nI*nL), make([]float64, nI*nL)
+		paired := func(a, b float64) (float64, float64) { return lse.pair(fill(a, pa), fill(b, pb)) }
+		single := func(gamma float64) float64 { return lse.probe(fill(gamma, ps)) }
 		got, want := ternaryMin(paired, 12), ternaryMinSingle(single, 12)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: paired sweepLSE search %v, single-probe search %v", trial, got, want)
 		}
 		if got > 1e-9 {
 			fg, f0 := paired(got, 0)
-			wg := single(got)
-			w0 := single(0)
-			if math.Float64bits(fg) != math.Float64bits(wg) || math.Float64bits(f0) != math.Float64bits(w0) {
+			if wg, w0 := single(got), single(0); math.Float64bits(fg) != math.Float64bits(wg) || math.Float64bits(f0) != math.Float64bits(w0) {
 				t.Fatalf("trial %d: accept pair (%v, %v), single (%v, %v)", trial, fg, f0, wg, w0)
 			}
 		}
-		if math.Float64bits(lse.worst) != math.Float64bits(refWorst) {
-			t.Fatalf("trial %d: cache keyed on %v, reference on %v", trial, lse.worst, refWorst)
+	}
+	if activeMax == 0 || staticMax == 0 {
+		t.Fatalf("probes whose max is an active cell: %d, a static one: %d; want both kinds", activeMax, staticMax)
+	}
+}
+
+// TestSweepLSEMatchesDirectObjective holds sweepLSE — the static sum
+// folded once per block at a windowed key, probes that cost their active
+// cells — to the contract DESIGN.md §4 documents, evaluated here from every
+// cell: bit for bit against that evaluation and against the shared direct
+// helper the reference sweep and the dense oracle use, and within rounding
+// of the exact smoothed max. Blocks move the static max across the window
+// upward and downward, among them a key of 3.76 under probes at 1.51 with
+// μ = 0.003, where a key that never re-keys downward underflows every
+// static term.
+func TestSweepLSEMatchesDirectObjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	// contract is the documented objective from scratch: key follows the
+	// window on the block's static max, Zs sums the static cells' terms in
+	// ascending (requirement, link) order, and the active cells' terms are
+	// added to the rescaled Zs one by one in the same order.
+	contract := func(u []float64, nL int, static func(i, e int) bool, key *float64, mu float64) float64 {
+		sm, w := 0.0, 0.0
+		for t, x := range u {
+			if static(t/nL, t%nL) {
+				sm = math.Max(sm, x)
+			}
+			w = math.Max(w, x)
 		}
-		for i := range refExp {
-			for e := range refExp[i] {
-				if math.Float64bits(lse.expu[i][e]) != math.Float64bits(refExp[i][e]) {
-					t.Fatalf("trial %d: cache[%d][%d] = %v, reference %v", trial, i, e, lse.expu[i][e], refExp[i][e])
+		if !(math.Abs(sm-*key) <= 200*mu) {
+			*key = sm
+		}
+		var zs float64
+		for t, x := range u {
+			if static(t/nL, t%nL) {
+				zs += math.Exp((x - *key) / mu)
+			}
+		}
+		z := zs * math.Exp((*key-w)/mu)
+		for t, x := range u {
+			if !static(t/nL, t%nL) {
+				z += math.Exp((x - w) / mu)
+			}
+		}
+		return w + mu*math.Log(z)
+	}
+	exact := func(u []float64, mu float64) float64 {
+		w := slices.Max(u)
+		var z float64
+		for _, x := range u {
+			z += math.Exp((x - w) / mu)
+		}
+		return w + mu*math.Log(z)
+	}
+
+	var up, down, kept int
+	for trial := 0; trial < 120; trial++ {
+		nI, nL := 1+rng.Intn(3), 8+rng.Intn(40)
+		mu := 0.003
+		if trial%3 != 0 {
+			mu = 0.001 + rng.Float64()*0.2
+		}
+		u0 := newMatrix(nI, nL)
+		for i := range u0 {
+			for e := range u0[i] {
+				u0[i][e] = 1 + 0.5*rng.Float64()
+			}
+		}
+		stamp := make([]int32, nL)
+		var live []bool
+		if trial%2 == 1 {
+			live = make([]bool, nI)
+		}
+		reg := obs.NewRegistry()
+		var refills int64
+		c := sweepLSE{u0: u0, expu: newMatrix(nI, nL), key: math.NaN(), mu: mu, stamp: stamp, live: live, rekeys: reg.Counter("rekeys")}
+		d := sweepLSE{key: math.NaN(), mu: mu, stamp: stamp, live: live}
+		refKey := math.NaN()
+		full := make([]float64, nI*nL)
+		pa, pb := make([]float64, nI*nL), make([]float64, nI*nL)
+		// The cell that carries the excursions: raised to 3.76, then back
+		// to 1.51, each time from a block where it is active.
+		hi := [2]int{rng.Intn(nI), rng.Intn(nL)}
+		for gen := int32(1); gen <= 12; gen++ {
+			var act []int32
+			for e := 0; e < nL; e++ {
+				if rng.Intn(5) == 0 || (e == hi[1] && gen%4 == 2) {
+					stamp[e] = gen
+					act = append(act, int32(e))
+				}
+			}
+			for i := range live {
+				live[i] = rng.Intn(3) != 0 || i == hi[0]
+			}
+			before := c.key
+			c.open(gen, act)
+			d.gen = gen
+			static := func(i, e int) bool { return (live != nil && !live[i]) || stamp[e] != gen }
+			switch {
+			case math.IsNaN(before):
+				refills++
+			case c.key > before:
+				refills++
+				up++
+			case c.key < before:
+				refills++
+				down++
+			case c.smax != c.key:
+				kept++
+			}
+			// Probes: active cells around the static range, sometimes far
+			// above it (they then carry the max).
+			lift := 0.0
+			if rng.Intn(3) == 0 {
+				lift = 2.5
+			}
+			for p := 0; p < 6; p++ {
+				for _, us := range [][]float64{pa, pb} {
+					for i := 0; i < nI; i++ {
+						for _, e := range act {
+							us[i*nL+int(e)] = 1 + lift*rng.Float64() + 0.5*rng.Float64()
+						}
+					}
+				}
+				fa, fb := c.pair(pa, pb)
+				for j, probe := range []struct {
+					us []float64
+					f  float64
+				}{{pa, fa}, {pb, fb}} {
+					for t := range full {
+						if i, e := t/nL, t%nL; static(i, e) {
+							full[t] = u0[i][e]
+						} else {
+							full[t] = probe.us[t]
+						}
+					}
+					want := contract(full, nL, static, &refKey, mu)
+					if math.Float64bits(probe.f) != math.Float64bits(want) {
+						t.Fatalf("trial %d block %d probe %d/%d: pair %v, contract %v (key %v, reference key %v)", trial, gen, p, j, probe.f, want, c.key, refKey)
+					}
+					if got := d.direct(full); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d block %d probe %d/%d: direct %v, contract %v", trial, gen, p, j, got, want)
+					}
+					if x := exact(full, mu); !(math.Abs(probe.f-x) <= 1e-11) {
+						t.Fatalf("trial %d block %d probe %d/%d: pair %v, exact smoothed max %v (key %v, static max %v)", trial, gen, p, j, probe.f, x, c.key, c.smax)
+					}
+				}
+			}
+			// Accept: the block's active cells of live requirements move in
+			// the static view; the excursion cell goes up, then back down.
+			for i := 0; i < nI; i++ {
+				if live != nil && !live[i] {
+					continue
+				}
+				for _, e := range act {
+					u := 1 + 0.5*rng.Float64()
+					if i == hi[0] && int(e) == hi[1] && gen%4 == 2 {
+						u = 3.76
+						if gen%8 == 6 {
+							u = 1.51
+						}
+					}
+					c.set(i, int(e), u)
 				}
 			}
 		}
-		if n := reg.Snapshot().Counters["splits"]; n > 0 {
-			splits++
-		} else {
-			whole++
+		if n := reg.Snapshot().Counters["rekeys"]; n != refills {
+			t.Fatalf("trial %d: rekeys = %d, want %d: one per block whose key moved", trial, n, refills)
 		}
 	}
-	if splits == 0 || whole == 0 {
-		t.Fatalf("searches with a split: %d, without: %d; want both kinds", splits, whole)
+	if up == 0 || down == 0 || kept == 0 {
+		t.Fatalf("blocks that re-keyed upward: %d, downward: %d, kept a key off the static max: %d; want all three", up, down, kept)
 	}
 }
 

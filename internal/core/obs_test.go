@@ -40,13 +40,13 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 			}
 			// The gauge and counter the sparse protection half reports were
 			// live during that solve: the protection's nonzeros after the last
-			// epoch, and the paired probes that had to run one after the other.
+			// epoch, and the block sweeps' line-search cache fills (at least one per sweep).
 			snap := cfg.Obs.Snapshot()
 			if nnz := snap.Gauges["fw.prot_nnz"]; nnz <= 0 {
 				t.Fatalf("fw.prot_nnz = %d, want the protection's nonzero count", nnz)
 			}
-			if splits := snap.Counters["fw.probe_splits"]; splits <= 0 {
-				t.Fatalf("fw.probe_splits = %d, want the split probe pairs counted", splits)
+			if rekeys := snap.Counters["fw.lse_rekeys"]; rekeys <= 0 {
+				t.Fatalf("fw.lse_rekeys = %d, want the line-search cache fills counted", rekeys)
 			}
 			// The fw.run span says which kernel rebuilt the trees.
 			wantDelta := 0.0
@@ -57,7 +57,7 @@ func TestObsDoesNotPerturbPlan(t *testing.T) {
 			if len(roots) != 1 || len(roots[0].Attrs) != 1 || roots[0].Attrs[0] != (obs.Attr{Key: "spf_delta", Value: wantDelta}) {
 				t.Fatalf("fw trace roots = %+v, want one fw.run with spf_delta = %v", roots, wantDelta)
 			}
-			t.Logf("fw.prot_nnz %d, fw.probe_splits %d", snap.Gauges["fw.prot_nnz"], snap.Counters["fw.probe_splits"])
+			t.Logf("fw.prot_nnz %d, fw.lse_rekeys %d", snap.Gauges["fw.prot_nnz"], snap.Counters["fw.lse_rekeys"])
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -465,7 +466,7 @@ type fwObs struct {
 	mlu       *obs.FloatGauge // latest true objective
 	step      *obs.FloatGauge // latest accepted global step size
 	protNNZ   *obs.Gauge      // protection nonzeros after the latest epoch: what an epoch's p work scales with
-	splits    *obs.Counter    // paired block-sweep probes whose maxima differed and ran one after the other
+	rekeys    *obs.Counter    // block-sweep exp-cache refills: blocks whose static max left the window (fw.lse_rekeys)
 	trace     *obs.Trace      // span tree: fw.run > {base-init, epoch > {directions, global-step, r-sweep, p-sweep}, package}
 }
 
@@ -482,7 +483,7 @@ func newFWObs(reg *obs.Registry) fwObs {
 		mlu:       reg.FloatGauge("fw.mlu"),
 		step:      reg.FloatGauge("fw.step"),
 		protNNZ:   reg.Gauge("fw.prot_nnz"),
-		splits:    reg.Counter("fw.probe_splits"),
+		rekeys:    reg.Counter("fw.lse_rekeys"),
 		trace:     reg.Trace("fw"),
 	}
 }
@@ -526,7 +527,6 @@ type fwState struct {
 	// writes nv into it and nv/c_l into P, so an entry is not always
 	// c_l·P[l][e] recomputed, and the pinned trajectories hold both values.
 	pcol []routing.SparseRow
-	lse  sweepLSE // the block sweeps' cached line-search objective
 
 	// hot-path arenas: every per-epoch buffer lives here and is reused
 	// across epochs (see DESIGN.md §4). csr is the flat graph view the SPF
@@ -1061,85 +1061,149 @@ func (s *fwState) softmaxWeights(obj, mu float64) {
 	}
 }
 
+// lseWindow bounds, in units of μ, how far a block's static max may lie
+// from sweepLSE's key before the cache is refilled (DESIGN.md §4).
+const lseWindow = 200
+
 // sweepLSE evaluates a block sweep's line-search objective, the smoothed
-// max worst + μ·log Σ exp((u − worst)/μ) over every (requirement, link)
-// cell, with the cells the moving block cannot change read from a cache:
-// u0 holds their utilizations and expu their exp terms at the reference
-// point worst (NaN before the first fill). A cell is active when its
+// max over every (requirement, link) cell. A cell is active when its
 // requirement is live (live nil: every requirement) and stamp[e] == gen;
-// the caller passes the active cells' utilizations as flat [req*link]
-// rows and the z sum walks every cell in ascending order, mixing fresh and
-// cached terms, so its association is that of the uncached evaluation.
+// every other cell is static for the block, its utilization in u0 and its
+// term exp((u0 − key)/μ) in expu. The contract at a probe whose maximum
+// over every cell is w:
+//
+//	f = w + μ·log(Zs·exp((key − w)/μ) + Σ_active exp((u − w)/μ))
+//
+// where Zs sums the static cells' terms in ascending (requirement, link)
+// order, the active terms are added to the rescaled Zs one by one in the
+// same order, and key is windowed: open keeps it while the block's static
+// max lies within lseWindow·μ of it and re-keys on that max (refilling
+// expu, the one O(cells) exp pass, counted in rekeys) otherwise. A probe
+// costs its active cells; direct evaluates the same contract from every
+// cell.
 type sweepLSE struct {
 	u0, expu [][]float64
-	worst    float64
+	key      float64 // NaN before a sweep's first fill
+	smax, zs float64 // the open block's static max and Zs
 	mu       float64
 	stamp    []int32
 	gen      int32
 	live     []bool
-	splits   *obs.Counter
+	act      []int32 // the open block's active links, ascending
+	rekeys   *obs.Counter
 }
 
-// refill re-keys the exp cache on a new reference point.
-func (c *sweepLSE) refill(worst float64) {
+// lseRekey is the window: the key a block whose static max is sm sums its
+// static terms at (sm itself when key is NaN).
+func lseRekey(key, sm, mu float64) float64 {
+	if math.Abs(sm-key) <= lseWindow*mu {
+		return key
+	}
+	return sm
+}
+
+// open starts the block whose active links are act (ascending), stamped
+// gen: one ascending pass over the static cells takes their max and Zs,
+// and a second follows the refill when the max leaves the window.
+func (c *sweepLSE) open(gen int32, act []int32) {
+	c.gen, c.act = gen, act
+	c.smax, c.zs = c.fold()
+	if key := lseRekey(c.key, c.smax, c.mu); key != c.key {
+		c.rekeys.Inc()
+		c.key = key
+		for i, u0i := range c.u0 {
+			for e, u := range u0i {
+				c.set(i, e, u)
+			}
+		}
+		_, c.zs = c.fold()
+	}
+}
+
+// fold returns the static cells' max (at least 0) and the sum of their
+// cached terms, both in ascending (requirement, link) order.
+func (c *sweepLSE) fold() (sm, zs float64) {
+	stamp, gen := c.stamp, c.gen
 	for i, u0i := range c.u0 {
-		ei := c.expu[i][:len(u0i)]
+		ei, all := c.expu[i][:len(u0i)], c.live != nil && !c.live[i]
 		for e, u := range u0i {
-			ei[e] = math.Exp((u - worst) / c.mu)
+			if all || stamp[e] != gen {
+				if u > sm {
+					sm = u
+				}
+				zs += ei[e]
+			}
 		}
 	}
-	c.worst = worst
+	return sm, zs
 }
 
-// pair returns the objective at the two probes of one line-search step,
-// given each probe's maximum over all cells (wa, wb) and its active cells'
-// utilizations (ua, ub). The result, and the cache state it leaves, are
-// those of evaluating probe a and then probe b on their own, bit for bit.
-// Equal maxima share one cache key, so one pass adds every cell into two
-// independent accumulators; different maxima (counted as a split) need the
-// cache keyed on each in turn, and the two evaluations run one after the
-// other in that order.
-func (c *sweepLSE) pair(wa, wb float64, ua, ub []float64) (fa, fb float64) {
-	if wa != c.worst {
-		c.refill(wa)
-	}
-	if wa == wb {
-		za, zb := c.sums(wa, ua, ub)
-		return wa + c.mu*math.Log(za), wb + c.mu*math.Log(zb)
-	}
-	c.splits.Inc()
-	za, _ := c.sums(wa, ua, ua)
-	c.refill(wb)
-	_, zb := c.sums(wb, ub, ub)
-	return wa + c.mu*math.Log(za), wb + c.mu*math.Log(zb)
+// set moves cell (i, e) of the static view to utilization u, its term taken
+// at the current key: an accepted block refreshes its moved cells so.
+func (c *sweepLSE) set(i, e int, u float64) {
+	c.u0[i][e] = u
+	c.expu[i][e] = math.Exp((u - c.key) / c.mu)
 }
 
-// sums adds exp((u − worst)/μ) over every cell in ascending (requirement,
-// link) order, once with probe a's active utilizations and once with probe
-// b's, in two accumulators; static cells add their cached term to both.
-func (c *sweepLSE) sums(worst float64, ua, ub []float64) (za, zb float64) {
+// pair evaluates both probes of one line-search step: probe twice.
+func (c *sweepLSE) pair(ua, ub []float64) (fa, fb float64) {
+	return c.probe(ua), c.probe(ub)
+}
+
+// probe evaluates the contract at one probe from the open block's static
+// max and Zs and the active cells of u, flat [req*link] rows.
+func (c *sweepLSE) probe(u []float64) float64 {
+	nL, mu, w := len(c.stamp), c.mu, c.smax
+	for i := range c.u0 {
+		if ui := u[i*nL : (i+1)*nL]; c.live == nil || c.live[i] {
+			for _, e := range c.act {
+				if ui[e] > w {
+					w = ui[e]
+				}
+			}
+		}
+	}
+	z := c.zs * math.Exp((c.key-w)/mu)
+	for i := range c.u0 {
+		if ui := u[i*nL : (i+1)*nL]; c.live == nil || c.live[i] {
+			for _, e := range c.act {
+				z += math.Exp((ui[e] - w) / mu)
+			}
+		}
+	}
+	return w + mu*math.Log(z)
+}
+
+// direct evaluates the contract from scratch at one probe whose every
+// cell's utilization u holds, flat [req*link], re-keying c.key as open
+// would. It reads stamp, gen, live, key and μ only: the reference p sweep
+// and the dense oracle evaluate through it.
+func (c *sweepLSE) direct(u []float64) float64 {
 	nL := len(c.stamp)
-	for i, ei := range c.expu {
-		ei = ei[:nL]
-		if c.live != nil && !c.live[i] {
-			for _, x := range ei {
-				za += x
-				zb += x
-			}
-			continue
+	static := func(t int) bool { return (c.live != nil && !c.live[t/nL]) || c.stamp[t%nL] != c.gen }
+	sm, w := 0.0, 0.0
+	for t, x := range u {
+		if static(t) && x > sm {
+			sm = x
 		}
-		ra, rb := ua[i*nL:(i+1)*nL], ub[i*nL:(i+1)*nL]
-		for e, x := range ei {
-			if c.stamp[e] == c.gen {
-				za += math.Exp((ra[e] - worst) / c.mu)
-				zb += math.Exp((rb[e] - worst) / c.mu)
-			} else {
-				za += x
-				zb += x
-			}
+		if x > w {
+			w = x
 		}
 	}
-	return za, zb
+	c.key = lseRekey(c.key, sm, c.mu)
+	var zs float64
+	for t, x := range u {
+		if static(t) {
+			zs += math.Exp((x - c.key) / c.mu)
+		}
+	}
+	z := zs * math.Exp((c.key-w)/c.mu)
+	for t, x := range u {
+		if !static(t) {
+			z += math.Exp((x - w) / c.mu)
+		}
+	}
+	return w + c.mu*math.Log(z)
 }
 
 // rSweep runs one r block sweep: every commodity in turn moves toward its
@@ -1155,8 +1219,7 @@ func (c *sweepLSE) sums(worst float64, ua, ub []float64) (za, zb float64) {
 // nonnegative terms with exact cancellation rounding to +0) reproduces
 // loads bitwise. Static utilizations u0 are therefore constant across the
 // whole sweep between accepted blocks, and their exp terms are cached in
-// sweepLSE, so an evaluation computes math.Exp only for the few active
-// cells plus cache refills while matching the reference exactly.
+// sweepLSE, so a probe computes math.Exp only for the few active cells.
 func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
@@ -1172,8 +1235,7 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			u0i[e] = (li[e] + Wi[e]) / s.capac[e]
 		}
 	}
-	lse := &s.lse
-	*lse = sweepLSE{u0: u0, expu: s.ar.expu, worst: math.NaN(), mu: mu, stamp: stamp, live: live, splits: s.o.splits}
+	lse := sweepLSE{u0: u0, expu: s.ar.expu, key: math.NaN(), mu: mu, stamp: stamp, live: live, rekeys: s.o.rekeys}
 	for k := range s.comms {
 		path := rPaths[k]
 		if path == nil {
@@ -1208,36 +1270,13 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			hasDemand = hasDemand || live[i]
 		}
 		if nAct == 0 || !hasDemand {
-			// Every cell is static: the reference evaluation is
-			// constant in gamma, so its accept test
-			// eval(gamma) >= eval(0) - 1e-15 always rejects, and a
-			// rejected block leaves rk, loads and the caches
-			// untouched. Skipping is bit-identical.
+			// Every cell is static: the objective is constant in
+			// gamma, so the accept test always rejects, and the
+			// block is skipped without opening (or re-keying).
 			continue
 		}
-		lse.gen = gen
-		// Max over the static cells; max is order-insensitive, so
-		// folding them per row here and merging with the active
-		// cells below reproduces the reference max exactly.
-		staticMax := 0.0
-		for i := 0; i < nI; i++ {
-			u0i := u0[i]
-			if !live[i] {
-				for e := 0; e < nL; e++ {
-					if u0i[e] > staticMax {
-						staticMax = u0i[e]
-					}
-				}
-				continue
-			}
-			for e := 0; e < nL; e++ {
-				if diff[e] == 0 && u0i[e] > staticMax {
-					staticMax = u0i[e]
-				}
-			}
-		}
+		lse.open(gen, act[:nAct])
 		eval := func(ga, gb float64) (float64, float64) {
-			wa, wb := staticMax, staticMax
 			for i := 0; i < nI; i++ {
 				if !live[i] {
 					continue
@@ -1248,18 +1287,11 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
 				for _, e32 := range act[:nAct] {
 					e := int(e32)
-					ua := (li[e] + gda*diff[e] + Wi[e]) / s.capac[e]
-					ub := (li[e] + gdb*diff[e] + Wi[e]) / s.capac[e]
-					ra[e], rb[e] = ua, ub
-					if ua > wa {
-						wa = ua
-					}
-					if ub > wb {
-						wb = ub
-					}
+					ra[e] = (li[e] + gda*diff[e] + Wi[e]) / s.capac[e]
+					rb[e] = (li[e] + gdb*diff[e] + Wi[e]) / s.capac[e]
 				}
 			}
-			return lse.pair(wa, wb, usA, usB)
+			return lse.pair(usA, usB)
 		}
 		gamma := ternaryMin(eval, 12)
 		if !accepts(gamma, eval) {
@@ -1280,30 +1312,27 @@ func (s *fwState) rSweep(rPaths [][]graph.LinkID, mu float64) {
 			rk[e] = (1-gamma)*rk[e] + gamma*xDir[e]
 		}
 		s.R[k].Gather(rk, path)
-		// The accepted step moved loads only on active cells of
-		// rows with demand; refresh their static view and exp cache
-		// (at the current reference point) for the next blocks.
+		// The accepted step moved loads only on live active cells.
 		for i := 0; i < nI; i++ {
 			if !live[i] {
 				continue
 			}
-			li, Wi, u0i, ei := loads[i], W[i], u0[i], s.ar.expu[i]
+			li, Wi := loads[i], W[i]
 			for _, e32 := range act[:nAct] {
 				e := int(e32)
-				u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-				ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
+				lse.set(i, e, (li[e]+Wi[e])/s.capac[e])
 			}
 		}
 	}
 }
 
 // openPBlock prepares protected link l's block for a p-sweep line search
-// and returns its active cells: those p_l holds nonzero, then the oracle
-// path's. Each is stamped with a fresh generation; xCur takes pcol[e][l] on
-// the held cells and xDir takes c_l on the path (the direction in v-space,
-// c_l × the direction's fraction). Both rows are zero everywhere else, so
-// (1-γ)·xCur[e] + γ·xDir[e] is the probe value of every cell, and exactly
-// +0 off the active ones. p_l(e) != 0 exactly when pcol[e] holds l: the
+// and returns its active cells, ascending: those p_l holds nonzero and the
+// oracle path's. Each is stamped with a fresh generation; xCur takes
+// pcol[e][l] on the held cells and xDir takes c_l on the path (the
+// direction in v-space, c_l × the direction's fraction). Both rows are
+// zero everywhere else, so (1-γ)·xCur[e] + γ·xDir[e] is the probe value of
+// every cell, and exactly +0 off the active ones. p_l(e) != 0 exactly when pcol[e] holds l: the
 // two are written together (columns, acceptP), and the values never reach
 // the subnormal range where the product or quotient could flush to zero.
 func (s *fwState) openPBlock(l int, path []graph.LinkID) []int32 {
@@ -1330,6 +1359,7 @@ func (s *fwState) openPBlock(l int, path []graph.LinkID) []int32 {
 			n++
 		}
 	}
+	slices.Sort(act[:n])
 	return act[:n]
 }
 
@@ -1369,9 +1399,10 @@ func (s *fwState) acceptP(l int, gamma float64, path []graph.LinkID, act []int32
 // pSweepRef runs one p block sweep by the reference evaluation: every
 // line-search probe of block l recomputes every (requirement, link) cell,
 // through the selected kernel's per-block statistics or, in the generic
-// case, through WorstLoad on the column with entry l replaced. It serves
-// every model the incremental sweep does not (GroupFailures, the generic
-// path) and kernelFlat, where it is the oracle pSweepInc is tested against.
+// case, through WorstLoad on the column with entry l replaced, and
+// evaluates sweepLSE's contract on them directly. It serves every model
+// the incremental sweep does not (GroupFailures, the generic path) and
+// kernelFlat, where it is the oracle pSweepInc is tested against.
 func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
@@ -1384,6 +1415,7 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	// sum among groups containing l with l's own entry removed (mSl/mMl),
 	// per requirement and link.
 	sS, mSl, sM, mMl := s.ar.grpS, s.ar.grpSl, s.ar.grpM, s.ar.grpMl
+	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: s.ar.stampE}
 	clear(xDir) // the r sweep leaves its last block's path behind
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
@@ -1391,6 +1423,7 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 			continue
 		}
 		act := s.openPBlock(l, path)
+		lse.gen = s.stampGen
 
 		var evalW func(i, e int, x float64) float64
 		switch {
@@ -1460,30 +1493,17 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 		}
 
 		eval := func(ga, gb float64) (float64, float64) {
-			wa, wb := 0.0, 0.0
 			for i := 0; i < nI; i++ {
 				li := loads[i]
 				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
 				for e := 0; e < nL; e++ {
 					xa := (1-ga)*xCur[e] + ga*xDir[e]
 					xb := (1-gb)*xCur[e] + gb*xDir[e]
-					ua := (li[e] + evalW(i, e, xa)) / s.capac[e]
-					ub := (li[e] + evalW(i, e, xb)) / s.capac[e]
-					ra[e], rb[e] = ua, ub
-					if ua > wa {
-						wa = ua
-					}
-					if ub > wb {
-						wb = ub
-					}
+					ra[e] = (li[e] + evalW(i, e, xa)) / s.capac[e]
+					rb[e] = (li[e] + evalW(i, e, xb)) / s.capac[e]
 				}
 			}
-			var za, zb float64
-			for t, ua := range usA {
-				za += math.Exp((ua - wa) / mu)
-				zb += math.Exp((usB[t] - wb) / mu)
-			}
-			return wa + mu*math.Log(za), wb + mu*math.Log(zb)
+			return lse.direct(usA), lse.direct(usB)
 		}
 		gamma := ternaryMin(eval, 12)
 		if accepts(gamma, eval) {
@@ -1516,14 +1536,12 @@ func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 // are the first F entries, summed in the same order), and the knapsack walk
 // skips and merges nothing, which is worstKnap. Static utilizations and
 // their exp terms are therefore cached in sweepLSE like the r sweep's, and
-// every evaluation computes the kernel and math.Exp only at the active
-// cells plus cache refills.
+// a probe computes the kernel and math.Exp only at the active cells.
 //
 // The two colTop kernels differ only where a probe is evaluated: top-F
 // reads per-block insertion stats (sFm1 + max(x, aF), "others first, x
 // last"), the knapsack walks the buffer with l skipped and (x, l) merged
-// at its rank. Each probe evaluates the active cells once into its half
-// of the us rows; the max and the z sum read them back.
+// at its rank.
 func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
@@ -1533,7 +1551,7 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 	knap := knapU != nil
 	sFm1, aF := s.ar.sFm1, s.ar.aF
 	xCur, xDir := s.ar.xCur, s.ar.xDir
-	u0, expu := s.ar.u0, s.ar.expu
+	u0 := s.ar.u0
 	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
 	stamp := s.ar.stampE
 	prevAct := s.ar.active2
@@ -1555,8 +1573,7 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
 		}
 	}
-	lse := &s.lse
-	*lse = sweepLSE{u0: u0, expu: expu, worst: math.NaN(), mu: mu, stamp: stamp, splits: s.o.splits}
+	lse := sweepLSE{u0: u0, expu: s.ar.expu, key: math.NaN(), mu: mu, stamp: stamp, rekeys: s.o.rekeys}
 	for l := 0; l < nL; l++ {
 		path := pPaths[l]
 		if path == nil {
@@ -1565,7 +1582,6 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 		l32 := int32(l)
 		act := s.openPBlock(l, path)
 		gen := s.stampGen
-		lse.gen = gen
 		// Insertion stats only where fresh evaluation happens.
 		if !knap {
 			for i := 0; i < nI; i++ {
@@ -1585,17 +1601,8 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			}
 			return sFm1[i][e] + aF[i][e]
 		}
-		staticMax := 0.0
-		for i := 0; i < nI; i++ {
-			u0i := u0[i]
-			for e := 0; e < nL; e++ {
-				if stamp[e] != gen && u0i[e] > staticMax {
-					staticMax = u0i[e]
-				}
-			}
-		}
+		lse.open(gen, act)
 		eval := func(ga, gb float64) (float64, float64) {
-			wa, wb := staticMax, staticMax
 			for i := 0; i < nI; i++ {
 				li := loads[i]
 				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
@@ -1603,18 +1610,11 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 					e := int(e32)
 					xa := (1-ga)*xCur[e] + ga*xDir[e]
 					xb := (1-gb)*xCur[e] + gb*xDir[e]
-					ua := (li[e] + evalW(i, e, xa)) / s.capac[e]
-					ub := (li[e] + evalW(i, e, xb)) / s.capac[e]
-					ra[e], rb[e] = ua, ub
-					if ua > wa {
-						wa = ua
-					}
-					if ub > wb {
-						wb = ub
-					}
+					ra[e] = (li[e] + evalW(i, e, xa)) / s.capac[e]
+					rb[e] = (li[e] + evalW(i, e, xb)) / s.capac[e]
 				}
 			}
-			return lse.pair(wa, wb, usA, usB)
+			return lse.pair(usA, usB)
 		}
 		gamma := ternaryMin(eval, 12)
 		if !accepts(gamma, eval) {
@@ -1631,18 +1631,16 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 		// insertion-order bits, so the rewrite touches prevAct \ act plus
 		// act — every other cell already stores worstArb of an unchanged
 		// top buffer.
-		// Either way the moved cells' static view and exp cache are
-		// refreshed from their updated buffers, at the current reference
-		// point.
+		// Either way the moved cells' static view is refreshed from
+		// their updated buffers.
 		for i := 0; i < nI; i++ {
-			li, Wi, u0i, ei := loads[i], W[i], u0[i], expu[i]
+			li, Wi := loads[i], W[i]
 			if knap {
 				u := knapU[i]
 				for _, e32 := range act {
 					e := int(e32)
 					Wi[e], _ = s.tops[e].worstKnap(u)
-					u0i[e] = (li[e] + Wi[e]) / s.capac[e]
-					ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
+					lse.set(i, e, (li[e]+Wi[e])/s.capac[e])
 				}
 				continue
 			}
@@ -1656,8 +1654,7 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			for _, e32 := range act {
 				e := int(e32)
 				Wi[e] = evalW(i, e, xCur[e])
-				u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
-				ei[e] = math.Exp((u0i[e] - lse.worst) / mu)
+				lse.set(i, e, (li[e]+s.tops[e].worstArb(F))/s.capac[e])
 			}
 		}
 		nPrev = copy(prevAct, act)

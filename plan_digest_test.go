@@ -29,8 +29,8 @@ func TestBenchmarkPlanDigest(t *testing.T) {
 		cfg    core.Config
 		digest string
 	}{
-		{"generated-100", topo.Generated(), core.Config{Model: core.ArbitraryFailures{F: 1}, Iterations: 200, PenaltyEnvelope: 1.1}, "599dd342194d7ee2"},
-		{"sbc-joint", topo.SBC(), core.Config{Model: core.ArbitraryFailures{F: 2}, Iterations: 100}, "bd48462ea2a030b6"},
+		{"generated-100", topo.Generated(), core.Config{Model: core.ArbitraryFailures{F: 1}, Iterations: 200, PenaltyEnvelope: 1.1}, "a9b501123bbe3500"},
+		{"sbc-joint", topo.SBC(), core.Config{Model: core.ArbitraryFailures{F: 2}, Iterations: 100}, "56f9857fea181b36"},
 	} {
 		d := traffic.Gravity(tc.g, 0.15*tc.g.TotalCapacity(), 1)
 		for _, workers := range []int{1, 0} {
