@@ -36,17 +36,18 @@ bench:
 # bench-smoke runs the hot-path gates (DESIGN.md §4–§8): zero-allocation
 # kernels and sweeps, the pinned-base allocation ceiling, worst-load
 # differentials, the dense oracles of the sparse commodity rows, of loop
-# cancellation and of the sparse protection half, the paired line-search
-# probes against single ones, the block sweeps' line-search objective
-# against its documented contract, the pinned plan digests, the plan encoder
-# against encoding/json and its allocation whatever the collector did,
-# the shortest-path baselines' loads bit for bit; then, verbosely, the SPF
-# kernel plan differential (flat reference, heap and delta-stepping DynTree
-# rebuilds); then vet plus the smoke test of the nested benchmark module
-# (bench/ has its own go.mod, so the root `go test ./...` never compiles
-# it).
+# cancellation and of the sparse protection half, the canonical form of
+# every plan's sparse base rows against their dense view, the paired
+# line-search probes against single ones, the block sweeps' line-search
+# objective against its documented contract, the pinned plan digests, the
+# plan encoder against encoding/json and its allocation whatever the
+# collector did, the shortest-path baselines' loads bit for bit; then,
+# verbosely, the SPF kernel plan differential (flat reference, heap and
+# delta-stepping DynTree rebuilds); then vet plus the smoke test of the
+# nested benchmark module (bench/ has its own go.mod, so the root `go test
+# ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

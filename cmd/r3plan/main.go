@@ -195,7 +195,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\naudit over %d scenarios (up to %d failures): worst MLU %.4f at %v, %d partitions, %d violations of the plan bound\n",
-			rep.Scenarios, *verify, rep.WorstMLU, rep.WorstScenario, rep.Partitions, rep.Violations)
+			rep.Scenarios, *verify, rep.WorstMLU, rep.Worst.Failed, rep.Partitions, rep.Violations)
 		// A degradation-protected plan is additionally audited against
 		// sampled in-budget degradations, node outages, and — when a surge
 		// envelope was requested — the surged matrix itself.

@@ -81,7 +81,7 @@ func (p *Plan) Encode(w io.Writer) error {
 // byte-identically however many times it is requested.
 //
 // Only the header goes through encoding/json. The two routings are
-// appended straight from the dense rows: encoding/json builds the whole
+// appended straight from the plan's rows: encoding/json builds the whole
 // document (14.6 MB on generated-100) in a buffer it keeps in a sync.Pool,
 // so what an encode allocated depended on whether collections had emptied
 // the pool since the last one (33.6 MB more when they had).
@@ -192,7 +192,7 @@ func (p *Plan) encodeWire(s *wireSink, head []byte) error {
 	s.b = append(s.b, `,"base":`...)
 	sep := byte('[')
 	var err error
-	for k, c := range p.Base.Comms {
+	for k, c := range p.Comms {
 		s.b = append(s.b, sep)
 		sep = ','
 		s.b = append(s.b, `{"src":`...)
@@ -204,7 +204,7 @@ func (p *Plan) encodeWire(s *wireSink, head []byte) error {
 			return err
 		}
 		s.b = append(s.b, `,"alloc":`...)
-		if err = s.entries(p.Base.Frac[k]); err != nil {
+		if err = s.entries(p.Base[k].Idx, p.Base[k].Val); err != nil {
 			return err
 		}
 		s.b = append(s.b, '}')
@@ -220,7 +220,7 @@ func (p *Plan) encodeWire(s *wireSink, head []byte) error {
 		if l > 0 {
 			s.b = append(s.b, ',')
 		}
-		if err = s.entries(p.Prot[l]); err != nil {
+		if err = s.entries(nil, p.Prot[l]); err != nil {
 			return err
 		}
 	}
@@ -235,26 +235,35 @@ func (p *Plan) wireSizeBound() int {
 	idLen := len(strconv.Itoa(max(p.G.NumNodes(), p.G.NumLinks())))
 	perEntry := len(`,{"l":,"f":}`) + idLen + 24
 	size := len(`,"base":null,"prot":[]}`+"\n") +
-		len(p.Base.Comms)*(len(`,{"src":,"dst":,"demand":,"alloc":null}`)+2*idLen+25) +
+		len(p.Comms)*(len(`,{"src":,"dst":,"demand":,"alloc":null}`)+2*idLen+25) +
 		len(p.Prot)*len(`,null`)
-	for _, rows := range [][][]float64{p.Base.Frac, p.Prot} {
-		for _, frac := range rows {
-			for _, v := range frac {
-				if v > 1e-12 {
-					size += perEntry
-				}
+	cells := func(val []float64) {
+		for _, v := range val {
+			if v > 1e-12 {
+				size += perEntry
 			}
 		}
+	}
+	for _, r := range p.Base {
+		cells(r.Val)
+	}
+	for _, frac := range p.Prot {
+		cells(frac)
 	}
 	return size
 }
 
-// entries appends the nonzero cells of one dense row as a []wireEntry:
-// null when there are none.
-func (s *wireSink) entries(frac []float64) error {
+// entries appends the cells v > 1e-12 of one row, in ascending link
+// order, as a []wireEntry: null when there are none. The row is the
+// values val at the links idx, or the dense row val when idx is nil.
+func (s *wireSink) entries(idx []int32, val []float64) error {
 	sep := byte('[')
-	for e, v := range frac {
+	for j, v := range val {
 		if v > 1e-12 {
+			e := j
+			if idx != nil {
+				e = int(idx[j])
+			}
 			s.spill()
 			s.b = append(s.b, sep)
 			sep = ','
@@ -327,51 +336,65 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 		return nil, fmt.Errorf("core: unknown failure model %q", wp.Model.Type)
 	}
 
-	comms := make([]routing.Commodity, len(wp.Base))
+	// A base row is decoded and checked in one reused dense row and kept as
+	// its nonzeros; a protection row (head->tail) is checked in place.
+	nL := g.NumLinks()
+	comms, base := make([]routing.Commodity, len(wp.Base)), make([]routing.SparseRow, len(wp.Base))
+	row, seen := make([]float64, nL), make([]bool, nL)
+	rowOf := make(map[OD]int, len(wp.Base))
 	for i, wc := range wp.Base {
 		if int(wc.Src) >= g.NumNodes() || int(wc.Dst) >= g.NumNodes() || wc.Src < 0 || wc.Dst < 0 {
 			return nil, fmt.Errorf("core: commodity %d endpoints out of range", i)
 		}
-		comms[i] = routing.Commodity{Src: wc.Src, Dst: wc.Dst, Demand: wc.Demand, Link: -1}
-	}
-	base := routing.NewFlow(g, comms)
-	for i, wc := range wp.Base {
-		for _, en := range wc.Alloc {
-			if int(en.Link) >= g.NumLinks() || en.Link < 0 {
-				return nil, fmt.Errorf("core: commodity %d references link %d", i, en.Link)
-			}
-			base.Frac[i][en.Link] = en.Frac
+		if !(wc.Demand >= 0) {
+			return nil, fmt.Errorf("core: base row %d (%d->%d) has demand %v", i, wc.Src, wc.Dst, wc.Demand)
 		}
-	}
-	if err := base.Validate(1e-5); err != nil {
-		return nil, fmt.Errorf("core: decoded base routing invalid: %v", err)
+		od := OD{wc.Src, wc.Dst}
+		if j, dup := rowOf[od]; dup {
+			return nil, fmt.Errorf("core: base rows %d and %d both route %d->%d", j, i, wc.Src, wc.Dst)
+		}
+		rowOf[od] = i
+		comms[i] = routing.Commodity{Src: wc.Src, Dst: wc.Dst, Demand: wc.Demand, Link: -1}
+		if err := decodeRow(g, comms[i], wc.Alloc, row, seen); err != nil {
+			return nil, fmt.Errorf("core: base row %d (%d->%d): %v", i, wc.Src, wc.Dst, err)
+		}
+		base[i].SetDense(row)
+		base[i].Clear(row)
 	}
 
-	if len(wp.Prot) != g.NumLinks() {
-		return nil, fmt.Errorf("core: protection has %d rows, want %d", len(wp.Prot), g.NumLinks())
+	if len(wp.Prot) != nL {
+		return nil, fmt.Errorf("core: protection has %d rows, want %d", len(wp.Prot), nL)
 	}
-	prot := make([][]float64, g.NumLinks())
-	for l := range wp.Prot {
-		prot[l] = make([]float64, g.NumLinks())
-		for _, en := range wp.Prot[l] {
-			if int(en.Link) >= g.NumLinks() || en.Link < 0 {
-				return nil, fmt.Errorf("core: protection row %d references link %d", l, en.Link)
-			}
-			prot[l][en.Link] = en.Frac
+	prot := make([][]float64, nL)
+	for l, c := range routing.LinkCommodities(g) {
+		prot[l] = make([]float64, nL)
+		if err := decodeRow(g, c, wp.Prot[l], prot[l], seen); err != nil {
+			return nil, fmt.Errorf("core: protection row %d: %v", l, err)
 		}
-	}
-	// The protection routing must itself satisfy [R1]-[R4] for its
-	// head->tail commodities.
-	pf := routing.NewFlow(g, routing.LinkCommodities(g))
-	for l := range prot {
-		copy(pf.Frac[l], prot[l])
-	}
-	if err := pf.Validate(1e-5); err != nil {
-		return nil, fmt.Errorf("core: decoded protection routing invalid: %v", err)
 	}
 
 	return &Plan{
-		G: g, Model: model, Base: base, Prot: prot,
+		G: g, Model: model, Comms: comms, Base: routing.Pack(base), Prot: prot,
 		MLU: wp.MLU, NormalMLU: wp.NormalMLU,
 	}, nil
+}
+
+// decodeRow scatters a wire row into dst, which is all zero, and checks
+// it: every link in range and listed once, and [R1]-[R4] for commodity c
+// within 1e-5. seen is all false on entry and on a nil return.
+func decodeRow(g *graph.Graph, c routing.Commodity, alloc []wireEntry, dst []float64, seen []bool) error {
+	for _, en := range alloc {
+		if int(en.Link) >= len(dst) || en.Link < 0 {
+			return fmt.Errorf("references link %d", en.Link)
+		}
+		if seen[en.Link] {
+			return fmt.Errorf("lists link %d twice", en.Link)
+		}
+		seen[en.Link] = true
+		dst[en.Link] = en.Frac
+	}
+	for _, en := range alloc {
+		seen[en.Link] = false
+	}
+	return c.Validate(g, dst, 1e-5)
 }

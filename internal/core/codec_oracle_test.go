@@ -36,9 +36,10 @@ func encodeJSON(p *Plan) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("core: cannot encode failure model %T", p.Model)
 	}
-	for k, c := range p.Base.Comms {
+	base := denseBase(p)
+	for k, c := range base.Comms {
 		wc := wireCommodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-		for e, v := range p.Base.Frac[k] {
+		for e, v := range base.Frac[k] {
 			if v > 1e-12 {
 				wc.Alloc = append(wc.Alloc, wireEntry{Link: graph.LinkID(e), Frac: v})
 			}
@@ -84,7 +85,7 @@ func handPlan(t *testing.T, model FailureModel, demand float64) *Plan {
 			prot[l][(l+4)%nL] = 1 / float64(l+3)
 		}
 	}
-	return &Plan{G: g, Model: model, Base: base, Prot: prot, MLU: 1e-9, NormalMLU: 2.5e22}
+	return withBase(&Plan{G: g, Model: model, Prot: prot, MLU: 1e-9, NormalMLU: 2.5e22}, base)
 }
 
 func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
@@ -107,7 +108,7 @@ func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
 	plans["hand-group"] = handPlan(t, GroupFailures{K: 2, SRLGs: [][]graph.LinkID{{0, 1}, {}}, MLGs: [][]graph.LinkID{{2}}}, 1e-7)
 	plans["hand-degradation"] = handPlan(t, DegradationModel{Budget: 1e21, LinkBeta: linkBeta}, -1.2345678901234567e-300)
 	empty := handPlan(t, ArbitraryFailures{F: 2}, 1)
-	empty.Base = routing.NewFlow(empty.G, nil)
+	empty.Comms, empty.Base = nil, nil
 	empty.Prot = nil
 	plans["hand-empty"] = empty
 

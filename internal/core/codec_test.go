@@ -33,9 +33,10 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Model.MaxFailures() != 1 {
 		t.Fatalf("model = %+v", got.Model)
 	}
-	for k := range plan.Base.Frac {
-		for e := range plan.Base.Frac[k] {
-			a, b := plan.Base.Frac[k][e], got.Base.Frac[k][e]
+	pb, gb := denseBase(plan), denseBase(got)
+	for k := range pb.Frac {
+		for e := range pb.Frac[k] {
+			a, b := pb.Frac[k][e], gb.Frac[k][e]
 			if math.Abs(a-b) > 1e-12 && a > 1e-12 {
 				t.Fatalf("base frac mismatch at %d/%d: %v vs %v", k, e, a, b)
 			}
@@ -142,6 +143,55 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodePlan(bytes.NewReader(blob), g); err == nil {
 		t.Fatalf("protection corruption accepted")
+	}
+	// Rows a decoder must not silently repair: a link listed twice in a
+	// base or a protection row (the last entry used to win), a negative
+	// demand, and an OD pair listed twice (a per-OD reader keeps one of
+	// them, a per-row one counts both). Each error names the row and, for
+	// a duplicate, the link.
+	rowEdits := []struct {
+		name string
+		edit func(base, prot []interface{}) []interface{}
+		want []string
+	}{
+		{"base link twice", func(base, _ []interface{}) []interface{} {
+			c := base[0].(map[string]interface{})
+			alloc := c["alloc"].([]interface{})
+			c["alloc"] = append(alloc, alloc[0])
+			return base
+		}, []string{"base row 0", "link"}},
+		{"protection link twice", func(base, prot []interface{}) []interface{} {
+			row := prot[2].([]interface{})
+			prot[2] = append(row, row[0])
+			return base
+		}, []string{"protection row 2", "link"}},
+		{"negative demand", func(base, _ []interface{}) []interface{} {
+			base[1].(map[string]interface{})["demand"] = -1.0
+			return base
+		}, []string{"base row 1", "demand -1"}},
+		{"OD pair twice", func(base, _ []interface{}) []interface{} {
+			return append(base, base[0])
+		}, []string{"base rows 0 and"}},
+	}
+	for _, re := range rowEdits {
+		var m map[string]interface{}
+		if err := jsonUnmarshal(buf.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		m["base"] = re.edit(m["base"].([]interface{}), m["prot"].([]interface{}))
+		blob, err := jsonMarshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodePlan(bytes.NewReader(blob), g)
+		if err == nil {
+			t.Fatalf("%s: corrupted plan accepted", re.name)
+		}
+		for _, w := range re.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: error %q does not name %q", re.name, err, w)
+			}
+		}
 	}
 	// Garbage input.
 	if _, err := DecodePlan(strings.NewReader("not json"), g); err == nil {

@@ -44,9 +44,9 @@ func TestDelayEnvelopeFW(t *testing.T) {
 		t.Fatal(err)
 	}
 	delayOf := func(p *Plan) float64 {
-		for k, cm := range p.Base.Comms {
+		for k, cm := range p.Comms {
 			if cm.Src == a && cm.Dst == c {
-				return p.Base.AvgPathDelay(k)
+				return denseBase(p).AvgPathDelay(k)
 			}
 		}
 		t.Fatalf("commodity missing")
@@ -73,7 +73,7 @@ func TestDelayEnvelopeFWKeepsRoutingValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Base.Validate(1e-6); err != nil {
+	if err := denseBase(plan).Validate(1e-6); err != nil {
 		t.Fatalf("base invalid under delay envelope: %v", err)
 	}
 }

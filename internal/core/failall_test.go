@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 )
 
 // TestFailAllAllOrNothing is the regression test for the partial-failure
@@ -117,12 +118,11 @@ func TestFailWithCustomDetour(t *testing.T) {
 	}
 
 	// A custom detour (all of e1's traffic via e4) shifts base load there.
-	// The plan is edited before NewState: rows reached through
-	// State.Base() alias the plan and are read-only.
+	// The plan is edited before NewState: a State reads the plan's rows
+	// in place.
 	plan := examplePlan(t)
-	plan.Base.Frac[0][3] = 0
-	plan.Base.Frac[0][0] = 1 // route the commodity over e1
-	plan.Base.Comms[0].Demand = 10
+	plan.Base[0] = routing.SparseRow{Idx: []int32{0}, Val: []float64{1}} // route the commodity over e1
+	plan.Comms[0].Demand = 10
 	st := NewState(plan)
 	custom := []float64{0, 0, 0, 1}
 	if err := st.FailWith(0, custom); err != nil {

@@ -407,18 +407,20 @@ func TestPrecomputeDeterministicInlineVsPooled(t *testing.T) {
 // routing as sparse rows and a path per commodity, never as
 // [commodity][link] matrices, and the protection routing as sparse rows and
 // columns, never as [link][link] matrices, and cancels the base's loops on
-// its rows, never on a dense copy. One such Precompute on SBC allocated
+// its rows, never on a dense copy; the plan's base is those rows, never a
+// dense [commodity][link] copy. One such Precompute on SBC allocated
 // 4 067 277 B while MinMLU and fwState kept dense base matrices,
 // 1 867 424 B while fwState kept six dense protection matrices,
 // 1 674 363 B while MinMLU returned a dense flow and loops were cancelled
-// on dense copies with fresh buffers per search, and allocates 957 685 B
-// now (≈ 20 KB more under -race). The ceiling is the figure plus one
-// 70 × 70 float matrix (39 200 B), so any one of the protection matrices
-// coming back — 40 880 B with its row headers — fails it.
+// on dense copies with fresh buffers per search, and 957 685 B while the
+// plan scattered its base into a dense K × L flow (K = 342, L = 70), and
+// allocates 748 165 B now (≈ 17 KB more under -race). The ceiling is that figure less the dense base (191 520 B) plus one 70 × 70
+// float matrix (39 200 B), so the dense base coming back fails it, and so
+// does any one of the protection matrices — 40 880 B with its row headers.
 func TestPinnedPrecomputeAllocationCeiling(t *testing.T) {
 	g := topo.SBC()
 	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
-	const ceiling = 957685 + 70*70*8
+	const ceiling = 957685 - 342*70*8 + 70*70*8
 	got := allocBytes(3, func() {
 		if _, err := Precompute(g, d, Config{
 			Model: ArbitraryFailures{F: 1}, Iterations: 100, PenaltyEnvelope: 1.1, Workers: 1,

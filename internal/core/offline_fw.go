@@ -291,20 +291,18 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	st.run(iters, runSp)
 
 	// ---- Package the plan ----
-	// The plan's base is the iterate with loops cancelled on its rows, so
-	// the reported objective is the plan's, scattered once into the dense
-	// Plan.Base. Its protection is sanitizeProt's dense view of P, re-read
-	// into the rows the same way.
+	// The plan's base is the iterate's rows with their loops cancelled (so
+	// the reported objective is the plan's) over comms, whose demands the
+	// solver never read. Its protection is sanitizeProt's dense view of P,
+	// re-read into the rows the same way.
 	pkgSp := runSp.Child("package")
 	defer pkgSp.End()
 	totalDemand := reqs[0].demands
-	base := routing.NewFlow(g, comms)
 	zero := make([]float64, g.NumLinks())
 	var ls routing.LoopScratch
 	for k := 0; k < nK; k++ {
 		st.R[k].CancelLoops(g, zero, &ls)
-		st.R[k].Scatter(base.Frac[k])
-		base.Comms[k].Demand = totalDemand[k]
+		comms[k].Demand = totalDemand[k]
 	}
 	prot := sanitizeProt(g, st.P)
 	for l := range prot {
@@ -313,11 +311,12 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	plan := &Plan{
 		G:     g,
 		Model: reqs[highestModelIndex(reqs)].model,
-		Base:  base,
+		Comms: comms,
+		Base:  routing.Pack(st.R),
 		Prot:  prot,
 		MLU:   st.objective(),
 	}
-	plan.NormalMLU = routing.MLU(g, base.Loads())
+	plan.NormalMLU = routing.MLU(g, baseLoads(g.NumLinks(), comms, st.R))
 	// The epoch loop tracked the running objective; settle the gauge on
 	// the restored-best plan value.
 	st.o.mlu.Set(plan.MLU)
@@ -373,13 +372,12 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 	} else {
 		// Match provided flow rows by OD pair.
 		R = make([]routing.SparseRow, nK)
-		type pair struct{ a, b graph.NodeID }
-		rows := make(map[pair][]float64, len(cfg.BaseRouting.Comms))
+		rows := make(map[OD][]float64, len(cfg.BaseRouting.Comms))
 		for k, c := range cfg.BaseRouting.Comms {
-			rows[pair{c.Src, c.Dst}] = cfg.BaseRouting.Frac[k]
+			rows[OD{c.Src, c.Dst}] = cfg.BaseRouting.Frac[k]
 		}
 		for k, c := range comms {
-			row, ok := rows[pair{c.Src, c.Dst}]
+			row, ok := rows[OD{c.Src, c.Dst}]
 			if !ok {
 				return nil, fmt.Errorf("core: base routing missing OD pair %d->%d", c.Src, c.Dst)
 			}
@@ -2300,14 +2298,15 @@ func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 		alwaysKeep   = 0.005 // paths at least this large are never dropped
 	)
 	nL := g.NumLinks()
-	f := routing.NewFlow(g, routing.LinkCommodities(g))
+	P := make([][]float64, nL)
+	for l := range P {
+		P[l] = make([]float64, nL)
+		prot[l].Scatter(P[l])
+	}
+	f := &routing.Flow{G: g, Comms: routing.LinkCommodities(g), Frac: P}
+	f.RemoveLoops()
 	var sc spf.Scratch
 	var down graph.LinkSet
-	for l := 0; l < nL; l++ {
-		prot[l].Scatter(f.Frac[l])
-	}
-	f.RemoveLoops()
-	P := f.Frac
 	for l := 0; l < nL; l++ {
 		paths := f.Decompose(l, 256)
 		sort.Slice(paths, func(i, j int) bool { return paths[i].Frac > paths[j].Frac })

@@ -107,12 +107,13 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 		}
 	}
 
-	// Fixed base loads when r is given.
+	// Fixed base loads when r is given, under demands d.
+	var fixed *routing.Flow
 	var fixedLoads []float64
 	if !optimizeBase {
-		fl := cfg.BaseRouting.Clone()
-		fl.SetDemands(d.At)
-		fixedLoads = fl.Loads()
+		fixed = cfg.BaseRouting.Clone()
+		fixed.SetDemands(d.At)
+		fixedLoads = fixed.Loads()
 	}
 
 	// Capacity rows: sum_ab d_ab r_ab(e) + sum_l β_l π_e(l) + λ_e B <= MLU c_e
@@ -222,21 +223,27 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 		return nil, fmt.Errorf("core: LP status %v", sol.Status)
 	}
 
-	base := routing.NewFlow(g, comms)
-	if optimizeBase {
-		for k := range comms {
-			for e := 0; e < nL; e++ {
-				if v := rVar[k][e]; v >= 0 {
-					base.Frac[k][e] = sol.X[v]
+	// The base rows, loop-free: the solution's r, or the supplied routing.
+	if !optimizeBase {
+		comms = fixed.Comms
+	}
+	base := make([]routing.SparseRow, len(comms))
+	row, zero := make([]float64, nL), make([]float64, nL)
+	var ls routing.LoopScratch
+	for k := range base {
+		if optimizeBase {
+			for e, v := range rVar[k] {
+				row[e] = 0
+				if v >= 0 {
+					row[e] = sol.X[v]
 				}
 			}
+		} else {
+			row = fixed.Frac[k]
 		}
-	} else {
-		fl := cfg.BaseRouting.Clone()
-		fl.SetDemands(d.At)
-		base = fl
+		base[k].SetDense(row)
+		base[k].CancelLoops(g, zero, &ls)
 	}
-	base.RemoveLoops()
 
 	prot := make([][]float64, nL)
 	for l := 0; l < nL; l++ {
@@ -251,12 +258,13 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 	plan := &Plan{
 		G:       g,
 		Model:   cfg.Model,
-		Base:    base,
+		Comms:   comms,
+		Base:    routing.Pack(base),
 		Prot:    prot,
 		MLU:     sol.X[mluVar],
 		LPBasis: sol.Basis,
 	}
-	plan.NormalMLU = routing.MLU(g, base.Loads())
+	plan.NormalMLU = routing.MLU(g, baseLoads(nL, comms, base))
 	return plan, nil
 }
 

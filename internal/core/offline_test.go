@@ -63,7 +63,7 @@ func TestLPParallelLinksOptimal(t *testing.T) {
 		t.Fatalf("LP MLU = %v, want 0.6", plan.MLU)
 	}
 	validateProt(t, g, plan.Prot)
-	if err := plan.Base.Validate(1e-6); err != nil {
+	if err := denseBase(plan).Validate(1e-6); err != nil {
 		t.Fatalf("base invalid: %v", err)
 	}
 	// Evaluate must agree with the LP objective.
@@ -149,7 +149,7 @@ func TestTheorem1SingleFailureFW(t *testing.T) {
 		t.Fatal(err)
 	}
 	validateProt(t, g, plan.Prot)
-	if err := plan.Base.Validate(1e-6); err != nil {
+	if err := denseBase(plan).Validate(1e-6); err != nil {
 		t.Fatalf("base invalid: %v", err)
 	}
 	checkTheorem1(t, plan, 1)
@@ -187,9 +187,10 @@ func TestFixedBaseRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Base must be exactly the OSPF flow.
+	base := denseBase(plan)
 	for k := range comms {
 		for e := 0; e < g.NumLinks(); e++ {
-			if math.Abs(plan.Base.Frac[k][e]-ospf.Frac[k][e]) > 1e-9 {
+			if math.Abs(base.Frac[k][e]-ospf.Frac[k][e]) > 1e-9 {
 				t.Fatalf("base routing was modified at commodity %d link %d", k, e)
 			}
 		}
@@ -258,9 +259,10 @@ func TestDelayEnvelopeLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, c := range plan.Base.Comms {
+	base := denseBase(plan)
+	for k, c := range plan.Comms {
 		dist := delayDistTo(g, c.Dst)
-		if got := plan.Base.AvgPathDelay(k); got > dist[c.Src]*1.0+1e-6 {
+		if got := base.AvgPathDelay(k); got > dist[c.Src]*1.0+1e-6 {
 			t.Fatalf("commodity %d delay %v exceeds bound %v", k, got, dist[c.Src])
 		}
 	}
@@ -284,7 +286,7 @@ func TestPrecomputeVariations(t *testing.T) {
 	// The plan must cover both matrices: per-matrix base load + virtual
 	// load within MLU.
 	for _, d := range []*traffic.Matrix{d1, d2} {
-		fl := plan.Base.Clone()
+		fl := denseBase(plan)
 		fl.SetDemands(d.At)
 		loads := fl.Loads()
 		for e := 0; e < g.NumLinks(); e++ {
@@ -312,7 +314,7 @@ func TestPrecomputePrioritized(t *testing.T) {
 		t.Fatalf("plan model covers %d failures, want 3", plan.Model.MaxFailures())
 	}
 	// The TPRT-only demand with F=3 virtual load must fit within MLU.
-	tprt := plan.Base.Clone()
+	tprt := denseBase(plan)
 	tprt.SetDemands(classes[traffic.TPRT].At)
 	loads := tprt.Loads()
 	m3 := ArbitraryFailures{F: 3}

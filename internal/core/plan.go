@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -26,8 +27,14 @@ type Plan struct {
 	G *graph.Graph
 	// Model is the failure model the plan protects against.
 	Model FailureModel
-	// Base is the base routing r with commodity demands set from d.
-	Base *routing.Flow
+	// Comms are the base routing's commodities, one per OD pair, with
+	// demands set from d.
+	Comms []routing.Commodity
+	// Base is the base routing r in flow representation, one row per
+	// commodity: its links strictly ascending, exact zeros dropped and
+	// every fraction finite. The solvers' rows are also loop-free (the
+	// form routing.SparseRow.CancelLoops returns).
+	Base []routing.SparseRow
 	// Prot is the protection routing p: Prot[l][e] is the fraction of
 	// link l's rerouted traffic carried by link e.
 	Prot [][]float64
@@ -44,96 +51,94 @@ type Plan struct {
 	// serialize it, so the wire format is unchanged.
 	LPBasis *lp.Basis
 
-	// index is the base routing in the compressed forms State reads. The
-	// first State that reroutes or asks for loads builds it (concurrent
-	// callers included), and every State of the plan shares it; NewState
-	// alone never does, so a plan nobody fails or queries never pays.
+	// index is what State reads of the base routing besides its rows. The
+	// first State that reroutes or asks for loads or lost demand builds
+	// it (concurrent callers included), and every State of the plan shares
+	// it; NewState alone never does, so a plan nobody fails or queries
+	// never pays.
 	indexOnce sync.Once
 	index     *baseIndex
 }
 
 // baseIndex is a frozen plan's base routing r in the forms the online
-// State works from (DESIGN.md §9). The plan never changes, so none of it
-// goes stale.
+// State works from besides the rows themselves (DESIGN.md §9). The plan
+// never changes, so none of it goes stale.
 type baseIndex struct {
-	// rows is r by commodity: row k lists the links k uses.
-	rows sparseRows
-	// cols is its transpose: column l lists the commodities routed over
-	// l, ascending, and their fractions — the rows a failure of l
-	// rewrites and the terms of l's load.
-	cols sparseRows
-	// loads is r's per-link load under the plan's demands, with the bits
-	// routing.Flow.Loads produces.
+	// off, k and v are r's columns, compressed: column l lists the
+	// commodities k[off[l]:off[l+1]] routed over l, ascending, with their
+	// fractions v alongside — the rows a failure of l rewrites and the
+	// terms of l's load. int32 offsets hold up to 2^31 nonzeros.
+	off, k []int32
+	v      []float64
+	// loads is r's per-link load under the plan's demands (baseLoads).
 	loads []float64
+	// delivered is each row's delivered share (Plan.delivered): what a
+	// row no reroute has touched still delivers.
+	delivered []float64
 }
 
-// sparseRows is a compressed sparse matrix: row i's nonzero column
-// indices are idx[off[i]:off[i+1]], ascending, and val holds the entries
-// at them. (int32 offsets are ample: the dense rows of a plan with 2^31
-// nonzeros would take 16 GiB first.)
-type sparseRows struct {
-	off []int32
-	idx []int32
-	val []float64
-}
-
-// row returns row i's indices and values.
-func (m *sparseRows) row(i int) ([]int32, []float64) {
-	lo, hi := m.off[i], m.off[i+1]
-	return m.idx[lo:hi], m.val[lo:hi]
+// col returns column l's commodities and fractions.
+func (ix *baseIndex) col(l int32) ([]int32, []float64) {
+	lo, hi := ix.off[l], ix.off[l+1]
+	return ix.k[lo:hi], ix.v[lo:hi]
 }
 
 // baseIndex returns the plan's cached index, building it on first use:
-// one pass over the dense rows to count, so every array is allocated
-// exactly, and one to fill all three. Column entries are appended in
-// ascending commodity order, and each link's load adds d_k·r_k(l) in that
-// same order, skipping zero demands, as routing.Flow.Loads does.
+// one pass over the rows to count each column, so every array is
+// allocated exactly, and one to fill them. Column entries are appended in
+// ascending commodity order.
 func (p *Plan) baseIndex() *baseIndex {
 	p.indexOnce.Do(func() {
-		nK, nL := len(p.Base.Frac), p.G.NumLinks()
-		ix := &baseIndex{
-			rows:  sparseRows{off: make([]int32, nK+1)},
-			cols:  sparseRows{off: make([]int32, nL+1)},
-			loads: make([]float64, nL),
-		}
-		for k, fr := range p.Base.Frac {
-			n := ix.rows.off[k]
-			for l, v := range fr {
-				if v != 0 {
-					n++
-					ix.cols.off[l+1]++
-				}
+		nL := p.G.NumLinks()
+		ix := &baseIndex{off: make([]int32, nL+1), loads: baseLoads(nL, p.Comms, p.Base)}
+		for _, r := range p.Base {
+			for _, l := range r.Idx {
+				ix.off[l+1]++
 			}
-			ix.rows.off[k+1] = n
 		}
 		for l := 0; l < nL; l++ {
-			ix.cols.off[l+1] += ix.cols.off[l]
+			ix.off[l+1] += ix.off[l]
 		}
-		nnz := ix.rows.off[nK]
-		ix.rows.idx = make([]int32, 0, nnz)
-		ix.rows.val = make([]float64, 0, nnz)
-		ix.cols.idx = make([]int32, nnz)
-		ix.cols.val = make([]float64, nnz)
-		next := append([]int32(nil), ix.cols.off[:nL]...)
-		for k, fr := range p.Base.Frac {
-			d := p.Base.Comms[k].Demand
-			for l, v := range fr {
-				if v == 0 {
-					continue
-				}
-				ix.rows.idx = append(ix.rows.idx, int32(l))
-				ix.rows.val = append(ix.rows.val, v)
-				ix.cols.idx[next[l]] = int32(k)
-				ix.cols.val[next[l]] = v
+		ix.k, ix.v = make([]int32, ix.off[nL]), make([]float64, ix.off[nL])
+		next := append([]int32(nil), ix.off[:nL]...)
+		for k, r := range p.Base {
+			for j, l := range r.Idx {
+				ix.k[next[l]], ix.v[next[l]] = int32(k), r.Val[j]
 				next[l]++
-				if d != 0 {
-					ix.loads[l] += d * v
-				}
 			}
+		}
+		ix.delivered = make([]float64, len(p.Base))
+		for k := range p.Base {
+			ix.delivered[k] = p.delivered(k, override{})
 		}
 		p.index = ix
 	})
 	return p.index
+}
+
+// baseLoads returns each link's load under the plan's rows: d_k·r_k(l)
+// added for ascending k, skipping zero demands (a row holds no zero cell)
+// — the bits routing.Flow.Loads forms over the same rows made dense.
+func baseLoads(nL int, comms []routing.Commodity, rows []routing.SparseRow) []float64 {
+	loads := make([]float64, nL)
+	for k, r := range rows {
+		d := comms[k].Demand
+		if d == 0 {
+			continue
+		}
+		for j, l := range r.Idx {
+			loads[l] += d * r.Val[j]
+		}
+	}
+	return loads
+}
+
+// planCell returns a plan row's fraction at link l.
+func planCell(r *routing.SparseRow, l int32) float64 {
+	if j, ok := slices.BinarySearch(r.Idx, l); ok {
+		return r.Val[j]
+	}
+	return 0
 }
 
 // CongestionFree reports whether the plan carries Theorem 1's guarantee:
@@ -159,11 +164,11 @@ func (p *Plan) virtualLoad(e graph.LinkID, v []float64) float64 {
 // base load plus worst-case virtual load over capacity. It is the
 // verification counterpart of the offline solvers.
 func (p *Plan) Evaluate() float64 {
-	baseLoads := p.Base.Loads()
+	loads := baseLoads(p.G.NumLinks(), p.Comms, p.Base)
 	col := make([]float64, p.G.NumLinks())
 	worst := 0.0
 	for e := 0; e < p.G.NumLinks(); e++ {
-		u := (baseLoads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity
+		u := (loads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity
 		if u > worst {
 			worst = u
 		}
@@ -261,13 +266,6 @@ func (s *State) Clone() *State {
 	for e, xi := range s.detours {
 		detours[e] = append([]float64(nil), xi...)
 	}
-	var degraded map[graph.LinkID]float64
-	if s.degraded != nil {
-		degraded = make(map[graph.LinkID]float64, len(s.degraded))
-		for e, f := range s.degraded {
-			degraded[e] = f
-		}
-	}
 	return &State{
 		G:        s.G,
 		plan:     s.plan,
@@ -278,7 +276,7 @@ func (s *State) Clone() *State {
 		ownProt:  append([]bool(nil), s.ownProt...),
 		failed:   s.failed.Clone(),
 		detours:  detours,
-		degraded: degraded,
+		degraded: maps.Clone(s.degraded),
 		loads:    append([]float64(nil), s.loads...),
 		dirty:    s.dirty.Clone(),
 	}
@@ -311,15 +309,15 @@ func (s *State) demandOf(k int) float64 {
 	if s.demand != nil {
 		return s.demand[k]
 	}
-	return s.plan.Base.Comms[k].Demand
+	return s.plan.Comms[k].Demand
 }
 
 // ownDemands gives the state its own demand vector, if it has none yet,
 // and drops the load cache the change is about to invalidate.
 func (s *State) ownDemands() {
 	if s.demand == nil {
-		s.demand = make([]float64, len(s.plan.Base.Comms))
-		for k, c := range s.plan.Base.Comms {
+		s.demand = make([]float64, len(s.plan.Comms))
+		for k, c := range s.plan.Comms {
 			s.demand[k] = c.Demand
 		}
 	}
@@ -331,7 +329,7 @@ func (s *State) ownDemands() {
 // current fraction at l and its position in s.own (-1 if not rerouted).
 // Every row with a nonzero cell at l is among them.
 func (s *State) column(ix *baseIndex, l int32, visit func(k int32, j int, v float64)) {
-	ck, cv := ix.cols.row(int(l))
+	ck, cv := ix.col(l)
 	i, j := 0, 0
 	for i < len(ck) || j < len(s.own) {
 		if j == len(s.own) || (i < len(ck) && ck[i] < s.own[j]) {
@@ -351,36 +349,6 @@ func (s *State) column(ix *baseIndex, l int32, visit func(k int32, j int, v floa
 
 // Failed returns the set of failed links applied so far.
 func (s *State) Failed() graph.LinkSet { return s.failed.Clone() }
-
-// HasFailed reports whether link e has failed, without cloning the set
-// (the data plane consults this per packet).
-func (s *State) HasFailed(e graph.LinkID) bool { return s.failed.Contains(e) }
-
-// Base returns the current (reconfigured) base routing as a dense flow
-// built on call: the commodities carry the state's demands, rerouted rows
-// are fresh copies, and every other row is the plan's own. The caller
-// must not modify the rows, since a write through a plan row would
-// corrupt the plan and every state sharing it.
-func (s *State) Base() *routing.Flow {
-	pb := s.plan.Base
-	f := &routing.Flow{
-		G:     pb.G,
-		Comms: append([]routing.Commodity(nil), pb.Comms...),
-		Frac:  append([][]float64(nil), pb.Frac...),
-	}
-	for k := range f.Comms {
-		f.Comms[k].Demand = s.demandOf(k)
-	}
-	for j, k := range s.own {
-		row := append([]float64(nil), f.Frac[k]...)
-		o := s.rows[j]
-		for a, l := range o.idx {
-			row[l] = o.val[a]
-		}
-		f.Frac[k] = row
-	}
-	return f
-}
 
 // Prot returns the current (reconfigured) protection routing. The caller
 // must not modify it: untouched rows alias the plan.
@@ -577,9 +545,8 @@ func (s *State) rerouteBase(e graph.LinkID, xi []float64, cells []int32, frac fl
 			return
 		}
 		moved, left := split(v, frac)
-		// The plan's row is read from the index, which is sequential
-		// where the dense row would cost a cache miss per cell.
-		pi, pv := ix.rows.row(int(k))
+		// The plan's row is sparse, so the merge costs its nonzeros.
+		pi, pv := s.plan.Base[k].Idx, s.plan.Base[k].Val
 		start, a, b := len(idx), 0, 0
 		for _, l := range cells {
 			for a < len(old.idx) && old.idx[a] < l {
@@ -655,15 +622,6 @@ func (s *State) Degrade(e graph.LinkID, frac float64) error {
 // link is not degraded).
 func (s *State) DegradedFrac(e graph.LinkID) float64 { return s.degraded[e] }
 
-// Degraded returns the degraded links and their lost fractions.
-func (s *State) Degraded() map[graph.LinkID]float64 {
-	out := make(map[graph.LinkID]float64, len(s.degraded))
-	for e, f := range s.degraded {
-		out[e] = f
-	}
-	return out
-}
-
 // ScaleDemands multiplies the demand of the listed OD pairs by factor
 // (every commodity when ods is nil) — the online form of a traffic
 // surge. The state gets its own demand vector.
@@ -679,7 +637,7 @@ func (s *State) ScaleDemands(factor float64, ods []OD) {
 	for _, od := range ods {
 		set[od] = true
 	}
-	for k, c := range s.plan.Base.Comms {
+	for k, c := range s.plan.Comms {
 		if set[OD{c.Src, c.Dst}] {
 			s.demand[k] *= factor
 		}
@@ -758,7 +716,7 @@ func (s *State) currentLoads() []float64 {
 	ix := s.plan.baseIndex()
 	if s.loads == nil {
 		if s.demand != nil {
-			s.loads = s.rowLoads(ix)
+			s.loads = s.rowLoads()
 			s.dirty.Clear()
 			return s.loads
 		}
@@ -789,12 +747,12 @@ func (s *State) linkLoad(ix *baseIndex, l int32) float64 {
 }
 
 // rowLoads computes every link's load row by row, in commodity order:
-// a row the state has not rerouted is streamed from the plan's index, a
-// rerouted one is that row merged with its overrides.
-func (s *State) rowLoads(ix *baseIndex) []float64 {
+// a row the state has not rerouted is streamed from the plan, a rerouted
+// one is the plan's row merged with its overrides.
+func (s *State) rowLoads() []float64 {
 	loads := make([]float64, s.G.NumLinks())
 	j := 0
-	for k := range s.plan.Base.Frac {
+	for k, pr := range s.plan.Base {
 		var o override
 		if j < len(s.own) && int(s.own[j]) == k {
 			o = s.rows[j]
@@ -804,7 +762,7 @@ func (s *State) rowLoads(ix *baseIndex) []float64 {
 		if d == 0 {
 			continue
 		}
-		li, lv := ix.rows.row(k)
+		li, lv := pr.Idx, pr.Val
 		a := 0
 		for b, l := range li {
 			for ; a < len(o.idx) && o.idx[a] < l; a++ {
@@ -862,20 +820,21 @@ func (s *State) Delivered(k int) float64 {
 	if j, ok := slices.BinarySearch(s.own, int32(k)); ok {
 		o = s.rows[j]
 	}
-	return s.delivered(k, o)
+	return s.plan.delivered(k, o)
 }
 
-// delivered is Delivered for base row k with overrides o (none if the
-// state has not rerouted it).
-func (s *State) delivered(k int, o override) float64 {
-	row := s.plan.Base.Frac[k]
-	dst := s.plan.Base.Comms[k].Dst
+// delivered is the share of commodity k's demand that base row k, with
+// overrides o, delivers: its inflow at the destination less its outflow,
+// clamped to [0, 1].
+func (p *Plan) delivered(k int, o override) float64 {
+	row := &p.Base[k]
+	dst := p.Comms[k].Dst
 	var in, out float64
-	for _, id := range s.G.In(dst) {
-		in += o.at(int32(id), row[id])
+	for _, id := range p.G.In(dst) {
+		in += o.at(int32(id), planCell(row, int32(id)))
 	}
-	for _, id := range s.G.Out(dst) {
-		out += o.at(int32(id), row[id])
+	for _, id := range p.G.Out(dst) {
+		out += o.at(int32(id), planCell(row, int32(id)))
 	}
 	d := in - out
 	if d < 0 {
@@ -893,7 +852,7 @@ func (s *State) delivered(k int, o override) float64 {
 // plan's bit for bit leave a state that still has the plan's demands as
 // it was; anything else gives the state its own demand vector.
 func (s *State) SetDemands(demand func(a, b graph.NodeID) float64) {
-	for k, c := range s.plan.Base.Comms {
+	for k, c := range s.plan.Comms {
 		d := demand(c.Src, c.Dst)
 		if s.demand == nil {
 			if math.Float64bits(d) == math.Float64bits(c.Demand) {
@@ -911,19 +870,17 @@ func (s *State) SetDemands(demand func(a, b graph.NodeID) float64) {
 // LostDemand returns the total demand dropped because reconfiguration hit
 // a partition (sum over commodities of demand × undelivered fraction).
 func (s *State) LostDemand() float64 {
+	ix := s.plan.baseIndex()
 	var lost float64
 	j := 0
-	for k := range s.plan.Base.Comms {
-		var o override
+	for k, del := range ix.delivered {
 		if j < len(s.own) && int(s.own[j]) == k {
-			o = s.rows[j]
+			del = s.plan.delivered(k, s.rows[j])
 			j++
 		}
-		d := s.demandOf(k)
-		if d == 0 {
-			continue
+		if d := s.demandOf(k); d != 0 {
+			lost += d * (1 - del)
 		}
-		lost += d * (1 - s.delivered(k, o))
 	}
 	return lost
 }
@@ -952,16 +909,31 @@ func (s *State) ProtEquals(o *State, eps float64) bool {
 // BaseEquals reports whether another state has the same base routing
 // within eps.
 func (s *State) BaseEquals(o *State, eps float64) bool {
-	a, b := s.Base().Frac, o.Base().Frac
-	if len(a) != len(b) {
+	if len(s.plan.Base) != len(o.plan.Base) {
 		return false
 	}
-	for k := range a {
-		for l := range a[k] {
-			if math.Abs(a[k][l]-b[k][l]) > eps {
+	a, b := make([]float64, s.G.NumLinks()), make([]float64, o.G.NumLinks())
+	for k := range s.plan.Base {
+		s.denseRow(k, a)
+		o.denseRow(k, b)
+		for l := range a {
+			if math.Abs(a[l]-b[l]) > eps {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// denseRow writes base row k, as the state routes it, into dst (of link
+// count length).
+func (s *State) denseRow(k int, dst []float64) {
+	clear(dst)
+	s.plan.Base[k].Scatter(dst)
+	if j, ok := slices.BinarySearch(s.own, int32(k)); ok {
+		o := s.rows[j]
+		for a, l := range o.idx {
+			dst[l] = o.val[a]
+		}
+	}
 }

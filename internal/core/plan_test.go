@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/spf"
+	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // paperExample builds the §3.3 network: routers i, j with 4 parallel links
@@ -34,7 +39,7 @@ func examplePlan(t *testing.T) *Plan {
 	for l := range prot {
 		prot[l] = []float64{0.1, 0.2, 0.3, 0.4}
 	}
-	return &Plan{G: g, Model: ArbitraryFailures{F: 1}, Base: base, Prot: prot}
+	return withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: prot}, base)
 }
 
 func TestPaperExampleRescaling(t *testing.T) {
@@ -75,7 +80,7 @@ func TestBaseReroutedOnFailure(t *testing.T) {
 	if err := st.Fail(3); err != nil {
 		t.Fatal(err)
 	}
-	fr := st.Base().Frac[0]
+	fr := stateBase(st).Frac[0]
 	want := []float64{0.1 / 0.6, 0.2 / 0.6, 0.3 / 0.6, 0}
 	for e := range want {
 		if math.Abs(fr[e]-want[e]) > 1e-12 {
@@ -132,7 +137,7 @@ func TestPartitionDropsTraffic(t *testing.T) {
 	base := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}})
 	base.Frac[0][0] = 1
 	prot := [][]float64{{0.5, 0.5}, {0.5, 0.5}}
-	plan := &Plan{G: g, Model: ArbitraryFailures{F: 1}, Base: base, Prot: prot}
+	plan := withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: prot}, base)
 	st := NewState(plan)
 	if err := st.FailAll(0, 1); err != nil {
 		t.Fatal(err)
@@ -185,5 +190,156 @@ func TestStateAccessors(t *testing.T) {
 	}
 	if !st.Failed().Contains(1) {
 		t.Fatalf("Failed() missing link 1")
+	}
+}
+
+// withBase stores a hand-built dense base routing in the plan the way the
+// solvers and the decoder do: its commodities, and each row's nonzeros.
+func withBase(p *Plan, f *routing.Flow) *Plan {
+	p.Comms = append([]routing.Commodity(nil), f.Comms...)
+	p.Base = make([]routing.SparseRow, len(f.Frac))
+	for k, fr := range f.Frac {
+		p.Base[k].SetDense(fr)
+	}
+	return p
+}
+
+// denseBase is the dense view of a plan's base routing: the oracle form
+// the tests hold the rows to.
+func denseBase(p *Plan) *routing.Flow {
+	f := routing.NewFlow(p.G, p.Comms)
+	for k := range p.Base {
+		p.Base[k].Scatter(f.Frac[k])
+	}
+	return f
+}
+
+// stateBase is the dense view of a state's current base routing: the
+// state's demands, and each row as the state routes it.
+func stateBase(s *State) *routing.Flow {
+	f := routing.NewFlow(s.G, s.plan.Comms)
+	for k := range f.Comms {
+		f.Comms[k].Demand = s.demandOf(k)
+		s.denseRow(k, f.Frac[k])
+	}
+	return f
+}
+
+// TestPlanBaseRowsAreCanonical pins the form State and the encoder read the
+// base routing in without re-deriving it: from every solver path and from
+// the decoder, each row's links strictly ascend and its fractions are
+// finite and nonzero, and NormalMLU, Evaluate and a fresh State's loads
+// are, bit for bit, what routing.Flow.Loads makes of the rows made dense.
+func TestPlanBaseRowsAreCanonical(t *testing.T) {
+	ab := topo.Abilene()
+	dAb := traffic.Gravity(ab, 0.15*ab.TotalCapacity(), 1)
+	g := ring5(t)
+	d := ring5Demand(g, 120)
+	ospf := spf.ECMPFlow(ab, routing.ODCommodities(ab.NumNodes(), dAb.At), nil, spf.WeightCost(ab))
+	f1 := ArbitraryFailures{F: 1}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		d    *traffic.Matrix
+		cfg  Config
+	}{
+		{"fw-joint", ab, dAb, Config{Model: f1, Iterations: 40}},
+		{"fw-pinned", ab, dAb, Config{Model: f1, Iterations: 40, PenaltyEnvelope: 1.1}},
+		{"fw-supplied", ab, dAb, Config{Model: f1, Iterations: 40, BaseRouting: ospf}},
+		{"fw-delay", ab, dAb, Config{Model: f1, Iterations: 40, DelayEnvelope: 1.4}},
+		{"lp", g, d, Config{Model: f1, Solver: SolverLP}},
+		{"lp-supplied", g, d, Config{Model: f1, Solver: SolverLP,
+			BaseRouting: spf.ECMPFlow(g, routing.ODCommodities(g.NumNodes(), d.At), nil, spf.WeightCost(g))}},
+	}
+	for _, tc := range cases {
+		plan, err := Precompute(tc.g, tc.d, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkCanonicalBase(t, tc.name, plan)
+		if got, want := plan.NormalMLU, routing.MLU(plan.G, denseBase(plan).Loads()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: NormalMLU %v, dense rows %v", tc.name, got, want)
+		}
+		wire, err := plan.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodePlan(bytes.NewReader(wire), tc.g)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		checkCanonicalBase(t, tc.name+"-decoded", got)
+		// The decoder makes its rows canonical whatever the order of a
+		// row's entries, and drops an explicit zero.
+		got, err = DecodePlan(bytes.NewReader(shuffledWire(t, wire)), tc.g)
+		if err != nil {
+			t.Fatalf("%s: decode shuffled: %v", tc.name, err)
+		}
+		checkCanonicalBase(t, tc.name+"-shuffled", got)
+	}
+}
+
+// shuffledWire rewrites a plan's wire form with every base row's entries
+// in descending link order, after an explicit zero at a link the row
+// does not use.
+func shuffledWire(t *testing.T, wire []byte) []byte {
+	t.Helper()
+	var m map[string]interface{}
+	if err := jsonUnmarshal(wire, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range m["base"].([]interface{}) {
+		c := c.(map[string]interface{})
+		alloc, _ := c["alloc"].([]interface{})
+		used := make(map[float64]bool)
+		for _, en := range alloc {
+			used[en.(map[string]interface{})["l"].(float64)] = true
+		}
+		free := 0.0
+		for used[free] {
+			free++
+		}
+		slices.Reverse(alloc)
+		c["alloc"] = append([]interface{}{map[string]interface{}{"l": free, "f": 0.0}}, alloc...)
+	}
+	out, err := jsonMarshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkCanonicalBase checks one plan's base rows and the loads read off
+// them against the dense view.
+func checkCanonicalBase(t *testing.T, name string, p *Plan) {
+	t.Helper()
+	if len(p.Base) != len(p.Comms) {
+		t.Fatalf("%s: %d rows for %d commodities", name, len(p.Base), len(p.Comms))
+	}
+	for k, r := range p.Base {
+		if len(r.Idx) != len(r.Val) {
+			t.Fatalf("%s: row %d has %d links and %d fractions", name, k, len(r.Idx), len(r.Val))
+		}
+		for j, l := range r.Idx {
+			if j > 0 && l <= r.Idx[j-1] {
+				t.Fatalf("%s: row %d lists link %d after link %d", name, k, l, r.Idx[j-1])
+			}
+			if v := r.Val[j]; v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: row %d holds %v at link %d", name, k, v, l)
+			}
+		}
+	}
+	loads := denseBase(p).Loads()
+	if !sameBits(NewState(p).Loads(), loads) {
+		t.Fatalf("%s: a fresh State's loads differ from the dense rows'", name)
+	}
+	worst, col := 0.0, make([]float64, p.G.NumLinks())
+	for e := range loads {
+		if u := (loads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity; u > worst {
+			worst = u
+		}
+	}
+	if got := p.Evaluate(); math.Float64bits(got) != math.Float64bits(worst) {
+		t.Fatalf("%s: Evaluate %v, dense rows %v", name, got, worst)
 	}
 }

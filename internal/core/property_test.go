@@ -69,7 +69,7 @@ func TestTheorem1RandomTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := plan.Base.Validate(1e-6); err != nil {
+		if err := denseBase(plan).Validate(1e-6); err != nil {
 			t.Fatalf("trial %d: base invalid: %v", trial, err)
 		}
 		if !plan.CongestionFree() {
@@ -162,7 +162,7 @@ func TestRescalingConservesTraffic(t *testing.T) {
 			if err := st.Fail(graph.LinkID(e)); err != nil {
 				t.Fatal(err)
 			}
-			for k := range plan.Base.Comms {
+			for k := range plan.Comms {
 				if del := st.Delivered(k); del < 1-1e-6 {
 					t.Fatalf("trial %d link %d: commodity %d delivers %v", trial, e, k, del)
 				}

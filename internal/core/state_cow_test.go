@@ -94,8 +94,8 @@ func planBits(p *Plan) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	for k, fr := range p.Base.Frac {
-		put(p.Base.Comms[k].Demand)
+	for k, fr := range denseBase(p).Frac {
+		put(p.Comms[k].Demand)
 		for _, v := range fr {
 			put(v)
 		}
@@ -165,7 +165,7 @@ func (p statePair) check(t *testing.T, when string) {
 	if got, want := st.LostDemand(), or.lostDemand(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: LostDemand %v, oracle %v", when, got, want)
 	}
-	base := st.Base()
+	base := stateBase(st)
 	for k, c := range base.Comms {
 		if c != or.base.Comms[k] {
 			t.Fatalf("%s: commodity %d is %+v, oracle %+v", when, k, c, or.base.Comms[k])
@@ -245,7 +245,7 @@ func stateBattery(t *testing.T, plan *Plan, seed int64, steps, queryEvery int) {
 			p.or.scaleDemands(f, nil)
 		case 7:
 			var ods []OD
-			for _, c := range plan.Base.Comms {
+			for _, c := range plan.Comms {
 				if rng.Intn(4) == 0 {
 					ods = append(ods, OD{c.Src, c.Dst})
 				}
@@ -302,8 +302,8 @@ func stateBattery(t *testing.T, plan *Plan, seed int64, steps, queryEvery int) {
 
 // demandOfPlan returns the plan's own traffic matrix as a demand function.
 func demandOfPlan(plan *Plan) func(a, b graph.NodeID) float64 {
-	d := make(map[OD]float64, len(plan.Base.Comms))
-	for _, c := range plan.Base.Comms {
+	d := make(map[OD]float64, len(plan.Comms))
+	for _, c := range plan.Comms {
 		d[OD{c.Src, c.Dst}] = c.Demand
 	}
 	return func(a, b graph.NodeID) float64 { return d[OD{a, b}] }
@@ -458,11 +458,10 @@ func TestNewStateSharesPlanConcurrently(t *testing.T) {
 func TestStateIndexIsLazy(t *testing.T) {
 	plan := freshCopy(t, abilenePlan(t))
 	st := NewState(plan)
-	_ = st.Base()
 	_ = st.Prot()
 	_ = st.Clone().Detour(0)
 	if plan.index != nil {
-		t.Fatal("NewState, Base, Prot or Clone built the plan's index")
+		t.Fatal("NewState, Prot or Clone built the plan's index")
 	}
 	st.MLU()
 	if plan.index == nil {
@@ -491,7 +490,7 @@ func allocBytes(runs int, f func()) float64 {
 // the failed link, plus the protection rows crossing it.
 func TestStateAllocationIsProportionalToWhatItWrites(t *testing.T) {
 	plan := abilenePlan(t)
-	K, nL := len(plan.Base.Frac), plan.G.NumLinks()
+	K, nL := len(plan.Base), plan.G.NumLinks()
 	const word = 8
 
 	// Per link: a protection row header (3 words) and an ownership flag;
@@ -528,8 +527,8 @@ func TestStateAllocationIsProportionalToWhatItWrites(t *testing.T) {
 			t.Fatalf("link %d: %d cells per row (%.0f B) cannot be told from a dense row (%d B)", e, cells, cellBytes, nL*word)
 		}
 		base, prot := 0, 0
-		for _, fr := range plan.Base.Frac {
-			if fr[e] != 0 {
+		for k := range plan.Base {
+			if planCell(&plan.Base[k], int32(e)) != 0 {
 				base++
 			}
 		}
@@ -570,7 +569,7 @@ func TestStateRejectsNonFiniteDetours(t *testing.T) {
 			if err := st.FailWith(e, bent); err == nil {
 				t.Fatalf("FailWith(%d) accepted %v on link %d", e, bad, l)
 			}
-			if st.HasFailed(e) || st.Detour(e) != nil || !st.BaseEquals(pristine, 0) || !st.ProtEquals(pristine, 0) {
+			if st.Failed().Contains(e) || st.Detour(e) != nil || !st.BaseEquals(pristine, 0) || !st.ProtEquals(pristine, 0) {
 				t.Fatalf("FailWith(%d) with %v on link %d was rejected but changed the state", e, bad, l)
 			}
 			if !sameBits(st.Loads(), pristine.Loads()) || math.Float64bits(st.MLU()) != math.Float64bits(mlu) {
@@ -595,7 +594,7 @@ func TestStateRejectsNonFiniteDetours(t *testing.T) {
 	}
 
 	// One commodity's demand turns NaN: the links it uses carry NaN.
-	c := plan.Base.Comms[0]
+	c := plan.Comms[0]
 	one := NewState(plan)
 	one.ScaleDemands(math.NaN(), []OD{{c.Src, c.Dst}})
 	if m := one.MLU(); !math.IsNaN(m) {

@@ -73,7 +73,7 @@ func FuzzStateOracle(f *testing.F) {
 				// The commodities whose index matches the argument's low
 				// bits.
 				ods := []OD{}
-				for k, c := range plan.Base.Comms {
+				for k, c := range plan.Comms {
 					if k%8 == int(arg)%8 {
 						ods = append(ods, OD{c.Src, c.Dst})
 					}

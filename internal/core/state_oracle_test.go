@@ -31,7 +31,7 @@ func newEagerState(plan *Plan) *eagerState {
 	}
 	return &eagerState{
 		g:       plan.G,
-		base:    plan.Base.Clone(),
+		base:    denseBase(plan),
 		prot:    prot,
 		detours: make(map[graph.LinkID][]float64),
 	}

@@ -34,7 +34,7 @@ func TestPrecomputeVariationsThreeMatrices(t *testing.T) {
 	// Every hull vertex must be covered; by convexity that covers the
 	// whole hull (constraint (17)).
 	for i, d := range mats {
-		fl := plan.Base.Clone()
+		fl := denseBase(plan)
 		fl.SetDemands(d.At)
 		loads := fl.Loads()
 		for e := 0; e < g.NumLinks(); e++ {
@@ -49,7 +49,7 @@ func TestPrecomputeVariationsThreeMatrices(t *testing.T) {
 	for _, m := range mats {
 		mid = mid.Add(m.Clone().Scale(1.0 / 3.0))
 	}
-	fl := plan.Base.Clone()
+	fl := denseBase(plan)
 	fl.SetDemands(mid.At)
 	loads := fl.Loads()
 	for e := 0; e < g.NumLinks(); e++ {

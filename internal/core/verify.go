@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "fmt"
 
 // VerifyReport is the result of empirically checking a plan's guarantee
 // by replaying scenarios through online reconfiguration.
@@ -16,9 +12,6 @@ type VerifyReport struct {
 	// WorstMLU is the highest post-reconfiguration utilization observed
 	// (against effective capacities for degradation scenarios).
 	WorstMLU float64
-	// WorstScenario is the hard-failure set of the scenario achieving
-	// WorstMLU (kept for callers predating mixed scenario kinds).
-	WorstScenario graph.LinkSet
 	// Worst is the full scenario achieving WorstMLU.
 	Worst Scenario
 	// Partitions counts scenarios that stranded demand.
@@ -62,7 +55,6 @@ func (p *Plan) VerifyScenarios(scs []Scenario) (*VerifyReport, error) {
 		mlu := st.MLU()
 		if mlu > rep.WorstMLU {
 			rep.WorstMLU = mlu
-			rep.WorstScenario = sc.Failed.Clone()
 			rep.Worst = sc
 		}
 		if mlu > bound {

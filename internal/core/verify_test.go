@@ -23,7 +23,7 @@ func TestVerifyCertifiedPlan(t *testing.T) {
 	}
 	if rep.Violations != 0 {
 		t.Fatalf("certified plan has %d violations (worst %v at %v)",
-			rep.Violations, rep.WorstMLU, rep.WorstScenario)
+			rep.Violations, rep.WorstMLU, rep.Worst.Failed)
 	}
 	if rep.WorstMLU > plan.MLU+1e-6 {
 		t.Fatalf("worst %v above plan bound %v", rep.WorstMLU, plan.MLU)

@@ -41,11 +41,12 @@ func TestPrecomputeLPWarmBasisMatchesCold(t *testing.T) {
 	if math.Abs(warm.MLU-cold2.MLU) > 1e-9 {
 		t.Fatalf("warm MLU %v != cold MLU %v", warm.MLU, cold2.MLU)
 	}
-	for k := range cold2.Base.Frac {
-		for e := range cold2.Base.Frac[k] {
-			if math.Abs(warm.Base.Frac[k][e]-cold2.Base.Frac[k][e]) > 1e-9 {
+	wb, cb := denseBase(warm), denseBase(cold2)
+	for k := range cb.Frac {
+		for e := range cb.Frac[k] {
+			if math.Abs(wb.Frac[k][e]-cb.Frac[k][e]) > 1e-9 {
 				t.Fatalf("base frac differs at comm %d link %d: warm %v, cold %v",
-					k, e, warm.Base.Frac[k][e], cold2.Base.Frac[k][e])
+					k, e, wb.Frac[k][e], cb.Frac[k][e])
 			}
 		}
 	}

@@ -296,9 +296,9 @@ func Figure9(w *USISPWorkload, beta float64, o Options) *Figure9Result {
 // planBottleneck is a plan's base-routing bottleneck under demand d with
 // no failures.
 func planBottleneck(plan *core.Plan, d *traffic.Matrix) float64 {
-	fl := plan.Base.Clone()
-	fl.SetDemands(d.At)
-	return protect.Bottleneck(plan.G, graph.LinkSet{}, fl.Loads())
+	st := core.NewState(plan)
+	st.SetDemands(d.At)
+	return protect.Bottleneck(plan.G, graph.LinkSet{}, st.Loads())
 }
 
 // Print writes the series.

@@ -79,7 +79,7 @@ func TestCapScaleNilIdentity(t *testing.T) {
 	if plain.MLU != nilScale.MLU {
 		t.Fatalf("nil CapScale changed the solve: %v vs %v", nilScale.MLU, plain.MLU)
 	}
-	pf, nf := plain.Flow(), nilScale.Flow()
+	pf, nf := denseFlow(plain), denseFlow(nilScale)
 	for e := 0; e < g.NumLinks(); e++ {
 		for k := range pf.Frac {
 			if pf.Frac[k][e] != nf.Frac[k][e] {

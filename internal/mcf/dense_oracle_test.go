@@ -12,6 +12,16 @@ import (
 	"repro/internal/traffic"
 )
 
+// denseFlow is the dense view of a Result's rows: a [commodity][link]
+// matrix for tests that index fractions by link.
+func denseFlow(r *Result) *routing.Flow {
+	f := routing.NewFlow(r.g, r.comms)
+	for k := range r.Rows {
+		r.Rows[k].Scatter(f.Frac[k])
+	}
+	return f
+}
+
 // denseResult is what MinMLU's Result was while it held a dense Flow.
 type denseResult struct {
 	Flow    *routing.Flow
@@ -272,7 +282,7 @@ func TestMinMLUMatchesDenseOracle(t *testing.T) {
 				if math.Float64bits(got.MLU) != math.Float64bits(want.MLU) {
 					t.Fatalf("MLU = %v, dense oracle %v", got.MLU, want.MLU)
 				}
-				gotFlow := got.Flow()
+				gotFlow := denseFlow(got)
 				for k := range want.Flow.Frac {
 					for e, w := range want.Flow.Frac[k] {
 						if v := gotFlow.Frac[k][e]; math.Float64bits(v) != math.Float64bits(w) {

@@ -83,19 +83,9 @@ type Result struct {
 	Basis *lp.Basis
 
 	g *graph.Graph
-	// comms is the caller's slice, read by Flow, AddLoads and Lost: a
+	// comms is the caller's slice, read by AddLoads and Lost: a
 	// caller that changes it afterwards changes what they report.
 	comms []routing.Commodity
-}
-
-// Flow returns the dense view of the rows, built on each call: a
-// [commodity][link] matrix for callers that index fractions by link.
-func (r *Result) Flow() *routing.Flow {
-	f := routing.NewFlow(r.g, r.comms)
-	for k := range r.Rows {
-		r.Rows[k].Scatter(f.Frac[k])
-	}
-	return f
 }
 
 // AddLoads accumulates every commodity's demand × fraction into loads (of

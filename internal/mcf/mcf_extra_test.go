@@ -49,7 +49,7 @@ func TestAliveAndBackgroundCombined(t *testing.T) {
 	if math.Abs(res.MLU-0.7) > 1e-6 {
 		t.Fatalf("MLU = %v, want 0.7 ((4+3)/10)", res.MLU)
 	}
-	if res.Flow().Frac[0][2] != 0 {
+	if denseFlow(res).Frac[0][2] != 0 {
 		t.Fatalf("flow on failed link")
 	}
 }

@@ -28,7 +28,7 @@ func TestMinMLUParallelLinksProportional(t *testing.T) {
 	g, a, b := parallel2(t)
 	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20, Link: -1}}
 	res := MinMLU(g, comms, Options{Iterations: 400})
-	if err := res.Flow().Validate(1e-6); err != nil {
+	if err := denseFlow(res).Validate(1e-6); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 	if math.Abs(res.MLU-0.5) > 0.02 {
@@ -46,7 +46,7 @@ func TestMinMLUExactParallelLinks(t *testing.T) {
 	if math.Abs(res.MLU-0.5) > 1e-6 {
 		t.Fatalf("exact MLU = %v, want 0.5", res.MLU)
 	}
-	if err := res.Flow().Validate(1e-6); err != nil {
+	if err := denseFlow(res).Validate(1e-6); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 }
@@ -109,14 +109,14 @@ func TestMinMLUDropsPartitioned(t *testing.T) {
 	if res.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", res.Dropped)
 	}
-	for e, v := range res.Flow().Frac[0] {
+	for e, v := range denseFlow(res).Frac[0] {
 		if v != 0 {
 			t.Fatalf("dropped commodity routed on link %d: %v", e, v)
 		}
 	}
 	// b->a still routed.
 	var sum float64
-	for _, v := range res.Flow().Frac[1] {
+	for _, v := range denseFlow(res).Frac[1] {
 		sum += v
 	}
 	if sum == 0 {
@@ -142,8 +142,8 @@ func TestMinMLUAvoidsFailedLinks(t *testing.T) {
 	fail := graph.NewLinkSet(2) // big a->b link down
 	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}}
 	res := MinMLU(g, comms, Options{Alive: fail.Alive(), Iterations: 100})
-	if res.Flow().Frac[0][2] != 0 {
-		t.Fatalf("flow on failed link: %v", res.Flow().Frac[0][2])
+	if denseFlow(res).Frac[0][2] != 0 {
+		t.Fatalf("flow on failed link: %v", denseFlow(res).Frac[0][2])
 	}
 	if math.Abs(res.MLU-0.5) > 1e-6 {
 		t.Fatalf("MLU = %v, want 0.5 (5 over cap 10)", res.MLU)
@@ -179,7 +179,7 @@ func TestMinMLUDiamondAvoidsHotPath(t *testing.T) {
 	if res.MLU > 0.65 {
 		t.Fatalf("MLU = %v, want ~0.6", res.MLU)
 	}
-	if err := res.Flow().Validate(1e-6); err != nil {
+	if err := denseFlow(res).Validate(1e-6); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
 }
@@ -189,14 +189,14 @@ func TestMinMLUFullGravityOnSBC(t *testing.T) {
 	tm := traffic.Gravity(g, 0.3*topo.OC192*float64(g.NumNodes()), 3)
 	comms := routing.ODCommodities(g.NumNodes(), tm.At)
 	res := MinMLU(g, comms, Options{Iterations: 150})
-	if err := res.Flow().Validate(1e-5); err != nil {
+	if err := denseFlow(res).Validate(1e-5); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 	if res.MLU <= 0 || math.IsNaN(res.MLU) {
 		t.Fatalf("MLU = %v", res.MLU)
 	}
 	// Sanity: loads derived from flow match the claimed MLU.
-	loads := res.Flow().Loads()
+	loads := denseFlow(res).Loads()
 	if got := routing.MLU(g, loads); math.Abs(got-res.MLU) > 1e-9 {
 		t.Fatalf("claimed MLU %v but loads give %v", res.MLU, got)
 	}

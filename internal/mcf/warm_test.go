@@ -58,7 +58,7 @@ func TestMinMLUExactWarmMatchesColdAcrossFailures(t *testing.T) {
 		if math.Abs(cold.MLU-warm.MLU) > 1e-6*(1+cold.MLU) {
 			t.Fatalf("link %d: warm MLU %v != cold MLU %v", e, warm.MLU, cold.MLU)
 		}
-		if err := warm.Flow().Validate(1e-6); err != nil {
+		if err := denseFlow(warm).Validate(1e-6); err != nil {
 			t.Fatalf("link %d: warm flow invalid: %v", e, err)
 		}
 	}
@@ -93,8 +93,8 @@ func TestMinMLUExactKillRowsMatchLegacySemantics(t *testing.T) {
 		t.Fatalf("MLU = %v, want 0.8 (all 8 units on the capacity-10 link)", res.MLU)
 	}
 	for e := 0; e < g.NumLinks(); e++ {
-		if failed.Contains(graph.LinkID(e)) && res.Flow().Frac[0][e] != 0 {
-			t.Fatalf("flow %v on failed link %d", res.Flow().Frac[0][e], e)
+		if failed.Contains(graph.LinkID(e)) && denseFlow(res).Frac[0][e] != 0 {
+			t.Fatalf("flow %v on failed link %d", denseFlow(res).Frac[0][e], e)
 		}
 	}
 }

@@ -188,7 +188,8 @@ func Build(plan *core.Plan) *Network {
 		copy(r.salt[:], h.Sum(nil))
 		n.Routers[v] = r
 	}
-	n.program()
+	n.programILM()
+	n.programFIB(plan)
 	return n
 }
 
@@ -288,12 +289,6 @@ func (n *Network) ProgramColumn(lid graph.LinkID, frac []float64) {
 	n.programColumn(lid, frac)
 }
 
-// program builds both tables at setup time.
-func (n *Network) program() {
-	n.programILM()
-	n.programFIB()
-}
-
 // programILM rebuilds every router's ILM from the current state.
 func (n *Network) programILM() {
 	g := n.G
@@ -317,26 +312,19 @@ func (n *Network) programILM() {
 	}
 }
 
-// programFIB installs the base routing next hops per OD pair. Called once
-// at Build: the base FIB is never reprogrammed on failures.
-func (n *Network) programFIB() {
-	g := n.G
-	base := n.state.Base()
-	for _, r := range n.Routers {
-		r.FIB = make(map[[2]graph.NodeID][]NHLFE)
-	}
-	for k, c := range base.Comms {
-		fr := base.Frac[k]
-		for v := 0; v < g.NumNodes(); v++ {
-			node := graph.NodeID(v)
-			var entries []NHLFE
-			for _, id := range g.Out(node) {
-				if fr[id] > 1e-12 {
-					entries = append(entries, NHLFE{Out: id, Ratio: fr[id]})
-				}
-			}
-			if entries != nil {
-				n.Routers[v].FIB[[2]graph.NodeID{c.Src, c.Dst}] = entries
+// programFIB installs the plan's base routing next hops per OD pair.
+// Called once at Build: the base FIB is never reprogrammed on failures.
+// A row's links ascend, and so does every node's out-link list, so each
+// router's entries come in out-link order.
+func (n *Network) programFIB(plan *core.Plan) {
+	for k, c := range plan.Comms {
+		od := [2]graph.NodeID{c.Src, c.Dst}
+		row := plan.Base[k]
+		for j, l := range row.Idx {
+			if v := row.Val[j]; v > 1e-12 {
+				id := graph.LinkID(l)
+				r := n.Routers[n.G.Link(id).Src]
+				r.FIB[od] = append(r.FIB[od], NHLFE{Out: id, Ratio: v})
 			}
 		}
 	}

@@ -62,7 +62,12 @@ func TestProgramColumnSkipsUnprotectable(t *testing.T) {
 	}
 }
 
-// planFor assembles a minimal plan for data-plane tests.
+// planFor assembles a minimal plan for data-plane tests, its base rows the
+// nonzeros of base.
 func planFor(g *graph.Graph, base *routing.Flow, prot [][]float64) *core.Plan {
-	return &core.Plan{G: g, Model: core.ArbitraryFailures{F: 1}, Base: base, Prot: prot}
+	rows := make([]routing.SparseRow, len(base.Frac))
+	for k, fr := range base.Frac {
+		rows[k].SetDense(fr)
+	}
+	return &core.Plan{G: g, Model: core.ArbitraryFailures{F: 1}, Comms: base.Comms, Base: rows, Prot: prot}
 }

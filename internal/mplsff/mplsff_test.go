@@ -2,6 +2,7 @@ package mplsff
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -111,7 +112,7 @@ func TestILMProgramming(t *testing.T) {
 
 func TestFIBCoversAllPairs(t *testing.T) {
 	plan, n := buildAbilene(t)
-	for _, c := range plan.Base.Comms {
+	for _, c := range plan.Comms {
 		src := n.Routers[c.Src]
 		if _, ok := src.FIB[[2]graph.NodeID{c.Src, c.Dst}]; !ok {
 			t.Fatalf("source router %d missing FIB entry for %d->%d", c.Src, c.Src, c.Dst)
@@ -122,13 +123,12 @@ func TestFIBCoversAllPairs(t *testing.T) {
 func TestFIBRatiosMatchBaseFlow(t *testing.T) {
 	plan, n := buildAbilene(t)
 	g := plan.G
-	base := plan.Base
-	for k, c := range base.Comms {
+	for k, c := range plan.Comms {
 		entries := n.Routers[c.Src].FIB[[2]graph.NodeID{c.Src, c.Dst}]
 		var sum float64
 		for _, e := range entries {
 			sum += e.Ratio
-			if base.Frac[k][e.Out] <= 0 {
+			if j, ok := slices.BinarySearch(plan.Base[k].Idx, int32(e.Out)); !ok || plan.Base[k].Val[j] <= 0 {
 				t.Fatalf("FIB entry for zero-fraction link")
 			}
 		}

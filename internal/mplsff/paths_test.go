@@ -65,7 +65,7 @@ func TestDetourPathsPartition(t *testing.T) {
 	base := routingFlowForTest(g, a, b)
 	prot := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
 	// p_l(l) = 1: unprotectable by construction.
-	plan := &core.Plan{G: g, Model: core.ArbitraryFailures{F: 1}, Base: base, Prot: prot}
+	plan := planFor(g, base, prot)
 	st := core.NewState(plan)
 	if err := st.Fail(0); err != nil {
 		t.Fatal(err)

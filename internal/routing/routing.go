@@ -81,7 +81,18 @@ func (f *Flow) Clone() *Flow {
 }
 
 // Validate checks conditions [R1]–[R4] for every commodity within
-// tolerance eps:
+// tolerance eps (see Commodity.Validate).
+func (f *Flow) Validate(eps float64) error {
+	for k, c := range f.Comms {
+		if err := c.Validate(f.G, f.Frac[k], eps); err != nil {
+			return fmt.Errorf("commodity %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
+// Validate checks conditions [R1]–[R4] for the commodity's dense row fr
+// within tolerance eps:
 //
 //	[R1] flow conservation at nodes other than the commodity endpoints;
 //	[R2] the source emits exactly one unit;
@@ -89,45 +100,42 @@ func (f *Flow) Clone() *Flow {
 //	[R4] every fraction lies in [0, 1] (NaN does not).
 //
 // A commodity whose source equals its destination is rejected.
-func (f *Flow) Validate(eps float64) error {
-	for k, c := range f.Comms {
-		if c.Src == c.Dst {
-			return fmt.Errorf("commodity %d: source equals destination", k)
+func (c Commodity) Validate(g *graph.Graph, fr []float64, eps float64) error {
+	if c.Src == c.Dst {
+		return fmt.Errorf("source equals destination")
+	}
+	for e, v := range fr {
+		if !(v >= -eps && v <= 1+eps) { // NaN fails both
+			return fmt.Errorf("frac[%d] = %v outside [0,1] [R4]", e, v)
 		}
-		fr := f.Frac[k]
-		for e, v := range fr {
-			if !(v >= -eps && v <= 1+eps) { // NaN fails both
-				return fmt.Errorf("commodity %d: frac[%d] = %v outside [0,1] [R4]", k, e, v)
-			}
+	}
+	var srcOut, srcIn float64
+	for _, id := range g.Out(c.Src) {
+		srcOut += fr[id]
+	}
+	for _, id := range g.In(c.Src) {
+		srcIn += fr[id]
+	}
+	if math.Abs(srcOut-1) > eps {
+		return fmt.Errorf("source emits %v, want 1 [R2]", srcOut)
+	}
+	if srcIn > eps {
+		return fmt.Errorf("%v flows back into source [R3]", srcIn)
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		node := graph.NodeID(n)
+		if node == c.Src || node == c.Dst {
+			continue
 		}
-		var srcOut, srcIn float64
-		for _, id := range f.G.Out(c.Src) {
-			srcOut += fr[id]
+		var in, out float64
+		for _, id := range g.In(node) {
+			in += fr[id]
 		}
-		for _, id := range f.G.In(c.Src) {
-			srcIn += fr[id]
+		for _, id := range g.Out(node) {
+			out += fr[id]
 		}
-		if math.Abs(srcOut-1) > eps {
-			return fmt.Errorf("commodity %d: source emits %v, want 1 [R2]", k, srcOut)
-		}
-		if srcIn > eps {
-			return fmt.Errorf("commodity %d: %v flows back into source [R3]", k, srcIn)
-		}
-		for n := 0; n < f.G.NumNodes(); n++ {
-			node := graph.NodeID(n)
-			if node == c.Src || node == c.Dst {
-				continue
-			}
-			var in, out float64
-			for _, id := range f.G.In(node) {
-				in += fr[id]
-			}
-			for _, id := range f.G.Out(node) {
-				out += fr[id]
-			}
-			if math.Abs(in-out) > eps {
-				return fmt.Errorf("commodity %d: conservation violated at node %d (in %v, out %v) [R1]", k, n, in, out)
-			}
+		if math.Abs(in-out) > eps {
+			return fmt.Errorf("conservation violated at node %d (in %v, out %v) [R1]", n, in, out)
 		}
 	}
 	return nil

@@ -33,6 +33,23 @@ func (r *SparseRow) SetDense(dense []float64) {
 	}
 }
 
+// Pack moves the rows into one shared array of links and one of
+// fractions, in row order and without spare capacity, and returns them:
+// a frozen routing's rows then lie side by side, as a compressed matrix's.
+func Pack(rows []SparseRow) []SparseRow {
+	n := 0
+	for _, r := range rows {
+		n += len(r.Idx)
+	}
+	idx, val := make([]int32, 0, n), make([]float64, 0, n)
+	for k, r := range rows {
+		lo, hi := len(idx), len(idx)+len(r.Idx)
+		idx, val = append(idx, r.Idx...), append(val, r.Val...)
+		rows[k] = SparseRow{Idx: idx[lo:hi:hi], Val: val[lo:hi:hi]}
+	}
+	return rows
+}
+
 // SetPath makes the row the indicator of a simple path.
 func (r *SparseRow) SetPath(path []graph.LinkID) {
 	if cap(r.Idx) < len(path) || cap(r.Val) < len(path) {

@@ -211,7 +211,7 @@ func (sc *scheduler) activate(idx []int) {
 	} else {
 		sc.detour(round)
 	}
-	round.LPMLU, round.CertifyErr = sc.cert.certify(sc.plan.Base.Comms, mcf.Options{Alive: sc.data.Failed().Alive()})
+	round.LPMLU, round.CertifyErr = sc.cert.certify(sc.plan.Comms, mcf.Options{Alive: sc.data.Failed().Alive()})
 	round.Delta = sc.advance(sc.materialize(sc.data))
 	sc.emit(round)
 	sc.cum = next

@@ -68,7 +68,7 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 	startNet, targetNet := mplsff.Build(old), mplsff.Build(next)
 	seq := r.seq
 	seq.Final = targetNet
-	seq.FinalMLU = routing.MLU(next.G, next.Base.Loads())
+	seq.FinalMLU = routing.MLU(next.G, core.NewState(next).Loads())
 	seq.TransientMLU = seq.FinalMLU
 
 	whole := mplsff.Diff(startNet, targetNet)
@@ -127,7 +127,7 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 	// (or was never asked for) a feasible routing but the scheduler could
 	// not reach it in envelope-safe batches, the swap is stuck.
 	over := "transition.swap_stuck"
-	if sw.feasFlow != nil && sw.feasMLU > feasTol {
+	if sw.feasRows != nil && sw.feasMLU > feasTol {
 		over = "transition.best_effort"
 	}
 	return r.finish(len(sw.groups), over), nil
@@ -196,7 +196,7 @@ type swapper struct {
 
 	// Interim feasibility LP (solved at most once, on the first stuck
 	// round): can the full in-flight demand mix be routed at all?
-	feasFlow *routing.Flow
+	feasRows []routing.SparseRow
 	feasMLU  float64
 	// interims is each group's demand-weighted load vector on that LP's
 	// routing, at its worst-case migration demand.
@@ -221,19 +221,19 @@ func newSwapper(old, next *core.Plan, r *run) *swapper {
 	// Each OD's demand and base row under the old plan [0] and the new [1]
 	// (zero where the plan lacks the OD), in OD order.
 	type side struct {
-		d  float64
-		fr []float64
+		d   float64
+		row *routing.SparseRow
 	}
 	sides := make(map[[2]graph.NodeID]*[2]side)
 	var keys [][2]graph.NodeID
-	for which, base := range []*routing.Flow{old.Base, next.Base} {
-		for k, c := range base.Comms {
+	for which, plan := range []*core.Plan{old, next} {
+		for k, c := range plan.Comms {
 			od := [2]graph.NodeID{c.Src, c.Dst}
 			if sides[od] == nil {
 				sides[od] = new([2]side)
 				keys = append(keys, od)
 			}
-			sides[od][which] = side{c.Demand, base.Frac[k]}
+			sides[od][which] = side{c.Demand, &plan.Base[k]}
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -244,10 +244,10 @@ func newSwapper(old, next *core.Plan, r *run) *swapper {
 	})
 
 	for _, od := range keys {
-		dOld, frOld := sides[od][0].d, sides[od][0].fr
-		dNew, frNew := sides[od][1].d, sides[od][1].fr
+		dOld, frOld := sides[od][0].d, sides[od][0].row
+		dNew, frNew := sides[od][1].d, sides[od][1].row
 		d := max(dOld, dNew)
-		if frOld != nil && slices.Equal(frOld, frNew) {
+		if frOld != nil && frNew != nil && slices.Equal(frOld.Idx, frNew.Idx) && slices.Equal(frOld.Val, frNew.Val) {
 			// Identical rows in both plans: the delta never touches this
 			// OD, so it rides as background at the worse of its two loads
 			// (only the demand may have shifted).
@@ -272,13 +272,15 @@ func newSwapper(old, next *core.Plan, r *run) *swapper {
 	return sw
 }
 
-func scaleVec(d float64, fr []float64, E int) []float64 {
+// scaleVec returns d times the row (all zero without one) as a dense
+// vector over E links.
+func scaleVec(d float64, row *routing.SparseRow, E int) []float64 {
 	v := make([]float64, E)
-	if fr == nil || d == 0 {
+	if row == nil || d == 0 {
 		return v
 	}
-	for e := range v {
-		v[e] = d * fr[e]
+	for j, l := range row.Idx {
+		v[l] = d * row.Val[j]
 	}
 	return v
 }
@@ -511,7 +513,7 @@ func (sw *swapper) maskEnvelope(cum, add uint64) float64 {
 // supplies the interim routing targets. It rides the certificates' warm
 // chain: same commodities, same LP shape.
 func (sw *swapper) interimFeasible() bool {
-	if sw.feasFlow == nil {
+	if sw.feasRows == nil {
 		for i := range sw.comms {
 			sw.comms[i].Demand = sw.groups[i].demand
 		}
@@ -519,9 +521,9 @@ func (sw *swapper) interimFeasible() bool {
 		if err != nil {
 			return false
 		}
-		sw.feasFlow, sw.feasMLU = res.Flow(), res.MLU
+		sw.feasRows, sw.feasMLU = res.Rows, res.MLU
 		for i, grp := range sw.groups {
-			sw.interims = append(sw.interims, scaleVec(grp.demand, sw.feasFlow.Frac[i], len(sw.caps)))
+			sw.interims = append(sw.interims, scaleVec(grp.demand, &sw.feasRows[i], len(sw.caps)))
 		}
 	}
 	return sw.feasMLU <= feasTol
@@ -530,17 +532,17 @@ func (sw *swapper) interimFeasible() bool {
 // programInterim overwrites the network's FIB rows for group i's OD with
 // the LP interim routing fractions (same thresholding as Build).
 func (sw *swapper) programInterim(cu *mplsff.Network, i int) {
-	fr := sw.feasFlow.Frac[i]
-	od := sw.groups[i].od
-	for v := 0; v < sw.g.NumNodes(); v++ {
-		node := graph.NodeID(v)
-		var entries []mplsff.NHLFE
-		for _, id := range sw.g.Out(node) {
-			if fr[id] > 1e-12 {
-				entries = append(entries, mplsff.NHLFE{Out: id, Ratio: fr[id]})
-			}
+	row := &sw.feasRows[i]
+	entries := make([][]mplsff.NHLFE, sw.g.NumNodes())
+	for j, l := range row.Idx {
+		if v := row.Val[j]; v > 1e-12 {
+			id := graph.LinkID(l)
+			u := sw.g.Link(id).Src
+			entries[u] = append(entries[u], mplsff.NHLFE{Out: id, Ratio: v})
 		}
-		cu.SetFIBRow(node, od, entries)
+	}
+	for v, e := range entries {
+		cu.SetFIBRow(graph.NodeID(v), sw.groups[i].od, e)
 	}
 }
 

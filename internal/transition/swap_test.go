@@ -3,6 +3,7 @@ package transition
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -140,10 +141,16 @@ func TestSchedulePlanSwapMultiRound(t *testing.T) {
 	// must exceed capacity — the case the old single-round code shipped
 	// with an unsound "elementwise max of the two states" bound.
 	oneShot := make([]float64, g.NumLinks())
-	for k := range old.Base.Comms {
-		dOld, dNew := old.Base.Comms[k].Demand, next.Base.Comms[k].Demand
+	cell := func(p *core.Plan, k, e int) float64 {
+		if j, ok := slices.BinarySearch(p.Base[k].Idx, int32(e)); ok {
+			return p.Base[k].Val[j]
+		}
+		return 0
+	}
+	for k := range old.Comms {
+		dOld, dNew := old.Comms[k].Demand, next.Comms[k].Demand
 		for e := range oneShot {
-			o, n := dOld*old.Base.Frac[k][e], dNew*next.Base.Frac[k][e]
+			o, n := dOld*cell(old, k, e), dNew*cell(next, k, e)
 			if n > o {
 				oneShot[e] += n
 			} else {

@@ -260,7 +260,7 @@ func TestSchedulePropertyRandomInstances(t *testing.T) {
 				// solve of the post-round scenario must agree with the
 				// warm-started certificate chain.
 				failed := failedAfter(seq, i)
-				cold, err := mcf.MinMLUExact(g, plan.Base.Comms, mcf.Options{Alive: failed.Alive()})
+				cold, err := mcf.MinMLUExact(g, plan.Comms, mcf.Options{Alive: failed.Alive()})
 				if err != nil {
 					t.Fatalf("round %d cold certificate: %v", r.Seq, err)
 				}
