@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke profile-fw fuzz-smoke chaos transition daemon degrade
+.PHONY: all build vet test race cover bench bench-smoke exact-ref profile-fw fuzz-smoke chaos transition daemon degrade
 
 all: build vet test
 
@@ -36,7 +36,8 @@ bench:
 # bench-smoke runs the hot-path gates (DESIGN.md §4–§8): zero-allocation
 # kernels and sweeps, the pinned-base allocation ceiling, worst-load
 # differentials, the dense oracles of the sparse commodity rows, of loop
-# cancellation and of the sparse protection half, the canonical form of
+# cancellation and of the sparse protection half, the per-OD oracle of the
+# per-destination exact LP (optimum, valid rows, loads), the canonical form of
 # every plan's sparse base rows against their dense view, the paired
 # line-search probes against single ones, the block sweeps' line-search
 # objective against its documented contract, the pinned plan digests, the
@@ -47,9 +48,15 @@ bench:
 # nested benchmark module (bench/ has its own go.mod, so the root `go test
 # ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# exact-ref pins the exact min-MLU references under r3plan's default
+# traffic that are too slow for the tier-1 suite: generated-100's optimum
+# (about a minute). UUNet's reference runs in go test ./... as well.
+exact-ref:
+	$(GO) test -count=1 -tags exactref -run 'TestExactReference' ./internal/mcf
 
 # profile-fw captures CPU and allocation profiles of a precompute on the
 # generated topology via r3plan's -cpuprofile/-memprofile flags; inspect

@@ -241,8 +241,8 @@ type Engine struct {
 	// exact LP solver instead of Frank–Wolfe. The engine solves the
 	// no-failure scenario serially first and warm-starts every scenario's
 	// solve from that basis (set once, so results are deterministic at
-	// any worker count); connectivity-preserving scenarios share one LP
-	// shape and typically re-solve in a few dual-simplex pivots. Intended
+	// any worker count); every scenario, partitions included, shares one
+	// LP shape and typically re-solves in a few dual-simplex pivots. Intended
 	// for small topologies.
 	ExactOptimal bool
 	// Workers bounds evaluation concurrency (default GOMAXPROCS).

@@ -46,9 +46,9 @@ type Options struct {
 	// and the solve is bit-identical to one without the option.
 	CapScale []float64
 	// Warm, when non-nil, seeds MinMLUExact's simplex with the basis of a
-	// previous solve over the same (topology, commodities, reachability)
-	// shape — failure scenarios differ only in rhs entries, so the dual
-	// simplex repairs the basis in a few pivots instead of a full
+	// previous solve over the same topology and commodity destinations —
+	// failures, partitions and demands differ only in rhs entries, so the
+	// dual simplex repairs the basis in a few pivots instead of a full
 	// two-phase run. A basis from a different shape falls back to a cold
 	// solve. MinMLU ignores it.
 	Warm *lp.Basis
@@ -412,173 +412,251 @@ func allZeroDemand(comms []routing.Commodity) bool {
 	return true
 }
 
-// MinMLUExact solves the min-MLU LP exactly with the simplex solver.
-// Intended for small instances (the LP has |comms|×|E| variables).
-// Unreachable commodities are dropped, as in MinMLU.
+// MinMLUExact solves the min-MLU LP exactly with the simplex solver, over
+// one flow per destination (solveDest): N×L variables where a
+// per-commodity LP has K×L. Only link loads enter the objective and the
+// capacity rows, and the load on a link is the sum of the destination
+// flows on it, so the aggregate has the per-commodity LP's optimum;
+// splitRows turns each destination's flow back into per-commodity rows
+// with the same loads. Unreachable commodities are dropped, as in MinMLU.
 //
-// The LP keeps an identical constraint shape for every failure pattern
-// on a given (topology, commodities) pair: every commodity gets a
-// variable on every link, and a failed link is expressed purely through
-// the rhs of its per-link "kill" row (and a zeroed capacity-row rhs)
-// rather than by deleting columns. A basis from one scenario therefore
-// warm-starts the next through Options.Warm; only a change in the
-// reachability pattern (a partition dropping commodities) changes the
-// shape, and then the solver falls back to a cold solve on its own.
+// The LP's shape is a function of the topology and the commodities'
+// destinations alone. A failed link is the rhs of its kill row (and a
+// zeroed capacity-row rhs); a demand, and an unreachable pair's supply of
+// 0, are the rhs of a conservation row. A basis from one scenario — a
+// failure, a partition, new demands — therefore warm-starts the next
+// through Options.Warm, and the dual simplex repairs it.
 func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Result, error) {
 	opts.defaults()
 	nL := g.NumLinks()
-	down := downSet(nL, opts.Alive)
-	aliveLinks := make([]bool, nL)
-	for e := 0; e < nL; e++ {
-		aliveLinks[e] = down == nil || !down.Contains(graph.LinkID(e))
-	}
+	o := newPathOracle(g, comms, downSet(nL, opts.Alive))
 	bg := opts.Background
 	if bg == nil {
 		bg = make([]float64, nL)
 	}
+	capE := append([]float64(nil), g.CSR().Capacity...)
+	if opts.CapScale != nil {
+		for e := range capE {
+			capE[e] *= opts.CapScale[e]
+		}
+	}
+	sol, err := solveDest(o, capE, bg, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Rows: make([]routing.SparseRow, len(comms)), Dropped: o.dropped, Basis: sol.basis, g: g, comms: comms}
+	o.splitRows(g, sol, res.Rows)
+	final := append([]float64(nil), bg...)
+	res.AddLoads(final)
+	res.MLU = util(final, capE)
+	return res, nil
+}
 
-	o := newPathOracle(g, comms, down)
-	reach, dropped := o.reach, o.dropped
+// destSolution is the per-destination LP's optimum: flows[i] is dests[i]'s
+// flow on alive links per unit of its total supply totals[i], in ascending
+// link order.
+type destSolution struct {
+	dests  []graph.NodeID
+	flows  []routing.SparseRow
+	totals []float64
+	basis  *lp.Basis
+}
+
+// solveDest builds and solves the min-MLU LP over a variable f_t(e) for
+// every destination t of a commodity and every link e that does not leave
+// t (flow leaving its destination could only close a loop):
+//
+//	conservation  Σ_out f_t − Σ_in f_t = supply_t(v)  at every node v ≠ t
+//	capacity      Σ_t f_t(e) + bg_e <= MLU·c_e         (rhs 0 when e failed)
+//	kill          Σ_t f_t(e) <= U_e                   (U_e = 0 when e failed)
+//
+// supply_t(v) is the reachable demand from v to t, and an alive link's U_e
+// a slack above any loop-free total, never binding.
+func solveDest(o *pathOracle, capE, bg []float64, opts Options) (*destSolution, error) {
+	c, comms := o.csr, o.comms
+	nL, nN := c.NumLinks(), c.N
+	alive := func(e int) bool { return o.down == nil || !o.down.Contains(graph.LinkID(e)) }
+	// slot[t] is t's index in dests plus one, 0 when t is no destination.
+	slot := make([]int, nN)
+	for _, cm := range comms {
+		slot[cm.Dst] = 1
+	}
+	sol := &destSolution{}
+	for v := range slot {
+		if slot[v] != 0 {
+			sol.dests = append(sol.dests, graph.NodeID(v))
+			slot[v] = len(sol.dests)
+		}
+	}
+	supply := make([]float64, len(sol.dests)*nN)
+	sol.totals = make([]float64, len(sol.dests))
+	killSlack := 1.0
+	for k, cm := range comms {
+		if cm.Demand > 0 {
+			killSlack += cm.Demand
+			if o.reach[k] {
+				supply[(slot[cm.Dst]-1)*nN+int(cm.Src)] += cm.Demand
+				sol.totals[slot[cm.Dst]-1] += cm.Demand
+			}
+		}
+	}
 
 	p := lp.NewProblem()
 	p.Obs = opts.Obs
 	mluVar := p.AddVariable("MLU", 1)
-	// varOf[k*nL+e] is the variable index of commodity k on link e. Every
-	// (commodity, link) pair gets a variable so the shape is
-	// scenario-independent; kill rows force dead-link flow to zero.
-	varOf := make([]int, len(comms)*nL)
-	for i := range varOf {
-		varOf[i] = p.AddVariable("", 0)
-	}
-
-	// Routing constraints [R1]-[R3] per reachable commodity. An
-	// unreachable commodity instead has its whole row pinned to zero so
-	// it cannot carry junk flow into the capacity rows.
-	for k, c := range comms {
-		if !reach[k] {
-			terms := make([]lp.Term, 0, nL)
-			for e := 0; e < nL; e++ {
-				terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: 1})
-			}
-			p.AddConstraint(terms, lp.EQ, 0)
-			continue
-		}
-		// [R2] source emits one unit net (allowing no return flow [R3]).
-		var src []lp.Term
-		for _, id := range g.Out(c.Src) {
-			src = append(src, lp.Term{Var: varOf[k*nL+int(id)], Coef: 1})
-		}
-		p.AddConstraint(src, lp.EQ, 1)
-		// [R3] nothing enters the source.
-		for _, id := range g.In(c.Src) {
-			p.AddConstraint([]lp.Term{{Var: varOf[k*nL+int(id)], Coef: 1}}, lp.EQ, 0)
-		}
-		// [R1] conservation at intermediate nodes.
-		for n := 0; n < g.NumNodes(); n++ {
-			node := graph.NodeID(n)
-			if node == c.Src || node == c.Dst {
-				continue
-			}
-			var terms []lp.Term
-			for _, id := range g.In(node) {
-				terms = append(terms, lp.Term{Var: varOf[k*nL+int(id)], Coef: 1})
-			}
-			for _, id := range g.Out(node) {
-				terms = append(terms, lp.Term{Var: varOf[k*nL+int(id)], Coef: -1})
-			}
-			if terms != nil {
-				p.AddConstraint(terms, lp.EQ, 0)
+	// varOf[i*nL+e] is f_t(e)'s variable for t = dests[i], -1 when e leaves t.
+	varOf := make([]int, len(sol.dests)*nL)
+	for i, t := range sol.dests {
+		for e := 0; e < nL; e++ {
+			varOf[i*nL+e] = -1
+			if c.Src[e] != int32(t) {
+				varOf[i*nL+e] = p.AddVariable("", 0)
 			}
 		}
 	}
-
-	// Capacity: sum_k d_k f_k(e) + bg_e <= MLU * c_e. Failed links keep
-	// their row with a zero rhs (no background on a dead link); their
-	// flow terms are annihilated by the kill rows below, so the row
-	// degenerates to 0 <= MLU·c_e.
-	for e := 0; e < nL; e++ {
-		cEdge := g.Link(graph.LinkID(e)).Capacity
-		if opts.CapScale != nil {
-			// Degraded capacity changes only this coefficient, never the
-			// sparsity pattern, so warm bases stay shape-compatible across
-			// degradation scenarios exactly as across failure scenarios.
-			cEdge *= opts.CapScale[e]
+	var terms []lp.Term
+	add := func(i int, e int32, coef float64) {
+		if j := varOf[i*nL+int(e)]; j >= 0 {
+			terms = append(terms, lp.Term{Var: j, Coef: coef})
 		}
-		terms := []lp.Term{{Var: mluVar, Coef: -cEdge}}
-		for k, c := range comms {
-			if c.Demand > 0 {
-				terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: c.Demand})
+	}
+	for i, t := range sol.dests {
+		for v := 0; v < nN; v++ {
+			terms = terms[:0]
+			for _, e := range c.OutLinks[c.OutHead[v]:c.OutHead[v+1]] {
+				add(i, e, 1)
+			}
+			for _, e := range c.InLinks[c.InHead[v]:c.InHead[v+1]] {
+				add(i, e, -1)
+			}
+			if v != int(t) && len(terms) > 0 {
+				p.AddConstraint(terms, lp.EQ, supply[i*nN+v])
 			}
 		}
-		rhs := 0.0
-		if aliveLinks[e] {
-			rhs = -bg[e]
-		}
-		p.AddConstraint(terms, lp.LE, rhs)
-	}
-
-	// Kill rows: one per link, sum_k coef_k f_k(e) <= U_e with U_e = 0
-	// when the link is failed (forcing every commodity's flow on it to
-	// zero) and a slack bound exceeding any cycle-free total when alive
-	// (never binding). Failures flip only these rhs values, keeping the
-	// constraint matrix — and hence warm-start basis compatibility —
-	// scenario-invariant.
-	killSlack := 1.0
-	kcoef := make([]float64, len(comms))
-	for k, c := range comms {
-		kcoef[k] = c.Demand
-		if kcoef[k] <= 0 {
-			kcoef[k] = 1
-		}
-		killSlack += kcoef[k]
 	}
 	for e := 0; e < nL; e++ {
-		terms := make([]lp.Term, 0, len(comms))
-		for k := range comms {
-			terms = append(terms, lp.Term{Var: varOf[k*nL+e], Coef: kcoef[k]})
+		terms = append(terms[:0], lp.Term{Var: mluVar, Coef: -capE[e]})
+		for i := range sol.dests {
+			add(i, int32(e), 1)
 		}
-		rhs := 0.0
-		if aliveLinks[e] {
-			rhs = killSlack
+		capRHS, killRHS := 0.0, 0.0
+		if alive(e) {
+			capRHS, killRHS = -bg[e], killSlack
 		}
-		p.AddConstraint(terms, lp.LE, rhs)
+		p.AddConstraint(terms, lp.LE, capRHS)
+		if len(terms) > 1 {
+			p.AddConstraint(terms[1:], lp.LE, killRHS)
+		}
 	}
 
-	sol, err := p.SolveFrom(opts.Warm)
+	x, err := p.SolveFrom(opts.Warm)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("mcf: LP status %v", sol.Status)
+	if x.Status != lp.Optimal {
+		return nil, fmt.Errorf("mcf: LP status %v", x.Status)
 	}
-	res := &Result{Rows: make([]routing.SparseRow, len(comms)), Dropped: dropped, Basis: sol.Basis, g: g, comms: comms}
-	for k := range comms {
-		if !reach[k] {
-			continue
-		}
-		row := &res.Rows[k]
+	sol.basis, sol.flows = x.Basis, make([]routing.SparseRow, len(sol.dests))
+	for i := range sol.dests {
+		f := &sol.flows[i]
 		for e := 0; e < nL; e++ {
-			// Dead links carry only kill-row tolerance noise; leave them out
-			// so extracted flows match the alive-only formulation exactly.
-			if v := sol.X[varOf[k*nL+e]]; aliveLinks[e] && v != 0 {
-				row.Idx = append(row.Idx, int32(e))
-				row.Val = append(row.Val, v)
+			// Dead links carry only kill-row tolerance noise.
+			if j := varOf[i*nL+e]; j >= 0 && alive(e) && x.X[j] > 0 && sol.totals[i] > 0 {
+				f.Idx, f.Val = append(f.Idx, int32(e)), append(f.Val, x.X[j]/sol.totals[i])
 			}
 		}
 	}
-	res.cancelLoops()
-	final := append([]float64(nil), bg...)
-	res.AddLoads(final)
-	mlu := 0.0
-	for e := 0; e < nL; e++ {
-		c := g.Link(graph.LinkID(e)).Capacity
-		if opts.CapScale != nil {
-			c *= opts.CapScale[e]
-		}
-		if u := final[e] / c; u > mlu {
-			mlu = u
-		}
+	return sol, nil
+}
+
+// splitRows writes the row of every reachable commodity from its
+// destination's flow. It cancels the flow's loops first — normalised to a
+// unit of supply, the kernel's absolute threshold means on it what it
+// does on a unit row — so the flow's support is a DAG, up to cells below
+// that threshold. A source's unit then leaves each node in proportion to
+// the node's outflow, node by node in topological order (Kahn's), so
+// Σ_k d_k·row_k(e) is the destination's flow on e wherever the flow
+// conserves. A node without outflow — the source of a zero-demand pair
+// the flow does not pass, or one a cycle of sub-threshold cells holds out
+// of the order — sends what reaches it along its hop-count shortest
+// path. Each row's loops are cancelled last, which also puts the row in
+// canonical form.
+func (o *pathOracle) splitRows(g *graph.Graph, sol *destSolution, rows []routing.SparseRow) {
+	c := o.csr
+	phi, acc, hops := make([]float64, c.NumLinks()), make([]float64, c.NumLinks()), make([]float64, c.NumLinks())
+	for e := range hops {
+		hops[e] = 1
 	}
-	res.MLU = mlu
-	return res, nil
+	x, fwd, indeg := make([]float64, c.N), make([]float64, c.N), make([]int32, c.N)
+	var order, touched []int32
+	var loops routing.LoopScratch
+	out := func(v int32) []int32 { return c.OutLinks[c.OutHead[v]:c.OutHead[v+1]] }
+	push := func(e int32, a float64) {
+		if acc[e] == 0 {
+			touched = append(touched, e)
+		}
+		acc[e] += a
+	}
+	for i, t := range sol.dests {
+		flow := &sol.flows[i]
+		flow.CancelLoops(g, phi, &loops)
+		flow.Scatter(phi)
+		clear(indeg)
+		clear(fwd)
+		for _, e := range flow.Idx {
+			indeg[c.Dst[e]]++
+		}
+		order = order[:0]
+		for v := range indeg {
+			if indeg[v] == 0 {
+				order = append(order, int32(v))
+			}
+		}
+		for j := 0; j < len(order); j++ {
+			for _, e := range out(order[j]) {
+				if w := c.Dst[e]; phi[e] > 0 {
+					fwd[order[j]] += phi[e]
+					if indeg[w]--; indeg[w] == 0 {
+						order = append(order, w)
+					}
+				}
+			}
+		}
+		for v := range indeg {
+			if indeg[v] > 0 {
+				order = append(order, int32(v))
+			}
+		}
+
+		spf.SPFTo(c, t, hops, o.down, &o.sc)
+		for _, k := range o.groups[t] {
+			x[o.comms[k].Src] = 1
+			for _, v := range order {
+				xv := x[v]
+				x[v] = 0
+				switch {
+				case xv == 0 || v == int32(t):
+				case fwd[v] == 0:
+					o.paths[k] = spf.PathFromNext(c, graph.NodeID(v), o.sc.Next, o.paths[k][:0])
+					for _, e := range o.paths[k] {
+						push(int32(e), xv)
+					}
+				default:
+					for _, e := range out(v) {
+						if phi[e] > 0 {
+							push(e, xv*phi[e]/fwd[v])
+							x[c.Dst[e]] += xv * phi[e] / fwd[v]
+						}
+					}
+				}
+			}
+			row := &rows[k]
+			for _, e := range touched {
+				row.Idx, row.Val, acc[e] = append(row.Idx, e), append(row.Val, acc[e]), 0
+			}
+			touched = touched[:0]
+			row.CancelLoops(g, acc, &loops)
+		}
+		flow.Clear(phi)
+	}
 }

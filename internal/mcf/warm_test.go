@@ -101,10 +101,11 @@ func TestMinMLUExactKillRowsMatchLegacySemantics(t *testing.T) {
 
 // TestExactAbileneCold runs the LP behind r3d's certificate — the cold
 // exact min-MLU solve on Abilene under the benchmark's hour-0 gravity
-// matrix, 3 081 variables by 1 436 rows — and pins its optimum to the
-// value the dense-LU solver reached (0.37817308734842009), with no
-// recovery, and the same pivot count on a second run: the factorization's
-// ordering is a function of the basis alone.
+// matrix, 281 variables by 166 rows by destination — and pins its optimum
+// to the value the dense-LU solver reached on the per-commodity LP
+// (0.37817308734842009), with no recovery, and the same pivot count on a
+// second run: the factorization's ordering is a function of the basis
+// alone.
 func TestExactAbileneCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-size exact solves")
@@ -131,4 +132,45 @@ func TestExactAbileneCold(t *testing.T) {
 	if pivots[0] != pivots[1] || pivots[0] == 0 {
 		t.Fatalf("pivot counts %v differ between identical runs", pivots)
 	}
+}
+
+// TestExactWarmSurvivesPartition isolates an Abilene node and re-solves
+// warm from the intact network's basis. Every pair to or from the node
+// becomes unreachable, which is only a zero supply on the per-destination
+// LP's rhs, so the shape holds: the solve warm-starts, repairs the basis
+// in fewer pivots than a cold solve takes, and reaches the cold optimum.
+func TestExactWarmSurvivesPartition(t *testing.T) {
+	g := topo.Abilene()
+	comms := routing.ODCommodities(g.NumNodes(), traffic.Gravity(g, 0.15*g.TotalCapacity(), 1).At)
+	intact, err := MinMLUExact(g, comms, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut graph.LinkSet
+	for _, id := range append(append([]graph.LinkID(nil), g.Out(3)...), g.In(3)...) {
+		cut.Add(id)
+	}
+	coldReg, warmReg := obs.NewRegistry(), obs.NewRegistry()
+	cold, err := MinMLUExact(g, comms, Options{Alive: cut.Alive(), Obs: coldReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := MinMLUExact(g, comms, Options{Alive: cut.Alive(), Warm: intact.Basis, Obs: warmReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Dropped == 0 || warm.Dropped != cold.Dropped {
+		t.Fatalf("dropped: warm %d, cold %d, want the same nonzero count", warm.Dropped, cold.Dropped)
+	}
+	if math.Abs(warm.MLU-cold.MLU) > 1e-9*cold.MLU {
+		t.Fatalf("warm MLU %.17g, cold %.17g", warm.MLU, cold.MLU)
+	}
+	wc, cc := warmReg.Snapshot().Counters, coldReg.Snapshot().Counters
+	if wc["lp.warm_starts"] != 1 {
+		t.Fatalf("lp.warm_starts = %d, want 1: the partition changed the LP's shape", wc["lp.warm_starts"])
+	}
+	if wc["lp.pivots"] >= cc["lp.pivots"] {
+		t.Fatalf("warm solve took %d pivots, cold %d", wc["lp.pivots"], cc["lp.pivots"])
+	}
+	t.Logf("pivots: warm %d, cold %d", wc["lp.pivots"], cc["lp.pivots"])
 }

@@ -134,7 +134,7 @@ type Optimal struct {
 	Iterations int
 	// Exact solves each scenario with the exact LP solver instead of
 	// Frank–Wolfe, warm-starting from the first solved scenario's basis
-	// (connectivity-preserving scenarios all share one LP shape, so the
+	// (every scenario shares one LP shape, partitions included, so the
 	// dual simplex repairs each re-solve in a few pivots). LP failures
 	// fall back to the iterative solver. Intended for small topologies.
 	Exact bool

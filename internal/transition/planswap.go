@@ -191,7 +191,7 @@ type swapper struct {
 
 	// comms is the changed-OD commodity set shared by every LP in this
 	// swap (certificates and the interim feasibility solve); only the
-	// demands vary, so the LP shape is constant and bases chain warm.
+	// demands vary, and they are the LP's rhs, so bases chain warm.
 	comms []routing.Commodity
 
 	// Interim feasibility LP (solved at most once, on the first stuck
