@@ -33,10 +33,11 @@ cover:
 bench:
 	bash bench/run.sh
 
-# bench-smoke runs the hot-path gates (DESIGN.md §4–§8): zero-allocation
-# kernels and sweeps, the pinned-base allocation ceiling, worst-load
-# differentials, the dense oracles of the sparse commodity rows, of loop
-# cancellation and of the sparse protection half, the per-OD oracle of the
+# bench-smoke runs the hot-path gates (DESIGN.md §4–§8, §12):
+# zero-allocation kernels, sweeps and emulator hops (./internal/netem), the
+# pinned-base allocation ceiling, worst-load differentials, the dense
+# oracles of the sparse commodity rows, of loop cancellation and of the
+# sparse protection half, the per-OD oracle of the
 # per-destination exact LP (optimum, valid rows, loads), the canonical form of
 # every plan's sparse base rows against their dense view, the paired
 # line-search probes against single ones, the block sweeps' line-search
@@ -48,7 +49,7 @@ bench:
 # nested benchmark module (bench/ has its own go.mod, so the root `go test
 # ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -67,12 +68,13 @@ profile-fw: build
 
 # chaos runs the seeded fault-injection property suite — the 30%-loss
 # convergence acceptance test, Theorem 3 permutation tests, the
-# loop-guard and invariant-checker tests — plus vet, then a seeded chaos
-# sweep (DESIGN.md §12).
+# loop-guard and invariant-checker tests — plus vet, the pinned digests of
+# the r3emu emulation under both forwarders, then a seeded chaos sweep
+# (DESIGN.md §12).
 chaos: vet
 	$(GO) test -count=1 -run 'TestChaos|TestReliableFlood|TestFireOnce|TestReflood|TestTheorem3|TestForwardLoopGuard|TestInvariant|TestDetectDelay' ./internal/netem
 	$(GO) test -count=1 -run 'TestFingerprint' ./internal/mplsff
-	$(GO) test -count=1 -run 'TestChaosLossSweep' ./internal/exp
+	$(GO) test -count=1 -run 'TestChaosLossSweep|TestEmulationFingerprintGolden' ./internal/exp
 	$(GO) run ./cmd/r3emu -fig sweep -phase 1 -effort 40 -chaos-runs 2
 
 # transition runs, under the race detector, the scheduler suite (both models: sequence

@@ -164,7 +164,17 @@ func Figure11(r *EmulationResult, w io.Writer) {
 		}
 		ods = append(ods, o)
 	}
-	sort.Slice(ods, func(i, j int) bool { return ods[i].vals[0] < ods[j].vals[0] })
+	// Pairs with equal normal-case throughput keep (src, dst) order, so
+	// the figure does not depend on map iteration order.
+	sort.Slice(ods, func(i, j int) bool {
+		if ods[i].vals[0] != ods[j].vals[0] {
+			return ods[i].vals[0] < ods[j].vals[0]
+		}
+		if ods[i].pair[0] != ods[j].pair[0] {
+			return ods[i].pair[0] < ods[j].pair[0]
+		}
+		return ods[i].pair[1] < ods[j].pair[1]
+	})
 	fmt.Fprintln(w, "# Figure 11a: normalized OD throughput (sorted by normal case)")
 	fmt.Fprintln(w, "# od\tnormal\t1-failure\t2-failures\t3-failures")
 	for i, o := range ods {

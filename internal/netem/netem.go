@@ -14,7 +14,6 @@
 package netem
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -78,30 +77,75 @@ type FloodAware interface {
 	OnNotification(u graph.NodeID, e graph.LinkID)
 }
 
-// event is a scheduled callback.
+// event is a scheduled action: a callback (fn != nil), or data packet pk
+// arriving over link out after hops prior hops (fn == nil). Hops are plain
+// values, so scheduling one allocates nothing.
 type event struct {
-	at  float64
-	seq int
-	fn  func()
+	at   float64
+	seq  int
+	fn   func()
+	pk   *Packet
+	out  graph.LinkID
+	hops int32
 }
 
+// before orders events by (at, seq). seq is unique, so the order is total.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a 4-ary min-heap of events under before. The order is
+// total, so pops come out in one sequence whatever the arity or layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(&s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
+	*h = s
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the first event. The vacated slot is cleared so
+// the backing array keeps no dead packet or closure alive.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if s[j].before(&s[m]) {
+				m = j
+			}
+		}
+		if !s[m].before(&last) {
+			break
+		}
+		s[i] = s[m]
+		i = m
+	}
+	s[i] = last
+	return top
 }
 
 // InstantDetect is the DetectDelay sentinel for zero-delay failure
@@ -259,6 +303,9 @@ type Emulator struct {
 
 	phases []*PhaseStats
 	cur    *PhaseStats
+	// odOffered and odDelivered count the current phase's bytes per OD
+	// pair, indexed src·N+dst; closePhase moves them into cur's maps.
+	odOffered, odDelivered []int64
 
 	// RTT samples: (send time, rtt seconds).
 	RTT [][2]float64
@@ -330,6 +377,8 @@ func New(cfg Config) *Emulator {
 	}
 	em.linkFree = make([]float64, cfg.G.NumLinks())
 	em.capFrac = make([]float64, cfg.G.NumLinks())
+	em.odOffered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
+	em.odDelivered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
 	em.notifSeen = make([]graph.LinkSet, cfg.G.NumNodes())
 	em.ctrlSeen = make([]map[ctrlStream]uint32, cfg.G.NumNodes())
 	em.ctrlNext = make([]map[graph.LinkID]uint32, cfg.G.NumNodes())
@@ -381,7 +430,9 @@ func (em *Emulator) newPhase(start float64) *PhaseStats {
 }
 
 // Phases returns the per-phase measurements (phase 0 = no failures,
-// phase i = after the i-th injected failure event).
+// phase i = after the i-th injected failure event). The current phase's
+// OfferedBytes and DeliveredBytes are filled in when it closes, at the
+// latest when Run returns.
 func (em *Emulator) Phases() []*PhaseStats { return em.phases }
 
 // Now returns the current emulation time.
@@ -430,8 +481,17 @@ func (em *Emulator) Fingerprint() uint64 {
 
 func (em *Emulator) schedule(at float64, fn func()) {
 	em.seq++
-	heap.Push(&em.events, event{at: at, seq: em.seq, fn: fn})
+	em.events.push(event{at: at, seq: em.seq, fn: fn})
 }
+
+// scheduleHop schedules pk's arrival over link out after hops prior hops.
+func (em *Emulator) scheduleHop(at float64, pk *Packet, out graph.LinkID, hops int) {
+	em.seq++
+	em.events.push(event{at: at, seq: em.seq, pk: pk, out: out, hops: int32(hops)})
+}
+
+// odIndex is pair (a, b)'s slot in the dense OD counters.
+func (em *Emulator) odIndex(a, b graph.NodeID) int { return int(a)*em.g.NumNodes() + int(b) }
 
 // AddCBRTraffic installs FlowsPerPair Poisson packet flows from a to b at
 // the given aggregate rate (bytes/sec), generating until stop.
@@ -440,6 +500,7 @@ func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop f
 		return
 	}
 	perFlow := bytesPerSec / float64(em.cfg.FlowsPerPair)
+	od := em.odIndex(a, b)
 	for i := 0; i < em.cfg.FlowsPerPair; i++ {
 		flow := mplsff.FlowKey{
 			SrcIP:   uint32(a)<<8 | 10,
@@ -454,7 +515,7 @@ func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop f
 				return
 			}
 			pk := &Packet{Flow: flow, Src: a, Dst: b, Size: em.cfg.PacketBytes, SentAt: em.now}
-			em.cur.OfferedBytes[[2]graph.NodeID{a, b}] += int64(pk.Size)
+			em.odOffered[od] += int64(pk.Size)
 			em.forward(a, pk, 0)
 			em.schedule(em.now+em.rng.ExpFloat64()*mean, gen)
 		}
@@ -650,7 +711,28 @@ func (em *Emulator) observeReconfig(dt float64) {
 // invariants (Theorem 2: delivered load never exceeds capacity).
 func (em *Emulator) closePhase(t float64) {
 	em.cur.End = t
+	em.flushOD()
 	em.inv.checkPhaseCapacity(em.cur)
+}
+
+// flushOD adds the dense OD counters to the current phase's maps and
+// zeroes them. Every counted data packet has Size cfg.PacketBytes, which is
+// never 0, so a counter is nonzero exactly when a packet of its pair was
+// counted: a pair enters a map exactly when it did before.
+func (em *Emulator) flushOD() {
+	n := em.g.NumNodes()
+	for i, b := range em.odOffered {
+		if b != 0 {
+			em.cur.OfferedBytes[[2]graph.NodeID{graph.NodeID(i / n), graph.NodeID(i % n)}] += b
+			em.odOffered[i] = 0
+		}
+	}
+	for i, b := range em.odDelivered {
+		if b != 0 {
+			em.cur.DeliveredBytes[[2]graph.NodeID{graph.NodeID(i / n), graph.NodeID(i % n)}] += b
+			em.odDelivered[i] = 0
+		}
+	}
 }
 
 // notify delivers a failure notification to router u. The first time u
@@ -804,16 +886,6 @@ func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
 	em.cur.LinkBytes[out] += int64(pk.Size)
 	em.obsFwd.Inc()
 	arrive := depart + link.Delay/1000
-	deliver := func(p *Packet) func() {
-		return func() {
-			if !em.linkUp[out] {
-				// The link died while the packet was in flight.
-				em.drop(p)
-				return
-			}
-			em.forward(link.Dst, p, hops+1)
-		}
-	}
 	if ch := em.chaos; ch != nil {
 		if ch.cfg.DataDrop > 0 && ch.rng.Float64() < ch.cfg.DataDrop {
 			ch.droppedData.Inc()
@@ -825,11 +897,22 @@ func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
 			ch.duplicated.Inc()
 			dup := *pk
 			dup.Stack = append([]mplsff.Label(nil), pk.Stack...)
-			em.schedule(ch.jitter(arrive, ch.cfg.DataJitter), deliver(&dup))
+			em.scheduleHop(ch.jitter(arrive, ch.cfg.DataJitter), &dup, out, hops)
 		}
 		arrive = ch.jitter(arrive, ch.cfg.DataJitter)
 	}
-	em.schedule(arrive, deliver(pk))
+	em.scheduleHop(arrive, pk, out, hops)
+}
+
+// arrive hands pk, which crossed link out after hops prior hops, to the
+// link's far end.
+func (em *Emulator) arrive(pk *Packet, out graph.LinkID, hops int) {
+	if !em.linkUp[out] {
+		// The link died while the packet was in flight.
+		em.drop(pk)
+		return
+	}
+	em.forward(em.g.Link(out).Dst, pk, hops+1)
 }
 
 func (em *Emulator) deliver(u graph.NodeID, pk *Packet) {
@@ -847,7 +930,7 @@ func (em *Emulator) deliver(u graph.NodeID, pk *Packet) {
 		em.forward(u, echo, 0)
 		return
 	}
-	em.cur.DeliveredBytes[[2]graph.NodeID{pk.Src, pk.Dst}] += int64(pk.Size)
+	em.odDelivered[em.odIndex(pk.Src, pk.Dst)] += int64(pk.Size)
 	em.obsDeliv.Inc()
 }
 
@@ -862,13 +945,17 @@ func (em *Emulator) drop(pk *Packet) {
 // Run processes events until the given time (events beyond it stay
 // queued).
 func (em *Emulator) Run(until float64) {
-	for em.events.Len() > 0 {
+	for len(em.events) > 0 {
 		if em.events[0].at > until {
 			break
 		}
-		ev := heap.Pop(&em.events).(event)
+		ev := em.events.pop()
 		em.now = ev.at
-		ev.fn()
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			em.arrive(ev.pk, ev.out, int(ev.hops))
+		}
 	}
 	em.now = until
 	em.closePhase(until)

@@ -48,8 +48,9 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 	fullMask := uint32(1)<<uint(len(fids)) - 1
 
 	// Per (dst, mask): the reverse tree of the topology minus the learned
-	// links, whose Hops are the snapshot's ECMP next hops. Cached across
-	// OD pairs, as are the per-mask down-sets.
+	// links, whose Hops are the snapshot's ECMP next hops, and the order in
+	// which the fluid pass visits its nodes. Cached across OD pairs, as are
+	// the per-mask down-sets.
 	c := g.CSR()
 	cost := spf.WeightCost(g)
 	downs := map[uint32]*graph.LinkSet{}
@@ -71,8 +72,9 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 		mask uint32
 	}
 	type tree struct {
-		dist []float64
-		next []int32
+		dist  []float64
+		next  []int32
+		order []graph.NodeID
 	}
 	dagCache := map[dagKey]tree{}
 	var sc spf.Scratch
@@ -82,7 +84,27 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 			return t
 		}
 		spf.SPFTo(c, dst, cost, downFor(mask), &sc)
-		t := tree{append([]float64(nil), sc.Dist...), append([]int32(nil), sc.Next...)}
+		t := tree{dist: append([]float64(nil), sc.Dist...), next: append([]int32(nil), sc.Next...)}
+		// Same-mask propagation follows the ECMP DAG, which strictly
+		// decreases distance-to-destination; visiting every node in
+		// decreasing-distance order therefore reaches each aggregate after
+		// all its upstream contributions have arrived. Unreachable nodes
+		// come first (their flow drops). Ties break by node id, so the
+		// order is total.
+		t.order = make([]graph.NodeID, g.NumNodes())
+		for n := range t.order {
+			t.order[n] = graph.NodeID(n)
+		}
+		sort.Slice(t.order, func(i, j int) bool {
+			di, dj := t.dist[t.order[i]], t.dist[t.order[j]]
+			if math.IsInf(di, 1) != math.IsInf(dj, 1) {
+				return math.IsInf(di, 1)
+			}
+			if di != dj {
+				return di > dj
+			}
+			return t.order[i] < t.order[j]
+		})
 		dagCache[k] = t
 		return t
 	}
@@ -97,26 +119,8 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64
 		for mask := uint32(0); mask <= fullMask; mask++ {
 			t := treeFor(b, mask)
 			down := downFor(mask)
-			// Same-mask propagation follows the ECMP DAG, which strictly
-			// decreases distance-to-destination; processing every node in
-			// decreasing-distance order therefore visits each aggregate
-			// after all its upstream contributions have arrived.
-			// Unreachable nodes are processed first (their flow drops).
-			states := make([]fcpKey, 0, g.NumNodes())
-			for n := 0; n < g.NumNodes(); n++ {
-				states = append(states, fcpKey{graph.NodeID(n), mask})
-			}
-			sort.Slice(states, func(i, j int) bool {
-				di, dj := t.dist[states[i].node], t.dist[states[j].node]
-				if math.IsInf(di, 1) != math.IsInf(dj, 1) {
-					return math.IsInf(di, 1)
-				}
-				if di != dj {
-					return di > dj
-				}
-				return states[i].node < states[j].node
-			})
-			for _, st := range states {
+			for _, n := range t.order {
+				st := fcpKey{n, mask}
 				f := flow[st]
 				if f <= eps || st.node == b {
 					continue
