@@ -36,10 +36,11 @@ bench:
 # bench-smoke runs the hot-path gates (DESIGN.md §4–§8, §12):
 # zero-allocation kernels, sweeps and emulator hops (./internal/netem), the
 # pinned-base allocation ceiling, worst-load differentials, the dense
-# oracles of the sparse commodity rows, of loop cancellation and of the
-# sparse protection half, the per-OD oracle of the
-# per-destination exact LP (optimum, valid rows, loads), the canonical form of
-# every plan's sparse base rows against their dense view, the paired
+# oracles of the sparse commodity rows, of loop cancellation, of the
+# sparse protection half and of the row-by-row protection clean-up
+# (sanitizeProt), the per-OD oracle of the per-destination exact LP
+# (optimum, valid rows, loads), the canonical form of every plan's sparse
+# base and protection rows against their dense view, the paired
 # line-search probes against single ones, the block sweeps' line-search
 # objective against its documented contract, the pinned plan digests, the
 # plan encoder against encoding/json and its allocation whatever the
@@ -49,7 +50,7 @@ bench:
 # nested benchmark module (bench/ has its own go.mod, so the root `go test
 # ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

@@ -204,7 +204,7 @@ func (p *Plan) encodeWire(s *wireSink, head []byte) error {
 			return err
 		}
 		s.b = append(s.b, `,"alloc":`...)
-		if err = s.entries(p.Base[k].Idx, p.Base[k].Val); err != nil {
+		if err = s.entries(p.Base[k]); err != nil {
 			return err
 		}
 		s.b = append(s.b, '}')
@@ -216,11 +216,11 @@ func (p *Plan) encodeWire(s *wireSink, head []byte) error {
 	}
 
 	s.b = append(s.b, `,"prot":[`...)
-	for l := range p.Prot {
+	for l, r := range p.Prot {
 		if l > 0 {
 			s.b = append(s.b, ',')
 		}
-		if err = s.entries(nil, p.Prot[l]); err != nil {
+		if err = s.entries(r); err != nil {
 			return err
 		}
 	}
@@ -237,38 +237,29 @@ func (p *Plan) wireSizeBound() int {
 	size := len(`,"base":null,"prot":[]}`+"\n") +
 		len(p.Comms)*(len(`,{"src":,"dst":,"demand":,"alloc":null}`)+2*idLen+25) +
 		len(p.Prot)*len(`,null`)
-	cells := func(val []float64) {
-		for _, v := range val {
-			if v > 1e-12 {
-				size += perEntry
+	for _, rows := range [...][]routing.SparseRow{p.Base, p.Prot} {
+		for _, r := range rows {
+			for _, v := range r.Val {
+				if v > 1e-12 {
+					size += perEntry
+				}
 			}
 		}
-	}
-	for _, r := range p.Base {
-		cells(r.Val)
-	}
-	for _, frac := range p.Prot {
-		cells(frac)
 	}
 	return size
 }
 
-// entries appends the cells v > 1e-12 of one row, in ascending link
-// order, as a []wireEntry: null when there are none. The row is the
-// values val at the links idx, or the dense row val when idx is nil.
-func (s *wireSink) entries(idx []int32, val []float64) error {
+// entries appends the cells v > 1e-12 of one row of either routing, in
+// ascending link order, as a []wireEntry: null when there are none.
+func (s *wireSink) entries(r routing.SparseRow) error {
 	sep := byte('[')
-	for j, v := range val {
+	for j, v := range r.Val {
 		if v > 1e-12 {
-			e := j
-			if idx != nil {
-				e = int(idx[j])
-			}
 			s.spill()
 			s.b = append(s.b, sep)
 			sep = ','
 			s.b = append(s.b, `{"l":`...)
-			s.b = strconv.AppendInt(s.b, int64(e), 10)
+			s.b = strconv.AppendInt(s.b, int64(r.Idx[j]), 10)
 			s.b = append(s.b, `,"f":`...)
 			var err error
 			if s.b, err = appendWireFloat(s.b, v); err != nil {
@@ -336,8 +327,9 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 		return nil, fmt.Errorf("core: unknown failure model %q", wp.Model.Type)
 	}
 
-	// A base row is decoded and checked in one reused dense row and kept as
-	// its nonzeros; a protection row (head->tail) is checked in place.
+	// A row of either routing is decoded and checked in one reused dense
+	// row and kept as its nonzeros; a protection row routes its link's
+	// head to its tail.
 	nL := g.NumLinks()
 	comms, base := make([]routing.Commodity, len(wp.Base)), make([]routing.SparseRow, len(wp.Base))
 	row, seen := make([]float64, nL), make([]bool, nL)
@@ -355,34 +347,32 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 		}
 		rowOf[od] = i
 		comms[i] = routing.Commodity{Src: wc.Src, Dst: wc.Dst, Demand: wc.Demand, Link: -1}
-		if err := decodeRow(g, comms[i], wc.Alloc, row, seen); err != nil {
+		if err := decodeRow(g, comms[i], wc.Alloc, &base[i], row, seen); err != nil {
 			return nil, fmt.Errorf("core: base row %d (%d->%d): %v", i, wc.Src, wc.Dst, err)
 		}
-		base[i].SetDense(row)
-		base[i].Clear(row)
 	}
 
 	if len(wp.Prot) != nL {
 		return nil, fmt.Errorf("core: protection has %d rows, want %d", len(wp.Prot), nL)
 	}
-	prot := make([][]float64, nL)
+	prot := make([]routing.SparseRow, nL)
 	for l, c := range routing.LinkCommodities(g) {
-		prot[l] = make([]float64, nL)
-		if err := decodeRow(g, c, wp.Prot[l], prot[l], seen); err != nil {
+		if err := decodeRow(g, c, wp.Prot[l], &prot[l], row, seen); err != nil {
 			return nil, fmt.Errorf("core: protection row %d: %v", l, err)
 		}
 	}
 
 	return &Plan{
-		G: g, Model: model, Comms: comms, Base: routing.Pack(base), Prot: prot,
+		G: g, Model: model, Comms: comms, Base: routing.Pack(base), Prot: routing.Pack(prot),
 		MLU: wp.MLU, NormalMLU: wp.NormalMLU,
 	}, nil
 }
 
-// decodeRow scatters a wire row into dst, which is all zero, and checks
-// it: every link in range and listed once, and [R1]-[R4] for commodity c
-// within 1e-5. seen is all false on entry and on a nil return.
-func decodeRow(g *graph.Graph, c routing.Commodity, alloc []wireEntry, dst []float64, seen []bool) error {
+// decodeRow decodes a wire row into out through the dense row dst and
+// checks it there: every link in range and listed once, and [R1]-[R4] for
+// commodity c within 1e-5. dst and seen are all zero and all false on
+// entry and on a nil return.
+func decodeRow(g *graph.Graph, c routing.Commodity, alloc []wireEntry, out *routing.SparseRow, dst []float64, seen []bool) error {
 	for _, en := range alloc {
 		if int(en.Link) >= len(dst) || en.Link < 0 {
 			return fmt.Errorf("references link %d", en.Link)
@@ -396,5 +386,10 @@ func decodeRow(g *graph.Graph, c routing.Commodity, alloc []wireEntry, dst []flo
 	for _, en := range alloc {
 		seen[en.Link] = false
 	}
-	return c.Validate(g, dst, 1e-5)
+	if err := c.Validate(g, dst, 1e-5); err != nil {
+		return err
+	}
+	out.SetDense(dst)
+	out.Clear(dst)
+	return nil
 }

@@ -47,8 +47,8 @@ func encodeJSON(p *Plan) ([]byte, error) {
 		wp.Base = append(wp.Base, wc)
 	}
 	wp.Prot = make([][]wireEntry, len(p.Prot))
-	for l := range p.Prot {
-		for e, v := range p.Prot[l] {
+	for l, fr := range denseProt(p) {
+		for e, v := range fr {
 			if v > 1e-12 {
 				wp.Prot[l] = append(wp.Prot[l], wireEntry{Link: graph.LinkID(e), Frac: v})
 			}
@@ -85,7 +85,7 @@ func handPlan(t *testing.T, model FailureModel, demand float64) *Plan {
 			prot[l][(l+4)%nL] = 1 / float64(l+3)
 		}
 	}
-	return withBase(&Plan{G: g, Model: model, Prot: prot, MLU: 1e-9, NormalMLU: 2.5e22}, base)
+	return withBase(&Plan{G: g, Model: model, Prot: sparseRows(prot), MLU: 1e-9, NormalMLU: 2.5e22}, base)
 }
 
 func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
@@ -141,7 +141,9 @@ func TestEncodeBytesMatchesJSONOracle(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		inDemand := handPlan(t, ArbitraryFailures{F: 1}, bad)
 		inFrac := handPlan(t, ArbitraryFailures{F: 1}, 1)
-		inFrac.Prot[1][0] = math.Abs(bad) // NaN and -Inf never pass the > 1e-12 filter
+		frac := denseProt(inFrac)
+		frac[1][0] = math.Abs(bad) // NaN and -Inf never pass the > 1e-12 filter
+		inFrac.Prot = sparseRows(frac)
 		inHeader := handPlan(t, ArbitraryFailures{F: 1}, 1)
 		inHeader.MLU = bad
 		for i, plan := range []*Plan{inDemand, inFrac, inHeader} {

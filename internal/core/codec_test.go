@@ -42,9 +42,10 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for l := range plan.Prot {
-		for e := range plan.Prot[l] {
-			a, b := plan.Prot[l][e], got.Prot[l][e]
+	pp, gp := denseProt(plan), denseProt(got)
+	for l := range pp {
+		for e := range pp[l] {
+			a, b := pp[l][e], gp[l][e]
 			if math.Abs(a-b) > 1e-12 && a > 1e-12 {
 				t.Fatalf("prot mismatch at %d/%d: %v vs %v", l, e, a, b)
 			}

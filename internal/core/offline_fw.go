@@ -293,8 +293,8 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 	// ---- Package the plan ----
 	// The plan's base is the iterate's rows with their loops cancelled (so
 	// the reported objective is the plan's) over comms, whose demands the
-	// solver never read. Its protection is sanitizeProt's dense view of P,
-	// re-read into the rows the same way.
+	// solver never read. Its protection is sanitizeProt's rows, which P
+	// takes too, so the objective is the plan's.
 	pkgSp := runSp.Child("package")
 	defer pkgSp.End()
 	totalDemand := reqs[0].demands
@@ -304,16 +304,13 @@ func solveFW(g *graph.Graph, comms []routing.Commodity, reqs []requirement, cfg 
 		st.R[k].CancelLoops(g, zero, &ls)
 		comms[k].Demand = totalDemand[k]
 	}
-	prot := sanitizeProt(g, st.P)
-	for l := range prot {
-		st.P[l].SetDense(prot[l])
-	}
+	st.P = sanitizeProt(g, st.P)
 	plan := &Plan{
 		G:     g,
 		Model: reqs[highestModelIndex(reqs)].model,
 		Comms: comms,
 		Base:  routing.Pack(st.R),
-		Prot:  prot,
+		Prot:  st.P,
 		MLU:   st.objective(),
 	}
 	plan.NormalMLU = routing.MLU(g, baseLoads(g.NumLinks(), comms, st.R))
@@ -2289,82 +2286,80 @@ func groupStats(groups [][]graph.LinkID, pcol []routing.SparseRow, skip graph.Li
 // paths keeps p a valid routing ([R1]-[R4] are preserved by convex
 // combinations of paths) while bounding the noise.
 //
-// It returns the plan's dense protection rows, built in the flow it
-// decomposes: each row is decomposed before it is overwritten, and a row
-// without paths gets the solver's row back, as it was before loop removal.
-func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
+// It returns the plan's protection rows, canonical and packed, and leaves
+// prot as it was. Each row is worked on in one reused dense row: its loops
+// cancelled, then decomposed, then rebuilt from the kept paths; a row
+// without paths gets the solver's row back, as it was before loop
+// cancellation.
+func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) []routing.SparseRow {
 	const (
 		keepCoverage = 0.995 // retain paths until this much mass is kept
 		alwaysKeep   = 0.005 // paths at least this large are never dropped
 	)
-	nL := g.NumLinks()
-	P := make([][]float64, nL)
-	for l := range P {
-		P[l] = make([]float64, nL)
-		prot[l].Scatter(P[l])
-	}
-	f := &routing.Flow{G: g, Comms: routing.LinkCommodities(g), Frac: P}
-	f.RemoveLoops()
+	comms := routing.LinkCommodities(g)
+	row := make([]float64, g.NumLinks()) // all zero between rows
+	f := &routing.Flow{G: g, Frac: [][]float64{row}}
+	out := make([]routing.SparseRow, len(prot))
+	var cur routing.SparseRow
+	var ls routing.LoopScratch
 	var sc spf.Scratch
 	var down graph.LinkSet
-	for l := 0; l < nL; l++ {
-		paths := f.Decompose(l, 256)
+	for l := range prot {
+		cur.CopyFrom(&prot[l])
+		cur.CancelLoops(g, row, &ls)
+		cur.Scatter(row)
+		f.Comms = comms[l : l+1]
+		paths := f.Decompose(0, 256)
+		cur.Clear(row)
 		sort.Slice(paths, func(i, j int) bool { return paths[i].Frac > paths[j].Frac })
 		var grand float64
 		for _, p := range paths {
 			grand += p.Frac
 		}
 		if grand <= 0 {
-			clear(P[l])
-			prot[l].Scatter(P[l])
-			continue
-		}
-		var kept []routing.Path
-		var total float64
-		for _, p := range paths {
-			if total >= keepCoverage*grand && p.Frac < alwaysKeep {
-				break
+			prot[l].Scatter(row)
+		} else {
+			var kept []routing.Path
+			var total float64
+			for _, p := range paths {
+				if total >= keepCoverage*grand && p.Frac < alwaysKeep {
+					break
+				}
+				kept = append(kept, p)
+				total += p.Frac
 			}
-			kept = append(kept, p)
-			total += p.Frac
-		}
-		row := P[l]
-		for e := range row {
-			row[e] = 0
-		}
-		for _, p := range kept {
-			w := p.Frac / total
-			for _, id := range p.Links {
-				row[id] += w
+			for _, p := range kept {
+				w := p.Frac / total
+				for _, id := range p.Links {
+					row[id] += w
+				}
 			}
 		}
-	}
 
-	// A min-max optimum may leave a link effectively unprotected
-	// (p_l(l) ≈ 1) when protecting it cannot improve the bottleneck —
-	// rational for the objective, but online reconfiguration would then
-	// drop the link's real traffic. Force a functional detour wherever
-	// one exists: move the self-allocated mass onto the shortest path
-	// around the link. This can only raise the reported worst-case MLU
-	// (recomputed by the caller), never break validity ([R2] mass is
-	// conserved, the detour satisfies [R1]/[R3]).
-	for l := 0; l < nL; l++ {
-		lid := graph.LinkID(l)
-		self := P[l][l]
-		if self < 0.999 {
-			continue
+		// A min-max optimum may leave a link effectively unprotected
+		// (p_l(l) ≈ 1) when protecting it cannot improve the bottleneck —
+		// rational for the objective, but online reconfiguration would then
+		// drop the link's real traffic. Force a functional detour wherever
+		// one exists: move the self-allocated mass onto the shortest path
+		// around the link. This can only raise the reported worst-case MLU
+		// (recomputed by the caller), never break validity ([R2] mass is
+		// conserved, the detour satisfies [R1]/[R3]).
+		if self := row[l]; self >= 0.999 {
+			lid := graph.LinkID(l)
+			link := g.Link(lid)
+			down.Add(lid)
+			path := spf.ShortestPath(g, link.Src, link.Dst, &down, spf.WeightCost(g), &sc)
+			down.Remove(lid)
+			if path != nil { // else a true bridge: nothing can protect it
+				row[l] = 0
+				for _, id := range path {
+					row[id] += self
+				}
+			}
 		}
-		link := g.Link(lid)
-		down.Add(lid)
-		path := spf.ShortestPath(g, link.Src, link.Dst, &down, spf.WeightCost(g), &sc)
-		down.Remove(lid)
-		if path == nil {
-			continue // a true bridge: nothing can protect it
-		}
-		P[l][l] = 0
-		for _, id := range path {
-			P[l][id] += self
-		}
+		cur.SetDense(row)
+		cur.Clear(row)
+		out[l].CopyFrom(&cur)
 	}
-	return P
+	return routing.Pack(out)
 }

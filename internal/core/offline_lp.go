@@ -228,31 +228,30 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 		comms = fixed.Comms
 	}
 	base := make([]routing.SparseRow, len(comms))
+	// solved reads one row of variables into the reused dense row.
 	row, zero := make([]float64, nL), make([]float64, nL)
+	solved := func(vars []int) []float64 {
+		for e, v := range vars {
+			row[e] = 0
+			if v >= 0 {
+				row[e] = sol.X[v]
+			}
+		}
+		return row
+	}
 	var ls routing.LoopScratch
 	for k := range base {
-		if optimizeBase {
-			for e, v := range rVar[k] {
-				row[e] = 0
-				if v >= 0 {
-					row[e] = sol.X[v]
-				}
-			}
+		if !optimizeBase {
+			base[k].SetDense(fixed.Frac[k])
 		} else {
-			row = fixed.Frac[k]
+			base[k].SetDense(solved(rVar[k]))
 		}
-		base[k].SetDense(row)
 		base[k].CancelLoops(g, zero, &ls)
 	}
 
-	prot := make([][]float64, nL)
-	for l := 0; l < nL; l++ {
-		prot[l] = make([]float64, nL)
-		for e := 0; e < nL; e++ {
-			if v := pVar[l][e]; v >= 0 {
-				prot[l][e] = sol.X[v]
-			}
-		}
+	prot := make([]routing.SparseRow, nL)
+	for l := range prot {
+		prot[l].SetDense(solved(pVar[l]))
 	}
 
 	plan := &Plan{
@@ -260,7 +259,7 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 		Model:   cfg.Model,
 		Comms:   comms,
 		Base:    routing.Pack(base),
-		Prot:    prot,
+		Prot:    routing.Pack(prot),
 		MLU:     sol.X[mluVar],
 		LPBasis: sol.Basis,
 	}

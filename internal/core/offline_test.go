@@ -31,11 +31,11 @@ func ring5Demand(g *graph.Graph, total float64) *traffic.Matrix {
 	return traffic.Gravity(g, total, 11)
 }
 
-func validateProt(t *testing.T, g *graph.Graph, prot [][]float64) {
+func validateProt(t *testing.T, g *graph.Graph, prot []routing.SparseRow) {
 	t.Helper()
 	f := routing.NewFlow(g, routing.LinkCommodities(g))
 	for l := range prot {
-		copy(f.Frac[l], prot[l])
+		prot[l].Scatter(f.Frac[l])
 	}
 	if err := f.Validate(1e-6); err != nil {
 		t.Fatalf("protection routing invalid: %v", err)
@@ -290,7 +290,7 @@ func TestPrecomputeVariations(t *testing.T) {
 		fl.SetDemands(d.At)
 		loads := fl.Loads()
 		for e := 0; e < g.NumLinks(); e++ {
-			u := (loads[e] + plan.VirtualLoad(graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
+			u := (loads[e] + virtualLoad(plan, graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
 			if u > plan.MLU+1e-6 {
 				t.Fatalf("matrix not covered: link %d utilization %v > %v", e, u, plan.MLU)
 			}
@@ -322,7 +322,7 @@ func TestPrecomputePrioritized(t *testing.T) {
 	for e := 0; e < nL; e++ {
 		v := make([]float64, nL)
 		for l := 0; l < nL; l++ {
-			v[l] = g.Link(graph.LinkID(l)).Capacity * plan.Prot[l][e]
+			v[l] = g.Link(graph.LinkID(l)).Capacity * planCell(&plan.Prot[l], int32(e))
 		}
 		u := (loads[e] + m3.WorstLoad(v)) / g.Link(graph.LinkID(e)).Capacity
 		if u > plan.MLU+1e-6 {

@@ -16,13 +16,13 @@ import (
 // protection routing p, and the achieved objective over d + X_F.
 //
 // A plan is frozen once it has been handed to NewState: every State built
-// from it reads the plan's base rows and demands in place, aliases the
-// rows of Prot until it rewrites them (copy-on-write), and reads the base
-// routing through an index the plan caches, so writing the plan afterwards
-// silently corrupts every such state. The solvers and the codec finish all
-// their writes before they return the plan; nothing else in the tree
-// writes one. Pass plans by pointer (the cached index makes the struct
-// non-copyable, and go vet's copylocks check enforces it).
+// from it reads the plan's rows and demands in place and keeps only the
+// cells it rewrites, and reads both routings through indexes the plan
+// caches, so writing the plan afterwards silently corrupts every such
+// state. The solvers and the codec finish all their writes before they
+// return the plan; nothing else in the tree writes one. Pass plans by
+// pointer (the cached indexes make the struct non-copyable, and go vet's
+// copylocks check enforces it).
 type Plan struct {
 	G *graph.Graph
 	// Model is the failure model the plan protects against.
@@ -35,9 +35,10 @@ type Plan struct {
 	// every fraction finite. The solvers' rows are also loop-free (the
 	// form routing.SparseRow.CancelLoops returns).
 	Base []routing.SparseRow
-	// Prot is the protection routing p: Prot[l][e] is the fraction of
-	// link l's rerouted traffic carried by link e.
-	Prot [][]float64
+	// Prot is the protection routing p in the same form, one row per link:
+	// Prot[l] holds the fractions p_l(e) of link l's rerouted traffic
+	// carried by each link e.
+	Prot []routing.SparseRow
 	// MLU is the objective value: the maximum link utilization over the
 	// entire demand set d + X_F. MLU <= 1 certifies congestion-freedom
 	// under every covered failure scenario (Theorem 1).
@@ -51,25 +52,64 @@ type Plan struct {
 	// serialize it, so the wire format is unchanged.
 	LPBasis *lp.Basis
 
-	// index is what State reads of the base routing besides its rows. The
-	// first State that reroutes or asks for loads or lost demand builds
-	// it (concurrent callers included), and every State of the plan shares
-	// it; NewState alone never does, so a plan nobody fails or queries
-	// never pays.
+	// index is what State reads of the base routing besides its rows, and
+	// protCols the protection routing's columns. The first State that
+	// reroutes or asks for loads or lost demand builds them (concurrent
+	// callers included), and every State of the plan shares them; NewState
+	// and the row reads never do, so a plan nobody fails or queries never
+	// pays.
 	indexOnce sync.Once
 	index     *baseIndex
+	protOnce  sync.Once
+	protCols  *colIndex
+}
+
+// colIndex is a routing's rows by column, compressed: column l lists the
+// rows k[off[l]:off[l+1]] with a cell at l, ascending, with their
+// fractions v alongside — the rows a failure of l rewrites. int32 offsets
+// hold up to 2^31 nonzeros.
+type colIndex struct {
+	off, k []int32
+	v      []float64
+}
+
+// newColIndex builds the columns of rows over nL links: one pass over the
+// rows to count each column, so every array is allocated exactly, and one
+// to fill them in ascending row order.
+func newColIndex(nL int, rows []routing.SparseRow) colIndex {
+	ix := colIndex{off: make([]int32, nL+1)}
+	for _, r := range rows {
+		for _, l := range r.Idx {
+			ix.off[l+1]++
+		}
+	}
+	for l := 0; l < nL; l++ {
+		ix.off[l+1] += ix.off[l]
+	}
+	ix.k, ix.v = make([]int32, ix.off[nL]), make([]float64, ix.off[nL])
+	next := append([]int32(nil), ix.off[:nL]...)
+	for k, r := range rows {
+		for j, l := range r.Idx {
+			ix.k[next[l]], ix.v[next[l]] = int32(k), r.Val[j]
+			next[l]++
+		}
+	}
+	return ix
+}
+
+// col returns column l's rows and fractions.
+func (ix *colIndex) col(l int32) ([]int32, []float64) {
+	lo, hi := ix.off[l], ix.off[l+1]
+	return ix.k[lo:hi], ix.v[lo:hi]
 }
 
 // baseIndex is a frozen plan's base routing r in the forms the online
 // State works from besides the rows themselves (DESIGN.md §9). The plan
 // never changes, so none of it goes stale.
 type baseIndex struct {
-	// off, k and v are r's columns, compressed: column l lists the
-	// commodities k[off[l]:off[l+1]] routed over l, ascending, with their
-	// fractions v alongside — the rows a failure of l rewrites and the
-	// terms of l's load. int32 offsets hold up to 2^31 nonzeros.
-	off, k []int32
-	v      []float64
+	// cols are r's columns: the rows a failure of l rewrites and the terms
+	// of l's load.
+	cols colIndex
 	// loads is r's per-link load under the plan's demands (baseLoads).
 	loads []float64
 	// delivered is each row's delivered share (Plan.delivered): what a
@@ -77,36 +117,12 @@ type baseIndex struct {
 	delivered []float64
 }
 
-// col returns column l's commodities and fractions.
-func (ix *baseIndex) col(l int32) ([]int32, []float64) {
-	lo, hi := ix.off[l], ix.off[l+1]
-	return ix.k[lo:hi], ix.v[lo:hi]
-}
-
-// baseIndex returns the plan's cached index, building it on first use:
-// one pass over the rows to count each column, so every array is
-// allocated exactly, and one to fill them. Column entries are appended in
-// ascending commodity order.
+// baseIndex returns the plan's cached base index, building it on first
+// use.
 func (p *Plan) baseIndex() *baseIndex {
 	p.indexOnce.Do(func() {
 		nL := p.G.NumLinks()
-		ix := &baseIndex{off: make([]int32, nL+1), loads: baseLoads(nL, p.Comms, p.Base)}
-		for _, r := range p.Base {
-			for _, l := range r.Idx {
-				ix.off[l+1]++
-			}
-		}
-		for l := 0; l < nL; l++ {
-			ix.off[l+1] += ix.off[l]
-		}
-		ix.k, ix.v = make([]int32, ix.off[nL]), make([]float64, ix.off[nL])
-		next := append([]int32(nil), ix.off[:nL]...)
-		for k, r := range p.Base {
-			for j, l := range r.Idx {
-				ix.k[next[l]], ix.v[next[l]] = int32(k), r.Val[j]
-				next[l]++
-			}
-		}
+		ix := &baseIndex{cols: newColIndex(nL, p.Base), loads: baseLoads(nL, p.Comms, p.Base)}
 		ix.delivered = make([]float64, len(p.Base))
 		for k := range p.Base {
 			ix.delivered[k] = p.delivered(k, override{})
@@ -114,6 +130,16 @@ func (p *Plan) baseIndex() *baseIndex {
 		p.index = ix
 	})
 	return p.index
+}
+
+// protIndex returns the protection routing's cached columns, building
+// them on first use.
+func (p *Plan) protIndex() *colIndex {
+	p.protOnce.Do(func() {
+		ix := newColIndex(p.G.NumLinks(), p.Prot)
+		p.protCols = &ix
+	})
+	return p.protCols
 }
 
 // baseLoads returns each link's load under the plan's rows: d_k·r_k(l)
@@ -145,30 +171,23 @@ func planCell(r *routing.SparseRow, l int32) float64 {
 // every failure scenario covered by the model reroutes without overload.
 func (p *Plan) CongestionFree() bool { return p.MLU <= 1+1e-9 }
 
-// VirtualLoad returns the worst-case virtual (rerouted) load on link e
-// under the plan's failure model.
-func (p *Plan) VirtualLoad(e graph.LinkID) float64 {
-	return p.virtualLoad(e, make([]float64, p.G.NumLinks()))
-}
-
-// virtualLoad is VirtualLoad with a caller-supplied column buffer v of
-// length NumLinks, every entry of which it overwrites.
-func (p *Plan) virtualLoad(e graph.LinkID, v []float64) float64 {
-	for l := range v {
-		v[l] = p.G.Link(graph.LinkID(l)).Capacity * p.Prot[l][e]
-	}
-	return p.Model.WorstLoad(v)
-}
-
-// Evaluate recomputes the plan objective from scratch: for every link,
-// base load plus worst-case virtual load over capacity. It is the
-// verification counterpart of the offline solvers.
+// Evaluate recomputes the plan objective from scratch: for every link e,
+// base load plus the worst-case virtual load c_l·p_l(e) over the model,
+// over capacity. It is the verification counterpart of the offline
+// solvers.
 func (p *Plan) Evaluate() float64 {
-	loads := baseLoads(p.G.NumLinks(), p.Comms, p.Base)
-	col := make([]float64, p.G.NumLinks())
+	nL := p.G.NumLinks()
+	loads := baseLoads(nL, p.Comms, p.Base)
+	ix := p.protIndex()
+	v := make([]float64, nL)
 	worst := 0.0
-	for e := 0; e < p.G.NumLinks(); e++ {
-		u := (loads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity
+	for e := 0; e < nL; e++ {
+		clear(v)
+		ls, fr := ix.col(int32(e))
+		for j, l := range ls {
+			v[l] = p.G.Link(graph.LinkID(l)).Capacity * fr[j]
+		}
+		u := (loads[e] + p.Model.WorstLoad(v)) / p.G.Link(graph.LinkID(e)).Capacity
 		if u > worst {
 			worst = u
 		}
@@ -181,10 +200,9 @@ func (p *Plan) Evaluate() float64 {
 // links. Fail applies the paper's online reconfiguration — the rescaling
 // of equation (8) and the updates (9), (10) — exactly.
 //
-// A State is an overlay on its plan (DESIGN.md §9). A rerouted base row
-// is held as the cells the reroutes rewrote, over the plan's row; a
-// protection row is the plan's until the state first writes it, then a
-// private copy; demands are the plan's until SetDemands or ScaleDemands
+// A State is an overlay on its plan (DESIGN.md §9). A rewritten row of
+// either routing is held as the cells the reroutes rewrote, over the
+// plan's row; demands are the plan's until SetDemands or ScaleDemands
 // changes them. A failure therefore costs the cells it writes, and Loads
 // recomputes only the links a reroute touched. A State is not safe for
 // concurrent use (its queries update a cache); states sharing a plan are
@@ -195,16 +213,10 @@ type State struct {
 	// demand is the state's own demand per commodity; nil while the
 	// demands are still the plan's.
 	demand []float64
-	// own lists the base rows this state has rerouted, ascending, and
-	// rows[i] holds row own[i]'s rewritten cells. A reroute replaces both
-	// slices and never writes them or an override, so clones share them.
-	own  []int32
-	rows []override
-	prot [][]float64
-	// ownProt[u] marks the protection rows this state has copied and may
-	// write; every other row still belongs to the plan.
-	ownProt []bool
-	failed  graph.LinkSet
+	// base and prot are the rows of the plan's base and protection
+	// routings this state has rewritten.
+	base, prot overlay
+	failed     graph.LinkSet
 	// detours remembers ξ_e for every failed link (diagnostics and the
 	// MPLS-ff data plane read these).
 	detours map[graph.LinkID][]float64
@@ -220,11 +232,25 @@ type State struct {
 	dirty graph.LinkSet
 }
 
-// override is a rerouted base row: the absolute fractions at the links
-// idx, ascending. Every cell not listed is the plan's.
+// overlay is what a state has rewritten of one of the plan's routings:
+// own lists the rewritten rows, ascending, and rows[i] holds row own[i]'s
+// rewritten cells. Clones share both lists and the overrides; mine marks
+// lists no other state holds, which a reroute then updates in place
+// instead of replacing.
+type overlay struct {
+	own  []int32
+	rows []override
+	mine bool
+}
+
+// override is a rewritten row: the absolute fractions at the links idx,
+// ascending. Every cell not listed is the plan's. mine marks a row no
+// other state holds, which a reroute rewrites in place when its storage
+// has room, as a dense copy-on-write row would be.
 type override struct {
-	idx []int32
-	val []float64
+	idx  []int32
+	val  []float64
+	mine bool
 }
 
 // at returns the row's fraction at link l, given the plan's cell there.
@@ -242,26 +268,63 @@ func (o override) at(l int32, plan float64) float64 {
 	return plan
 }
 
-// NewState starts an online state from a plan. It allocates per-link
-// headers only: base rows, protection rows and demands stay the plan's
-// until the state changes them, so the plan must not be written once a
-// State exists (see Plan).
+// find returns row k's override, empty if the row is the plan's.
+func (h *overlay) find(k int) override {
+	if j, ok := slices.BinarySearch(h.own, int32(k)); ok {
+		return h.rows[j]
+	}
+	return override{}
+}
+
+// each visits row k of the routing whose plan rows are plan, as the
+// overlay has it, in ascending link order: the plan's cells merged with
+// the override's, which win. It is the one read of a current row, for
+// both routings.
+func (h *overlay) each(plan []routing.SparseRow, k int, visit func(l int32, v float64)) {
+	o, r := h.find(k), &plan[k]
+	a := 0
+	for b, l := range r.Idx {
+		for ; a < len(o.idx) && o.idx[a] < l; a++ {
+			visit(o.idx[a], o.val[a])
+		}
+		v := r.Val[b]
+		if a < len(o.idx) && o.idx[a] == l {
+			v = o.val[a]
+			a++
+		}
+		visit(l, v)
+	}
+	for ; a < len(o.idx); a++ {
+		visit(o.idx[a], o.val[a])
+	}
+}
+
+// dense writes row k, as the overlay has it, into dst (of link count
+// length).
+func (h *overlay) dense(plan []routing.SparseRow, k int, dst []float64) {
+	clear(dst)
+	h.each(plan, k, func(l int32, v float64) { dst[l] = v })
+}
+
+// NewState starts an online state from a plan. It allocates the state
+// alone: rows and demands stay the plan's until the state changes them,
+// so the plan must not be written once a State exists (see Plan).
 func NewState(plan *Plan) *State {
 	return &State{
 		G:       plan.G,
 		plan:    plan,
-		prot:    shareRows(plan.Prot, nil),
-		ownProt: make([]bool, len(plan.Prot)),
 		detours: make(map[graph.LinkID][]float64),
 	}
 }
 
 // Clone copies the state, so tentative failure sequences (the transition
 // scheduler's feasibility search) can be explored without disturbing the
-// live state. It shares the plan, the rerouted base rows (which are never
-// written) and the protection rows still aliasing the plan; it copies the
-// protection rows s owns, its demands and its load cache.
+// live state. It shares the plan and the rewritten rows of both routings,
+// which from then on neither state writes; it copies the detours, demands
+// and load cache.
 func (s *State) Clone() *State {
+	s.base.share()
+	s.prot.share()
 	detours := make(map[graph.LinkID][]float64, len(s.detours))
 	for e, xi := range s.detours {
 		detours[e] = append([]float64(nil), xi...)
@@ -270,10 +333,8 @@ func (s *State) Clone() *State {
 		G:        s.G,
 		plan:     s.plan,
 		demand:   append([]float64(nil), s.demand...),
-		own:      s.own,
-		rows:     s.rows,
-		prot:     shareRows(s.prot, s.ownProt),
-		ownProt:  append([]bool(nil), s.ownProt...),
+		base:     s.base,
+		prot:     s.prot,
 		failed:   s.failed.Clone(),
 		detours:  detours,
 		degraded: maps.Clone(s.degraded),
@@ -282,26 +343,16 @@ func (s *State) Clone() *State {
 	}
 }
 
-// shareRows copies the row headers and, of the rows themselves, only the
-// ones marked in own (none when own is nil); the rest stay shared.
-func shareRows(rows [][]float64, own []bool) [][]float64 {
-	out := append([][]float64(nil), rows...)
-	for i, o := range own {
-		if o {
-			out[i] = append([]float64(nil), rows[i]...)
+// share marks the lists and every rewritten row as held by more than one
+// state. Lists already shared are not written, so states that share them
+// from an earlier Clone may clone on other goroutines.
+func (h *overlay) share() {
+	if h.mine {
+		h.mine = false
+		for j := range h.rows {
+			h.rows[j].mine = false
 		}
 	}
-	return out
-}
-
-// ownRow returns rows[i] ready for writing, replacing the plan's row by a
-// private copy the first time.
-func ownRow(rows [][]float64, own []bool, i int) []float64 {
-	if !own[i] {
-		rows[i] = append([]float64(nil), rows[i]...)
-		own[i] = true
-	}
-	return rows[i]
 }
 
 // demandOf returns commodity k's current demand.
@@ -324,25 +375,25 @@ func (s *State) ownDemands() {
 	s.loads = nil
 }
 
-// column visits, in ascending commodity order, every base row that is
-// either in the plan's column l or rerouted by this state, with its
-// current fraction at l and its position in s.own (-1 if not rerouted).
-// Every row with a nonzero cell at l is among them.
-func (s *State) column(ix *baseIndex, l int32, visit func(k int32, j int, v float64)) {
+// column visits, in ascending row order, every row that is either in the
+// plan's column l or rewritten by this overlay, with its current fraction
+// at l and its position in h.own (-1 if not rewritten). Every row with a
+// nonzero cell at l is among them.
+func (h *overlay) column(ix *colIndex, l int32, visit func(k int32, j int, v float64)) {
 	ck, cv := ix.col(l)
 	i, j := 0, 0
-	for i < len(ck) || j < len(s.own) {
-		if j == len(s.own) || (i < len(ck) && ck[i] < s.own[j]) {
+	for i < len(ck) || j < len(h.own) {
+		if j == len(h.own) || (i < len(ck) && ck[i] < h.own[j]) {
 			visit(ck[i], -1, cv[i])
 			i++
 			continue
 		}
-		k, plan := s.own[j], 0.0
+		k, plan := h.own[j], 0.0
 		if i < len(ck) && ck[i] == k {
 			plan = cv[i]
 			i++
 		}
-		visit(k, j, s.rows[j].at(l, plan))
+		visit(k, j, h.rows[j].at(l, plan))
 		j++
 	}
 }
@@ -350,9 +401,19 @@ func (s *State) column(ix *baseIndex, l int32, visit func(k int32, j int, v floa
 // Failed returns the set of failed links applied so far.
 func (s *State) Failed() graph.LinkSet { return s.failed.Clone() }
 
-// Prot returns the current (reconfigured) protection routing. The caller
-// must not modify it: untouched rows alias the plan.
-func (s *State) Prot() [][]float64 { return s.prot }
+// ProtRow returns link u's current (reconfigured) protection row p'_u in
+// the plan's canonical form — links ascending, exact zeros dropped —
+// written into dst's storage, which it reuses. It never aliases the plan.
+func (s *State) ProtRow(u graph.LinkID, dst routing.SparseRow) routing.SparseRow {
+	dst.Idx, dst.Val = dst.Idx[:0], dst.Val[:0]
+	s.prot.each(s.plan.Prot, int(u), func(l int32, v float64) {
+		if v != 0 {
+			dst.Idx = append(dst.Idx, l)
+			dst.Val = append(dst.Val, v)
+		}
+	})
+	return dst
+}
 
 // Detour returns ξ_e for a failed link e (nil if e has not failed).
 func (s *State) Detour(e graph.LinkID) []float64 { return s.detours[e] }
@@ -363,25 +424,20 @@ func (s *State) Detour(e graph.LinkID) []float64 { return s.detours[e] }
 // LP-optimal interim detour during a staged transition) can be compared
 // against R3's own before committing via FailWith.
 func (s *State) ComputeDetour(e graph.LinkID) []float64 {
-	nL := s.G.NumLinks()
-	pe := s.prot[e]
-	pee := pe[e]
-
-	xi := make([]float64, nL)
+	le := int32(e)
+	xi := make([]float64, s.G.NumLinks())
+	pee := s.prot.find(int(e)).at(le, planCell(&s.plan.Prot[e], le))
 	// Below this remaining-fraction threshold the detour consists of
 	// solver noise and rescaling would amplify loads unboundedly; treat
 	// the link as unprotectable (the paper's pe(e)=1 case).
 	const minDetourMass = 1e-3
 	if pee < 1-minDetourMass {
 		inv := 1 / (1 - pee)
-		for l := 0; l < nL; l++ {
-			if l == int(e) {
-				continue
+		s.prot.each(s.plan.Prot, int(e), func(l int32, v float64) {
+			if l != le && v != 0 {
+				xi[l] = v * inv
 			}
-			if pe[l] != 0 {
-				xi[l] = pe[l] * inv
-			}
-		}
+		})
 	}
 	// else: pe(e) = 1 — the link carries no other demand (under the
 	// Theorem 1 condition) and ξ_e stays zero: any demand still on e is
@@ -477,109 +533,162 @@ func (s *State) reroute(e graph.LinkID, xi []float64, frac float64) {
 			cells = append(cells, int32(l))
 		}
 	}
-	s.rerouteBase(e, xi, cells, frac)
+	le := int32(e)
+	s.base.splice(s.plan.Base, &s.plan.baseIndex().cols, le, xi, cells, frac, nil)
 	for _, l := range cells {
 		s.dirty.Add(graph.LinkID(l))
 	}
-	// (10): p'_uv(l) = p_uv(l) + p_uv(e)·frac·ξ_e(l) for surviving links
-	// uv. Row e itself is left alone: a failed link's row is a snapshot,
-	// and a degraded link keeps its remaining strength because further
+	// Row e itself is left alone: a failed link's row is a snapshot, and a
+	// degraded link keeps its remaining strength because further
 	// disruption of it is forbidden.
-	for u := range s.prot {
-		if u == int(e) || s.failed.Contains(graph.LinkID(u)) {
-			continue
+	s.prot.splice(s.plan.Prot, s.plan.protIndex(), le, xi, cells, frac, func(u int32) bool {
+		return u == le || s.failed.Contains(graph.LinkID(u))
+	})
+}
+
+// splice applies r'(l) = r(l) + r(e)·frac·ξ_e(l) — update (9) on base
+// rows, (10) on protection rows — to the rows of one routing that cross
+// e: column e of the plan merged with the rows the overlay has already
+// rewritten, less those skip names. Each crossing row's cells become its
+// old cells merged with cells, each new value computed with the float
+// operations of a dense splice (spliceRow). A row this state alone holds
+// is rewritten in its own storage when that has room, as a dense
+// copy-on-write row would be; any other row is carved from one slab per
+// call, with room to grow if it was this state's.
+func (h *overlay) splice(plan []routing.SparseRow, ix *colIndex, e int32, xi []float64, cells []int32, frac float64, skip func(u int32) bool) {
+	crosses := func(k int32, v float64) bool { return v != 0 && (skip == nil || !skip(k)) }
+	// size returns how many cells row j holds after the splice, how many
+	// the slab must give it (0 when the row is rewritten in place).
+	size := func(j int) (need, slab int) {
+		if j < 0 {
+			return len(cells), len(cells)
 		}
-		v := s.prot[u][e]
-		if v == 0 {
-			continue
+		o := h.rows[j]
+		need = len(o.idx) + len(cells) - shared(o.idx, cells)
+		switch {
+		case !o.mine:
+			return need, need
+		case cap(o.idx) < need:
+			return need, 2 * need
 		}
-		moved, left := split(v, frac)
-		row := ownRow(s.prot, s.ownProt, u)
-		for _, l := range cells {
-			if l != int32(e) {
-				row[l] += moved * xi[l]
+		return need, 0
+	}
+	nOwn, nCells, crossed := len(h.own), 0, false
+	h.column(ix, e, func(k int32, j int, v float64) {
+		if crosses(k, v) {
+			crossed = true
+			_, slab := size(j)
+			nCells += slab
+			if j < 0 {
+				nOwn++
 			}
 		}
-		row[e] = left
+	})
+	if !crossed {
+		return
+	}
+	// The lists are rebuilt when they are shared or a row joins them.
+	var own []int32
+	var rows []override
+	rebuild := !h.mine || nOwn > len(h.own)
+	if rebuild {
+		own, rows = make([]int32, 0, nOwn), make([]override, 0, nOwn)
+	}
+	put := func(k int32, j int, o override) {
+		if rebuild {
+			own, rows = append(own, k), append(rows, o)
+		} else {
+			h.rows[j] = o
+		}
+	}
+	idx := make([]int32, 0, nCells)
+	val := make([]float64, 0, nCells)
+	h.column(ix, e, func(k int32, j int, v float64) {
+		var old override
+		if j >= 0 {
+			old = h.rows[j]
+		}
+		if !crosses(k, v) {
+			if j >= 0 {
+				put(k, j, old)
+			}
+			return
+		}
+		need, slab := size(j)
+		oi, ov := old.idx, old.val
+		var ni []int32
+		var nv []float64
+		if slab == 0 {
+			// Move the old cells to the top of the row's storage; the
+			// merge then writes from the bottom and never overtakes them.
+			ni, nv = oi[:need], ov[:need]
+			gap := need - len(oi)
+			copy(ni[gap:], oi)
+			copy(nv[gap:], ov)
+			oi, ov = ni[gap:], nv[gap:]
+		} else {
+			n := len(idx)
+			idx, val = idx[:n+slab], val[:n+slab]
+			ni, nv = idx[n:n+need:n+slab], val[n:n+need:n+slab]
+		}
+		moved, left := split(v, frac)
+		spliceRow(ni, nv, oi, ov, &plan[k], cells, e, xi, moved, left)
+		put(k, j, override{ni, nv, true})
+	})
+	if rebuild {
+		h.own, h.rows, h.mine = own, rows, true
 	}
 }
 
-// rerouteBase applies update (9), r'_ab(l) = r_ab(l) + r_ab(e)·frac·ξ_e(l),
-// to the base rows crossing e: column e of the plan merged with the rows
-// the state has already rerouted. Each crossing row gets a new override —
-// its old cells merged with cells, each new value computed with the float
-// operations of a dense splice — carved from one slab per call.
-func (s *State) rerouteBase(e graph.LinkID, xi []float64, cells []int32, frac float64) {
-	ix := s.plan.baseIndex()
-	le := int32(e)
-	// Size the slab and the new owned list; no cells means no crossing row.
-	nOwn, nCells := len(s.own), 0
-	s.column(ix, le, func(_ int32, j int, v float64) {
-		if v == 0 {
-			return
+// spliceRow writes into ni, nv a row's old cells oi, ov merged with cells:
+// at e the value left, at another cell l its current value — the old
+// cell's, else the plan row's — plus moved·ξ_e(l). ni and nv have room
+// for exactly the merged cells; they may be the old cells' own storage
+// with the old cells at its top.
+func spliceRow(ni []int32, nv []float64, oi []int32, ov []float64, plan *routing.SparseRow, cells []int32, e int32, xi []float64, moved, left float64) {
+	pi, pv := plan.Idx, plan.Val
+	w, a, b := 0, 0, 0
+	for _, l := range cells {
+		for ; a < len(oi) && oi[a] < l; a++ {
+			ni[w], nv[w] = oi[a], ov[a]
+			w++
 		}
-		nCells += len(cells)
-		if j < 0 {
-			nOwn++
-		} else {
-			nCells += len(s.rows[j].idx)
-		}
-	})
-	if nCells == 0 {
-		return
-	}
-	own := make([]int32, 0, nOwn)
-	rows := make([]override, 0, nOwn)
-	idx := make([]int32, 0, nCells)
-	val := make([]float64, 0, nCells)
-	s.column(ix, le, func(k int32, j int, v float64) {
-		var old override
-		if j >= 0 {
-			old = s.rows[j]
-		}
-		if v == 0 {
-			if j >= 0 {
-				own = append(own, k)
-				rows = append(rows, old)
-			}
-			return
-		}
-		moved, left := split(v, frac)
 		// The plan's row is sparse, so the merge costs its nonzeros.
-		pi, pv := s.plan.Base[k].Idx, s.plan.Base[k].Val
-		start, a, b := len(idx), 0, 0
-		for _, l := range cells {
-			for a < len(old.idx) && old.idx[a] < l {
-				idx = append(idx, old.idx[a])
-				val = append(val, old.val[a])
-				a++
-			}
-			for b < len(pi) && pi[b] < l {
-				b++
-			}
-			cur := 0.0
-			if b < len(pi) && pi[b] == l {
-				cur = pv[b]
-			}
-			if a < len(old.idx) && old.idx[a] == l {
-				cur = old.val[a]
-				a++
-			}
-			if l == le {
-				cur = left
-			} else {
-				cur += moved * xi[l]
-			}
-			idx = append(idx, l)
-			val = append(val, cur)
+		for b < len(pi) && pi[b] < l {
+			b++
 		}
-		idx = append(idx, old.idx[a:]...)
-		val = append(val, old.val[a:]...)
-		end := len(idx)
-		own = append(own, k)
-		rows = append(rows, override{idx[start:end:end], val[start:end:end]})
-	})
-	s.own, s.rows = own, rows
+		cur := 0.0
+		if b < len(pi) && pi[b] == l {
+			cur = pv[b]
+		}
+		if a < len(oi) && oi[a] == l {
+			cur = ov[a]
+			a++
+		}
+		if l == e {
+			cur = left
+		} else {
+			cur += moved * xi[l]
+		}
+		ni[w], nv[w] = l, cur
+		w++
+	}
+	copy(ni[w:], oi[a:])
+	copy(nv[w:], ov[a:])
+}
+
+// shared counts the cells the ascending links already list.
+func shared(links, cells []int32) int {
+	n, a := 0, 0
+	for _, l := range cells {
+		for a < len(links) && links[a] < l {
+			a++
+		}
+		if a < len(links) && links[a] == l {
+			n++
+		}
+	}
+	return n
 }
 
 // Degrade applies a partial capacity loss to link e: a fraction frac of
@@ -735,7 +844,7 @@ func (s *State) currentLoads() []float64 {
 // order.
 func (s *State) linkLoad(ix *baseIndex, l int32) float64 {
 	var sum float64
-	s.column(ix, l, func(k int32, _ int, v float64) {
+	s.base.column(&ix.cols, l, func(k int32, _ int, v float64) {
 		if v == 0 {
 			return
 		}
@@ -754,8 +863,8 @@ func (s *State) rowLoads() []float64 {
 	j := 0
 	for k, pr := range s.plan.Base {
 		var o override
-		if j < len(s.own) && int(s.own[j]) == k {
-			o = s.rows[j]
+		if j < len(s.base.own) && int(s.base.own[j]) == k {
+			o = s.base.rows[j]
 			j++
 		}
 		d := s.demand[k]
@@ -816,11 +925,7 @@ func (s *State) MLU() float64 {
 // reaches its destination (1 unless reconfiguration dropped traffic at a
 // partition), measured as net inflow at the destination.
 func (s *State) Delivered(k int) float64 {
-	var o override
-	if j, ok := slices.BinarySearch(s.own, int32(k)); ok {
-		o = s.rows[j]
-	}
-	return s.plan.delivered(k, o)
+	return s.plan.delivered(k, s.base.find(k))
 }
 
 // delivered is the share of commodity k's demand that base row k, with
@@ -874,8 +979,8 @@ func (s *State) LostDemand() float64 {
 	var lost float64
 	j := 0
 	for k, del := range ix.delivered {
-		if j < len(s.own) && int(s.own[j]) == k {
-			del = s.plan.delivered(k, s.rows[j])
+		if j < len(s.base.own) && int(s.base.own[j]) == k {
+			del = s.plan.delivered(k, s.base.rows[j])
 			j++
 		}
 		if d := s.demandOf(k); d != 0 {
@@ -890,50 +995,34 @@ func (s *State) LostDemand() float64 {
 // tests). Rows of failed links are snapshots from the moment they failed
 // and legitimately depend on the failure order, so they are not compared.
 func (s *State) ProtEquals(o *State, eps float64) bool {
-	if len(s.prot) != len(o.prot) || !s.failed.Equal(o.failed) {
-		return false
-	}
-	for u := range s.prot {
-		if s.failed.Contains(graph.LinkID(u)) {
-			continue
-		}
-		for l := range s.prot[u] {
-			if math.Abs(s.prot[u][l]-o.prot[u][l]) > eps {
-				return false
-			}
-		}
-	}
-	return true
+	return s.failed.Equal(o.failed) && rowsWithin(s.G.NumLinks(), eps, s.failed, &s.prot, s.plan.Prot, &o.prot, o.plan.Prot)
 }
 
 // BaseEquals reports whether another state has the same base routing
 // within eps.
 func (s *State) BaseEquals(o *State, eps float64) bool {
-	if len(s.plan.Base) != len(o.plan.Base) {
+	return rowsWithin(s.G.NumLinks(), eps, graph.LinkSet{}, &s.base, s.plan.Base, &o.base, o.plan.Base)
+}
+
+// rowsWithin reports whether the rows of two overlays, over the plan rows
+// a and b, agree within eps at each of nL links, but for the rows skip
+// names.
+func rowsWithin(nL int, eps float64, skip graph.LinkSet, ha *overlay, a []routing.SparseRow, hb *overlay, b []routing.SparseRow) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	a, b := make([]float64, s.G.NumLinks()), make([]float64, o.G.NumLinks())
-	for k := range s.plan.Base {
-		s.denseRow(k, a)
-		o.denseRow(k, b)
-		for l := range a {
-			if math.Abs(a[l]-b[l]) > eps {
+	ra, rb := make([]float64, nL), make([]float64, nL)
+	for k := range a {
+		if skip.Contains(graph.LinkID(k)) {
+			continue
+		}
+		ha.dense(a, k, ra)
+		hb.dense(b, k, rb)
+		for l := range ra {
+			if math.Abs(ra[l]-rb[l]) > eps {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// denseRow writes base row k, as the state routes it, into dst (of link
-// count length).
-func (s *State) denseRow(k int, dst []float64) {
-	clear(dst)
-	s.plan.Base[k].Scatter(dst)
-	if j, ok := slices.BinarySearch(s.own, int32(k)); ok {
-		o := s.rows[j]
-		for a, l := range o.idx {
-			dst[l] = o.val[a]
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -39,7 +40,7 @@ func examplePlan(t *testing.T) *Plan {
 	for l := range prot {
 		prot[l] = []float64{0.1, 0.2, 0.3, 0.4}
 	}
-	return withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: prot}, base)
+	return withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: sparseRows(prot)}, base)
 }
 
 func TestPaperExampleRescaling(t *testing.T) {
@@ -56,7 +57,7 @@ func TestPaperExampleRescaling(t *testing.T) {
 		}
 	}
 	// And p'_e2 = (0, 0.2 + 0.1·2/9, 0.3 + 0.1·3/9, 0.4 + 0.1·4/9).
-	p2 := st.Prot()[1]
+	p2 := stateProt(st)[1]
 	wantP := []float64{0, 0.2 + 0.1*2.0/9, 0.3 + 0.1*3.0/9, 0.4 + 0.1*4.0/9}
 	for e := range wantP {
 		if math.Abs(p2[e]-wantP[e]) > 1e-12 {
@@ -137,7 +138,7 @@ func TestPartitionDropsTraffic(t *testing.T) {
 	base := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}})
 	base.Frac[0][0] = 1
 	prot := [][]float64{{0.5, 0.5}, {0.5, 0.5}}
-	plan := withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: prot}, base)
+	plan := withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: sparseRows(prot)}, base)
 	st := NewState(plan)
 	if err := st.FailAll(0, 1); err != nil {
 		t.Fatal(err)
@@ -159,8 +160,8 @@ func TestPartitionDropsTraffic(t *testing.T) {
 func TestVirtualLoadAndEvaluate(t *testing.T) {
 	plan := examplePlan(t)
 	// v_e for link 0: c_l * p_l(0) = (1,2,3,4); worst single = 4.
-	if got := plan.VirtualLoad(0); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("VirtualLoad(0) = %v, want 4", got)
+	if got := virtualLoad(plan, 0); math.Abs(got-4) > 1e-12 {
+		t.Fatalf("virtualLoad(0) = %v, want 4", got)
 	}
 	// Evaluate: worst over links of virtual/capacity: link0: 4/10 = 0.4,
 	// link3: 16/40 = 0.4 (base demand is 0).
@@ -204,6 +205,47 @@ func withBase(p *Plan, f *routing.Flow) *Plan {
 	return p
 }
 
+// sparseRows stores hand-built dense rows the way the solvers and the
+// decoder do: each row's nonzeros, packed.
+func sparseRows(dense [][]float64) []routing.SparseRow {
+	rows := make([]routing.SparseRow, len(dense))
+	for l, fr := range dense {
+		rows[l].SetDense(fr)
+	}
+	return routing.Pack(rows)
+}
+
+// denseProt is the dense view of a plan's protection routing.
+func denseProt(p *Plan) [][]float64 {
+	out := make([][]float64, len(p.Prot))
+	for l := range p.Prot {
+		out[l] = make([]float64, p.G.NumLinks())
+		p.Prot[l].Scatter(out[l])
+	}
+	return out
+}
+
+// stateProt is the dense view of a state's current protection routing.
+func stateProt(s *State) [][]float64 {
+	out := make([][]float64, len(s.plan.Prot))
+	for u := range out {
+		out[u] = make([]float64, s.G.NumLinks())
+		s.prot.dense(s.plan.Prot, u, out[u])
+	}
+	return out
+}
+
+// virtualLoad returns the worst-case virtual (rerouted) load on link e
+// under the plan's failure model: the model's worst case of c_l·p_l(e)
+// over the protection column of e, read cell by cell from the rows.
+func virtualLoad(p *Plan, e graph.LinkID) float64 {
+	v := make([]float64, p.G.NumLinks())
+	for l := range p.Prot {
+		v[l] = p.G.Link(graph.LinkID(l)).Capacity * planCell(&p.Prot[l], int32(e))
+	}
+	return p.Model.WorstLoad(v)
+}
+
 // denseBase is the dense view of a plan's base routing: the oracle form
 // the tests hold the rows to.
 func denseBase(p *Plan) *routing.Flow {
@@ -220,16 +262,17 @@ func stateBase(s *State) *routing.Flow {
 	f := routing.NewFlow(s.G, s.plan.Comms)
 	for k := range f.Comms {
 		f.Comms[k].Demand = s.demandOf(k)
-		s.denseRow(k, f.Frac[k])
+		s.base.dense(s.plan.Base, k, f.Frac[k])
 	}
 	return f
 }
 
-// TestPlanBaseRowsAreCanonical pins the form State and the encoder read the
-// base routing in without re-deriving it: from every solver path and from
-// the decoder, each row's links strictly ascend and its fractions are
-// finite and nonzero, and NormalMLU, Evaluate and a fresh State's loads
-// are, bit for bit, what routing.Flow.Loads makes of the rows made dense.
+// TestPlanBaseRowsAreCanonical pins the form State and the encoder read
+// both routings in without re-deriving them: from every solver path and
+// from the decoder, each base and protection row's links strictly ascend,
+// its fractions are finite and nonzero and the rows are packed, and
+// NormalMLU, Evaluate and a fresh State's loads are, bit for bit, what
+// the rows made dense give.
 func TestPlanBaseRowsAreCanonical(t *testing.T) {
 	ab := topo.Abilene()
 	dAb := traffic.Gravity(ab, 0.15*ab.TotalCapacity(), 1)
@@ -247,6 +290,7 @@ func TestPlanBaseRowsAreCanonical(t *testing.T) {
 		{"fw-pinned", ab, dAb, Config{Model: f1, Iterations: 40, PenaltyEnvelope: 1.1}},
 		{"fw-supplied", ab, dAb, Config{Model: f1, Iterations: 40, BaseRouting: ospf}},
 		{"fw-delay", ab, dAb, Config{Model: f1, Iterations: 40, DelayEnvelope: 1.4}},
+		{"fw-degrade", ab, dAb, Config{Model: DegradationModel{Beta: 0.5, Budget: 2}, Iterations: 40}},
 		{"lp", g, d, Config{Model: f1, Solver: SolverLP}},
 		{"lp-supplied", g, d, Config{Model: f1, Solver: SolverLP,
 			BaseRouting: spf.ECMPFlow(g, routing.ODCommodities(g.NumNodes(), d.At), nil, spf.WeightCost(g))}},
@@ -256,7 +300,7 @@ func TestPlanBaseRowsAreCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		checkCanonicalBase(t, tc.name, plan)
+		checkCanonicalPlan(t, tc.name, plan)
 		if got, want := plan.NormalMLU, routing.MLU(plan.G, denseBase(plan).Loads()); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: NormalMLU %v, dense rows %v", tc.name, got, want)
 		}
@@ -268,29 +312,27 @@ func TestPlanBaseRowsAreCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		checkCanonicalBase(t, tc.name+"-decoded", got)
+		checkCanonicalPlan(t, tc.name+"-decoded", got)
 		// The decoder makes its rows canonical whatever the order of a
 		// row's entries, and drops an explicit zero.
 		got, err = DecodePlan(bytes.NewReader(shuffledWire(t, wire)), tc.g)
 		if err != nil {
 			t.Fatalf("%s: decode shuffled: %v", tc.name, err)
 		}
-		checkCanonicalBase(t, tc.name+"-shuffled", got)
+		checkCanonicalPlan(t, tc.name+"-shuffled", got)
 	}
 }
 
-// shuffledWire rewrites a plan's wire form with every base row's entries
-// in descending link order, after an explicit zero at a link the row
-// does not use.
+// shuffledWire rewrites a plan's wire form with every row of both
+// routings in descending link order, after an explicit zero at a link the
+// row does not use.
 func shuffledWire(t *testing.T, wire []byte) []byte {
 	t.Helper()
 	var m map[string]interface{}
 	if err := jsonUnmarshal(wire, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range m["base"].([]interface{}) {
-		c := c.(map[string]interface{})
-		alloc, _ := c["alloc"].([]interface{})
+	shuffle := func(alloc []interface{}) []interface{} {
 		used := make(map[float64]bool)
 		for _, en := range alloc {
 			used[en.(map[string]interface{})["l"].(float64)] = true
@@ -300,7 +342,17 @@ func shuffledWire(t *testing.T, wire []byte) []byte {
 			free++
 		}
 		slices.Reverse(alloc)
-		c["alloc"] = append([]interface{}{map[string]interface{}{"l": free, "f": 0.0}}, alloc...)
+		return append([]interface{}{map[string]interface{}{"l": free, "f": 0.0}}, alloc...)
+	}
+	for _, c := range m["base"].([]interface{}) {
+		c := c.(map[string]interface{})
+		alloc, _ := c["alloc"].([]interface{})
+		c["alloc"] = shuffle(alloc)
+	}
+	prot := m["prot"].([]interface{})
+	for l, row := range prot {
+		alloc, _ := row.([]interface{})
+		prot[l] = shuffle(alloc)
 	}
 	out, err := jsonMarshal(m)
 	if err != nil {
@@ -309,14 +361,39 @@ func shuffledWire(t *testing.T, wire []byte) []byte {
 	return out
 }
 
-// checkCanonicalBase checks one plan's base rows and the loads read off
-// them against the dense view.
-func checkCanonicalBase(t *testing.T, name string, p *Plan) {
+// checkCanonicalPlan checks one plan's rows of both routings, and the
+// loads and objective read off them against the dense view.
+func checkCanonicalPlan(t *testing.T, name string, p *Plan) {
 	t.Helper()
-	if len(p.Base) != len(p.Comms) {
-		t.Fatalf("%s: %d rows for %d commodities", name, len(p.Base), len(p.Comms))
+	checkCanonicalRows(t, name+": base", p.Base, len(p.Comms))
+	checkCanonicalRows(t, name+": protection", p.Prot, p.G.NumLinks())
+	loads := denseBase(p).Loads()
+	if !sameBits(NewState(p).Loads(), loads) {
+		t.Fatalf("%s: a fresh State's loads differ from the dense rows'", name)
 	}
-	for k, r := range p.Base {
+	worst := 0.0
+	for e := range loads {
+		if u := (loads[e] + virtualLoad(p, graph.LinkID(e))) / p.G.Link(graph.LinkID(e)).Capacity; u > worst {
+			worst = u
+		}
+	}
+	if got := p.Evaluate(); math.Float64bits(got) != math.Float64bits(worst) {
+		t.Fatalf("%s: Evaluate %v, dense rows %v", name, got, worst)
+	}
+}
+
+// checkCanonicalRows checks that rows holds n rows, each with its links
+// strictly ascending and its fractions finite and nonzero, and that they
+// are packed: each row without spare capacity, right after the one before
+// it in one shared array of links and one of fractions.
+func checkCanonicalRows(t *testing.T, name string, rows []routing.SparseRow, n int) {
+	t.Helper()
+	if len(rows) != n {
+		t.Fatalf("%s: %d rows, want %d", name, len(rows), n)
+	}
+	var nextIdx *int32
+	var nextVal *float64
+	for k, r := range rows {
 		if len(r.Idx) != len(r.Val) {
 			t.Fatalf("%s: row %d has %d links and %d fractions", name, k, len(r.Idx), len(r.Val))
 		}
@@ -328,18 +405,16 @@ func checkCanonicalBase(t *testing.T, name string, p *Plan) {
 				t.Fatalf("%s: row %d holds %v at link %d", name, k, v, l)
 			}
 		}
-	}
-	loads := denseBase(p).Loads()
-	if !sameBits(NewState(p).Loads(), loads) {
-		t.Fatalf("%s: a fresh State's loads differ from the dense rows'", name)
-	}
-	worst, col := 0.0, make([]float64, p.G.NumLinks())
-	for e := range loads {
-		if u := (loads[e] + p.virtualLoad(graph.LinkID(e), col)) / p.G.Link(graph.LinkID(e)).Capacity; u > worst {
-			worst = u
+		if len(r.Idx) == 0 {
+			continue
 		}
-	}
-	if got := p.Evaluate(); math.Float64bits(got) != math.Float64bits(worst) {
-		t.Fatalf("%s: Evaluate %v, dense rows %v", name, got, worst)
+		if cap(r.Idx) != len(r.Idx) || cap(r.Val) != len(r.Val) {
+			t.Fatalf("%s: row %d has spare capacity: not packed", name, k)
+		}
+		if nextIdx != nil && (&r.Idx[0] != nextIdx || &r.Val[0] != nextVal) {
+			t.Fatalf("%s: row %d does not follow the row before it: not packed", name, k)
+		}
+		nextIdx = (*int32)(unsafe.Add(unsafe.Pointer(&r.Idx[0]), 4*len(r.Idx)))
+		nextVal = (*float64)(unsafe.Add(unsafe.Pointer(&r.Val[0]), 8*len(r.Val)))
 	}
 }

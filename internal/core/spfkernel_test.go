@@ -133,7 +133,7 @@ func TestPrecomputeNearTieWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := range plan.Prot {
-		if self := plan.Prot[l][l]; self >= 0.999 {
+		if self := planCell(&plan.Prot[l], int32(l)); self >= 0.999 {
 			t.Fatalf("link %d unprotected: p_l(l) = %v", l, self)
 		}
 	}

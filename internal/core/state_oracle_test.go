@@ -25,14 +25,10 @@ type eagerState struct {
 }
 
 func newEagerState(plan *Plan) *eagerState {
-	prot := make([][]float64, len(plan.Prot))
-	for i := range prot {
-		prot[i] = append([]float64(nil), plan.Prot[i]...)
-	}
 	return &eagerState{
 		g:       plan.G,
 		base:    denseBase(plan),
-		prot:    prot,
+		prot:    denseProt(plan),
 		detours: make(map[graph.LinkID][]float64),
 	}
 }

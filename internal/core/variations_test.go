@@ -38,7 +38,7 @@ func TestPrecomputeVariationsThreeMatrices(t *testing.T) {
 		fl.SetDemands(d.At)
 		loads := fl.Loads()
 		for e := 0; e < g.NumLinks(); e++ {
-			u := (loads[e] + plan.VirtualLoad(graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
+			u := (loads[e] + virtualLoad(plan, graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
 			if u > plan.MLU+1e-6 {
 				t.Fatalf("matrix %d uncovered at link %d: %v > %v", i, e, u, plan.MLU)
 			}
@@ -53,7 +53,7 @@ func TestPrecomputeVariationsThreeMatrices(t *testing.T) {
 	fl.SetDemands(mid.At)
 	loads := fl.Loads()
 	for e := 0; e < g.NumLinks(); e++ {
-		u := (loads[e] + plan.VirtualLoad(graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
+		u := (loads[e] + virtualLoad(plan, graph.LinkID(e))) / g.Link(graph.LinkID(e)).Capacity
 		if u > plan.MLU+1e-6 {
 			t.Fatalf("hull midpoint uncovered at link %d: %v > %v", e, u, plan.MLU)
 		}

@@ -50,11 +50,12 @@ func TestPrecomputeLPWarmBasisMatchesCold(t *testing.T) {
 			}
 		}
 	}
-	for l := range cold2.Prot {
-		for e := range cold2.Prot[l] {
-			if math.Abs(warm.Prot[l][e]-cold2.Prot[l][e]) > 1e-9 {
+	wp, cp := denseProt(warm), denseProt(cold2)
+	for l := range cp {
+		for e := range cp[l] {
+			if math.Abs(wp[l][e]-cp[l][e]) > 1e-9 {
 				t.Fatalf("protection differs at link %d over %d: warm %v, cold %v",
-					l, e, warm.Prot[l][e], cold2.Prot[l][e])
+					l, e, wp[l][e], cp[l][e])
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/routing"
 )
 
 // Label is an MPLS label. Protection labels are allocated one per
@@ -278,22 +279,10 @@ func (n *Network) ReprogramILM(st *core.State) {
 	n.programILM()
 }
 
-// ProgramColumn overwrites the ILM rows of one protected link's detour
-// with caller-supplied fractions (deleting the old rows first), e.g. an
-// LP-computed interim detour during a staged transition.
-func (n *Network) ProgramColumn(lid graph.LinkID, frac []float64) {
-	lbl := n.LabelOf[lid]
-	for _, r := range n.Routers {
-		delete(r.ILM, lbl)
-	}
-	n.programColumn(lid, frac)
-}
-
 // programILM rebuilds every router's ILM from the current state.
 func (n *Network) programILM() {
 	g := n.G
 	failed := n.state.Failed()
-	prot := n.state.Prot()
 
 	for _, r := range n.Routers {
 		r.ILM = make(map[Label]*FWD)
@@ -302,13 +291,19 @@ func (n *Network) programILM() {
 	// detour with splitting ratios normalized from the current p'; failed
 	// links keep their frozen detour ξ, which head routers use when
 	// stacking.
+	var row routing.SparseRow
 	for l := 0; l < g.NumLinks(); l++ {
 		lid := graph.LinkID(l)
 		if failed.Contains(lid) {
-			n.programColumn(lid, n.state.Detour(lid))
-			continue
+			xi := n.state.Detour(lid)
+			if xi == nil {
+				continue
+			}
+			row.SetDense(xi)
+		} else {
+			row = n.state.ProtRow(lid, row)
 		}
-		n.programColumn(lid, prot[l])
+		n.programColumn(lid, row)
 	}
 }
 
@@ -331,33 +326,26 @@ func (n *Network) programFIB(plan *core.Plan) {
 }
 
 // programColumn installs ILM entries for one protected link's detour
-// fractions (p'_l or ξ_l).
-func (n *Network) programColumn(lid graph.LinkID, frac []float64) {
-	if frac == nil {
-		return
-	}
+// fractions (p'_l or ξ_l), a row with its links ascending. Every node's
+// out-links ascend too, so each router's entries come in out-link order.
+func (n *Network) programColumn(lid graph.LinkID, row routing.SparseRow) {
 	g := n.G
 	link := g.Link(lid)
 	lbl := n.LabelOf[lid]
-	for v := 0; v < g.NumNodes(); v++ {
-		node := graph.NodeID(v)
-		if node == link.Dst {
-			n.Routers[v].ILM[lbl] = &FWD{Pop: true}
+	n.Routers[link.Dst].ILM[lbl] = &FWD{Pop: true}
+	for j, l := range row.Idx {
+		id := graph.LinkID(l)
+		// Traffic protected against l never uses l itself once l has
+		// failed; p_l(l) only matters pre-failure.
+		v, src := row.Val[j], g.Link(id).Src
+		if id == lid || src == link.Dst || !(v > 1e-12) {
 			continue
 		}
-		var entries []NHLFE
-		for _, id := range g.Out(node) {
-			if id == lid {
-				// Traffic protected against l never uses l itself once l
-				// has failed; p_l(l) only matters pre-failure.
-				continue
-			}
-			if frac[id] > 1e-12 {
-				entries = append(entries, NHLFE{Out: id, OutLabel: lbl, Ratio: frac[id]})
-			}
+		fwd := n.Routers[src].ILM[lbl]
+		if fwd == nil {
+			fwd = &FWD{}
+			n.Routers[src].ILM[lbl] = fwd
 		}
-		if entries != nil {
-			n.Routers[v].ILM[lbl] = &FWD{Entries: entries}
-		}
+		fwd.Entries = append(fwd.Entries, NHLFE{Out: id, OutLabel: lbl, Ratio: v})
 	}
 }

@@ -62,12 +62,17 @@ func TestProgramColumnSkipsUnprotectable(t *testing.T) {
 	}
 }
 
-// planFor assembles a minimal plan for data-plane tests, its base rows the
-// nonzeros of base.
+// planFor assembles a minimal plan for data-plane tests, its rows the
+// nonzeros of base and of prot.
 func planFor(g *graph.Graph, base *routing.Flow, prot [][]float64) *core.Plan {
-	rows := make([]routing.SparseRow, len(base.Frac))
-	for k, fr := range base.Frac {
+	return &core.Plan{G: g, Model: core.ArbitraryFailures{F: 1}, Comms: base.Comms, Base: sparse(base.Frac), Prot: sparse(prot)}
+}
+
+// sparse keeps each dense row's nonzeros.
+func sparse(dense [][]float64) []routing.SparseRow {
+	rows := make([]routing.SparseRow, len(dense))
+	for k, fr := range dense {
 		rows[k].SetDense(fr)
 	}
-	return &core.Plan{G: g, Model: core.ArbitraryFailures{F: 1}, Comms: base.Comms, Base: rows, Prot: prot}
+	return rows
 }

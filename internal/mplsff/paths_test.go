@@ -63,7 +63,7 @@ func TestDetourPathsPartition(t *testing.T) {
 	b := g.AddNode("b")
 	g.AddDuplex(a, b, 10, 1, 1)
 	base := routingFlowForTest(g, a, b)
-	prot := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+	prot := [][]float64{{1, 0}, {0, 1}}
 	// p_l(l) = 1: unprotectable by construction.
 	plan := planFor(g, base, prot)
 	st := core.NewState(plan)

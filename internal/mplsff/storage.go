@@ -1,5 +1,10 @@
 package mplsff
 
+import (
+	"repro/internal/graph"
+	"repro/internal/routing"
+)
+
 // Storage accounting for Table 3: the router storage overhead of R3's
 // MPLS-ff implementation. Sizes follow the Linux MPLS structures the
 // paper's prototype extends: an ILM entry (label lookup key plus FWD
@@ -62,9 +67,10 @@ func (n *Network) MeasureStorage() Storage {
 
 	// RIB: each router stores the full p matrix's nonzero entries.
 	nz := 0
-	prot := n.state.Prot()
-	for l := range prot {
-		for _, v := range prot[l] {
+	var row routing.SparseRow
+	for l := 0; l < n.G.NumLinks(); l++ {
+		row = n.state.ProtRow(graph.LinkID(l), row)
+		for _, v := range row.Val {
 			if v > 1e-12 {
 				nz++
 			}
