@@ -7,9 +7,13 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also holds the docs to the tree and the code to its callers
+# (TestDocs, TestNoDeadExports: one type-checked load, a few seconds), so
+# every target that depends on it fails on a dead export or a stale name.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
+	$(GO) test -count=1 -run 'TestDocs|TestNoDeadExports|TestDeadExportsFixture' .
 
 test:
 	$(GO) test ./...
@@ -105,15 +109,14 @@ daemon: vet
 
 # degrade runs the generalized-scenario suite under the race detector —
 # degradation-envelope property tests and polytope differentials,
-# hard-failure byte-identity gates, workload-grammar parsers, scenario
-# evaluation and emulator degradation — plus quick sweeps with and without
+# hard-failure byte-identity gates, workload-grammar parsers and scenario
+# evaluation — plus quick sweeps with and without
 # a surge, envelope planning with a what-if replay, and the pinned
 # degradation plan digest (DESIGN.md §3).
 degrade: vet
 	$(GO) test -race -count=1 -run 'TestDegradation|TestScenario|TestSurge|TestWorkload|TestParse|TestVerify|TestEnumerate|TestSample|TestApplyScenario|TestEffectiveKind|TestNodeScenario' ./internal/core
 	$(GO) test -race -count=1 -run 'TestCapScale' ./internal/mcf
 	$(GO) test -race -count=1 -run 'TestEvaluateScenarios|TestBottleneckScaled|TestScenarioScheme' ./internal/eval
-	$(GO) test -race -count=1 -run 'TestDegrade' ./internal/netem
 	$(GO) test -race -count=1 -run 'TestDegradationSweep' ./internal/exp
 	$(GO) test -race -count=1 -run 'TestScenarioEndpoint' ./internal/controlplane
 	$(GO) run ./cmd/r3sim -exp degrade -quick

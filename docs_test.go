@@ -4,21 +4,19 @@ package repro_test
 // document gives in code — a Go identifier, a test, a CLI flag, a make
 // target, an r3bench cell, a DESIGN.md section, a module-map row — must
 // name something that exists, so a rename or a deletion that forgets its
-// documents fails here rather than misleading the next reader. The index
-// is built from the Go sources (go/parser, no type checking); standard
-// library names resolve against the GOROOT sources of the packages the
-// tree imports, parsed on first use.
+// documents fails here rather than misleading the next reader. Dotted Go
+// names resolve through the tree's one type-checked load (loadTree), which
+// TestNoDeadExports reads too; the standard library packages the tree
+// imports resolve with it.
 
 import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
-	"path/filepath"
 	"regexp"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -57,27 +55,34 @@ func TestDocs(t *testing.T) {
 	}
 }
 
+// TestDocsResolverRejects plants spans the resolver must reject beside
+// ones it must accept: a member a type lacks, through a package, a type
+// and a field, and a name declared only in a test file. The planted names
+// are built at run time: as literals they would be in the index's strings.
+func TestDocsResolverRejects(t *testing.T) {
+	d := &docChecker{ix: buildIndex(t)}
+	for _, span := range []string{"core.Plan.Prot", "Plan.Comms", "State.Fail", "sort.Interface.Len", "Prot.Idx", "denseBase"} {
+		d.checkSpan("planted.md", 1, span)
+	}
+	if len(d.errs) > 0 {
+		t.Fatalf("resolvable spans rejected: %q", d.errs)
+	}
+	for _, planted := range [][2]string{{"core.Plan.", "NoSuchField"}, {"Plan.", "NoSuchField"},
+		{"core.", "NoSuchName"}, {"Comms.", "NoSuchField"}, {"core.", "denseBase"}} {
+		span := planted[0] + planted[1]
+		d.errs = nil
+		if d.checkSpan("planted.md", 1, span); len(d.errs) != 1 {
+			t.Errorf("planted span %s: got %q, want one error", span, d.errs)
+		}
+	}
+}
+
 // ---- the tree's index ----
 
-type typeRef struct{ pkg, name string }
-
-type typeInfo struct {
-	members map[string][]typeRef // fields and methods; a method maps to its first result
-	embeds  []typeRef
-}
-
-type pkgInfo struct {
-	decls map[string][]typeRef // top-level names; a type maps to itself, a var to its type
-	types map[string]*typeInfo
-}
-
-type goFile struct{ path, src string }
-
 type index struct {
-	pkgs       map[string]*pkgInfo        // by package name
-	stdImports map[string]string          // package name -> standard import path
-	typesNamed map[string][]typeRef       // type name -> every package declaring it
-	fieldsOf   map[string][]typeRef       // struct field name -> its types, any struct
+	pkgs       map[string]*types.Package  // by package name: the tree's libraries and what they import
+	typesNamed map[string][]types.Type    // type name -> every tree type of that name
+	fieldsOf   map[string][]types.Type    // struct field name -> its types, any tree struct
 	declared   map[string]bool            // every name declared anywhere in the tree
 	strs       map[string]bool            // every string literal (metric and span names)
 	tests      map[string][]string        // package dir -> Test/Fuzz/Benchmark/Example funcs
@@ -86,8 +91,7 @@ type index struct {
 	workloads  map[string]bool            // BENCHMARK.json workloads
 	metrics    map[string]bool            // BENCHMARK.json end-to-end and per-layer metrics
 	modDirs    map[string]bool            // internal/x, cmd/x, examples/x holding Go files
-	goFiles    []goFile
-	fset       *token.FileSet
+	goFiles    []*treeFile
 }
 
 func readFile(t *testing.T, name string) string {
@@ -99,42 +103,46 @@ func readFile(t *testing.T, name string) string {
 	return string(b)
 }
 
+// buildIndex indexes the loaded tree. Dotted Go names resolve through the
+// type-checked non-test packages; test names, flags, string literals and
+// declared names come from every file's syntax, test files included.
+// bench/ is the benchmark's own, so its files index nothing here.
 func buildIndex(t *testing.T) *index {
+	tr := loadTree(t)
 	ix := &index{
-		pkgs: map[string]*pkgInfo{}, stdImports: map[string]string{},
-		typesNamed: map[string][]typeRef{}, fieldsOf: map[string][]typeRef{},
+		pkgs: map[string]*types.Package{}, typesNamed: map[string][]types.Type{}, fieldsOf: map[string][]types.Type{},
 		declared: map[string]bool{}, strs: map[string]bool{}, tests: map[string][]string{},
-		flags: map[string]map[string]bool{}, targets: map[string]bool{},
-		modDirs: map[string]bool{}, fset: token.NewFileSet(),
+		flags: map[string]map[string]bool{}, targets: map[string]bool{}, modDirs: map[string]bool{},
 	}
-	err := filepath.WalkDir(".", func(path string, de os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, p := range tr.pkgs {
+		if strings.HasPrefix(p.Path(), "repro/bench") {
+			continue
 		}
-		if de.IsDir() {
-			base := de.Name()
-			if path != "." && (strings.HasPrefix(base, ".") || base == "bench" || base == "testdata") {
-				return filepath.SkipDir
+		for _, q := range p.Imports() {
+			ix.pkgs[q.Name()] = q
+		}
+		if p.Name() != "main" {
+			ix.pkgs[p.Name()] = p
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
 			}
-			return nil
+			ix.typesNamed[name] = append(ix.typesNamed[name], tn.Type())
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					fld := st.Field(i)
+					ix.fieldsOf[fld.Name()] = append(ix.fieldsOf[fld.Name()], fld.Type())
+				}
+			}
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+	}
+	for _, f := range tr.files {
+		if !strings.HasPrefix(f.dir, "bench") {
+			ix.goFiles = append(ix.goFiles, f)
+			ix.addTreeFile(f)
 		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(ix.fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ix.goFiles = append(ix.goFiles, goFile{path, string(src)})
-		ix.addTreeFile(filepath.ToSlash(filepath.Dir(path)), path, f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, line := range strings.Split(readFile(t, "Makefile"), "\n") {
 		if m := makeTargetRe.FindStringSubmatch(line); m != nil {
@@ -163,34 +171,14 @@ func buildIndex(t *testing.T) *index {
 
 var makeTargetRe = regexp.MustCompile(`^([A-Za-z0-9_-]+(?:\s+[A-Za-z0-9_-]+)*)\s*:([^=]|$)`)
 
-func (ix *index) pkg(name string) *pkgInfo {
-	p := ix.pkgs[name]
-	if p == nil {
-		p = &pkgInfo{decls: map[string][]typeRef{}, types: map[string]*typeInfo{}}
-		ix.pkgs[name] = p
-	}
-	return p
-}
-
-func (ix *index) addTreeFile(dir, path string, f *ast.File) {
+func (ix *index) addTreeFile(tf *treeFile) {
+	dir, f := tf.dir, tf.ast
 	parts := strings.Split(dir, "/")
 	if len(parts) == 2 && (parts[0] == "internal" || parts[0] == "cmd" || parts[0] == "examples") {
 		ix.modDirs[dir] = true
 	}
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		if !strings.HasPrefix(p, "repro/") && !strings.Contains(strings.Split(p, "/")[0], ".") {
-			ix.stdImports[p[strings.LastIndex(p, "/")+1:]] = p
-		}
-	}
-	pkgName := strings.TrimSuffix(f.Name.Name, "_test")
-	if pkgName == "main" {
-		pkgName = "main:" + dir
-	}
-	ix.addDecls(pkgName, f, true)
-	isTest := strings.HasSuffix(path, "_test.go")
 	for _, decl := range f.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && isTest && fn.Recv == nil {
+		if fn, ok := decl.(*ast.FuncDecl); ok && tf.test && fn.Recv == nil {
 			for _, pre := range []string{"Test", "Fuzz", "Benchmark", "Example"} {
 				if strings.HasPrefix(fn.Name.Name, pre) {
 					ix.tests[dir] = append(ix.tests[dir], fn.Name.Name)
@@ -247,165 +235,41 @@ func (ix *index) addTreeFile(dir, path string, f *ast.File) {
 	})
 }
 
-// addDecls records f's top-level declarations under pkgName: types with
-// their fields, methods and embedded types, and funcs and vars with the
-// type they yield, so that dotted names can be walked.
-func (ix *index) addDecls(pkgName string, f *ast.File, tree bool) {
-	p := ix.pkg(pkgName)
-	ti := func(name string) *typeInfo {
-		x := p.types[name]
-		if x == nil {
-			x = &typeInfo{members: map[string][]typeRef{}}
-			p.types[name] = x
-			if tree {
-				ix.typesNamed[name] = append(ix.typesNamed[name], typeRef{pkgName, name})
-			}
+// yields returns the types a name leads on to: a type itself, a var's or
+// field's type, a func's or method's first result.
+func yields(obj types.Object) []types.Type {
+	switch obj := obj.(type) {
+	case *types.TypeName:
+		return []types.Type{obj.Type()}
+	case *types.Func:
+		if res := obj.Type().(*types.Signature).Results(); res.Len() > 0 {
+			return []types.Type{res.At(0).Type()}
 		}
-		return x
+		return nil
 	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			var res []typeRef
-			if decl.Type.Results != nil && len(decl.Type.Results.List) > 0 {
-				res = refOf(pkgName, decl.Type.Results.List[0].Type)
-			}
-			if decl.Recv == nil {
-				put(p.decls, decl.Name.Name, res)
-			} else if recv := refOf(pkgName, decl.Recv.List[0].Type); len(recv) == 1 {
-				put(ti(recv[0].name).members, decl.Name.Name, res)
-			}
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					x := ti(spec.Name.Name)
-					p.decls[spec.Name.Name] = []typeRef{{pkgName, spec.Name.Name}}
-					var fields []*ast.Field
-					switch tt := spec.Type.(type) {
-					case *ast.StructType:
-						fields = tt.Fields.List
-					case *ast.InterfaceType:
-						fields = tt.Methods.List
-					}
-					for _, fl := range fields {
-						ref := refOf(pkgName, fl.Type)
-						if len(fl.Names) == 0 {
-							x.embeds = append(x.embeds, ref...)
-							if len(ref) == 1 {
-								x.members[ref[0].name] = ref
-							}
-						}
-						for _, id := range fl.Names {
-							if _, isFunc := fl.Type.(*ast.FuncType); isFunc {
-								ref = nil
-							}
-							put(x.members, id.Name, ref)
-							if tree {
-								ix.fieldsOf[id.Name] = append(ix.fieldsOf[id.Name], ref...)
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					ref := refOf(pkgName, spec.Type)
-					for _, id := range spec.Names {
-						put(p.decls, id.Name, ref)
-					}
-				}
-			}
-		}
-	}
+	return []types.Type{obj.Type()}
 }
 
-// put records name in m with the types it yields, possibly none.
-func put(m map[string][]typeRef, name string, refs []typeRef) {
-	m[name] = append(m[name], refs...)
-	if m[name] == nil {
-		m[name] = []typeRef{}
-	}
-}
-
-// refOf names the type an expression denotes, looking through pointers,
-// slices, arrays, maps (their values) and generic instantiations.
-func refOf(pkgName string, e ast.Expr) []typeRef {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return []typeRef{{pkgName, e.Name}}
-	case *ast.SelectorExpr:
-		if id, ok := e.X.(*ast.Ident); ok {
-			return []typeRef{{id.Name, e.Sel.Name}}
-		}
-	case *ast.StarExpr:
-		return refOf(pkgName, e.X)
-	case *ast.ArrayType:
-		return refOf(pkgName, e.Elt)
-	case *ast.MapType:
-		return refOf(pkgName, e.Value)
-	case *ast.IndexExpr:
-		return refOf(pkgName, e.X)
-	case *ast.IndexListExpr:
-		return refOf(pkgName, e.X)
-	}
-	return nil
-}
-
-// pkgNamed returns the tree package of that name, or the standard library
-// package the tree imports under it, parsing its GOROOT sources once.
-// Without those sources its names stay unresolved, and the test says so.
-func (ix *index) pkgNamed(name string) *pkgInfo {
-	if path, ok := ix.stdImports[name]; ok && ix.pkgs[name] == nil {
-		ix.pkg(name)
-		dir := filepath.Join(runtime.GOROOT(), "src", filepath.FromSlash(path))
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			n := e.Name()
-			if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+// walk resolves each name in rest as a field or method (embedded ones
+// included) of the named types reached so far.
+func walk(typs []types.Type, rest []string) bool {
+	for _, name := range rest {
+		var next []types.Type
+		found := false
+		for _, t := range typs {
+			n := namedOf(t)
+			if n == nil {
 				continue
 			}
-			if f, err := parser.ParseFile(ix.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution); err == nil && f.Name.Name == name {
-				ix.addDecls(name, f, false)
-			}
-		}
-	}
-	return ix.pkgs[name]
-}
-
-func (ix *index) typeOf(r typeRef) *typeInfo {
-	if p := ix.pkgNamed(r.pkg); p != nil {
-		return p.types[r.name]
-	}
-	return nil
-}
-
-// members resolves one name against a set of types, embedded types
-// included, and returns the types it yields.
-func (ix *index) members(refs []typeRef, name string, depth int) ([]typeRef, bool) {
-	var out []typeRef
-	found := false
-	for _, r := range refs {
-		x := ix.typeOf(r)
-		if x == nil {
-			continue
-		}
-		if m, ok := x.members[name]; ok {
-			out = append(out, m...)
-			found = true
-		} else if depth < 3 {
-			if m, ok := ix.members(x.embeds, name, depth+1); ok {
-				out = append(out, m...)
+			if obj, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), name); obj != nil {
+				next = append(next, yields(obj)...)
 				found = true
 			}
 		}
-	}
-	return out, found
-}
-
-func (ix *index) walk(refs []typeRef, rest []string) bool {
-	for _, name := range rest {
-		var ok bool
-		if refs, ok = ix.members(refs, name, 0); !ok {
+		if !found {
 			return false
 		}
+		typs = next
 	}
 	return true
 }
@@ -413,15 +277,15 @@ func (ix *index) walk(refs []typeRef, rest []string) bool {
 // resolve reports whether a dotted Go name names something: pkg.Name...,
 // Type.member..., or field.member... through the field's type.
 func (ix *index) resolve(parts []string) bool {
-	if p := ix.pkgNamed(parts[0]); p != nil && len(parts) > 1 {
-		if d, ok := p.decls[parts[1]]; ok && ix.walk(d, parts[2:]) {
+	if p := ix.pkgs[parts[0]]; p != nil && len(parts) > 1 {
+		if obj := p.Scope().Lookup(parts[1]); obj != nil && walk(yields(obj), parts[2:]) {
 			return true
 		}
 	}
-	if ix.walk(ix.typesNamed[parts[0]], parts[1:]) && len(ix.typesNamed[parts[0]]) > 0 {
+	if ts := ix.typesNamed[parts[0]]; len(ts) > 0 && walk(ts, parts[1:]) {
 		return true
 	}
-	return len(ix.fieldsOf[parts[0]]) > 0 && ix.walk(ix.fieldsOf[parts[0]], parts[1:])
+	return len(ix.fieldsOf[parts[0]]) > 0 && walk(ix.fieldsOf[parts[0]], parts[1:])
 }
 
 // testMatches reports whether re matches a test function in one of the

@@ -65,16 +65,6 @@ type wirePlan struct {
 	Prot [][]wireEntry `json:"prot"`
 }
 
-// Encode writes the plan in its JSON wire format, in one Write.
-func (p *Plan) Encode(w io.Writer) error {
-	b, err := p.EncodeBytes()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // EncodeBytes returns the plan's JSON wire format as a byte slice — the
 // exact bytes json.Encoder writes for a wirePlan. The control plane serves
 // and caches these bytes directly, so a plan is distributed

@@ -56,17 +56,14 @@ func TestCodecGoldenRoundTrip(t *testing.T) {
 	for name, plan := range plans {
 		path := filepath.Join("testdata", name)
 		if *updateGolden {
-			var buf bytes.Buffer
-			if err := plan.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
+			buf := encodePlan(t, plan)
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("wrote %s (%d bytes)", path, buf.Len())
+			t.Logf("wrote %s (%d bytes)", path, len(buf))
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
@@ -78,20 +75,12 @@ func TestCodecGoldenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode fixture: %v", err)
 			}
-			var reenc bytes.Buffer
-			if err := decoded.Encode(&reenc); err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if !bytes.Equal(fixture, reenc.Bytes()) {
-				t.Fatalf("fixture is not a codec fixed point:\nfixture:   %d bytes\nre-encode: %d bytes", len(fixture), reenc.Len())
+			if reenc := encodePlan(t, decoded); !bytes.Equal(fixture, reenc) {
+				t.Fatalf("fixture is not a codec fixed point:\nfixture:   %d bytes\nre-encode: %d bytes", len(fixture), len(reenc))
 			}
 			// The fixture must also match today's solver output: plans are
 			// deterministic, so drift means either solver or codec changed.
-			var fresh bytes.Buffer
-			if err := plan.Encode(&fresh); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fixture, fresh.Bytes()) {
+			if !bytes.Equal(fixture, encodePlan(t, plan)) {
 				t.Fatal("freshly computed plan no longer matches the checked-in fixture")
 			}
 		})
@@ -103,21 +92,18 @@ func TestCodecGoldenRoundTrip(t *testing.T) {
 func TestCodecRejectsMismatchedTopology(t *testing.T) {
 	plans := goldenPlans(t)
 	plan := plans["plan_arbitrary.json"]
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := encodePlan(t, plan)
 	wrong := mesh6(t)
-	if _, err := DecodePlan(bytes.NewReader(buf.Bytes()), wrong); err == nil {
+	if _, err := DecodePlan(bytes.NewReader(buf), wrong); err == nil {
 		t.Fatal("decode against mismatched topology succeeded")
 	}
 	renamed := ring5(t)
 	renamed.Name = "other"
-	if _, err := DecodePlan(bytes.NewReader(buf.Bytes()), renamed); err == nil {
+	if _, err := DecodePlan(bytes.NewReader(buf), renamed); err == nil {
 		t.Fatal("decode against renamed topology succeeded")
 	}
 	var g *graph.Graph = ring5(t)
-	truncated := buf.Bytes()[:buf.Len()/2]
+	truncated := buf[:len(buf)/2]
 	if _, err := DecodePlan(bytes.NewReader(truncated), g); err == nil {
 		t.Fatal("decode of truncated plan succeeded")
 	}

@@ -19,11 +19,8 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePlan(&buf, g)
+	buf := encodePlan(t, plan)
+	got, err := DecodePlan(bytes.NewReader(buf), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +70,8 @@ func TestPlanDecodeGroupModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePlan(&buf, g)
+	buf := encodePlan(t, plan)
+	got, err := DecodePlan(bytes.NewReader(buf), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +88,9 @@ func TestPlanDecodeRejectsWrongTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := encodePlan(t, plan)
 	other := mesh6(t)
-	if _, err := DecodePlan(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := DecodePlan(bytes.NewReader(buf), other); err == nil {
 		t.Fatalf("plan accepted for wrong topology")
 	}
 }
@@ -111,17 +102,14 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := encodePlan(t, plan)
 	corruptions := map[string][2]string{
 		"wrong version":    {`"version":1`, `"version":99`},
 		"wrong link count": {`"links":14`, `"links":13`},
 	}
 	for name, rep := range corruptions {
-		s := strings.Replace(buf.String(), rep[0], rep[1], 1)
-		if s == buf.String() {
+		s := strings.Replace(string(buf), rep[0], rep[1], 1)
+		if s == string(buf) {
 			t.Fatalf("%s: pattern %q not found in wire format", name, rep[0])
 		}
 		if _, err := DecodePlan(strings.NewReader(s), g); err == nil {
@@ -131,7 +119,7 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	// Structural corruption: blow up one protection fraction so [R2]
 	// breaks for that commodity.
 	var m map[string]interface{}
-	if err := jsonUnmarshal(buf.Bytes(), &m); err != nil {
+	if err := jsonUnmarshal(buf, &m); err != nil {
 		t.Fatal(err)
 	}
 	prot := m["prot"].([]interface{})
@@ -176,7 +164,7 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	}
 	for _, re := range rowEdits {
 		var m map[string]interface{}
-		if err := jsonUnmarshal(buf.Bytes(), &m); err != nil {
+		if err := jsonUnmarshal(buf, &m); err != nil {
 			t.Fatal(err)
 		}
 		m["base"] = re.edit(m["base"].([]interface{}), m["prot"].([]interface{}))

@@ -85,12 +85,13 @@ func TestDegradationExtremePointsDifferential(t *testing.T) {
 	nL := g.NumLinks()
 	var scs []Scenario
 	for a := 0; a < nL; a++ {
-		scs = append(scs, DegradationScenario(LinkDegradation{Link: graph.LinkID(a), Frac: 0.5}))
+		scs = append(scs, Scenario{Kind: ScenarioDegradation, Node: -1,
+			Degraded: []LinkDegradation{{Link: graph.LinkID(a), Frac: 0.5}}})
 		for b := a + 1; b < nL; b++ {
-			scs = append(scs, DegradationScenario(
-				LinkDegradation{Link: graph.LinkID(a), Frac: 0.5},
-				LinkDegradation{Link: graph.LinkID(b), Frac: 0.5},
-			))
+			scs = append(scs, Scenario{Kind: ScenarioDegradation, Node: -1, Degraded: []LinkDegradation{
+				{Link: graph.LinkID(a), Frac: 0.5},
+				{Link: graph.LinkID(b), Frac: 0.5},
+			}})
 		}
 	}
 	rep, err := plan.VerifyScenarios(scs)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -46,7 +47,7 @@ func TestDelayEnvelopeFW(t *testing.T) {
 	delayOf := func(p *Plan) float64 {
 		for k, cm := range p.Comms {
 			if cm.Src == a && cm.Dst == c {
-				return denseBase(p).AvgPathDelay(k)
+				return avgPathDelay(denseBase(p), k)
 			}
 		}
 		t.Fatalf("commodity missing")
@@ -73,7 +74,19 @@ func TestDelayEnvelopeFWKeepsRoutingValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := denseBase(plan).Validate(1e-6); err != nil {
+	if err := validFlow(denseBase(plan), 1e-6); err != nil {
 		t.Fatalf("base invalid under delay envelope: %v", err)
 	}
+}
+
+// avgPathDelay is commodity k's mean propagation delay under f: the sum
+// of its fractions times link delays, in ms.
+func avgPathDelay(f *routing.Flow, k int) float64 {
+	var d float64
+	for e, v := range f.Frac[k] {
+		if v > 0 {
+			d += v * f.G.Link(graph.LinkID(e)).Delay
+		}
+	}
+	return d
 }

@@ -433,3 +433,53 @@ func TestPinnedPrecomputeAllocationCeiling(t *testing.T) {
 	}
 	t.Logf("pinned-base Precompute on SBC allocates %.0f B", got)
 }
+
+// insertionStats is the bit-exact oracle of colTop.stats. It scans v
+// treating index skip as absent and returns the sum of the top-(F-1)
+// positive values (sFm1) and the F-th largest positive value (aF, 0 when
+// fewer than F positives exist). The worst-case virtual load as a function
+// of a new value x at index skip is then sFm1 + max(x, aF), which lets
+// block line searches evaluate in O(1) per link. Requires F <= 32.
+func insertionStats(v []float64, skip, F int) (sFm1, aF float64) {
+	if F <= 0 {
+		return 0, 0
+	}
+	if F > 32 {
+		panic("core: insertionStats supports F <= 32")
+	}
+	var buf [32]float64
+	n := 0
+	for i, x := range v {
+		if i == skip || x <= 0 {
+			continue
+		}
+		if n == F && x <= buf[n-1] {
+			continue
+		}
+		j := n
+		if j == F {
+			j--
+		}
+		for j > 0 && buf[j-1] < x {
+			buf[j] = buf[j-1]
+			j--
+		}
+		buf[j] = x
+		if n < F {
+			n++
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		sFm1 += buf[i]
+	}
+	if n == F {
+		aF = buf[F-1]
+		return sFm1, aF
+	}
+	// Fewer than F positives: n <= F-1, so the top-(F-1) sum includes all
+	// n values and no F-th largest exists.
+	if n > 0 {
+		sFm1 += buf[n-1]
+	}
+	return sFm1, 0
+}

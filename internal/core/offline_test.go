@@ -37,7 +37,7 @@ func validateProt(t *testing.T, g *graph.Graph, prot []routing.SparseRow) {
 	for l := range prot {
 		prot[l].Scatter(f.Frac[l])
 	}
-	if err := f.Validate(1e-6); err != nil {
+	if err := validFlow(f, 1e-6); err != nil {
 		t.Fatalf("protection routing invalid: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestLPParallelLinksOptimal(t *testing.T) {
 		t.Fatalf("LP MLU = %v, want 0.6", plan.MLU)
 	}
 	validateProt(t, g, plan.Prot)
-	if err := denseBase(plan).Validate(1e-6); err != nil {
+	if err := validFlow(denseBase(plan), 1e-6); err != nil {
 		t.Fatalf("base invalid: %v", err)
 	}
 	// Evaluate must agree with the LP objective.
@@ -149,7 +149,7 @@ func TestTheorem1SingleFailureFW(t *testing.T) {
 		t.Fatal(err)
 	}
 	validateProt(t, g, plan.Prot)
-	if err := denseBase(plan).Validate(1e-6); err != nil {
+	if err := validFlow(denseBase(plan), 1e-6); err != nil {
 		t.Fatalf("base invalid: %v", err)
 	}
 	checkTheorem1(t, plan, 1)
@@ -262,7 +262,7 @@ func TestDelayEnvelopeLP(t *testing.T) {
 	base := denseBase(plan)
 	for k, c := range plan.Comms {
 		dist := delayDistTo(g, c.Dst)
-		if got := base.AvgPathDelay(k); got > dist[c.Src]*1.0+1e-6 {
+		if got := avgPathDelay(base, k); got > dist[c.Src]*1.0+1e-6 {
 			t.Fatalf("commodity %d delay %v exceeds bound %v", k, got, dist[c.Src])
 		}
 	}

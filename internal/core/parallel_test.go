@@ -17,11 +17,11 @@ import (
 // bit.
 func encodePlan(t *testing.T, p *Plan) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
+	b, err := p.EncodeBytes()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // precomputeAt runs Precompute with the given worker count, failing the

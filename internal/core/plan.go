@@ -171,30 +171,6 @@ func planCell(r *routing.SparseRow, l int32) float64 {
 // every failure scenario covered by the model reroutes without overload.
 func (p *Plan) CongestionFree() bool { return p.MLU <= 1+1e-9 }
 
-// Evaluate recomputes the plan objective from scratch: for every link e,
-// base load plus the worst-case virtual load c_l·p_l(e) over the model,
-// over capacity. It is the verification counterpart of the offline
-// solvers.
-func (p *Plan) Evaluate() float64 {
-	nL := p.G.NumLinks()
-	loads := baseLoads(nL, p.Comms, p.Base)
-	ix := p.protIndex()
-	v := make([]float64, nL)
-	worst := 0.0
-	for e := 0; e < nL; e++ {
-		clear(v)
-		ls, fr := ix.col(int32(e))
-		for j, l := range ls {
-			v[l] = p.G.Link(graph.LinkID(l)).Capacity * fr[j]
-		}
-		u := (loads[e] + p.Model.WorstLoad(v)) / p.G.Link(graph.LinkID(e)).Capacity
-		if u > worst {
-			worst = u
-		}
-	}
-	return worst
-}
-
 // State is the online view of a router network running R3: the current
 // (reconfigured) base and protection routings plus the set of failed
 // links. Fail applies the paper's online reconfiguration — the rescaling
@@ -727,10 +703,6 @@ func (s *State) Degrade(e graph.LinkID, frac float64) error {
 	return nil
 }
 
-// DegradedFrac returns the lost capacity fraction of link e (0 when the
-// link is not degraded).
-func (s *State) DegradedFrac(e graph.LinkID) float64 { return s.degraded[e] }
-
 // ScaleDemands multiplies the demand of the listed OD pairs by factor
 // (every commodity when ods is nil) — the online form of a traffic
 // surge. The state gets its own demand vector.
@@ -919,13 +891,6 @@ func (s *State) MLU() float64 {
 		}
 	}
 	return worst
-}
-
-// Delivered returns the fraction of commodity k's demand that still
-// reaches its destination (1 unless reconfiguration dropped traffic at a
-// partition), measured as net inflow at the destination.
-func (s *State) Delivered(k int) float64 {
-	return s.plan.delivered(k, s.base.find(k))
 }
 
 // delivered is the share of commodity k's demand that base row k, with

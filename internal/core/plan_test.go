@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -256,6 +257,17 @@ func denseBase(p *Plan) *routing.Flow {
 	return f
 }
 
+// validFlow checks conditions [R1]–[R4] for every commodity of f
+// (routing.Commodity.Validate).
+func validFlow(f *routing.Flow, eps float64) error {
+	for k, c := range f.Comms {
+		if err := c.Validate(f.G, f.Frac[k], eps); err != nil {
+			return fmt.Errorf("commodity %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
 // stateBase is the dense view of a state's current base routing: the
 // state's demands, and each row as the state routes it.
 func stateBase(s *State) *routing.Flow {
@@ -417,4 +429,35 @@ func checkCanonicalRows(t *testing.T, name string, rows []routing.SparseRow, n i
 		nextIdx = (*int32)(unsafe.Add(unsafe.Pointer(&r.Idx[0]), 4*len(r.Idx)))
 		nextVal = (*float64)(unsafe.Add(unsafe.Pointer(&r.Val[0]), 8*len(r.Val)))
 	}
+}
+
+// Evaluate recomputes the plan objective from scratch: for every link e,
+// base load plus the worst-case virtual load c_l·p_l(e) over the model,
+// over capacity. It is the verification counterpart of the offline
+// solvers, kept beside the tests that hold them to it.
+func (p *Plan) Evaluate() float64 {
+	nL := p.G.NumLinks()
+	loads := baseLoads(nL, p.Comms, p.Base)
+	ix := p.protIndex()
+	v := make([]float64, nL)
+	worst := 0.0
+	for e := 0; e < nL; e++ {
+		clear(v)
+		ls, fr := ix.col(int32(e))
+		for j, l := range ls {
+			v[l] = p.G.Link(graph.LinkID(l)).Capacity * fr[j]
+		}
+		u := (loads[e] + p.Model.WorstLoad(v)) / p.G.Link(graph.LinkID(e)).Capacity
+		if u > worst {
+			worst = u
+		}
+	}
+	return worst
+}
+
+// Delivered returns the fraction of commodity k's demand that still
+// reaches its destination (1 unless reconfiguration dropped traffic at a
+// partition), measured as net inflow at the destination.
+func (s *State) Delivered(k int) float64 {
+	return s.plan.delivered(k, s.base.find(k))
 }

@@ -69,7 +69,7 @@ func TestTheorem1RandomTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := denseBase(plan).Validate(1e-6); err != nil {
+		if err := validFlow(denseBase(plan), 1e-6); err != nil {
 			t.Fatalf("trial %d: base invalid: %v", trial, err)
 		}
 		if !plan.CongestionFree() {

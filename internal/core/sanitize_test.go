@@ -16,8 +16,10 @@ import (
 
 // sanitizeProtDense is sanitizeProt as it was when the plan's protection
 // was dense: the whole routing made an L×L flow, its loops removed, each
-// row decomposed and rebuilt, then the forced detours. It is kept verbatim
-// as the differential oracle of TestSanitizeProtMatchesDenseOracle.
+// row decomposed and rebuilt, then the forced detours. It is kept as the
+// differential oracle of TestSanitizeProtMatchesDenseOracle; its loops are
+// cancelled row by row with SparseRow.CancelLoops, which the routing tests
+// hold to the dense kernel bit for bit.
 func sanitizeProtDense(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	const (
 		keepCoverage = 0.995 // retain paths until this much mass is kept
@@ -25,12 +27,15 @@ func sanitizeProtDense(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	)
 	nL := g.NumLinks()
 	P := make([][]float64, nL)
+	var ls routing.LoopScratch
+	zero := make([]float64, nL)
 	for l := range P {
 		P[l] = make([]float64, nL)
-		prot[l].Scatter(P[l])
+		row := routing.SparseRow{Idx: slices.Clone(prot[l].Idx), Val: slices.Clone(prot[l].Val)}
+		row.CancelLoops(g, zero, &ls)
+		row.Scatter(P[l])
 	}
 	f := &routing.Flow{G: g, Comms: routing.LinkCommodities(g), Frac: P}
-	f.RemoveLoops()
 	var sc spf.Scratch
 	var down graph.LinkSet
 	for l := 0; l < nL; l++ {

@@ -92,11 +92,6 @@ func NodeScenarios(g *graph.Graph) []Scenario {
 	return out
 }
 
-// DegradationScenario wraps a set of partial capacity losses.
-func DegradationScenario(degraded ...LinkDegradation) Scenario {
-	return Scenario{Kind: ScenarioDegradation, Node: -1, Degraded: degraded}
-}
-
 // EffectiveKind returns the scenario's kind, classifying by content when
 // the Kind field was left empty.
 func (s Scenario) EffectiveKind() ScenarioKind {

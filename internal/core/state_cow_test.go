@@ -184,8 +184,8 @@ func (p statePair) check(t *testing.T, when string) {
 		if !sameBits(st.Detour(e), or.detours[e]) {
 			t.Fatalf("%s: detour of link %d differs from the eager copy", when, u)
 		}
-		if st.DegradedFrac(e) != or.degraded[e] {
-			t.Fatalf("%s: link %d degraded by %v, oracle %v", when, u, st.DegradedFrac(e), or.degraded[e])
+		if st.degraded[e] != or.degraded[e] {
+			t.Fatalf("%s: link %d degraded by %v, oracle %v", when, u, st.degraded[e], or.degraded[e])
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestVerifyScenariosKinds(t *testing.T) {
 	var scs []Scenario
 	scs = append(scs, EnumerateFailures(g.NumLinks(), 1, 0)...)
 	nFail := len(scs)
-	scs = append(scs, DegradationScenario(LinkDegradation{Link: 0, Frac: 0.5}))
+	scs = append(scs, Scenario{Kind: ScenarioDegradation, Node: -1, Degraded: []LinkDegradation{{Link: 0, Frac: 0.5}}})
 	scs = append(scs, NodeScenarios(g)...)
 	scs = append(scs, Scenario{Kind: ScenarioSurge, Node: -1, SurgeScale: 1.2})
 

@@ -451,28 +451,6 @@ func SortedRatios(results []Result, scheme string) []float64 {
 	return out
 }
 
-// SortedBottlenecks returns one scheme's bottleneck intensities sorted
-// ascending (Figure 8's y-axis).
-func SortedBottlenecks(results []Result, scheme string) []float64 {
-	out := make([]float64, len(results))
-	for i := range results {
-		out[i] = results[i].Bottleneck[scheme]
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// TopWorst returns the n scenarios with the highest optimal bottleneck
-// (used for the paper's "top 100 worst-case scenarios" in Figure 8).
-func TopWorst(results []Result, n int) []Result {
-	cp := append([]Result(nil), results...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Optimal > cp[j].Optimal })
-	if n > len(cp) {
-		n = len(cp)
-	}
-	return cp[:n]
-}
-
 // ClassBottlenecks evaluates per-class bottleneck intensity for
 // prioritized R3 (Figure 8): the class's own traffic is routed with the
 // reconfigured base routing and measured alone on each link.

@@ -153,10 +153,6 @@ func TestWorstCaseAndSorting(t *testing.T) {
 	if math.Abs(ratios[0]-1.25) > 1e-12 || math.Abs(ratios[1]-2.0) > 1e-12 {
 		t.Fatalf("SortedRatios = %v", ratios)
 	}
-	bs := SortedBottlenecks(results, "B")
-	if bs[0] != 0.6 || bs[1] != 0.9 {
-		t.Fatalf("SortedBottlenecks = %v", bs)
-	}
 }
 
 func TestRatioClamp(t *testing.T) {
@@ -175,19 +171,6 @@ func TestRatioClamp(t *testing.T) {
 	rz := Result{Bottleneck: map[string]float64{"A": 0}, Optimal: 0}
 	if rz.Ratio("A") != 1 {
 		t.Fatalf("zero/zero ratio = %v, want 1", rz.Ratio("A"))
-	}
-}
-
-func TestTopWorst(t *testing.T) {
-	results := []Result{
-		{Optimal: 0.2}, {Optimal: 0.9}, {Optimal: 0.5},
-	}
-	top := TopWorst(results, 2)
-	if len(top) != 2 || top[0].Optimal != 0.9 || top[1].Optimal != 0.5 {
-		t.Fatalf("TopWorst = %+v", top)
-	}
-	if got := TopWorst(results, 10); len(got) != 3 {
-		t.Fatalf("TopWorst overflow = %d", len(got))
 	}
 }
 

@@ -236,14 +236,6 @@ func (g *Graph) Connected(down *LinkSet) bool {
 	return g.reachCount(0, down, true) == n
 }
 
-// ReachableFrom returns the set of nodes reachable from src over the links
-// outside down (including src itself).
-func (g *Graph) ReachableFrom(src NodeID, down *LinkSet) []bool {
-	seen := make([]bool, len(g.nodes))
-	g.bfs(src, down, false, seen)
-	return seen
-}
-
 func (g *Graph) reachCount(src NodeID, down *LinkSet, reverse bool) int {
 	seen := make([]bool, len(g.nodes))
 	g.bfs(src, down, reverse, seen)

@@ -64,11 +64,11 @@ func TestConnectedAgainstBruteForce(t *testing.T) {
 		if got := g.Connected(&failed); got != want {
 			t.Fatalf("trial %d: Connected = %v, brute force = %v", trial, got, want)
 		}
-		// ReachableFrom agrees with row 0 of the closure.
-		seen := g.ReachableFrom(ids[0], &failed)
+		// bfs agrees with row 0 of the closure.
+		seen := reachableFrom(g, ids[0], &failed)
 		for j := 0; j < n; j++ {
 			if seen[j] != reach[0][j] {
-				t.Fatalf("trial %d: ReachableFrom[%d] = %v, want %v", trial, j, seen[j], reach[0][j])
+				t.Fatalf("trial %d: reachableFrom[%d] = %v, want %v", trial, j, seen[j], reach[0][j])
 			}
 		}
 	}

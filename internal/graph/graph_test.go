@@ -127,6 +127,14 @@ func TestConnectedDirected(t *testing.T) {
 	}
 }
 
+// reachableFrom returns the nodes bfs reaches from src over the links
+// outside down, src included.
+func reachableFrom(g *Graph, src NodeID, down *LinkSet) []bool {
+	seen := make([]bool, g.NumNodes())
+	g.bfs(src, down, false, seen)
+	return seen
+}
+
 func TestReachableFrom(t *testing.T) {
 	g := New("path")
 	a := g.AddNode("a")
@@ -134,14 +142,14 @@ func TestReachableFrom(t *testing.T) {
 	c := g.AddNode("c")
 	ab := g.AddLink(a, b, 1, 1, 1)
 	g.AddLink(b, c, 1, 1, 1)
-	seen := g.ReachableFrom(a, nil)
+	seen := reachableFrom(g, a, nil)
 	for n, want := range []bool{true, true, true} {
 		if seen[n] != want {
 			t.Fatalf("ReachableFrom(a)[%d] = %v, want %v", n, seen[n], want)
 		}
 	}
 	fail := NewLinkSet(ab)
-	seen = g.ReachableFrom(a, &fail)
+	seen = reachableFrom(g, a, &fail)
 	if seen[b] || seen[c] {
 		t.Fatalf("b,c should be unreachable after a->b fails: %v", seen)
 	}

@@ -72,7 +72,7 @@ func TestAbileneRefactorsMatchDense(t *testing.T) {
 	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
 	comms := routing.ODCommodities(g.NumNodes(), d.At)
 	bases := lp.HoldRefactorsToDense(t)
-	sol, err := perODArcLP(g, comms).Solve()
+	sol, err := perODArcLP(g, comms).SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func FuzzLPDifferential(f *testing.F) {
 		for i := 0; i < 3; i++ {
 			p.AddConstraint([]Term{{x, rowsA[i][0]}, {y, rowsA[i][1]}}, LE, rowsB[i])
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("solve: %v", err)
 		}
@@ -102,7 +102,7 @@ func FuzzLPDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("warm perturbed solve: %v", err)
 		}
-		cq, err := q.Solve()
+		cq, err := q.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("cold perturbed solve: %v", err)
 		}

@@ -17,7 +17,7 @@
 // lu.go) plus a product-form eta file that stores only nonzeros,
 // refactorized every few dozen pivots so long degenerate runs cannot
 // drift. Rows and structural columns are equilibrated with powers of two
-// before phase 1, making every tolerance scale-free. Solve verifies the
+// before phase 1, making every tolerance scale-free. SolveFrom verifies the
 // final point against the original constraints, and a failed check
 // triggers recovery — refactorize and re-optimize, then a tightened cold
 // restart — before any error is reported. SolveFrom warm-starts from a previous solution's
@@ -43,10 +43,10 @@ const (
 	EQ           // ==
 )
 
-// Status reports the outcome of Solve.
+// Status reports the outcome of SolveFrom.
 type Status int
 
-// Solve outcomes.
+// SolveFrom outcomes.
 const (
 	Optimal Status = iota
 	Infeasible
@@ -109,9 +109,6 @@ func (p *Problem) AddVariable(name string, cost float64) int {
 	return len(p.cost) - 1
 }
 
-// SetCost updates the objective coefficient of variable v.
-func (p *Problem) SetCost(v int, cost float64) { p.cost[v] = cost }
-
 // AddConstraint adds the row terms (op) rhs. Terms may repeat a variable;
 // coefficients are summed.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
@@ -137,7 +134,7 @@ func (b *Basis) matches(n, m, total int) bool {
 	return b != nil && b.n == n && b.m == m && b.tot == total && len(b.cols) == m
 }
 
-// Solution is the result of Solve.
+// Solution is the result of SolveFrom.
 type Solution struct {
 	Status Status
 	// Value is the objective value (meaningful only when Status ==
@@ -171,12 +168,10 @@ const (
 	maxRecoveries = 2
 )
 
-// Solve runs the revised simplex cold and returns the solution. It never
-// mutates the problem, so a Problem can be re-solved after modification.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveFrom(nil) }
-
-// SolveFrom is Solve warm-started from a previous solution's Basis (nil
-// means cold). See Basis for the warm-start contract.
+// SolveFrom runs the revised simplex, warm-started from a previous
+// solution's Basis, or cold when warm is nil (see Basis for the
+// warm-start contract), and returns the solution. It never mutates the
+// problem, so a Problem can be re-solved after modification.
 func (p *Problem) SolveFrom(warm *Basis) (*Solution, error) {
 	sol, err := p.solve(warm)
 	if reg := p.Obs; reg != nil && sol != nil {

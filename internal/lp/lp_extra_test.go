@@ -11,7 +11,7 @@ func TestMaxIterOverride(t *testing.T) {
 	x := p.AddVariable("x", 1)
 	p.AddConstraint([]Term{{x, 1}}, GE, 2)
 	p.MaxIter = 1
-	sol, err := p.Solve()
+	sol, err := p.SolveFrom(nil)
 	if err == nil && sol.Status == Optimal {
 		// A single pivot can suffice here; force an even smaller budget by
 		// adding constraints.
@@ -24,7 +24,7 @@ func TestMaxIterOverride(t *testing.T) {
 			q.AddConstraint([]Term{{vars[i], 1}}, GE, float64(i+1))
 		}
 		q.MaxIter = 1
-		if _, err := q.Solve(); err == nil {
+		if _, err := q.SolveFrom(nil); err == nil {
 			t.Fatalf("MaxIter=1 solved a 12-pivot problem")
 		}
 		return
@@ -40,7 +40,7 @@ func TestIterationsReported(t *testing.T) {
 	y := p.AddVariable("y", -1)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
 	p.AddConstraint([]Term{{x, 2}, {y, 1}}, LE, 6)
-	sol, err := p.Solve()
+	sol, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDualPairObjectives(t *testing.T) {
 	x2 := p.AddVariable("x2", 2)
 	p.AddConstraint([]Term{{x1, 1}, {x2, 1}}, GE, 4)
 	p.AddConstraint([]Term{{x1, 1}}, GE, 1)
-	ps, err := p.Solve()
+	ps, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDualPairObjectives(t *testing.T) {
 	y2 := d.AddVariable("y2", -1)
 	d.AddConstraint([]Term{{y1, 1}, {y2, 1}}, LE, 3)
 	d.AddConstraint([]Term{{y1, 1}}, LE, 2)
-	ds, err := d.Solve()
+	ds, err := d.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatalf("Solve error: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestBadVariableIndex(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable("x", 1)
 	p.AddConstraint([]Term{{7, 1}}, LE, 1)
-	if _, err := p.Solve(); err == nil {
+	if _, err := p.SolveFrom(nil); err == nil {
 		t.Fatalf("bad index accepted")
 	}
 }
@@ -234,10 +234,10 @@ func TestSolveIsRepeatable(t *testing.T) {
 		t.Fatalf("re-solve differs: %v vs %v", a.Value, b.Value)
 	}
 	// Modify and re-solve.
-	p.SetCost(x, 5)
+	p.cost[x] = 5
 	c := solveOK(t, p)
 	if math.Abs(c.Value-10) > 1e-9 {
-		t.Fatalf("after SetCost value = %v", c.Value)
+		t.Fatalf("after a cost change value = %v", c.Value)
 	}
 }
 
@@ -273,7 +273,7 @@ func BenchmarkSimplexMedium(b *testing.B) {
 	p := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.SolveFrom(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

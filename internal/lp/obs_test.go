@@ -11,13 +11,13 @@ import (
 // nothing about the solve — same point, same pivot count, same basis.
 func TestObsIsPassive(t *testing.T) {
 	p := gridFlowProblem(6)
-	plain, err := p.Solve()
+	plain, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	p.Obs = reg
-	seen, err := p.Solve()
+	seen, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

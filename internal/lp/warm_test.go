@@ -27,7 +27,7 @@ func transportProblem(supply float64) *Problem {
 
 func TestSolveFromSameProblemIsPivotFree(t *testing.T) {
 	p := transportProblem(1)
-	cold, err := p.Solve()
+	cold, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestSolveFromSameProblemIsPivotFree(t *testing.T) {
 }
 
 func TestSolveFromRHSChangeMatchesColdWithFewerPivots(t *testing.T) {
-	base, err := transportProblem(1).Solve()
+	base, err := transportProblem(1).SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, supply := range []float64{0.5, 0.9, 1.25, 1.5} {
 		q := transportProblem(supply)
-		cold, err := q.Solve()
+		cold, err := q.SolveFrom(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestSolveFromRHSChangeMatchesColdWithFewerPivots(t *testing.T) {
 }
 
 func TestSolveFromMismatchedBasisFallsBackCold(t *testing.T) {
-	other, err := transportProblem(1).Solve()
+	other, err := transportProblem(1).SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSolveFromNeverDeclaresInfeasibleWarm(t *testing.T) {
 	// Push the rhs far from the warm basis: the dual simplex (or the cold
 	// fallback) must still land on the true optimum, never a spurious
 	// Infeasible.
-	base, err := transportProblem(1).Solve()
+	base, err := transportProblem(1).SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSolveRecoversFromTransientVerificationFailure(t *testing.T) {
 		return p.checkFeasible(x)
 	}
 	defer func() { testVerify = nil }()
-	sol, err := transportProblem(1).Solve()
+	sol, err := transportProblem(1).SolveFrom(nil)
 	if err != nil {
 		t.Fatalf("transient verification failure not recovered: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestVerificationErrorOnlyAfterRecoveryAttempts(t *testing.T) {
 	// unreachable without it.
 	testVerify = func(*Problem, []float64) error { return errInjected }
 	defer func() { testVerify = nil }()
-	sol, err := transportProblem(1).Solve()
+	sol, err := transportProblem(1).SolveFrom(nil)
 	if err == nil {
 		t.Fatalf("persistent verification failure returned no error")
 	}
@@ -211,7 +211,7 @@ func TestBadlyScaledProblemSolves(t *testing.T) {
 	p.AddConstraint([]Term{{f1, 1}, {f2, 1}}, EQ, 1)
 	p.AddConstraint([]Term{{f1, 5e8}, {u, -1e9}}, LE, 0)
 	p.AddConstraint([]Term{{f2, 5e8}, {u, -4e9}}, LE, 0)
-	sol, err := p.Solve()
+	sol, err := p.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCheckFeasibleScaleAwareNegativity(t *testing.T) {
 }
 
 func TestSolveFromIsDeterministic(t *testing.T) {
-	base, err := transportProblem(1).Solve()
+	base, err := transportProblem(1).SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -22,6 +23,18 @@ func denseFlow(r *Result) *routing.Flow {
 	return f
 }
 
+// validRows checks conditions [R1]–[R4] for every commodity of r on its
+// dense row (routing.Commodity.Validate).
+func validRows(r *Result, eps float64) error {
+	f := denseFlow(r)
+	for k, c := range f.Comms {
+		if err := c.Validate(f.G, f.Frac[k], eps); err != nil {
+			return fmt.Errorf("commodity %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
 // denseResult is what MinMLU's Result was while it held a dense Flow.
 type denseResult struct {
 	Flow    *routing.Flow
@@ -32,7 +45,9 @@ type denseResult struct {
 // minMLUDense is MinMLU as it was before its iterate became sparse rows:
 // dense [commodity][link] matrices for the iterate and the direction, and a
 // fresh tree per destination and call for the oracle. It is kept as the
-// oracle MinMLU is held to bit for bit.
+// oracle MinMLU is held to bit for bit. Its loop cancellation runs each
+// dense row through SparseRow.CancelLoops, which the routing tests hold to
+// the dense kernel bit for bit.
 func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *denseResult {
 	opts.defaults()
 	nL := g.NumLinks()
@@ -167,10 +182,27 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 		mlu = util(loads, cap)
 	}
 
-	f.RemoveLoops()
+	var ls routing.LoopScratch
+	var row routing.SparseRow
+	zero := make([]float64, nL)
+	for k := range f.Frac {
+		row.SetDense(f.Frac[k])
+		row.CancelLoops(g, zero, &ls)
+		clear(f.Frac[k])
+		row.Scatter(f.Frac[k])
+	}
 	// Recompute exactly from the final fractions.
 	final := append([]float64(nil), bg...)
-	f.AddLoads(final)
+	for k, c := range f.Comms {
+		if c.Demand == 0 {
+			continue
+		}
+		for e, v := range f.Frac[k] {
+			if v != 0 {
+				final[e] += c.Demand * v
+			}
+		}
+	}
 	return &denseResult{Flow: f, MLU: util(final, cap), Dropped: dropped}
 }
 

@@ -28,7 +28,7 @@ func TestMinMLUParallelLinksProportional(t *testing.T) {
 	g, a, b := parallel2(t)
 	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20, Link: -1}}
 	res := MinMLU(g, comms, Options{Iterations: 400})
-	if err := denseFlow(res).Validate(1e-6); err != nil {
+	if err := validRows(res, 1e-6); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 	if math.Abs(res.MLU-0.5) > 0.02 {
@@ -46,7 +46,7 @@ func TestMinMLUExactParallelLinks(t *testing.T) {
 	if math.Abs(res.MLU-0.5) > 1e-6 {
 		t.Fatalf("exact MLU = %v, want 0.5", res.MLU)
 	}
-	if err := denseFlow(res).Validate(1e-6); err != nil {
+	if err := validRows(res, 1e-6); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestMinMLUDiamondAvoidsHotPath(t *testing.T) {
 	if res.MLU > 0.65 {
 		t.Fatalf("MLU = %v, want ~0.6", res.MLU)
 	}
-	if err := denseFlow(res).Validate(1e-6); err != nil {
+	if err := validRows(res, 1e-6); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestMinMLUFullGravityOnSBC(t *testing.T) {
 	tm := traffic.Gravity(g, 0.3*topo.OC192*float64(g.NumNodes()), 3)
 	comms := routing.ODCommodities(g.NumNodes(), tm.At)
 	res := MinMLU(g, comms, Options{Iterations: 150})
-	if err := denseFlow(res).Validate(1e-5); err != nil {
+	if err := validRows(res, 1e-5); err != nil {
 		t.Fatalf("invalid flow: %v", err)
 	}
 	if res.MLU <= 0 || math.IsNaN(res.MLU) {

@@ -58,7 +58,7 @@ func TestMinMLUExactWarmMatchesColdAcrossFailures(t *testing.T) {
 		if math.Abs(cold.MLU-warm.MLU) > 1e-6*(1+cold.MLU) {
 			t.Fatalf("link %d: warm MLU %v != cold MLU %v", e, warm.MLU, cold.MLU)
 		}
-		if err := denseFlow(warm).Validate(1e-6); err != nil {
+		if err := validRows(warm, 1e-6); err != nil {
 			t.Fatalf("link %d: warm flow invalid: %v", e, err)
 		}
 	}

@@ -214,9 +214,3 @@ func (n *Network) ApplyRound(seq int, d *Delta) int {
 	}
 	return applied
 }
-
-// RoundsApplied returns how many rounds have been applied so far.
-func (n *Network) RoundsApplied() int { return n.nextRound - 1 }
-
-// PendingRounds returns how many out-of-order rounds are buffered.
-func (n *Network) PendingRounds() int { return len(n.pending) }

@@ -61,9 +61,9 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 			t.Fatalf("view does not know link %d failed", e)
 		}
 	}
-	if view.RoundsApplied() != len(rounds) || view.PendingRounds() != 0 {
+	if view.nextRound-1 != len(rounds) || len(view.pending) != 0 {
 		t.Fatalf("rounds applied %d pending %d, want %d and 0",
-			view.RoundsApplied(), view.PendingRounds(), len(rounds))
+			view.nextRound-1, len(view.pending), len(rounds))
 	}
 }
 
@@ -89,8 +89,8 @@ func TestApplyRoundIdempotentReorder(t *testing.T) {
 	if got := view.ApplyRound(3, rounds[2]); got != 0 {
 		t.Fatalf("future round applied %d rounds, want 0 (buffered)", got)
 	}
-	if view.PendingRounds() != 1 {
-		t.Fatalf("pending = %d, want 1", view.PendingRounds())
+	if len(view.pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(view.pending))
 	}
 	if got := view.ApplyRound(3, rounds[2]); got != 0 {
 		t.Fatal("duplicate future round applied something")
@@ -110,9 +110,9 @@ func TestApplyRoundIdempotentReorder(t *testing.T) {
 	if view.Fingerprint() != ref.Fingerprint() {
 		t.Fatal("chaotic delivery fingerprint differs from in-order delivery")
 	}
-	if view.RoundsApplied() != 3 || view.PendingRounds() != 0 {
+	if view.nextRound-1 != 3 || len(view.pending) != 0 {
 		t.Fatalf("rounds applied %d pending %d, want 3 and 0",
-			view.RoundsApplied(), view.PendingRounds())
+			view.nextRound-1, len(view.pending))
 	}
 }
 

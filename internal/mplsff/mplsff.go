@@ -194,9 +194,6 @@ func Build(plan *core.Plan) *Network {
 	return n
 }
 
-// State exposes the underlying R3 online state (read-only use).
-func (n *Network) State() *core.State { return n.state }
-
 // Clone deep-copies the network: tables, label allocation, failure
 // knowledge, bookkeeping state, and round version. Buffered out-of-order
 // rounds are not carried over. The transition scheduler clones a
@@ -245,10 +242,6 @@ func (n *Network) SetFIBRow(u graph.NodeID, od [2]graph.NodeID, entries []NHLFE)
 	}
 	r.FIB[od] = cloneNHLFEs(entries)
 }
-
-// Failed returns the failure set this view knows about (via OnFailure or
-// staged deltas).
-func (n *Network) Failed() graph.LinkSet { return n.failed.Clone() }
 
 // OnFailure applies a link failure: R3 online reconfiguration rescales p,
 // and every router reprograms its protection splitting ratios (§4.3

@@ -147,7 +147,7 @@ func TestOnFailureReprograms(t *testing.T) {
 	if err := n.OnFailure(e); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Failed().Contains(e) {
+	if !n.KnowsFailed(e) {
 		t.Fatalf("failure not recorded")
 	}
 	// After the failure, no surviving label's NHLFEs use link e.

@@ -215,8 +215,9 @@ func TestChaosBurst(t *testing.T) {
 }
 
 // TestDetectDelayInstantSentinel is the regression test for the
-// DetectDelay zero-value footgun: InstantDetect must give true zero-delay
-// detection, while an unset (zero) field keeps the 10 ms default.
+// DetectDelay zero-value footgun: a negative DetectDelay must give true
+// zero-delay detection, while an unset (zero) field keeps the 10 ms
+// default.
 func TestDetectDelayInstantSentinel(t *testing.T) {
 	g, _, _ := abileneSetup(t, 150)
 	plan := planForAbilene(t, 150)
@@ -238,8 +239,8 @@ func TestDetectDelayInstantSentinel(t *testing.T) {
 		}
 		return 1
 	}
-	if got := detectAt(InstantDetect); got != 0 {
-		t.Error("InstantDetect did not detect at the failure instant")
+	if got := detectAt(-1); got != 0 {
+		t.Error("a negative DetectDelay did not detect at the failure instant")
 	}
 	if got := detectAt(0); got != 1 {
 		t.Error("zero DetectDelay no longer defaults to 10 ms")

@@ -16,7 +16,7 @@ func TestFloodReachesAllRoutersQuickly(t *testing.T) {
 	// diameter's serialization + propagation delay (tens of ms).
 	em.Run(1.2)
 	for v := 0; v < g.NumNodes(); v++ {
-		if !fw.View(graph.NodeID(v)).Failed().Contains(0) {
+		if !fw.ViewKnowsFailed(graph.NodeID(v), 0) {
 			t.Fatalf("router %d not notified within 200ms of the failure", v)
 		}
 	}

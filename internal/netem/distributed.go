@@ -53,9 +53,6 @@ func (f *R3DistributedForwarder) OnRound(u graph.NodeID, seq int, d *mplsff.Delt
 	f.views[u].ApplyRound(seq, d)
 }
 
-// View exposes router u's control plane (tests verify convergence).
-func (f *R3DistributedForwarder) View(u graph.NodeID) *mplsff.Network { return f.views[u] }
-
 // ViewFingerprint implements ViewInspector for the always-on convergence
 // invariant: canonical digest of router u's forwarding state.
 func (f *R3DistributedForwarder) ViewFingerprint(u graph.NodeID) uint64 {

@@ -19,19 +19,7 @@ func TestDistributedConvergence(t *testing.T) {
 	em.FailAt(1.5, 8)
 	em.Run(3.0)
 
-	want := fw.View(0).Failed()
-	if want.Len() != 4 { // two duplex failures
-		t.Fatalf("router 0 knows %v, want 4 links", want)
-	}
-	for v := 1; v < g.NumNodes(); v++ {
-		view := fw.View(graph.NodeID(v))
-		if !view.Failed().Equal(want) {
-			t.Fatalf("router %d failure set %v != %v", v, view.Failed(), want)
-		}
-		if !view.State().ProtEquals(fw.View(0).State(), 1e-9) {
-			t.Fatalf("router %d protection state diverged", v)
-		}
-	}
+	assertViewsAgree(t, fw, 4) // two duplex failures
 	if em.CtrlBytes == 0 {
 		t.Fatalf("no notification flood traffic recorded")
 	}
@@ -92,8 +80,29 @@ func TestApplyFailureFallback(t *testing.T) {
 	fw := NewR3Distributed(plan)
 	fw.ApplyFailure(3)
 	for v := 0; v < plan.G.NumNodes(); v++ {
-		if !fw.View(graph.NodeID(v)).Failed().Contains(3) {
+		if !fw.ViewKnowsFailed(graph.NodeID(v), 3) {
 			t.Fatalf("router %d missed ApplyFailure", v)
+		}
+	}
+}
+
+// assertViewsAgree checks that router 0 knows nFailed failed links and that
+// every router's view has router 0's fingerprint: the same failure set,
+// base FIB and protection rows of every surviving link.
+func assertViewsAgree(t *testing.T, fw *R3DistributedForwarder, nFailed int) {
+	t.Helper()
+	known := 0
+	for l := range fw.views[0].G.NumLinks() {
+		if fw.ViewKnowsFailed(0, graph.LinkID(l)) {
+			known++
+		}
+	}
+	if known != nFailed {
+		t.Fatalf("router 0 knows %d failed links, want %d", known, nFailed)
+	}
+	for v := range fw.views {
+		if got, want := fw.ViewFingerprint(graph.NodeID(v)), fw.ViewFingerprint(0); got != want {
+			t.Fatalf("router %d view fingerprint %#x != router 0's %#x", v, got, want)
 		}
 	}
 }

@@ -115,8 +115,6 @@ func (iv *Invariants) checkConverged() {
 // no link carried more than capacity × duration during the phase, plus
 // the backlog that may drain after the boundary (one queue plus one
 // packet of slack — packets are charged to the phase that enqueued them).
-// Capacity is the effective (degradation-scaled) rate; DegradeAt places a
-// phase boundary at each change, so the rate is constant over a phase.
 func (iv *Invariants) checkPhaseCapacity(p *PhaseStats) {
 	dur := p.End - p.Start
 	if dur <= 0 {
@@ -155,7 +153,6 @@ const (
 	traceChaosDropData
 	traceChaosDup
 	traceStage
-	traceDegrade
 )
 
 func (k traceKind) String() string {
@@ -174,8 +171,6 @@ func (k traceKind) String() string {
 		return "chaos-dup"
 	case traceStage:
 		return "stage-round"
-	case traceDegrade:
-		return "link-degraded"
 	}
 	return "?"
 }

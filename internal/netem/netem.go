@@ -148,12 +148,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// InstantDetect is the DetectDelay sentinel for zero-delay failure
-// detection. A plain zero keeps the 10 ms default (the Go zero value must
-// stay backward compatible), so instant detection needs an explicit
-// negative.
-const InstantDetect = -1.0
-
 // Config parameterizes an emulation run.
 type Config struct {
 	G         *graph.Graph
@@ -163,8 +157,8 @@ type Config struct {
 	// QueueBytes is the per-link drop-tail buffer (default 128 KiB).
 	QueueBytes int
 	// DetectDelay is the time from a failure to adjacent-router detection
-	// (default 10 ms). Use InstantDetect (any negative value) for
-	// zero-delay detection; 0 keeps the default.
+	// (default 10 ms). A negative value is true zero-delay detection; 0
+	// keeps the default.
 	DetectDelay float64
 	// ConvergeDelay is the additional time until ApplyFailure is invoked
 	// (0 for R3's local activation; seconds for OSPF reconvergence).
@@ -210,7 +204,7 @@ func (c *Config) defaults() {
 	if c.DetectDelay == 0 {
 		c.DetectDelay = 0.010
 	} else if c.DetectDelay < 0 {
-		c.DetectDelay = 0 // InstantDetect
+		c.DetectDelay = 0 // zero-delay detection
 	}
 	if c.FlowsPerPair == 0 {
 		c.FlowsPerPair = 8
@@ -297,9 +291,6 @@ type Emulator struct {
 
 	linkUp   []bool
 	linkFree []float64 // time the link's transmitter becomes free
-	// capFrac is the lost capacity fraction per link (0 = full rate): a
-	// degraded link serializes at (1-capFrac)·rate but stays up.
-	capFrac []float64
 
 	phases []*PhaseStats
 	cur    *PhaseStats
@@ -376,7 +367,6 @@ func New(cfg Config) *Emulator {
 		em.linkUp[i] = true
 	}
 	em.linkFree = make([]float64, cfg.G.NumLinks())
-	em.capFrac = make([]float64, cfg.G.NumLinks())
 	em.odOffered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
 	em.odDelivered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
 	em.notifSeen = make([]graph.LinkSet, cfg.G.NumNodes())
@@ -434,13 +424,6 @@ func (em *Emulator) newPhase(start float64) *PhaseStats {
 // OfferedBytes and DeliveredBytes are filled in when it closes, at the
 // latest when Run returns.
 func (em *Emulator) Phases() []*PhaseStats { return em.phases }
-
-// Now returns the current emulation time.
-func (em *Emulator) Now() float64 { return em.now }
-
-// Invariants returns the always-on invariant checker (its recorded
-// violations in particular).
-func (em *Emulator) Invariants() *Invariants { return em.inv }
 
 // Violations returns the invariant violations recorded so far.
 func (em *Emulator) Violations() []Violation { return em.inv.Violations() }
@@ -566,52 +549,10 @@ func (em *Emulator) FailAt(t float64, e graph.LinkID) {
 	})
 }
 
-// DegradeAt schedules a bidirectional partial capacity loss: from t on,
-// link e and its reverse serialize at (1-frac) of their configured rate
-// but stay up — no blackholing, no detection, no notification flood (the
-// flow-level reaction to degradation is exercised in core/eval; the
-// emulator measures what a degraded data plane delivers). A measurement
-// phase boundary is placed at t, so per-phase counters are judged against
-// the capacity in force while they accumulated. A repeat call replaces
-// the link's lost fraction (frac may shrink: partial recovery).
-//
-// frac <= 0 is a complete no-op — nothing is scheduled, not even the
-// phase boundary, so a run stays byte-identical to one without the call.
-// frac >= 1 is a full loss and delegates to FailAt, making the α=0 limit
-// of the degradation envelope exactly the hard-failure emulation.
-func (em *Emulator) DegradeAt(t float64, e graph.LinkID, frac float64) {
-	if frac <= 0 || math.IsNaN(frac) {
-		return
-	}
-	if frac >= 1 {
-		em.FailAt(t, e)
-		return
-	}
-	em.schedule(t, func() {
-		ids := []graph.LinkID{e}
-		if rev := em.g.Link(e).Reverse; rev >= 0 {
-			ids = append(ids, rev)
-		}
-		em.closePhase(em.now)
-		em.cur = em.newPhase(em.now)
-		for _, id := range ids {
-			em.capFrac[id] = frac
-			em.trace.add(em.now, traceDegrade, int32(id), -1)
-		}
-	})
-}
-
-// DegradedFrac returns link e's current lost capacity fraction.
-func (em *Emulator) DegradedFrac(e graph.LinkID) float64 { return em.capFrac[e] }
-
-// rateBytes is link out's current serialization rate in bytes/sec:
-// configured capacity (Mbps) scaled by any degradation in force.
+// rateBytes is link out's serialization rate in bytes/sec (capacity is
+// Mbps).
 func (em *Emulator) rateBytes(out graph.LinkID) float64 {
-	r := em.g.Link(out).Capacity * 1e6 / 8
-	if f := em.capFrac[out]; f > 0 {
-		r *= 1 - f
-	}
-	return r
+	return em.g.Link(out).Capacity * 1e6 / 8
 }
 
 // failNow takes a set of directed links down at the current instant as

@@ -22,19 +22,7 @@ func TestOverlappingFailuresDuringFlood(t *testing.T) {
 	em.FailAt(1.012, 12)
 	em.Run(3.0)
 
-	ref := fw.View(0)
-	if ref.Failed().Len() != 4 {
-		t.Fatalf("router 0 knows %v", ref.Failed())
-	}
-	for v := 1; v < g.NumNodes(); v++ {
-		view := fw.View(graph.NodeID(v))
-		if !view.Failed().Equal(ref.Failed()) {
-			t.Fatalf("router %d failure set %v != %v", v, view.Failed(), ref.Failed())
-		}
-		if !view.State().ProtEquals(ref.State(), 1e-9) {
-			t.Fatalf("router %d state diverged despite order independence", v)
-		}
-	}
+	assertViewsAgree(t, fw, 4)
 	// Traffic still flows: the final phase delivers the vast majority.
 	last := em.Phases()[len(em.Phases())-1]
 	if float64(totalDelivered(last)) < 0.9*float64(totalOffered(last)) {

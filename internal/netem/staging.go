@@ -82,9 +82,6 @@ func (em *Emulator) StageRoundAt(t float64, origin graph.NodeID, seq int, d *mpl
 // every router. Trivially true before any round.
 func (em *Emulator) StagesConverged() bool { return len(em.stagedAt) == 0 }
 
-// StageRoundsInjected counts rounds injected so far.
-func (em *Emulator) StageRoundsInjected() int { return len(em.stagedDeltas) }
-
 // stageNow injects round seq at origin: record it, open a new measurement
 // phase, apply locally and start the flood.
 func (em *Emulator) stageNow(sa StageAware, origin graph.NodeID, seq int, d *mplsff.Delta) {

@@ -113,7 +113,7 @@ func assertSwapFinal(t *testing.T, em *Emulator, fw *R3DistributedForwarder, nex
 		t.Fatalf("scheduler end state %#x != one-shot target build %#x", got, want)
 	}
 	for u := 0; u < next.G.NumNodes(); u++ {
-		if got := fw.View(graph.NodeID(u)).Fingerprint(); got != want {
+		if got := fw.views[u].Fingerprint(); got != want {
 			t.Fatalf("router %d view fingerprint %#x != one-shot target build %#x", u, got, want)
 		}
 	}

@@ -59,14 +59,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value reads the gauge (0 for nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

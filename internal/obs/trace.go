@@ -148,13 +148,3 @@ func (t *Trace) Snapshot() []SpanSnapshot {
 	}
 	return roots
 }
-
-// Len reports the number of recorded spans (0 for nil).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}

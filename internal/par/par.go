@@ -39,7 +39,6 @@ type Pool struct {
 	loops   atomic.Int64
 	items   atomic.Int64
 	pending atomic.Int64
-	spawned atomic.Int64
 }
 
 // Stats reports how many parallel loops the pool has run and how many
@@ -58,16 +57,6 @@ func (p *Pool) Pending() int64 {
 		return 0
 	}
 	return p.pending.Load()
-}
-
-// SpawnedWorkers reports the total number of worker goroutines the pool
-// has launched across all loops, beside the callers themselves. Loops that
-// ran on the calling goroutine alone spawn none. Nil pools report 0.
-func (p *Pool) SpawnedWorkers() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.spawned.Load()
 }
 
 func (p *Pool) noteItemDone() {
@@ -187,7 +176,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	// loop, not below it.
 	for g := 1; g < w; g++ {
 		wg.Add(1)
-		p.spawned.Add(1)
 		go func() {
 			defer wg.Done()
 			work()

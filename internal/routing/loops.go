@@ -49,8 +49,8 @@ func (s *LoopScratch) size(n int) {
 // CancelLoops cancels the circulations of the row: it scatters the row
 // into zero, a dense row of link count length that is all zero on entry and
 // on return, cancels there, and reads the row back in ascending link order
-// with exact zeros dropped — the row SetDense makes of Flow.RemoveLoops'
-// result on the dense row, bit for bit.
+// with exact zeros dropped — the row SetDense makes of the dense kernel's
+// (removeCycles') result on the dense row, bit for bit.
 //
 // The DFS is rooted only at the tails of the row's links, in ascending
 // node order, where the dense kernel tries every node: a node with no

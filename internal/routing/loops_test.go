@@ -186,16 +186,16 @@ func checkCancel(t *testing.T, g *graph.Graph, dense []float64, r SparseRow, zer
 
 	f := NewFlow(g, []Commodity{{Src: 0, Dst: 1, Link: -1}})
 	copy(f.Frac[0], dense)
-	f.RemoveLoops()
+	removeLoops(f)
 	for e, w := range want {
 		if v := f.Frac[0][e]; math.Float64bits(v) != math.Float64bits(w) {
-			t.Fatalf("Flow.RemoveLoops cell %d = %v, oracle %v", e, v, w)
+			t.Fatalf("removeLoops cell %d = %v, oracle %v", e, v, w)
 		}
 	}
 }
 
 // TestCancelLoopsMatchesDenseOracle holds the loop-cancellation kernel, on a
-// sparse row and through Flow.RemoveLoops, to the recursive dense kernel it
+// sparse row and on a dense one (removeLoops), to the recursive dense kernel it
 // replaced, on random rows with planted cycles over ring5, Abilene and
 // generated-100. One scratch serves every row of a graph, so state leaking
 // from one call into the next fails here too.
@@ -305,7 +305,7 @@ func TestCancelLoopsStopsOnNonFinite(t *testing.T) {
 			defer close(done)
 			f := NewFlow(g, []Commodity{{Src: 0, Dst: 1, Link: -1}})
 			copy(f.Frac[0], dense)
-			f.RemoveLoops()
+			removeLoops(f)
 			var r SparseRow
 			r.SetDense(dense)
 			var s LoopScratch

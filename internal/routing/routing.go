@@ -80,17 +80,6 @@ func (f *Flow) Clone() *Flow {
 	return cp
 }
 
-// Validate checks conditions [R1]–[R4] for every commodity within
-// tolerance eps (see Commodity.Validate).
-func (f *Flow) Validate(eps float64) error {
-	for k, c := range f.Comms {
-		if err := c.Validate(f.G, f.Frac[k], eps); err != nil {
-			return fmt.Errorf("commodity %d: %v", k, err)
-		}
-	}
-	return nil
-}
-
 // Validate checks conditions [R1]–[R4] for the commodity's dense row fr
 // within tolerance eps:
 //
@@ -156,21 +145,6 @@ func (f *Flow) Loads() []float64 {
 		}
 	}
 	return loads
-}
-
-// AddLoads accumulates demand-weighted loads into dst (which must have
-// length NumLinks).
-func (f *Flow) AddLoads(dst []float64) {
-	for k, c := range f.Comms {
-		if c.Demand == 0 {
-			continue
-		}
-		for e, v := range f.Frac[k] {
-			if v != 0 {
-				dst[e] += c.Demand * v
-			}
-		}
-	}
 }
 
 // MLU returns the maximum link utilization of the given per-link loads.
@@ -246,27 +220,4 @@ func (f *Flow) Decompose(k int, maxPaths int) []Path {
 		paths = append(paths, Path{Links: links, Frac: bottleneck})
 	}
 	return paths
-}
-
-// RemoveLoops cancels circulations in every commodity of the flow in
-// place. The paper's LP adds a small penalty or postprocesses to remove
-// loops; this is the postprocessing.
-func (f *Flow) RemoveLoops() {
-	var s LoopScratch
-	c := f.G.CSR()
-	for k := range f.Frac {
-		s.removeCycles(c, f.Frac[k])
-	}
-}
-
-// AvgPathDelay returns the demand-weighted mean propagation delay of
-// commodity k under the flow (sum of frac × link delay), in ms.
-func (f *Flow) AvgPathDelay(k int) float64 {
-	var d float64
-	for e, v := range f.Frac[k] {
-		if v > 0 {
-			d += v * f.G.Link(graph.LinkID(e)).Delay
-		}
-	}
-	return d
 }

@@ -34,7 +34,7 @@ func TestConvexCombinationPreservesValidity(t *testing.T) {
 	zig.Frac[0][4] = 1
 	zig.Frac[0][3] = 1
 	for _, f := range []*Flow{top, bottom, zig} {
-		if err := f.Validate(1e-9); err != nil {
+		if err := validate(f, 1e-9); err != nil {
 			t.Fatalf("setup flow invalid: %v", err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestConvexCombinationPreservesValidity(t *testing.T) {
 		for e := 0; e < g.NumLinks(); e++ {
 			mix.Frac[0][e] = l1*top.Frac[0][e] + l2*bottom.Frac[0][e] + l3*zig.Frac[0][e]
 		}
-		return mix.Validate(1e-9) == nil
+		return validate(mix, 1e-9) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestDecomposeRandomFlows(t *testing.T) {
 				visited[at] = true
 			}
 		}
-		if err := f.Validate(1e-9); err != nil {
+		if err := validate(f, 1e-9); err != nil {
 			t.Fatalf("trial %d: constructed flow invalid: %v", trial, err)
 		}
 		paths := f.Decompose(0, 32)

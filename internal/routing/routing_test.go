@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func TestValidateAccepts(t *testing.T) {
 	f.Frac[0][2] = 0.4
 	f.Frac[0][1] = 0.6
 	f.Frac[0][3] = 0.6
-	if err := f.Validate(1e-9); err != nil {
+	if err := validate(f, 1e-9); err != nil {
 		t.Fatalf("valid flow rejected: %v", err)
 	}
 }
@@ -42,7 +43,7 @@ func TestValidateR1Conservation(t *testing.T) {
 	f.Frac[0][1] = 0.5
 	f.Frac[0][2] = 0.3 // leaks 0.2 at b
 	f.Frac[0][3] = 0.5
-	if err := f.Validate(1e-9); err == nil {
+	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("conservation violation accepted")
 	}
 }
@@ -52,7 +53,7 @@ func TestValidateR2SourceUnit(t *testing.T) {
 	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
 	f.Frac[0][0] = 0.3
 	f.Frac[0][2] = 0.3
-	if err := f.Validate(1e-9); err == nil {
+	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("partial source emission accepted")
 	}
 }
@@ -72,12 +73,12 @@ func TestValidateR3NoReturnToSource(t *testing.T) {
 	// frac > 1 also violates R4; keep within [0,1] to isolate R3.
 	f.Frac[0][ab] = 1.0
 	f.Frac[0][ba] = 0.0
-	if err := f.Validate(1e-9); err != nil {
+	if err := validate(f, 1e-9); err != nil {
 		t.Fatalf("setup flow invalid: %v", err)
 	}
 	f.Frac[0][ab] = 1.0
 	f.Frac[0][ba] = 0.5 // flows back into source
-	if err := f.Validate(1e-9); err == nil {
+	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("return-to-source accepted")
 	}
 }
@@ -87,7 +88,7 @@ func TestValidateR4Range(t *testing.T) {
 	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
 	f.Frac[0][0] = 1.5
 	f.Frac[0][2] = 1.5
-	if err := f.Validate(1e-9); err == nil {
+	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("fraction > 1 accepted")
 	}
 }
@@ -95,7 +96,7 @@ func TestValidateR4Range(t *testing.T) {
 func TestValidateRejectsSelfCommodity(t *testing.T) {
 	g, n := diamond(t)
 	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[0], Link: -1}})
-	if err := f.Validate(1e-9); err == nil {
+	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("src==dst commodity accepted")
 	}
 }
@@ -113,12 +114,6 @@ func TestLoadsAndMLU(t *testing.T) {
 	}
 	if mlu := MLU(g, loads); math.Abs(mlu-0.6) > 1e-12 {
 		t.Fatalf("MLU = %v, want 0.6", mlu)
-	}
-	dst := make([]float64, g.NumLinks())
-	f.AddLoads(dst)
-	f.AddLoads(dst)
-	if dst[1] != 12 {
-		t.Fatalf("AddLoads accumulation wrong: %v", dst)
 	}
 }
 
@@ -199,33 +194,18 @@ func TestRemoveLoops(t *testing.T) {
 	f.Frac[0][bd] = 1
 	f.Frac[0][bc] = 0.4
 	f.Frac[0][cb] = 0.4
-	if err := f.Validate(1e-9); err != nil {
+	if err := validate(f, 1e-9); err != nil {
 		t.Fatalf("flow with circulation should still satisfy conservation: %v", err)
 	}
-	f.RemoveLoops()
+	removeLoops(f)
 	if f.Frac[0][bc] != 0 || f.Frac[0][cb] != 0 {
 		t.Fatalf("circulation not removed: %v %v", f.Frac[0][bc], f.Frac[0][cb])
 	}
 	if f.Frac[0][ab] != 1 || f.Frac[0][bd] != 1 {
 		t.Fatalf("useful flow damaged")
 	}
-	if err := f.Validate(1e-9); err != nil {
-		t.Fatalf("flow invalid after RemoveLoops: %v", err)
-	}
-}
-
-func TestAvgPathDelay(t *testing.T) {
-	g := graph.New("line")
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	c := g.AddNode("c")
-	ab := g.AddLink(a, b, 1, 3, 1)
-	bc := g.AddLink(b, c, 1, 4, 1)
-	f := NewFlow(g, []Commodity{{Src: a, Dst: c, Demand: 1, Link: -1}})
-	f.Frac[0][ab] = 1
-	f.Frac[0][bc] = 1
-	if d := f.AvgPathDelay(0); d != 7 {
-		t.Fatalf("AvgPathDelay = %v, want 7", d)
+	if err := validate(f, 1e-9); err != nil {
+		t.Fatalf("flow invalid after removeLoops: %v", err)
 	}
 }
 
@@ -248,8 +228,28 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		for e := range f.Frac[0] {
 			f.Frac[0][e] = v
 		}
-		if err := f.Validate(1e-9); err == nil || !strings.Contains(err.Error(), "[R4]") {
+		if err := validate(f, 1e-9); err == nil || !strings.Contains(err.Error(), "[R4]") {
 			t.Fatalf("row of %v: Validate = %v, want an [R4] violation", v, err)
 		}
+	}
+}
+
+// validate checks conditions [R1]–[R4] for every commodity of f within
+// tolerance eps.
+func validate(f *Flow, eps float64) error {
+	for k, c := range f.Comms {
+		if err := c.Validate(f.G, f.Frac[k], eps); err != nil {
+			return fmt.Errorf("commodity %d: %v", k, err)
+		}
+	}
+	return nil
+}
+
+// removeLoops cancels the circulations of every commodity of f in place
+// with the dense kernel.
+func removeLoops(f *Flow) {
+	var s LoopScratch
+	for k := range f.Frac {
+		s.removeCycles(f.G.CSR(), f.Frac[k])
 	}
 }

@@ -74,9 +74,6 @@ func (t *DynTree) Reset(c *graph.CSR, dst graph.NodeID, deltaKernel bool) {
 // Ready reports whether the tree has been built at least once.
 func (t *DynTree) Ready() bool { return t.init }
 
-// Dist returns the tree's distance vector (valid after Full/Update).
-func (t *DynTree) Dist() []float64 { return t.sc.Dist }
-
 // Next returns the tree's canonical next vector (valid after Full/Update).
 func (t *DynTree) Next() []int32 { return t.sc.Next }
 

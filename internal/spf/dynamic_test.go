@@ -73,9 +73,9 @@ func TestDynTreeMatchesFlat(t *testing.T) {
 				tree.Update(ids, vals, cutover)
 				SPFTo(c, tree.dst, work, nil, &ref)
 				for i := range ref.Dist {
-					if tree.Dist()[i] != ref.Dist[i] {
+					if tree.sc.Dist[i] != ref.Dist[i] {
 						t.Fatalf("seed %d delta=%v step %d: dist[%d] = %v, flat %v",
-							seed, useDelta, step, i, tree.Dist()[i], ref.Dist[i])
+							seed, useDelta, step, i, tree.sc.Dist[i], ref.Dist[i])
 					}
 					if tree.Next()[i] != ref.Next[i] {
 						t.Fatalf("seed %d delta=%v step %d: next[%d] = %d, flat %d",
@@ -144,9 +144,9 @@ func TestDynTreeTiedCosts(t *testing.T) {
 				tree.Update(ids, vals, 0.5)
 				SPFTo(c, tree.dst, work, nil, &ref)
 				for i := range ref.Dist {
-					if tree.Dist()[i] != ref.Dist[i] {
+					if tree.sc.Dist[i] != ref.Dist[i] {
 						t.Fatalf("seed %d delta=%v step %d: dist[%d] = %v, flat %v",
-							seed, useDelta, step, i, tree.Dist()[i], ref.Dist[i])
+							seed, useDelta, step, i, tree.sc.Dist[i], ref.Dist[i])
 					}
 					if tree.Next()[i] != ref.Next[i] {
 						t.Fatalf("seed %d delta=%v step %d: next[%d] = %d, flat %d",

@@ -93,7 +93,7 @@ func TestECMPFlowEvenSplit(t *testing.T) {
 	g.SetWeight(6, 1) // make c->d weight 1 too
 	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4, Link: -1}}
 	f := ECMPFlow(g, comms, nil, WeightCost(g))
-	if err := f.Validate(1e-9); err != nil {
+	if err := comms[0].Validate(g, f.Frac[0], 1e-9); err != nil {
 		t.Fatalf("ECMP flow invalid: %v", err)
 	}
 	if math.Abs(f.Frac[0][0]-0.5) > 1e-9 || math.Abs(f.Frac[0][2]-0.5) > 1e-9 {
@@ -122,8 +122,10 @@ func TestECMPFlowValidOnAllTopologies(t *testing.T) {
 		tm := traffic.Gravity(g, 1000, 1)
 		comms := routing.ODCommodities(g.NumNodes(), tm.At)
 		f := ECMPFlow(g, comms, nil, WeightCost(g))
-		if err := f.Validate(1e-6); err != nil {
-			t.Fatalf("%s: invalid ECMP flow: %v", g.Name, err)
+		for k, c := range comms {
+			if err := c.Validate(g, f.Frac[k], 1e-6); err != nil {
+				t.Fatalf("%s: invalid ECMP flow, commodity %d: %v", g.Name, k, err)
+			}
 		}
 	}
 }

@@ -30,18 +30,11 @@ func delayFor(d float64) float64 {
 }
 
 // Mesh builds a connected random PoP-level mesh with exactly
-// directedLinks directed links (must be even: every edge is duplex), no
-// degree-1 nodes, deterministic for a given seed. Exported for tests and
-// benchmarks that need families of seeded topologies beyond the named
-// networks.
+// directedLinks directed links (directedLinks must be even: every edge is
+// duplex), no degree-1 nodes, deterministic for a given seed. Level3, SBC,
+// UUNet and USISP are Mesh instances; tests build families of seeded
+// topologies with it.
 func Mesh(name string, nodes, directedLinks int, seed int64, capacity float64) *graph.Graph {
-	return mesh(name, nodes, directedLinks, seed, capacity)
-}
-
-// mesh builds a connected PoP-level mesh with exactly directedLinks
-// directed links (directedLinks must be even: every edge is duplex), no
-// degree-1 nodes, deterministic for a given seed.
-func mesh(name string, nodes, directedLinks int, seed int64, capacity float64) *graph.Graph {
 	if directedLinks%2 != 0 {
 		panic("topo: directedLinks must be even")
 	}

@@ -17,16 +17,16 @@ func TestMeshParameterSweep(t *testing.T) {
 		{5, 16, 1}, {8, 24, 2}, {12, 40, 3}, {25, 80, 4}, {40, 200, 5},
 	}
 	for _, c := range cases {
-		g := mesh("sweep", c.nodes, c.dlinks, c.seed, 1000)
+		g := Mesh("sweep", c.nodes, c.dlinks, c.seed, 1000)
 		if g.NumNodes() != c.nodes || g.NumLinks() != c.dlinks {
-			t.Fatalf("mesh(%d,%d): got %d/%d", c.nodes, c.dlinks, g.NumNodes(), g.NumLinks())
+			t.Fatalf("Mesh(%d,%d): got %d/%d", c.nodes, c.dlinks, g.NumNodes(), g.NumLinks())
 		}
 		if !g.Connected(nil) {
-			t.Fatalf("mesh(%d,%d) disconnected", c.nodes, c.dlinks)
+			t.Fatalf("Mesh(%d,%d) disconnected", c.nodes, c.dlinks)
 		}
 		for n := 0; n < g.NumNodes(); n++ {
 			if g.Degree(graph.NodeID(n)) < 2 {
-				t.Fatalf("mesh(%d,%d): node %d degree < 2", c.nodes, c.dlinks, n)
+				t.Fatalf("Mesh(%d,%d): node %d degree < 2", c.nodes, c.dlinks, n)
 			}
 		}
 	}
@@ -38,7 +38,7 @@ func TestMeshOddLinksPanics(t *testing.T) {
 			t.Fatalf("odd directed link count accepted")
 		}
 	}()
-	mesh("bad", 5, 15, 1, 100)
+	Mesh("bad", 5, 15, 1, 100)
 }
 
 func TestMeshTooFewEdgesPanics(t *testing.T) {
@@ -47,7 +47,7 @@ func TestMeshTooFewEdgesPanics(t *testing.T) {
 			t.Fatalf("too few edges accepted")
 		}
 	}()
-	mesh("bad", 10, 10, 1, 100) // 5 edges < 9 needed for a tree
+	Mesh("bad", 10, 10, 1, 100) // 5 edges < 9 needed for a tree
 }
 
 func TestTransitStubSweep(t *testing.T) {

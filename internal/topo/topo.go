@@ -64,19 +64,19 @@ func AbileneWithCapacity(capacity float64) *graph.Graph {
 // Level3 returns a PoP-level mesh matched to the paper's Table 1 row for
 // Level-3: 17 nodes, 72 directed links, OC192 capacities.
 func Level3() *graph.Graph {
-	return mesh("Level3", 17, 72, 3, OC192)
+	return Mesh("Level3", 17, 72, 3, OC192)
 }
 
 // SBC returns a PoP-level mesh matched to the paper's Table 1 row for SBC:
 // 19 nodes, 70 directed links, OC192 capacities.
 func SBC() *graph.Graph {
-	return mesh("SBC", 19, 70, 5, OC192)
+	return Mesh("SBC", 19, 70, 5, OC192)
 }
 
 // UUNet returns a PoP-level mesh matched to the paper's Table 1 row for
 // UUNet (2003): 47 nodes, 336 directed links, OC192 capacities.
 func UUNet() *graph.Graph {
-	return mesh("UUNet", 47, 336, 7, OC192)
+	return Mesh("UUNet", 47, 336, 7, OC192)
 }
 
 // Generated returns a GT-ITM-style two-level (transit-stub) backbone
@@ -101,7 +101,7 @@ func Generated1K() *graph.Graph {
 // OC192 with 2×OC192 hub-to-hub bundles, SRLGs modeling shared fiber
 // conduits and a maintenance-link-group (MLG) event list.
 func USISP() *graph.Graph {
-	g := mesh("US-ISP", 20, 102, 13, OC192)
+	g := Mesh("US-ISP", 20, 102, 13, OC192)
 	// Mild capacity heterogeneity: hub-to-hub links run at 2x OC192 (two
 	// bundled wavelengths), everything else at OC192. Stronger skew (a
 	// lone OC768 amid OC48s) would make single fiber cuts unprotectable

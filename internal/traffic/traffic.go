@@ -101,25 +101,6 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns a new matrix m - o, clamping small negatives (from float
-// error) to zero. Sizes must match; a significantly negative entry panics.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	if m.N != o.N {
-		panic("traffic: size mismatch")
-	}
-	out := m.Clone()
-	for i := range out.d {
-		out.d[i] -= o.d[i]
-		if out.d[i] < 0 {
-			if out.d[i] < -1e-6*(1+m.d[i]) {
-				panic(fmt.Sprintf("traffic: negative difference %v", out.d[i]))
-			}
-			out.d[i] = 0
-		}
-	}
-	return out
-}
-
 // Pairs calls f for every OD pair with nonzero demand.
 func (m *Matrix) Pairs(f func(a, b graph.NodeID, v float64)) {
 	for a := 0; a < m.N; a++ {
@@ -129,24 +110,6 @@ func (m *Matrix) Pairs(f func(a, b graph.NodeID, v float64)) {
 			}
 		}
 	}
-}
-
-// NumPairs returns the number of OD pairs with nonzero demand.
-func (m *Matrix) NumPairs() int {
-	n := 0
-	m.Pairs(func(a, b graph.NodeID, v float64) { n++ })
-	return n
-}
-
-// MaxDemand returns the largest single OD demand.
-func (m *Matrix) MaxDemand() float64 {
-	max := 0.0
-	for _, v := range m.d {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Gravity synthesizes a traffic matrix with the gravity model: node masses
@@ -225,19 +188,6 @@ func GravityTopK(g *graph.Graph, total float64, seed int64, k int) *Matrix {
 	}
 	if kept > 0 {
 		m.Scale(total / kept)
-	}
-	return m
-}
-
-// Uniform returns a matrix with demand v between every ordered node pair.
-func Uniform(n int, v float64) *Matrix {
-	m := NewMatrix(n)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				m.d[a*n+b] = v
-			}
-		}
 	}
 	return m
 }

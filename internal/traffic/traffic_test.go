@@ -19,11 +19,8 @@ func TestMatrixSetAt(t *testing.T) {
 	if m.Total() != 12 {
 		t.Fatalf("Total = %v", m.Total())
 	}
-	if m.NumPairs() != 2 {
-		t.Fatalf("NumPairs = %d", m.NumPairs())
-	}
-	if m.MaxDemand() != 7 {
-		t.Fatalf("MaxDemand = %v", m.MaxDemand())
+	if n := numPairs(m); n != 2 {
+		t.Fatalf("pairs = %d", n)
 	}
 }
 
@@ -54,13 +51,9 @@ func TestMatrixArithmetic(t *testing.T) {
 	if sum.At(0, 1) != 5 {
 		t.Fatalf("Add = %v", sum.At(0, 1))
 	}
-	diff := a.Sub(b)
-	if diff.At(0, 1) != 3 {
-		t.Fatalf("Sub = %v", diff.At(0, 1))
-	}
 	// Original unchanged.
 	if a.At(0, 1) != 4 {
-		t.Fatalf("Add/Sub mutated receiver")
+		t.Fatalf("Add mutated receiver")
 	}
 	a.Scale(0.5)
 	if a.At(0, 1) != 2 {
@@ -73,16 +66,6 @@ func TestMatrixArithmetic(t *testing.T) {
 	}
 }
 
-func TestSubClampsFloatNoise(t *testing.T) {
-	a := NewMatrix(2)
-	a.Set(0, 1, 1)
-	b := NewMatrix(2)
-	b.Set(0, 1, 1+1e-12)
-	if got := a.Sub(b).At(0, 1); got != 0 {
-		t.Fatalf("Sub did not clamp tiny negative: %v", got)
-	}
-}
-
 func TestGravityTotalAndSupport(t *testing.T) {
 	g := topo.Abilene()
 	m := Gravity(g, 500, 1)
@@ -91,8 +74,8 @@ func TestGravityTotalAndSupport(t *testing.T) {
 	}
 	// Gravity model has full support off the diagonal.
 	n := g.NumNodes()
-	if m.NumPairs() != n*(n-1) {
-		t.Fatalf("NumPairs = %d, want %d", m.NumPairs(), n*(n-1))
+	if got := numPairs(m); got != n*(n-1) {
+		t.Fatalf("pairs = %d, want %d", got, n*(n-1))
 	}
 	for a := 0; a < n; a++ {
 		if m.At(graph.NodeID(a), graph.NodeID(a)) != 0 {
@@ -121,13 +104,6 @@ func TestGravityDeterministic(t *testing.T) {
 	}
 	if c.At(0, 1) == a.At(0, 1) {
 		t.Fatalf("different seeds produced identical entry")
-	}
-}
-
-func TestUniform(t *testing.T) {
-	m := Uniform(4, 2)
-	if m.Total() != 24 {
-		t.Fatalf("Total = %v, want 24", m.Total())
 	}
 }
 
@@ -237,7 +213,7 @@ func TestGravityTopK(t *testing.T) {
 	const total, seed, k = 500.0, 3, 12
 	dense := Gravity(g, total, seed)
 	sparse := GravityTopK(g, total, seed, k)
-	if got := sparse.NumPairs(); got != k {
+	if got := numPairs(sparse); got != k {
 		t.Fatalf("support = %d pairs, want %d", got, k)
 	}
 	if math.Abs(sparse.Total()-total) > 1e-9*total {
@@ -271,4 +247,11 @@ func TestGravityTopK(t *testing.T) {
 	if GravityTopK(g, total, seed, 0).Fingerprint() != dense.Fingerprint() {
 		t.Fatal("k<=0 should return the dense gravity matrix")
 	}
+}
+
+// numPairs counts the OD pairs with nonzero demand.
+func numPairs(m *Matrix) int {
+	n := 0
+	m.Pairs(func(a, b graph.NodeID, v float64) { n++ })
+	return n
 }
