@@ -29,9 +29,10 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestDeadExportsFixture runs the checker on testdata/deadexports: an
-// exported function nothing calls, a method only its test calls and a field
-// nothing reads are reported, with their positions; a method reached only
-// through an interface and the names its callers use are not.
+// exported function nothing calls, a method only its test calls, a field
+// nothing reads and a type named only by its own method's receiver are
+// reported, with their positions; a method reached only through an
+// interface and the names its callers use are not.
 func TestDeadExportsFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "deadexports")
 	fset := token.NewFileSet()
@@ -49,9 +50,10 @@ func TestDeadExportsFixture(t *testing.T) {
 	}
 	got := tr.deadNames(func(string) bool { return true })
 	want := []string{
-		"testdata/deadexports/fixture.go:9: deadexports.Orphan",
-		"testdata/deadexports/fixture.go:13: deadexports.Box.Unread",
-		"testdata/deadexports/fixture.go:24: deadexports.Box.Stale",
+		"testdata/deadexports/fixture.go:12: deadexports.Orphan",
+		"testdata/deadexports/fixture.go:16: deadexports.Box.Unread",
+		"testdata/deadexports/fixture.go:27: deadexports.Box.Stale",
+		"testdata/deadexports/fixture.go:44: deadexports.Tag",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("dead names:\n got %q\nwant %q", got, want)
@@ -62,11 +64,21 @@ func TestDeadExportsFixture(t *testing.T) {
 // checked names in the directories owned selects that nothing outside
 // their own declarations references.
 func (tr *tree) deadNames(owned func(dir string) bool) []string {
+	// A method's receiver names the method's own type, outside the type's
+	// declaration; that alone does not use the type.
+	recvs := map[*ast.Ident]bool{}
+	for _, f := range tr.files {
+		for _, decl := range f.ast.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				recvs[recvIdent(fd.Recv.List[0].Type)] = true
+			}
+		}
+	}
 	used := map[types.Object]bool{}
 	for id, obj := range tr.info.Uses {
 		obj = origin(obj)
-		if d, ok := tr.decls[obj]; ok && d.Pos() <= id.Pos() && id.Pos() < d.End() {
-			continue // a reference from inside its own declaration
+		if d, ok := tr.decls[obj]; recvs[id] || ok && d.Pos() <= id.Pos() && id.Pos() < d.End() {
+			continue // a receiver, or a reference from inside its own declaration
 		}
 		used[obj] = true
 	}
@@ -196,6 +208,26 @@ func requiredByInterface(t *types.Named, name string, ifaces []*types.Interface)
 		}
 	}
 	return false
+}
+
+// recvIdent returns the type name of a receiver: T in T, *T, T[P] or *T[P].
+func recvIdent(x ast.Expr) *ast.Ident {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e
+		default:
+			return nil
+		}
+	}
 }
 
 // origin maps a field or method of an instantiated generic type to its

@@ -2287,10 +2287,9 @@ func groupStats(groups [][]graph.LinkID, pcol []routing.SparseRow, skip graph.Li
 // combinations of paths) while bounding the noise.
 //
 // It returns the plan's protection rows, canonical and packed, and leaves
-// prot as it was. Each row is worked on in one reused dense row: its loops
-// cancelled, then decomposed, then rebuilt from the kept paths; a row
-// without paths gets the solver's row back, as it was before loop
-// cancellation.
+// prot as it was. Each row is worked on in one reused dense row:
+// decomposed (Decompose cancels its loops on a copy), then rebuilt from
+// the kept paths; a row without paths gets the solver's row back.
 func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) []routing.SparseRow {
 	const (
 		keepCoverage = 0.995 // retain paths until this much mass is kept
@@ -2301,16 +2300,13 @@ func sanitizeProt(g *graph.Graph, prot []routing.SparseRow) []routing.SparseRow 
 	f := &routing.Flow{G: g, Frac: [][]float64{row}}
 	out := make([]routing.SparseRow, len(prot))
 	var cur routing.SparseRow
-	var ls routing.LoopScratch
 	var sc spf.Scratch
 	var down graph.LinkSet
 	for l := range prot {
-		cur.CopyFrom(&prot[l])
-		cur.CancelLoops(g, row, &ls)
-		cur.Scatter(row)
+		prot[l].Scatter(row)
 		f.Comms = comms[l : l+1]
 		paths := f.Decompose(0, 256)
-		cur.Clear(row)
+		prot[l].Clear(row)
 		sort.Slice(paths, func(i, j int) bool { return paths[i].Frac > paths[j].Frac })
 		var grand float64
 		for _, p := range paths {

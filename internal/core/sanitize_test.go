@@ -17,9 +17,9 @@ import (
 // sanitizeProtDense is sanitizeProt as it was when the plan's protection
 // was dense: the whole routing made an L×L flow, its loops removed, each
 // row decomposed and rebuilt, then the forced detours. It is kept as the
-// differential oracle of TestSanitizeProtMatchesDenseOracle; its loops are
-// cancelled row by row with SparseRow.CancelLoops, which the routing tests
-// hold to the dense kernel bit for bit.
+// differential oracle of TestSanitizeProtMatchesDenseOracle. Its loops are
+// cancelled by Flow.Decompose, which runs the dense kernel on a copy of
+// each row.
 func sanitizeProtDense(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	const (
 		keepCoverage = 0.995 // retain paths until this much mass is kept
@@ -27,13 +27,9 @@ func sanitizeProtDense(g *graph.Graph, prot []routing.SparseRow) [][]float64 {
 	)
 	nL := g.NumLinks()
 	P := make([][]float64, nL)
-	var ls routing.LoopScratch
-	zero := make([]float64, nL)
 	for l := range P {
 		P[l] = make([]float64, nL)
-		row := routing.SparseRow{Idx: slices.Clone(prot[l].Idx), Val: slices.Clone(prot[l].Val)}
-		row.CancelLoops(g, zero, &ls)
-		row.Scatter(P[l])
+		prot[l].Scatter(P[l])
 	}
 	f := &routing.Flow{G: g, Comms: routing.LinkCommodities(g), Frac: P}
 	var sc spf.Scratch

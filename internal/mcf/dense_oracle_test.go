@@ -45,9 +45,9 @@ type denseResult struct {
 // minMLUDense is MinMLU as it was before its iterate became sparse rows:
 // dense [commodity][link] matrices for the iterate and the direction, and a
 // fresh tree per destination and call for the oracle. It is kept as the
-// oracle MinMLU is held to bit for bit. Its loop cancellation runs each
-// dense row through SparseRow.CancelLoops, which the routing tests hold to
-// the dense kernel bit for bit.
+// oracle MinMLU is held to bit for bit. Its loops are cancelled on the
+// dense rows by removeCyclesDense, so it shares no code with
+// SparseRow.CancelLoops.
 func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *denseResult {
 	opts.defaults()
 	nL := g.NumLinks()
@@ -182,14 +182,8 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 		mlu = util(loads, cap)
 	}
 
-	var ls routing.LoopScratch
-	var row routing.SparseRow
-	zero := make([]float64, nL)
 	for k := range f.Frac {
-		row.SetDense(f.Frac[k])
-		row.CancelLoops(g, zero, &ls)
-		clear(f.Frac[k])
-		row.Scatter(f.Frac[k])
+		removeCyclesDense(g, f.Frac[k])
 	}
 	// Recompute exactly from the final fractions.
 	final := append([]float64(nil), bg...)
@@ -247,6 +241,72 @@ func ring5() *graph.Graph {
 		g.AddDuplex(graph.NodeID(i), graph.NodeID((i+1)%5), float64(10+5*i), 1, 1)
 	}
 	return g
+}
+
+// removeCyclesDense is the dense loop cancellation MinMLU's oracle ran
+// before the kernel became sparse: a DFS from every node in ascending
+// order cancels the bottleneck of the first cycle it closes, until no
+// cycle of cells above 1e-12 is left. Cells that fall below 1e-12 become 0.
+func removeCyclesDense(g *graph.Graph, frac []float64) {
+	const eps = 1e-12
+	for {
+		cycle := findCycleDense(g, frac, eps)
+		if cycle == nil {
+			return
+		}
+		bottleneck := math.Inf(1)
+		for _, id := range cycle {
+			if frac[id] < bottleneck {
+				bottleneck = frac[id]
+			}
+		}
+		for _, id := range cycle {
+			if frac[id] -= bottleneck; frac[id] < eps {
+				frac[id] = 0
+			}
+		}
+	}
+}
+
+func findCycleDense(g *graph.Graph, frac []float64, eps float64) []graph.LinkID {
+	const (
+		white = iota
+		gray
+		black
+	)
+	color := make([]int, g.NumNodes())
+	parent := make([]graph.LinkID, g.NumNodes())
+	var cycle []graph.LinkID
+	var dfs func(u graph.NodeID) bool
+	dfs = func(u graph.NodeID) bool {
+		color[u] = gray
+		for _, id := range g.Out(u) {
+			if frac[id] <= eps {
+				continue
+			}
+			switch v := g.Link(id).Dst; color[v] {
+			case white:
+				parent[v] = id
+				if dfs(v) {
+					return true
+				}
+			case gray:
+				cycle = []graph.LinkID{id}
+				for w := u; w != v; w = g.Link(parent[w]).Src {
+					cycle = append(cycle, parent[w])
+				}
+				return true
+			}
+		}
+		color[u] = black
+		return false
+	}
+	for n := range color {
+		if color[n] == white && dfs(graph.NodeID(n)) {
+			return cycle
+		}
+	}
+	return nil
 }
 
 // TestMinMLUMatchesDenseOracle holds the sparse-row MinMLU to the dense

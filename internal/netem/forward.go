@@ -12,8 +12,8 @@ import (
 // tails. The walk is bounded by mplsff.MaxStackDepth stack operations:
 // tables that keep pushing protection labels in a cycle exhaust the
 // bound and the packet is dropped (ok=false) instead of looping forever.
-// Both the centralized R3Forwarder and every per-router view of
-// R3DistributedForwarder share this decision procedure.
+// Every per-router view of R3DistributedForwarder, and the centralized
+// forwarder the tests compare them with, share this decision procedure.
 func mplsForward(view *mplsff.Network, u graph.NodeID, pk *Packet) (graph.LinkID, bool) {
 	r := view.Routers[u]
 	for depth := 0; depth < mplsff.MaxStackDepth; depth++ {

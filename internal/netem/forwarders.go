@@ -5,32 +5,8 @@ import (
 	"hash/fnv"
 
 	"repro/internal/graph"
-	"repro/internal/mplsff"
 	"repro/internal/spf"
 )
-
-// R3Forwarder drives the MPLS-ff data plane: base FIB lookup, label
-// stacking onto protection LSPs at failed links (including nested
-// stacking under overlapping failures), and popping at protected-link
-// tails.
-type R3Forwarder struct {
-	Net *mplsff.Network
-}
-
-// Name implements Forwarder.
-func (f *R3Forwarder) Name() string { return "MPLS-ff+R3" }
-
-// ApplyFailure implements Forwarder.
-func (f *R3Forwarder) ApplyFailure(e graph.LinkID) {
-	// Errors cannot occur for first-time failures; OnFailure is
-	// idempotent for repeats (both directions may be reported).
-	_ = f.Net.OnFailure(e)
-}
-
-// Forward implements Forwarder via the shared MPLS-ff decision walk.
-func (f *R3Forwarder) Forward(u graph.NodeID, pk *Packet) (graph.LinkID, bool) {
-	return mplsForward(f.Net, u, pk)
-}
 
 // OSPFReconForwarder models plain OSPF with reconvergence: hash-based
 // ECMP toward the destination on the currently converged topology.

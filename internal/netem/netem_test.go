@@ -11,6 +11,29 @@ import (
 	"repro/internal/traffic"
 )
 
+// R3Forwarder is the centralized MPLS-ff data plane: one control-plane
+// view for every router, the reference R3DistributedForwarder's per-router
+// views are compared with. It walks the shared decision procedure,
+// mplsForward.
+type R3Forwarder struct {
+	Net *mplsff.Network
+}
+
+// Name implements Forwarder.
+func (f *R3Forwarder) Name() string { return "MPLS-ff+R3" }
+
+// ApplyFailure implements Forwarder.
+func (f *R3Forwarder) ApplyFailure(e graph.LinkID) {
+	// Errors cannot occur for first-time failures; OnFailure is
+	// idempotent for repeats (both directions may be reported).
+	_ = f.Net.OnFailure(e)
+}
+
+// Forward implements Forwarder via the shared MPLS-ff decision walk.
+func (f *R3Forwarder) Forward(u graph.NodeID, pk *Packet) (graph.LinkID, bool) {
+	return mplsForward(f.Net, u, pk)
+}
+
 func abileneSetup(t testing.TB, total float64) (*graph.Graph, *traffic.Matrix, *mplsff.Network) {
 	t.Helper()
 	plan := planForAbilene(t, total)

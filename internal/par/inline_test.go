@@ -80,5 +80,10 @@ func TestInlinePooledIdentical(t *testing.T) {
 	withGOMAXPROCS(t, 1, func() { same("inline wide-pool", run(New(8)), serial) })
 	withGOMAXPROCS(t, 4, func() {
 		same("pooled", run(New(8)), serial)
+		// Bit-equality alone would pass an inline fallback; a wide pool
+		// with free slots must actually overlap items.
+		if peak := peakConcurrency(New(8), 100); peak < 2 {
+			t.Fatalf("pooled ForEach ran %d item at a time, want worker overlap", peak)
+		}
 	})
 }

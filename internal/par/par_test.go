@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForEachCoversEveryIndex(t *testing.T) {
@@ -42,20 +41,7 @@ func TestWorkersBound(t *testing.T) {
 }
 
 func TestConcurrencyIsBounded(t *testing.T) {
-	p := New(3)
-	var cur, peak int32
-	p.ForEach(100, func(i int) {
-		c := atomic.AddInt32(&cur, 1)
-		for {
-			old := atomic.LoadInt32(&peak)
-			if c <= old || atomic.CompareAndSwapInt32(&peak, old, c) {
-				break
-			}
-		}
-		time.Sleep(100 * time.Microsecond)
-		atomic.AddInt32(&cur, -1)
-	})
-	if peak > 3 {
+	if peak := peakConcurrency(New(3), 100); peak > 3 {
 		t.Fatalf("observed %d concurrent executions, bound 3", peak)
 	}
 }

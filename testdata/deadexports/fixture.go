@@ -1,9 +1,12 @@
-// Package deadexports is TestDeadExportsFixture's input: three names no
+// Package deadexports is TestDeadExportsFixture's input: four names no
 // non-test file uses, among names that are used in each way the checker
 // must see.
 package deadexports
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Orphan is exported and nothing calls it.
 func Orphan() int { return Orphan() }
@@ -35,5 +38,11 @@ func Sorted(items []int) (int, int) {
 	var s Sizer = b
 	return s.Count(), b.Size
 }
+
+// Tag is named only by the receiver of its String method, which
+// fmt.Stringer requires.
+type Tag int
+
+func (t Tag) String() string { return fmt.Sprint(int(t)) }
 
 func init() { Sorted(nil) }
