@@ -57,11 +57,12 @@ func TestDocs(t *testing.T) {
 
 // TestDocsResolverRejects plants spans the resolver must reject beside
 // ones it must accept: a member a type lacks, through a package, a type
-// and a field, and a name declared only in a test file. The planted names
-// are built at run time: as literals they would be in the index's strings.
+// and a field, a name declared only in a test file, and a dotted name only
+// a test quotes (this file, below). The other planted names are built at
+// run time, so that no file holds them.
 func TestDocsResolverRejects(t *testing.T) {
 	d := &docChecker{ix: buildIndex(t)}
-	for _, span := range []string{"core.Plan.Prot", "Plan.Comms", "State.Fail", "sort.Interface.Len", "Prot.Idx", "denseBase"} {
+	for _, span := range []string{"core.Plan.Prot", "Plan.Comms", "State.Fail", "sort.Interface.Len", "Prot.Idx", "denseBase", "eval.scenario_us"} {
 		d.checkSpan("planted.md", 1, span)
 	}
 	if len(d.errs) > 0 {
@@ -75,6 +76,10 @@ func TestDocsResolverRejects(t *testing.T) {
 			t.Errorf("planted span %s: got %q, want one error", span, d.errs)
 		}
 	}
+	d.errs = nil
+	if d.checkSpan("planted.md", 1, "eval.stale_metric_us"); len(d.errs) != 1 {
+		t.Errorf("a dotted name only a test quotes: got %q, want one error", d.errs)
+	}
 }
 
 // ---- the tree's index ----
@@ -84,7 +89,7 @@ type index struct {
 	typesNamed map[string][]types.Type    // type name -> every tree type of that name
 	fieldsOf   map[string][]types.Type    // struct field name -> its types, any tree struct
 	declared   map[string]bool            // every name declared anywhere in the tree
-	strs       map[string]bool            // every string literal (metric and span names)
+	strs       map[string]bool            // metric and span names: dotted lower-case string literals of non-test files
 	tests      map[string][]string        // package dir -> Test/Fuzz/Benchmark/Example funcs
 	flags      map[string]map[string]bool // command -> flag names
 	targets    map[string]bool            // Makefile targets
@@ -104,8 +109,10 @@ func readFile(t *testing.T, name string) string {
 }
 
 // buildIndex indexes the loaded tree. Dotted Go names resolve through the
-// type-checked non-test packages; test names, flags, string literals and
-// declared names come from every file's syntax, test files included.
+// type-checked non-test packages; test names, flags and declared names come
+// from every file's syntax, test files included; metric and span names
+// from the string literals of non-test files only, so a stale dotted name
+// in the docs does not pass because some test message quotes it.
 // bench/ is the benchmark's own, so its files index nothing here.
 func buildIndex(t *testing.T) *index {
 	tr := loadTree(t)
@@ -196,8 +203,8 @@ func (ix *index) addTreeFile(tf *treeFile) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BasicLit:
-			if n.Kind == token.STRING {
-				if s, err := strconv.Unquote(n.Value); err == nil {
+			if n.Kind == token.STRING && !tf.test {
+				if s, err := strconv.Unquote(n.Value); err == nil && metricNameRe.MatchString(s) {
 					ix.strs[s] = true
 				}
 			}
@@ -323,6 +330,7 @@ var (
 	testNameRe   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
 	codeSpanRe   = regexp.MustCompile("`([^`\n]+(?:\n[^`\n]+)?)`")
 	goNameRe     = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$`)
+	metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+$`)
 	callRe       = regexp.MustCompile(`^(.*?)\(.*\)$`)
 	methodExprRe = regexp.MustCompile(`^\(\*?([A-Za-z0-9_.]+)\)\.(.*)$`)
 	benchCellRe  = regexp.MustCompile(`^([A-Za-z0-9-]+)/([A-Za-z0-9_.]+)$`)

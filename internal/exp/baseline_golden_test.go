@@ -22,7 +22,13 @@ import (
 // scenarios, on Abilene and SBC; the failure-free ECMP rows; and the
 // fingerprint of the OSPF-reconvergence packet emulation. Nothing else pins
 // these numbers, so a change to the shortest-path layer that moves one bit of
-// a baseline fails here.
+// a baseline fails here. The per-scenario optimum (optimal) is the
+// denominator of every performance ratio and is pinned beside them.
+//
+// The same scheme values then evaluate the scenarios again in reverse
+// order, and each scenario must get the same bits: the schemes keep caches
+// and scratch buffers between calls, and none of their contents may reach
+// a result.
 func TestBaselineSchemesGolden(t *testing.T) {
 	want := map[string]uint64{
 		"abilene/OSPF+recon":       0x06b58d5f8d3eee76,
@@ -30,12 +36,14 @@ func TestBaselineSchemesGolden(t *testing.T) {
 		"abilene/FCP":              0xad7cb230b1e0f249,
 		"abilene/PathSplice":       0x7f405b60787798d2,
 		"abilene/OSPF+opt":         0x7b8b440d15e8abdd,
+		"abilene/optimal":          0xa2bcc2643a5b29b2,
 		"abilene/ecmp-rows":        0x0a05c47bb96cb0c5,
 		"sbc/OSPF+recon":           0x8639e791e0fc40eb,
 		"sbc/OSPF+CSPF-detour":     0x8d76129fd555eeed,
 		"sbc/FCP":                  0x9786ad52d0eb92f0,
 		"sbc/PathSplice":           0xfafc6e2abef461b6,
 		"sbc/OSPF+opt":             0x18edeb78c77d92bd,
+		"sbc/optimal":              0x556a871e7ea00a36,
 		"sbc/ecmp-rows":            0x77828592671298c8,
 		"emulation/OSPF+recon":     0x506d8280810e1674,
 	}
@@ -57,14 +65,22 @@ func TestBaselineSchemesGolden(t *testing.T) {
 			&protect.FCP{G: g},
 			&protect.PathSplicing{G: g, Seed: 1},
 			&protect.OptDetour{G: g, Iterations: 40},
+			&protect.Optimal{G: g, Iterations: 40},
 		} {
 			h := fnv.New64a()
-			for _, sc := range scenarios {
+			forward := make([]uint64, len(scenarios))
+			for i, sc := range scenarios {
 				loads, lost := s.Loads(sc, d)
 				hashFloats(h, loads...)
 				hashFloats(h, lost)
+				forward[i] = scenarioDigest(loads, lost)
 			}
 			got[tg.name+"/"+s.Name()] = h.Sum64()
+			for i := len(scenarios) - 1; i >= 0; i-- {
+				if loads, lost := s.Loads(scenarios[i], d); scenarioDigest(loads, lost) != forward[i] {
+					t.Errorf("%s/%s: scenario %d evaluated backwards differs from forwards", tg.name, s.Name(), i)
+				}
+			}
 		}
 		h := fnv.New64a()
 		f := spf.ECMPFlow(g, routing.ODCommodities(g.NumNodes(), d.At), nil, spf.WeightCost(g))
@@ -90,6 +106,13 @@ func TestBaselineSchemesGolden(t *testing.T) {
 			t.Errorf("%s: digest %#016x, pinned %#016x", name, got[name], w)
 		}
 	}
+}
+
+func scenarioDigest(loads []float64, lost float64) uint64 {
+	h := fnv.New64a()
+	hashFloats(h, loads...)
+	hashFloats(h, lost)
+	return h.Sum64()
 }
 
 func hashFloats(h hash.Hash64, vs ...float64) {

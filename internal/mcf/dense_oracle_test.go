@@ -35,11 +35,15 @@ func validRows(r *Result, eps float64) error {
 	return nil
 }
 
-// denseResult is what MinMLU's Result was while it held a dense Flow.
+// denseResult is what MinMLU's Result was while it held a dense Flow, and
+// how many of its iterations repeated a stalled one: Repeats counts the
+// iterations whose μ is bitwise that of a stalled iteration just before
+// them, where MinMLU breaks.
 type denseResult struct {
 	Flow    *routing.Flow
 	MLU     float64
 	Dropped int
+	Repeats int
 }
 
 // minMLUDense is MinMLU as it was before its iterate became sparse rows:
@@ -47,7 +51,8 @@ type denseResult struct {
 // fresh tree per destination and call for the oracle. It is kept as the
 // oracle MinMLU is held to bit for bit. Its loops are cancelled on the
 // dense rows by removeCyclesDense, so it shares no code with
-// SparseRow.CancelLoops.
+// SparseRow.CancelLoops. It runs every iteration MinMLU skips at a repeated
+// stall, and counts them.
 func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *denseResult {
 	opts.defaults()
 	nL := g.NumLinks()
@@ -66,7 +71,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 	}
 
 	// Reachability screen; remember reachable commodities.
-	down := downSet(nL, opts.Alive)
+	down := downSet(nL, opts.Alive, &graph.LinkSet{})
 	reach := make([]bool, len(comms))
 	dropped := 0
 	unit := make([]float64, nL)
@@ -109,9 +114,12 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 	// stall, escaped by the μ schedule and bounded by a stall counter.
 	dirFrac := make([][]float64, len(comms)) // reused direction rows
 	gotDir := make([]bool, len(comms))
-	stalls := 0
+	stalls, stalledMu, repeats := 0, 0.0, 0
 	for it := 0; it < opts.Iterations; it++ {
 		mu := math.Max(mlu/500, mlu*0.05*math.Pow(0.97, float64(it)))
+		if stalls > 0 && math.Float64bits(mu) == math.Float64bits(stalledMu) {
+			repeats++
+		}
 		q := make([]float64, nL)
 		softmax(q, loads, cap, mu)
 
@@ -164,6 +172,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 			if stalls > 24 {
 				break
 			}
+			stalledMu = mu
 			continue
 		}
 		stalls = 0
@@ -197,7 +206,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 			}
 		}
 	}
-	return &denseResult{Flow: f, MLU: util(final, cap), Dropped: dropped}
+	return &denseResult{Flow: f, MLU: util(final, cap), Dropped: dropped, Repeats: repeats}
 }
 
 // assignShortest invokes emit(k, path) with one shortest path per
@@ -314,19 +323,33 @@ func findCycleDense(g *graph.Graph, frac []float64, eps float64) []graph.LinkID 
 // bit for bit, with no options and with each option that reaches the loop
 // — a failure set that partitions a node off (so commodities drop and the
 // destination order skips), background load, and degraded capacities.
+// One scratch serves every solve on a topology, so nothing a solve leaves
+// in it may reach the next. On generated-100, every 20th commodity of a
+// gravity matrix runs past μ's floor into a repeated stall, where MinMLU
+// breaks and the oracle runs on.
 func TestMinMLUMatchesDenseOracle(t *testing.T) {
 	for _, tc := range []struct {
-		g     *graph.Graph
-		total float64
-		iters int
+		g       *graph.Graph
+		total   float64
+		seed    int64
+		stride  int
+		iters   int
+		repeats bool // the plain solve must hit a repeated stall
 	}{
-		{ring5(), 30, 120},
-		{topo.Abilene(), 300, 120},
-		{topo.SBC(), 0.3 * topo.OC192 * 19, 60},
+		{ring5(), 30, 5, 1, 120, false},
+		{topo.Abilene(), 300, 5, 1, 120, false},
+		{topo.SBC(), 0.3 * topo.OC192 * 19, 5, 1, 60, false},
+		{topo.Generated(), 0.15 * topo.Generated().TotalCapacity(), 2, 20, 150, true},
 	} {
 		g := tc.g
 		nL := g.NumLinks()
-		comms := routing.ODCommodities(g.NumNodes(), traffic.Gravity(g, tc.total, 5).At)
+		var comms []routing.Commodity
+		for k, c := range routing.ODCommodities(g.NumNodes(), traffic.Gravity(g, tc.total, tc.seed).At) {
+			if k%tc.stride == 0 {
+				comms = append(comms, c)
+			}
+		}
+		var sc Scratch
 
 		// Node 1 loses every link (a partition), and one more duplex link
 		// elsewhere fails.
@@ -364,9 +387,12 @@ func TestMinMLUMatchesDenseOracle(t *testing.T) {
 				opts := oc.opts
 				opts.Iterations, opts.RelTol = tc.iters, 1e-9 // run the full count, past the gap stop
 				want := minMLUDense(g, comms, opts)
-				got := MinMLU(g, comms, opts)
+				got := MinMLUScratch(g, comms, opts, &sc)
 				if oc.name == "alive" && want.Dropped == 0 {
 					t.Fatal("the partition dropped no commodity: the case tests nothing")
+				}
+				if oc.name == "plain" && tc.repeats && want.Repeats == 0 {
+					t.Fatal("no iteration repeated a stall: the case tests nothing")
 				}
 				if got.Dropped != want.Dropped {
 					t.Fatalf("Dropped = %d, dense oracle %d", got.Dropped, want.Dropped)

@@ -23,7 +23,7 @@ import (
 func minMLUExactPerOD(g *graph.Graph, comms []routing.Commodity, opts Options) (*Result, error) {
 	opts.defaults()
 	nL := g.NumLinks()
-	down := downSet(nL, opts.Alive)
+	down := downSet(nL, opts.Alive, &graph.LinkSet{})
 	aliveLinks := make([]bool, nL)
 	for e := 0; e < nL; e++ {
 		aliveLinks[e] = down == nil || !down.Contains(graph.LinkID(e))
@@ -162,7 +162,8 @@ func minMLUExactPerOD(g *graph.Graph, comms []routing.Commodity, opts Options) (
 			}
 		}
 	}
-	res.cancelLoops()
+	var loops routing.LoopScratch
+	res.cancelLoops(make([]float64, nL), &loops)
 	final := append([]float64(nil), bg...)
 	res.AddLoads(final)
 	mlu := 0.0
@@ -289,7 +290,7 @@ func TestMinMLUExactMatchesPerODOracle(t *testing.T) {
 				t.Fatal("the partition drops no commodity")
 			}
 			dense := denseFlow(got)
-			o := newPathOracle(g, comms, downSet(g.NumLinks(), tc.opts.Alive))
+			o := newPathOracle(g, comms, downSet(g.NumLinks(), tc.opts.Alive, &graph.LinkSet{}))
 			for k, c := range comms {
 				if !o.reach[k] {
 					if len(got.Rows[k].Idx) != 0 {

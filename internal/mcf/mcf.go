@@ -112,30 +112,86 @@ func (r *Result) Lost() float64 {
 }
 
 // cancelLoops cancels the rows' loops, which also puts each row in
-// ascending link order with exact zeros dropped.
-func (r *Result) cancelLoops() {
-	zero := make([]float64, r.g.NumLinks())
-	var s routing.LoopScratch
+// ascending link order with exact zeros dropped. zero is a dense row of
+// link count length, all zero on entry and on return.
+func (r *Result) cancelLoops(zero []float64, s *routing.LoopScratch) {
 	for k := range r.Rows {
-		r.Rows[k].CancelLoops(r.g, zero, &s)
+		r.Rows[k].CancelLoops(r.g, zero, s)
 	}
+}
+
+// Scratch holds every buffer a MinMLUScratch solve works in: the
+// capacities, background, costs, gradient weights and loads rows, the
+// dense rows the row updates and the loop cancellation borrow, the
+// oracle's trees, groups, destination order and per-commodity paths, and
+// the result's rows. Repeated solves on one graph reuse them, so a warm
+// scratch allocates next to nothing; its contents never reach a result.
+//
+// Ownership: the Rows of a Result from MinMLUScratch live in the scratch
+// until its next solve, which overwrites them. Read them (AddLoads, Lost)
+// before reusing the scratch, or copy them. The zero value is ready to
+// use; a Scratch must not be shared between concurrent solves.
+type Scratch struct {
+	capE, bg, cost, q, loads, dirLoads, final []float64
+
+	move  []float64 // MoveToward's dense row, all zero between row updates
+	zero  []float64 // CancelLoops' dense row, all zero between rows
+	loops routing.LoopScratch
+	down  graph.LinkSet
+	o     pathOracle
+	rows  []routing.SparseRow
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. Its contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// keep returns buf resized to n, keeping the elements it held up to its
+// capacity: the per-commodity paths and rows carry their storage from one
+// solve to the next, whatever the commodity count in between.
+func keep[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		grown := make([]T, n)
+		copy(grown, buf[:cap(buf)])
+		return grown
+	}
+	return buf[:n]
 }
 
 // MinMLU approximately minimizes the maximum link utilization of routing
 // the given commodities (with their demands) over alive links, on top of
 // the optional background load. Unreachable commodities are dropped with
-// zero allocation.
+// zero allocation. It is MinMLUScratch on a fresh scratch, so its Result
+// owns its rows.
+func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
+	return MinMLUScratch(g, comms, opts, new(Scratch))
+}
+
+// MinMLUScratch is MinMLU working in sc: the same result, bit for bit,
+// whatever sc held before. The Result's Rows live in sc until its next
+// solve (see Scratch).
 //
 // The iterate is one sparse row per commodity and the Frank–Wolfe direction
 // one retained path per commodity, so an iteration costs the trees it runs
 // plus the rows' nonzeros. Loops are cancelled on the rows too, and the
-// rows are the Result: no [commodity][link] matrix is built unless a
-// caller asks for Result.Flow.
-func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
+// rows are the Result: no [commodity][link] matrix is built.
+//
+// The loop stops at a repeated stall: an iteration with γ ≤ 1e-9 changes
+// nothing but the iteration and stall counters, so when the next one's μ
+// is bitwise the stalled one's, it recomputes the same softmax, paths, gap
+// and γ, and so does every iteration after it until one breaks; every break
+// leaves the same rows, so the loop breaks at once.
+func MinMLUScratch(g *graph.Graph, comms []routing.Commodity, opts Options, sc *Scratch) *Result {
 	opts.defaults()
 	nL := g.NumLinks()
 
-	cap := make([]float64, nL)
+	cap := grow(sc.capE, nL)
+	sc.capE = cap
 	for e := 0; e < nL; e++ {
 		cap[e] = g.Link(graph.LinkID(e)).Capacity
 		if opts.CapScale != nil {
@@ -144,21 +200,28 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	}
 	bg := opts.Background
 	if bg == nil {
-		bg = make([]float64, nL)
+		sc.bg = grow(sc.bg, nL)
+		bg = sc.bg
+		clear(bg)
 	}
+	sc.move, sc.zero = grow(sc.move, nL), grow(sc.zero, nL) // all zero, and kept so
 
-	o := newPathOracle(g, comms, downSet(nL, opts.Alive))
-	rows := make([]routing.SparseRow, len(comms))
+	o := &sc.o
+	o.reset(g, comms, downSet(nL, opts.Alive, &sc.down))
+	sc.rows = keep(sc.rows, len(comms))
+	rows := sc.rows
 	res := &Result{Rows: rows, Dropped: o.dropped, g: g, comms: comms}
 
 	// Initialize: route every reachable commodity on an
 	// inverse-capacity-cost shortest path (a reasonable starting point
 	// that avoids tiny links).
-	cost := make([]float64, nL)
+	cost := grow(sc.cost, nL)
+	sc.cost = cost
 	for e := range cost {
 		cost[e] = 1e9 / cap[e]
 	}
-	loads := append([]float64(nil), bg...)
+	loads := append(sc.loads[:0], bg...)
+	sc.loads = loads
 	o.route(cost, loads)
 	for k, path := range o.paths {
 		rows[k].SetPath(path)
@@ -166,7 +229,7 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 
 	mlu := util(loads, cap)
 	if allZeroDemand(comms) || mlu == 0 {
-		res.cancelLoops()
+		res.cancelLoops(sc.zero, &sc.loops)
 		res.MLU = util(bg, cap)
 		return res
 	}
@@ -175,12 +238,15 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 	// as the objective tightens. The exact line search works on the true
 	// MLU (convex piecewise-linear along the segment); a zero step is a
 	// stall, escaped by the μ schedule and bounded by a stall counter.
-	q := make([]float64, nL)
-	dirLoads := make([]float64, 0, nL)
-	scratch := make([]float64, nL) // all zero between row updates
-	stalls := 0
+	q := grow(sc.q, nL)
+	sc.q = q
+	dirLoads := sc.dirLoads[:0]
+	stalls, stalledMu := 0, 0.0
 	for it := 0; it < opts.Iterations; it++ {
 		mu := math.Max(mlu/500, mlu*0.05*math.Pow(0.97, float64(it)))
+		if stalls > 0 && math.Float64bits(mu) == math.Float64bits(stalledMu) {
+			break // a repeat of the stalled iteration, to the bit
+		}
 		softmax(q, loads, cap, mu)
 
 		// Linear minimization oracle: shortest paths under cost q_e/c_e.
@@ -209,6 +275,7 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 			if stalls > 24 {
 				break
 			}
+			stalledMu = mu
 			continue
 		}
 		stalls = 0
@@ -217,36 +284,38 @@ func MinMLU(g *graph.Graph, comms []routing.Commodity, opts Options) *Result {
 		}
 		for k, path := range o.paths {
 			if path != nil {
-				rows[k].MoveToward(gamma, path, scratch)
+				rows[k].MoveToward(gamma, path, sc.move)
 			} else {
 				rows[k].SelfMix(gamma)
 			}
 		}
 		mlu = util(loads, cap)
 	}
+	sc.dirLoads = dirLoads
 
 	// Recompute exactly from the final fractions. Each link still sees its
 	// commodities in ascending order, so the sums are the dense ones.
-	res.cancelLoops()
-	final := append([]float64(nil), bg...)
+	res.cancelLoops(sc.zero, &sc.loops)
+	final := append(sc.final[:0], bg...)
+	sc.final = final
 	res.AddLoads(final)
 	res.MLU = util(final, cap)
 	return res
 }
 
 // downSet flattens an Options.Alive predicate into the down-set the
-// shortest-path kernel reads: nil when every link is alive.
-func downSet(nL int, alive func(graph.LinkID) bool) *graph.LinkSet {
+// shortest-path kernel reads, built in into: nil when every link is alive.
+func downSet(nL int, alive func(graph.LinkID) bool, into *graph.LinkSet) *graph.LinkSet {
 	if alive == nil {
 		return nil
 	}
-	down := &graph.LinkSet{}
+	into.Clear()
 	for e := 0; e < nL; e++ {
 		if !alive(graph.LinkID(e)) {
-			down.Add(graph.LinkID(e))
+			into.Add(graph.LinkID(e))
 		}
 	}
-	return down
+	return into
 }
 
 // pathOracle is MinMLU's linear minimization oracle: one shortest path per
@@ -254,7 +323,7 @@ func downSet(nL int, alive func(graph.LinkID) bool) *graph.LinkSet {
 // per destination. It runs the CSR kernel on one Scratch and extracts paths
 // into storage retained per commodity, so a call allocates nothing once
 // the paths have reached their lengths. Paths follow the tree, so they are
-// always simple.
+// always simple. Its buffers are kept across reset calls.
 type pathOracle struct {
 	csr     *graph.CSR
 	comms   []routing.Commodity
@@ -269,63 +338,93 @@ type pathOracle struct {
 	// reachable commodities, ascending.
 	order  []graph.NodeID
 	groups [][]int
-	// paths[k] is commodity k's path from the last route call, nil when it
-	// has none: a dropped commodity, or one whose source is its destination.
-	// Reachability does not depend on the cost, so a commodity that has a
-	// path has one in every call and its storage is reused.
+	// paths[k] is commodity k's path from the last route call, nil or
+	// empty when it has none: a dropped commodity, or one whose source is
+	// its destination. Reachability does not depend on the cost, so a
+	// commodity that has a path has one in every call and its storage is
+	// reused.
 	paths [][]graph.LinkID
+	// hops is the unit cost row of the reachability screen; need and seen
+	// are reset's per-commodity and per-node working rows.
+	hops []float64
+	need []int
+	seen []bool
 }
 
-// newPathOracle screens reachability over the links outside down with one
+// newPathOracle is a pathOracle reset on fresh buffers.
+func newPathOracle(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet) *pathOracle {
+	o := &pathOracle{}
+	o.reset(g, comms, down)
+	return o
+}
+
+// reset screens reachability over the links outside down with one
 // unit-cost tree per distinct destination and groups the reachable
 // commodities by destination.
-func newPathOracle(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet) *pathOracle {
-	o := &pathOracle{
-		csr: g.CSR(), comms: comms, down: down,
-		reach:  make([]bool, len(comms)),
-		groups: make([][]int, g.NumNodes()),
-		paths:  make([][]graph.LinkID, len(comms)),
+func (o *pathOracle) reset(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet) {
+	nN, nL := g.NumNodes(), g.NumLinks()
+	o.csr, o.comms, o.down, o.dropped = g.CSR(), comms, down, 0
+	o.reach = grow(o.reach, len(comms))
+	clear(o.reach)
+	o.groups = keep(o.groups, nN)
+	for dst := range o.groups {
+		o.groups[dst] = o.groups[dst][:0]
+	}
+	o.paths = keep(o.paths, len(comms))
+	for k := range o.paths {
+		o.paths[k] = o.paths[k][:0]
+	}
+	if len(o.hops) < nL {
+		o.hops = make([]float64, nL)
+		for e := range o.hops {
+			o.hops[e] = 1
+		}
 	}
 	for k, c := range comms {
 		o.groups[c.Dst] = append(o.groups[c.Dst], k)
 	}
-	hops := make([]float64, g.NumLinks())
-	for e := range hops {
-		hops[e] = 1
-	}
-	pathCap, total := make([]int, len(comms)), 0
+	// A reachable commodity's path storage needs room for its fewest hops;
+	// one that has less gets twice that from a slab shared by all of them.
+	o.need = grow(o.need, len(comms))
+	clear(o.need)
+	total := 0
 	for dst, ks := range o.groups {
 		if len(ks) == 0 {
 			continue
 		}
-		spf.SPFTo(o.csr, graph.NodeID(dst), hops, o.down, &o.sc)
+		spf.SPFTo(o.csr, graph.NodeID(dst), o.hops[:nL], o.down, &o.sc)
 		reachable := ks[:0]
 		for _, k := range ks {
 			if d := o.sc.Dist[comms[k].Src]; d != spf.Infinity {
 				o.reach[k] = true
 				reachable = append(reachable, k)
-				pathCap[k] = 2 * int(d)
-				total += pathCap[k]
+				if cap(o.paths[k]) < int(d) {
+					o.need[k] = 2 * int(d)
+					total += o.need[k]
+				}
 			}
 		}
 		o.groups[dst] = reachable
 	}
-	// Every path starts in one slab, with room for twice its fewest hops; a
-	// path that outgrows its share moves out on its own.
-	slab := make([]graph.LinkID, total)
-	for k, n := range pathCap {
-		o.paths[k], slab = slab[:0:n], slab[n:]
+	if total > 0 {
+		slab := make([]graph.LinkID, total)
+		for k, n := range o.need {
+			if n > 0 {
+				o.paths[k], slab = slab[:0:n], slab[n:]
+			}
+		}
 	}
-	seen := make([]bool, g.NumNodes())
+	o.seen = grow(o.seen, nN)
+	clear(o.seen)
+	o.order = o.order[:0]
 	for k, c := range comms {
 		if !o.reach[k] {
 			o.dropped++
-		} else if !seen[c.Dst] {
-			seen[c.Dst] = true
+		} else if !o.seen[c.Dst] {
+			o.seen[c.Dst] = true
 			o.order = append(o.order, c.Dst)
 		}
 	}
-	return o
 }
 
 // route computes every reachable commodity's shortest path under cost into
@@ -429,7 +528,7 @@ func allZeroDemand(comms []routing.Commodity) bool {
 func MinMLUExact(g *graph.Graph, comms []routing.Commodity, opts Options) (*Result, error) {
 	opts.defaults()
 	nL := g.NumLinks()
-	o := newPathOracle(g, comms, downSet(nL, opts.Alive))
+	o := newPathOracle(g, comms, downSet(nL, opts.Alive, &graph.LinkSet{}))
 	bg := opts.Background
 	if bg == nil {
 		bg = make([]float64, nL)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mcf"
 	"repro/internal/obs"
 	"repro/internal/routing"
-	"repro/internal/spf"
 	"repro/internal/traffic"
 )
 
@@ -36,44 +35,48 @@ type OptDetour struct {
 	// Obs receives the LP solver's "lp." counters from exact solves.
 	Obs *obs.Registry
 
-	// mu guards the lazily built base routing cache and the warm basis.
-	mu sync.Mutex
-	// cached is keyed by the demand matrix's content fingerprint, not its
-	// pointer: an in-place-mutated matrix must not serve a stale base
-	// routing.
-	cached   *routing.Flow
-	cachedFP uint64
-	haveFP   bool
-	warm     *lp.Basis
+	// base caches the failure-free ECMP loads per demand matrix when Base
+	// is nil.
+	base baseLoads
+	// scratch is a free list of min-MLU scratches: a scenario's detour
+	// solve works in one and reads its result out before returning it.
+	scratch freeList[mcf.Scratch]
+	// mu guards the warm basis.
+	mu   sync.Mutex
+	warm *lp.Basis
 }
 
 // Name implements Scheme.
 func (s *OptDetour) Name() string { return "OSPF+opt" }
 
-func (s *OptDetour) baseFlow(d *traffic.Matrix) *routing.Flow {
-	if s.Base != nil {
-		f := s.Base.Clone()
-		f.SetDemands(d.At)
-		return f
+// baseLoads returns the failure-free base loads of d: the cached ECMP
+// loads, shared and read-only, or, when Base is set, a fresh row of
+// Σ d(src,dst)·frac over Base's rows — the products Base.Clone,
+// SetDemands and Loads would form, without the clone.
+func (s *OptDetour) baseLoads(d *traffic.Matrix) []float64 {
+	if s.Base == nil {
+		return s.base.get(s.G, d)
 	}
-	fp := d.Fingerprint()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cached == nil || !s.haveFP || s.cachedFP != fp {
-		comms := routing.ODCommodities(s.G.NumNodes(), d.At)
-		s.cached = spf.ECMPFlow(s.G, comms, nil, spf.WeightCost(s.G))
-		s.cachedFP = fp
-		s.haveFP = true
+	loads := make([]float64, s.Base.G.NumLinks())
+	for k, c := range s.Base.Comms {
+		dk := d.At(c.Src, c.Dst)
+		if dk == 0 {
+			continue
+		}
+		for e, v := range s.Base.Frac[k] {
+			if v != 0 {
+				loads[e] += dk * v
+			}
+		}
 	}
-	// Clone, as the s.Base path does: callers may hold the flow across a
-	// matrix change, and the shared cache must never alias caller state.
-	return s.cached.Clone()
+	return loads
 }
 
 // solveDetour runs one scenario's detour optimization: the exact LP
 // (with a set-once warm basis so parallel evaluations are deterministic)
-// when Exact is set, Frank–Wolfe otherwise or on LP failure.
-func (s *OptDetour) solveDetour(detourComms []routing.Commodity, failed graph.LinkSet, bg []float64, iters int) *mcf.Result {
+// when Exact is set, Frank–Wolfe otherwise or on LP failure. It adds the
+// detours' loads into loads and returns their lost demand.
+func (s *OptDetour) solveDetour(detourComms []routing.Commodity, failed graph.LinkSet, bg []float64, iters int, loads []float64) float64 {
 	opts := mcf.Options{Alive: failed.Alive(), Background: bg, Iterations: iters}
 	if s.Exact {
 		s.mu.Lock()
@@ -86,20 +89,23 @@ func (s *OptDetour) solveDetour(detourComms []routing.Commodity, failed graph.Li
 				s.warm = res.Basis
 			}
 			s.mu.Unlock()
-			return res
+			res.AddLoads(loads)
+			return res.Lost()
 		}
 	}
-	return mcf.MinMLU(s.G, detourComms, opts)
+	sc := s.scratch.get()
+	defer s.scratch.put(sc)
+	res := mcf.MinMLUScratch(s.G, detourComms, opts, sc)
+	res.AddLoads(loads)
+	return res.Lost()
 }
 
 // Loads implements Scheme.
 func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	base := s.baseFlow(d)
-	baseLoads := base.Loads()
+	baseLoads := s.baseLoads(d)
 
 	// Background: surviving base load.
-	bg := make([]float64, s.G.NumLinks())
-	copy(bg, baseLoads)
+	bg := append([]float64(nil), baseLoads...)
 	var detourComms []routing.Commodity
 	for _, e := range failed.IDs() {
 		bg[e] = 0
@@ -118,11 +124,9 @@ func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, f
 	if iters == 0 {
 		iters = 200
 	}
-	res := s.solveDetour(detourComms, failed, bg, iters)
-	loads := make([]float64, s.G.NumLinks())
-	copy(loads, bg)
-	res.AddLoads(loads)
-	return loads, res.Lost()
+	loads := append([]float64(nil), bg...)
+	lost := s.solveDetour(detourComms, failed, bg, iters, loads)
+	return loads, lost
 }
 
 // Optimal is flow-based optimal routing recomputed from scratch for each
@@ -146,6 +150,9 @@ type Optimal struct {
 	// concurrent scenario evaluations finish.
 	mu   sync.Mutex
 	warm *lp.Basis
+	// scratch is a free list of min-MLU scratches: a scenario's solve
+	// works in one and reads its result out before returning it.
+	scratch freeList[mcf.Scratch]
 }
 
 // Name implements Scheme.
@@ -182,7 +189,9 @@ func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *tra
 		}
 	}
 	if res == nil {
-		res = mcf.MinMLU(s.G, comms, mcf.Options{Alive: failed.Alive(), CapScale: capScale, Iterations: iters})
+		sc := s.scratch.get()
+		defer s.scratch.put(sc)
+		res = mcf.MinMLUScratch(s.G, comms, mcf.Options{Alive: failed.Alive(), CapScale: capScale, Iterations: iters}, sc)
 	}
 	loads := make([]float64, s.G.NumLinks())
 	res.AddLoads(loads)

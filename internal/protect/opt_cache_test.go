@@ -38,24 +38,27 @@ func TestOptDetourCacheTracksMatrixContent(t *testing.T) {
 	}
 }
 
-// TestOptDetourBaseFlowIsClone pins the aliasing fix: the flow returned
-// by baseFlow must be independent of the internal cache.
-func TestOptDetourBaseFlowIsClone(t *testing.T) {
+// TestOptDetourBaseLoadsAreNotAliased pins the aliasing fix: the loads a
+// scheme returns must be independent of the base loads it caches, so a
+// caller writing into them changes no later result. A scenario without a
+// loaded failed link returns the background row itself, the one closest
+// to the cache.
+func TestOptDetourBaseLoadsAreNotAliased(t *testing.T) {
 	g := topo.Abilene()
-	s := &OptDetour{G: g}
 	d := ringDemand(g, 10)
-
-	f1 := s.baseFlow(d)
-	for k := range f1.Frac {
-		for e := range f1.Frac[k] {
-			f1.Frac[k][e] = -1 // vandalize the returned copy
-		}
-	}
-	f2 := s.baseFlow(d)
-	for k := range f2.Frac {
-		for e := range f2.Frac[k] {
-			if f2.Frac[k][e] == -1 {
-				t.Fatalf("cache aliased: mutation of a returned flow leaked into comm %d link %d", k, e)
+	for _, s := range []Scheme{&OptDetour{G: g}, &CSPFDetour{G: g}} {
+		for _, failed := range []graph.LinkSet{{}, graph.NewLinkSet(0)} {
+			want, _ := s.Loads(failed, d)
+			want = append([]float64(nil), want...)
+			got, _ := s.Loads(failed, d)
+			for e := range got {
+				got[e] = -1 // vandalize the returned row
+			}
+			got, _ = s.Loads(failed, d)
+			for e := range want {
+				if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+					t.Fatalf("%s: cache aliased: a write to a returned row leaked into link %d", s.Name(), e)
+				}
 			}
 		}
 	}

@@ -56,6 +56,10 @@ func BottleneckScaled(g *graph.Graph, failed graph.LinkSet, capScale []float64, 
 // ECMP shortest paths on the surviving topology with unchanged weights.
 type OSPFRecon struct {
 	G *graph.Graph
+	// scratch is a free list of ECMP scratches, so one scheme value can
+	// serve concurrent scenario evaluations; a scratch's contents never
+	// reach a result.
+	scratch freeList[spf.ECMPScratch]
 }
 
 // Name implements Scheme.
@@ -64,24 +68,66 @@ func (s *OSPFRecon) Name() string { return "OSPF+recon" }
 // Loads implements Scheme.
 func (s *OSPFRecon) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
 	comms := routing.ODCommodities(s.G.NumNodes(), d.At)
-	f := spf.ECMPFlow(s.G, comms, &failed, spf.WeightCost(s.G))
-	loads := f.Loads()
-	var lost float64
-	for k, c := range f.Comms {
-		if rowZero(f.Frac[k]) {
-			lost += c.Demand
-		}
-	}
+	loads := make([]float64, s.G.NumLinks())
+	sc := s.scratch.get()
+	lost := spf.ECMPLoads(s.G, comms, &failed, spf.WeightCost(s.G), sc, loads)
+	s.scratch.put(sc)
 	return loads, lost
 }
 
-func rowZero(fr []float64) bool {
-	for _, v := range fr {
-		if v != 0 {
-			return false
-		}
+// freeList is a mutex-guarded free list of scratch values for schemes
+// that concurrent scenario evaluations share. The zero value is ready to
+// use. A scratch's contents never influence a result, so the order in
+// which evaluations recycle them does not either.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get pops a scratch from the list, or returns a fresh one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free = l.free[:n-1]
+		return sc
 	}
-	return true
+	return new(T)
+}
+
+// put returns a scratch to the list.
+func (l *freeList[T]) put(sc *T) {
+	l.mu.Lock()
+	l.free = append(l.free, sc)
+	l.mu.Unlock()
+}
+
+// baseLoads caches the failure-free OSPF ECMP loads of a scheme's graph
+// per demand matrix, keyed by content fingerprint (pointer identity would
+// serve stale loads after an in-place matrix mutation) and recomputed
+// when the matrix changes. The zero value is ready to use; a baseLoads is
+// safe for concurrent use. The returned row is shared: callers must not
+// write to it.
+type baseLoads struct {
+	mu    sync.Mutex
+	loads []float64
+	fp    uint64
+}
+
+// get returns the failure-free ECMP loads of d on g.
+func (b *baseLoads) get(g *graph.Graph, d *traffic.Matrix) []float64 {
+	fp := d.Fingerprint()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.loads == nil || b.fp != fp {
+		comms := routing.ODCommodities(g.NumNodes(), d.At)
+		loads := make([]float64, g.NumLinks())
+		var sc spf.ECMPScratch
+		spf.ECMPLoads(g, comms, nil, spf.WeightCost(g), &sc, loads)
+		b.loads, b.fp = loads, fp
+	}
+	return b.loads
 }
 
 // CSPFDetour models the widely deployed MPLS fast-reroute bypass: traffic
@@ -90,15 +136,9 @@ func rowZero(fr []float64) bool {
 // from its head to its tail computed with all failed links removed.
 type CSPFDetour struct {
 	G *graph.Graph
-	// base caches the failure-free ECMP routing per distinct demand
-	// matrix, keyed by content fingerprint (pointer identity would serve
-	// a stale routing after an in-place matrix mutation); recomputed when
-	// the matrix changes. Guarded by mu so one scheme value can serve
-	// concurrent scenario evaluations.
-	mu       sync.Mutex
-	base     *routing.Flow
-	baseFP   uint64
-	haveBase bool
+	// base caches the failure-free ECMP loads per distinct demand matrix,
+	// so one scheme value can serve concurrent scenario evaluations.
+	base baseLoads
 }
 
 // Name implements Scheme.
@@ -106,19 +146,8 @@ func (s *CSPFDetour) Name() string { return "OSPF+CSPF-detour" }
 
 // Loads implements Scheme.
 func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	fp := d.Fingerprint()
-	s.mu.Lock()
-	if s.base == nil || !s.haveBase || s.baseFP != fp {
-		comms := routing.ODCommodities(s.G.NumNodes(), d.At)
-		s.base = spf.ECMPFlow(s.G, comms, nil, spf.WeightCost(s.G))
-		s.baseFP = fp
-		s.haveBase = true
-	}
-	base := s.base
-	s.mu.Unlock()
-	baseLoads := base.Loads()
-	loads := make([]float64, s.G.NumLinks())
-	copy(loads, baseLoads)
+	baseLoads := s.base.get(s.G, d)
+	loads := append([]float64(nil), baseLoads...)
 	var lost float64
 	var sc spf.Scratch
 	for _, e := range failed.IDs() {

@@ -56,7 +56,12 @@ func (s *LoopScratch) size(n int) {
 // node order, where the dense kernel tries every node: a node with no
 // outgoing support only turns itself black, and a later visit to it,
 // white or black, does nothing else either, so both find the same cycles
-// in the same order.
+// in the same order. On a row of finite cells the root order does not
+// change the result: each cycle the search closes leaves every node by its
+// first out-link whose head still reaches a cycle, so the cycles on offer
+// at any step are node-disjoint and cancelling them commutes. A cycle with
+// no finite cell stops the kernel, though, and which cycles were cancelled
+// before it depends on the order, so the roots are sorted.
 func (r *SparseRow) CancelLoops(g *graph.Graph, zero []float64, s *LoopScratch) {
 	c := g.CSR()
 	s.size(c.N)

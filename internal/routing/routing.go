@@ -40,11 +40,24 @@ func NewFlow(g *graph.Graph, comms []Commodity) *Flow {
 	return f
 }
 
-// ODCommodities builds commodities from the nonzero entries of a demand
-// function. It is a convenience for traffic matrices without importing the
-// traffic package.
+// ODCommodities builds commodities from the positive entries of a demand
+// function, in (source, destination) order. It is a convenience for
+// traffic matrices without importing the traffic package. It counts the
+// entries first and fills one slice of exactly that length, so demand is
+// called twice per pair and must return the same value both times.
 func ODCommodities(n int, demand func(a, b graph.NodeID) float64) []Commodity {
-	var comms []Commodity
+	k := 0
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b && demand(graph.NodeID(a), graph.NodeID(b)) > 0 {
+				k++
+			}
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	comms := make([]Commodity, 0, k)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a == b {

@@ -316,9 +316,9 @@ func TestKernelZeroAllocs(t *testing.T) {
 }
 
 // TestECMPScratchReusesRows pins the fix for the weight optimizer's
-// unbounded per-call distance cache: across repeated ECMPFlowScratch
-// invocations the per-destination trees must be the same backing arrays,
-// invalidated by generation stamp rather than reallocation.
+// unbounded per-call distance cache: across repeated ECMPLoads invocations
+// the per-destination trees must be the same backing arrays, invalidated by
+// generation stamp rather than reallocation, and the loads must not drift.
 func TestECMPScratchReusesRows(t *testing.T) {
 	g := topo.Abilene()
 	comms := routing.ODCommodities(g.NumNodes(), func(a, b graph.NodeID) float64 {
@@ -328,7 +328,8 @@ func TestECMPScratchReusesRows(t *testing.T) {
 		return 1
 	})
 	var sc ECMPScratch
-	f1 := ECMPFlowScratch(g, comms, nil, WeightCost(g), &sc)
+	l1 := make([]float64, g.NumLinks())
+	ECMPLoads(g, comms, nil, WeightCost(g), &sc, l1)
 	rows := make([]*float64, len(sc.trees))
 	orders := make([]*graph.NodeID, len(sc.trees))
 	for d, tr := range sc.trees {
@@ -338,12 +339,11 @@ func TestECMPScratchReusesRows(t *testing.T) {
 	}
 	gen := sc.gen
 	for round := 0; round < 25; round++ {
-		f := ECMPFlowScratch(g, comms, nil, WeightCost(g), &sc)
-		for k := range f.Frac {
-			for e := range f.Frac[k] {
-				if f.Frac[k][e] != f1.Frac[k][e] {
-					t.Fatalf("round %d: fractions drifted at commodity %d link %d", round, k, e)
-				}
+		loads := make([]float64, g.NumLinks())
+		ECMPLoads(g, comms, nil, WeightCost(g), &sc, loads)
+		for e := range loads {
+			if math.Float64bits(loads[e]) != math.Float64bits(l1[e]) {
+				t.Fatalf("round %d: loads drifted at link %d", round, e)
 			}
 		}
 	}
@@ -377,16 +377,14 @@ func TestECMPScratchInvalidatesOnWeightChange(t *testing.T) {
 		return 1
 	})
 	var sc ECMPScratch
-	ECMPFlowScratch(g, comms, nil, WeightCost(g), &sc)
+	ECMPLoads(g, comms, nil, WeightCost(g), &sc, make([]float64, g.NumLinks()))
 	g.SetWeight(0, g.Link(0).Weight+7)
-	got := ECMPFlowScratch(g, comms, nil, WeightCost(g), &sc)
-	want := ECMPFlow(g, comms, nil, WeightCost(g))
-	for k := range want.Frac {
-		for e := range want.Frac[k] {
-			if got.Frac[k][e] != want.Frac[k][e] {
-				t.Fatalf("stale distances after weight change: commodity %d link %d: %v vs %v",
-					k, e, got.Frac[k][e], want.Frac[k][e])
-			}
+	got := make([]float64, g.NumLinks())
+	ECMPLoads(g, comms, nil, WeightCost(g), &sc, got)
+	want := ECMPFlow(g, comms, nil, WeightCost(g)).Loads()
+	for e := range want {
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			t.Fatalf("stale distances after weight change: link %d: %v vs %v", e, got[e], want[e])
 		}
 	}
 }

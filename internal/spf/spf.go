@@ -80,24 +80,67 @@ func ShortestPath(g *graph.Graph, src, dst graph.NodeID, down *graph.LinkSet, co
 // ECMPFlow computes OSPF ECMP routing in flow representation for the given
 // commodities over the links outside down. Commodities whose destination
 // is unreachable get an all-zero fraction row (their traffic is lost, as
-// under a network partition).
+// under a network partition). Callers that need only the link loads use
+// ECMPLoads, which builds no [commodity][link] matrix.
 func ECMPFlow(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, cost []float64) *routing.Flow {
+	f := routing.NewFlow(g, comms)
 	var sc ECMPScratch
-	return ECMPFlowScratch(g, comms, down, cost, &sc)
+	c := sc.start(g)
+	for k, cm := range comms {
+		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.tree(c, cm.Dst, cost, down), f.Frac[k])
+		sc.touched = sc.touched[:0]
+	}
+	return f
 }
 
-// ECMPScratch holds ECMPFlowScratch's reusable state: one tree per
-// destination node (invalidated by generation stamp on every invocation —
-// never by reallocation, so repeated calls hold live memory bounded by one
-// tree per destination ever routed to), the SPF kernel scratch, and the
+// ECMPLoads adds the link loads of ECMPFlow's routing into loads (of link
+// count length) and returns the lost demand, without building the flow:
+// each commodity's split fractions go into one dense row held in sc, and
+// each nonzero fraction v is added to its link as d·v, commodity by
+// commodity, skipping commodities of zero demand. Those are the products
+// Flow.Loads forms, added in its order, so a zero loads row comes back
+// equal, bit for bit, to ECMPFlow(...).Loads(). lost is the demand of the
+// commodities whose row is all zero: those that cannot reach their
+// destination.
+func ECMPLoads(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, cost []float64, sc *ECMPScratch, loads []float64) (lost float64) {
+	c := sc.start(g)
+	row := sc.row
+	for _, cm := range comms {
+		d := cm.Demand
+		if d == 0 {
+			continue
+		}
+		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.tree(c, cm.Dst, cost, down), row)
+		routed := false
+		for _, e := range sc.touched {
+			if v := row[e]; v != 0 {
+				loads[e] += d * v
+				routed = true
+			}
+			row[e] = 0
+		}
+		sc.touched = sc.touched[:0]
+		if !routed {
+			lost += d
+		}
+	}
+	return lost
+}
+
+// ECMPScratch holds ECMPLoads' reusable state: one tree per destination
+// node (invalidated by generation stamp on every invocation — never by
+// reallocation, so repeated calls hold live memory bounded by one tree per
+// destination ever routed to), the SPF kernel scratch, and the
 // per-commodity buffers. The zero value is ready to use; a scratch must not
 // be shared between concurrent calls.
 type ECMPScratch struct {
-	spf    Scratch
-	trees  []ecmpTree // per destination node, lazily allocated, reused
-	gen    int
-	inflow []float64 // per node, all zero between commodities
-	hops   []graph.LinkID
+	spf     Scratch
+	trees   []ecmpTree // per destination node, lazily allocated, reused
+	gen     int
+	inflow  []float64 // per node, all zero between commodities
+	row     []float64 // per link, all zero between commodities
+	touched []int32   // the links fractions made nonzero in a row
+	hops    []graph.LinkID
 }
 
 // ecmpTree is one destination's reverse tree and the order ECMP splits
@@ -110,41 +153,44 @@ type ecmpTree struct {
 	stamp int // valid iff stamp == ECMPScratch.gen
 }
 
-// ECMPFlowScratch is ECMPFlow with caller-owned scratch: repeated calls
-// (the weight optimizer probes hundreds of candidate weight settings)
-// reuse the per-destination trees and kernel buffers.
-func ECMPFlowScratch(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, cost []float64, sc *ECMPScratch) *routing.Flow {
-	f := routing.NewFlow(g, comms)
+// start sizes the scratch for g and invalidates every tree.
+func (sc *ECMPScratch) start(g *graph.Graph) *graph.CSR {
 	c := g.CSR()
 	if len(sc.trees) < c.N {
 		sc.trees = append(sc.trees, make([]ecmpTree, c.N-len(sc.trees))...)
 		sc.inflow = make([]float64, c.N)
 	}
-	sc.gen++
-	for k, cm := range comms {
-		t := &sc.trees[cm.Dst]
-		if t.stamp != sc.gen {
-			SPFTo(c, cm.Dst, cost, down, &sc.spf)
-			t.dist = append(t.dist[:0], sc.spf.Dist...)
-			t.next = append(t.next[:0], sc.spf.Next...)
-			t.order = t.order[:0]
-			for n, d := range t.dist {
-				if d != Infinity {
-					t.order = append(t.order, graph.NodeID(n))
-				}
-			}
-			slices.SortStableFunc(t.order, func(a, b graph.NodeID) int { return cmp.Compare(t.dist[b], t.dist[a]) })
-			t.stamp = sc.gen
-		}
-		sc.fractions(c, cm.Src, cm.Dst, cost, down, t, f.Frac[k])
+	if len(sc.row) < c.NumLinks() {
+		sc.row = make([]float64, c.NumLinks())
 	}
-	return f
+	sc.gen++
+	return c
+}
+
+// tree returns dst's tree under the call's cost and down-set, computing it
+// on the call's first visit to dst.
+func (sc *ECMPScratch) tree(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet) *ecmpTree {
+	t := &sc.trees[dst]
+	if t.stamp != sc.gen {
+		SPFTo(c, dst, cost, down, &sc.spf)
+		t.dist = append(t.dist[:0], sc.spf.Dist...)
+		t.next = append(t.next[:0], sc.spf.Next...)
+		t.order = t.order[:0]
+		for n, d := range t.dist {
+			if d != Infinity {
+				t.order = append(t.order, graph.NodeID(n))
+			}
+		}
+		slices.SortStableFunc(t.order, func(a, b graph.NodeID) int { return cmp.Compare(t.dist[b], t.dist[a]) })
+		t.stamp = sc.gen
+	}
+	return t
 }
 
 // fractions adds the ECMP split fractions of one unit injected at src
 // toward t's destination into frac, a zero row: equal splitting over Hops
-// at every node, in t's order. frac stays zero if dst is unreachable from
-// src.
+// at every node, in t's order, noting in sc.touched each link it makes
+// nonzero. frac stays zero if dst is unreachable from src.
 func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []float64, down *graph.LinkSet, t *ecmpTree, frac []float64) {
 	if t.dist[src] == Infinity {
 		return
@@ -162,18 +208,26 @@ func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []flo
 				break // unreachable for a finite distance
 			}
 			if v := graph.NodeID(c.Dst[sc.hops[0]]); t.dist[v] == t.dist[u] {
-				frac[sc.hops[0]] += f
+				sc.add(frac, sc.hops[0], f)
 				u = v
 				continue
 			}
 			share := f / float64(len(sc.hops))
 			for _, id := range sc.hops {
-				frac[id] += share
+				sc.add(frac, id, share)
 				inflow[c.Dst[id]] += share
 			}
 			break
 		}
 	}
+}
+
+// add adds v to frac[id], noting id in sc.touched when the cell was zero.
+func (sc *ECMPScratch) add(frac []float64, id graph.LinkID, v float64) {
+	if frac[id] == 0 {
+		sc.touched = append(sc.touched, int32(id))
+	}
+	frac[id] += v
 }
 
 // InvCapWeights sets every link's weight to refCapacity/capacity (Cisco's

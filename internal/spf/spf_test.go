@@ -117,6 +117,64 @@ func TestECMPFlowUnreachableZeroRow(t *testing.T) {
 	}
 }
 
+// flowLost is the lost demand of a flow as its rows tell it: the demand of
+// every commodity whose row is all zero.
+func flowLost(f *routing.Flow) float64 {
+	var lost float64
+	for k, c := range f.Comms {
+		zero := true
+		for _, v := range f.Frac[k] {
+			zero = zero && v == 0
+		}
+		if zero {
+			lost += c.Demand
+		}
+	}
+	return lost
+}
+
+// TestECMPLoadsMatchesFlowLoads holds ECMPLoads to the flow it stands in
+// for: the loads, bit for bit, of ECMPFlow(...).Loads() and the demand of
+// its all-zero rows, with every link up, with one duplex pair down and with
+// a node cut off (so commodities are lost), and with a zero-demand
+// commodity among the rest. One scratch serves every call on a topology,
+// so state leaking from one call into the next fails here too.
+func TestECMPLoadsMatchesFlowLoads(t *testing.T) {
+	for _, g := range topo.All() {
+		comms := routing.ODCommodities(g.NumNodes(), traffic.Gravity(g, 1000, 3).At)
+		comms[len(comms)/2].Demand = 0
+		var pair, cut graph.LinkSet
+		pair.Add(0)
+		if r := g.Link(0).Reverse; r >= 0 {
+			pair.Add(r)
+		}
+		for _, id := range g.Out(1) {
+			cut.Add(id)
+		}
+		for _, id := range g.In(1) {
+			cut.Add(id)
+		}
+		var sc ECMPScratch
+		for _, down := range []*graph.LinkSet{nil, &pair, &cut, nil} {
+			f := ECMPFlow(g, comms, down, WeightCost(g))
+			want, wantLost := f.Loads(), flowLost(f)
+			got := make([]float64, g.NumLinks())
+			lost := ECMPLoads(g, comms, down, WeightCost(g), &sc, got)
+			for e := range want {
+				if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+					t.Fatalf("%s: link %d carries %v, the flow %v", g.Name, e, got[e], want[e])
+				}
+			}
+			if math.Float64bits(lost) != math.Float64bits(wantLost) {
+				t.Fatalf("%s: lost %v, the flow's zero rows %v", g.Name, lost, wantLost)
+			}
+			if down == &cut && lost == 0 {
+				t.Fatalf("%s: cutting node 1 off lost nothing: the case tests nothing", g.Name)
+			}
+		}
+	}
+}
+
 func TestECMPFlowValidOnAllTopologies(t *testing.T) {
 	for _, g := range topo.All() {
 		tm := traffic.Gravity(g, 1000, 1)

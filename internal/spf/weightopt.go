@@ -53,13 +53,15 @@ func OptimizeWeights(g *graph.Graph, demands []func(a, b graph.NodeID) float64, 
 	// One scratch across every candidate evaluation: the local search
 	// probes hundreds of weight settings, and each probe reuses the same
 	// per-destination distance table instead of growing a fresh cache.
+	// Each demand set gets a loads row of its own, since the worst one is
+	// kept.
 	var sc ECMPScratch
 	evaluate := func() (float64, []float64) {
 		worst := 0.0
 		var worstLoads []float64
 		for i := range demands {
-			f := ECMPFlowScratch(g, commsPer[i], nil, WeightCost(g), &sc)
-			loads := f.Loads()
+			loads := make([]float64, g.NumLinks())
+			ECMPLoads(g, commsPer[i], nil, WeightCost(g), &sc, loads)
 			if u := routing.MLU(g, loads); u > worst {
 				worst = u
 				worstLoads = loads
