@@ -7,13 +7,15 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# vet also holds the docs to the tree and the code to its callers
-# (TestDocs, TestNoDeadExports: one type-checked load, a few seconds), so
-# every target that depends on it fails on a dead export or a stale name.
+# vet also holds the docs to the tree, the code to its callers and every
+# exported field to a writer outside tests (TestDocs, TestNoDeadExports,
+# TestNoTestOnlyKnobs and their fixtures: one type-checked load, a few
+# seconds), so every target that depends on it fails on a dead export, a
+# knob only tests turn or a stale name.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
-	$(GO) test -count=1 -run 'TestDocs|TestNoDeadExports|TestDeadExportsFixture' .
+	$(GO) test -count=1 -run 'TestDocs|TestNoDeadExports|TestDeadExportsFixture|TestNoTestOnlyKnobs|TestTestOnlyKnobsFixture' .
 
 test:
 	$(GO) test ./...
@@ -79,7 +81,7 @@ profile-fw: build
 # the r3emu emulation under both forwarders, then a seeded chaos sweep
 # (DESIGN.md §12).
 chaos: vet
-	$(GO) test -count=1 -run 'TestChaos|TestReliableFlood|TestFireOnce|TestReflood|TestTheorem3|TestForwardLoopGuard|TestInvariant|TestDetectDelay' ./internal/netem
+	$(GO) test -count=1 -run 'TestChaos|TestReliableFlood|TestFireOnce|TestReflood|TestTheorem3|TestForwardLoopGuard|TestInvariant' ./internal/netem
 	$(GO) test -count=1 -run 'TestFingerprint' ./internal/mplsff
 	$(GO) test -count=1 -run 'TestChaosLossSweep|TestEmulationFingerprintGolden' ./internal/exp
 	$(GO) run ./cmd/r3emu -fig sweep -phase 1 -effort 40 -chaos-runs 2

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -30,34 +31,42 @@ func TestNoDeadExports(t *testing.T) {
 
 // TestDeadExportsFixture runs the checker on testdata/deadexports: an
 // exported function nothing calls, a method only its test calls, a field
-// nothing reads and a type named only by its own method's receiver are
-// reported, with their positions; a method reached only through an
-// interface and the names its callers use are not.
+// nothing reads, a field that is only written and a type named only by
+// its own method's receiver are reported, with their positions; a method
+// reached only through an interface, a json-tagged field that is only
+// written and the names its callers use are not.
 func TestDeadExportsFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "deadexports")
+	got := loadFixture(t).deadNames(func(string) bool { return true })
+	want := []string{
+		"testdata/deadexports/fixture.go:14: deadexports.Orphan",
+		"testdata/deadexports/fixture.go:19: deadexports.Box.Unread",
+		"testdata/deadexports/fixture.go:21: deadexports.Box.Written",
+		"testdata/deadexports/fixture.go:31: deadexports.Box.Stale",
+		"testdata/deadexports/fixture.go:55: deadexports.Tag",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("dead names:\n got %q\nwant %q", got, want)
+	}
+}
+
+// loadFixture type-checks testdata/deadexports and its package knobs, each
+// with its test file parsed beside it.
+func loadFixture(t *testing.T) *tree {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []*treeFile
-	for _, name := range []string{"fixture.go", "fixture_test.go"} {
-		f, err := parseFile(fset, filepath.Join(dir, name))
+	for _, name := range []string{"fixture.go", "fixture_test.go", "knobs/knobs.go", "knobs/knobs_test.go"} {
+		f, err := parseFile(fset, filepath.Join("testdata", "deadexports", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
 	}
-	tr, err := checkTree(fset, files, func(string) string { return "deadexports" })
+	tr, err := checkTree(fset, files, func(dir string) string { return strings.TrimPrefix(dir, "testdata/") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tr.deadNames(func(string) bool { return true })
-	want := []string{
-		"testdata/deadexports/fixture.go:12: deadexports.Orphan",
-		"testdata/deadexports/fixture.go:16: deadexports.Box.Unread",
-		"testdata/deadexports/fixture.go:27: deadexports.Box.Stale",
-		"testdata/deadexports/fixture.go:44: deadexports.Tag",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("dead names:\n got %q\nwant %q", got, want)
-	}
+	return tr
 }
 
 // deadNames reports, as "file:line: pkg.Name[.member]" in file order, the
@@ -74,11 +83,19 @@ func (tr *tree) deadNames(owned func(dir string) bool) []string {
 			}
 		}
 	}
+	// A blind store into a field is no use of it: a field nothing reads is
+	// dead however often it is written.
+	stores := map[*ast.Ident]bool{}
+	for _, r := range tr.fieldRefs() {
+		if r.blind && r.id != nil {
+			stores[r.id] = true
+		}
+	}
 	used := map[types.Object]bool{}
 	for id, obj := range tr.info.Uses {
 		obj = origin(obj)
-		if d, ok := tr.decls[obj]; recvs[id] || ok && d.Pos() <= id.Pos() && id.Pos() < d.End() {
-			continue // a receiver, or a reference from inside its own declaration
+		if d, ok := tr.decls[obj]; recvs[id] || stores[id] || ok && d.Pos() <= id.Pos() && id.Pos() < d.End() {
+			continue // a receiver, a store, or a reference from inside its own declaration
 		}
 		used[obj] = true
 	}
@@ -139,7 +156,7 @@ func (tr *tree) deadNames(owned func(dir string) bool) []string {
 							continue
 						}
 						report(obj, obj.Name())
-						if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+						if st, ok := obj.Type().Underlying().(*types.Struct); ok && !jsonTagged(st) {
 							for i := 0; i < st.NumFields(); i++ {
 								if fld := st.Field(i); fld.Exported() {
 									report(fld, obj.Name()+"."+fld.Name())
@@ -168,6 +185,17 @@ func (tr *tree) deadNames(owned func(dir string) bool) []string {
 		names[i] = fmt.Sprintf("%s:%d: %s", filepath.ToSlash(f.pos.Filename), f.pos.Line, f.name)
 	}
 	return names
+}
+
+// jsonTagged reports whether a field of st carries a json: tag: such a
+// struct is encoding/json's to read, so its fields count as read.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if reflect.StructTag(st.Tag(i)).Get("json") != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // interfaces returns every interface type with methods that a checked

@@ -216,7 +216,7 @@ func TestServerRateLimit429(t *testing.T) {
 	_, ts, _ := newTestServer(t, testFWConfig(), func(c *Config) {
 		c.RateLimit = 1
 		c.RateBurst = 1
-		c.Clock = clk.Now
+		c.clock = clk.Now
 	})
 
 	if code, _, _ := get(t, ts.URL+"/v1/plan"); code != http.StatusOK {
@@ -308,7 +308,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	s, ts, reg := newTestServer(t, testFWConfig(), func(c *Config) {
 		c.BreakerThreshold = 2
 		c.BreakerCooldown = cooldown
-		c.Clock = clk.Now
+		c.clock = clk.Now
 	})
 	g := testGraph()
 	d := testMatrix(g, 150, 1)

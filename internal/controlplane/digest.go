@@ -66,7 +66,6 @@ func ConfigHash(cfg core.Config) uint64 {
 	u64(uint64(cfg.Solver))
 	u64(uint64(cfg.Iterations))
 	f64(cfg.PenaltyEnvelope)
-	f64(cfg.DelayEnvelope)
 	if cfg.BaseRouting != nil {
 		u64(1)
 	}

@@ -46,8 +46,9 @@ type Config struct {
 	// interval before a half-open probe (default 30s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Clock overrides time.Now for admission control (tests).
-	Clock Clock
+	// clock overrides time.Now for admission control; only the package's
+	// tests set it.
+	clock Clock
 	// Obs receives cp.* metrics and the /debug endpoints; may be nil.
 	Obs *obs.Registry
 }
@@ -119,8 +120,8 @@ func New(cfg Config) (*Server, error) {
 		cfgHash: ConfigHash(pc),
 		reg:     cfg.Obs,
 		store:   NewStore(cfg.Retain, cfg.Obs),
-		limiter: NewLimiter(cfg.RateLimit, cfg.RateBurst, cfg.Clock, cfg.Obs),
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock, cfg.Obs),
+		limiter: NewLimiter(cfg.RateLimit, cfg.RateBurst, cfg.clock, cfg.Obs),
+		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.clock, cfg.Obs),
 		g:       cfg.Graph,
 		d:       cfg.Traffic,
 		wake:    make(chan struct{}, 1),

@@ -336,7 +336,7 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 			return nil, fmt.Errorf("core: base rows %d and %d both route %d->%d", j, i, wc.Src, wc.Dst)
 		}
 		rowOf[od] = i
-		comms[i] = routing.Commodity{Src: wc.Src, Dst: wc.Dst, Demand: wc.Demand, Link: -1}
+		comms[i] = routing.Commodity{Src: wc.Src, Dst: wc.Dst, Demand: wc.Demand}
 		if err := decodeRow(g, comms[i], wc.Alloc, &base[i], row, seen); err != nil {
 			return nil, fmt.Errorf("core: base row %d (%d->%d): %v", i, wc.Src, wc.Dst, err)
 		}

@@ -67,15 +67,6 @@ type Config struct {
 	// the produced plan — plans are byte-identical with Obs nil or live —
 	// and costs nothing when Obs is nil (all handles no-op).
 	Obs *obs.Registry
-	// DelayEnvelope, when >= 1, bounds each OD pair's mean propagation
-	// delay to DelayEnvelope × its shortest-path delay (paper §3.5). The
-	// LP solver enforces it exactly; the FW solver starts from minimum-
-	// delay paths and restricts oracle directions to delay-feasible paths
-	// (average delay is linear in the fractions, so every iterate stays
-	// within the bound). When combined with PenaltyEnvelope under the FW
-	// solver, the penalty envelope wins (the base is pinned to the
-	// min-MLU routing); use the LP solver to enforce both together.
-	DelayEnvelope float64
 	// LPWarmBasis warm-starts the LP solver from a basis produced by a
 	// previous precomputation of the same problem shape (see
 	// Plan.LPBasis). A mismatched basis silently falls back to a cold
@@ -402,35 +393,9 @@ func newFWState(g *graph.Graph, comms []routing.Commodity, reqs []requirement, c
 		P[l].SetPath(path)
 	}
 
-	// Delay envelope bounds per commodity. Average path delay is linear in
-	// the routing fractions, so starting from the (trivially feasible)
-	// minimum-delay paths and only ever mixing in delay-feasible oracle
-	// paths keeps every iterate inside the envelope.
-	var delayCap []float64
-	if cfg.DelayEnvelope >= 1 {
-		delayCap = make([]float64, nK)
-		byDst := make([][]int, g.NumNodes())
-		for k, c := range comms {
-			byDst[c.Dst] = append(byDst[c.Dst], k)
-		}
-		for dst, ks := range byDst {
-			if len(ks) == 0 {
-				continue
-			}
-			spf.SPFTo(g.CSR(), graph.NodeID(dst), spf.DelayCost(g), nil, &sc)
-			for _, k := range ks {
-				src := comms[k].Src
-				delayCap[k] = cfg.DelayEnvelope * sc.Dist[src]
-				if optimizeBase {
-					R[k].SetPath(spf.PathFromNext(g.CSR(), src, sc.Next, nil))
-				}
-			}
-		}
-	}
-
 	return &fwState{
 		g: g, comms: comms, reqs: reqs, capac: capac,
-		R: R, P: P, delayCap: delayCap,
+		R: R, P: P,
 		optimizeBase: optimizeBase,
 		pool:         par.New(cfg.Workers),
 		o:            o,
@@ -505,7 +470,6 @@ type fwState struct {
 	capac        []float64
 	R            []routing.SparseRow // [commodity], over links
 	P            []routing.SparseRow // [protected link], over links
-	delayCap     []float64           // nil when no delay envelope
 	optimizeBase bool
 	pool         *par.Pool
 	o            fwObs
@@ -550,8 +514,6 @@ type fwState struct {
 	// gradient-cost deltas instead of rebuilt by a full Dijkstra.
 	pTrees   []spf.DynTree
 	stampGen int32 // generation for ar.stampE
-	pbMu     sync.Mutex
-	pbFree   [][]graph.LinkID // free list of path scratch for delayBoundedPath
 }
 
 // fwArena holds the solver's reusable buffers. Ownership rule: a buffer is
@@ -602,17 +564,15 @@ type fwArena struct {
 	dstComms [][]int          // rDirections: commodities per destination
 
 	// pDirections: the gradient costs live only on their nonzero pattern.
-	pPat     [][]int32        // previous epoch's pattern cells per protected link (incremental SPF)
-	pPatNew  [][]int32        // current epoch's pattern cells per protected link, ascending
-	pCost    [][]float64      // current epoch's costs, aligned with pPatNew
-	patPairs [][]int32        // per-chunk (l, e) first-contribution pairs
-	patVals  [][]float64      // per-chunk costs, one per pair
-	pIDs     [][]int32        // per-link candidate link ids (old ∪ new pattern)
-	pVals    [][]float64      // per-link candidate costs, aligned with pIDs
-	stampE   []int32          // block sweeps: generation-stamped active-cell marker per link
-	active2  []int32          // p-sweep: active cells of the last accepted block
-	delay    []float64        // delayBoundedPath: per-link propagation delay row
-	dPathBuf [][]graph.LinkID // retained delay-bounded path per commodity
+	pPat     [][]int32   // previous epoch's pattern cells per protected link (incremental SPF)
+	pPatNew  [][]int32   // current epoch's pattern cells per protected link, ascending
+	pCost    [][]float64 // current epoch's costs, aligned with pPatNew
+	patPairs [][]int32   // per-chunk (l, e) first-contribution pairs
+	patVals  [][]float64 // per-chunk costs, one per pair
+	pIDs     [][]int32   // per-link candidate link ids (old ∪ new pattern)
+	pVals    [][]float64 // per-link candidate costs, aligned with pIDs
+	stampE   []int32     // block sweeps: generation-stamped active-cell marker per link
+	active2  []int32     // p-sweep: active cells of the last accepted block
 }
 
 func newMatrix(rows, cols int) [][]float64 {
@@ -655,11 +615,6 @@ func (s *fwState) ensureArena() {
 	a.pPaths = make([][]graph.LinkID, nL)
 	a.rPathBuf = make([][]graph.LinkID, nK)
 	a.pPathBuf = make([][]graph.LinkID, nL)
-	a.delay = make([]float64, nL)
-	for e := 0; e < nL; e++ {
-		a.delay[e] = s.g.Link(graph.LinkID(e)).Delay
-	}
-	a.dPathBuf = make([][]graph.LinkID, nK)
 	a.pPat = make([][]int32, nL)
 	a.pPatNew = make([][]int32, nL)
 	a.pCost = make([][]float64, nL)
@@ -2016,7 +1971,7 @@ func accepts(gamma float64, f func(a, b float64) (float64, float64)) bool {
 }
 
 // rDirections computes the oracle path per OD commodity under the current
-// gradient weights, honoring the delay envelope. With one requirement the
+// gradient weights. With one requirement the
 // cost is shared and grouped by destination; with several the costs are
 // demand-weighted per commodity. Either way an item on the pool is at
 // least one full SPF.
@@ -2055,7 +2010,7 @@ func (s *fwState) rDirections() [][]graph.LinkID {
 			spf.SPFTo(s.csr, s.ar.dsts[di], cost, nil, sc)
 			s.o.spf.Inc()
 			for _, k := range s.ar.dstComms[di] {
-				s.setRPath(k, sc.Next, cost)
+				s.setRPath(k, sc.Next)
 			}
 			s.spfPool.Put(sc)
 		})
@@ -2077,7 +2032,7 @@ func (s *fwState) rDirections() [][]graph.LinkID {
 		sc := s.spfPool.Get()
 		spf.SPFTo(s.csr, s.comms[k].Dst, cost, nil, sc)
 		s.o.spf.Inc()
-		s.setRPath(k, sc.Next, cost)
+		s.setRPath(k, sc.Next)
 		s.spfPool.Put(sc)
 		s.putBuf(cost)
 	})
@@ -2085,47 +2040,13 @@ func (s *fwState) rDirections() [][]graph.LinkID {
 }
 
 // setRPath extracts commodity k's oracle path from a next-link vector into
-// the commodity's retained storage and applies the delay envelope. cost is
-// the per-link cost row the oracle ran with.
-func (s *fwState) setRPath(k int, next []int32, cost []float64) {
+// the commodity's retained storage.
+func (s *fwState) setRPath(k int, next []int32) {
 	p := spf.PathFromNext(s.csr, s.comms[k].Src, next, s.ar.rPathBuf[k][:0])
 	if p != nil {
 		s.ar.rPathBuf[k] = p
 	}
-	s.ar.rPaths[k] = s.checkedPath(k, p, cost)
-}
-
-// checkedPath applies the delay envelope to an oracle path, substituting a
-// delay-bounded path when the unconstrained one is too slow. cost is the
-// per-link cost row the oracle ran with.
-func (s *fwState) checkedPath(k int, path []graph.LinkID, cost []float64) []graph.LinkID {
-	if path == nil {
-		return nil
-	}
-	if s.delayCap != nil && pathDelay(s.g, path) > s.delayCap[k]+1e-9 {
-		return s.delayBoundedPath(k, cost, s.delayCap[k])
-	}
-	return path
-}
-
-// getPathBuf and putPathBuf recycle path scratch for delayBoundedPath's
-// probe paths (scratch contents never affect results, so recycling order
-// is immaterial to determinism).
-func (s *fwState) getPathBuf() []graph.LinkID {
-	s.pbMu.Lock()
-	defer s.pbMu.Unlock()
-	if n := len(s.pbFree); n > 0 {
-		b := s.pbFree[n-1]
-		s.pbFree = s.pbFree[:n-1]
-		return b
-	}
-	return make([]graph.LinkID, 0, 16)
-}
-
-func (s *fwState) putPathBuf(b []graph.LinkID) {
-	s.pbMu.Lock()
-	s.pbFree = append(s.pbFree, b)
-	s.pbMu.Unlock()
+	s.ar.rPaths[k] = p
 }
 
 // snapshotBest records the current iterate as the best seen.
@@ -2167,73 +2088,6 @@ func (s *fwState) protNNZ() int64 {
 		}
 	}
 	return n
-}
-
-func pathDelay(g *graph.Graph, path []graph.LinkID) float64 {
-	var d float64
-	for _, id := range path {
-		d += g.Link(id).Delay
-	}
-	return d
-}
-
-// delayBoundedPath finds a low-cost path for commodity k whose propagation
-// delay does not exceed bound, via Lagrangian bisection on cost + θ·delay.
-// Falls back to the minimum-delay path. Every probe runs on the
-// allocation-free reverse kernel with pooled scratch; the returned path
-// lives in the commodity's retained buffer, so warm calls allocate nothing.
-func (s *fwState) delayBoundedPath(k int, cost []float64, bound float64) []graph.LinkID {
-	src, dst := s.comms[k].Src, s.comms[k].Dst
-	nL := s.g.NumLinks()
-	delay := s.ar.delay
-	sc := s.spfPool.Get()
-	combined := s.getBuf()
-	bestBuf := s.getPathBuf()
-	candBuf := s.getPathBuf()
-
-	s.o.spf.Inc()
-	spf.SPFTo(s.csr, dst, delay, nil, sc)
-	best := spf.PathFromNext(s.csr, src, sc.Next, bestBuf[:0])
-	if best != nil {
-		bestBuf = best
-	}
-	if best != nil && pathDelay(s.g, best) <= bound+1e-9 {
-		lo, hi := 0.0, 1.0
-		// Grow hi until the combined path is delay-feasible.
-		for t := 0; t < 12; t++ {
-			theta := (lo + hi) / 2
-			for e := 0; e < nL; e++ {
-				combined[e] = cost[e] + theta*delay[e]
-			}
-			s.o.spf.Inc()
-			spf.SPFTo(s.csr, dst, combined, nil, sc)
-			p := spf.PathFromNext(s.csr, src, sc.Next, candBuf[:0])
-			if p == nil {
-				break
-			}
-			candBuf = p
-			if pathDelay(s.g, p) <= bound+1e-9 {
-				bestBuf, candBuf = candBuf, bestBuf
-				best = bestBuf
-				hi = theta
-			} else {
-				lo = theta
-				if t == 0 {
-					hi = hi * 2
-				}
-			}
-		}
-	}
-	var out []graph.LinkID
-	if best != nil {
-		out = append(s.ar.dPathBuf[k][:0], best...)
-		s.ar.dPathBuf[k] = out
-	}
-	s.putPathBuf(candBuf)
-	s.putPathBuf(bestBuf)
-	s.putBuf(combined)
-	s.spfPool.Put(sc)
-	return out
 }
 
 // groupStats fills, for every link e, best[e] = the largest positive group

@@ -8,7 +8,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/mcf"
 	"repro/internal/routing"
-	"repro/internal/spf"
 	"repro/internal/traffic"
 )
 
@@ -196,22 +195,6 @@ func precomputeLP(g *graph.Graph, d *traffic.Matrix, cfg Config) (*Plan, error) 
 			if terms != nil {
 				prob.AddConstraint(terms, lp.LE, bound)
 			}
-		}
-	}
-
-	// Delay envelope rows: sum_e PD_e r_ab(e) <= γ × PD*_ab.
-	if cfg.DelayEnvelope >= 1 && optimizeBase {
-		var sc spf.Scratch
-		for k, c := range comms {
-			spf.SPFTo(g.CSR(), c.Dst, spf.DelayCost(g), nil, &sc)
-			bound := cfg.DelayEnvelope * sc.Dist[c.Src]
-			var terms []lp.Term
-			for e := 0; e < nL; e++ {
-				if v := rVar[k][e]; v >= 0 {
-					terms = append(terms, lp.Term{Var: v, Coef: g.Link(graph.LinkID(e)).Delay})
-				}
-			}
-			prob.AddConstraint(terms, lp.LE, bound)
 		}
 	}
 

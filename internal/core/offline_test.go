@@ -248,26 +248,6 @@ func TestPenaltyEnvelopeLP(t *testing.T) {
 	}
 }
 
-func TestDelayEnvelopeLP(t *testing.T) {
-	// With a tight delay envelope the base routing must stay near the
-	// direct (min-delay) paths.
-	g := ring5(t)
-	d := ring5Demand(g, 60)
-	plan, err := Precompute(g, d, Config{
-		Model: ArbitraryFailures{F: 1}, Solver: SolverLP, DelayEnvelope: 1.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := denseBase(plan)
-	for k, c := range plan.Comms {
-		dist := delayDistTo(g, c.Dst)
-		if got := avgPathDelay(base, k); got > dist[c.Src]*1.0+1e-6 {
-			t.Fatalf("commodity %d delay %v exceeds bound %v", k, got, dist[c.Src])
-		}
-	}
-}
-
 func TestPrecomputeVariations(t *testing.T) {
 	g := ring5(t)
 	d1 := ring5Demand(g, 100)

@@ -82,13 +82,6 @@ func TestPrecomputeDeterministicAcrossWorkers(t *testing.T) {
 		"groups", gGrp, traffic.Gravity(gGrp, 700, 10),
 		Config{Model: ModelFromGraph(gGrp, 1), Iterations: 25},
 	})
-	// Delay envelope: delayBoundedPath runs inside the pooled r fan-out
-	// and shares the path-buffer and SPF-scratch free lists across workers.
-	gDel := topo.Mesh("det-delay", 12, 36, 23, 1000)
-	cases = append(cases, tc{
-		"delay-envelope", gDel, traffic.Gravity(gDel, 800, 24),
-		Config{Model: ArbitraryFailures{F: 1}, Iterations: 25, DelayEnvelope: 1.1},
-	})
 	// Degradation envelope: the knapsack kernel's ActiveSet under the
 	// pooled gradient-cost accumulation.
 	gDeg := topo.Mesh("det-degrade", 12, 36, 25, 1000)

@@ -35,7 +35,7 @@ func paperExample(t *testing.T) (*graph.Graph, graph.NodeID, graph.NodeID) {
 func examplePlan(t *testing.T) *Plan {
 	t.Helper()
 	g, i, j := paperExample(t)
-	base := routing.NewFlow(g, []routing.Commodity{{Src: i, Dst: j, Demand: 0, Link: -1}})
+	base := routing.NewFlow(g, []routing.Commodity{{Src: i, Dst: j, Demand: 0}})
 	base.Frac[0][3] = 1
 	prot := make([][]float64, 4)
 	for l := range prot {
@@ -136,7 +136,7 @@ func TestPartitionDropsTraffic(t *testing.T) {
 	b := g.AddNode("b")
 	g.AddLink(a, b, 10, 1, 1)
 	g.AddLink(a, b, 10, 1, 1)
-	base := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}})
+	base := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 5}})
 	base.Frac[0][0] = 1
 	prot := [][]float64{{0.5, 0.5}, {0.5, 0.5}}
 	plan := withBase(&Plan{G: g, Model: ArbitraryFailures{F: 1}, Prot: sparseRows(prot)}, base)
@@ -301,7 +301,6 @@ func TestPlanBaseRowsAreCanonical(t *testing.T) {
 		{"fw-joint", ab, dAb, Config{Model: f1, Iterations: 40}},
 		{"fw-pinned", ab, dAb, Config{Model: f1, Iterations: 40, PenaltyEnvelope: 1.1}},
 		{"fw-supplied", ab, dAb, Config{Model: f1, Iterations: 40, BaseRouting: ospf}},
-		{"fw-delay", ab, dAb, Config{Model: f1, Iterations: 40, DelayEnvelope: 1.4}},
 		{"fw-degrade", ab, dAb, Config{Model: DegradationModel{Beta: 0.5, Budget: 2}, Iterations: 40}},
 		{"lp", g, d, Config{Model: f1, Solver: SolverLP}},
 		{"lp-supplied", g, d, Config{Model: f1, Solver: SolverLP,

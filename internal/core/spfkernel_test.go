@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/routing"
-	"repro/internal/spf"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -17,13 +16,6 @@ import (
 // String names a kernel in subtest names and failure messages.
 func (k spfKernel) String() string {
 	return [...]string{"incremental", "flat", "delta"}[k]
-}
-
-// delayDistTo returns every node's minimum propagation delay to dst.
-func delayDistTo(g *graph.Graph, dst graph.NodeID) []float64 {
-	var s spf.Scratch
-	spf.SPFTo(g.CSR(), dst, spf.DelayCost(g), nil, &s)
-	return s.Dist
 }
 
 // TestSPFModeByteIdentity is the planner-level differential for the
@@ -34,9 +26,7 @@ func delayDistTo(g *graph.Graph, dst graph.NodeID) []float64 {
 // nodes), or DynTrees rebuilt by delta-stepping — on ring5,
 // Abilene, and a small generated transit-stub topology. CI's bench-smoke
 // job runs this test; it is the end-to-end guarantee behind the solver's
-// kernel choice by node count. The Abilene case adds a delay envelope so
-// the kernel-based delayBoundedPath is under the differential too, and the
-// degradation case holds the knapsack kernel's incremental p sweep
+// kernel choice by node count. The degradation case holds the knapsack kernel's incremental p sweep
 // (incremental, delta) to its reference sweep (flat).
 func TestSPFModeByteIdentity(t *testing.T) {
 	cases := []struct {
@@ -46,7 +36,7 @@ func TestSPFModeByteIdentity(t *testing.T) {
 		cfg  Config
 	}{
 		{"ring5", ring5(t), 11, Config{Model: ArbitraryFailures{F: 1}, Iterations: 80}},
-		{"abilene", topo.Abilene(), 3, Config{Model: ArbitraryFailures{F: 1}, Iterations: 60, DelayEnvelope: 2.5}},
+		{"abilene", topo.Abilene(), 3, Config{Model: ArbitraryFailures{F: 1}, Iterations: 60}},
 		{"gen-small", topo.Mesh("GenSmall", 24, 100, 5, topo.OC48), 7, Config{Model: ArbitraryFailures{F: 2}, Iterations: 50}},
 		{"gen-small-degrade", topo.Mesh("GenSmall", 24, 100, 5, topo.OC48), 7, Config{Model: DegradationModel{Beta: 0.3, Budget: 1.5}, Iterations: 50}},
 	}
@@ -136,44 +126,5 @@ func TestPrecomputeNearTieWeight(t *testing.T) {
 		if self := planCell(&plan.Prot[l], int32(l)); self >= 0.999 {
 			t.Fatalf("link %d unprotected: p_l(l) = %v", l, self)
 		}
-	}
-}
-
-// TestDelayBoundedPathZeroAllocs mirrors the spf kernel's alloc
-// regression: on a warm fwState, the Lagrangian delay-bounded path
-// search must not touch the heap — every probe runs on pooled kernel
-// scratch and the result lands in the commodity's retained buffer.
-func TestDelayBoundedPathZeroAllocs(t *testing.T) {
-	g := topo.SBC()
-	nL := g.NumLinks()
-	var src, dst graph.NodeID = 0, graph.NodeID(g.NumNodes() - 1)
-	s := &fwState{
-		g:     g,
-		comms: []routing.Commodity{{Src: src, Dst: dst, Demand: 1}},
-	}
-	s.csr = g.CSR()
-	s.ar.delay = make([]float64, nL)
-	for e := 0; e < nL; e++ {
-		s.ar.delay[e] = g.Link(graph.LinkID(e)).Delay
-	}
-	s.ar.dPathBuf = make([][]graph.LinkID, 1)
-	cost := make([]float64, nL)
-	for e := 0; e < nL; e++ {
-		cost[e] = g.Link(graph.LinkID(e)).Weight
-	}
-	// A bound between the minimum delay and the min-cost path's delay
-	// forces the bisection loop to actually iterate.
-	minDelay := delayDistTo(g, dst)[src]
-	bound := 1.5 * minDelay
-
-	if p := s.delayBoundedPath(0, cost, bound); p == nil {
-		t.Fatal("no delay-bounded path on SBC")
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		if p := s.delayBoundedPath(0, cost, bound); p == nil {
-			t.Fatal("path vanished")
-		}
-	}); n != 0 {
-		t.Fatalf("warm delayBoundedPath allocates %v per run, want 0", n)
 	}
 }

@@ -64,7 +64,7 @@ func TestFixedBaseMissingPairRejected(t *testing.T) {
 	g := ring5(t)
 	d := ring5Demand(g, 60)
 	// Base routing over a single OD pair cannot serve a full matrix.
-	partial := routing.NewFlow(g, []routing.Commodity{{Src: 0, Dst: 1, Link: -1}})
+	partial := routing.NewFlow(g, []routing.Commodity{{Src: 0, Dst: 1}})
 	partial.Frac[0][0] = 1 // whatever; never validated because lookup fails first
 	if _, err := Precompute(g, d, Config{
 		Model: ArbitraryFailures{F: 1}, BaseRouting: partial, Iterations: 20,

@@ -83,11 +83,11 @@ func TestPrecomputeLPWarmBasisMismatchFallsBack(t *testing.T) {
 	}
 	// F=2 has the same variables but a different scenario weighting; the
 	// shape happens to match, so build a genuinely different shape by
-	// adding a delay envelope (extra rows).
+	// adding a penalty envelope (extra rows).
 	reg := obs.NewRegistry()
 	mis, err := Precompute(g, d, Config{
 		Model: ArbitraryFailures{F: 1}, Solver: SolverLP,
-		DelayEnvelope: 4.0, LPWarmBasis: cold.LPBasis, Obs: reg,
+		PenaltyEnvelope: 4.0, LPWarmBasis: cold.LPBasis, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -188,13 +188,9 @@ func FilterConnected(g *graph.Graph, scenarios []graph.LinkSet) []graph.LinkSet 
 
 // Result is the evaluation of one scenario.
 type Result struct {
-	Scenario graph.LinkSet
 	// Kind labels the scenario class ("failure", "degradation", "surge",
 	// "node") so mixed sweeps stay attributable per row.
 	Kind string
-	// Spec is the full scenario (degradations, surge parameters); for plain
-	// failure evaluations it just wraps Scenario.
-	Spec core.Scenario
 	// Bottleneck is the bottleneck traffic intensity per scheme name.
 	Bottleneck map[string]float64
 	// Lost is the dropped demand per scheme name.
@@ -235,29 +231,17 @@ type Engine struct {
 	// use.
 	Schemes []protect.Scheme
 	// OptimalIterations is the solver effort for the per-scenario optimal
-	// baseline (default 200; ignored when ExactOptimal is set).
+	// baseline (default 200).
 	OptimalIterations int
-	// ExactOptimal computes the per-scenario optimal denominator with the
-	// exact LP solver instead of Frank–Wolfe. The engine solves the
-	// no-failure scenario serially first and warm-starts every scenario's
-	// solve from that basis (set once, so results are deterministic at
-	// any worker count); every scenario, partitions included, shares one
-	// LP shape and typically re-solves in a few dual-simplex pivots. Intended
-	// for small topologies.
-	ExactOptimal bool
 	// Workers bounds evaluation concurrency (default GOMAXPROCS).
 	Workers int
 	// Shards partitions the scenario list into contiguous index-ordered
 	// shards (par.ShardRanges): shards are evaluated concurrently, while
 	// scenarios within a shard run serially in index order on one worker,
-	// each shard owning a private optimal-baseline instance — and, in
-	// exact mode, a private warm-basis chain seeded from its own
-	// no-failure solve. Cold-start LP solves are deterministic, so every
-	// shard's seed basis is bitwise the basis the unsharded engine
-	// publishes, and results stay byte-identical at every shard and
-	// worker count. 0 selects min(32, ceil(scenarios/8)); values are
-	// clamped to the scenario count. 1 evaluates everything on a single
-	// serial chain.
+	// each shard owning a private optimal-baseline instance, and results
+	// stay byte-identical at every shard and worker count. 0 selects
+	// min(32, ceil(scenarios/8)); values are clamped to the scenario count.
+	// 1 evaluates everything on a single serial chain.
 	Shards int
 	// Obs, when non-nil, receives evaluation metrics: the per-scenario
 	// latency histogram "eval.scenario_us", the running "eval.scenarios"
@@ -338,16 +322,7 @@ func (en *Engine) EvaluateScenarios(d *traffic.Matrix, scenarios []core.Scenario
 	ranges := par.ShardRanges(len(scenarios), en.resolveShards(len(scenarios)))
 	opts := make([]*protect.Optimal, len(ranges))
 	for si := range opts {
-		opts[si] = &protect.Optimal{G: en.G, Iterations: en.OptimalIterations, Exact: en.ExactOptimal, Obs: en.Obs}
-		if en.ExactOptimal {
-			// Seed each shard's warm-start basis serially from its own
-			// no-failure solve before any concurrency. A cold-start LP
-			// solve is deterministic, so every shard publishes the same
-			// basis bits the single shared instance would have, and no
-			// shard's chain ever observes another shard's state: results
-			// are byte-identical across shard and worker counts.
-			opts[si].Loads(graph.NewLinkSet(), d)
-		}
+		opts[si] = &protect.Optimal{G: en.G, Iterations: en.OptimalIterations}
 	}
 	results := make([]Result, len(scenarios))
 
@@ -382,9 +357,7 @@ func (en *Engine) EvaluateScenarios(d *traffic.Matrix, scenarios []core.Scenario
 			start := time.Now()
 			sc := scenarios[i]
 			res := Result{
-				Scenario:   sc.Failed,
 				Kind:       string(sc.EffectiveKind()),
-				Spec:       sc,
 				Bottleneck: make(map[string]float64, len(en.Schemes)),
 				Lost:       make(map[string]float64, len(en.Schemes)),
 			}

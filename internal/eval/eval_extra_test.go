@@ -41,9 +41,6 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 	serial := (&Engine{G: g, Schemes: schemes, OptimalIterations: 40, Workers: 1}).Evaluate(d, scenarios)
 	parallel := (&Engine{G: g, Schemes: schemes, OptimalIterations: 40, Workers: 4}).Evaluate(d, scenarios)
 	for i := range serial {
-		if !serial[i].Scenario.Equal(parallel[i].Scenario) {
-			t.Fatalf("scenario order changed")
-		}
 		for name, b := range serial[i].Bottleneck {
 			// Deterministic schemes must agree exactly regardless of
 			// worker count (the optimal MCF is also deterministic).

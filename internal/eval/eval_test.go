@@ -207,42 +207,3 @@ func TestClassBottlenecks(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineExactOptimalDeterministicAcrossWorkers pins the set-once
-// warm-basis contract: with ExactOptimal, the engine seeds the
-// no-failure basis serially, so evaluation results are identical at any
-// worker count even though scenarios race for the shared solver state.
-func TestEngineExactOptimalDeterministicAcrossWorkers(t *testing.T) {
-	g := topo.Abilene()
-	d := traffic.NewMatrix(g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		d.Set(graph.NodeID(n), graph.NodeID((n+3)%g.NumNodes()), 150)
-	}
-	scenarios := FilterConnected(g, SingleLinks(g))[:8]
-
-	run := func(workers int) []Result {
-		en := &Engine{
-			G:            g,
-			Schemes:      []protect.Scheme{&protect.OSPFRecon{G: g}},
-			ExactOptimal: true,
-			Workers:      workers,
-		}
-		return en.Evaluate(d, scenarios)
-	}
-	serial := run(1)
-	parallel := run(4)
-	for i := range serial {
-		if serial[i].Optimal != parallel[i].Optimal {
-			t.Fatalf("scenario %d: optimal %v serial vs %v at 4 workers",
-				i, serial[i].Optimal, parallel[i].Optimal)
-		}
-		if serial[i].Bottleneck["OSPF+recon"] != parallel[i].Bottleneck["OSPF+recon"] {
-			t.Fatalf("scenario %d: bottleneck differs across worker counts", i)
-		}
-	}
-	for _, r := range serial {
-		if r.Optimal <= 0 {
-			t.Fatalf("exact optimal bottleneck %v", r.Optimal)
-		}
-	}
-}

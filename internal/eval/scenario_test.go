@@ -31,9 +31,6 @@ func TestEvaluateScenariosMatchesEvaluate(t *testing.T) {
 	}
 	for i := range classic {
 		c, s := classic[i], scenario[i]
-		if !c.Scenario.Equal(s.Scenario) {
-			t.Fatalf("result %d scenario %v vs %v", i, c.Scenario.IDs(), s.Scenario.IDs())
-		}
 		if c.Kind != string(core.ScenarioFailure) || s.Kind != c.Kind {
 			t.Fatalf("result %d kind %q vs %q", i, c.Kind, s.Kind)
 		}
@@ -76,12 +73,9 @@ func TestEvaluateScenariosDegradation(t *testing.T) {
 		if r.Kind != string(core.ScenarioDegradation) {
 			t.Fatalf("result %d kind %q", i, r.Kind)
 		}
-		if len(r.Spec.Degraded) == 0 {
-			t.Fatalf("result %d lost its degradation spec", i)
-		}
 		if plan.CongestionFree() && r.Bottleneck[label] > plan.MLU+1e-6 {
 			t.Fatalf("result %d (%s): bottleneck %v above certified %v",
-				i, r.Spec.Describe(), r.Bottleneck[label], plan.MLU)
+				i, scs[i].Describe(), r.Bottleneck[label], plan.MLU)
 		}
 		// The per-scenario optimal is an iterative approximation, so no
 		// directional comparison against the scheme is stable; it must
@@ -123,12 +117,6 @@ func TestEvaluateScenariosSurgeAndNode(t *testing.T) {
 		if surged <= calm {
 			t.Fatalf("%s: surge bottleneck %v not above calm %v", name, surged, calm)
 		}
-	}
-	if results[2].Spec.Node != 0 {
-		t.Fatalf("node scenario spec lost its node: %+v", results[2].Spec)
-	}
-	if !results[2].Scenario.Equal(core.NodeScenario(g, 0).Failed) {
-		t.Fatalf("node scenario failure set mismatch")
 	}
 }
 

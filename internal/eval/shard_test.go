@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -32,11 +31,10 @@ func TestEngineShardDeterminism(t *testing.T) {
 
 	run := func(shards, workers int) []Result {
 		en := &Engine{
-			G:            g,
-			Schemes:      []protect.Scheme{&protect.OSPFRecon{G: g}},
-			ExactOptimal: true,
-			Workers:      workers,
-			Shards:       shards,
+			G:       g,
+			Schemes: []protect.Scheme{&protect.OSPFRecon{G: g}},
+			Workers: workers,
+			Shards:  shards,
 		}
 		return en.Evaluate(d, scenarios)
 	}
@@ -63,9 +61,6 @@ func TestEngineShardDeterminism(t *testing.T) {
 				if got[i].Lost["OSPF+recon"] != ref[i].Lost["OSPF+recon"] {
 					t.Fatalf("shards=%d workers=%d scenario %d: lost differs", shards, workers, i)
 				}
-				if !got[i].Scenario.Equal(ref[i].Scenario) {
-					t.Fatalf("shards=%d workers=%d scenario %d: scenario slot mismatch", shards, workers, i)
-				}
 			}
 		}
 	}
@@ -76,67 +71,12 @@ func TestEngineShardDeterminism(t *testing.T) {
 func TestEngineShardEdges(t *testing.T) {
 	g := topo.Abilene()
 	d := shardDemand(g)
-	en := &Engine{G: g, ExactOptimal: true, Workers: 4, Shards: 16}
+	en := &Engine{G: g, Workers: 4, Shards: 16}
 	if got := en.Evaluate(d, nil); len(got) != 0 {
 		t.Fatalf("empty scenario list produced %d results", len(got))
 	}
 	one := en.Evaluate(d, SingleLinks(g)[:1])
 	if len(one) != 1 || one[0].Optimal <= 0 {
 		t.Fatalf("single-scenario eval = %+v", one)
-	}
-}
-
-// TestEngineShardSeedIsolation pins that shard-local LP warm bases never
-// leak between shards: every shard's seed solve runs cold (exactly
-// shards cold solves) and every scenario solve warm-starts from its own
-// shard's seed (exactly len(scenarios) warm starts). A shared or leaked
-// basis would warm-start some seed solves and break the count.
-func TestEngineShardSeedIsolation(t *testing.T) {
-	g := topo.Abilene()
-	d := shardDemand(g)
-	scenarios := FilterConnected(g, SingleLinks(g))[:8]
-	for _, shards := range []int{1, 2, 4} {
-		reg := obs.NewRegistry()
-		en := &Engine{G: g, ExactOptimal: true, Workers: 2, Shards: shards, Obs: reg}
-		en.Evaluate(d, scenarios)
-		snap := reg.Snapshot()
-		wantSolves := int64(shards + len(scenarios))
-		if got := snap.Counters["lp.solves"]; got != wantSolves {
-			t.Fatalf("shards=%d: lp.solves = %d, want %d (shard seeds cold + scenarios warm)",
-				shards, got, wantSolves)
-		}
-		if got := snap.Counters["lp.warm_starts"]; got != int64(len(scenarios)) {
-			t.Fatalf("shards=%d: lp.warm_starts = %d, want %d", shards, got, len(scenarios))
-		}
-		if got := snap.Counters["eval.shards"]; got != int64(shards) {
-			t.Fatalf("shards=%d: eval.shards = %d", shards, got)
-		}
-	}
-}
-
-// TestExactWarmStartsCutPivots pins what the engine's exact mode is for:
-// over every connected single-link failure of Abilene, seeding one
-// no-failure basis and re-solving each scenario from it warm-starts, and
-// spends fewer simplex pivots than a fresh exact solver per scenario.
-func TestExactWarmStartsCutPivots(t *testing.T) {
-	g := topo.Abilene()
-	d := traffic.NewMatrix(g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		d.Set(graph.NodeID(n), graph.NodeID((n+2)%g.NumNodes()), 120)
-	}
-	scenarios := FilterConnected(g, SingleLinks(g))
-	coldReg, warmReg := obs.NewRegistry(), obs.NewRegistry()
-	for _, failed := range scenarios {
-		cold := &protect.Optimal{G: g, Exact: true, Obs: coldReg}
-		cold.Loads(failed, d)
-	}
-	en := &Engine{G: g, ExactOptimal: true, Workers: 1, Obs: warmReg}
-	en.Evaluate(d, scenarios)
-	cold, warm := coldReg.Snapshot().Counters, warmReg.Snapshot().Counters
-	if warm["lp.warm_starts"] == 0 {
-		t.Fatal("engine exact mode never warm-started")
-	}
-	if warm["lp.pivots"] >= cold["lp.pivots"] {
-		t.Fatalf("warm pivots %d >= cold pivots %d over %d scenarios", warm["lp.pivots"], cold["lp.pivots"], len(scenarios))
 	}
 }

@@ -54,8 +54,7 @@ type EnvelopeSweepRow struct {
 	Beta          float64
 	NormalMLU     float64
 	ProtectedMLU  float64
-	OptNormalMLU  float64
-	NormalPenalty float64 // NormalMLU / OptNormalMLU
+	NormalPenalty float64 // NormalMLU over the failure-free plan's NormalMLU
 }
 
 // EnvelopeSweep quantifies the normal-case vs failure-case trade-off the
@@ -83,7 +82,7 @@ func EnvelopeSweep(betas []float64, o Options) []EnvelopeSweepRow {
 		}
 		rows = append(rows, EnvelopeSweepRow{
 			Beta: beta, NormalMLU: plan.NormalMLU, ProtectedMLU: plan.MLU,
-			OptNormalMLU: optNormal, NormalPenalty: plan.NormalMLU / optNormal,
+			NormalPenalty: plan.NormalMLU / optNormal,
 		})
 	}
 	return rows

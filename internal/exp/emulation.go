@@ -54,8 +54,6 @@ type EmulationResult struct {
 	Phases    []*netem.PhaseStats
 	// RTT samples of the Denver→LosAngeles probe: (time, rtt seconds).
 	RTT [][2]float64
-	// FailedByPhase[i] is the set of links down during phase i.
-	FailedByPhase []graph.LinkSet
 }
 
 // abileneFailureSequence returns the three duplex failures of §5.3.
@@ -118,26 +116,16 @@ func RunEmulation(forwarder string, cfg EmulationConfig) *EmulationResult {
 	la, _ := g.NodeByName("LosAngeles")
 	em.AddPing(den, la, 0.2, stop)
 
-	fails := abileneFailureSequence(g)
-	var failedSets []graph.LinkSet
-	cum := graph.LinkSet{}
-	failedSets = append(failedSets, cum.Clone())
-	for i, e := range fails {
+	for i, e := range abileneFailureSequence(g) {
 		em.FailAt(float64(i+1)*cfg.PhaseSeconds, e)
-		cum.Add(e)
-		if rev := g.Link(e).Reverse; rev >= 0 {
-			cum.Add(rev)
-		}
-		failedSets = append(failedSets, cum.Clone())
 	}
 	em.Run(stop)
 
 	return &EmulationResult{
-		Forwarder:     forwarder,
-		G:             g,
-		Phases:        em.Phases(),
-		RTT:           em.RTT,
-		FailedByPhase: failedSets,
+		Forwarder: forwarder,
+		G:         g,
+		Phases:    em.Phases(),
+		RTT:       em.RTT,
 	}
 }
 

@@ -38,10 +38,6 @@ type Options struct {
 	WeightOptRounds int
 	// Days bounds week-scale experiments (Figures 4 and 9); default 7.
 	Days int
-	// Envelope is the normal-case penalty envelope β applied to every R3
-	// plan, as the paper's evaluation does (§3.5, Figure 9); default 1.1.
-	// Set negative to disable.
-	Envelope float64
 	// Seed drives sampling.
 	Seed int64
 	// Workers bounds precompute and evaluation concurrency (default
@@ -79,9 +75,6 @@ func (o Options) withDefaults() Options {
 	if o.Days == 0 {
 		o.Days = 7
 	}
-	if o.Envelope == 0 {
-		o.Envelope = 1.1
-	}
 	return o
 }
 
@@ -97,24 +90,27 @@ func Quick() Options {
 var planCache sync.Map
 
 type planKey struct {
-	topo     string
-	f        int
-	effort   int
-	envelope float64
-	demand   int64 // traffic-matrix fingerprint
+	topo   string
+	f      int
+	effort int
+	demand int64 // traffic-matrix fingerprint
 }
+
+// penaltyEnvelope is the normal-case penalty envelope β applied to every R3
+// plan, as the paper's evaluation does (§3.5, Figure 9).
+const penaltyEnvelope = 1.1
 
 // r3Plan precomputes (or fetches) the joint MPLS-ff+R3 plan for g and d
 // with the standard penalty envelope.
 func r3Plan(g *graph.Graph, d *traffic.Matrix, f int, o Options) *core.Plan {
-	key := planKey{g.Name, f, o.Effort, o.Envelope, int64(d.Total() * 1e6)}
+	key := planKey{g.Name, f, o.Effort, int64(d.Total() * 1e6)}
 	if v, ok := planCache.Load(key); ok {
 		return v.(*core.Plan)
 	}
 	plan, err := core.Precompute(g, d, core.Config{
 		Model:           core.ArbitraryFailures{F: f},
 		Iterations:      o.Effort,
-		PenaltyEnvelope: envelopeOf(o),
+		PenaltyEnvelope: penaltyEnvelope,
 		Workers:         o.Workers,
 		Obs:             o.Obs,
 	})
@@ -123,14 +119,6 @@ func r3Plan(g *graph.Graph, d *traffic.Matrix, f int, o Options) *core.Plan {
 	}
 	planCache.Store(key, plan)
 	return plan
-}
-
-// envelopeOf maps the option to a core.Config value (0 disables).
-func envelopeOf(o Options) float64 {
-	if o.Envelope < 0 {
-		return 0
-	}
-	return o.Envelope
 }
 
 // ospfR3Plan precomputes OSPF+R3: the base routing is fixed to ECMP on
@@ -177,7 +165,7 @@ func lineup(g *graph.Graph, ospfPlan, mplsPlan *core.Plan, o Options) []protect.
 		&protect.FCP{G: g},
 		&protect.PathSplicing{G: g, Seed: o.Seed},
 		&eval.R3Scheme{Label: "OSPF+R3", Plan: ospfPlan},
-		&protect.OptDetour{G: g, Iterations: o.OptIter, Obs: o.Obs},
+		&protect.OptDetour{G: g, Iterations: o.OptIter},
 		&eval.R3Scheme{Label: "MPLS-ff+R3", Plan: mplsPlan},
 	}
 }

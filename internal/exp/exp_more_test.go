@@ -75,19 +75,6 @@ func TestRocketfuelFigureUnknownPanics(t *testing.T) {
 	RocketfuelFigure("NotANetwork", 2, tinyOpts())
 }
 
-func TestEnvelopeOf(t *testing.T) {
-	if envelopeOf(Options{Envelope: -1}) != 0 {
-		t.Fatalf("negative envelope should disable")
-	}
-	if envelopeOf(Options{Envelope: 1.2}) != 1.2 {
-		t.Fatalf("envelope not passed through")
-	}
-	def := (Options{}).withDefaults()
-	if def.Envelope != 1.1 {
-		t.Fatalf("default envelope = %v", def.Envelope)
-	}
-}
-
 func TestEnvelopeTM(t *testing.T) {
 	w := testUSISP()
 	day := w.Day(0)

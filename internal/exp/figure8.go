@@ -59,13 +59,13 @@ func Figure8(w *USISPWorkload, o Options) *Figure8Result {
 		{Demand: classes[traffic.TPRT], F: 8},
 		{Demand: classes[traffic.TPP], F: 4},
 		{Demand: classes[traffic.IP], F: 2},
-	}, core.Config{Iterations: o.Effort, PenaltyEnvelope: envelopeOf(o), Workers: o.Workers})
+	}, core.Config{Iterations: o.Effort, PenaltyEnvelope: penaltyEnvelope, Workers: o.Workers})
 	if err != nil {
 		panic(err)
 	}
 	general, err := core.Precompute(g, total, core.Config{
 		Model: core.ArbitraryFailures{F: 2}, Iterations: o.Effort,
-		PenaltyEnvelope: envelopeOf(o), Workers: o.Workers,
+		PenaltyEnvelope: penaltyEnvelope, Workers: o.Workers,
 	})
 	if err != nil {
 		panic(err)

@@ -20,8 +20,6 @@ func RocketfuelFigure(network string, failures int, o Options) *MultiFailureResu
 		g = topo.SBC()
 	case "Level3":
 		g = topo.Level3()
-	case "UUNet":
-		g = topo.UUNet()
 	default:
 		panic(fmt.Sprintf("exp: unknown Rocketfuel network %q", network))
 	}

@@ -21,7 +21,7 @@ func usispSchemes(w *USISPWorkload, day []*traffic.Matrix, k int, o Options) (*g
 	model := core.ModelFromGraph(g, k)
 
 	mplsPlan, err := core.Precompute(g, env, core.Config{
-		Model: model, Iterations: o.Effort, PenaltyEnvelope: envelopeOf(o),
+		Model: model, Iterations: o.Effort, PenaltyEnvelope: penaltyEnvelope,
 		Workers: o.Workers, Obs: o.Obs,
 	})
 	if err != nil {

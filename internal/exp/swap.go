@@ -44,7 +44,7 @@ func swapHubPlans(effort int) (*core.Plan, *core.Plan, *traffic.Matrix) {
 		for od, mid := range via {
 			src, dst := ids[od[0]], ids[od[1]]
 			d.Set(src, dst, dem)
-			comms = append(comms, routing.Commodity{Src: src, Dst: dst, Demand: dem, Link: -1})
+			comms = append(comms, routing.Commodity{Src: src, Dst: dst, Demand: dem})
 			paths = append(paths, []graph.NodeID{src, ids["u"], ids[mid], ids["v"], dst})
 		}
 		base := routing.NewFlow(g, comms)

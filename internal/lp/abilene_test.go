@@ -82,5 +82,5 @@ func TestAbileneRefactorsMatchDense(t *testing.T) {
 	if *bases < 20 {
 		t.Fatalf("only %d bases refactorized", *bases)
 	}
-	t.Logf("%d bases, MLU %.9f", *bases, sol.Value)
+	t.Logf("%d bases, %d pivots", *bases, sol.Iterations)
 }

@@ -86,8 +86,9 @@ type constraint struct {
 type Problem struct {
 	cost []float64
 	cons []constraint
-	// MaxIter overrides the default pivot limit when nonzero.
-	MaxIter int
+	// maxIter overrides the default pivot limit when nonzero; only the
+	// package's tests set it.
+	maxIter int
 	// Obs, when non-nil, receives solver counters under the "lp." prefix:
 	// solves, pivots (simplex iterations across all phases), basis
 	// repairs (artificials driven out after phase 1), refactorizations,
@@ -137,9 +138,6 @@ func (b *Basis) matches(n, m, total int) bool {
 // Solution is the result of SolveFrom.
 type Solution struct {
 	Status Status
-	// Value is the objective value (meaningful only when Status ==
-	// Optimal).
-	Value float64
 	// X holds the variable values.
 	X []float64
 	// Iterations is the number of simplex pivots performed.
@@ -197,7 +195,7 @@ func (p *Problem) solve(warm *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxIter := p.MaxIter
+	maxIter := p.maxIter
 	if maxIter == 0 {
 		maxIter = 50 * (sf.m + sf.total + 10)
 	}
@@ -251,11 +249,6 @@ func (p *Problem) solve(warm *Basis) (*Solution, error) {
 			sol.X[j] = 0
 		}
 	}
-	var val float64
-	for j, c := range p.cost {
-		val += c * sol.X[j]
-	}
-	sol.Value = val
 	sol.Status = Optimal
 	s.fill(sol)
 	sol.Basis = &Basis{cols: append([]int(nil), s.basis...), n: n, m: sf.m, tot: sf.total}

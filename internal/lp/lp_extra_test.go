@@ -10,7 +10,7 @@ func TestMaxIterOverride(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable("x", 1)
 	p.AddConstraint([]Term{{x, 1}}, GE, 2)
-	p.MaxIter = 1
+	p.maxIter = 1
 	sol, err := p.SolveFrom(nil)
 	if err == nil && sol.Status == Optimal {
 		// A single pivot can suffice here; force an even smaller budget by
@@ -23,9 +23,9 @@ func TestMaxIterOverride(t *testing.T) {
 		for i := range vars {
 			q.AddConstraint([]Term{{vars[i], 1}}, GE, float64(i+1))
 		}
-		q.MaxIter = 1
+		q.maxIter = 1
 		if _, err := q.SolveFrom(nil); err == nil {
-			t.Fatalf("MaxIter=1 solved a 12-pivot problem")
+			t.Fatalf("maxIter=1 solved a 12-pivot problem")
 		}
 		return
 	}
@@ -109,7 +109,7 @@ func TestDualPairObjectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ps.Value-(-ds.Value)) > 1e-9 {
-		t.Fatalf("duality gap: primal %v, dual %v", ps.Value, -ds.Value)
+	if math.Abs(value(p, ps)-(-value(d, ds))) > 1e-9 {
+		t.Fatalf("duality gap: primal %v, dual %v", value(p, ps), -value(d, ds))
 	}
 }

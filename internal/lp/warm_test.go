@@ -44,8 +44,8 @@ func TestSolveFromSameProblemIsPivotFree(t *testing.T) {
 	if warm.Iterations != 0 {
 		t.Fatalf("re-solve from the optimal basis took %d pivots", warm.Iterations)
 	}
-	if warm.Value != cold.Value {
-		t.Fatalf("warm value %v != cold value %v", warm.Value, cold.Value)
+	if value(p, warm) != value(p, cold) {
+		t.Fatalf("warm value %v != cold value %v", value(p, warm), value(p, cold))
 	}
 }
 
@@ -67,8 +67,8 @@ func TestSolveFromRHSChangeMatchesColdWithFewerPivots(t *testing.T) {
 		if !warm.WarmStarted {
 			t.Fatalf("supply %v: warm solve fell back cold", supply)
 		}
-		if math.Abs(warm.Value-cold.Value) > 1e-9*(1+math.Abs(cold.Value)) {
-			t.Fatalf("supply %v: warm value %v != cold value %v", supply, warm.Value, cold.Value)
+		if math.Abs(value(q, warm)-value(q, cold)) > 1e-9*(1+math.Abs(value(q, cold))) {
+			t.Fatalf("supply %v: warm value %v != cold value %v", supply, value(q, warm), value(q, cold))
 		}
 		if warm.Iterations > cold.Iterations {
 			t.Fatalf("supply %v: warm took %d pivots, cold %d", supply, warm.Iterations, cold.Iterations)
@@ -95,8 +95,8 @@ func TestSolveFromMismatchedBasisFallsBackCold(t *testing.T) {
 	if sol.WarmStarted {
 		t.Fatalf("mismatched basis accepted as warm start")
 	}
-	if sol.Status != Optimal || math.Abs(sol.Value-3) > 1e-9 {
-		t.Fatalf("fallback cold solve wrong: %v %v", sol.Status, sol.Value)
+	if sol.Status != Optimal || math.Abs(value(p, sol)-3) > 1e-9 {
+		t.Fatalf("fallback cold solve wrong: %v %v", sol.Status, value(p, sol))
 	}
 }
 
@@ -117,8 +117,8 @@ func TestSolveFromNeverDeclaresInfeasibleWarm(t *testing.T) {
 		t.Fatalf("status %v", sol.Status)
 	}
 	want := 0.75*2 + 39.25*3 // ab+bd for 0.75 units, ac+cd for the rest
-	if math.Abs(sol.Value-want) > 1e-6 {
-		t.Fatalf("value %v, want %v", sol.Value, want)
+	if math.Abs(value(q, sol)-want) > 1e-6 {
+		t.Fatalf("value %v, want %v", value(q, sol), want)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestBadlyScaledProblemSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Optimal || math.Abs(sol.Value-0.1) > 1e-9 {
-		t.Fatalf("status %v value %v, want optimal 0.1", sol.Status, sol.Value)
+	if sol.Status != Optimal || math.Abs(value(p, sol)-0.1) > 1e-9 {
+		t.Fatalf("status %v value %v, want optimal 0.1", sol.Status, value(p, sol))
 	}
 }
 
@@ -250,8 +250,8 @@ func TestSolveFromIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Value != b.Value || a.Iterations != b.Iterations {
-		t.Fatalf("warm re-solve not deterministic: (%v,%d) vs (%v,%d)", a.Value, a.Iterations, b.Value, b.Iterations)
+	if value(q, a) != value(q, b) || a.Iterations != b.Iterations {
+		t.Fatalf("warm re-solve not deterministic: (%v,%d) vs (%v,%d)", value(q, a), a.Iterations, value(q, b), b.Iterations)
 	}
 	for j := range a.X {
 		if a.X[j] != b.X[j] {

@@ -41,7 +41,7 @@ func TestCapScaleMatchesScaledGraph(t *testing.T) {
 	g, a, b := parallel2(t)
 	scale := []float64{0.5, 0.5, 1, 1} // cap-10 pair degraded to 5
 	sg := scaledClone(t, g, scale)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 21, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 21}}
 
 	approx := MinMLU(g, comms, Options{Iterations: 400, CapScale: scale})
 	approxRef := MinMLU(sg, comms, Options{Iterations: 400})
@@ -73,7 +73,7 @@ func TestCapScaleMatchesScaledGraph(t *testing.T) {
 // both reproduce the unscaled solve, the former bit for bit.
 func TestCapScaleNilIdentity(t *testing.T) {
 	g, a, b := parallel2(t)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20}}
 	plain := MinMLU(g, comms, Options{Iterations: 300})
 	nilScale := MinMLU(g, comms, Options{Iterations: 300, CapScale: nil})
 	if plain.MLU != nilScale.MLU {

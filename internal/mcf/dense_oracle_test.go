@@ -162,7 +162,7 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 
 		// Gap estimate from the smoothed gradient inner products.
 		gap := innerUtil(q, loads, cap) - innerUtil(q, dirLoads, cap)
-		if gap < opts.RelTol*mlu && it > 8 {
+		if gap < opts.relTol*mlu && it > 8 {
 			break
 		}
 
@@ -385,7 +385,7 @@ func TestMinMLUMatchesDenseOracle(t *testing.T) {
 		} {
 			t.Run(g.Name+"/"+oc.name, func(t *testing.T) {
 				opts := oc.opts
-				opts.Iterations, opts.RelTol = tc.iters, 1e-9 // run the full count, past the gap stop
+				opts.Iterations, opts.relTol = tc.iters, 1e-9 // run the full count, past the gap stop
 				want := minMLUDense(g, comms, opts)
 				got := MinMLUScratch(g, comms, opts, &sc)
 				if oc.name == "alive" && want.Dropped == 0 {

@@ -187,7 +187,7 @@ func minMLUExactPerOD(g *graph.Graph, comms []routing.Commodity, opts Options) (
 // loop cancelled first, the row is the flow's own path.
 func TestSplitRowsCancelsLoopsFirst(t *testing.T) {
 	g := ring5()
-	comms := []routing.Commodity{{Src: 0, Dst: 2, Demand: 1, Link: -1}}
+	comms := []routing.Commodity{{Src: 0, Dst: 2, Demand: 1}}
 	o := newPathOracle(g, comms, nil)
 	sol := &destSolution{
 		dests:  []graph.NodeID{2},
@@ -240,11 +240,11 @@ func exactOracleCases(t *testing.T) []exactCase {
 	// Ring traffic plus zero-demand pairs: 1→2 lies on 0→2's flow, and 1→4
 	// on no flow towards 4, so it takes the hop-count path.
 	ringComms := []routing.Commodity{
-		{Src: 0, Dst: 2, Demand: 12, Link: -1},
-		{Src: 2, Dst: 4, Demand: 7, Link: -1},
-		{Src: 4, Dst: 1, Demand: 9, Link: -1},
-		{Src: 1, Dst: 2, Demand: 0, Link: -1},
-		{Src: 1, Dst: 4, Demand: 0, Link: -1},
+		{Src: 0, Dst: 2, Demand: 12},
+		{Src: 2, Dst: 4, Demand: 7},
+		{Src: 4, Dst: 1, Demand: 9},
+		{Src: 1, Dst: 2, Demand: 0},
+		{Src: 1, Dst: 4, Demand: 0},
 	}
 	cases := []exactCase{
 		{"ring5", ring, gravity(ring, 2), Options{}},

@@ -36,9 +36,10 @@ type Options struct {
 	Background []float64
 	// Iterations bounds Frank–Wolfe iterations (default 256).
 	Iterations int
-	// RelTol stops early when the duality-style gap estimate falls below
-	// RelTol × current objective (default 0.005).
-	RelTol float64
+	// relTol stops early when the duality-style gap estimate falls below
+	// relTol × current objective (default 0.005); only the package's
+	// tests set it.
+	relTol float64
 	// CapScale, when non-nil, scales each link's effective capacity by
 	// the given factor (length NumLinks, entries in (0, 1]) — the
 	// capacity-degradation counterpart of a failed link. A fully lost
@@ -61,8 +62,8 @@ func (o *Options) defaults() {
 	if o.Iterations == 0 {
 		o.Iterations = 256
 	}
-	if o.RelTol == 0 {
-		o.RelTol = 0.005
+	if o.relTol == 0 {
+		o.relTol = 0.005
 	}
 }
 
@@ -265,7 +266,7 @@ func MinMLUScratch(g *graph.Graph, comms []routing.Commodity, opts Options, sc *
 
 		// Gap estimate from the smoothed gradient inner products.
 		gap := innerUtil(q, loads, cap) - innerUtil(q, dirLoads, cap)
-		if gap < opts.RelTol*mlu && it > 8 {
+		if gap < opts.relTol*mlu && it > 8 {
 			break
 		}
 

@@ -14,7 +14,7 @@ func TestExactWithBackground(t *testing.T) {
 	g, a, b := parallel2(t)
 	bg := make([]float64, g.NumLinks())
 	bg[2] = 15 // half of the 30-capacity link
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 10, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 10}}
 	res, err := MinMLUExact(g, comms, Options{Background: bg})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestApproxWithBackgroundTracksExact(t *testing.T) {
 	g, a, b := parallel2(t)
 	bg := make([]float64, g.NumLinks())
 	bg[2] = 15
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 10, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 10}}
 	res := MinMLU(g, comms, Options{Background: bg, Iterations: 400})
 	if res.MLU > 0.625*1.05 {
 		t.Fatalf("approx MLU = %v, want ~0.625", res.MLU)
@@ -44,7 +44,7 @@ func TestAliveAndBackgroundCombined(t *testing.T) {
 	fail := graph.NewLinkSet(2)
 	bg := make([]float64, g.NumLinks())
 	bg[0] = 4
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 3, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 3}}
 	res := MinMLU(g, comms, Options{Alive: fail.Alive(), Background: bg, Iterations: 100})
 	if math.Abs(res.MLU-0.7) > 1e-6 {
 		t.Fatalf("MLU = %v, want 0.7 ((4+3)/10)", res.MLU)

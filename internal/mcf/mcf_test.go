@@ -26,7 +26,7 @@ func TestMinMLUParallelLinksProportional(t *testing.T) {
 	// Optimal min-MLU splits 20 units as 5/15 across capacities 10/30:
 	// MLU = 0.5.
 	g, a, b := parallel2(t)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20}}
 	res := MinMLU(g, comms, Options{Iterations: 400})
 	if err := validRows(res, 1e-6); err != nil {
 		t.Fatalf("invalid flow: %v", err)
@@ -38,7 +38,7 @@ func TestMinMLUParallelLinksProportional(t *testing.T) {
 
 func TestMinMLUExactParallelLinks(t *testing.T) {
 	g, a, b := parallel2(t)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 20}}
 	res, err := MinMLUExact(g, comms, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestMinMLUWithBackground(t *testing.T) {
 	g, a, b := parallel2(t)
 	bg := make([]float64, g.NumLinks())
 	bg[2] = 30 // cap-30 link fully loaded
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5}}
 	res := MinMLU(g, comms, Options{Background: bg, Iterations: 300})
 	// All 5 units on cap-10 link => MLU max(0.5, 1.0) = 1.0 from bg. The
 	// solver cannot beat the background utilization.
@@ -102,8 +102,8 @@ func TestMinMLUDropsPartitioned(t *testing.T) {
 	g, a, b := parallel2(t)
 	fail := graph.NewLinkSet(0, 2) // both a->b directions down
 	comms := []routing.Commodity{
-		{Src: a, Dst: b, Demand: 5, Link: -1},
-		{Src: b, Dst: a, Demand: 5, Link: -1},
+		{Src: a, Dst: b, Demand: 5},
+		{Src: b, Dst: a, Demand: 5},
 	}
 	res := MinMLU(g, comms, Options{Alive: fail.Alive(), Iterations: 50})
 	if res.Dropped != 1 {
@@ -127,7 +127,7 @@ func TestMinMLUDropsPartitioned(t *testing.T) {
 func TestMinMLUExactDropsPartitioned(t *testing.T) {
 	g, a, b := parallel2(t)
 	fail := graph.NewLinkSet(0, 2)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5}}
 	res, err := MinMLUExact(g, comms, Options{Alive: fail.Alive()})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestMinMLUExactDropsPartitioned(t *testing.T) {
 func TestMinMLUAvoidsFailedLinks(t *testing.T) {
 	g, a, b := parallel2(t)
 	fail := graph.NewLinkSet(2) // big a->b link down
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 5}}
 	res := MinMLU(g, comms, Options{Alive: fail.Alive(), Iterations: 100})
 	if denseFlow(res).Frac[0][2] != 0 {
 		t.Fatalf("flow on failed link: %v", denseFlow(res).Frac[0][2])
@@ -152,7 +152,7 @@ func TestMinMLUAvoidsFailedLinks(t *testing.T) {
 
 func TestMinMLUZeroDemand(t *testing.T) {
 	g, a, b := parallel2(t)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 0, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 0}}
 	res := MinMLU(g, comms, Options{})
 	if res.MLU != 0 {
 		t.Fatalf("MLU = %v, want 0", res.MLU)
@@ -172,7 +172,7 @@ func TestMinMLUDiamondAvoidsHotPath(t *testing.T) {
 	g.AddDuplex(a, c, 10, 1, 1)
 	g.AddDuplex(c, d, 10, 1, 1)
 	comms := []routing.Commodity{
-		{Src: a, Dst: d, Demand: 12, Link: -1},
+		{Src: a, Dst: d, Demand: 12},
 	}
 	res := MinMLU(g, comms, Options{Iterations: 300})
 	// Optimal: 6/6 split => MLU 0.6. Single path would be 1.2.

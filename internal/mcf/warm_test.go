@@ -83,7 +83,7 @@ func TestMinMLUExactWarmMatchesColdAcrossFailures(t *testing.T) {
 // one.
 func TestMinMLUExactKillRowsMatchLegacySemantics(t *testing.T) {
 	g, a, b := parallel2(t)
-	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 8, Link: -1}}
+	comms := []routing.Commodity{{Src: a, Dst: b, Demand: 8}}
 	failed := graph.NewLinkSet(2, 3) // the capacity-30 pair
 	res, err := MinMLUExact(g, comms, Options{Alive: failed.Alive()})
 	if err != nil {

@@ -79,7 +79,7 @@ func sparse(dense [][]float64) []routing.SparseRow {
 
 // routingFlowForTest builds a single-commodity base flow on link 0.
 func routingFlowForTest(g *graph.Graph, a, b graph.NodeID) *routing.Flow {
-	f := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 1, Link: -1}})
+	f := routing.NewFlow(g, []routing.Commodity{{Src: a, Dst: b, Demand: 1}})
 	f.Frac[0][0] = 1
 	return f
 }

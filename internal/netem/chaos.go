@@ -7,12 +7,11 @@ import (
 )
 
 // ChaosConfig is the seeded adversarial fault-injection layer: the
-// emulator's stand-in for the lossy control channels of wireless R3 and
-// for the correlated multi-failure events that make local rerouting
-// schemes fragile. All draws come from a dedicated RNG (Seed), fully
-// independent of the packet-jitter stream, so the same (Config.Seed,
-// Chaos.Seed) pair reproduces a run byte for byte, and a disabled chaos
-// layer leaves the emulation untouched.
+// emulator's stand-in for the lossy control channels of wireless R3. All
+// draws come from a dedicated RNG (Seed), fully independent of the
+// packet-jitter stream, so the same (Config.Seed, Chaos.Seed) pair
+// reproduces a run byte for byte, and a disabled chaos layer leaves the
+// emulation untouched.
 //
 // Every probability is applied independently per packet per link
 // traversal. Drop loses the packet after it consumed the transmitter
@@ -30,23 +29,13 @@ type ChaosConfig struct {
 	CtrlDrop, CtrlDup float64
 	// CtrlJitter is the max extra delivery delay for control packets.
 	CtrlJitter float64
-	// Data-plane fault probabilities.
-	DataDrop, DataDup float64
-	// DataJitter is the max extra delivery delay for data packets.
-	DataJitter float64
-	// DetectJitter desynchronizes failure detection: each adjacent
-	// router's DetectDelay is stretched by an independent uniform draw in
-	// [0, DetectJitter) seconds.
-	DetectJitter float64
-	// Bursts injects correlated multi-link failures mid-run.
-	Bursts []ChaosBurst
-}
-
-// ChaosBurst fails Links randomly chosen alive duplex links at time At —
-// a correlated failure event (shared fiber conduit, power domain).
-type ChaosBurst struct {
-	At    float64
-	Links int
+	// dataDrop is the data-packet drop probability. Only the package's
+	// tests set it.
+	dataDrop float64
+	// detectJitter desynchronizes failure detection: each adjacent
+	// router's detectDelay is stretched by an independent uniform draw in
+	// [0, detectJitter) seconds. Only the package's tests set it.
+	detectJitter float64
 }
 
 func (c *ChaosConfig) defaults() {
@@ -60,8 +49,7 @@ func (c *ChaosConfig) defaults() {
 	}
 	clamp(&c.CtrlDrop)
 	clamp(&c.CtrlDup)
-	clamp(&c.DataDrop)
-	clamp(&c.DataDup)
+	clamp(&c.dataDrop)
 }
 
 // chaosState is the live fault injector: the dedicated RNG plus the

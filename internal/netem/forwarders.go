@@ -10,7 +10,7 @@ import (
 
 // OSPFReconForwarder models plain OSPF with reconvergence: hash-based
 // ECMP toward the destination on the currently converged topology.
-// Failures take DetectDelay + ConvergeDelay before the tables change;
+// Failures take detectDelay + ConvergeDelay before the tables change;
 // until then packets blackhole at the failed link.
 type OSPFReconForwarder struct {
 	G *graph.Graph

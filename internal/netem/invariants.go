@@ -120,7 +120,7 @@ func (iv *Invariants) checkPhaseCapacity(p *PhaseStats) {
 	if dur <= 0 {
 		return
 	}
-	slack := float64(iv.em.cfg.QueueBytes + iv.em.cfg.PacketBytes)
+	slack := float64(queueBytes + packetBytes)
 	for e, b := range p.LinkBytes {
 		capBytes := iv.em.rateBytes(graph.LinkID(e)) * dur
 		if float64(b) > capBytes+slack {
@@ -148,7 +148,6 @@ type traceKind uint8
 const (
 	traceFail traceKind = iota + 1
 	traceNotify
-	traceBurst
 	traceChaosDropCtrl
 	traceChaosDropData
 	traceChaosDup
@@ -161,8 +160,6 @@ func (k traceKind) String() string {
 		return "link-failed"
 	case traceNotify:
 		return "router-notified"
-	case traceBurst:
-		return "chaos-burst"
 	case traceChaosDropCtrl:
 		return "chaos-drop-ctrl"
 	case traceChaosDropData:

@@ -137,7 +137,7 @@ func TestInvariantPanicIncludesSeeds(t *testing.T) {
 func TestInvariantCleanRunsStayQuiet(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
-		{Chaos: ChaosConfig{Enabled: true, Seed: 11, CtrlDrop: 0.2, DataDrop: 0.02}},
+		{Chaos: ChaosConfig{Enabled: true, Seed: 11, CtrlDrop: 0.2, dataDrop: 0.02}},
 	} {
 		em := goldenScenario(t, cfg)
 		if n := len(em.Violations()); n != 0 {

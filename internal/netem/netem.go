@@ -7,7 +7,7 @@
 //
 // Two robustness layers sit on top of the basic emulation: a seeded
 // chaos mode (chaos.go) that adversarially drops, duplicates, reorders
-// and delays packets and injects correlated failure bursts, and an
+// and delays failure notifications, and an
 // always-on invariant checker (invariants.go) that fails loudly — with
 // the seeds and an event trace — the moment the emulation violates the
 // paper's guarantees.
@@ -35,9 +35,8 @@ type Packet struct {
 	// Ping marks RTT probes; Return marks the echo leg.
 	Ping   bool
 	Return bool
-	// Ctrl marks a failure-notification packet (the ICMP type-42 flood of
-	// §4.3) announcing that FailedLink is down.
-	Ctrl       bool
+	// FailedLink is the link a failure-notification packet (the ICMP
+	// type-42 flood of §4.3) announces is down.
 	FailedLink graph.LinkID
 	// CtrlOrigin and CtrlSeq identify the announcing router's
 	// retransmission stream: the reliable flood dedups received
@@ -152,34 +151,21 @@ func (h *eventHeap) pop() event {
 type Config struct {
 	G         *graph.Graph
 	Forwarder Forwarder
-	// PacketBytes is the data packet size (default 1500).
-	PacketBytes int
-	// QueueBytes is the per-link drop-tail buffer (default 128 KiB).
-	QueueBytes int
-	// DetectDelay is the time from a failure to adjacent-router detection
-	// (default 10 ms). A negative value is true zero-delay detection; 0
-	// keeps the default.
-	DetectDelay float64
 	// ConvergeDelay is the additional time until ApplyFailure is invoked
 	// (0 for R3's local activation; seconds for OSPF reconvergence).
 	ConvergeDelay float64
-	// FlowsPerPair is how many hashed flows carry each OD pair's traffic
-	// (default 8).
-	FlowsPerPair int
 	// Seed drives packet arrival jitter.
 	Seed int64
 	// Chaos, when Enabled, layers seeded fault injection over the run:
-	// control/data packet drop, duplication and reordering, detection
-	// jitter and correlated multi-link failure bursts (see ChaosConfig).
+	// control packet drop, duplication and reordering (see ChaosConfig).
 	Chaos ChaosConfig
-	// RefloodRounds is how many times each router that knows of a failure
+	// refloodRounds is how many times each router that knows of a failure
 	// re-announces it to its neighbors (sequence-numbered, spaced
-	// RefloodInterval apart) — the reliable flood that survives lossy
+	// refloodInterval apart) — the reliable flood that survives lossy
 	// control channels. 0 defaults to 8 rounds when chaos is enabled and
-	// to the classic fire-once flood otherwise; negative forces fire-once.
-	RefloodRounds int
-	// RefloodInterval is the spacing of re-flood rounds (default 50 ms).
-	RefloodInterval float64
+	// to the classic fire-once flood otherwise; the package's tests set a
+	// negative value to force fire-once under chaos.
+	refloodRounds int
 	// OnViolation, when non-nil, receives invariant violations instead of
 	// the default loud panic (which reports the seeds and event trace).
 	// Violations are recorded on the emulator either way.
@@ -194,29 +180,21 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// The emulated network's fixed parameters.
+const (
+	packetBytes     = 1500      // data packet size
+	queueBytes      = 128 << 10 // per-link drop-tail buffer
+	detectDelay     = 0.010     // failure to adjacent-router detection, seconds
+	flowsPerPair    = 8         // hashed flows carrying each OD pair's traffic
+	refloodInterval = 0.050     // spacing of re-flood rounds, seconds
+)
+
 func (c *Config) defaults() {
-	if c.PacketBytes == 0 {
-		c.PacketBytes = 1500
+	if c.refloodRounds == 0 && c.Chaos.Enabled {
+		c.refloodRounds = 8
 	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = 128 << 10
-	}
-	if c.DetectDelay == 0 {
-		c.DetectDelay = 0.010
-	} else if c.DetectDelay < 0 {
-		c.DetectDelay = 0 // zero-delay detection
-	}
-	if c.FlowsPerPair == 0 {
-		c.FlowsPerPair = 8
-	}
-	if c.RefloodRounds == 0 && c.Chaos.Enabled {
-		c.RefloodRounds = 8
-	}
-	if c.RefloodRounds < 0 {
-		c.RefloodRounds = 0
-	}
-	if c.RefloodInterval == 0 {
-		c.RefloodInterval = 0.050
+	if c.refloodRounds < 0 {
+		c.refloodRounds = 0
 	}
 	c.Chaos.defaults()
 }
@@ -396,10 +374,6 @@ func New(cfg Config) *Emulator {
 	em.notified = make(map[graph.LinkID]int)
 	if cfg.Chaos.Enabled {
 		em.chaos = newChaosState(cfg.Chaos, cfg.Obs)
-		for _, b := range cfg.Chaos.Bursts {
-			b := b
-			em.schedule(b.At, func() { em.burst(b) })
-		}
 	}
 	em.insp, _ = cfg.Forwarder.(ViewInspector)
 	em.inv = newInvariants(em)
@@ -476,28 +450,28 @@ func (em *Emulator) scheduleHop(at float64, pk *Packet, out graph.LinkID, hops i
 // odIndex is pair (a, b)'s slot in the dense OD counters.
 func (em *Emulator) odIndex(a, b graph.NodeID) int { return int(a)*em.g.NumNodes() + int(b) }
 
-// AddCBRTraffic installs FlowsPerPair Poisson packet flows from a to b at
+// AddCBRTraffic installs flowsPerPair Poisson packet flows from a to b at
 // the given aggregate rate (bytes/sec), generating until stop.
 func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop float64) {
 	if bytesPerSec <= 0 || a == b {
 		return
 	}
-	perFlow := bytesPerSec / float64(em.cfg.FlowsPerPair)
+	perFlow := bytesPerSec / flowsPerPair
 	od := em.odIndex(a, b)
-	for i := 0; i < em.cfg.FlowsPerPair; i++ {
+	for i := 0; i < flowsPerPair; i++ {
 		flow := mplsff.FlowKey{
 			SrcIP:   uint32(a)<<8 | 10,
 			DstIP:   uint32(b)<<8 | 10,
 			SrcPort: uint16(1024 + i),
 			DstPort: 80,
 		}
-		mean := float64(em.cfg.PacketBytes) / perFlow
+		mean := packetBytes / perFlow
 		var gen func()
 		gen = func() {
 			if em.now >= stop {
 				return
 			}
-			pk := &Packet{Flow: flow, Src: a, Dst: b, Size: em.cfg.PacketBytes, SentAt: em.now}
+			pk := &Packet{Flow: flow, Src: a, Dst: b, Size: packetBytes, SentAt: em.now}
 			em.odOffered[od] += int64(pk.Size)
 			em.forward(a, pk, 0)
 			em.schedule(em.now+em.rng.ExpFloat64()*mean, gen)
@@ -535,9 +509,9 @@ func (em *Emulator) MarkPhaseAt(t float64) {
 
 // FailAt schedules a bidirectional link failure: the data plane drops the
 // link immediately. For FloodAware forwarders the adjacent routers detect
-// it after DetectDelay and flood notification packets, with every router
+// it after detectDelay and flood notification packets, with every router
 // reconfiguring as its notification arrives; for others, a global
-// ApplyFailure fires after DetectDelay + ConvergeDelay. A new measurement
+// ApplyFailure fires after detectDelay + ConvergeDelay. A new measurement
 // phase starts at the failure instant.
 func (em *Emulator) FailAt(t float64, e graph.LinkID) {
 	em.schedule(t, func() {
@@ -557,8 +531,7 @@ func (em *Emulator) rateBytes(out graph.LinkID) float64 {
 
 // failNow takes a set of directed links down at the current instant as
 // one correlated event: one phase boundary, then detection and
-// notification per link. FailAt routes single duplex failures here;
-// chaos bursts pass several links at once.
+// notification per link. FailAt routes each duplex failure here.
 func (em *Emulator) failNow(ids []graph.LinkID) {
 	for _, id := range ids {
 		em.linkUp[id] = false
@@ -568,20 +541,20 @@ func (em *Emulator) failNow(ids []graph.LinkID) {
 	em.closePhase(em.now)
 	em.cur = em.newPhase(em.now)
 	if fa, ok := em.cfg.Forwarder.(FloodAware); ok {
-		if ch := em.chaos; ch != nil && ch.cfg.DetectJitter > 0 {
+		if ch := em.chaos; ch != nil && ch.cfg.detectJitter > 0 {
 			// Each adjacent router detects independently: layer-2
 			// monitoring timers are not synchronized across routers.
 			for _, id := range ids {
 				l := em.g.Link(id)
 				for _, end := range [2]graph.NodeID{l.Src, l.Dst} {
 					end, id := end, id
-					at := em.now + em.cfg.DetectDelay + ch.rng.Float64()*ch.cfg.DetectJitter
+					at := em.now + detectDelay + ch.rng.Float64()*ch.cfg.detectJitter
 					em.schedule(at, func() { em.notify(fa, end, id) })
 				}
 			}
 			return
 		}
-		em.schedule(em.now+em.cfg.DetectDelay, func() {
+		em.schedule(em.now+detectDelay, func() {
 			for _, id := range ids {
 				l := em.g.Link(id)
 				// Both endpoints detect via layer-2 monitoring and
@@ -592,7 +565,7 @@ func (em *Emulator) failNow(ids []graph.LinkID) {
 		})
 		return
 	}
-	delay := em.cfg.DetectDelay + em.cfg.ConvergeDelay
+	delay := detectDelay + em.cfg.ConvergeDelay
 	em.schedule(em.now+delay, func() {
 		for _, id := range ids {
 			em.cfg.Forwarder.ApplyFailure(id)
@@ -605,41 +578,6 @@ func (em *Emulator) failNow(ids []graph.LinkID) {
 			em.inv.checkConverged()
 		}
 	})
-}
-
-// burst fails b.Links randomly chosen alive duplex links simultaneously
-// (a correlated multi-failure event — shared conduits, power domains).
-func (em *Emulator) burst(b ChaosBurst) {
-	ch := em.chaos
-	var candidates []graph.LinkID
-	for id := 0; id < em.g.NumLinks(); id++ {
-		lid := graph.LinkID(id)
-		if !em.linkUp[lid] {
-			continue
-		}
-		if rev := em.g.Link(lid).Reverse; rev >= 0 && rev < lid {
-			continue // canonical direction only
-		}
-		candidates = append(candidates, lid)
-	}
-	if len(candidates) == 0 || b.Links <= 0 {
-		return
-	}
-	n := b.Links
-	if n > len(candidates) {
-		n = len(candidates)
-	}
-	perm := ch.rng.Perm(len(candidates))
-	var ids []graph.LinkID
-	for _, pi := range perm[:n] {
-		id := candidates[pi]
-		ids = append(ids, id)
-		if rev := em.g.Link(id).Reverse; rev >= 0 {
-			ids = append(ids, rev)
-		}
-	}
-	em.trace.add(em.now, traceBurst, int32(len(ids)), -1)
-	em.failNow(ids)
 }
 
 // observeReconfig records one failure→converged latency.
@@ -657,7 +595,7 @@ func (em *Emulator) closePhase(t float64) {
 }
 
 // flushOD adds the dense OD counters to the current phase's maps and
-// zeroes them. Every counted data packet has Size cfg.PacketBytes, which is
+// zeroes them. Every counted data packet has Size packetBytes, which is
 // never 0, so a counter is nonzero exactly when a packet of its pair was
 // counted: a pair enters a map exactly when it did before.
 func (em *Emulator) flushOD() {
@@ -678,7 +616,7 @@ func (em *Emulator) flushOD() {
 
 // notify delivers a failure notification to router u. The first time u
 // hears of e it reconfigures (OnNotification), relays the flood on every
-// alive outgoing link, and — when RefloodRounds > 0 — schedules periodic
+// alive outgoing link, and — when refloodRounds > 0 — schedules periodic
 // sequence-numbered re-announcements so neighbors behind lossy links
 // still learn of e.
 func (em *Emulator) notify(fa FloodAware, u graph.NodeID, e graph.LinkID) {
@@ -701,8 +639,8 @@ func (em *Emulator) notify(fa FloodAware, u graph.NodeID, e graph.LinkID) {
 		}
 	}
 	em.floodOut(fa, u, e)
-	for i := 1; i <= em.cfg.RefloodRounds; i++ {
-		em.schedule(em.now+float64(i)*em.cfg.RefloodInterval, func() {
+	for i := 1; i <= em.cfg.refloodRounds; i++ {
+		em.schedule(em.now+float64(i)*refloodInterval, func() {
 			em.refloodRounds++
 			em.obsReflood.Inc()
 			em.floodOut(fa, u, e)
@@ -722,7 +660,7 @@ func (em *Emulator) floodOut(fa FloodAware, u graph.NodeID, e graph.LinkID) {
 		if !em.linkUp[id] {
 			continue
 		}
-		pk := &Packet{Size: 64, SentAt: em.now, Ctrl: true, FailedLink: e, CtrlOrigin: u, CtrlSeq: seq}
+		pk := &Packet{Size: 64, SentAt: em.now, FailedLink: e, CtrlOrigin: u, CtrlSeq: seq}
 		em.transmitCtrl(fa, id, pk)
 	}
 }
@@ -813,7 +751,7 @@ func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
 	link := em.g.Link(out)
 	rateBytes := em.rateBytes(out) // capacity is Mbps
 	backlog := (em.linkFree[out] - em.now) * rateBytes
-	if backlog > float64(em.cfg.QueueBytes) {
+	if backlog > queueBytes {
 		em.drop(pk)
 		return
 	}
@@ -826,23 +764,13 @@ func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
 	em.linkFree[out] = depart
 	em.cur.LinkBytes[out] += int64(pk.Size)
 	em.obsFwd.Inc()
-	arrive := depart + link.Delay/1000
-	if ch := em.chaos; ch != nil {
-		if ch.cfg.DataDrop > 0 && ch.rng.Float64() < ch.cfg.DataDrop {
-			ch.droppedData.Inc()
-			em.trace.add(em.now, traceChaosDropData, int32(out), -1)
-			em.drop(pk)
-			return
-		}
-		if ch.cfg.DataDup > 0 && ch.rng.Float64() < ch.cfg.DataDup {
-			ch.duplicated.Inc()
-			dup := *pk
-			dup.Stack = append([]mplsff.Label(nil), pk.Stack...)
-			em.scheduleHop(ch.jitter(arrive, ch.cfg.DataJitter), &dup, out, hops)
-		}
-		arrive = ch.jitter(arrive, ch.cfg.DataJitter)
+	if ch := em.chaos; ch != nil && ch.cfg.dataDrop > 0 && ch.rng.Float64() < ch.cfg.dataDrop {
+		ch.droppedData.Inc()
+		em.trace.add(em.now, traceChaosDropData, int32(out), -1)
+		em.drop(pk)
+		return
 	}
-	em.scheduleHop(arrive, pk, out, hops)
+	em.scheduleHop(depart+link.Delay/1000, pk, out, hops)
 }
 
 // arrive hands pk, which crossed link out after hops prior hops, to the

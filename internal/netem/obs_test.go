@@ -31,7 +31,7 @@ func TestObsFloodReconfigLatency(t *testing.T) {
 		t.Fatalf("reconfig observations = %d, want 2 (one per direction)", h.Count)
 	}
 	// The flood cannot complete before the adjacent routers detect the
-	// failure (DetectDelay = 10ms) and must finish well within the run.
+	// failure (detectDelay = 10ms) and must finish well within the run.
 	if h.Min < 10_000 {
 		t.Fatalf("reconfig latency %d µs is below the 10ms detection delay", h.Min)
 	}
@@ -64,7 +64,7 @@ func TestObsFloodReconfigLatency(t *testing.T) {
 }
 
 // TestObsGlobalReconfigLatency covers the non-flood path: with a plain
-// Forwarder, reconfiguration completes exactly DetectDelay+ConvergeDelay
+// Forwarder, reconfiguration completes exactly detectDelay+ConvergeDelay
 // after the failure instant.
 func TestObsGlobalReconfigLatency(t *testing.T) {
 	g, d, _ := abileneSetup(t, 100)
@@ -84,7 +84,7 @@ func TestObsGlobalReconfigLatency(t *testing.T) {
 	if h.Count != 2 {
 		t.Fatalf("reconfig observations = %d, want 2", h.Count)
 	}
-	// DetectDelay (10ms) + ConvergeDelay (500ms) = 510ms, modulo float
+	// detectDelay (10ms) + ConvergeDelay (500ms) = 510ms, modulo float
 	// truncation to whole microseconds.
 	if h.Min < 509_000 || h.Max > 511_000 {
 		t.Fatalf("global reconfig latency [%d, %d] µs, want ≈510000", h.Min, h.Max)

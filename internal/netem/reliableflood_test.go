@@ -97,7 +97,7 @@ func TestFireOnceFloodFailsUnderLoss(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		fw := NewR3Distributed(plan)
 		em := New(Config{G: g, Forwarder: fw, Seed: 1,
-			RefloodRounds: -1, // force the classic fire-once flood
+			refloodRounds: -1, // force the classic fire-once flood
 			Chaos:         ChaosConfig{Enabled: true, Seed: seed, CtrlDrop: 0.45},
 		})
 		em.FailAt(0.2, 0)
@@ -164,8 +164,8 @@ func TestRefloodSequenceDedup(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		for key, seq := range em.ctrlSeen[v] {
 			_ = key
-			if seq > uint32(em.cfg.RefloodRounds) {
-				t.Fatalf("router %d saw sequence %d beyond the %d scheduled rounds", v, seq, em.cfg.RefloodRounds)
+			if seq > uint32(em.cfg.refloodRounds) {
+				t.Fatalf("router %d saw sequence %d beyond the %d scheduled rounds", v, seq, em.cfg.refloodRounds)
 			}
 		}
 	}

@@ -122,8 +122,8 @@ func (em *Emulator) stageApply(sa StageAware, u graph.NodeID, seq int) {
 		}
 	}
 	em.stageFloodOut(sa, u, seq)
-	for i := 1; i <= em.cfg.RefloodRounds; i++ {
-		em.schedule(em.now+float64(i)*em.cfg.RefloodInterval, func() {
+	for i := 1; i <= em.cfg.refloodRounds; i++ {
+		em.schedule(em.now+float64(i)*refloodInterval, func() {
 			em.refloodRounds++
 			em.obsReflood.Inc()
 			em.stageFloodOut(sa, u, seq)
@@ -148,7 +148,7 @@ func (em *Emulator) stageFloodOut(sa StageAware, u graph.NodeID, seq int) {
 		if !em.linkUp[id] {
 			continue
 		}
-		pk := &Packet{Size: size, SentAt: em.now, Ctrl: true, StageSeq: seq, CtrlOrigin: u, CtrlSeq: sn}
+		pk := &Packet{Size: size, SentAt: em.now, StageSeq: seq, CtrlOrigin: u, CtrlSeq: sn}
 		em.transmitCtrl(sa, id, pk)
 	}
 }

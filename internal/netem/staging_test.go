@@ -101,7 +101,12 @@ func assertStagedFinal(t *testing.T, em *Emulator, fw *R3DistributedForwarder, p
 	if n := len(em.Violations()); n != 0 {
 		t.Fatalf("%d invariant violations: %v", n, em.Violations())
 	}
-	want := seq.Final.Fingerprint()
+	// The scheduler's end state: its rounds applied in order.
+	end := mplsff.Build(plan)
+	for _, r := range seq.Rounds {
+		end.ApplyRound(r.Seq, r.Delta)
+	}
+	want := end.Fingerprint()
 	for u := 0; u < plan.G.NumNodes(); u++ {
 		if got := fw.views[u].Fingerprint(); got != want {
 			t.Fatalf("router %d view fingerprint %#x != scheduler end state %#x", u, got, want)
@@ -194,25 +199,45 @@ func TestStagedActivationUnderChaos(t *testing.T) {
 	}
 }
 
-// TestStagedOutOfOrderInjection forces a two-round schedule and injects
-// round 2 before round 1 (plus a duplicate injection of round 2): views
-// buffer the future round, apply both when the gap fills, and end
-// identical to in-order one-shot activation.
+// TestStagedOutOfOrderInjection forces a multi-round schedule and injects
+// its rounds last to first (plus a duplicate injection of the last):
+// views buffer the future rounds, apply them all when the gap fills, and
+// end identical to in-order one-shot activation. Seven duplex failures on
+// a six-node full mesh are more groups than the scheduler's exact search
+// takes, so its greedy order activates one group per round.
 func TestStagedOutOfOrderInjection(t *testing.T) {
-	tc := stagedCases(t)[0] // ring5
-	seq, err := transition.Schedule(tc.plan, tc.fails, transition.Options{
-		SkipCertify: true, MaxExactGroups: -1, // greedy: one group per round
+	g := graph.New("k6")
+	var n [6]graph.NodeID
+	for i := range n {
+		n[i] = g.AddNode(string(rune('a' + i)))
+	}
+	var fails []graph.LinkID
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			ab, ba := g.AddDuplex(n[i], n[j], 100, 1, 1)
+			// Fail seven of the nine chords; the hexagon a..f and two
+			// chords keep the mesh connected.
+			if j != i+1 && (i != 0 || j != 5) && len(fails) < 14 {
+				fails = append(fails, ab, ba)
+			}
+		}
+	}
+	plan, err := core.Precompute(g, traffic.Gravity(g, 30, 11), core.Config{
+		Model: core.ArbitraryFailures{F: 1}, Iterations: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Rounds) < 2 {
-		t.Fatalf("greedy schedule produced %d rounds, want >= 2", len(seq.Rounds))
+	seq, err := transition.Schedule(plan, fails, transition.Options{SkipCertify: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := tc.plan.G
-	fw := NewR3Distributed(tc.plan)
+	if len(seq.Rounds) != len(fails)/2 {
+		t.Fatalf("greedy schedule produced %d rounds, want one per duplex group (%d)", len(seq.Rounds), len(fails)/2)
+	}
+	fw := NewR3Distributed(plan)
 	em := New(Config{G: g, Forwarder: fw, Seed: 1})
-	em.FailAtSilent(0.2, canonicalDirs(g, tc.fails)...)
+	em.FailAtSilent(0.2, canonicalDirs(g, fails)...)
 	// Later rounds first; round 1 arrives last. Re-inject round 2 too.
 	last := len(seq.Rounds) - 1
 	for i := last; i >= 0; i-- {
@@ -224,7 +249,7 @@ func TestStagedOutOfOrderInjection(t *testing.T) {
 	if got := len(em.stagedDeltas); got != len(seq.Rounds) {
 		t.Fatalf("rounds injected = %d, want %d (duplicate must be ignored)", got, len(seq.Rounds))
 	}
-	assertStagedFinal(t, em, fw, tc.plan, seq, tc.fails)
+	assertStagedFinal(t, em, fw, plan, seq, fails)
 }
 
 // TestFailAtSilentStaysSilent pins down the silent failure path: the data
@@ -282,7 +307,7 @@ func TestStagedPropertyEmulated(t *testing.T) {
 			em, fw := runStaged(t, plan, seq, fails, ChaosConfig{
 				Enabled: true, Seed: seed,
 				CtrlDrop: 0.20, CtrlDup: 0.10, CtrlJitter: 0.002,
-				DataDrop: 0.01,
+				dataDrop: 0.01,
 			}, seed, true)
 			assertStagedFinal(t, em, fw, plan, seq, fails)
 		})

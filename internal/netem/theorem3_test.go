@@ -86,7 +86,7 @@ func TestTheorem3UnderEmulatedChaos(t *testing.T) {
 		fw := NewR3Distributed(plan)
 		em := New(Config{G: g, Forwarder: fw, Seed: 1, Chaos: ChaosConfig{
 			Enabled: true, Seed: seed,
-			CtrlDrop: 0.2, CtrlDup: 0.3, CtrlJitter: 0.030, DetectJitter: 0.020,
+			CtrlDrop: 0.2, CtrlDup: 0.3, CtrlJitter: 0.030, detectJitter: 0.020,
 		}})
 		em.FailAt(0.2, 0)
 		em.FailAt(0.3, 8)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/spf"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -48,7 +47,6 @@ func TestBaselineLoadsAllocation(t *testing.T) {
 			scenarios = append(scenarios, graph.NewLinkSet(l.ID, l.Reverse))
 		}
 	}
-	base := spf.ECMPFlow(g, comms, nil, spf.WeightCost(g))
 	for _, tc := range []struct {
 		s       Scheme
 		ceiling uint64
@@ -56,7 +54,6 @@ func TestBaselineLoadsAllocation(t *testing.T) {
 		{&OSPFRecon{G: g}, 16 << 10},
 		{&Optimal{G: g, Iterations: 40}, 32 << 10},
 		{&OptDetour{G: g, Iterations: 40}, 4 << 10},
-		{&OptDetour{G: g, Base: base, Iterations: 40}, 4 << 10},
 	} {
 		got := allocPerScenario(tc.s, scenarios, d)
 		t.Logf("%s: %d B per scenario (ceiling %d B, a dense flow %d B)", tc.s.Name(), got, tc.ceiling, dense)

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mcf"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -64,19 +66,23 @@ func TestOptDetourBaseLoadsAreNotAliased(t *testing.T) {
 	}
 }
 
-// TestOptimalExactTracksIterative checks the exact LP denominator
-// against Frank–Wolfe: the exact optimum can only be at or below the
-// iterative solver's bottleneck, and close on a well-conditioned
-// instance.
+// TestOptimalExactTracksIterative checks Optimal's Frank–Wolfe
+// denominator against the exact LP optimum on the same scenario: the
+// exact optimum can only be at or below the iterative solver's
+// bottleneck, and close on a well-conditioned instance.
 func TestOptimalExactTracksIterative(t *testing.T) {
 	g := topo.Abilene()
 	d := ringDemand(g, 40)
 	failed := graph.NewLinkSet(2)
 
 	fw := &Optimal{G: g, Iterations: 400}
-	ex := &Optimal{G: g, Exact: true}
 	fwLoads, _ := fw.Loads(failed, d)
-	exLoads, _ := ex.Loads(failed, d)
+	exact, err := mcf.MinMLUExact(g, routing.ODCommodities(g.NumNodes(), d.At), mcf.Options{Alive: failed.Alive()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exLoads := make([]float64, g.NumLinks())
+	exact.AddLoads(exLoads)
 	fwB := Bottleneck(g, failed, fwLoads)
 	exB := Bottleneck(g, failed, exLoads)
 	if exB > fwB*(1+1e-6) {
@@ -85,30 +91,35 @@ func TestOptimalExactTracksIterative(t *testing.T) {
 	if fwB > exB*1.2 {
 		t.Fatalf("iterative bottleneck %v implausibly far above exact %v", fwB, exB)
 	}
-	// A second scenario must reuse the published warm basis and agree
-	// with a cold exact solve.
-	failed2 := graph.NewLinkSet(5)
-	warmLoads, _ := ex.Loads(failed2, d)
-	cold := &Optimal{G: g, Exact: true}
-	coldLoads, _ := cold.Loads(failed2, d)
-	if w, c := Bottleneck(g, failed2, warmLoads), Bottleneck(g, failed2, coldLoads); math.Abs(w-c) > 1e-6*(1+c) {
-		t.Fatalf("warm bottleneck %v != cold %v", w, c)
-	}
 }
 
-// TestOptDetourExactMatchesIterativeDirection sanity-checks the exact
-// detour path: it must produce a no-worse bottleneck than Frank–Wolfe on
-// the same scenario.
+// TestOptDetourExactMatchesIterativeDirection holds OptDetour's
+// Frank–Wolfe detours to the exact LP over the same detour commodities
+// and background: the exact bottleneck is no worse, and the lost demand
+// is the same.
 func TestOptDetourExactMatchesIterativeDirection(t *testing.T) {
 	g := topo.Abilene()
 	d := ringDemand(g, 40)
 	failed := graph.NewLinkSet(3)
 
 	fw := &OptDetour{G: g, Iterations: 400}
-	ex := &OptDetour{G: g, Exact: true}
 	fwLoads, fwLost := fw.Loads(failed, d)
-	exLoads, exLost := ex.Loads(failed, d)
-	if fwLost != exLost {
+	base := fw.base.get(g, d)
+	bg := append([]float64(nil), base...)
+	var detours []routing.Commodity
+	for _, e := range failed.IDs() {
+		bg[e] = 0
+		if l := g.Link(e); base[e] != 0 {
+			detours = append(detours, routing.Commodity{Src: l.Src, Dst: l.Dst, Demand: base[e]})
+		}
+	}
+	exact, err := mcf.MinMLUExact(g, detours, mcf.Options{Alive: failed.Alive(), Background: bg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exLoads := append([]float64(nil), bg...)
+	exact.AddLoads(exLoads)
+	if exLost := exact.Lost(); fwLost != exLost {
 		t.Fatalf("lost demand differs: fw %v, exact %v", fwLost, exLost)
 	}
 	fwB := Bottleneck(g, failed, fwLoads)

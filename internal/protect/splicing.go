@@ -10,6 +10,9 @@ import (
 	"repro/internal/traffic"
 )
 
+// spliceSlices is PathSplicing's number of routing slices, the paper's k.
+const spliceSlices = 10
+
 // PathSplicing models Path Splicing (Motiwala et al., SIGCOMM 2008) as
 // configured in the paper's evaluation: k = 10 slices whose link weights
 // are the base weights perturbed by a degree-dependent random factor with
@@ -19,8 +22,6 @@ import (
 // next hop at that node is alive.
 type PathSplicing struct {
 	G *graph.Graph
-	// Slices is the number of routing slices (default 10).
-	Slices int
 	// Seed drives the deterministic weight perturbations.
 	Seed int64
 
@@ -44,13 +45,10 @@ func (s *PathSplicing) init() {
 	if s.sliceWeights != nil {
 		return
 	}
-	if s.Slices == 0 {
-		s.Slices = 10
-	}
 	rng := rand.New(rand.NewSource(s.Seed + 1))
 	degMax := float64(s.G.MaxDegree())
-	s.sliceWeights = make([][]float64, s.Slices)
-	for sl := 0; sl < s.Slices; sl++ {
+	s.sliceWeights = make([][]float64, spliceSlices)
+	for sl := 0; sl < spliceSlices; sl++ {
 		w := make([]float64, s.G.NumLinks())
 		for _, l := range s.G.Links() {
 			base := l.Weight
@@ -141,7 +139,7 @@ func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64
 				// Splice: uniform split across slices with an alive next
 				// hop at this node.
 				var targets []spliceState
-				for sl := 0; sl < s.Slices; sl++ {
+				for sl := 0; sl < spliceSlices; sl++ {
 					if sl == st.slice {
 						continue
 					}

@@ -184,7 +184,7 @@ func checkCancel(t *testing.T, g *graph.Graph, dense []float64, r SparseRow, zer
 		}
 	}
 
-	f := NewFlow(g, []Commodity{{Src: 0, Dst: 1, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: 0, Dst: 1}})
 	copy(f.Frac[0], dense)
 	removeLoops(f)
 	for e, w := range want {
@@ -216,7 +216,7 @@ func TestCancelLoopsMatchesDenseOracle(t *testing.T) {
 	// The support in descending link order, as an append-only row may hold it.
 	r := SparseRow{Idx: []int32{7, 6, 1, 0}, Val: []float64{row[7], row[6], row[1], row[0]}}
 	r.CancelLoops(ring, make([]float64, ring.NumLinks()), &LoopScratch{})
-	f := NewFlow(ring, []Commodity{{Src: 0, Dst: 1, Link: -1}})
+	f := NewFlow(ring, []Commodity{{Src: 0, Dst: 1}})
 	copy(f.Frac[0], row)
 	removeLoops(f)
 	for e, w := range want {
@@ -335,7 +335,7 @@ func TestCancelLoopsStopsOnNonFinite(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			f := NewFlow(g, []Commodity{{Src: 0, Dst: 1, Link: -1}})
+			f := NewFlow(g, []Commodity{{Src: 0, Dst: 1}})
 			copy(f.Frac[0], dense)
 			removeLoops(f)
 			var r SparseRow

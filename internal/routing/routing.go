@@ -17,9 +17,6 @@ import (
 type Commodity struct {
 	Src, Dst graph.NodeID
 	Demand   float64
-	// Link is the protected link ID when this commodity belongs to a
-	// protection routing, or -1 for an ordinary OD commodity.
-	Link graph.LinkID
 }
 
 // Flow is a routing in flow representation: Frac[k][e] is the fraction of
@@ -65,7 +62,7 @@ func ODCommodities(n int, demand func(a, b graph.NodeID) float64) []Commodity {
 			}
 			if v := demand(graph.NodeID(a), graph.NodeID(b)); v > 0 {
 				comms = append(comms, Commodity{
-					Src: graph.NodeID(a), Dst: graph.NodeID(b), Demand: v, Link: -1,
+					Src: graph.NodeID(a), Dst: graph.NodeID(b), Demand: v,
 				})
 			}
 		}
@@ -78,7 +75,7 @@ func ODCommodities(n int, demand func(a, b graph.NodeID) float64) []Commodity {
 func LinkCommodities(g *graph.Graph) []Commodity {
 	comms := make([]Commodity, g.NumLinks())
 	for _, l := range g.Links() {
-		comms[l.ID] = Commodity{Src: l.Src, Dst: l.Dst, Demand: 0, Link: l.ID}
+		comms[l.ID] = Commodity{Src: l.Src, Dst: l.Dst, Demand: 0}
 	}
 	return comms
 }

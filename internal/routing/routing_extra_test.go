@@ -23,13 +23,13 @@ func TestConvexCombinationPreservesValidity(t *testing.T) {
 	g.AddLink(c, d, 1, 1, 1) // 3
 	g.AddLink(b, c, 1, 1, 1) // 4
 
-	top := NewFlow(g, []Commodity{{Src: a, Dst: d, Link: -1}})
+	top := NewFlow(g, []Commodity{{Src: a, Dst: d}})
 	top.Frac[0][0] = 1
 	top.Frac[0][2] = 1
-	bottom := NewFlow(g, []Commodity{{Src: a, Dst: d, Link: -1}})
+	bottom := NewFlow(g, []Commodity{{Src: a, Dst: d}})
 	bottom.Frac[0][1] = 1
 	bottom.Frac[0][3] = 1
-	zig := NewFlow(g, []Commodity{{Src: a, Dst: d, Link: -1}})
+	zig := NewFlow(g, []Commodity{{Src: a, Dst: d}})
 	zig.Frac[0][0] = 1
 	zig.Frac[0][4] = 1
 	zig.Frac[0][3] = 1
@@ -79,7 +79,7 @@ func TestDecomposeRandomFlows(t *testing.T) {
 			continue
 		}
 		// Random mixture of 3 random simple paths.
-		f := NewFlow(g, []Commodity{{Src: src, Dst: dst, Demand: 1, Link: -1}})
+		f := NewFlow(g, []Commodity{{Src: src, Dst: dst, Demand: 1}})
 		remaining := 1.0
 		for p := 0; p < 3; p++ {
 			w := remaining

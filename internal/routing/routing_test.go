@@ -26,7 +26,7 @@ func diamond(t *testing.T) (*graph.Graph, [4]graph.NodeID) {
 
 func TestValidateAccepts(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 5, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 5}})
 	f.Frac[0][0] = 0.4
 	f.Frac[0][2] = 0.4
 	f.Frac[0][1] = 0.6
@@ -38,7 +38,7 @@ func TestValidateAccepts(t *testing.T) {
 
 func TestValidateR1Conservation(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3]}})
 	f.Frac[0][0] = 0.5
 	f.Frac[0][1] = 0.5
 	f.Frac[0][2] = 0.3 // leaks 0.2 at b
@@ -50,7 +50,7 @@ func TestValidateR1Conservation(t *testing.T) {
 
 func TestValidateR2SourceUnit(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3]}})
 	f.Frac[0][0] = 0.3
 	f.Frac[0][2] = 0.3
 	if err := validate(f, 1e-9); err == nil {
@@ -66,7 +66,7 @@ func TestValidateR3NoReturnToSource(t *testing.T) {
 	ab := g.AddLink(a, b, 1, 1, 1)
 	bc := g.AddLink(b, c, 1, 1, 1)
 	ba := g.AddLink(b, a, 1, 1, 1)
-	f := NewFlow(g, []Commodity{{Src: a, Dst: c, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: a, Dst: c}})
 	f.Frac[0][ab] = 1.2
 	f.Frac[0][bc] = 1.0
 	f.Frac[0][ba] = 0.2
@@ -85,7 +85,7 @@ func TestValidateR3NoReturnToSource(t *testing.T) {
 
 func TestValidateR4Range(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3]}})
 	f.Frac[0][0] = 1.5
 	f.Frac[0][2] = 1.5
 	if err := validate(f, 1e-9); err == nil {
@@ -95,7 +95,7 @@ func TestValidateR4Range(t *testing.T) {
 
 func TestValidateRejectsSelfCommodity(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[0], Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[0]}})
 	if err := validate(f, 1e-9); err == nil {
 		t.Fatalf("src==dst commodity accepted")
 	}
@@ -103,7 +103,7 @@ func TestValidateRejectsSelfCommodity(t *testing.T) {
 
 func TestLoadsAndMLU(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 8, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 8}})
 	f.Frac[0][0] = 0.25
 	f.Frac[0][2] = 0.25
 	f.Frac[0][1] = 0.75
@@ -124,7 +124,7 @@ func TestODCommodities(t *testing.T) {
 		}
 		return 0
 	})
-	if len(comms) != 1 || comms[0].Demand != 7 || comms[0].Link != -1 {
+	if len(comms) != 1 || comms[0].Demand != 7 {
 		t.Fatalf("comms = %+v", comms)
 	}
 }
@@ -137,7 +137,7 @@ func TestLinkCommodities(t *testing.T) {
 	}
 	for i, c := range comms {
 		l := g.Link(graph.LinkID(i))
-		if c.Src != l.Src || c.Dst != l.Dst || c.Link != l.ID {
+		if c.Src != l.Src || c.Dst != l.Dst {
 			t.Fatalf("commodity %d mismatch: %+v", i, c)
 		}
 	}
@@ -145,7 +145,7 @@ func TestLinkCommodities(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1}})
 	f.Frac[0][0] = 0.5
 	cp := f.Clone()
 	cp.Frac[0][0] = 0.9
@@ -157,7 +157,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestDecomposeSplitsPaths(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1}})
 	f.Frac[0][0] = 0.3
 	f.Frac[0][2] = 0.3
 	f.Frac[0][1] = 0.7
@@ -189,7 +189,7 @@ func TestRemoveLoops(t *testing.T) {
 	bd := g.AddLink(b, d, 1, 1, 1)
 	bc := g.AddLink(b, c, 1, 1, 1)
 	cb := g.AddLink(c, b, 1, 1, 1)
-	f := NewFlow(g, []Commodity{{Src: a, Dst: d, Demand: 1, Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: a, Dst: d, Demand: 1}})
 	f.Frac[0][ab] = 1
 	f.Frac[0][bd] = 1
 	f.Frac[0][bc] = 0.4
@@ -211,7 +211,7 @@ func TestRemoveLoops(t *testing.T) {
 
 func TestSetDemands(t *testing.T) {
 	g, n := diamond(t)
-	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Link: -1}})
+	f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3]}})
 	f.SetDemands(func(a, b graph.NodeID) float64 { return 11 })
 	if f.Comms[0].Demand != 11 {
 		t.Fatalf("SetDemands failed")
@@ -224,7 +224,7 @@ func TestSetDemands(t *testing.T) {
 func TestValidateRejectsNonFinite(t *testing.T) {
 	g, n := diamond(t)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1, Link: -1}})
+		f := NewFlow(g, []Commodity{{Src: n[0], Dst: n[3], Demand: 1}})
 		for e := range f.Frac[0] {
 			f.Frac[0][e] = v
 		}

@@ -46,7 +46,7 @@ func TestHopRuleStepsStrictlyCloser(t *testing.T) {
 		if p := ShortestPath(g, a, d, nil, WeightCost(g), &s); len(p) != 1 {
 			t.Fatalf("%s: a→d path %v, want the direct link", g.Name, p)
 		}
-		f := ECMPFlow(g, []routing.Commodity{{Src: b, Dst: d, Demand: 1, Link: -1}}, nil, WeightCost(g))
+		f := ECMPFlow(g, []routing.Commodity{{Src: b, Dst: d, Demand: 1}}, nil, WeightCost(g))
 		var in float64
 		for _, id := range g.In(d) {
 			in += f.Frac[0][id]
@@ -70,7 +70,7 @@ func checkHopRule(t *testing.T, g *graph.Graph, down *graph.LinkSet) {
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a != b {
-				comms = append(comms, routing.Commodity{Src: graph.NodeID(a), Dst: graph.NodeID(b), Demand: 1, Link: -1})
+				comms = append(comms, routing.Commodity{Src: graph.NodeID(a), Dst: graph.NodeID(b), Demand: 1})
 			}
 		}
 	}

@@ -24,10 +24,6 @@ var Infinity = math.Inf(1)
 // shared and read-only.
 func WeightCost(g *graph.Graph) []float64 { return g.CSR().Weight }
 
-// DelayCost returns g's propagation-delay cost row: the CSR's Delay
-// column, shared and read-only.
-func DelayCost(g *graph.Graph) []float64 { return g.CSR().Delay }
-
 // Hops appends to buf, and returns, the equal-cost next hops of node u in
 // a reverse tree (dist, next) that SPFTo built over cost and down: every
 // alive out-link, in CSR order, whose head is strictly closer to the

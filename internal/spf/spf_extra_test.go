@@ -10,27 +10,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func TestDelayCost(t *testing.T) {
-	g := graph.New("d")
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	c := g.AddNode("c")
-	// Direct link a->c has small weight but huge delay; a->b->c is faster
-	// by delay.
-	g.AddLink(a, c, 1, 100, 1)
-	g.AddLink(a, b, 1, 2, 10)
-	g.AddLink(b, c, 1, 2, 10)
-	var s Scratch
-	byWeight := ShortestPath(g, a, c, nil, WeightCost(g), &s)
-	byDelay := ShortestPath(g, a, c, nil, DelayCost(g), &s)
-	if len(byWeight) != 1 {
-		t.Fatalf("weight path = %v", byWeight)
-	}
-	if len(byDelay) != 2 {
-		t.Fatalf("delay path = %v", byDelay)
-	}
-}
-
 // TestPathFromNextUnreachable: PathFromNext, and the graph-walking
 // reference it is checked against, return nil from a node that cannot
 // reach the destination and from the destination itself.
@@ -128,7 +107,7 @@ func TestOptimizeWeightsMultipleMatrices(t *testing.T) {
 func TestECMPRespectsWeightChanges(t *testing.T) {
 	g := topo.Abilene()
 	src, dst := graph.NodeID(0), graph.NodeID(6)
-	comms := []routing.Commodity{{Src: src, Dst: dst, Demand: 1, Link: -1}}
+	comms := []routing.Commodity{{Src: src, Dst: dst, Demand: 1}}
 	before := ECMPFlow(g, comms, nil, WeightCost(g)).Frac[0]
 	// Penalize the first link on the current path.
 	var firstLink graph.LinkID = -1

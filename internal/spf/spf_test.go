@@ -91,7 +91,7 @@ func TestECMPFlowEvenSplit(t *testing.T) {
 	// must split 50/50.
 	g, n := square(t)
 	g.SetWeight(6, 1) // make c->d weight 1 too
-	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4, Link: -1}}
+	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4}}
 	f := ECMPFlow(g, comms, nil, WeightCost(g))
 	if err := comms[0].Validate(g, f.Frac[0], 1e-9); err != nil {
 		t.Fatalf("ECMP flow invalid: %v", err)
@@ -108,7 +108,7 @@ func TestECMPFlowEvenSplit(t *testing.T) {
 func TestECMPFlowUnreachableZeroRow(t *testing.T) {
 	g, n := square(t)
 	fail := graph.NewLinkSet(0, 2)
-	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4, Link: -1}}
+	comms := []routing.Commodity{{Src: n[0], Dst: n[3], Demand: 4}}
 	f := ECMPFlow(g, comms, &fail, WeightCost(g))
 	for e, v := range f.Frac[0] {
 		if v != 0 {

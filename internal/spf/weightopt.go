@@ -12,24 +12,21 @@ import (
 type OptimizeOptions struct {
 	// Rounds is the number of local-search rounds (default 60).
 	Rounds int
-	// Candidates is how many of the most-utilized links are considered for
-	// a weight change each round (default 5).
-	Candidates int
-	// MaxWeight caps weights (default 20).
-	MaxWeight float64
 	// Seed drives tie-breaking perturbations.
 	Seed int64
 }
 
+const (
+	// weightCandidates is how many of the most-utilized links the
+	// optimizer considers for a weight change each round.
+	weightCandidates = 5
+	// maxWeight caps weights.
+	maxWeight = 20
+)
+
 func (o *OptimizeOptions) defaults() {
 	if o.Rounds == 0 {
 		o.Rounds = 60
-	}
-	if o.Candidates == 0 {
-		o.Candidates = 5
-	}
-	if o.MaxWeight == 0 {
-		o.MaxWeight = 20
 	}
 }
 
@@ -85,13 +82,13 @@ func OptimizeWeights(g *graph.Graph, demands []func(a, b graph.NodeID) float64, 
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].u > ranked[j].u })
 
 		improved := false
-		for c := 0; c < opts.Candidates && c < len(ranked); c++ {
+		for c := 0; c < weightCandidates && c < len(ranked); c++ {
 			id := ranked[c].id
 			old := g.Link(id).Weight
 			// Try pushing traffic off the hot link by raising its weight.
 			delta := 1 + float64(rng.Intn(3))
 			nw := old + delta
-			if nw > opts.MaxWeight {
+			if nw > maxWeight {
 				continue
 			}
 			g.SetWeight(id, nw)
@@ -108,7 +105,7 @@ func OptimizeWeights(g *graph.Graph, demands []func(a, b graph.NodeID) float64, 
 			id := graph.LinkID(rng.Intn(g.NumLinks()))
 			old := g.Link(id).Weight
 			nw := old + float64(1+rng.Intn(2))
-			if nw <= opts.MaxWeight {
+			if nw <= maxWeight {
 				g.SetWeight(id, nw)
 				if u, l := evaluate(); u <= best+1e-9 {
 					best, loads = u, l

@@ -19,7 +19,7 @@ const maxGroups = 64
 // rounds. The returned sequence's rounds are numbered 1..k and are meant
 // to be applied via mplsff.ApplyRound (directly or through the
 // emulator's staged delivery); applying all of them transforms
-// mplsff.Build(plan) into Sequence.Final.
+// mplsff.Build(plan) into one-shot activation of the same failure set.
 func Schedule(plan *core.Plan, failures []graph.LinkID, opts Options) (*Sequence, error) {
 	opts.defaults()
 	g := plan.G
@@ -50,10 +50,9 @@ func Schedule(plan *core.Plan, failures []graph.LinkID, opts Options) (*Sequence
 	sc.data = sc.stateOf(0)
 	sc.net = sc.materialize(sc.data)
 	sc.seq.TransientMLU = sc.mluOf(0)
-	search(len(sc.groups), opts.MaxExactGroups, sc.envelope, sc.activate, sc.greedy)
+	search(len(sc.groups), opts.maxExactGroups, sc.envelope, sc.activate, sc.greedy)
 	sc.reconcile()
 	sc.seq.FinalMLU = sc.data.MLU()
-	sc.seq.Final = sc.net
 
 	seq := sc.finish(len(sc.groups), "transition.best_effort")
 	sc.cert.reg.Counter("transition.swaps").Add(int64(seq.Swaps))
@@ -298,7 +297,7 @@ func (sc *scheduler) interimDetour(st *core.State, e graph.LinkID, alsoDown []gr
 		dead.Add(x)
 	}
 	res, err := sc.cert.solve(
-		[]routing.Commodity{{Src: link.Src, Dst: link.Dst, Demand: loads[e], Link: e}},
+		[]routing.Commodity{{Src: link.Src, Dst: link.Dst, Demand: loads[e]}},
 		mcf.Options{Alive: dead.Alive(), Background: bg})
 	if err != nil {
 		return nil, err

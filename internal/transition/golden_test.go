@@ -23,7 +23,8 @@ import (
 // whether the certificate failed, Fallback, CongestionFree, the delta's
 // wire size, and the fingerprint of a view that has applied rounds 1..Seq
 // — which pins the delta's content, not only its size), then the sequence
-// totals, Final's fingerprint, and every counter the run left in its
+// totals, the fingerprint of the view after the last round, and every
+// counter the run left in its
 // registry (transition.* and the LP's own, so the warm chain is pinned
 // pivot for pivot).
 func sequenceDigest(start *mplsff.Network, seq *Sequence, reg *obs.Registry) uint64 {
@@ -73,7 +74,7 @@ func sequenceDigest(start *mplsff.Network, seq *Sequence, reg *obs.Registry) uin
 	w(uint64(seq.Swaps))
 	w(uint64(seq.CertifyErrs))
 	w(uint64(seq.WireBytes()))
-	w(seq.Final.Fingerprint())
+	w(view.Fingerprint())
 	counters := reg.Snapshot().Counters
 	names := make([]string, 0, len(counters))
 	for name := range counters {
@@ -149,8 +150,8 @@ func TestSequenceGolden(t *testing.T) {
 	}{
 		{"activate/abilene-2duplex", activate(plan, twoDuplex, Options{}), nil, 0x90f67644e91e458c},
 		{"activate/abilene-2duplex-nocert", activate(plan, twoDuplex, Options{SkipCertify: true}), nil, 0xb8c0bf36153f1c25},
-		{"activate/abilene-2duplex-greedy", activate(plan, twoDuplex, Options{MaxExactGroups: -1}), nil, 0x946d5341aa476b45},
-		{"activate/abilene-2duplex-greedy-nocert", activate(plan, twoDuplex, Options{SkipCertify: true, MaxExactGroups: -1}), nil, 0x519c5082acd47666},
+		{"activate/abilene-2duplex-greedy", activate(plan, twoDuplex, Options{maxExactGroups: -1}), nil, 0x946d5341aa476b45},
+		{"activate/abilene-2duplex-greedy-nocert", activate(plan, twoDuplex, Options{SkipCertify: true, maxExactGroups: -1}), nil, 0x519c5082acd47666},
 		{"activate/abilene-2duplex-certify-error", activate(plan, twoDuplex, Options{}), failing, 0xaf88e226928c284f},
 		{"activate/hot-detour-nocert", activate(hot, hotFails, Options{SkipCertify: true}), nil, 0x7ce28faca1089873},
 		{"activate/hot-detour", activate(hot, hotFails, Options{}), nil, 0x934643c14f3df590},
@@ -158,7 +159,7 @@ func TestSequenceGolden(t *testing.T) {
 		{"swap/abilene-one-round-nocert", swap(swapOld, swapNew, Options{SkipCertify: true}), nil, 0xcc02dde211e96bf9},
 		{"swap/hub-multi-round", swap(cross30Old, cross30New, Options{}), nil, 0x958939521d99df1d},
 		{"swap/hub-multi-round-rollback", swap(cross30New, cross30Old, Options{SkipCertify: true}), nil, 0x1055e7daca032874},
-		{"swap/hub-multi-round-greedy", swap(cross30Old, cross30New, Options{MaxExactGroups: -1}), nil, 0xfad5bd8420c1cc95},
+		{"swap/hub-multi-round-greedy", swap(cross30Old, cross30New, Options{maxExactGroups: -1}), nil, 0xfad5bd8420c1cc95},
 		{"swap/hub-interim", swap(deadOld, deadNew, Options{}), nil, 0xf547e32b14788a4d},
 		{"swap/hub-best-effort", swap(cross60Old, cross60New, Options{}), nil, 0xadb3316eb27aa4d0},
 		{"swap/hub-ilm-only", swap(cross30Old, cross20, Options{}), nil, 0xe583020f71b9f914},

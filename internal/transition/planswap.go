@@ -32,7 +32,7 @@ import (
 //
 //   - If the whole-delta envelope already fits, one swap round ships the
 //     full diff (the common case for small shifts).
-//   - Otherwise the shared search driver decides: for ≤ MaxExactGroups
+//   - Otherwise the shared search driver decides: for ≤ maxExactGroups
 //     changed commodities the exact minimal-k BFS over the subset lattice
 //     finds the fewest rounds whose every envelope fits; larger instances
 //     use a greedy batcher that packs each round with the commodities
@@ -67,7 +67,6 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 	r := begin(old.G, opts, "plan_swap", "swap round certificate")
 	startNet, targetNet := mplsff.Build(old), mplsff.Build(next)
 	seq := r.seq
-	seq.Final = targetNet
 	seq.FinalMLU = routing.MLU(next.G, core.NewState(next).Loads())
 	seq.TransientMLU = seq.FinalMLU
 
@@ -80,7 +79,7 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 	}
 
 	sw := newSwapper(old, next, r)
-	sw.plan(opts.MaxExactGroups)
+	sw.plan(opts.maxExactGroups)
 
 	prev := startNet
 	for bi := range sw.batches {
@@ -119,7 +118,6 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 		r.emit(round)
 		prev = cu
 	}
-	seq.Final = prev
 
 	r.cert.reg.Counter("transition.plan_swaps").Inc()
 	// Not congestion-free counts as best-effort only when the exact LP
@@ -258,7 +256,7 @@ func newSwapper(old, next *core.Plan, r *run) *swapper {
 			od: od, oldVec: scaleVec(dOld, frOld, E), newVec: scaleVec(dNew, frNew, E),
 			dOld: dOld, dNew: dNew, demand: d,
 		})
-		sw.comms = append(sw.comms, routing.Commodity{Src: od[0], Dst: od[1], Demand: d, Link: -1})
+		sw.comms = append(sw.comms, routing.Commodity{Src: od[0], Dst: od[1], Demand: d})
 	}
 
 	n := len(sw.groups)
@@ -480,7 +478,7 @@ func (sw *swapper) applyBatch(idx []int, interim bool) {
 // maskEnvelope is the lattice-search envelope: groups in cum at their
 // new vector, groups in add in flight from old to new, the rest at old,
 // plus the static background. Memoized; only used for n ≤
-// MaxExactGroups, before any batch has been applied.
+// maxExactGroups, before any batch has been applied.
 func (sw *swapper) maskEnvelope(cum, add uint64) float64 {
 	key := cum<<uint(len(sw.groups)) | add
 	if m, ok := sw.envMemo[key]; ok {

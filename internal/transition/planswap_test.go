@@ -56,9 +56,6 @@ func TestSchedulePlanSwapAppliesToNextPlan(t *testing.T) {
 	if got, want := n.Fingerprint(), mplsff.Build(next).Fingerprint(); got != want {
 		t.Fatalf("post-swap fingerprint %x != next plan fingerprint %x", got, want)
 	}
-	if got, want := n.Fingerprint(), seq.Final.Fingerprint(); got != want {
-		t.Fatalf("post-swap fingerprint %x != Sequence.Final %x", got, want)
-	}
 	// The round is the whole plan-to-plan delta: non-empty, and applying
 	// it unversioned reproduces the target network too.
 	if round.Delta.Empty() {
@@ -101,9 +98,6 @@ func TestSchedulePlanSwapIdentity(t *testing.T) {
 	}
 	if len(seq.Rounds) != 0 || !seq.CongestionFree {
 		t.Fatalf("self-swap produced %d rounds (congestion-free %v)", len(seq.Rounds), seq.CongestionFree)
-	}
-	if got, want := seq.Final.Fingerprint(), mplsff.Build(old).Fingerprint(); got != want {
-		t.Fatalf("identity swap Final %x != plan network %x", got, want)
 	}
 }
 

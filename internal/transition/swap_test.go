@@ -74,7 +74,7 @@ func hubPlan(t testing.TB, g *graph.Graph, dem float64, via map[[2]string]string
 		mid := via[od]
 		src, dst := node(od[0]), node(od[1])
 		d.Set(src, dst, dem)
-		comms = append(comms, routing.Commodity{Src: src, Dst: dst, Demand: dem, Link: -1})
+		comms = append(comms, routing.Commodity{Src: src, Dst: dst, Demand: dem})
 		paths = append(paths, []graph.NodeID{src, node("u"), node(mid), node("v"), dst})
 	}
 	base := routing.NewFlow(g, comms)
@@ -116,9 +116,6 @@ func applySwapRounds(t *testing.T, old, next *core.Plan, seq *Sequence) {
 	want := mplsff.Build(next).Fingerprint()
 	if got := n.Fingerprint(); got != want {
 		t.Fatalf("staged end state %x != one-shot Build(next) %x", got, want)
-	}
-	if got := seq.Final.Fingerprint(); got != want {
-		t.Fatalf("Sequence.Final %x != one-shot Build(next) %x", got, want)
 	}
 }
 

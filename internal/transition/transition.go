@@ -125,10 +125,6 @@ type Sequence struct {
 	// (Round.CertifyErr non-nil); mirrored by the
 	// transition.certify_errors counter.
 	CertifyErrs int
-	// Final is the reference network every router's view converges to
-	// after applying all rounds; its fingerprint equals one-shot
-	// activation of the same failure set.
-	Final *mplsff.Network
 	// Basis is the last certificate's optimal simplex basis, for
 	// warm-starting the next Schedule over the same plan via
 	// Options.Warm.
@@ -150,10 +146,10 @@ const feasTol = 1 + 1e-6
 
 // Options configures Schedule and SchedulePlanSwap.
 type Options struct {
-	// MaxExactGroups caps the exact subset-lattice search (default 6
+	// maxExactGroups caps the exact subset-lattice search (default 6
 	// groups = 64 subsets); larger instances go straight to the greedy
-	// order.
-	MaxExactGroups int
+	// order, and the package's tests set -1 to force it.
+	maxExactGroups int
 	// SkipCertify disables the per-round exact-LP certificate (LPMLU
 	// becomes NaN). The interim-detour fallback still uses the LP.
 	SkipCertify bool
@@ -165,8 +161,8 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.MaxExactGroups == 0 {
-		o.MaxExactGroups = 6
+	if o.maxExactGroups == 0 {
+		o.maxExactGroups = 6
 	}
 }
 

@@ -30,6 +30,7 @@ type tree struct {
 	fset  *token.FileSet
 	files []*treeFile
 	pkgs  map[string]*types.Package // by import path
+	path  func(dir string) string   // each directory's import path
 	info  *types.Info
 	decls map[types.Object]ast.Node // each checked top-level name's declaration
 }
@@ -108,10 +109,10 @@ func parseFile(fset *token.FileSet, path string) (*treeFile, error) {
 // os/user declare the same API, and running cgo and a C compiler on them
 // would cost a second here and a dependency on the machine.
 func checkTree(fset *token.FileSet, files []*treeFile, importPath func(dir string) string) (*tree, error) {
-	tr := &tree{fset: fset, files: files, pkgs: map[string]*types.Package{},
+	tr := &tree{fset: fset, files: files, pkgs: map[string]*types.Package{}, path: importPath,
 		decls: map[types.Object]ast.Node{},
 		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+			Selections: map[*ast.SelectorExpr]*types.Selection{}, Types: map[ast.Expr]types.TypeAndValue{}}}
 	byPath := map[string][]*ast.File{}
 	for _, f := range files {
 		if !f.test {
@@ -202,4 +203,108 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
+}
+
+// fieldRef is one reference to a struct field from a checked (non-test)
+// file.
+type fieldRef struct {
+	field *types.Var // the field's declaration (origin)
+	id    *ast.Ident // the referencing name; nil for a positional literal
+	write bool       // a store into the field, not a read of it
+	blind bool       // a write that replaces the whole value unread
+	own   bool       // inside a method of the field's own struct type
+	pkg   string     // the referencing file's import path
+}
+
+// fieldRefs returns every reference to a struct field from the checked
+// files. A write is a composite-literal key, a positional composite
+// literal of the struct (one write per field), the left side of an
+// assignment, ++ or --, a range key or value, or the operand of &; an
+// element stored into an array, slice or map field writes the field. A
+// write is blind when it replaces the field's whole value without
+// reading it: a literal, a plain = or a range assignment.
+// Everything else that names a field reads it.
+func (tr *tree) fieldRefs() []fieldRef {
+	var out []fieldRef
+	for _, f := range tr.files {
+		if f.test {
+			continue
+		}
+		pkg := tr.path(f.dir)
+		for _, decl := range f.ast.Decls {
+			var recv *types.Struct
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				if n := namedOf(tr.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()); n != nil {
+					recv, _ = n.Underlying().(*types.Struct)
+				}
+			}
+			ownField := func(v *types.Var) bool {
+				for i := 0; recv != nil && i < recv.NumFields(); i++ {
+					if origin(recv.Field(i)) == v {
+						return true
+					}
+				}
+				return false
+			}
+			// written holds each write's name, true for a blind one.
+			written := map[*ast.Ident]bool{}
+			store := func(x ast.Expr, blind bool) {
+				x = ast.Unparen(x)
+				for ix, ok := x.(*ast.IndexExpr); ok; ix, ok = x.(*ast.IndexExpr) {
+					x, blind = ast.Unparen(ix.X), false // a store into an element stores into the field
+				}
+				if sel, ok := x.(*ast.SelectorExpr); ok {
+					written[sel.Sel] = blind
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						store(x, n.Tok == token.ASSIGN)
+					}
+				case *ast.IncDecStmt:
+					store(n.X, false)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						store(n.Key, true)
+						if n.Value != nil {
+							store(n.Value, true)
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						store(n.X, false)
+					}
+				case *ast.CompositeLit:
+					t := tr.info.Types[n].Type
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+						for _, e := range n.Elts {
+							written[e.(*ast.KeyValueExpr).Key.(*ast.Ident)] = true
+						}
+						break
+					}
+					for i := range n.Elts {
+						v := origin(st.Field(i)).(*types.Var)
+						out = append(out, fieldRef{field: v, write: true, blind: true, own: ownField(v), pkg: pkg})
+					}
+				case *ast.Ident:
+					if v, ok := tr.info.Uses[n].(*types.Var); ok && v.IsField() {
+						v = origin(v).(*types.Var)
+						blind, write := written[n]
+						out = append(out, fieldRef{field: v, id: n, write: write, blind: blind, own: ownField(v), pkg: pkg})
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
