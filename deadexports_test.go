@@ -31,18 +31,21 @@ func TestNoDeadExports(t *testing.T) {
 
 // TestDeadExportsFixture runs the checker on testdata/deadexports: an
 // exported function nothing calls, a method only its test calls, a field
-// nothing reads, a field that is only written and a type named only by
-// its own method's receiver are reported, with their positions; a method
-// reached only through an interface, a json-tagged field that is only
-// written and the names its callers use are not.
+// nothing reads, fields that are only written (by =, by ++ and by op= into
+// an element) and a type named only by its own method's receiver are
+// reported, with their positions; a method reached only through an
+// interface, a json-tagged field that is only written and the names its
+// callers use are not.
 func TestDeadExportsFixture(t *testing.T) {
 	got := loadFixture(t).deadNames(func(string) bool { return true })
 	want := []string{
 		"testdata/deadexports/fixture.go:14: deadexports.Orphan",
 		"testdata/deadexports/fixture.go:19: deadexports.Box.Unread",
 		"testdata/deadexports/fixture.go:21: deadexports.Box.Written",
-		"testdata/deadexports/fixture.go:31: deadexports.Box.Stale",
-		"testdata/deadexports/fixture.go:55: deadexports.Tag",
+		"testdata/deadexports/fixture.go:22: deadexports.Box.Bumped",
+		"testdata/deadexports/fixture.go:23: deadexports.Box.Slots",
+		"testdata/deadexports/fixture.go:33: deadexports.Box.Stale",
+		"testdata/deadexports/fixture.go:59: deadexports.Tag",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("dead names:\n got %q\nwant %q", got, want)
@@ -83,11 +86,11 @@ func (tr *tree) deadNames(owned func(dir string) bool) []string {
 			}
 		}
 	}
-	// A blind store into a field is no use of it: a field nothing reads is
-	// dead however often it is written.
+	// A store into a field is no use of it, be it =, ++, op= or into an
+	// element: a field nothing reads is dead however often it is written.
 	stores := map[*ast.Ident]bool{}
 	for _, r := range tr.fieldRefs() {
-		if r.blind && r.id != nil {
+		if r.sink && r.id != nil {
 			stores[r.id] = true
 		}
 	}

@@ -211,21 +211,115 @@ func (m GroupFailures) ActiveSet(v []float64, y []float64) {
 	m.worst(v, y)
 }
 
+// worst returns the greedy worst load — the K largest positive SRLG sums,
+// added in descending order, plus the largest MLG sum — and, when mark is
+// non-nil, sets mark to 1 on every link of the chosen groups.
 func (m GroupFailures) worst(v []float64, mark []float64) float64 {
-	val := func(grp []graph.LinkID) float64 {
-		var s float64
-		for _, l := range grp {
-			if int(l) < len(v) && v[l] > 0 {
-				s += v[l]
-			}
-		}
-		return s
+	total, ok := m.topSRLGs(v, mark)
+	if !ok {
+		total = m.topSRLGsSorted(v, mark)
 	}
-	// Top-K SRLGs by value.
+	// Best single MLG.
+	bestV, bestI := 0.0, -1
+	for i, grp := range m.MLGs {
+		if s := groupSum(v, grp); s > bestV {
+			bestV, bestI = s, i
+		}
+	}
+	if bestI >= 0 {
+		total += bestV
+		if mark != nil {
+			markLinks(mark, m.MLGs[bestI])
+		}
+	}
+	return total
+}
+
+// groupSum is a group's value: the sum of its links' positive entries of
+// v, in the group's order.
+func groupSum(v []float64, grp []graph.LinkID) float64 {
+	var s float64
+	for _, l := range grp {
+		if int(l) < len(v) && v[l] > 0 {
+			s += v[l]
+		}
+	}
+	return s
+}
+
+// markLinks sets mark to 1 on a group's links.
+func markLinks(mark []float64, grp []graph.LinkID) {
+	for _, l := range grp {
+		if int(l) < len(mark) {
+			mark[l] = 1
+		}
+	}
+}
+
+// topSRLGs adds the K largest positive SRLG sums in descending order, and
+// marks their groups, through an insertion-sorted buffer of the K best
+// (K <= 32) that allocates nothing. The sum is topSRLGsSorted's bit for
+// bit: the same values in the same order, tied values adding the same
+// bits. The marks are too unless a group left out ties the K-th sum, where
+// the choice among the tied groups is sort.Slice's; so with mark non-nil
+// it then reports false, having marked nothing, as it does for K > 32.
+func (m GroupFailures) topSRLGs(v []float64, mark []float64) (float64, bool) {
+	k := m.K
+	if k <= 0 {
+		return 0, true
+	}
+	if k > 32 {
+		return 0, false
+	}
+	var bv [32]float64
+	var bi [32]int
+	n := 0
+	out := 0.0 // the largest sum left out of the buffer
+	for i, grp := range m.SRLGs {
+		x := groupSum(v, grp)
+		if x <= 0 {
+			continue
+		}
+		if n == k {
+			if x <= bv[n-1] {
+				out = max(out, x)
+				continue
+			}
+			out = max(out, bv[n-1])
+		}
+		j := n
+		if j == k {
+			j--
+		}
+		for j > 0 && bv[j-1] < x {
+			bv[j], bi[j] = bv[j-1], bi[j-1]
+			j--
+		}
+		bv[j], bi[j] = x, i
+		if n < k {
+			n++
+		}
+	}
+	if mark != nil && n == k && out == bv[k-1] {
+		return 0, false
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		total += bv[i]
+		if mark != nil {
+			markLinks(mark, m.SRLGs[bi[i]])
+		}
+	}
+	return total, true
+}
+
+// topSRLGsSorted is topSRLGs by sort.Slice over every SRLG sum: the path
+// for K > 32 and for marks on a tie at the K-th sum.
+func (m GroupFailures) topSRLGsSorted(v []float64, mark []float64) float64 {
 	vals := make([]float64, len(m.SRLGs))
 	idx := make([]int, len(m.SRLGs))
 	for i, grp := range m.SRLGs {
-		vals[i] = val(grp)
+		vals[i] = groupSum(v, grp)
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
@@ -237,28 +331,7 @@ func (m GroupFailures) worst(v []float64, mark []float64) float64 {
 		}
 		total += vals[gi]
 		if mark != nil {
-			for _, l := range m.SRLGs[gi] {
-				if int(l) < len(mark) {
-					mark[l] = 1
-				}
-			}
-		}
-	}
-	// Best single MLG.
-	bestV, bestI := 0.0, -1
-	for i, grp := range m.MLGs {
-		if s := val(grp); s > bestV {
-			bestV, bestI = s, i
-		}
-	}
-	if bestI >= 0 {
-		total += bestV
-		if mark != nil {
-			for _, l := range m.MLGs[bestI] {
-				if int(l) < len(mark) {
-					mark[l] = 1
-				}
-			}
+			markLinks(mark, m.SRLGs[gi])
 		}
 	}
 	return total

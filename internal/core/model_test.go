@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/topo"
 )
 
 func TestSumTopKAgainstSort(t *testing.T) {
@@ -118,6 +119,112 @@ func TestGroupFailuresModel(t *testing.T) {
 	// K=1 takes the single largest SRLG {0,1} (2 links) + MLG {4,5} (2).
 	if got := m.MaxFailures(); got != 4 {
 		t.Fatalf("MaxFailures = %d, want 4", got)
+	}
+}
+
+// groupWorstOracle is GroupFailures.worst as it was before the insertion
+// buffer: every SRLG sum in two fresh slices, sort.Slice, the first K
+// positive ones. It is the oracle worst is held to.
+func groupWorstOracle(m GroupFailures, v []float64, mark []float64) float64 {
+	val := func(grp []graph.LinkID) float64 {
+		var s float64
+		for _, l := range grp {
+			if int(l) < len(v) && v[l] > 0 {
+				s += v[l]
+			}
+		}
+		return s
+	}
+	vals := make([]float64, len(m.SRLGs))
+	idx := make([]int, len(m.SRLGs))
+	for i, grp := range m.SRLGs {
+		vals[i] = val(grp)
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
+	var total float64
+	for i := 0; i < m.K && i < len(idx); i++ {
+		gi := idx[i]
+		if vals[gi] <= 0 {
+			break
+		}
+		total += vals[gi]
+		if mark != nil {
+			for _, l := range m.SRLGs[gi] {
+				if int(l) < len(mark) {
+					mark[l] = 1
+				}
+			}
+		}
+	}
+	bestV, bestI := 0.0, -1
+	for i, grp := range m.MLGs {
+		if s := val(grp); s > bestV {
+			bestV, bestI = s, i
+		}
+	}
+	if bestI >= 0 {
+		total += bestV
+		if mark != nil {
+			for _, l := range m.MLGs[bestI] {
+				if int(l) < len(mark) {
+					mark[l] = 1
+				}
+			}
+		}
+	}
+	return total
+}
+
+// TestGroupFailuresMatchesSortOracle holds WorstLoad and ActiveSet to the
+// sort.Slice oracle, bit for bit, on the US-ISP SRLGs and MLGs with K from
+// 1 to 40, on columns whose few distinct values make group sums tie —
+// inside the top K and across the K-th place, where the marks must follow
+// sort.Slice's choice — and on sparse random columns. WorstLoad allocates
+// nothing for K <= 32.
+func TestGroupFailuresMatchesSortOracle(t *testing.T) {
+	g := topo.USISP()
+	nL := g.NumLinks()
+	rng := rand.New(rand.NewSource(16))
+	v := make([]float64, nL)
+	y, want := make([]float64, nL), make([]float64, nL)
+	ties := 0
+	for _, k := range []int{1, 2, 3, 5, 33, 40} {
+		m := ModelFromGraph(g, k)
+		for trial := 0; trial < 300; trial++ {
+			for l := range v {
+				v[l] = 0
+				switch r := rng.Intn(4); {
+				case trial%2 == 0 && r == 0:
+					v[l] = float64(1 + rng.Intn(3)) // few values: tied sums
+				case trial%2 == 1 && r == 0:
+					v[l] = rng.ExpFloat64()
+				}
+			}
+			got, w := m.WorstLoad(v), groupWorstOracle(m, v, nil)
+			if math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("K=%d trial %d: WorstLoad %v, oracle %v", k, trial, got, w)
+			}
+			clear(want)
+			groupWorstOracle(m, v, want)
+			m.ActiveSet(v, y)
+			for l := range y {
+				if y[l] != want[l] {
+					t.Fatalf("K=%d trial %d: ActiveSet[%d] = %v, oracle %v", k, trial, l, y[l], want[l])
+				}
+			}
+			if _, ok := m.topSRLGs(v, y); !ok && k <= 32 {
+				ties++
+			}
+		}
+		if k <= 32 {
+			if n := testing.AllocsPerRun(20, func() { m.WorstLoad(v) }); n != 0 {
+				t.Fatalf("K=%d: WorstLoad allocates %v times", k, n)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no column tied across the K-th place: the marks' fallback is untested")
 	}
 }
 

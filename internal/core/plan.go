@@ -212,10 +212,14 @@ type State struct {
 // own lists the rewritten rows, ascending, and rows[i] holds row own[i]'s
 // rewritten cells. Clones share both lists and the overrides; mine marks
 // lists no other state holds, which a reroute then updates in place
-// instead of replacing.
+// instead of replacing. dels, nil until LostDemand first asks, is aligned
+// with own and caches each rewritten base row's delivered share
+// (Plan.delivered), -1 where a reroute has rewritten the row since; it is
+// shared and replaced with the other lists.
 type overlay struct {
 	own  []int32
 	rows []override
+	dels []float64
 	mine bool
 }
 
@@ -563,18 +567,29 @@ func (h *overlay) splice(plan []routing.SparseRow, ix *colIndex, e int32, xi []f
 	if !crossed {
 		return
 	}
-	// The lists are rebuilt when they are shared or a row joins them.
+	// The lists are rebuilt when they are shared or a row joins them. A
+	// rewritten row's cached delivered share is stale.
 	var own []int32
 	var rows []override
+	var dels []float64
 	rebuild := !h.mine || nOwn > len(h.own)
 	if rebuild {
 		own, rows = make([]int32, 0, nOwn), make([]override, 0, nOwn)
+		if h.dels != nil {
+			dels = make([]float64, 0, nOwn)
+		}
 	}
-	put := func(k int32, j int, o override) {
+	put := func(k int32, j int, o override, del float64) {
 		if rebuild {
 			own, rows = append(own, k), append(rows, o)
+			if dels != nil {
+				dels = append(dels, del)
+			}
 		} else {
 			h.rows[j] = o
+			if h.dels != nil {
+				h.dels[j] = del
+			}
 		}
 	}
 	idx := make([]int32, 0, nCells)
@@ -586,7 +601,11 @@ func (h *overlay) splice(plan []routing.SparseRow, ix *colIndex, e int32, xi []f
 		}
 		if !crosses(k, v) {
 			if j >= 0 {
-				put(k, j, old)
+				del := -1.0
+				if h.dels != nil {
+					del = h.dels[j]
+				}
+				put(k, j, old, del)
 			}
 			return
 		}
@@ -609,10 +628,10 @@ func (h *overlay) splice(plan []routing.SparseRow, ix *colIndex, e int32, xi []f
 		}
 		moved, left := split(v, frac)
 		spliceRow(ni, nv, oi, ov, &plan[k], cells, e, xi, moved, left)
-		put(k, j, override{ni, nv, true})
+		put(k, j, override{ni, nv, true}, -1)
 	})
 	if rebuild {
-		h.own, h.rows, h.mine = own, rows, true
+		h.own, h.rows, h.dels, h.mine = own, rows, dels, true
 	}
 }
 
@@ -939,13 +958,31 @@ func (s *State) SetDemands(demand func(a, b graph.NodeID) float64) {
 
 // LostDemand returns the total demand dropped because reconfiguration hit
 // a partition (sum over commodities of demand × undelivered fraction).
+// The delivered share of a rewritten row is kept (overlay.dels) while the
+// state alone holds its lists, so a clone computes only the rows its own
+// reroutes rewrote.
 func (s *State) LostDemand() float64 {
 	ix := s.plan.baseIndex()
+	h := &s.base
+	if h.dels == nil && h.mine {
+		h.dels = make([]float64, len(h.own))
+		for j := range h.dels {
+			h.dels[j] = -1
+		}
+	}
 	var lost float64
 	j := 0
 	for k, del := range ix.delivered {
-		if j < len(s.base.own) && int(s.base.own[j]) == k {
-			del = s.plan.delivered(k, s.base.rows[j])
+		if j < len(h.own) && int(h.own[j]) == k {
+			if del = -1; h.dels != nil {
+				del = h.dels[j]
+			}
+			if del < 0 {
+				del = s.plan.delivered(k, h.rows[j])
+				if h.mine {
+					h.dels[j] = del
+				}
+			}
 			j++
 		}
 		if d := s.demandOf(k); d != 0 {

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // VerifyReport is the result of empirically checking a plan's guarantee
 // by replaying scenarios through online reconfiguration.
@@ -39,15 +44,47 @@ func (p *Plan) Verify(maxFail, maxScenarios int) (*VerifyReport, error) {
 // for scenarios inside the plan's protected envelopes — failure sets
 // covered by the model, in-budget degradations, surges folded into the
 // demand hull — a plan with MLU <= 1 must show zero violations.
+//
+// Failure sets share their prefixes: a pure-failure scenario whose
+// ascending link IDs extend the failure set of an earlier scenario on the
+// current chain (EnumerateFailures' pre-order lists each prefix just
+// before its children) starts from a clone of that scenario's state and
+// fails only the rest, in the same ascending order ApplyScenario uses, so
+// the state — and the report — is the fresh replay's bit for bit. Any
+// other scenario starts from NewState.
 func (p *Plan) VerifyScenarios(scs []Scenario) (*VerifyReport, error) {
 	rep := &VerifyReport{ByKind: make(map[ScenarioKind]int)}
 	bound := p.MLU + 1e-6
+	// chain[i] holds the state of failing ids[:n] for the i-th prefix
+	// length n on the chain; chain[0] is the plan's own state.
+	type prefix struct {
+		n  int
+		st *State
+	}
+	chain := []prefix{{0, NewState(p)}}
+	var ids []graph.LinkID
 	for _, sc := range scs {
 		rep.Scenarios++
 		rep.ByKind[sc.EffectiveKind()]++
-		st := NewState(p)
-		if err := st.ApplyScenario(sc); err != nil {
-			return nil, err
+		var st *State
+		if sc.SurgeScale > 1 || len(sc.Degraded) > 0 {
+			st = NewState(p)
+			if err := st.ApplyScenario(sc); err != nil {
+				return nil, err
+			}
+		} else {
+			next := sc.Failed.IDs()
+			// Keep the longest chain entry whose failures lead next.
+			for len(chain) > 1 && !prefixOf(ids[:chain[len(chain)-1].n], next) {
+				chain = chain[:len(chain)-1]
+			}
+			top := chain[len(chain)-1]
+			st = top.st.Clone()
+			if err := st.FailAll(next[top.n:]...); err != nil {
+				return nil, err
+			}
+			ids = next
+			chain = append(chain, prefix{len(next), st})
 		}
 		if st.LostDemand() > 1e-9 {
 			rep.Partitions++
@@ -62,4 +99,9 @@ func (p *Plan) VerifyScenarios(scs []Scenario) (*VerifyReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// prefixOf reports whether a lists the leading elements of b.
+func prefixOf(a, b []graph.LinkID) bool {
+	return len(a) <= len(b) && slices.Equal(a, b[:len(a)])
 }

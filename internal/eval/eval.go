@@ -193,8 +193,6 @@ type Result struct {
 	Kind string
 	// Bottleneck is the bottleneck traffic intensity per scheme name.
 	Bottleneck map[string]float64
-	// Lost is the dropped demand per scheme name.
-	Lost map[string]float64
 	// Optimal is the optimal flow-based routing's bottleneck for the
 	// scenario (the performance-ratio denominator).
 	Optimal float64
@@ -359,7 +357,6 @@ func (en *Engine) EvaluateScenarios(d *traffic.Matrix, scenarios []core.Scenario
 			res := Result{
 				Kind:       string(sc.EffectiveKind()),
 				Bottleneck: make(map[string]float64, len(en.Schemes)),
-				Lost:       make(map[string]float64, len(en.Schemes)),
 			}
 			// nil for pure failures, so those stay on the classic
 			// (bit-identical) arithmetic.
@@ -369,16 +366,14 @@ func (en *Engine) EvaluateScenarios(d *traffic.Matrix, scenarios []core.Scenario
 			res.Optimal = protect.BottleneckScaled(en.G, sc.Failed, capScale, ol)
 			for _, s := range en.Schemes {
 				var loads []float64
-				var lost float64
 				if ss, ok := s.(ScenarioScheme); ok {
 					// The scheme replays the full scenario itself, from the
 					// base (unsurged) matrix.
-					loads, lost = ss.ScenarioLoads(sc, d)
+					loads, _ = ss.ScenarioLoads(sc, d)
 				} else {
-					loads, lost = s.Loads(sc.Failed, dEff)
+					loads, _ = s.Loads(sc.Failed, dEff)
 				}
 				res.Bottleneck[s.Name()] = protect.BottleneckScaled(en.G, sc.Failed, capScale, loads)
-				res.Lost[s.Name()] = lost
 				if live {
 					if e := bottleneckLink(g, sc.Failed, capScale, loads); e >= 0 {
 						bottle.Add(e, 1)

@@ -65,9 +65,7 @@ func TestEngineLostAccounting(t *testing.T) {
 		cut.Add(id)
 		cut.Add(g.Link(id).Reverse)
 	}
-	en := &Engine{G: g, Schemes: []protect.Scheme{&protect.OSPFRecon{G: g}}, OptimalIterations: 30}
-	res := en.Evaluate(d, []graph.LinkSet{cut})
-	if res[0].Lost["OSPF+recon"] <= 0 {
-		t.Fatalf("partition lost nothing: %v", res[0].Lost)
+	if _, lost := (&protect.OSPFRecon{G: g}).Loads(cut, d); lost <= 0 {
+		t.Fatalf("partition lost nothing: %v", lost)
 	}
 }

@@ -58,9 +58,6 @@ func TestEngineShardDeterminism(t *testing.T) {
 				if got[i].Bottleneck["OSPF+recon"] != ref[i].Bottleneck["OSPF+recon"] {
 					t.Fatalf("shards=%d workers=%d scenario %d: bottleneck differs", shards, workers, i)
 				}
-				if got[i].Lost["OSPF+recon"] != ref[i].Lost["OSPF+recon"] {
-					t.Fatalf("shards=%d workers=%d scenario %d: lost differs", shards, workers, i)
-				}
 			}
 		}
 	}

@@ -8,7 +8,7 @@ package graph
 // Layout: links keep their Graph IDs. OutLinks[OutHead[n]:OutHead[n+1]]
 // are the IDs of links leaving node n, in the same order Graph.Out
 // returns them; InLinks is the mirror over Graph.In. Src/Dst/Weight/
-// Delay/Capacity are indexed by link ID.
+// Capacity are indexed by link ID.
 //
 // A CSR is an immutable snapshot: it must not be modified, and it is
 // invalidated (lazily, on the next CSR call) by any Graph mutation,
@@ -24,7 +24,6 @@ type CSR struct {
 	Src      []int32   // per link: source node
 	Dst      []int32   // per link: destination node
 	Weight   []float64 // per link: IGP metric
-	Delay    []float64 // per link: propagation delay (ms)
 	Capacity []float64 // per link: capacity
 }
 
@@ -62,7 +61,6 @@ func buildCSR(g *Graph) *CSR {
 		Src:      make([]int32, nL),
 		Dst:      make([]int32, nL),
 		Weight:   make([]float64, nL),
-		Delay:    make([]float64, nL),
 		Capacity: make([]float64, nL),
 	}
 	for n := 0; n < nN; n++ {
@@ -81,7 +79,6 @@ func buildCSR(g *Graph) *CSR {
 		c.Src[i] = int32(l.Src)
 		c.Dst[i] = int32(l.Dst)
 		c.Weight[i] = l.Weight
-		c.Delay[i] = l.Delay
 		c.Capacity[i] = l.Capacity
 	}
 	return c

@@ -68,7 +68,7 @@ func TestCSRMatchesGraph(t *testing.T) {
 		if c.Src[e] != int32(l.Src) || c.Dst[e] != int32(l.Dst) {
 			t.Fatalf("link %d endpoints differ", e)
 		}
-		if c.Weight[e] != l.Weight || c.Delay[e] != l.Delay || c.Capacity[e] != l.Capacity {
+		if c.Weight[e] != l.Weight || c.Capacity[e] != l.Capacity {
 			t.Fatalf("link %d attributes differ", e)
 		}
 	}

@@ -51,9 +51,15 @@ type denseResult struct {
 // fresh tree per destination and call for the oracle. It is kept as the
 // oracle MinMLU is held to bit for bit. Its loops are cancelled on the
 // dense rows by removeCyclesDense, so it shares no code with
-// SparseRow.CancelLoops. It runs every iteration MinMLU skips at a repeated
-// stall, and counts them.
+// SparseRow.CancelLoops. Its line search is the full scan, lineSearchFull.
+// It runs every iteration MinMLU skips at a repeated stall, and counts them.
 func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *denseResult {
+	return minMLUDenseProbe(g, comms, opts, nil)
+}
+
+// minMLUDenseProbe is minMLUDense handing probe, when non-nil, the loads,
+// direction loads and capacities of every line search before it runs.
+func minMLUDenseProbe(g *graph.Graph, comms []routing.Commodity, opts Options, probe func(a, b, cap []float64)) *denseResult {
 	opts.defaults()
 	nL := g.NumLinks()
 	f := routing.NewFlow(g, comms)
@@ -166,7 +172,10 @@ func minMLUDense(g *graph.Graph, comms []routing.Commodity, opts Options) *dense
 			break
 		}
 
-		gamma := lineSearch(loads, dirLoads, cap)
+		if probe != nil {
+			probe(loads, dirLoads, cap)
+		}
+		gamma := lineSearchFull(loads, dirLoads, cap)
 		if gamma <= 1e-9 {
 			stalls++
 			if stalls > 24 {

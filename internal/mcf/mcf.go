@@ -16,8 +16,10 @@
 package mcf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -141,6 +143,10 @@ type Scratch struct {
 	down  graph.LinkSet
 	o     pathOracle
 	rows  []routing.SparseRow
+
+	// The line search's end utilisations and the links it probes.
+	u0, u1     []float64
+	cand, pool []int32
 }
 
 // grow returns buf resized to n, reallocating only when its capacity is
@@ -270,7 +276,7 @@ func MinMLUScratch(g *graph.Graph, comms []routing.Commodity, opts Options, sc *
 			break
 		}
 
-		gamma := lineSearch(loads, dirLoads, cap)
+		gamma := lineSearch(loads, dirLoads, cap, sc)
 		if gamma <= 1e-9 {
 			stalls++
 			if stalls > 24 {
@@ -475,11 +481,14 @@ func innerUtil(q, loads, cap []float64) float64 {
 }
 
 // lineSearch minimizes util((1-γ)a + γb) over γ ∈ [0,1] by ternary search
-// (the function is convex piecewise-linear in γ).
-func lineSearch(a, b, cap []float64) float64 {
+// (the function is convex piecewise-linear in γ). Its probes read only the
+// links maxCandidates keeps, which hold every probe's maximum, so γ is the
+// full scan's bit for bit.
+func lineSearch(a, b, cap []float64, sc *Scratch) float64 {
+	cand := maxCandidates(a, b, cap, sc)
 	eval := func(g float64) float64 {
 		max := 0.0
-		for e := range a {
+		for _, e := range cand {
 			if u := ((1-g)*a[e] + g*b[e]) / cap[e]; u > max {
 				max = u
 			}
@@ -501,6 +510,73 @@ func lineSearch(a, b, cap []float64) float64 {
 		return 0
 	}
 	return g
+}
+
+// dominance is the relative margin by which a link must beat another at
+// both ends of the segment for maxCandidates to drop the loser.
+const dominance = 1e-9
+
+// maxCandidates returns, in ascending order (in sc.cand), the links that can
+// hold the maximum of ((1-γ)a[e] + γb[e]) / cap[e] for some γ ∈ [0,1]. It
+// drops every link e that another link f beats at both ends by the relative
+// margin: u_f > u_e·(1+1e-9) at γ = 0 and at γ = 1, u = a/cap and b/cap.
+// Both values are linear in γ, so f beats e by that margin along the whole
+// segment, and each probe's value is at most six roundings (under 1e-15
+// relative) from it: f's computed value stays strictly above e's, and e
+// never sets a probe's maximum (DESIGN.md §6). The bound needs no overflow
+// and no subnormals, so a link takes part only when its loads and
+// utilisations lie in [0, 2^1000], and beats others only when both its
+// utilisations are at least 2^-1000; every other link is kept.
+//
+// A first pass drops what the link with the largest u0+u1 beats; a sweep
+// in descending u0 then drops what the remaining links beat.
+func maxCandidates(a, b, cap []float64, sc *Scratch) []int32 {
+	const hi, lo = 0x1p1000, 0x1p-1000
+	u0, u1 := grow(sc.u0, len(a)), grow(sc.u1, len(a))
+	sc.u0, sc.u1 = u0, u1
+	cand, pool := sc.cand[:0], sc.pool[:0]
+	beats := func(f, e int32) bool {
+		return u0[f] >= lo && u1[f] >= lo &&
+			u0[f] > u0[e]*(1+dominance) && u1[f] > u1[e]*(1+dominance)
+	}
+	ref := int32(-1)
+	for e := range a {
+		x, y := a[e]/cap[e], b[e]/cap[e]
+		u0[e], u1[e] = x, y
+		if !(a[e] >= 0 && a[e] <= hi && b[e] >= 0 && b[e] <= hi && x >= 0 && x <= hi && y >= 0 && y <= hi) {
+			cand = append(cand, int32(e))
+			continue
+		}
+		pool = append(pool, int32(e))
+		if ref < 0 || x+y > u0[ref]+u1[ref] {
+			ref = int32(e)
+		}
+	}
+	n := 0
+	for _, e := range pool {
+		if ref < 0 || !beats(ref, e) {
+			pool[n] = e
+			n++
+		}
+	}
+	pool = pool[:n]
+	slices.SortFunc(pool, func(x, y int32) int { return cmp.Compare(u0[y], u0[x]) })
+	// Every link with u0 above e's threshold precedes e; best is the
+	// largest u1 among those that may beat others.
+	best, p := math.Inf(-1), 0
+	for _, e := range pool {
+		for thr := u0[e] * (1 + dominance); p < len(pool) && u0[pool[p]] > thr; p++ {
+			if f := pool[p]; u0[f] >= lo && u1[f] >= lo && u1[f] > best {
+				best = u1[f]
+			}
+		}
+		if !(best > u1[e]*(1+dominance)) {
+			cand = append(cand, e)
+		}
+	}
+	slices.Sort(cand)
+	sc.cand, sc.pool = cand, pool
+	return cand
 }
 
 func allZeroDemand(comms []routing.Commodity) bool {

@@ -30,12 +30,12 @@ func allocPerScenario(s Scheme, scenarios []graph.LinkSet, d *traffic.Matrix) ui
 
 // TestBaselineLoadsAllocation holds the per-scenario baselines to link
 // loads: on SBC, over every single duplex failure, a warm OSPFRecon.Loads
-// allocates at most 16 KB and a warm Optimal.Loads (ScenarioLoads without
-// degradation) at most 32 KB, where one dense [commodity][link] flow is
-// 191 KB and a fresh min-MLU scratch ≈ 180 KB; a warm OptDetour.Loads, with
-// the cached ECMP base or a caller's Base flow, at most 4 KB, so it
-// neither clones its base flow (191 KB) nor solves its detours on a fresh
-// scratch (≈ 9 KB).
+// and a warm Optimal.Loads (ScenarioLoads without degradation) allocate at
+// most 1 KB — the returned row (560 B) and little else, where the matrix's
+// commodities are ≈ 11 KB, one dense [commodity][link] flow 191 KB and a
+// fresh min-MLU scratch ≈ 180 KB; a warm OptDetour.Loads, with the cached
+// ECMP base, at most 4 KB, so it neither clones a base flow (191 KB) nor
+// solves its detours on a fresh scratch (≈ 9 KB).
 func TestBaselineLoadsAllocation(t *testing.T) {
 	g := topo.SBC()
 	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
@@ -51,8 +51,8 @@ func TestBaselineLoadsAllocation(t *testing.T) {
 		s       Scheme
 		ceiling uint64
 	}{
-		{&OSPFRecon{G: g}, 16 << 10},
-		{&Optimal{G: g, Iterations: 40}, 32 << 10},
+		{&OSPFRecon{G: g}, 1 << 10},
+		{&Optimal{G: g, Iterations: 40}, 1 << 10},
 		{&OptDetour{G: g, Iterations: 40}, 4 << 10},
 	} {
 		got := allocPerScenario(tc.s, scenarios, d)

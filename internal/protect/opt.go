@@ -21,7 +21,7 @@ type OptDetour struct {
 	Iterations int
 
 	// base caches the failure-free ECMP loads per demand matrix.
-	base baseLoads
+	base perMatrix
 	// scratch is a free list of min-MLU scratches: a scenario's detour
 	// solve works in one and reads its result out before returning it.
 	scratch freeList[mcf.Scratch]
@@ -32,7 +32,7 @@ func (s *OptDetour) Name() string { return "OSPF+opt" }
 
 // Loads implements Scheme.
 func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	baseLoads := s.base.get(s.G, d)
+	baseLoads := s.base.baseLoads(s.G, d)
 
 	// Background: surviving base load.
 	bg := append([]float64(nil), baseLoads...)
@@ -72,6 +72,8 @@ type Optimal struct {
 	// scratch is a free list of min-MLU scratches: a scenario's solve
 	// works in one and reads its result out before returning it.
 	scratch freeList[mcf.Scratch]
+	// matrix caches the commodities of the demand matrix.
+	matrix perMatrix
 }
 
 // Name implements Scheme.
@@ -87,7 +89,7 @@ func (s *Optimal) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, flo
 // optimization, so the optimum respects a scenario's effective
 // capacities. A nil capScale computes exactly Loads.
 func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *traffic.Matrix) ([]float64, float64) {
-	comms := routing.ODCommodities(s.G.NumNodes(), d.At)
+	comms := s.matrix.commodities(s.G, d)
 	iters := s.Iterations
 	if iters == 0 {
 		iters = 200

@@ -40,6 +40,35 @@ func TestOptDetourCacheTracksMatrixContent(t *testing.T) {
 	}
 }
 
+// TestCommodityCacheTracksMatrixContent: OSPFRecon and Optimal build the
+// matrix's commodities once per matrix content, so a matrix mutated in
+// place must give what a fresh scheme value gives, bit for bit, and so
+// must the original matrix after it.
+func TestCommodityCacheTracksMatrixContent(t *testing.T) {
+	g := topo.Abilene()
+	d := traffic.Gravity(g, 0.1*g.TotalCapacity(), 2)
+	failed := graph.NewLinkSet(0, g.Link(0).Reverse)
+	for _, mk := range []func() Scheme{
+		func() Scheme { return &OSPFRecon{G: g} },
+		func() Scheme { return &Optimal{G: g, Iterations: 40} },
+	} {
+		s := mk()
+		for step, scale := range []float64{1, 2, 0.5} {
+			d.Scale(scale)
+			got, gotLost := s.Loads(failed, d)
+			want, wantLost := mk().Loads(failed, d)
+			if math.Float64bits(gotLost) != math.Float64bits(wantLost) {
+				t.Fatalf("%s step %d: lost %v, fresh value %v", s.Name(), step, gotLost, wantLost)
+			}
+			for e := range want {
+				if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+					t.Fatalf("%s step %d link %d: %v, fresh value %v (stale commodities?)", s.Name(), step, e, got[e], want[e])
+				}
+			}
+		}
+	}
+}
+
 // TestOptDetourBaseLoadsAreNotAliased pins the aliasing fix: the loads a
 // scheme returns must be independent of the base loads it caches, so a
 // caller writing into them changes no later result. A scenario without a
@@ -104,7 +133,7 @@ func TestOptDetourExactMatchesIterativeDirection(t *testing.T) {
 
 	fw := &OptDetour{G: g, Iterations: 400}
 	fwLoads, fwLost := fw.Loads(failed, d)
-	base := fw.base.get(g, d)
+	base := fw.base.baseLoads(g, d)
 	bg := append([]float64(nil), base...)
 	var detours []routing.Commodity
 	for _, e := range failed.IDs() {

@@ -60,6 +60,8 @@ type OSPFRecon struct {
 	// serve concurrent scenario evaluations; a scratch's contents never
 	// reach a result.
 	scratch freeList[spf.ECMPScratch]
+	// matrix caches the commodities of the demand matrix.
+	matrix perMatrix
 }
 
 // Name implements Scheme.
@@ -67,7 +69,7 @@ func (s *OSPFRecon) Name() string { return "OSPF+recon" }
 
 // Loads implements Scheme.
 func (s *OSPFRecon) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	comms := routing.ODCommodities(s.G.NumNodes(), d.At)
+	comms := s.matrix.commodities(s.G, d)
 	loads := make([]float64, s.G.NumLinks())
 	sc := s.scratch.get()
 	lost := spf.ECMPLoads(s.G, comms, &failed, spf.WeightCost(s.G), sc, loads)
@@ -103,31 +105,49 @@ func (l *freeList[T]) put(sc *T) {
 	l.mu.Unlock()
 }
 
-// baseLoads caches the failure-free OSPF ECMP loads of a scheme's graph
-// per demand matrix, keyed by content fingerprint (pointer identity would
-// serve stale loads after an in-place matrix mutation) and recomputed
-// when the matrix changes. The zero value is ready to use; a baseLoads is
-// safe for concurrent use. The returned row is shared: callers must not
-// write to it.
-type baseLoads struct {
+// perMatrix caches what a scheme derives from the demand matrix alone —
+// its OD commodities and, for the schemes that keep the failure-free OSPF
+// routing, that routing's ECMP loads — keyed by the matrix's content
+// fingerprint (pointer identity would serve stale values after an in-place
+// matrix mutation) and recomputed when the matrix changes. Evaluation hands
+// every scenario the same matrix, so each is built once. The zero value is
+// ready to use; a perMatrix is safe for concurrent use. The returned slices
+// are shared: callers must not write to them.
+type perMatrix struct {
 	mu    sync.Mutex
-	loads []float64
 	fp    uint64
+	comms []routing.Commodity
+	loads []float64
 }
 
-// get returns the failure-free ECMP loads of d on g.
-func (b *baseLoads) get(g *graph.Graph, d *traffic.Matrix) []float64 {
-	fp := d.Fingerprint()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.loads == nil || b.fp != fp {
-		comms := routing.ODCommodities(g.NumNodes(), d.At)
+// at drops the cached values unless they are d's; the caller holds mu.
+func (m *perMatrix) at(g *graph.Graph, d *traffic.Matrix) {
+	if fp := d.Fingerprint(); m.comms == nil || m.fp != fp {
+		m.fp, m.loads = fp, nil
+		m.comms = routing.ODCommodities(g.NumNodes(), d.At)
+	}
+}
+
+// commodities returns the OD commodities of d on g.
+func (m *perMatrix) commodities(g *graph.Graph, d *traffic.Matrix) []routing.Commodity {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.at(g, d)
+	return m.comms
+}
+
+// baseLoads returns the failure-free ECMP loads of d on g.
+func (m *perMatrix) baseLoads(g *graph.Graph, d *traffic.Matrix) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.at(g, d)
+	if m.loads == nil {
 		loads := make([]float64, g.NumLinks())
 		var sc spf.ECMPScratch
-		spf.ECMPLoads(g, comms, nil, spf.WeightCost(g), &sc, loads)
-		b.loads, b.fp = loads, fp
+		spf.ECMPLoads(g, m.comms, nil, spf.WeightCost(g), &sc, loads)
+		m.loads = loads
 	}
-	return b.loads
+	return m.loads
 }
 
 // CSPFDetour models the widely deployed MPLS fast-reroute bypass: traffic
@@ -138,7 +158,7 @@ type CSPFDetour struct {
 	G *graph.Graph
 	// base caches the failure-free ECMP loads per distinct demand matrix,
 	// so one scheme value can serve concurrent scenario evaluations.
-	base baseLoads
+	base perMatrix
 }
 
 // Name implements Scheme.
@@ -146,7 +166,7 @@ func (s *CSPFDetour) Name() string { return "OSPF+CSPF-detour" }
 
 // Loads implements Scheme.
 func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	baseLoads := s.base.get(s.G, d)
+	baseLoads := s.base.baseLoads(s.G, d)
 	loads := append([]float64(nil), baseLoads...)
 	var lost float64
 	var sc spf.Scratch

@@ -10,7 +10,8 @@ import "repro/internal/graph"
 // distance vector is the same unique fixpoint the heap kernel computes
 // (each label is one float64 add anchored at dst, improvements are strict,
 // and relaxation runs until no label improves), and Next is derived by the
-// same canonicalNextInto post-pass. (Dist, Next) is therefore bitwise
+// canonicalNextInto post-pass, which applies SPFTo's rule to the settled
+// distances. (Dist, Next) is therefore bitwise
 // identical to SPFTo for every input, regardless of Δ or pop order; the
 // differential tests in dynamic_test.go pin that.
 
@@ -89,5 +90,5 @@ func SPFToDelta(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.Link
 			}
 		}
 	}
-	s.Plateaus = canonicalNextInto(c, dst, cost, down, dist, s.Next)
+	canonicalNextInto(c, dst, cost, down, s)
 }

@@ -10,7 +10,7 @@ import "repro/internal/graph"
 // kernel computes — invalidated nodes are re-derived from boundary offers
 // that use the identical cost[e] + dist[head] float64 add, and the
 // relaxation loop runs to quiescence — and Next is re-derived by the same
-// canonicalNextInto rule: per affected node on plateau-free trees, and by
+// canonical rule: per affected node on plateau-free trees, and by
 // the full global pass whenever plateaus exist (their multi-pass
 // resolution is a whole-graph computation). A DynTree is
 // therefore interchangeable with SPFTo call-for-call without changing a
@@ -279,7 +279,7 @@ func (t *DynTree) repair() bool {
 	// nodes; otherwise re-derive globally — still a pure function of the
 	// repaired dist, so still bitwise equal to the flat kernel.
 	if t.sc.Plateaus {
-		t.sc.Plateaus = canonicalNextInto(c, t.dst, cost, nil, dist, next)
+		canonicalNextInto(c, t.dst, cost, nil, &t.sc)
 		return true
 	}
 	for _, u := range aff {
@@ -289,7 +289,7 @@ func (t *DynTree) repair() bool {
 		}
 		id, plateau := canonicalLinkAt(c, u, cost, nil, dist)
 		if plateau {
-			t.sc.Plateaus = canonicalNextInto(c, t.dst, cost, nil, dist, next)
+			canonicalNextInto(c, t.dst, cost, nil, &t.sc)
 			return true
 		}
 		next[u] = id

@@ -21,15 +21,18 @@ import (
 //     the fixpoint — and therefore Dist — is independent of the algorithm
 //     that computed it (binary-heap Dijkstra, incremental repair, the
 //     delta-stepping bucket kernel).
-//   - Next is canonicalNextInto(Dist): a pure function of (csr, cost,
-//     down, Dist). For each node it picks the smallest-id tight link
-//     (dist[u] == cost[e] + dist[Dst[e]], exact float equality) whose head
-//     is strictly closer to the destination. Nodes whose only tight links
-//     stay at equal distance — possible only when a tight link's cost is
-//     absorbed to zero in the add, which the planner's +1e-12 cost floors
-//     make unreachable in practice — are resolved by a deterministic
-//     multi-pass sweep (see resolvePlateaus); pure local tie-breaking
-//     cannot resolve them without risking next-pointer cycles.
+//   - Next is a pure function of (csr, cost, down, Dist). For each node it
+//     picks, among the tight links (dist[u] == cost[e] + dist[Dst[e]],
+//     exact float equality) whose head is strictly closer to the
+//     destination, the one with the smallest tieKey. Nodes whose only
+//     tight links stay at equal distance — possible only when a tight
+//     link's cost is absorbed to zero in the add, which the planner's
+//     +1e-12 cost floors make unreachable in practice — are resolved by a
+//     deterministic multi-pass sweep (see resolvePlateaus); pure local
+//     tie-breaking cannot resolve them without risking next-pointer
+//     cycles. SPFTo applies the rule while it relaxes; canonicalNextInto
+//     derives it from a settled Dist in a second pass, for the kernels
+//     that relax a node more than once (DynTree's repairs, SPFToDelta).
 //
 // Because (Dist, Next) is a pure function of the inputs, any exact SSSP
 // kernel in this package yields bitwise-identical results, which is what
@@ -62,6 +65,7 @@ type Scratch struct {
 	// tree may re-derive Next per-node only when no plateaus exist.
 	Plateaus bool
 	heap     []kItem
+	plat     []int32 // plateau nodes awaiting resolvePlateaus
 }
 
 // reset sizes the buffers for n nodes and initializes Dist to +Inf and
@@ -120,7 +124,7 @@ func siftDown(h []kItem, i int) {
 // kernel in this package returns bitwise-identical results.
 func SPFTo(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet, s *Scratch) {
 	s.reset(c.N)
-	dist := s.Dist
+	dist, next := s.Dist, s.Next
 	dist[dst] = 0
 	h := append(s.heap[:0], kItem{0, int32(dst)})
 	for len(h) > 0 {
@@ -133,22 +137,45 @@ func SPFTo(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet, 
 		if it.dist > dist[it.node] {
 			continue
 		}
+		// it.node is settled: it.dist is final, so every candidate below is
+		// the exact add the canonical rule tests. A link is a next-link
+		// candidate only when its head is strictly closer (dv < nd).
+		dv := it.dist
 		for a, b := c.InHead[it.node], c.InHead[it.node+1]; a < b; a++ {
 			id := c.InLinks[a]
 			if down != nil && down.Contains(graph.LinkID(id)) {
 				continue
 			}
 			u := c.Src[id]
-			nd := it.dist + cost[id]
+			nd := dv + cost[id]
 			if nd < dist[u] {
 				dist[u] = nd
+				next[u] = -1
+				if dv < nd {
+					next[u] = id
+				}
 				h = append(h, kItem{nd, u})
 				siftUp(h, len(h)-1)
+			} else if nd == dist[u] && dv < nd && (next[u] < 0 || tieKey(u, id) < tieKey(u, next[u])) {
+				next[u] = id
 			}
 		}
 	}
 	s.heap = h[:0]
-	s.Plateaus = canonicalNextInto(c, dst, cost, down, dist, s.Next)
+	// A reachable node left without a strictly-closer tight link reached
+	// its distance only through links whose cost vanished in the add: a
+	// plateau.
+	plat := s.plat[:0]
+	for u := range next {
+		if next[u] < 0 && dist[u] != Infinity && u != int(dst) {
+			plat = append(plat, int32(u))
+		}
+	}
+	s.Plateaus = len(plat) > 0
+	if s.Plateaus {
+		resolvePlateaus(c, dst, cost, down, dist, next, plat)
+	}
+	s.plat = plat[:0]
 }
 
 // tieKey orders tied tight links. A plain smallest-id rule would funnel
@@ -162,9 +189,9 @@ func tieKey(u, id int32) uint32 {
 }
 
 // canonicalLinkAt returns the canonical next link for node u given a
-// settled distance vector: the smallest-id alive out-link e that is tight
+// settled distance vector: among the alive out-links e that are tight
 // (dist[u] == cost[e] + dist[Dst[e]], exact float equality) with a head
-// strictly closer to the destination. plateau reports that u has only
+// strictly closer to the destination, the one with the smallest tieKey. plateau reports that u has only
 // equal-distance tight links, which the caller must resolve globally —
 // adopting one locally can create next-pointer cycles.
 func canonicalLinkAt(c *graph.CSR, u int32, cost []float64, down *graph.LinkSet, dist []float64) (link int32, plateau bool) {
@@ -192,14 +219,15 @@ func canonicalLinkAt(c *graph.CSR, u int32, cost []float64, down *graph.LinkSet,
 	return -1, plateau
 }
 
-// canonicalNextInto derives the canonical next vector from a settled
-// distance vector. It is a pure function of (c, cost, down, dist) — it
-// carries no state from whichever algorithm computed dist — which is the
-// property that makes all kernels in this package bitwise-interchangeable.
-// next must have length c.N. The return reports whether any plateau node
-// was seen (see Scratch.Plateaus).
-func canonicalNextInto(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet, dist []float64, next []int32) bool {
-	var plateaus []int32
+// canonicalNextInto derives s.Next from the settled distance vector s.Dist
+// in a second pass over every node's out-links, and sets s.Plateaus. It is
+// a pure function of (c, cost, down, s.Dist) — it carries no state from
+// whichever algorithm computed the distances — which is the property that
+// makes all kernels in this package bitwise-interchangeable; SPFTo reaches
+// the same Next inside its relaxation loop.
+func canonicalNextInto(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet, s *Scratch) {
+	dist, next := s.Dist, s.Next
+	plat := s.plat[:0]
 	for u := int32(0); u < int32(c.N); u++ {
 		if u == int32(dst) || dist[u] == Infinity {
 			next[u] = -1
@@ -208,14 +236,14 @@ func canonicalNextInto(c *graph.CSR, dst graph.NodeID, cost []float64, down *gra
 		id, plateau := canonicalLinkAt(c, u, cost, down, dist)
 		next[u] = id
 		if plateau {
-			plateaus = append(plateaus, u)
+			plat = append(plat, u)
 		}
 	}
-	if len(plateaus) > 0 {
-		resolvePlateaus(c, dst, cost, down, dist, next, plateaus)
-		return true
+	s.Plateaus = len(plat) > 0
+	if s.Plateaus {
+		resolvePlateaus(c, dst, cost, down, dist, next, plat)
 	}
-	return false
+	s.plat = plat[:0]
 }
 
 // resolvePlateaus assigns next links to plateau nodes — nodes whose tight

@@ -128,9 +128,10 @@ func refForwardDist(g *graph.Graph, src graph.NodeID, cost []float64, down *grap
 
 // checkCanonicalNext verifies a next vector against the canonical-next
 // specification, independent of the kernel's implementation: every
-// reachable non-destination node carries the smallest-id alive tight link
-// whose head is strictly closer (or, on a plateau, an equal-distance tight
-// link), and following next from any node reaches dst without cycling.
+// reachable non-destination node carries the alive tight link with the
+// smallest tieKey among those whose head is strictly closer (or, on a
+// plateau, an equal-distance tight link), and following next from any node
+// reaches dst without cycling.
 func checkCanonicalNext(t *testing.T, g *graph.Graph, dst graph.NodeID, cost []float64, down *graph.LinkSet, dist []float64, next []int32) {
 	t.Helper()
 	n := g.NumNodes()
@@ -238,6 +239,78 @@ func TestKernelMatchesHeapReference(t *testing.T) {
 	}
 }
 
+// TestOnePassNextMatchesTwoPass holds the Next SPFTo sets while it relaxes
+// to the second pass canonicalNextInto makes over the settled distances,
+// bit for bit, Plateaus included: every built-in topology, every
+// destination, with random cost rows, rows tied at a 1e-15 floor (whose
+// adds vanish next to the large costs) and rows with zero-cost links
+// (plateaus), each with and without a down-set.
+func TestOnePassNextMatchesTwoPass(t *testing.T) {
+	graphs := append(topo.All(), parseTopo(t, plateauTopo), parseTopo(t, nearTieTopo))
+	rows := []struct {
+		name string
+		fill func(rng *rand.Rand, cost []float64)
+	}{
+		{"random", func(rng *rand.Rand, cost []float64) {
+			for e := range cost {
+				cost[e] = rng.ExpFloat64()
+			}
+		}},
+		{"tied", func(rng *rand.Rand, cost []float64) {
+			for e := range cost {
+				cost[e] = math.Max(math.Exp(-40*rng.Float64()), 1e-15)
+				if rng.Intn(4) == 0 {
+					cost[e] = float64(1 + rng.Intn(3))
+				}
+			}
+		}},
+		{"plateau", func(rng *rand.Rand, cost []float64) {
+			for e := range cost {
+				cost[e] = float64(rng.Intn(3))
+			}
+		}},
+	}
+	var one, two Scratch
+	plateaus := 0
+	for gi, g := range graphs {
+		c := g.CSR()
+		nL := g.NumLinks()
+		rng := rand.New(rand.NewSource(int64(500 + gi)))
+		cost := make([]float64, nL)
+		for _, row := range rows {
+			row.fill(rng, cost)
+			var down graph.LinkSet
+			for e := 0; e < nL; e++ {
+				if rng.Intn(8) == 0 {
+					down.Add(graph.LinkID(e))
+				}
+			}
+			for _, d := range []*graph.LinkSet{nil, &down} {
+				for dst := 0; dst < g.NumNodes(); dst++ {
+					SPFTo(c, graph.NodeID(dst), cost, d, &one)
+					two.reset(c.N)
+					copy(two.Dist, one.Dist)
+					canonicalNextInto(c, graph.NodeID(dst), cost, d, &two)
+					if one.Plateaus != two.Plateaus {
+						t.Fatalf("%s %s dst %d: Plateaus %v, second pass %v", g.Name, row.name, dst, one.Plateaus, two.Plateaus)
+					}
+					if one.Plateaus {
+						plateaus++
+					}
+					for u := range two.Next {
+						if one.Next[u] != two.Next[u] {
+							t.Fatalf("%s %s dst %d: next[%d] = %d, second pass %d", g.Name, row.name, dst, u, one.Next[u], two.Next[u])
+						}
+					}
+				}
+			}
+		}
+	}
+	if plateaus == 0 {
+		t.Fatal("no tree had a plateau; the plateau rows test nothing")
+	}
+}
+
 // graphWalkPath is the reference path extractor: it follows a next vector from
 // src over the graph's link records rather than the CSR arrays.
 func graphWalkPath(g *graph.Graph, src graph.NodeID, next []int32) []graph.LinkID {
@@ -285,8 +358,8 @@ func TestPathFromNextMatchesGraphWalk(t *testing.T) {
 	}
 }
 
-// TestKernelZeroAllocs: with a warm Scratch, SPFTo, PathFromNext and Hops
-// must not touch the heap at all.
+// TestKernelZeroAllocs: with a warm Scratch, SPFTo (on a plateau graph
+// too), PathFromNext and Hops must not touch the heap at all.
 func TestKernelZeroAllocs(t *testing.T) {
 	g := topo.SBC()
 	c := g.CSR()
@@ -301,6 +374,22 @@ func TestKernelZeroAllocs(t *testing.T) {
 		SPFTo(c, 3, costs, &down, &s)
 	}); n != 0 {
 		t.Fatalf("warm SPFTo allocates %v per run, want 0", n)
+	}
+	// A plateau tree resolves its plateau nodes from the Scratch's own
+	// list.
+	pg := parseTopo(t, plateauTopo)
+	pc := pg.CSR()
+	pd, _ := pg.NodeByName("d")
+	pcost := WeightCost(pg)
+	var ps Scratch
+	SPFTo(pc, pd, pcost, nil, &ps)
+	if !ps.Plateaus {
+		t.Fatal("plateau topology gave no plateau")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		SPFTo(pc, pd, pcost, nil, &ps)
+	}); n != 0 {
+		t.Fatalf("warm SPFTo on a plateau allocates %v per run, want 0", n)
 	}
 	SPFTo(c, 3, costs, nil, &s)
 	if n := testing.AllocsPerRun(50, func() {

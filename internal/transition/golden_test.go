@@ -72,7 +72,7 @@ func sequenceDigest(start *mplsff.Network, seq *Sequence, reg *obs.Registry) uin
 	w(uint64(seq.LPSolves))
 	w(uint64(seq.Fallbacks))
 	w(uint64(seq.Swaps))
-	w(uint64(seq.CertifyErrs))
+	w(uint64(certifyErrs(seq)))
 	w(uint64(seq.WireBytes()))
 	w(view.Fingerprint())
 	counters := reg.Snapshot().Counters
@@ -86,6 +86,17 @@ func sequenceDigest(start *mplsff.Network, seq *Sequence, reg *obs.Registry) uin
 		w(uint64(counters[name]))
 	}
 	return h.Sum64()
+}
+
+// certifyErrs counts the rounds whose certificate failed to solve.
+func certifyErrs(seq *Sequence) int {
+	n := 0
+	for _, r := range seq.Rounds {
+		if r.CertifyErr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // roundTable lists each round's MLUs and verdict, so a moved pin shows

@@ -294,8 +294,8 @@ func TestSchedulePlanSwapCertifyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.CertifyErrs != len(seq.Rounds) || len(seq.Rounds) == 0 {
-		t.Fatalf("CertifyErrs %d over %d rounds", seq.CertifyErrs, len(seq.Rounds))
+	if n := certifyErrs(seq); n != len(seq.Rounds) || len(seq.Rounds) == 0 {
+		t.Fatalf("%d certificate errors over %d rounds", n, len(seq.Rounds))
 	}
 	for _, r := range seq.Rounds {
 		if r.CertifyErr == nil || !math.IsNaN(r.LPMLU) {

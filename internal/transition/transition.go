@@ -121,10 +121,6 @@ type Sequence struct {
 	Fallbacks, Swaps int
 	// LPSolves counts exact-LP invocations (certificates + detours).
 	LPSolves int
-	// CertifyErrs counts rounds whose LP certificate failed to solve
-	// (Round.CertifyErr non-nil); mirrored by the
-	// transition.certify_errors counter.
-	CertifyErrs int
 	// Basis is the last certificate's optimal simplex basis, for
 	// warm-starting the next Schedule over the same plan via
 	// Options.Warm.
@@ -249,9 +245,6 @@ func (r *run) emit(round *Round) {
 		seq.Fallbacks++
 	case round.Kind == Swap:
 		seq.Swaps++
-	}
-	if round.CertifyErr != nil {
-		seq.CertifyErrs++
 	}
 	seq.TransientMLU = max(seq.TransientMLU, round.EnvelopeMLU)
 	seq.CongestionFree = seq.CongestionFree && round.CongestionFree

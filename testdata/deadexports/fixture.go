@@ -1,5 +1,5 @@
 // Package deadexports is the input of TestDeadExportsFixture and, with
-// package knobs, of TestTestOnlyKnobsFixture: five names no non-test file
+// package knobs, of TestTestOnlyKnobsFixture: seven names no non-test file
 // uses, among names that are used in each way the checker must see.
 package deadexports
 
@@ -13,12 +13,14 @@ import (
 // Orphan is exported and nothing calls it.
 func Orphan() int { return Orphan() }
 
-// Box has a field nothing reads, a field that is only written and a
-// method only a test calls.
+// Box has a field nothing reads, fields that are only written — by =,
+// by ++ and element by element — and a method only a test calls.
 type Box struct {
 	Unread  int
 	Size    int
 	Written int
+	Bumped  int
+	Slots   [2]int
 	items   []int
 }
 
@@ -44,6 +46,8 @@ type Row struct {
 func Sorted(items []int) (int, int) {
 	b := &Box{Size: len(items), items: items}
 	b.Written = len(items)
+	b.Bumped++
+	b.Slots[1] += len(items)
 	sort.Sort(b)
 	var s Sizer = b
 	_ = Row{Name: "row"}

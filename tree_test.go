@@ -211,7 +211,7 @@ type fieldRef struct {
 	field *types.Var // the field's declaration (origin)
 	id    *ast.Ident // the referencing name; nil for a positional literal
 	write bool       // a store into the field, not a read of it
-	blind bool       // a write that replaces the whole value unread
+	sink  bool       // a write nothing reads back through: all but &
 	own   bool       // inside a method of the field's own struct type
 	pkg   string     // the referencing file's import path
 }
@@ -220,10 +220,10 @@ type fieldRef struct {
 // files. A write is a composite-literal key, a positional composite
 // literal of the struct (one write per field), the left side of an
 // assignment, ++ or --, a range key or value, or the operand of &; an
-// element stored into an array, slice or map field writes the field. A
-// write is blind when it replaces the field's whole value without
-// reading it: a literal, a plain = or a range assignment.
-// Everything else that names a field reads it.
+// element stored into an array, slice or map field writes the field.
+// Every write but & is a sink: no expression reads the field's value
+// through it (++, op= and element stores read the field only to write
+// it). Everything else that names a field reads it.
 func (tr *tree) fieldRefs() []fieldRef {
 	var out []fieldRef
 	for _, f := range tr.files {
@@ -246,25 +246,25 @@ func (tr *tree) fieldRefs() []fieldRef {
 				}
 				return false
 			}
-			// written holds each write's name, true for a blind one.
+			// written holds each write's name, true for a sink.
 			written := map[*ast.Ident]bool{}
-			store := func(x ast.Expr, blind bool) {
+			store := func(x ast.Expr, sink bool) {
 				x = ast.Unparen(x)
 				for ix, ok := x.(*ast.IndexExpr); ok; ix, ok = x.(*ast.IndexExpr) {
-					x, blind = ast.Unparen(ix.X), false // a store into an element stores into the field
+					x = ast.Unparen(ix.X) // a store into an element stores into the field
 				}
 				if sel, ok := x.(*ast.SelectorExpr); ok {
-					written[sel.Sel] = blind
+					written[sel.Sel] = sink
 				}
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, x := range n.Lhs {
-						store(x, n.Tok == token.ASSIGN)
+						store(x, true)
 					}
 				case *ast.IncDecStmt:
-					store(n.X, false)
+					store(n.X, true)
 				case *ast.RangeStmt:
 					if n.Tok == token.ASSIGN {
 						store(n.Key, true)
@@ -293,13 +293,13 @@ func (tr *tree) fieldRefs() []fieldRef {
 					}
 					for i := range n.Elts {
 						v := origin(st.Field(i)).(*types.Var)
-						out = append(out, fieldRef{field: v, write: true, blind: true, own: ownField(v), pkg: pkg})
+						out = append(out, fieldRef{field: v, write: true, sink: true, own: ownField(v), pkg: pkg})
 					}
 				case *ast.Ident:
 					if v, ok := tr.info.Uses[n].(*types.Var); ok && v.IsField() {
 						v = origin(v).(*types.Var)
-						blind, write := written[n]
-						out = append(out, fieldRef{field: v, id: n, write: write, blind: blind, own: ownField(v), pkg: pkg})
+						sink, write := written[n]
+						out = append(out, fieldRef{field: v, id: n, write: write, sink: sink, own: ownField(v), pkg: pkg})
 					}
 				}
 				return true
