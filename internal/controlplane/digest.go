@@ -49,9 +49,11 @@ func TopologyDigest(g *graph.Graph) uint64 { return graph.Digest(g) }
 
 // ConfigHash returns an FNV-1a hash of the plan-affecting fields of a
 // core.Config. Workers is excluded (plans are byte-identical at any
-// worker count), and so are Obs and LPWarmBasis (instrumentation never
-// perturbs plans; a warm basis changes pivot counts, not the optimum of
-// a re-solve of the same problem). A fixed BaseRouting is hashed only by
+// worker count), and so are Obs and LPWarmBasis. Instrumentation never
+// perturbs plans. A warm basis keeps the optimal MLU of a re-solve of the
+// same problem, but LP (7) is degenerate, so it can land on another
+// optimal vertex: the plan's bytes then depend on the basis, which this
+// hash does not see (ROADMAP item 22). A fixed BaseRouting is hashed only by
 // presence — the daemon never sets one, and hashing a full flow here
 // would duplicate the solvers' own identity.
 func ConfigHash(cfg core.Config) uint64 {

@@ -334,12 +334,12 @@ func TestFigure3SharesDayConcurrently(t *testing.T) {
 	}
 }
 
-// TestFigure5Shape asserts Figure 5's two-event panel at the US-ISP peak
-// hour. Means today: MPLS-ff+R3 1.162 < OSPF+opt 1.306 < OSPF+R3 1.412 <
-// FCP 1.557, recon 1.559 < CSPF 1.705 < PathSplice 2.372.
-func TestFigure5Shape(t *testing.T) {
-	o := tinyOpts()
-	r := Figure5(testUSISP(), 2, o)
+// figure5Order is Figure 5's claimed order of the schemes' means.
+var figure5Order = [][]string{{"MPLS-ff+R3"}, {"OSPF+opt"}, {"OSPF+R3"}, {"FCP", "OSPF+recon"}, {"OSPF+CSPF-detour"}, {"PathSplice"}}
+
+// checkFigure5Order asserts figure5Order on a panel's means.
+func checkFigure5Order(t *testing.T, panel string, r *MultiFailureResult) map[string]float64 {
+	t.Helper()
 	if len(r.Sorted) != len(SchemeOrder) {
 		t.Fatalf("series = %d", len(r.Sorted))
 	}
@@ -348,14 +348,22 @@ func TestFigure5Shape(t *testing.T) {
 	}
 	m := sortedMeans(r.Schemes, r.Sorted)
 	t.Logf("means: %v", m)
-	chain := [][]string{{"MPLS-ff+R3"}, {"OSPF+opt"}, {"OSPF+R3"}, {"FCP", "OSPF+recon"}, {"OSPF+CSPF-detour"}, {"PathSplice"}}
-	for i := 1; i < len(chain); i++ {
-		for _, a := range chain[i-1] {
-			for _, b := range chain[i] {
-				below(t, "Figure 5 ordering: "+a+" below "+b, m[a], m[b])
+	for i := 1; i < len(figure5Order); i++ {
+		for _, a := range figure5Order[i-1] {
+			for _, b := range figure5Order[i] {
+				below(t, panel+" ordering: "+a+" below "+b, m[a], m[b])
 			}
 		}
 	}
+	return m
+}
+
+// TestFigure5Shape asserts Figure 5's two-event panel at the US-ISP peak
+// hour. Means today: MPLS-ff+R3 1.162 < OSPF+opt 1.306 < OSPF+R3 1.412 <
+// FCP 1.557, recon 1.559 < CSPF 1.705 < PathSplice 2.372.
+func TestFigure5Shape(t *testing.T) {
+	r := Figure5(testUSISP(), 2, tinyOpts())
+	m := checkFigure5Order(t, "Figure 5", r)
 	// Every reachability-only scheme at least 25 % above MPLS-ff+R3 (today
 	// 1.340×, FCP).
 	for _, b := range reachabilityOnly {
@@ -366,6 +374,20 @@ func TestFigure5Shape(t *testing.T) {
 	var buf bytes.Buffer
 	r.Print(&buf)
 	if !strings.Contains(buf.String(), "two failures") {
+		t.Fatalf("title missing")
+	}
+}
+
+// TestFigure5ThreeEventShape asserts Figure 5's three-event panel with
+// the two-event order. Means today: MPLS-ff+R3 1.237 < OSPF+opt 1.314 <
+// OSPF+R3 1.376 < recon 1.536, FCP 1.567 < CSPF 1.622 < PathSplice 2.395.
+// The 25 % gap does not hold for recon (1.242×), so it is not asserted.
+func TestFigure5ThreeEventShape(t *testing.T) {
+	r := Figure5(testUSISP(), 3, tinyOpts())
+	checkFigure5Order(t, "Figure 5b", r)
+	var buf bytes.Buffer
+	r.Print(&buf)
+	if !strings.Contains(buf.String(), "three failures") {
 		t.Fatalf("title missing")
 	}
 }

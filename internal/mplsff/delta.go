@@ -1,7 +1,8 @@
 package mplsff
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -13,154 +14,97 @@ import (
 // duplicated or reordered deliveries (anti-entropy refloods, chaos) leave
 // a view byte-identical to a single in-order delivery.
 
-// RouterDelta is the table change set for one router. A nil value marks a
-// row deletion; a non-nil value replaces the row wholesale (rows are
-// small, so row- rather than entry-granularity keeps application
-// trivially idempotent).
-type RouterDelta struct {
-	FIB map[[2]graph.NodeID][]NHLFE
-	ILM map[Label]*FWD
+// Delta is one round's network-wide change set: newly learned failures
+// plus the rows that changed, each carried whole (rows are small, so row-
+// rather than entry-granularity keeps application trivially idempotent).
+type Delta struct {
+	Failed []graph.LinkID
+	rows   []rowChange
+	// wire is what the changed rows cost on the wire, per router.
+	wire int
 }
 
-// Delta is one round's network-wide change set: newly learned failures
-// plus per-router row updates.
-type Delta struct {
-	Failed  []graph.LinkID
-	Routers map[graph.NodeID]*RouterDelta
+// rowChange installs row at index i; a nil row deletes.
+type rowChange struct {
+	i   int
+	row []entry
 }
 
 // Empty reports whether the delta changes nothing.
-func (d *Delta) Empty() bool {
-	if d == nil {
-		return true
-	}
-	if len(d.Failed) > 0 {
-		return false
-	}
-	for _, rd := range d.Routers {
-		if len(rd.FIB) > 0 || len(rd.ILM) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Delta) Empty() bool { return d == nil || len(d.Failed) == 0 && len(d.rows) == 0 }
 
-// WireSize estimates the serialized size in bytes (IDs and counts as
-// fixed 8-byte words, NHLFEs as out+label+ratio words), so experiments
-// can report control-plane cost per round.
+// WireSize estimates the serialized size in bytes, encoded per router:
+// IDs and counts as fixed 8-byte words, NHLFEs as out+label+ratio words.
+// Each router whose entries in a row changed carries its id once and its
+// part of the row (a FIB row 16 B + 24 B per NHLFE; an ILM row 8 B, plus
+// 8 B + 24 B per NHLFE unless deleted), so experiments can report
+// control-plane cost per round.
 func (d *Delta) WireSize() int {
 	if d == nil {
 		return 0
 	}
-	sz := 8 + 8*len(d.Failed)
-	for _, rd := range d.Routers {
-		sz += 8 // router id
-		for _, v := range rd.FIB {
-			sz += 16 + 24*len(v)
-		}
-		for _, v := range rd.ILM {
-			sz += 8
-			if v != nil {
-				sz += 8 + 24*len(v.Entries)
-			}
-		}
-	}
-	return sz
-}
-
-func nhlfesEqual(a, b []NHLFE) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func fwdEqual(a, b *FWD) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Pop == b.Pop && nhlfesEqual(a.Entries, b.Entries)
-}
-
-func cloneNHLFEs(a []NHLFE) []NHLFE {
-	return append([]NHLFE(nil), a...)
-}
-
-func cloneFWD(f *FWD) *FWD {
-	if f == nil {
-		return nil
-	}
-	return &FWD{Entries: cloneNHLFEs(f.Entries), Pop: f.Pop}
+	return 8 + 8*len(d.Failed) + d.wire
 }
 
 // Diff computes the row-level delta that transforms old's tables and
 // failure knowledge into next's. Both networks must be built over the
-// same graph (same routers, same label allocation). Rows are compared
-// exactly (bit-equal ratios): the deterministic per-router salts and
-// programming order make equal states produce equal rows, so a no-op
-// diff really is empty.
+// same graph (same routers, same label allocation). Rows the two share
+// are skipped; the rest are compared exactly (bit-equal ratios): the
+// deterministic programming order makes equal states produce equal rows,
+// so a no-op diff really is empty.
 func Diff(old, next *Network) *Delta {
 	d := &Delta{}
-	for _, id := range next.failed.IDs() {
-		if !old.failed.Contains(id) {
-			d.Failed = append(d.Failed, id)
+	for l := range next.G.NumLinks() {
+		if e := graph.LinkID(l); next.failed.Contains(e) && !old.failed.Contains(e) {
+			d.Failed = append(d.Failed, e)
 		}
 	}
-	sort.Slice(d.Failed, func(i, j int) bool { return d.Failed[i] < d.Failed[j] })
-
-	for i, nr := range next.Routers {
-		or := old.Routers[i]
-		var rd *RouterDelta
-		get := func() *RouterDelta {
-			if rd == nil {
-				rd = &RouterDelta{
-					FIB: make(map[[2]graph.NodeID][]NHLFE),
-					ILM: make(map[Label]*FWD),
-				}
-			}
-			return rd
+	named := make([]bool, len(next.Routers))
+	fibRows := len(next.Routers) * len(next.Routers)
+	for i, b := range next.rows {
+		a := old.rows[i]
+		if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)) {
+			continue
 		}
-		for k, v := range nr.FIB {
-			if ov, ok := or.FIB[k]; !ok || !nhlfesEqual(ov, v) {
-				get().FIB[k] = cloneNHLFEs(v)
+		d.rows = append(d.rows, rowChange{i, b})
+		// Walk both rows router by router.
+		for len(a) > 0 || len(b) > 0 {
+			u := graph.NodeID(math.MaxInt32)
+			if len(a) > 0 {
+				u = graph.NodeID(a[0].at)
 			}
-		}
-		for k := range or.FIB {
-			if _, ok := nr.FIB[k]; !ok {
-				get().FIB[k] = nil
+			if len(b) > 0 {
+				u = min(u, graph.NodeID(b[0].at))
 			}
-		}
-		for k, v := range nr.ILM {
-			if ov, ok := or.ILM[k]; !ok || !fwdEqual(ov, v) {
-				get().ILM[k] = cloneFWD(v)
+			sa, sb := seg(a, u), seg(b, u)
+			a, b = a[len(sa):], b[len(sb):]
+			if slices.Equal(sa, sb) {
+				continue
 			}
-		}
-		for k := range or.ILM {
-			if _, ok := nr.ILM[k]; !ok {
-				get().ILM[k] = nil
+			if !named[u] {
+				named[u] = true
+				d.wire += 8
 			}
-		}
-		if rd != nil {
-			if d.Routers == nil {
-				d.Routers = make(map[graph.NodeID]*RouterDelta)
+			switch {
+			case i < fibRows:
+				d.wire += 16 + 24*len(sb)
+			case len(sb) == 0:
+				d.wire += 8
+			case sb[0].out == popOut:
+				d.wire += 16
+			default:
+				d.wire += 16 + 24*len(sb)
 			}
-			d.Routers[nr.Node] = rd
 		}
 	}
 	return d
 }
 
 // ApplyDelta applies a delta unconditionally (no versioning): failures
-// are learned, nil rows deleted, non-nil rows replaced. Rows are
-// deep-copied, so one Delta can be applied to many views without shared
-// storage. The bookkeeping state is NOT touched: a staged view's tables
-// are authoritative, exactly as a real router's RIB lags its FIB during
-// a rollout.
+// are learned and each changed row is installed whole, shared with the
+// delta (rows are never written). The bookkeeping state is NOT touched: a
+// staged view's tables are authoritative, exactly as a real router's RIB
+// lags its FIB during a rollout.
 func (n *Network) ApplyDelta(d *Delta) {
 	if d == nil {
 		return
@@ -168,22 +112,8 @@ func (n *Network) ApplyDelta(d *Delta) {
 	for _, e := range d.Failed {
 		n.failed.Add(e)
 	}
-	for node, rd := range d.Routers {
-		r := n.Routers[node]
-		for k, v := range rd.FIB {
-			if v == nil {
-				delete(r.FIB, k)
-			} else {
-				r.FIB[k] = cloneNHLFEs(v)
-			}
-		}
-		for k, v := range rd.ILM {
-			if v == nil {
-				delete(r.ILM, k)
-			} else {
-				r.ILM[k] = cloneFWD(v)
-			}
-		}
+	for _, c := range d.rows {
+		n.rows[c.i] = c.row
 	}
 }
 

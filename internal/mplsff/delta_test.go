@@ -29,8 +29,8 @@ func TestDiffOfEqualNetworksIsEmpty(t *testing.T) {
 	plan, n := buildAbilene(t)
 	m := Build(plan)
 	if d := Diff(n, m); !d.Empty() {
-		t.Fatalf("diff of two identical builds is not empty: %d routers, failed %v",
-			len(d.Routers), d.Failed)
+		t.Fatalf("diff of two identical builds is not empty: %d rows, failed %v",
+			len(d.rows), d.Failed)
 	}
 	if (&Delta{}).WireSize() <= 0 {
 		t.Fatal("empty delta has nonpositive wire size")
@@ -116,8 +116,9 @@ func TestApplyRoundIdempotentReorder(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaCopies: one Delta applied to two views must not share row
-// storage.
+// TestApplyDeltaCopies: one Delta applied to two views leaves them
+// independent. The views share the delta's rows, so reprogramming one
+// must change neither the other nor the delta.
 func TestApplyDeltaCopies(t *testing.T) {
 	rounds, _ := deltaSequence(t, []graph.LinkID{0})
 	plan, _ := buildAbilene(t)
@@ -127,18 +128,18 @@ func TestApplyDeltaCopies(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("same delta produced different views")
 	}
-	// Corrupt one view's rows; the other must be unaffected.
-	for _, r := range a.Routers {
-		for _, fwd := range r.ILM {
-			for i := range fwd.Entries {
-				fwd.Entries[i].Ratio = 0.123
-			}
-		}
-	}
 	fp := b.Fingerprint()
-	c := Build(plan)
-	c.ApplyRound(1, rounds[0])
-	if fp != c.Fingerprint() {
-		t.Fatal("mutating one view leaked into the shared delta")
+	if err := a.OnFailure(8); err != nil {
+		t.Fatal(err)
+	}
+	c := plan.Comms[0]
+	a.SetFIBRow([2]graph.NodeID{c.Src, c.Dst}, nil)
+	if b.Fingerprint() != fp {
+		t.Fatal("reprogramming one view leaked into another")
+	}
+	d := Build(plan)
+	d.ApplyRound(1, rounds[0])
+	if fp != d.Fingerprint() {
+		t.Fatal("reprogramming one view leaked into the shared delta")
 	}
 }

@@ -1,10 +1,7 @@
 package mplsff
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -20,70 +17,65 @@ const MaxStackDepth = 16
 // without cloning the failure set (consulted per packet).
 func (n *Network) KnowsFailed(e graph.LinkID) bool { return n.failed.Contains(e) }
 
-// Fingerprint digests the view's forwarding state: the failure set, the
-// base FIB and the ILM rows of every *surviving* link, all in canonical
-// order. Two routers whose floods delivered the same failure set in any
-// order produce identical fingerprints (Theorem 3); the emulator's
-// invariant checker compares them after every convergence.
+// fnv64a is an FNV-64a hash fed big-endian words.
+type fnv64a uint64
+
+func (h *fnv64a) word(v uint64) {
+	for s := 56; s >= 0; s -= 8 {
+		*h = (*h ^ fnv64a(byte(v>>s))) * 1099511628211
+	}
+}
+
+// Fingerprint digests the view's forwarding state: the failure set, then
+// per router its base-FIB entries by OD pair and its ILM entries of every
+// *surviving* link by label. Two routers whose floods delivered the same
+// failure set in any order produce identical fingerprints (Theorem 3);
+// the emulator's invariant checker compares them after every convergence.
 //
 // ILM rows of failed links are excluded on purpose: they hold the detour
 // ξ_e frozen at the moment e failed, and that snapshot legitimately
 // depends on the order failures were detected (see State.ProtEquals).
 func (n *Network) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	h := fnv64a(14695981039346656037)
+	nL, nN := n.G.NumLinks(), len(n.Routers)
+	for l := range nL {
+		if n.failed.Contains(graph.LinkID(l)) {
+			h.word(uint64(l))
+		}
 	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-
-	failed := n.failed
-	for _, id := range failed.IDs() {
-		w64(uint64(id))
-	}
+	fib, ilm := n.rows[:nN*nN], n.rows[nN*nN:]
 	for _, r := range n.Routers {
-		w64(uint64(r.Node))
-		pairs := make([][2]graph.NodeID, 0, len(r.FIB))
-		for k := range r.FIB {
-			pairs = append(pairs, k)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		for _, k := range pairs {
-			w64(uint64(k[0])<<32 | uint64(k[1]))
-			for _, e := range r.FIB[k] {
-				w64(uint64(e.Out))
-				w64(uint64(e.OutLabel))
-				wf(e.Ratio)
-			}
-		}
-		labels := make([]Label, 0, len(r.ILM))
-		for lbl := range r.ILM {
-			if lbl >= ProtLabelBase && failed.Contains(graph.LinkID(lbl-ProtLabelBase)) {
-				continue // frozen detour row: order dependent by design
-			}
-			labels = append(labels, lbl)
-		}
-		sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-		for _, lbl := range labels {
-			fwd := r.ILM[lbl]
-			w64(uint64(lbl))
-			if fwd.Pop {
-				w64(1)
+		h.word(uint64(r.Node))
+		for i, row := range fib {
+			s := seg(row, r.Node)
+			if len(s) == 0 {
 				continue
 			}
-			w64(2)
-			for _, e := range fwd.Entries {
-				w64(uint64(e.Out))
-				w64(uint64(e.OutLabel))
-				wf(e.Ratio)
+			h.word(uint64(i/nN)<<32 | uint64(i%nN))
+			for _, e := range s {
+				h.word(uint64(e.out))
+				h.word(0)
+				h.word(math.Float64bits(e.ratio))
+			}
+		}
+		for l, row := range ilm {
+			s := seg(row, r.Node)
+			if len(s) == 0 || n.failed.Contains(graph.LinkID(l)) {
+				continue // frozen detour row: order dependent by design
+			}
+			lbl := uint64(LabelFor(graph.LinkID(l)))
+			h.word(lbl)
+			if s[0].out == popOut {
+				h.word(1)
+				continue
+			}
+			h.word(2)
+			for _, e := range s {
+				h.word(uint64(e.out))
+				h.word(lbl)
+				h.word(math.Float64bits(e.ratio))
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -8,8 +8,10 @@
 package mplsff
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -24,6 +26,9 @@ type Label uint32
 // are reserved for other LSPs, as in common deployments).
 const ProtLabelBase Label = 100
 
+// LabelFor returns the protection label of link e.
+func LabelFor(e graph.LinkID) Label { return ProtLabelBase + Label(e) }
+
 // FlowKey identifies a flow for consistent splitting: the classic 4-tuple
 // (we omit the protocol byte, as the paper's hash does).
 type FlowKey struct {
@@ -31,36 +36,32 @@ type FlowKey struct {
 	SrcPort, DstPort uint16
 }
 
-// NHLFE is one next-hop label forwarding entry: the outgoing link, the
-// label to carry (our implementation keeps the protection label
-// unchanged along the detour, as in the paper's example), and the
-// fraction of flows this entry should receive.
+// NHLFE is one next-hop label forwarding entry: the outgoing link and
+// the fraction of flows this entry should receive. The label carried is
+// implicit: none on the base FIB, and the protection label unchanged
+// along a detour, as in the paper's example.
 type NHLFE struct {
-	Out      graph.LinkID
-	OutLabel Label
-	Ratio    float64
+	Out   graph.LinkID
+	Ratio float64
 }
 
-// FWD is a forward instruction: a set of NHLFEs with splitting ratios,
-// or a pop at the protected link's tail.
-type FWD struct {
-	Entries []NHLFE
-	// Pop indicates the protection label is popped here (tail of the
-	// protected link) and forwarding continues on the base routing.
-	Pop bool
+// entry is how a table row stores one router's NHLFE: the router, the
+// out-link (popOut for the pop at a protected link's tail) and the ratio.
+type entry struct {
+	at, out int32
+	ratio   float64
 }
 
-// Router is one node's MPLS-ff forwarding state.
+// popOut marks the entry that pops a protection label.
+const popOut = -1
+
+// Router is one node's identity in the data plane. Its forwarding state
+// lives in the Network's rows.
 type Router struct {
 	Node graph.NodeID
 	// salt is the 96-bit router-private number mixed into the flow hash
 	// so splits at different routers are independent (§4.2).
 	salt [12]byte
-	// ILM is the incoming label map: protection label → FWD.
-	ILM map[Label]*FWD
-	// FIB holds base-routing next hops per OD pair, with ratios from the
-	// flow representation of r normalized at this node.
-	FIB map[[2]graph.NodeID][]NHLFE
 }
 
 // HashBits is the width of the splitting hash (the paper uses 6 bits).
@@ -83,65 +84,45 @@ func (r *Router) Hash(f FlowKey) uint32 {
 	return uint32(h.Sum64() % hashBuckets)
 }
 
-// selectNHLFE picks the entry whose cumulative ratio bucket contains the
+// pick selects the entry whose cumulative ratio bucket contains the
 // flow's hash value. Entries with zero ratio are never selected.
-func (r *Router) selectNHLFE(entries []NHLFE, f FlowKey) (NHLFE, bool) {
+func (r *Router) pick(entries []entry, f FlowKey) (entry, bool) {
 	var total float64
 	for _, e := range entries {
-		total += e.Ratio
+		total += e.ratio
 	}
 	if total <= 0 {
-		return NHLFE{}, false
+		return entry{}, false
 	}
 	x := (float64(r.Hash(f)) + 0.5) / hashBuckets * total
 	var cum float64
 	for _, e := range entries {
-		cum += e.Ratio
-		if x <= cum && e.Ratio > 0 {
+		cum += e.ratio
+		if x <= cum && e.ratio > 0 {
 			return e, true
 		}
 	}
 	// Ratio rounding: fall back to the last positive entry.
 	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Ratio > 0 {
+		if entries[i].ratio > 0 {
 			return entries[i], true
 		}
 	}
-	return NHLFE{}, false
+	return entry{}, false
 }
 
-// NextBase returns the base-routing next hop for a flow of OD pair
-// (src, dst) at this router.
-func (r *Router) NextBase(src, dst graph.NodeID, f FlowKey) (NHLFE, bool) {
-	entries, ok := r.FIB[[2]graph.NodeID{src, dst}]
-	if !ok {
-		return NHLFE{}, false
-	}
-	return r.selectNHLFE(entries, f)
-}
-
-// NextProtected returns the forwarding decision for a packet whose top
-// label is lbl: either an NHLFE to follow, or pop=true at the tail.
-func (r *Router) NextProtected(lbl Label, f FlowKey) (nh NHLFE, pop, ok bool) {
-	fwd, found := r.ILM[lbl]
-	if !found {
-		return NHLFE{}, false, false
-	}
-	if fwd.Pop {
-		return NHLFE{}, true, true
-	}
-	nh, ok = r.selectNHLFE(fwd.Entries, f)
-	return nh, false, ok
-}
-
-// Network is the MPLS-ff control and data plane for a whole topology:
-// per-router tables programmed from an R3 state, plus the label
-// allocation for protected links.
+// Network is the MPLS-ff control and data plane for a whole topology,
+// programmed from an R3 state. Its tables are rows: one base-FIB row per
+// OD pair at src·N+dst, then one ILM row per protected link at
+// N² + (label − ProtLabelBase). A row holds every router's entries,
+// routers ascending and each router's entries in out-link order; an
+// empty row is an absent one. Installed rows are never written, so
+// clones and deltas share them, and a change installs a new row.
 type Network struct {
-	G       *graph.Graph
+	G *graph.Graph
+	// Routers never change after Build; clones share them.
 	Routers []*Router
-	// LabelOf maps each protected link to its protection label.
-	LabelOf map[graph.LinkID]Label
+	rows    [][]entry
 
 	state *core.State
 	// failed is the network's own failure knowledge, updated by OnFailure
@@ -155,33 +136,29 @@ type Network struct {
 	// pending until their predecessors apply.
 	nextRound int
 	pending   map[int]*Delta
+	// buf and prot are programming scratch, never shared with a clone.
+	buf  []entry
+	prot routing.SparseRow
 }
 
-// LabelFor returns the protection label of link e.
-func LabelFor(e graph.LinkID) Label { return ProtLabelBase + Label(e) }
-
 // Build programs a network from a precomputed R3 plan: the central server
-// role of §4.3 (label allocation, MPLS-ff setup, distribution of p).
+// role of §4.3 (label allocation, MPLS-ff setup, distribution of p). The
+// base FIB holds each OD pair's next hops with ratios from the flow
+// representation of r.
 func Build(plan *core.Plan) *Network {
-	st := core.NewState(plan)
+	g := plan.G
+	nN := g.NumNodes()
 	n := &Network{
-		G:         plan.G,
-		LabelOf:   make(map[graph.LinkID]Label, plan.G.NumLinks()),
-		state:     st,
+		G:         g,
+		Routers:   make([]*Router, nN),
+		rows:      make([][]entry, nN*nN+g.NumLinks()),
+		state:     core.NewState(plan),
 		nextRound: 1,
 	}
-	for e := 0; e < plan.G.NumLinks(); e++ {
-		n.LabelOf[graph.LinkID(e)] = LabelFor(graph.LinkID(e))
-	}
-	n.Routers = make([]*Router, plan.G.NumNodes())
-	for v := 0; v < plan.G.NumNodes(); v++ {
-		r := &Router{
-			Node: graph.NodeID(v),
-			ILM:  make(map[Label]*FWD),
-			FIB:  make(map[[2]graph.NodeID][]NHLFE),
-		}
+	for v := range n.Routers {
 		// Router-private 96-bit salt derived from the node ID; any
 		// unpredictable per-router value works.
+		r := &Router{Node: graph.NodeID(v)}
 		h := fnv.New128a()
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], uint32(v)^0x5bd1e995)
@@ -189,58 +166,112 @@ func Build(plan *core.Plan) *Network {
 		copy(r.salt[:], h.Sum(nil))
 		n.Routers[v] = r
 	}
+	for k, c := range plan.Comms {
+		i := n.fib(c.Src, c.Dst)
+		// A repeated OD pair extends its row, each router's entries in
+		// commodity order.
+		n.buf = append(n.buf[:0], n.rows[i]...)
+		row := &plan.Base[k]
+		for j, l := range row.Idx {
+			if v := row.Val[j]; v > 1e-12 {
+				n.buf = append(n.buf, entry{at: int32(g.Link(graph.LinkID(l)).Src), out: l, ratio: v})
+			}
+		}
+		n.install(i)
+	}
 	n.programILM()
-	n.programFIB(plan)
 	return n
 }
 
-// Clone deep-copies the network: tables, label allocation, failure
-// knowledge, bookkeeping state, and round version. Buffered out-of-order
-// rounds are not carried over. The transition scheduler clones a
-// reference network per migration batch so intermediate mixed
-// configurations never alias each other.
+// fib is the row index of OD pair (src, dst).
+func (n *Network) fib(src, dst graph.NodeID) int { return int(src)*len(n.Routers) + int(dst) }
+
+// ilm is the row index of link e's protection label.
+func (n *Network) ilm(e graph.LinkID) int { return len(n.Routers)*len(n.Routers) + int(e) }
+
+// install makes n.buf row i: stably sorted by router, so each router's
+// entries keep the order they were written in. A row with the same
+// entries stays installed; otherwise a new row replaces it, because the
+// installed one may be shared.
+func (n *Network) install(i int) {
+	slices.SortStableFunc(n.buf, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
+	switch {
+	case slices.Equal(n.rows[i], n.buf):
+	case len(n.buf) == 0:
+		n.rows[i] = nil
+	default:
+		n.rows[i] = append([]entry(nil), n.buf...)
+	}
+}
+
+// seg returns router u's entries in a row.
+func seg(row []entry, u graph.NodeID) []entry {
+	at := int32(u)
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); row[m].at < at {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(row) && row[hi].at == at; hi++ {
+	}
+	return row[lo:hi]
+}
+
+// NextBase returns router u's base-routing next hop for a flow of OD pair
+// (src, dst).
+func (n *Network) NextBase(u, src, dst graph.NodeID, f FlowKey) (NHLFE, bool) {
+	e, ok := n.Routers[u].pick(seg(n.rows[n.fib(src, dst)], u), f)
+	return NHLFE{Out: graph.LinkID(e.out), Ratio: e.ratio}, ok
+}
+
+// NextProtected returns router u's forwarding decision for a packet whose
+// top label is lbl: either an NHLFE to follow, or pop=true at the tail.
+func (n *Network) NextProtected(u graph.NodeID, lbl Label, f FlowKey) (nh NHLFE, pop, ok bool) {
+	if lbl < ProtLabelBase || int(lbl-ProtLabelBase) >= n.G.NumLinks() {
+		return NHLFE{}, false, false
+	}
+	s := seg(n.rows[n.ilm(graph.LinkID(lbl-ProtLabelBase))], u)
+	if len(s) > 0 && s[0].out == popOut {
+		return NHLFE{}, true, true
+	}
+	e, ok := n.Routers[u].pick(s, f)
+	return NHLFE{Out: graph.LinkID(e.out), Ratio: e.ratio}, false, ok
+}
+
+// Clone copies the network's row headers, failure knowledge, bookkeeping
+// state and round version; the rows themselves are shared. Buffered
+// out-of-order rounds are not carried over.
 func (n *Network) Clone() *Network {
-	cp := &Network{
+	return &Network{
 		G:         n.G,
-		LabelOf:   make(map[graph.LinkID]Label, len(n.LabelOf)),
+		Routers:   n.Routers,
+		rows:      slices.Clone(n.rows),
 		state:     n.state.Clone(),
 		failed:    n.failed.Clone(),
 		nextRound: n.nextRound,
 	}
-	for k, v := range n.LabelOf {
-		cp.LabelOf[k] = v
-	}
-	cp.Routers = make([]*Router, len(n.Routers))
-	for i, r := range n.Routers {
-		nr := &Router{
-			Node: r.Node,
-			salt: r.salt,
-			ILM:  make(map[Label]*FWD, len(r.ILM)),
-			FIB:  make(map[[2]graph.NodeID][]NHLFE, len(r.FIB)),
-		}
-		for k, v := range r.ILM {
-			nr.ILM[k] = cloneFWD(v)
-		}
-		for k, v := range r.FIB {
-			nr.FIB[k] = cloneNHLFEs(v)
-		}
-		cp.Routers[i] = nr
-	}
-	return cp
 }
 
-// SetFIBRow replaces router u's base-FIB row for one OD pair, deep-copying
-// the entries; a nil row deletes (matching Build, which only installs rows
-// with at least one entry). The transition scheduler uses this to
-// materialize mixed old/new intermediate configurations one commodity at
-// a time.
-func (n *Network) SetFIBRow(u graph.NodeID, od [2]graph.NodeID, entries []NHLFE) {
-	r := n.Routers[u]
-	if entries == nil {
-		delete(r.FIB, od)
-		return
+// SetFIBRow replaces the base-FIB row of one OD pair. Each entry belongs
+// to its out-link's head router, and entries come in ascending link
+// order, as a plan's rows do; no entries deletes the row. The transition
+// scheduler uses this to materialize mixed old/new intermediate
+// configurations one commodity at a time.
+func (n *Network) SetFIBRow(od [2]graph.NodeID, entries []NHLFE) {
+	n.buf = n.buf[:0]
+	for _, e := range entries {
+		n.buf = append(n.buf, entry{at: int32(n.G.Link(e.Out).Src), out: int32(e.Out), ratio: e.Ratio})
 	}
-	r.FIB[od] = cloneNHLFEs(entries)
+	n.install(n.fib(od[0], od[1]))
+}
+
+// CopyFIBRow gives n the base-FIB row src holds for one OD pair.
+func (n *Network) CopyFIBRow(src *Network, od [2]graph.NodeID) {
+	i := n.fib(od[0], od[1])
+	n.rows[i] = src.rows[i]
 }
 
 // OnFailure applies a link failure: R3 online reconfiguration rescales p,
@@ -261,84 +292,44 @@ func (n *Network) OnFailure(e graph.LinkID) error {
 	return nil
 }
 
-// ReprogramILM swaps in a new bookkeeping state and rebuilds every ILM
-// row from it, leaving the base FIB untouched (the FIB deliberately keeps
-// the pre-failure routing, exactly as OnFailure does). The transition
+// ReprogramILM swaps in a new bookkeeping state and programs the ILM from
+// it, leaving the base FIB untouched (the FIB deliberately keeps the
+// pre-failure routing, exactly as OnFailure does). The transition
 // scheduler uses this to materialize each staged intermediate state on a
-// reference network before diffing it into a round delta.
+// clone of the previous round's network before diffing the two.
 func (n *Network) ReprogramILM(st *core.State) {
 	n.state = st
 	n.failed = st.Failed()
 	n.programILM()
 }
 
-// programILM rebuilds every router's ILM from the current state.
+// programILM brings every ILM row in line with the state. Link l's label
+// pops at l's tail; every other router on its detour forwards with the
+// label kept, on its out-links' positive fractions of p'_l, or of the
+// detour ξ_l frozen when l failed. p_l(l) only matters before l fails, so
+// l itself carries no entry. Rows whose entries did not change stay
+// installed.
 func (n *Network) programILM() {
 	g := n.G
-	failed := n.state.Failed()
-
-	for _, r := range n.Routers {
-		r.ILM = make(map[Label]*FWD)
-	}
-	// For each protected (surviving) link l, program the routers on its
-	// detour with splitting ratios normalized from the current p'; failed
-	// links keep their frozen detour ξ, which head routers use when
-	// stacking.
-	var row routing.SparseRow
-	for l := 0; l < g.NumLinks(); l++ {
+	for l := range g.NumLinks() {
 		lid := graph.LinkID(l)
-		if failed.Contains(lid) {
-			xi := n.state.Detour(lid)
-			if xi == nil {
-				continue
+		tail := g.Link(lid).Dst
+		n.buf = append(n.buf[:0], entry{at: int32(tail), out: popOut})
+		hop := func(id graph.LinkID, v float64) {
+			if src := g.Link(id).Src; id != lid && src != tail && v > 1e-12 {
+				n.buf = append(n.buf, entry{at: int32(src), out: int32(id), ratio: v})
 			}
-			row.SetDense(xi)
+		}
+		if xi := n.state.Detour(lid); xi != nil {
+			for id, v := range xi {
+				hop(graph.LinkID(id), v)
+			}
 		} else {
-			row = n.state.ProtRow(lid, row)
-		}
-		n.programColumn(lid, row)
-	}
-}
-
-// programFIB installs the plan's base routing next hops per OD pair.
-// Called once at Build: the base FIB is never reprogrammed on failures.
-// A row's links ascend, and so does every node's out-link list, so each
-// router's entries come in out-link order.
-func (n *Network) programFIB(plan *core.Plan) {
-	for k, c := range plan.Comms {
-		od := [2]graph.NodeID{c.Src, c.Dst}
-		row := plan.Base[k]
-		for j, l := range row.Idx {
-			if v := row.Val[j]; v > 1e-12 {
-				id := graph.LinkID(l)
-				r := n.Routers[n.G.Link(id).Src]
-				r.FIB[od] = append(r.FIB[od], NHLFE{Out: id, Ratio: v})
+			n.prot = n.state.ProtRow(lid, n.prot)
+			for j, id := range n.prot.Idx {
+				hop(graph.LinkID(id), n.prot.Val[j])
 			}
 		}
-	}
-}
-
-// programColumn installs ILM entries for one protected link's detour
-// fractions (p'_l or ξ_l), a row with its links ascending. Every node's
-// out-links ascend too, so each router's entries come in out-link order.
-func (n *Network) programColumn(lid graph.LinkID, row routing.SparseRow) {
-	g := n.G
-	link := g.Link(lid)
-	lbl := n.LabelOf[lid]
-	n.Routers[link.Dst].ILM[lbl] = &FWD{Pop: true}
-	for j, l := range row.Idx {
-		id := graph.LinkID(l)
-		// Traffic protected against l never uses l itself once l has
-		// failed; p_l(l) only matters pre-failure.
-		v, src := row.Val[j], g.Link(id).Src
-		if id == lid || src == link.Dst || !(v > 1e-12) {
-			continue
-		}
-		fwd := n.Routers[src].ILM[lbl]
-		if fwd == nil {
-			fwd = &FWD{}
-			n.Routers[src].ILM[lbl] = fwd
-		}
-		fwd.Entries = append(fwd.Entries, NHLFE{Out: id, OutLabel: lbl, Ratio: v})
+		n.install(n.ilm(lid))
 	}
 }

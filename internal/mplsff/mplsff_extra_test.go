@@ -56,9 +56,8 @@ func TestProgramColumnSkipsUnprotectable(t *testing.T) {
 	prot := [][]float64{{1, 0}, {0, 1}}
 	plan := planFor(g, base, prot)
 	n := Build(plan)
-	fwd, ok := n.Routers[a].ILM[n.LabelOf[0]]
-	if ok && !fwd.Pop && len(fwd.Entries) > 0 {
-		t.Fatalf("unprotectable link has forwarding entries: %+v", fwd)
+	if s := seg(n.rows[n.ilm(0)], a); len(s) > 0 && s[0].out != popOut {
+		t.Fatalf("unprotectable link has forwarding entries: %+v", s)
 	}
 }
 

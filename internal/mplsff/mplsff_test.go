@@ -62,19 +62,19 @@ func TestHashSplitMatchesRatios(t *testing.T) {
 	// configured ratios (within hash-bucket granularity).
 	_, n := buildAbilene(t)
 	r := n.Routers[0]
-	entries := []NHLFE{
-		{Out: 1, Ratio: 0.25},
-		{Out: 2, Ratio: 0.75},
+	entries := []entry{
+		{out: 1, ratio: 0.25},
+		{out: 2, ratio: 0.75},
 	}
 	counts := map[graph.LinkID]int{}
 	const flows = 4000
 	for i := 0; i < flows; i++ {
 		f := FlowKey{SrcIP: uint32(i * 2654435761), DstIP: uint32(i ^ 0xdeadbeef), SrcPort: uint16(i), DstPort: 80}
-		nh, ok := r.selectNHLFE(entries, f)
+		nh, ok := r.pick(entries, f)
 		if !ok {
 			t.Fatalf("no selection")
 		}
-		counts[nh.Out]++
+		counts[graph.LinkID(nh.out)]++
 	}
 	got := float64(counts[1]) / flows
 	if math.Abs(got-0.25) > 0.05 {
@@ -84,7 +84,7 @@ func TestHashSplitMatchesRatios(t *testing.T) {
 
 func TestSelectNHLFEZeroTotal(t *testing.T) {
 	_, n := buildAbilene(t)
-	if _, ok := n.Routers[0].selectNHLFE([]NHLFE{{Out: 1, Ratio: 0}}, FlowKey{}); ok {
+	if _, ok := n.Routers[0].pick([]entry{{out: 1, ratio: 0}}, FlowKey{}); ok {
 		t.Fatalf("selected from zero ratios")
 	}
 }
@@ -95,17 +95,14 @@ func TestILMProgramming(t *testing.T) {
 	// Every link's tail router pops its protection label.
 	for e := 0; e < g.NumLinks(); e++ {
 		lid := graph.LinkID(e)
-		lbl := n.LabelOf[lid]
-		tail := n.Routers[g.Link(lid).Dst]
-		fwd, ok := tail.ILM[lbl]
-		if !ok || !fwd.Pop {
+		_, pop, ok := n.NextProtected(g.Link(lid).Dst, LabelFor(lid), FlowKey{})
+		if !ok || !pop {
 			t.Fatalf("link %d: tail does not pop (ok=%v)", e, ok)
 		}
 	}
 	// Head routers have a forwarding entry for their own links' labels
 	// whenever the plan protects them (p not concentrated on the link).
-	head := n.Routers[g.Link(0).Src]
-	if _, ok := head.ILM[n.LabelOf[0]]; !ok {
+	if len(seg(n.rows[n.ilm(0)], g.Link(0).Src)) == 0 {
 		t.Fatalf("head router lacks ILM for its own link")
 	}
 }
@@ -113,8 +110,7 @@ func TestILMProgramming(t *testing.T) {
 func TestFIBCoversAllPairs(t *testing.T) {
 	plan, n := buildAbilene(t)
 	for _, c := range plan.Comms {
-		src := n.Routers[c.Src]
-		if _, ok := src.FIB[[2]graph.NodeID{c.Src, c.Dst}]; !ok {
+		if len(seg(n.rows[n.fib(c.Src, c.Dst)], c.Src)) == 0 {
 			t.Fatalf("source router %d missing FIB entry for %d->%d", c.Src, c.Src, c.Dst)
 		}
 	}
@@ -124,11 +120,11 @@ func TestFIBRatiosMatchBaseFlow(t *testing.T) {
 	plan, n := buildAbilene(t)
 	g := plan.G
 	for k, c := range plan.Comms {
-		entries := n.Routers[c.Src].FIB[[2]graph.NodeID{c.Src, c.Dst}]
+		entries := seg(n.rows[n.fib(c.Src, c.Dst)], c.Src)
 		var sum float64
 		for _, e := range entries {
-			sum += e.Ratio
-			if j, ok := slices.BinarySearch(plan.Base[k].Idx, int32(e.Out)); !ok || plan.Base[k].Val[j] <= 0 {
+			sum += e.ratio
+			if j, ok := slices.BinarySearch(plan.Base[k].Idx, e.out); !ok || plan.Base[k].Val[j] <= 0 {
 				t.Fatalf("FIB entry for zero-fraction link")
 			}
 		}
@@ -143,31 +139,19 @@ func TestFIBRatiosMatchBaseFlow(t *testing.T) {
 func TestOnFailureReprograms(t *testing.T) {
 	_, n := buildAbilene(t)
 	e := graph.LinkID(0)
-	lbl := n.LabelOf[e]
 	if err := n.OnFailure(e); err != nil {
 		t.Fatal(err)
 	}
 	if !n.KnowsFailed(e) {
 		t.Fatalf("failure not recorded")
 	}
-	// After the failure, no surviving label's NHLFEs use link e.
-	for _, r := range n.Routers {
-		for l, fwd := range r.ILM {
-			for _, nh := range fwd.Entries {
-				if nh.Out == e && l != lbl {
-					t.Fatalf("label %d still forwards over failed link", l)
-				}
-			}
-		}
-	}
-	// The failed link's own label routes via the stored detour and never
-	// over e.
-	for _, r := range n.Routers {
-		if fwd, ok := r.ILM[lbl]; ok && !fwd.Pop {
-			for _, nh := range fwd.Entries {
-				if nh.Out == e {
-					t.Fatalf("detour uses the failed link")
-				}
+	// After the failure no label's NHLFEs use link e: the surviving
+	// links' rows are rescaled, and the failed link's own label routes
+	// via the stored detour.
+	for l := range n.G.NumLinks() {
+		for _, nh := range n.rows[n.ilm(graph.LinkID(l))] {
+			if graph.LinkID(nh.out) == e {
+				t.Fatalf("label %d still forwards over failed link", LabelFor(graph.LinkID(l)))
 			}
 		}
 	}
@@ -187,13 +171,13 @@ func TestProtectedWalkReachesTail(t *testing.T) {
 	if err := n.OnFailure(e); err != nil {
 		t.Fatal(err)
 	}
-	lbl := n.LabelOf[e]
+	lbl := LabelFor(e)
 	for trial := 0; trial < 50; trial++ {
 		f := FlowKey{SrcIP: uint32(trial * 7919), DstIP: uint32(trial ^ 0x1234), SrcPort: uint16(trial), DstPort: 443}
 		at := link.Src
 		hops := 0
 		for {
-			nh, pop, ok := n.Routers[at].NextProtected(lbl, f)
+			nh, pop, ok := n.NextProtected(at, lbl, f)
 			if !ok {
 				t.Fatalf("trial %d: no forwarding at node %d", trial, at)
 			}
@@ -241,7 +225,7 @@ func TestMeasureStorage(t *testing.T) {
 
 func TestNextBaseMissingPair(t *testing.T) {
 	_, n := buildAbilene(t)
-	if _, ok := n.Routers[0].NextBase(5, 5, FlowKey{}); ok {
+	if _, ok := n.NextBase(0, 5, 5, FlowKey{}); ok {
 		t.Fatalf("NextBase invented an entry")
 	}
 }

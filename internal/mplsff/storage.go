@@ -44,26 +44,27 @@ type Storage struct {
 // tables.
 func (n *Network) MeasureStorage() Storage {
 	var s Storage
-	labels := make(map[Label]bool)
-	for _, r := range n.Routers {
-		ilm := len(r.ILM)
-		nhlfe := 0
-		for lbl, fwd := range r.ILM {
-			labels[lbl] = true
-			nhlfe += len(fwd.Entries)
+	nN := len(n.Routers)
+	ilm, nhlfe := make([]int, nN), make([]int, nN)
+	for _, row := range n.rows[nN*nN:] {
+		if len(row) > 0 {
+			s.TotalILM++
 		}
-		if ilm > s.ILMEntries {
-			s.ILMEntries = ilm
+		for j, e := range row {
+			if j == 0 || row[j-1].at != e.at {
+				ilm[e.at]++
+			}
+			if e.out != popOut {
+				nhlfe[e.at]++
+			}
 		}
-		if nhlfe > s.NHLFEs {
-			s.NHLFEs = nhlfe
-		}
-		if fib := ilm*ILMEntryBytes + nhlfe*NHLFEBytes; fib > s.FIBBytes {
-			s.FIBBytes = fib
-		}
-		s.TotalNHLFEs += nhlfe
 	}
-	s.TotalILM = len(labels)
+	for u := range nN {
+		s.ILMEntries = max(s.ILMEntries, ilm[u])
+		s.NHLFEs = max(s.NHLFEs, nhlfe[u])
+		s.FIBBytes = max(s.FIBBytes, ilm[u]*ILMEntryBytes+nhlfe[u]*NHLFEBytes)
+		s.TotalNHLFEs += nhlfe[u]
+	}
 
 	// RIB: each router stores the full p matrix's nonzero entries.
 	nz := 0

@@ -19,11 +19,13 @@ type R3DistributedForwarder struct {
 	views []*mplsff.Network
 }
 
-// NewR3Distributed builds per-router views from one plan.
+// NewR3Distributed builds the plan's network once and gives every other
+// router a clone of it.
 func NewR3Distributed(plan *core.Plan) *R3DistributedForwarder {
 	views := make([]*mplsff.Network, plan.G.NumNodes())
-	for v := range views {
-		views[v] = mplsff.Build(plan)
+	views[0] = mplsff.Build(plan)
+	for v := 1; v < len(views); v++ {
+		views[v] = views[0].Clone()
 	}
 	return &R3DistributedForwarder{views: views}
 }

@@ -15,23 +15,22 @@ import (
 // Every per-router view of R3DistributedForwarder, and the centralized
 // forwarder the tests compare them with, share this decision procedure.
 func mplsForward(view *mplsff.Network, u graph.NodeID, pk *Packet) (graph.LinkID, bool) {
-	r := view.Routers[u]
 	for depth := 0; depth < mplsff.MaxStackDepth; depth++ {
 		if len(pk.Stack) == 0 {
-			nh, ok := r.NextBase(pk.Src, pk.Dst, pk.Flow)
+			nh, ok := view.NextBase(u, pk.Src, pk.Dst, pk.Flow)
 			if !ok {
 				return 0, false
 			}
 			if view.KnowsFailed(nh.Out) {
 				// Activate protection: push the failed link's label and
 				// retry the lookup in labeled mode.
-				pk.Stack = append(pk.Stack, view.LabelOf[nh.Out])
+				pk.Stack = append(pk.Stack, mplsff.LabelFor(nh.Out))
 				continue
 			}
 			return nh.Out, true
 		}
 		top := pk.Stack[len(pk.Stack)-1]
-		nh, pop, ok := r.NextProtected(top, pk.Flow)
+		nh, pop, ok := view.NextProtected(u, top, pk.Flow)
 		if !ok {
 			return 0, false
 		}
@@ -41,7 +40,7 @@ func mplsForward(view *mplsff.Network, u graph.NodeID, pk *Packet) (graph.LinkID
 		}
 		if view.KnowsFailed(nh.Out) {
 			// Nested failure along a frozen detour: stack another label.
-			lbl := view.LabelOf[nh.Out]
+			lbl := mplsff.LabelFor(nh.Out)
 			if len(pk.Stack) > 0 && pk.Stack[len(pk.Stack)-1] == lbl {
 				return 0, false // detour for a link cannot protect itself
 			}

@@ -3,6 +3,7 @@ package netem
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mplsff"
 	"repro/internal/obs"
@@ -10,11 +11,11 @@ import (
 
 // craftLoopingView builds a real MPLS-ff view and then rewires router
 // u's tables into a protection-label cycle: the base FIB sends the OD
-// pair (u, dst) into failed link e1, whose ILM detours into failed link
-// e2, whose ILM detours back into e1. Every lookup pushes another label,
-// so only the depth bound stops the walk. Such tables cannot arise from
-// a valid R3 plan (detours ξ_e avoid e itself), which is exactly why the
-// data plane needs a guard against corrupted or adversarial state.
+// pair (u, dst) into failed link e1, whose detour is failed link e2,
+// whose detour is e1 again. Every lookup pushes another label, so only
+// the depth bound stops the walk. R3's own detours ξ_e avoid e and are
+// rescaled from p, so such tables come only from a corrupted or
+// adversarial detour, which is exactly why the data plane needs a guard.
 func craftLoopingView(t *testing.T) (view *mplsff.Network, u, dst graph.NodeID, e1, e2 graph.LinkID) {
 	t.Helper()
 	plan := planForRing5(t)
@@ -26,20 +27,17 @@ func craftLoopingView(t *testing.T) (view *mplsff.Network, u, dst graph.NodeID, 
 		t.Fatalf("node %d has %d out-links, need 2", u, len(outs))
 	}
 	e1, e2 = outs[0], outs[1]
-	// The view must believe both links failed before the tables are
-	// rewired: OnFailure re-programs the maps we are about to overwrite.
-	if err := view.OnFailure(e1); err != nil {
-		t.Fatal(err)
+	st := core.NewState(plan)
+	for _, d := range [][2]graph.LinkID{{e1, e2}, {e2, e1}} {
+		xi := make([]float64, g.NumLinks())
+		xi[d[1]] = 1
+		if err := st.FailWith(d[0], xi); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := view.OnFailure(e2); err != nil {
-		t.Fatal(err)
-	}
+	view.ReprogramILM(st)
 	dst = graph.NodeID(3)
-	r := view.Routers[u]
-	l1, l2 := view.LabelOf[e1], view.LabelOf[e2]
-	r.FIB[[2]graph.NodeID{u, dst}] = []mplsff.NHLFE{{Out: e1, Ratio: 1}}
-	r.ILM[l1] = &mplsff.FWD{Entries: []mplsff.NHLFE{{Out: e2, Ratio: 1}}}
-	r.ILM[l2] = &mplsff.FWD{Entries: []mplsff.NHLFE{{Out: e1, Ratio: 1}}}
+	view.SetFIBRow([2]graph.NodeID{u, dst}, []mplsff.NHLFE{{Out: e1, Ratio: 1}})
 	return view, u, dst, e1, e2
 }
 

@@ -48,7 +48,7 @@ func Schedule(plan *core.Plan, failures []graph.LinkID, opts Options) (*Sequence
 	sc.span.SetFloat("failures", float64(len(failures)))
 
 	sc.data = sc.stateOf(0)
-	sc.net = sc.materialize(sc.data)
+	sc.net = mplsff.Build(plan)
 	sc.seq.TransientMLU = sc.mluOf(0)
 	search(len(sc.groups), opts.maxExactGroups, sc.envelope, sc.activate, sc.greedy)
 	sc.reconcile()
@@ -311,11 +311,11 @@ func (sc *scheduler) interimDetour(st *core.State, e graph.LinkID, alsoDown []gr
 	return xi, nil
 }
 
-// materialize programs a reference network for a state: fresh build
-// (deterministic salts and rows), then ILM reprogrammed from the state.
-// The base FIB keeps the pre-failure routing, exactly like OnFailure.
+// materialize programs a reference network for a state: a clone of the
+// previous one, its ILM reprogrammed from the state. The base FIB keeps
+// the pre-failure routing, exactly like OnFailure.
 func (sc *scheduler) materialize(st *core.State) *mplsff.Network {
-	n := mplsff.Build(sc.plan)
+	n := sc.net.Clone()
 	n.ReprogramILM(st)
 	return n
 }

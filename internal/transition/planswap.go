@@ -95,7 +95,7 @@ func SchedulePlanSwap(old, next *core.Plan, opts Options) (*Sequence, error) {
 				if b.interim {
 					sw.programInterim(cu, i)
 				} else {
-					copyODRows(cu, targetNet, sw.groups[i].od)
+					cu.CopyFIBRow(targetNet, sw.groups[i].od)
 				}
 			}
 		}
@@ -527,27 +527,15 @@ func (sw *swapper) interimFeasible() bool {
 	return sw.feasMLU <= feasTol
 }
 
-// programInterim overwrites the network's FIB rows for group i's OD with
+// programInterim overwrites the network's FIB row for group i's OD with
 // the LP interim routing fractions (same thresholding as Build).
 func (sw *swapper) programInterim(cu *mplsff.Network, i int) {
 	row := &sw.feasRows[i]
-	entries := make([][]mplsff.NHLFE, sw.g.NumNodes())
+	var entries []mplsff.NHLFE
 	for j, l := range row.Idx {
 		if v := row.Val[j]; v > 1e-12 {
-			id := graph.LinkID(l)
-			u := sw.g.Link(id).Src
-			entries[u] = append(entries[u], mplsff.NHLFE{Out: id, Ratio: v})
+			entries = append(entries, mplsff.NHLFE{Out: graph.LinkID(l), Ratio: v})
 		}
 	}
-	for v, e := range entries {
-		cu.SetFIBRow(graph.NodeID(v), sw.groups[i].od, e)
-	}
-}
-
-// copyODRows overwrites dst's base-FIB rows for one OD pair with src's
-// (deleting rows src lacks).
-func copyODRows(dst, src *mplsff.Network, od [2]graph.NodeID) {
-	for v := range dst.Routers {
-		dst.SetFIBRow(graph.NodeID(v), od, src.Routers[v].FIB[od])
-	}
+	cu.SetFIBRow(sw.groups[i].od, entries)
 }
