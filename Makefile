@@ -55,7 +55,10 @@ bench:
 # plan encoder against encoding/json and its allocation whatever the
 # collector did, the shortest-path baselines' loads bit for bit, the
 # per-scenario baselines' allocation per scenario (link loads, no dense
-# flow, pooled scratches; ./internal/protect), the MPLS-ff rows of random
+# flow, pooled scratches, FCP's and Path Splicing's trees and flow rows
+# included: 1 KB each; ./internal/protect), one value of each baseline
+# shared by four goroutines against a serial run
+# (TestSchemesConcurrentMatchSerial), the MPLS-ff rows of random
 # clone chains against a fresh Build and their allocation in proportion
 # to the rows a clone or a failure changes (./internal/mplsff); then,
 # verbosely, the SPF kernel plan differential (flat reference, heap and
@@ -63,7 +66,7 @@ bench:
 # nested benchmark module (bench/ has its own go.mod, so the root `go test
 # ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

@@ -63,7 +63,7 @@ func main() {
 		}
 		fmt.Printf("%-12d", step)
 		for _, s := range schemes {
-			loads, _ := s.Loads(cum, d)
+			loads := s.Loads(cum, d)
 			fmt.Printf(" %-12.3f", protect.Bottleneck(g, cum, loads))
 		}
 		fmt.Println()

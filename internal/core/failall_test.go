@@ -141,7 +141,7 @@ func TestFailWithCustomDetour(t *testing.T) {
 	if err := st2.FailWith(0, []float64{0, 1}); err == nil {
 		t.Fatal("short detour vector was accepted")
 	}
-	if !st2.Failed().Empty() {
+	if st2.Failed().Len() != 0 {
 		t.Fatal("rejected FailWith still marked the link failed")
 	}
 }

@@ -822,12 +822,8 @@ func (s *State) currentLoads() []float64 {
 		}
 		s.loads = append(make([]float64, 0, len(ix.loads)), ix.loads...)
 	}
-	if !s.dirty.Empty() {
-		for _, l := range s.dirty.IDs() {
-			s.loads[l] = s.linkLoad(ix, int32(l))
-		}
-		s.dirty.Clear()
-	}
+	s.dirty.Each(func(l graph.LinkID) { s.loads[l] = s.linkLoad(ix, int32(l)) })
+	s.dirty.Clear()
 	return s.loads
 }
 

@@ -181,7 +181,7 @@ func TestVirtualLoadAndEvaluate(t *testing.T) {
 
 func TestStateAccessors(t *testing.T) {
 	st := NewState(examplePlan(t))
-	if !st.Failed().Empty() {
+	if st.Failed().Len() != 0 {
 		t.Fatalf("fresh state has failures")
 	}
 	if st.Detour(0) != nil {

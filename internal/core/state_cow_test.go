@@ -467,6 +467,26 @@ func allocBytes(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// TestStateLoadRefreshZeroAllocWarm: bringing the load cache up to date
+// walks the dirty links in place, so a refresh with every link dirty
+// allocates nothing (listing the links cost a slice per query).
+func TestStateLoadRefreshZeroAllocWarm(t *testing.T) {
+	plan := statePlans(t)[1].plan
+	st := NewState(plan)
+	if err := st.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	st.currentLoads()
+	if n := testing.AllocsPerRun(20, func() {
+		for l := 0; l < plan.G.NumLinks(); l++ {
+			st.dirty.Add(graph.LinkID(l))
+		}
+		st.currentLoads()
+	}); n != 0 {
+		t.Fatalf("a warm load refresh allocates %v per run, want 0", n)
+	}
+}
+
 // TestStateAllocationIsProportionalToWhatItWrites fails when a copy of
 // the plan, of its demands or of a dense row finds its way back into
 // NewState or Fail: NewState may allocate the state alone, and a failure

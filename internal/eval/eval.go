@@ -33,15 +33,8 @@ type R3Scheme struct {
 func (s *R3Scheme) Name() string { return s.Label }
 
 // Loads implements protect.Scheme.
-func (s *R3Scheme) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
-	st := core.NewState(s.Plan)
-	st.SetDemands(d.At)
-	for _, e := range failed.IDs() {
-		if err := st.Fail(e); err != nil {
-			panic(fmt.Sprintf("eval: %v", err))
-		}
-	}
-	return st.Loads(), st.LostDemand()
+func (s *R3Scheme) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
+	return replay(s.Plan, core.FailureScenario(failed), d)
 }
 
 // ScenarioScheme is a Scheme that can replay full scenarios — surges and
@@ -50,18 +43,24 @@ func (s *R3Scheme) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, fl
 // unsurged matrix; the scheme applies the surge itself).
 type ScenarioScheme interface {
 	protect.Scheme
-	ScenarioLoads(sc core.Scenario, d *traffic.Matrix) ([]float64, float64)
+	ScenarioLoads(sc core.Scenario, d *traffic.Matrix) []float64
 }
 
 // ScenarioLoads implements ScenarioScheme: online reconfiguration replays
 // the surge, then the failures, then the degradations.
-func (s *R3Scheme) ScenarioLoads(sc core.Scenario, d *traffic.Matrix) ([]float64, float64) {
-	st := core.NewState(s.Plan)
+func (s *R3Scheme) ScenarioLoads(sc core.Scenario, d *traffic.Matrix) []float64 {
+	return replay(s.Plan, sc, d)
+}
+
+// replay returns the loads of d routed by plan's online reconfiguration
+// after scenario sc. An invalid scenario panics.
+func replay(plan *core.Plan, sc core.Scenario, d *traffic.Matrix) []float64 {
+	st := core.NewState(plan)
 	st.SetDemands(d.At)
 	if err := st.ApplyScenario(sc); err != nil {
 		panic(fmt.Sprintf("eval: %v", err))
 	}
-	return st.Loads(), st.LostDemand()
+	return st.Loads()
 }
 
 // SingleLinks enumerates every single-link failure scenario.
@@ -362,16 +361,16 @@ func (en *Engine) EvaluateScenarios(d *traffic.Matrix, scenarios []core.Scenario
 			// (bit-identical) arithmetic.
 			capScale := sc.CapScale(en.G.NumLinks())
 			dEff := sc.SurgeDemand(d)
-			ol, _ := opt.ScenarioLoads(sc.Failed, capScale, dEff)
+			ol := opt.ScenarioLoads(sc.Failed, capScale, dEff)
 			res.Optimal = protect.BottleneckScaled(en.G, sc.Failed, capScale, ol)
 			for _, s := range en.Schemes {
 				var loads []float64
 				if ss, ok := s.(ScenarioScheme); ok {
 					// The scheme replays the full scenario itself, from the
 					// base (unsurged) matrix.
-					loads, _ = ss.ScenarioLoads(sc, d)
+					loads = ss.ScenarioLoads(sc, d)
 				} else {
-					loads, _ = s.Loads(sc.Failed, dEff)
+					loads = s.Loads(sc.Failed, dEff)
 				}
 				res.Bottleneck[s.Name()] = protect.BottleneckScaled(en.G, sc.Failed, capScale, loads)
 				if live {
@@ -425,14 +424,7 @@ func SortedRatios(results []Result, scheme string) []float64 {
 func ClassBottlenecks(plan *core.Plan, classes map[traffic.Class]*traffic.Matrix, failed graph.LinkSet) map[traffic.Class]float64 {
 	out := make(map[traffic.Class]float64, len(classes))
 	for cls, d := range classes {
-		st := core.NewState(plan)
-		st.SetDemands(d.At)
-		for _, e := range failed.IDs() {
-			if err := st.Fail(e); err != nil {
-				panic(fmt.Sprintf("eval: %v", err))
-			}
-		}
-		out[cls] = protect.Bottleneck(plan.G, failed, st.Loads())
+		out[cls] = protect.Bottleneck(plan.G, failed, replay(plan, core.FailureScenario(failed), d))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -56,6 +57,9 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEngineLostAccounting: cutting Seattle off loses its demand. No link
+// at Seattle carries load, and every load equals, bit for bit, the load of
+// the same cut with Seattle's row and column of the matrix zeroed.
 func TestEngineLostAccounting(t *testing.T) {
 	g := topo.Abilene()
 	d := traffic.Gravity(g, 250, 3)
@@ -65,7 +69,21 @@ func TestEngineLostAccounting(t *testing.T) {
 		cut.Add(id)
 		cut.Add(g.Link(id).Reverse)
 	}
-	if _, lost := (&protect.OSPFRecon{G: g}).Loads(cut, d); lost <= 0 {
-		t.Fatalf("partition lost nothing: %v", lost)
+	withoutSea := d.Clone()
+	for n := graph.NodeID(0); int(n) < g.NumNodes(); n++ {
+		if n != sea {
+			withoutSea.Set(sea, n, 0)
+			withoutSea.Set(n, sea, 0)
+		}
+	}
+	got := (&protect.OSPFRecon{G: g}).Loads(cut, d)
+	want := (&protect.OSPFRecon{G: g}).Loads(cut, withoutSea)
+	for e := range got {
+		if l := g.Link(graph.LinkID(e)); (l.Src == sea || l.Dst == sea) && got[e] != 0 {
+			t.Fatalf("link %d at Seattle carries %v", e, got[e])
+		}
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			t.Fatalf("link %d: %v under the cut, %v without Seattle's demand", e, got[e], want[e])
+		}
 	}
 }

@@ -105,7 +105,7 @@ func TestR3SchemeCongestionFree(t *testing.T) {
 	}
 	s := &R3Scheme{Label: "MPLS-ff+R3", Plan: plan}
 	for _, sc := range SingleLinks(g) {
-		loads, _ := s.Loads(sc, d)
+		loads := s.Loads(sc, d)
 		if b := protect.Bottleneck(g, sc, loads); b > plan.MLU+1e-6 {
 			t.Fatalf("scenario %v: bottleneck %v > plan MLU %v", sc, b, plan.MLU)
 		}

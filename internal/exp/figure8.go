@@ -89,7 +89,7 @@ func Figure8(w *USISPWorkload, o Options) *Figure8Result {
 		ranked := make([]sb, len(scenarios))
 		gs := &eval.R3Scheme{Label: "general", Plan: general}
 		for i, sc := range scenarios {
-			loads, _ := gs.Loads(sc, total)
+			loads := gs.Loads(sc, total)
 			ranked[i] = sb{sc, protect.Bottleneck(g, sc, loads)}
 		}
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].b > ranked[j].b })

@@ -109,7 +109,7 @@ func Figure3(w *USISPWorkload, dayIdx int, o Options) *Figure3Result {
 	norm := 0.0
 	opt := &protect.Optimal{G: ev.g, Iterations: o.OptIter}
 	for _, d := range w.Day(dayIdx) {
-		loads, _ := opt.Loads(graph.LinkSet{}, d)
+		loads := opt.Loads(graph.LinkSet{}, d)
 		if b := protect.Bottleneck(ev.g, graph.LinkSet{}, loads); b > norm {
 			norm = b
 		}
@@ -274,10 +274,10 @@ func Figure9(w *USISPWorkload, beta float64, o Options) *Figure9Result {
 			row := make([]float64, 4)
 			// R3 base routings under this interval's traffic.
 			row[0] = planBottleneck(noPE, d)
-			ol, _ := recon.Loads(none, d)
+			ol := recon.Loads(none, d)
 			row[1] = protect.Bottleneck(g, none, ol)
 			row[2] = planBottleneck(withPE, d)
-			opl, _ := opt.Loads(none, d)
+			opl := opt.Loads(none, d)
 			row[3] = protect.Bottleneck(g, none, opl)
 			if row[3] > norm {
 				norm = row[3]
@@ -342,7 +342,7 @@ func Figure10(w *USISPWorkload, o Options) *Figure10Result {
 
 	// Normalization: the peak interval's optimal no-failure bottleneck.
 	opt := &protect.Optimal{G: gOpt, Iterations: o.OptIter}
-	ol, _ := opt.Loads(graph.LinkSet{}, d)
+	ol := opt.Loads(graph.LinkSet{}, d)
 	norm := protect.Bottleneck(gOpt, graph.LinkSet{}, ol)
 
 	events := eval.SingleEvents(w.G)
@@ -362,7 +362,7 @@ func sortedNormalized(g *graph.Graph, schemes []protect.Scheme, d *traffic.Matri
 	for j, s := range schemes {
 		vals := make([]float64, len(scenarios))
 		for i, sc := range scenarios {
-			loads, _ := s.Loads(sc, d)
+			loads := s.Loads(sc, d)
 			vals[i] = protect.Bottleneck(g, sc, loads) / norm
 		}
 		sort.Float64s(vals)

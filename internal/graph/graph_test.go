@@ -192,7 +192,7 @@ func TestTotalCapacity(t *testing.T) {
 
 func TestLinkSetBasics(t *testing.T) {
 	var s LinkSet
-	if !s.Empty() || s.Contains(5) {
+	if s.Len() != 0 || s.Contains(5) {
 		t.Fatalf("zero LinkSet should be empty")
 	}
 	s.Add(3)

@@ -62,20 +62,20 @@ func (s LinkSet) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no members.
-func (s LinkSet) Empty() bool { return s.Len() == 0 }
-
 // IDs returns the members in increasing order.
 func (s LinkSet) IDs() []LinkID {
 	var ids []LinkID
+	s.Each(func(id LinkID) { ids = append(ids, id) })
+	return ids
+}
+
+// Each calls fn on every member in increasing order, without allocating.
+func (s LinkSet) Each(fn func(LinkID)) {
 	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			ids = append(ids, LinkID(wi*64+b))
-			w &^= 1 << uint(b)
+		for ; w != 0; w &= w - 1 {
+			fn(LinkID(wi*64 + bits.TrailingZeros64(w)))
 		}
 	}
-	return ids
 }
 
 // Union returns a new set containing members of either set.

@@ -86,8 +86,8 @@ type Result struct {
 	Basis *lp.Basis
 
 	g *graph.Graph
-	// comms is the caller's slice, read by AddLoads and Lost: a
-	// caller that changes it afterwards changes what they report.
+	// comms is the caller's slice, read by AddLoads: a caller that
+	// changes it afterwards changes what it reports.
 	comms []routing.Commodity
 }
 
@@ -100,18 +100,6 @@ func (r *Result) AddLoads(loads []float64) {
 			r.Rows[k].AddLoads(c.Demand, loads)
 		}
 	}
-}
-
-// Lost is the demand of the commodities the result routes nowhere: the
-// dropped ones, whose rows are empty.
-func (r *Result) Lost() float64 {
-	var lost float64
-	for k, c := range r.comms {
-		if len(r.Rows[k].Idx) == 0 {
-			lost += c.Demand
-		}
-	}
-	return lost
 }
 
 // cancelLoops cancels the rows' loops, which also puts each row in
@@ -131,7 +119,7 @@ func (r *Result) cancelLoops(zero []float64, s *routing.LoopScratch) {
 // scratch allocates next to nothing; its contents never reach a result.
 //
 // Ownership: the Rows of a Result from MinMLUScratch live in the scratch
-// until its next solve, which overwrites them. Read them (AddLoads, Lost)
+// until its next solve, which overwrites them. Read them (AddLoads)
 // before reusing the scratch, or copy them. The zero value is ready to
 // use; a Scratch must not be shared between concurrent solves.
 type Scratch struct {

@@ -35,7 +35,10 @@ func allocPerScenario(s Scheme, scenarios []graph.LinkSet, d *traffic.Matrix) ui
 // commodities are ≈ 11 KB, one dense [commodity][link] flow 191 KB and a
 // fresh min-MLU scratch ≈ 180 KB; a warm OptDetour.Loads, with the cached
 // ECMP base, at most 4 KB, so it neither clones a base flow (191 KB) nor
-// solves its detours on a fresh scratch (≈ 9 KB).
+// solves its detours on a fresh scratch (≈ 9 KB). A warm FCP.Loads (≈ 600
+// B) and a warm PathSplicing.Loads (≈ 580 B) stay under 1 KB too: their
+// trees and flow rows come from free lists, where per-call trees and
+// per-step maps cost 59 KB and 224 KB.
 func TestBaselineLoadsAllocation(t *testing.T) {
 	g := topo.SBC()
 	d := traffic.Gravity(g, 0.15*g.TotalCapacity(), 1)
@@ -54,6 +57,8 @@ func TestBaselineLoadsAllocation(t *testing.T) {
 		{&OSPFRecon{G: g}, 1 << 10},
 		{&Optimal{G: g, Iterations: 40}, 1 << 10},
 		{&OptDetour{G: g, Iterations: 40}, 4 << 10},
+		{&FCP{G: g}, 1 << 10},
+		{&PathSplicing{G: g, Seed: 1}, 1 << 10},
 	} {
 		got := allocPerScenario(tc.s, scenarios, d)
 		t.Logf("%s: %d B per scenario (ceiling %d B, a dense flow %d B)", tc.s.Name(), got, tc.ceiling, dense)
@@ -81,14 +86,15 @@ func TestSchemesConcurrentMatchSerial(t *testing.T) {
 	for _, mk := range []func() Scheme{
 		func() Scheme { return &OSPFRecon{G: g} },
 		func() Scheme { return &CSPFDetour{G: g} },
+		func() Scheme { return &FCP{G: g} },
+		func() Scheme { return &PathSplicing{G: g, Seed: 1} },
 		func() Scheme { return &OptDetour{G: g, Iterations: 40} },
 		func() Scheme { return &Optimal{G: g, Iterations: 40} },
 	} {
 		ref := mk()
 		want := make([][]float64, len(scenarios))
-		wantLost := make([]float64, len(scenarios))
 		for i, sc := range scenarios {
-			want[i], wantLost[i] = ref.Loads(sc, d)
+			want[i] = ref.Loads(sc, d)
 		}
 		shared := mk()
 		var wg sync.WaitGroup
@@ -101,10 +107,7 @@ func TestSchemesConcurrentMatchSerial(t *testing.T) {
 					if w%2 == 1 {
 						i = len(scenarios) - 1 - i
 					}
-					loads, lost := shared.Loads(scenarios[i], d)
-					if math.Float64bits(lost) != math.Float64bits(wantLost[i]) {
-						t.Errorf("%s scenario %d: lost %v, serial %v", shared.Name(), i, lost, wantLost[i])
-					}
+					loads := shared.Loads(scenarios[i], d)
 					for e := range loads {
 						if math.Float64bits(loads[e]) != math.Float64bits(want[i][e]) {
 							t.Errorf("%s scenario %d link %d: %v, serial %v", shared.Name(), i, e, loads[e], want[i][e])

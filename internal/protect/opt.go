@@ -31,7 +31,7 @@ type OptDetour struct {
 func (s *OptDetour) Name() string { return "OSPF+opt" }
 
 // Loads implements Scheme.
-func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
+func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 	baseLoads := s.base.baseLoads(s.G, d)
 
 	// Background: surviving base load.
@@ -48,7 +48,7 @@ func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, f
 		})
 	}
 	if len(detourComms) == 0 {
-		return bg, 0
+		return bg
 	}
 	iters := s.Iterations
 	if iters == 0 {
@@ -59,7 +59,7 @@ func (s *OptDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, f
 	defer s.scratch.put(sc)
 	res := mcf.MinMLUScratch(s.G, detourComms, mcf.Options{Alive: failed.Alive(), Background: bg, Iterations: iters}, sc)
 	res.AddLoads(loads)
-	return loads, res.Lost()
+	return loads
 }
 
 // Optimal is flow-based optimal routing recomputed from scratch for each
@@ -80,7 +80,7 @@ type Optimal struct {
 func (s *Optimal) Name() string { return "optimal" }
 
 // Loads implements Scheme.
-func (s *Optimal) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
+func (s *Optimal) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 	return s.ScenarioLoads(failed, nil, d)
 }
 
@@ -88,7 +88,7 @@ func (s *Optimal) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, flo
 // NumLinks when non-nil) multiplies each link's capacity in the
 // optimization, so the optimum respects a scenario's effective
 // capacities. A nil capScale computes exactly Loads.
-func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *traffic.Matrix) ([]float64, float64) {
+func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *traffic.Matrix) []float64 {
 	comms := s.matrix.commodities(s.G, d)
 	iters := s.Iterations
 	if iters == 0 {
@@ -99,5 +99,5 @@ func (s *Optimal) ScenarioLoads(failed graph.LinkSet, capScale []float64, d *tra
 	res := mcf.MinMLUScratch(s.G, comms, mcf.Options{Alive: failed.Alive(), CapScale: capScale, Iterations: iters}, sc)
 	loads := make([]float64, s.G.NumLinks())
 	res.AddLoads(loads)
-	return loads, res.Lost()
+	return loads
 }

@@ -19,10 +19,10 @@ import (
 type Scheme interface {
 	// Name identifies the scheme in experiment output.
 	Name() string
-	// Loads returns the load on every link (failed links carry zero) and
-	// the total demand dropped (lost reachability or forwarding dead
-	// ends).
-	Loads(failed graph.LinkSet, d *traffic.Matrix) (loads []float64, lost float64)
+	// Loads returns the load on every link; failed links carry zero.
+	// Traffic the scheme cannot deliver (no route left, or a forwarding
+	// dead end) loads no link past the point where it drops.
+	Loads(failed graph.LinkSet, d *traffic.Matrix) []float64
 }
 
 // Bottleneck returns the maximum utilization of the given loads over the
@@ -68,13 +68,13 @@ type OSPFRecon struct {
 func (s *OSPFRecon) Name() string { return "OSPF+recon" }
 
 // Loads implements Scheme.
-func (s *OSPFRecon) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
+func (s *OSPFRecon) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 	comms := s.matrix.commodities(s.G, d)
 	loads := make([]float64, s.G.NumLinks())
 	sc := s.scratch.get()
-	lost := spf.ECMPLoads(s.G, comms, &failed, spf.WeightCost(s.G), sc, loads)
+	spf.ECMPLoads(s.G, comms, &failed, spf.WeightCost(s.G), sc, loads)
 	s.scratch.put(sc)
-	return loads, lost
+	return loads
 }
 
 // freeList is a mutex-guarded free list of scratch values for schemes
@@ -153,7 +153,8 @@ func (m *perMatrix) baseLoads(g *graph.Graph, d *traffic.Matrix) []float64 {
 // CSPFDetour models the widely deployed MPLS fast-reroute bypass: traffic
 // keeps following the pre-failure OSPF paths, and the traffic that crossed
 // a failed link is tunneled over that link's bypass — the shortest path
-// from its head to its tail computed with all failed links removed.
+// from its head to its tail computed with all failed links removed. Traffic
+// on a failed link without a bypass drops.
 type CSPFDetour struct {
 	G *graph.Graph
 	// base caches the failure-free ECMP loads per distinct demand matrix,
@@ -165,10 +166,9 @@ type CSPFDetour struct {
 func (s *CSPFDetour) Name() string { return "OSPF+CSPF-detour" }
 
 // Loads implements Scheme.
-func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
+func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 	baseLoads := s.base.baseLoads(s.G, d)
 	loads := append([]float64(nil), baseLoads...)
-	var lost float64
 	var sc spf.Scratch
 	for _, e := range failed.IDs() {
 		carried := baseLoads[e]
@@ -177,14 +177,9 @@ func (s *CSPFDetour) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, 
 			continue
 		}
 		link := s.G.Link(e)
-		bypass := spf.ShortestPath(s.G, link.Src, link.Dst, &failed, spf.WeightCost(s.G), &sc)
-		if bypass == nil {
-			lost += carried
-			continue
-		}
-		for _, id := range bypass {
+		for _, id := range spf.ShortestPath(s.G, link.Src, link.Dst, &failed, spf.WeightCost(s.G), &sc) {
 			loads[id] += carried
 		}
 	}
-	return loads, lost
+	return loads
 }

@@ -1,8 +1,8 @@
 package protect
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -25,31 +25,34 @@ type PathSplicing struct {
 	// Seed drives the deterministic weight perturbations.
 	Seed int64
 
-	// mu guards the lazily built slice weights and next-hop caches so one
-	// scheme value can serve concurrent scenario evaluations.
-	mu           sync.Mutex
-	sliceWeights [][]float64
-	// nextCache[slice][dst] is the static next-link vector of a slice
-	// (spf.Scratch.Next); slices do not react to failures (only splicing
-	// does), so the cache persists across Loads calls.
-	nextCache map[int]map[graph.NodeID][]int32
+	// mu guards the lazily built next-hop vectors so one scheme value can
+	// serve concurrent scenario evaluations.
+	mu sync.Mutex
+	// next[slice][dst] is a slice's next-link vector toward dst
+	// (spf.Scratch.Next) on the full topology: slices do not react to
+	// failures (only splicing does), so the vectors persist across Loads
+	// calls and are read-only once built.
+	next [spliceSlices][][]int32
+	// scratch is a free list of per-call flow rows.
+	scratch freeList[spliceScratch]
 }
 
 // Name implements Scheme.
 func (s *PathSplicing) Name() string { return "PathSplice" }
 
-// init computes the perturbed per-slice weights once.
+// init computes the perturbed per-slice weights and every slice's next-link
+// vectors once.
 func (s *PathSplicing) init() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sliceWeights != nil {
+	if s.next[0] != nil {
 		return
 	}
 	rng := rand.New(rand.NewSource(s.Seed + 1))
 	degMax := float64(s.G.MaxDegree())
-	s.sliceWeights = make([][]float64, spliceSlices)
-	for sl := 0; sl < spliceSlices; sl++ {
-		w := make([]float64, s.G.NumLinks())
+	w := make([]float64, s.G.NumLinks())
+	var sc spf.Scratch
+	for sl := range s.next {
 		for _, l := range s.G.Links() {
 			base := l.Weight
 			if sl == 0 {
@@ -61,121 +64,107 @@ func (s *PathSplicing) init() {
 			// a=0, b=3: multiplier uniform in [0, 3*f].
 			w[l.ID] = base * (1 + 3*f*rng.Float64())
 		}
-		s.sliceWeights[sl] = w
+		s.next[sl] = make([][]int32, s.G.NumNodes())
+		for dst := range s.next[sl] {
+			spf.SPFTo(s.G.CSR(), graph.NodeID(dst), w, nil, &sc)
+			s.next[sl][dst] = append([]int32(nil), sc.Next...)
+		}
 	}
 }
 
-// spliceState is a fluid aggregate: flow at a node currently forwarded in
-// a slice.
-type spliceState struct {
-	node  graph.NodeID
-	slice int
+// spliceScratch holds one Loads call's fluid state: the flow of this hop
+// and of the next, each a spliceRow over the (node, slice) states.
+type spliceScratch struct{ cur, nxt spliceRow }
+
+// spliceRow is the flow per (node, slice) state, indexed node·k + slice,
+// and the set of states holding flow, one bit each. Ascending index is
+// ascending (node, slice), so a walk in it visits states in a fixed order:
+// loads[nh] += f sums floats, and any other order would leak into the
+// result bits. A row is empty between OD pairs.
+type spliceRow struct {
+	flow []float64
+	set  []uint64
+}
+
+// size makes room for n states.
+func (r *spliceRow) size(n int) {
+	if len(r.flow) < n {
+		r.flow = make([]float64, n)
+		r.set = make([]uint64, (n+63)/64)
+	}
+}
+
+// add adds f to state i's flow.
+func (r *spliceRow) add(i int, f float64) {
+	r.set[i/64] |= 1 << (i % 64)
+	r.flow[i] += f
+}
+
+// drain calls visit on every state holding flow, in ascending index, and
+// leaves the row empty. It reports whether it visited any state.
+func (r *spliceRow) drain(visit func(i int, f float64)) bool {
+	visited := false
+	for wi, w := range r.set {
+		for ; w != 0; w &= w - 1 {
+			i := wi*64 + bits.TrailingZeros64(w)
+			f := r.flow[i]
+			r.flow[i] = 0
+			visit(i, f)
+			visited = true
+		}
+		r.set[wi] = 0
+	}
+	return visited
 }
 
 // Loads implements Scheme.
-func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) ([]float64, float64) {
+func (s *PathSplicing) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 	s.init()
 	g := s.G
 	loads := make([]float64, g.NumLinks())
-	var lost float64
 	alive := func(id int32) bool { return id >= 0 && !failed.Contains(graph.LinkID(id)) }
-
-	// Next-hop link per (slice, dst, node): first link on the slice's
-	// shortest path (computed on the full topology — slices are static;
-	// only splicing reacts to failures).
-	var sc spf.Scratch
-	nextFor := func(sl int, dst graph.NodeID) []int32 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.nextCache == nil {
-			s.nextCache = make(map[int]map[graph.NodeID][]int32)
-		}
-		m := s.nextCache[sl]
-		if m == nil {
-			m = make(map[graph.NodeID][]int32)
-			s.nextCache[sl] = m
-		}
-		if v, ok := m[dst]; ok {
-			return v
-		}
-		spf.SPFTo(g.CSR(), dst, s.sliceWeights[sl], nil, &sc)
-		next := append([]int32(nil), sc.Next...)
-		m[dst] = next
-		return next
-	}
+	sc := s.scratch.get()
+	defer s.scratch.put(sc)
+	sc.cur.size(g.NumNodes() * spliceSlices)
+	sc.nxt.size(g.NumNodes() * spliceSlices)
 
 	const eps = 1e-12
 	maxHops := 3 * g.NumNodes()
 	d.Pairs(func(a, b graph.NodeID, vol float64) {
-		flow := map[spliceState]float64{{a, 0}: vol}
-		for hop := 0; hop < maxHops && len(flow) > 0; hop++ {
-			next := make(map[spliceState]float64, len(flow))
-			// Visit states in a fixed order: loads[nh] += f sums floats,
-			// so map iteration order would leak into the result bits.
-			states := make([]spliceState, 0, len(flow))
-			for st := range flow {
-				states = append(states, st)
+		cur, nxt := &sc.cur, &sc.nxt
+		cur.add(int(a)*spliceSlices, vol)
+		step := func(i int, f float64) {
+			if f <= eps {
+				return
 			}
-			sort.Slice(states, func(i, j int) bool {
-				if states[i].node != states[j].node {
-					return states[i].node < states[j].node
+			u, sl := i/spliceSlices, i%spliceSlices
+			if nh := s.next[sl][b][u]; alive(nh) {
+				loads[nh] += f
+				if v := g.Link(graph.LinkID(nh)).Dst; v != b {
+					nxt.add(int(v)*spliceSlices+sl, f)
 				}
-				return states[i].slice < states[j].slice
-			})
-			for _, st := range states {
-				f := flow[st]
-				if f <= eps {
-					continue
-				}
-				nh := nextFor(st.slice, b)[st.node]
-				if alive(nh) {
-					v := g.Link(graph.LinkID(nh)).Dst
-					loads[nh] += f
-					if v != b {
-						next[spliceState{v, st.slice}] += f
-					}
-					continue
-				}
-				// Splice: uniform split across slices with an alive next
-				// hop at this node.
-				var targets []spliceState
-				for sl := 0; sl < spliceSlices; sl++ {
-					if sl == st.slice {
-						continue
-					}
-					if alive(nextFor(sl, b)[st.node]) {
-						targets = append(targets, spliceState{st.node, sl})
-					}
-				}
-				if len(targets) == 0 {
-					lost += f
-					continue
-				}
-				share := f / float64(len(targets))
-				for _, tg := range targets {
-					next[tg] += share
+				return
+			}
+			// Splice: uniform split across slices with an alive next hop
+			// at this node. Without one the flow drops.
+			var targets [spliceSlices]int
+			k := 0
+			for t := range s.next {
+				if t != sl && alive(s.next[t][b][u]) {
+					targets[k] = u*spliceSlices + t
+					k++
 				}
 			}
-			flow = next
-		}
-		// Flow still circulating after the hop budget is counted as lost
-		// (persistent forwarding loops drop at TTL expiry in practice).
-		// Sorted for the same bit-reproducibility reason as above.
-		rest := make([]spliceState, 0, len(flow))
-		for st := range flow {
-			rest = append(rest, st)
-		}
-		sort.Slice(rest, func(i, j int) bool {
-			if rest[i].node != rest[j].node {
-				return rest[i].node < rest[j].node
-			}
-			return rest[i].slice < rest[j].slice
-		})
-		for _, st := range rest {
-			if f := flow[st]; f > eps {
-				lost += f
+			for _, tg := range targets[:k] {
+				nxt.add(tg, f/float64(k))
 			}
 		}
+		for hop := 0; hop < maxHops && cur.drain(step); hop++ {
+			cur, nxt = nxt, cur
+		}
+		// Flow still circulating after the hop budget drops (persistent
+		// forwarding loops drop at TTL expiry in practice).
+		cur.drain(func(int, float64) {})
 	})
-	return loads, lost
+	return loads
 }

@@ -419,14 +419,15 @@ func TestECMPScratchReusesRows(t *testing.T) {
 	var sc ECMPScratch
 	l1 := make([]float64, g.NumLinks())
 	ECMPLoads(g, comms, nil, WeightCost(g), &sc, l1)
-	rows := make([]*float64, len(sc.trees))
-	orders := make([]*graph.NodeID, len(sc.trees))
-	for d, tr := range sc.trees {
-		if tr.dist != nil {
-			rows[d], orders[d] = &tr.dist[0], &tr.order[0]
+	trees := sc.trees.trees
+	rows := make([]*float64, len(trees))
+	orders := make([]*graph.NodeID, len(trees))
+	for d, tr := range trees {
+		if tr.Dist != nil {
+			rows[d], orders[d] = &tr.Dist[0], &tr.Order[0]
 		}
 	}
-	gen := sc.gen
+	gen := sc.trees.gen
 	for round := 0; round < 25; round++ {
 		loads := make([]float64, g.NumLinks())
 		ECMPLoads(g, comms, nil, WeightCost(g), &sc, loads)
@@ -436,21 +437,21 @@ func TestECMPScratchReusesRows(t *testing.T) {
 			}
 		}
 	}
-	if sc.gen != gen+25 {
-		t.Fatalf("generation stamp advanced %d, want 25", sc.gen-gen)
+	if sc.trees.gen != gen+25 {
+		t.Fatalf("generation stamp advanced %d, want 25", sc.trees.gen-gen)
 	}
-	for d, tr := range sc.trees {
+	for d, tr := range sc.trees.trees {
 		if rows[d] == nil {
 			continue
 		}
-		if &tr.dist[0] != rows[d] || &tr.order[0] != orders[d] {
+		if &tr.Dist[0] != rows[d] || &tr.Order[0] != orders[d] {
 			t.Fatalf("tree %d was reallocated; the table must stay bounded", d)
 		}
 	}
 	// The whole table is bounded by one tree per destination: no growth
 	// beyond the node count, ever.
-	if len(sc.trees) != g.NumNodes() {
-		t.Fatalf("scratch table sized %d, want %d", len(sc.trees), g.NumNodes())
+	if len(sc.trees.trees) != g.NumNodes() {
+		t.Fatalf("scratch table sized %d, want %d", len(sc.trees.trees), g.NumNodes())
 	}
 }
 

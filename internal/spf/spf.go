@@ -83,22 +83,21 @@ func ECMPFlow(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, co
 	var sc ECMPScratch
 	c := sc.start(g)
 	for k, cm := range comms {
-		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.tree(c, cm.Dst, cost, down), f.Frac[k])
+		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.trees.To(c, cm.Dst, cost, down), f.Frac[k])
 		sc.touched = sc.touched[:0]
 	}
 	return f
 }
 
 // ECMPLoads adds the link loads of ECMPFlow's routing into loads (of link
-// count length) and returns the lost demand, without building the flow:
-// each commodity's split fractions go into one dense row held in sc, and
-// each nonzero fraction v is added to its link as d·v, commodity by
-// commodity, skipping commodities of zero demand. Those are the products
-// Flow.Loads forms, added in its order, so a zero loads row comes back
-// equal, bit for bit, to ECMPFlow(...).Loads(). lost is the demand of the
-// commodities whose row is all zero: those that cannot reach their
-// destination.
-func ECMPLoads(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, cost []float64, sc *ECMPScratch, loads []float64) (lost float64) {
+// count length) without building the flow: each commodity's split
+// fractions go into one dense row held in sc, and each nonzero fraction v
+// is added to its link as d·v, commodity by commodity, skipping
+// commodities of zero demand. Those are the products Flow.Loads forms,
+// added in its order, so a zero loads row comes back equal, bit for bit,
+// to ECMPFlow(...).Loads(). A commodity that cannot reach its destination
+// adds nothing.
+func ECMPLoads(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, cost []float64, sc *ECMPScratch, loads []float64) {
 	c := sc.start(g)
 	row := sc.row
 	for _, cm := range comms {
@@ -106,79 +105,90 @@ func ECMPLoads(g *graph.Graph, comms []routing.Commodity, down *graph.LinkSet, c
 		if d == 0 {
 			continue
 		}
-		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.tree(c, cm.Dst, cost, down), row)
-		routed := false
+		sc.fractions(c, cm.Src, cm.Dst, cost, down, sc.trees.To(c, cm.Dst, cost, down), row)
 		for _, e := range sc.touched {
 			if v := row[e]; v != 0 {
 				loads[e] += d * v
-				routed = true
 			}
 			row[e] = 0
 		}
 		sc.touched = sc.touched[:0]
-		if !routed {
-			lost += d
-		}
 	}
-	return lost
 }
 
-// ECMPScratch holds ECMPLoads' reusable state: one tree per destination
-// node (invalidated by generation stamp on every invocation — never by
-// reallocation, so repeated calls hold live memory bounded by one tree per
-// destination ever routed to), the SPF kernel scratch, and the
-// per-commodity buffers. The zero value is ready to use; a scratch must not
-// be shared between concurrent calls.
+// ECMPScratch holds ECMPLoads' reusable state: the reverse trees, one per
+// destination routed to, and the per-commodity buffers. The zero value is
+// ready to use; a scratch must not be shared between concurrent calls.
 type ECMPScratch struct {
-	spf     Scratch
-	trees   []ecmpTree // per destination node, lazily allocated, reused
-	gen     int
+	trees   Trees
 	inflow  []float64 // per node, all zero between commodities
 	row     []float64 // per link, all zero between commodities
 	touched []int32   // the links fractions made nonzero in a row
 	hops    []graph.LinkID
 }
 
-// ecmpTree is one destination's reverse tree and the order ECMP splits
-// along it: the reachable nodes, farthest first, ascending node on ties.
-// Every hop but a plateau's leads strictly closer, so strictly later.
-type ecmpTree struct {
-	dist  []float64
-	next  []int32
-	order []graph.NodeID
-	stamp int // valid iff stamp == ECMPScratch.gen
-}
-
 // start sizes the scratch for g and invalidates every tree.
 func (sc *ECMPScratch) start(g *graph.Graph) *graph.CSR {
 	c := g.CSR()
-	if len(sc.trees) < c.N {
-		sc.trees = append(sc.trees, make([]ecmpTree, c.N-len(sc.trees))...)
+	sc.trees.Reset()
+	if len(sc.inflow) < c.N {
 		sc.inflow = make([]float64, c.N)
 	}
 	if len(sc.row) < c.NumLinks() {
 		sc.row = make([]float64, c.NumLinks())
 	}
-	sc.gen++
 	return c
 }
 
-// tree returns dst's tree under the call's cost and down-set, computing it
-// on the call's first visit to dst.
-func (sc *ECMPScratch) tree(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet) *ecmpTree {
-	t := &sc.trees[dst]
-	if t.stamp != sc.gen {
-		SPFTo(c, dst, cost, down, &sc.spf)
-		t.dist = append(t.dist[:0], sc.spf.Dist...)
-		t.next = append(t.next[:0], sc.spf.Next...)
-		t.order = t.order[:0]
-		for n, d := range t.dist {
+// Trees holds one reverse tree per destination for one cost row and
+// down-set at a time: To computes a destination's tree on its first visit
+// after Reset. Reset invalidates the trees by generation stamp, never by
+// reallocation, so repeated use holds live memory bounded by one tree per
+// destination ever visited. The zero value is ready to use; a Trees must
+// not be shared between concurrent callers.
+type Trees struct {
+	spf   Scratch
+	trees []Tree // per destination node, lazily allocated, reused
+	gen   int
+}
+
+// Tree is one destination's reverse tree — SPFTo's Dist and Next — and
+// Order, the order ECMP splits along it: the reachable nodes, farthest
+// first, ascending node on ties. Every hop but a plateau's leads strictly
+// closer, so strictly later in Order.
+type Tree struct {
+	Dist  []float64
+	Next  []int32
+	Order []graph.NodeID
+	stamp int // valid iff stamp == Trees.gen
+}
+
+// Reset invalidates every tree.
+func (ts *Trees) Reset() { ts.gen++ }
+
+// To returns dst's tree over cost and the links outside down, computing it
+// on the first visit to dst since Reset. Between Resets every call passes
+// the same cost and down.
+func (ts *Trees) To(c *graph.CSR, dst graph.NodeID, cost []float64, down *graph.LinkSet) *Tree {
+	if ts.gen == 0 {
+		ts.gen = 1 // a fresh tree's stamp is 0
+	}
+	if len(ts.trees) < c.N {
+		ts.trees = append(ts.trees, make([]Tree, c.N-len(ts.trees))...)
+	}
+	t := &ts.trees[dst]
+	if t.stamp != ts.gen {
+		SPFTo(c, dst, cost, down, &ts.spf)
+		t.Dist = append(t.Dist[:0], ts.spf.Dist...)
+		t.Next = append(t.Next[:0], ts.spf.Next...)
+		t.Order = t.Order[:0]
+		for n, d := range t.Dist {
 			if d != Infinity {
-				t.order = append(t.order, graph.NodeID(n))
+				t.Order = append(t.Order, graph.NodeID(n))
 			}
 		}
-		slices.SortStableFunc(t.order, func(a, b graph.NodeID) int { return cmp.Compare(t.dist[b], t.dist[a]) })
-		t.stamp = sc.gen
+		slices.SortStableFunc(t.Order, func(a, b graph.NodeID) int { return cmp.Compare(t.Dist[b], t.Dist[a]) })
+		t.stamp = ts.gen
 	}
 	return t
 }
@@ -187,23 +197,23 @@ func (sc *ECMPScratch) tree(c *graph.CSR, dst graph.NodeID, cost []float64, down
 // toward t's destination into frac, a zero row: equal splitting over Hops
 // at every node, in t's order, noting in sc.touched each link it makes
 // nonzero. frac stays zero if dst is unreachable from src.
-func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []float64, down *graph.LinkSet, t *ecmpTree, frac []float64) {
-	if t.dist[src] == Infinity {
+func (sc *ECMPScratch) fractions(c *graph.CSR, src, dst graph.NodeID, cost []float64, down *graph.LinkSet, t *Tree, frac []float64) {
+	if t.Dist[src] == Infinity {
 		return
 	}
 	inflow := sc.inflow
 	inflow[src] = 1
-	for _, u := range t.order {
+	for _, u := range t.Order {
 		f := inflow[u]
 		inflow[u] = 0
 		// A plateau's one hop stays at its distance, where the order may
 		// have gone by already: carry the flow along it at once.
 		for f > 0 && u != dst {
-			sc.hops = Hops(c, u, cost, down, t.dist, t.next, sc.hops)
+			sc.hops = Hops(c, u, cost, down, t.Dist, t.Next, sc.hops)
 			if len(sc.hops) == 0 {
 				break // unreachable for a finite distance
 			}
-			if v := graph.NodeID(c.Dst[sc.hops[0]]); t.dist[v] == t.dist[u] {
+			if v := graph.NodeID(c.Dst[sc.hops[0]]); t.Dist[v] == t.Dist[u] {
 				sc.add(frac, sc.hops[0], f)
 				u = v
 				continue
