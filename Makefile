@@ -51,7 +51,8 @@ bench:
 # (optimum, valid rows, loads), the canonical form of every plan's sparse
 # base and protection rows against their dense view, the paired
 # line-search probes against single ones, the block sweeps' line-search
-# objective against its documented contract, the pinned plan digests, the
+# objective against its documented contract, the pinned plan digests (the
+# benchmark's, and the p sweep's under every failure model), the
 # plan encoder against encoding/json and its allocation whatever the
 # collector did, the shortest-path baselines' loads bit for bit, the
 # per-scenario baselines' allocation per scenario (link loads, no dense
@@ -61,12 +62,12 @@ bench:
 # (TestSchemesConcurrentMatchSerial), the MPLS-ff rows of random
 # clone chains against a fresh Build and their allocation in proportion
 # to the rows a clone or a failure changes (./internal/mplsff); then,
-# verbosely, the SPF kernel plan differential (flat reference, heap and
-# delta-stepping DynTree rebuilds); then vet plus the smoke test of the
-# nested benchmark module (bench/ has its own go.mod, so the root `go test
-# ./...` never compiles it).
+# verbosely, the SPF kernel plan differential (a heap SPF per oracle call,
+# against DynTrees rebuilt by the heap and by delta-stepping); then vet
+# plus the smoke test of the nested benchmark module (bench/ has its own
+# go.mod, so the root `go test ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestProtectionSweepPlanDigests|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

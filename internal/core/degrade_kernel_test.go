@@ -96,7 +96,7 @@ func TestDegradationWorstLoadZeroAllocs(t *testing.T) {
 }
 
 // TestDegradationSweepZeroAllocsWarm: once a solve has warmed the arena,
-// an incremental p block sweep over a degradation envelope — every line
+// a p block sweep over a degradation envelope — every line
 // search, accept and cache refresh — allocates nothing. It used to copy a
 // column and sort it for every cell of every probe.
 func TestDegradationSweepZeroAllocsWarm(t *testing.T) {
@@ -116,7 +116,7 @@ func TestDegradationSweepZeroAllocsWarm(t *testing.T) {
 	if paths == 0 {
 		t.Fatal("no oracle paths left from the last epoch; the sweep would be empty")
 	}
-	if n := testing.AllocsPerRun(5, func() { s.pSweepInc(s.ar.pPaths, 0.01) }); n != 0 {
+	if n := testing.AllocsPerRun(5, func() { s.pSweep(s.ar.pPaths, 0.01) }); n != 0 {
 		t.Fatalf("warm degradation p sweep allocates %v per run, want 0", n)
 	}
 }
@@ -131,7 +131,7 @@ func r3planInputs(g *graph.Graph) (*traffic.Matrix, Config) {
 // sort-based generic path produced before the knapsack kernel existed
 // (`r3plan … -effort 60 -fingerprint` at the commit before it): dyadic and
 // non-dyadic β, fractional budgets, an anchor-wins envelope, a surge hull
-// (two requirements) and the flat-SPF reference sweep. The kernel changes
+// (two requirements) and a flat-SPF solve. The kernel changes
 // how the worst loads are found, never their bits.
 func TestDegradationPlanDigests(t *testing.T) {
 	cases := []struct {
@@ -215,9 +215,9 @@ func TestNestedEnvelopeMonotone(t *testing.T) {
 type opaqueDegradation struct{ DegradationModel }
 
 // TestKnapKernelMatchesGenericPath runs the same envelopes through the
-// colTop knapsack kernel and through the generic path, in both the
-// reference and the incremental p sweep, and compares the iterates bit for
-// bit: every line search must have seen the same worst loads.
+// colTop knapsack kernel and through the generic path, under the flat and
+// the incremental SPF kernels, and compares the iterates bit for bit:
+// every line search must have seen the same worst loads.
 func TestKnapKernelMatchesGenericPath(t *testing.T) {
 	g := topo.Mesh("knap-vs-generic", 12, 40, 9, 1000)
 	d := traffic.Gravity(g, 0.2*g.TotalCapacity(), 5)

@@ -103,8 +103,8 @@ func TestGroupStatsAgainstGeneric(t *testing.T) {
 		sM := make([]float64, 1)
 		mMl := make([]float64, 1)
 		zero := make([]float64, n)
-		groupStats(m.SRLGs, pcol, skip, sS, mSl, zero)
-		groupStats(m.MLGs, pcol, skip, sM, mMl, zero)
+		groupStats(m.SRLGs, pcol, []int32{0}, skip, sS, mSl, zero)
+		groupStats(m.MLGs, pcol, []int32{0}, skip, sM, mMl, zero)
 		srlg := math.Max(0, math.Max(sS[0], mSl[0]+x))
 		mlg := math.Max(0, math.Max(sM[0], mMl[0]+x))
 		got := srlg + mlg

@@ -32,6 +32,37 @@ func newDenseFW(s *fwState) *denseFW {
 	return d
 }
 
+// direct evaluates sweepLSE's contract from scratch at one probe whose
+// every cell's utilization u holds, flat [req*link], re-keying c.key as
+// open would. It reads stamp, gen, live, key and μ only.
+func (c *sweepLSE) direct(u []float64) float64 {
+	nL := len(c.stamp)
+	static := func(t int) bool { return (c.live != nil && !c.live[t/nL]) || c.stamp[t%nL] != c.gen }
+	sm, w := 0.0, 0.0
+	for t, x := range u {
+		if static(t) && x > sm {
+			sm = x
+		}
+		if x > w {
+			w = x
+		}
+	}
+	c.key = lseRekey(c.key, sm, c.mu)
+	var zs float64
+	for t, x := range u {
+		if static(t) {
+			zs += math.Exp((x - c.key) / c.mu)
+		}
+	}
+	z := zs * math.Exp((c.key-w)/c.mu)
+	for t, x := range u {
+		if !static(t) {
+			z += math.Exp((x - w) / c.mu)
+		}
+	}
+	return w + c.mu*math.Log(z)
+}
+
 // ternaryMinSingle is the single-probe ternary search the paired
 // ternaryMin replaced.
 func ternaryMinSingle(f func(float64) float64, iters int) float64 {
@@ -199,6 +230,12 @@ func (d *denseFW) stampP(l int, path []graph.LinkID) int32 {
 	return gen
 }
 
+// pSweepRef is the reference p sweep the sparse pSweep is held to for
+// every failure model: each probe of block l recomputes every (requirement,
+// link) cell, through the selected kernel's per-block stats or, in the
+// generic case, WorstLoad on the column with entry l replaced, and
+// evaluates sweepLSE's contract on them directly; an accept rewrites every
+// W cell.
 func (d *denseFW) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 	nL := d.g.NumLinks()
 	nI := len(d.reqs)
@@ -303,113 +340,6 @@ func (d *denseFW) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
 			Wi := W[i]
 			for e := 0; e < nL; e++ {
 				Wi[e] = evalW(i, e, d.pcol[e][l])
-			}
-		}
-	}
-}
-
-func (d *denseFW) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
-	nL := d.g.NumLinks()
-	nI := len(d.reqs)
-	loads, W := d.ar.loads, d.ar.W
-	arbF, knapU := d.arbF, d.knapU
-	knap := knapU != nil
-	sFm1, aF, xDir := d.ar.sFm1, d.ar.aF, d.ar.xDir
-	u := d.ar.us[:nI*nL]
-	stamp := d.ar.stampE
-	prevAct := d.ar.active2
-	nPrev := 0
-	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: stamp}
-	// evalW is the probe's worst virtual load of cell (i, e) at mixed value
-	// x: insertion stats or the knapsack walk on active cells, the column's
-	// own worst load on static ones.
-	evalW := func(i, e, l int, x float64) float64 {
-		switch {
-		case knap && stamp[e] == lse.gen:
-			return d.tops[e].worstKnapAt(knapU[i], int32(l), x)
-		case knap:
-			w, _ := d.tops[e].worstKnap(knapU[i])
-			return w
-		case stamp[e] != lse.gen:
-			return d.tops[e].worstArb(arbF[i])
-		case x > aF[i][e]:
-			return sFm1[i][e] + x
-		}
-		return sFm1[i][e] + aF[i][e]
-	}
-	for l := 0; l < nL; l++ {
-		path := pPaths[l]
-		if path == nil {
-			continue
-		}
-		cl := d.capac[l]
-		for e := range xDir {
-			xDir[e] = 0
-		}
-		for _, id := range path {
-			xDir[id] = cl
-		}
-		pl := d.P[l]
-		lse.gen = d.stampP(l, path)
-		gen := lse.gen
-		if !knap {
-			for i := 0; i < nI; i++ {
-				F := arbF[i]
-				sfi, afi := sFm1[i], aF[i]
-				for e := 0; e < nL; e++ {
-					if stamp[e] == gen {
-						sfi[e], afi[e] = d.tops[e].stats(int32(l), F)
-					}
-				}
-			}
-		}
-		eval := func(gamma float64) float64 {
-			for i := 0; i < nI; i++ {
-				for e := 0; e < nL; e++ {
-					x := (1-gamma)*d.pcol[e][l] + gamma*xDir[e]
-					u[i*nL+e] = (loads[i][e] + evalW(i, e, l, x)) / d.capac[e]
-				}
-			}
-			return lse.direct(u)
-		}
-		gamma := ternaryMinSingle(eval, 12)
-		if gamma <= 1e-9 || eval(gamma) >= eval(0)-1e-15 {
-			continue
-		}
-		for e := 0; e < nL; e++ {
-			if stamp[e] != gen {
-				continue
-			}
-			old := d.pcol[e][l]
-			nv := (1-gamma)*old + gamma*xDir[e]
-			d.pcol[e][l] = nv
-			pl[e] = nv / cl
-			if nv != old {
-				d.topUpdate(e, int32(l), nv)
-			}
-		}
-		for i := 0; i < nI; i++ {
-			Wi := W[i]
-			for _, e32 := range prevAct[:nPrev] {
-				if e := int(e32); stamp[e] != gen {
-					Wi[e] = evalW(i, e, l, 0)
-				}
-			}
-			for e := 0; e < nL; e++ {
-				if stamp[e] == gen {
-					if knap {
-						Wi[e], _ = d.tops[e].worstKnap(knapU[i])
-					} else {
-						Wi[e] = evalW(i, e, l, d.pcol[e][l])
-					}
-				}
-			}
-		}
-		nPrev = 0
-		for e := 0; e < nL; e++ {
-			if stamp[e] == gen {
-				prevAct[nPrev] = int32(e)
-				nPrev++
 			}
 		}
 	}

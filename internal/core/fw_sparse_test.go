@@ -170,13 +170,8 @@ func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Conf
 			dn.rSweep(rPd, mu)
 			base(at("r sweep"))
 		}
-		if sp.incSweep {
-			sp.pSweepInc(pP, mu)
-			dn.pSweepInc(pPd, mu)
-		} else {
-			sp.pSweepRef(pP, mu)
-			dn.pSweepRef(pPd, mu)
-		}
+		sp.pSweep(pP, mu)
+		dn.pSweepRef(pPd, mu)
 		prot(at("p sweep"))
 		mats(at("p sweep"), "W", sp.ar.W, dn.ar.W)
 		base(at("p sweep"))
@@ -189,12 +184,16 @@ func stepAgainstOracle(t *testing.T, g *graph.Graph, d *traffic.Matrix, cfg Conf
 // TestSparseProtectionMatchesDenseOracle holds the sparse protection half
 // of the solver — P and bestP as rows, pcol as sorted columns kept current
 // by the p-sweep accepts, the global step's support-restricted fill, the
-// pattern-only gradient costs, paired line-search probes — to the dense
-// oracle in fw_dense_oracle_test.go, bit for bit after every phase of every
-// epoch: on ring5, mesh6, Abilene and SBC; for top-F (F = 1, 2), a
-// degradation envelope, the K=1 group kernel and the generic path
-// (GroupFailures with K = 2); under the flat and the incremental SPF
-// modes; with a jointly optimized base, plus a pinned one for F = 1.
+// pattern-only gradient costs, the one p sweep with its cached static cells
+// and paired line-search probes — to the dense oracle in
+// fw_dense_oracle_test.go, bit for bit after every phase of every epoch:
+// on ring5, mesh6, Abilene and SBC; for top-F (F = 1, 2, and F = the link
+// count, where the sweep's static sums and refreshW's differ in the last
+// ulp), a degradation envelope, the K=1 group kernel and the generic path
+// (GroupFailures with K = 2; per-link β and a knapsack walk over 32 steps,
+// but for SBC);
+// under the flat and the incremental SPF modes; with a jointly optimized
+// base, plus a pinned one for F = 1.
 func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
 	var rekeys int64
 	for _, tg := range []struct {
@@ -208,6 +207,11 @@ func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
 	} {
 		d := traffic.Gravity(tg.g, 0.15*tg.g.TotalCapacity(), 1)
 		srlgs, mlgs := oracleGroups(tg.g)
+		nL := tg.g.NumLinks()
+		linkBeta := make([]float64, nL)
+		for l := range linkBeta {
+			linkBeta[l] = 0.2 + 0.05*float64(l%7)
+		}
 		for _, tm := range []struct {
 			name   string
 			model  FailureModel
@@ -219,7 +223,13 @@ func TestSparseProtectionMatchesDenseOracle(t *testing.T) {
 			{"degrade", DegradationModel{Beta: 0.5, Budget: 2}, false},
 			{"grp1", GroupFailures{SRLGs: srlgs, MLGs: mlgs, K: 1}, false},
 			{"generic", GroupFailures{SRLGs: srlgs, MLGs: mlgs, K: 2}, false},
+			{"arb-links", ArbitraryFailures{F: nL}, false},
+			{"linkbeta", DegradationModel{Beta: 0.5, Budget: 2, LinkBeta: linkBeta}, false},
+			{"walk50", DegradationModel{Beta: 0.01, Budget: 0.5}, false},
 		} {
+			if tg.name == "sbc" && (tm.name == "linkbeta" || tm.name == "walk50") {
+				continue // the generic degradation cases cost seconds there
+			}
 			for _, mode := range []spfKernel{kernelFlat, kernelIncremental} {
 				t.Run(fmt.Sprintf("%s/%s/%v", tg.name, tm.name, mode), func(t *testing.T) {
 					cfg := Config{Model: tm.model, Workers: 1, kernel: mode}
@@ -528,10 +538,10 @@ func warmFWState(t *testing.T, model FailureModel) *fwState {
 func TestTopFSweepZeroAllocsWarm(t *testing.T) {
 	for _, F := range []int{1, 2} {
 		s := warmFWState(t, ArbitraryFailures{F: F})
-		if s.arbF == nil || !s.incSweep {
-			t.Fatalf("F=%d: top-F incremental sweep not selected: arbF=%v incSweep=%v", F, s.arbF, s.incSweep)
+		if s.arbF == nil {
+			t.Fatalf("F=%d: top-F kernel not selected", F)
 		}
-		if n := testing.AllocsPerRun(5, func() { s.pSweepInc(s.ar.pPaths, 0.01) }); n != 0 {
+		if n := testing.AllocsPerRun(5, func() { s.pSweep(s.ar.pPaths, 0.01) }); n != 0 {
 			t.Fatalf("F=%d: warm top-F p sweep allocates %v per run, want 0", F, n)
 		}
 	}

@@ -84,10 +84,10 @@ type Config struct {
 	kernel spfKernel
 }
 
-// spfKernel selects the shortest-path kernel behind the FW solver's oracle
-// sweeps. Production solves use kernelIncremental. The core tests select
-// the others to hold every kernel to the flat reference byte for byte; all
-// of them return the same trees bit for bit (the contract in internal/spf),
+// spfKernel selects the shortest-path kernel behind the FW solver's p
+// oracle. Production solves use kernelIncremental. The core tests select
+// the others to hold every kernel to the flat one byte for byte; all of
+// them return the same trees bit for bit (the contract in internal/spf),
 // so plans never depend on the choice.
 type spfKernel uint8
 
@@ -96,7 +96,7 @@ const (
 	// across epochs and rebuilt with delta-stepping from
 	// spf.DeltaCutoverNodes nodes and with the binary heap below.
 	kernelIncremental spfKernel = iota
-	kernelFlat                  // a full heap SPF per oracle call, and the reference p sweep
+	kernelFlat                  // a full heap SPF per oracle call
 	kernelDelta                 // DynTrees always rebuilt with delta-stepping
 )
 
@@ -473,7 +473,7 @@ type fwState struct {
 	optimizeBase bool
 	pool         *par.Pool
 	o            fwObs
-	flatSPF      bool // kernelFlat: a flat SPF per oracle call and pSweepRef, no DynTrees
+	flatSPF      bool // kernelFlat: a heap SPF per oracle call, no DynTrees
 	deltaSPF     bool // the DynTrees rebuild by delta-stepping
 
 	// best-so-far snapshot by true objective
@@ -496,18 +496,16 @@ type fwState struct {
 	// knapsack walks of uniform-β DegradationModels (knapU, topK = longest
 	// walk + 1); grp1 is the GroupFailures{K: 1} kernel. Each of arbF, knapU
 	// and grp1 is nil unless every requirement's model is of its kind.
-	// incSweep selects pSweepInc over pSweepRef.
-	csr      *graph.CSR
-	ar       fwArena
-	tops     []colTop
-	topK     int
-	arbF     []int
-	knapU    [][]float64
-	grp1     []GroupFailures
-	incSweep bool
-	spfPool  spf.ScratchPool
-	bufMu    sync.Mutex
-	bufFree  [][]float64 // free list of len-nL scratch rows (getBuf)
+	csr     *graph.CSR
+	ar      fwArena
+	tops    []colTop
+	topK    int
+	arbF    []int
+	knapU   [][]float64
+	grp1    []GroupFailures
+	spfPool spf.ScratchPool
+	bufMu   sync.Mutex
+	bufFree [][]float64 // free list of len-nL scratch rows (getBuf)
 
 	// Incremental-SPF state (unless flatSPF): one dynamic reverse
 	// tree per protected link, repaired across epochs from the sparse
@@ -849,11 +847,7 @@ func (s *fwState) run(effort int, runSp obs.Span) {
 		rSweepSp.End()
 
 		pSweepSp := epochSp.Child("p-sweep")
-		if s.incSweep {
-			s.pSweepInc(pPaths, mu)
-		} else {
-			s.pSweepRef(pPaths, mu)
-		}
+		s.pSweep(pPaths, mu)
 		pSweepSp.End()
 
 		obj = s.trueObj()
@@ -873,14 +867,15 @@ func (s *fwState) run(effort int, runSp obs.Span) {
 
 // selectKernels picks the worst-load evaluation the whole solve uses and
 // sizes the state that goes with it. Fast evaluation from the maintained
-// colTop buffers applies when every model is ArbitraryFailures (the common
-// case, including priorities; arbF) or every model is a uniform-β
-// DegradationModel with a short knapsack walk (every one the CLIs and r3d
-// build; knapU), with a third fast path for GroupFailures with K=1 (the
-// SRLG+MLG model the US-ISP experiments use; grp1). At most one of the
-// three is non-nil. Everything else — GroupFailures{K>1}, F > 32, per-link
-// β, long walks — takes the generic evaluation through the FailureModel
-// interface, which is also the oracle the kernels are tested against.
+// colTop buffers applies when every model is ArbitraryFailures with F <= 32
+// (the common case, including priorities and F >= the link count; arbF) or
+// every model is a uniform-β DegradationModel with a short knapsack walk
+// (every one the CLIs and r3d build; knapU), with a third fast path for
+// GroupFailures with K=1 (the SRLG+MLG model the US-ISP experiments use;
+// grp1). At most one of the three is non-nil. Everything else —
+// GroupFailures{K>1}, F > 32, per-link β, long walks — takes the generic
+// evaluation through the FailureModel interface, which is also the oracle
+// the kernels are tested against.
 func (s *fwState) selectKernels() {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
@@ -944,15 +939,6 @@ func (s *fwState) selectKernels() {
 		s.topK = need + 1
 		if s.tops == nil {
 			s.tops = make([]colTop, nL)
-		}
-	}
-	// The incremental p sweep rides on the colTop kernels (worstArb-valid F
-	// on every top-F requirement); kernelFlat keeps the reference evaluation,
-	// which the differential tests compare against.
-	s.incSweep = !s.flatSPF && s.topK > 0
-	for _, f := range s.arbF {
-		if f >= nL {
-			s.incSweep = false
 		}
 	}
 }
@@ -1029,8 +1015,8 @@ const lseWindow = 200
 // same order, and key is windowed: open keeps it while the block's static
 // max lies within lseWindow·μ of it and re-keys on that max (refilling
 // expu, the one O(cells) exp pass, counted in rekeys) otherwise. A probe
-// costs its active cells; direct evaluates the same contract from every
-// cell.
+// costs its active cells; the dense oracle evaluates the same contract from
+// every cell.
 type sweepLSE struct {
 	u0, expu [][]float64
 	key      float64 // NaN before a sweep's first fill
@@ -1122,38 +1108,6 @@ func (c *sweepLSE) probe(u []float64) float64 {
 		}
 	}
 	return w + mu*math.Log(z)
-}
-
-// direct evaluates the contract from scratch at one probe whose every
-// cell's utilization u holds, flat [req*link], re-keying c.key as open
-// would. It reads stamp, gen, live, key and μ only: the reference p sweep
-// and the dense oracle evaluate through it.
-func (c *sweepLSE) direct(u []float64) float64 {
-	nL := len(c.stamp)
-	static := func(t int) bool { return (c.live != nil && !c.live[t/nL]) || c.stamp[t%nL] != c.gen }
-	sm, w := 0.0, 0.0
-	for t, x := range u {
-		if static(t) && x > sm {
-			sm = x
-		}
-		if x > w {
-			w = x
-		}
-	}
-	c.key = lseRekey(c.key, sm, c.mu)
-	var zs float64
-	for t, x := range u {
-		if static(t) {
-			zs += math.Exp((x - c.key) / c.mu)
-		}
-	}
-	z := zs * math.Exp((c.key-w)/c.mu)
-	for t, x := range u {
-		if !static(t) {
-			z += math.Exp((x - w) / c.mu)
-		}
-	}
-	return w + c.mu*math.Log(z)
 }
 
 // rSweep runs one r block sweep: every commodity in turn moves toward its
@@ -1346,182 +1300,54 @@ func (s *fwState) acceptP(l int, gamma float64, path []graph.LinkID, act []int32
 	s.P[l].Gather(mix, path)
 }
 
-// pSweepRef runs one p block sweep by the reference evaluation: every
-// line-search probe of block l recomputes every (requirement, link) cell,
-// through the selected kernel's per-block statistics or, in the generic
-// case, through WorstLoad on the column with entry l replaced, and
-// evaluates sweepLSE's contract on them directly. It serves every model
-// the incremental sweep does not (GroupFailures, the generic path) and
-// kernelFlat, where it is the oracle pSweepInc is tested against.
-func (s *fwState) pSweepRef(pPaths [][]graph.LinkID, mu float64) {
+// pSweep runs one p block sweep: every protected link in turn moves toward
+// its oracle path by its own exact line search on the smoothed objective.
+// For block l a cell (i, e) is static when it is off the block's active
+// cells (openPBlock): its mixed value x stays exactly +0 and column e holds
+// no entry for l, so its probe is the column's own worst load, staticW, bit
+// for bit. Static utilizations and their exp terms are therefore cached in
+// sweepLSE like the r sweep's, and a probe evaluates probeW, the worst load
+// with l's entry set to x, and math.Exp only at the active cells, from the
+// stats blockStats takes on those cells alone. The model is chosen once
+// per sweep: top-F (sFm1 + max(x, aF), x added last) and the knapsack
+// walk probe inline, any other model through probeModel. The dense
+// oracle's denseFW.pSweepRef, which evaluates every cell of every probe,
+// is the reference it is held to.
+func (s *fwState) pSweep(pPaths [][]graph.LinkID, mu float64) {
 	nL := s.g.NumLinks()
 	nI := len(s.reqs)
 	nT := nI * nL
 	loads, W := s.ar.loads, s.ar.W
-	sFm1, aF := s.ar.sFm1, s.ar.aF
-	xCur, xDir, zero := s.ar.xCur, s.ar.xDir, s.ar.zero
-	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
-	// Group-model stats: best group sum not containing l (sS/sM) and best
-	// sum among groups containing l with l's own entry removed (mSl/mMl),
-	// per requirement and link.
-	sS, mSl, sM, mMl := s.ar.grpS, s.ar.grpSl, s.ar.grpM, s.ar.grpMl
-	lse := sweepLSE{key: math.NaN(), mu: mu, stamp: s.ar.stampE}
-	clear(xDir) // the r sweep leaves its last block's path behind
-	for l := 0; l < nL; l++ {
-		path := pPaths[l]
-		if path == nil {
-			continue
-		}
-		act := s.openPBlock(l, path)
-		lse.gen = s.stampGen
-
-		var evalW func(i, e int, x float64) float64
-		switch {
-		case s.arbF != nil:
-			// Insertion stats: top-(F-1) sum and F-th largest of the
-			// column with entry l excluded; then the worst virtual
-			// load as a function of x = c_l p_l(e) is
-			// sFm1 + max(x, aF). The maintained colTop buffers answer
-			// both in O(F) per cell instead of rescanning the column,
-			// bit-identical to insertionStats (same selection order,
-			// same summation order).
-			for i := 0; i < nI; i++ {
-				F := s.arbF[i]
-				sfi, afi := sFm1[i], aF[i]
-				for e := 0; e < nL; e++ {
-					sfi[e], afi[e] = s.tops[e].stats(int32(l), F)
-				}
-			}
-			evalW = func(i, e int, x float64) float64 {
-				if x > aF[i][e] {
-					return sFm1[i][e] + x
-				}
-				return sFm1[i][e] + aF[i][e]
-			}
-		case s.grp1 != nil:
-			// With K=1, the worst case is one SRLG plus one MLG: the
-			// best group either avoids l entirely (sum precomputed) or
-			// contains l and gains x.
-			for i := 0; i < nI; i++ {
-				groupStats(s.grp1[i].SRLGs, s.pcol, graph.LinkID(l), sS[i], mSl[i], zero)
-				groupStats(s.grp1[i].MLGs, s.pcol, graph.LinkID(l), sM[i], mMl[i], zero)
-			}
-			evalW = func(i, e int, x float64) float64 {
-				srlg := sS[i][e]
-				if v := mSl[i][e] + x; v > srlg {
-					srlg = v
-				}
-				if srlg < 0 {
-					srlg = 0
-				}
-				mlg := sM[i][e]
-				if v := mMl[i][e] + x; v > mlg {
-					mlg = v
-				}
-				if mlg < 0 {
-					mlg = 0
-				}
-				return srlg + mlg
-			}
-		case s.knapU != nil:
-			// The knapsack walk over the maintained buffer, with l
-			// skipped and (x, l) merged at its rank, is WorstLoad on
-			// the column with entry l set to x, bit for bit.
-			evalW = func(i, e int, x float64) float64 {
-				return s.tops[e].worstKnapAt(s.knapU[i], int32(l), x)
-			}
-		default:
-			evalW = func(i, e int, x float64) float64 {
-				col := &s.pcol[e]
-				col.Scatter(zero)
-				zero[l] = x
-				w := s.reqs[i].model.WorstLoad(zero)
-				col.Clear(zero)
-				zero[l] = 0
-				return w
-			}
-		}
-
-		eval := func(ga, gb float64) (float64, float64) {
-			for i := 0; i < nI; i++ {
-				li := loads[i]
-				ra, rb := usA[i*nL:(i+1)*nL], usB[i*nL:(i+1)*nL]
-				for e := 0; e < nL; e++ {
-					xa := (1-ga)*xCur[e] + ga*xDir[e]
-					xb := (1-gb)*xCur[e] + gb*xDir[e]
-					ra[e] = (li[e] + evalW(i, e, xa)) / s.capac[e]
-					rb[e] = (li[e] + evalW(i, e, xb)) / s.capac[e]
-				}
-			}
-			return lse.direct(usA), lse.direct(usB)
-		}
-		gamma := ternaryMin(eval, 12)
-		if accepts(gamma, eval) {
-			s.acceptP(l, gamma, path, act)
-			// Refresh W from the accepted step. The fast-path evalW
-			// closures only read precomputed stats or the updated top
-			// buffers; the generic fallback evaluates WorstLoad on the
-			// updated column directly.
-			if s.topK == 0 && s.grp1 == nil {
-				s.refreshW()
-			} else {
-				for i := 0; i < nI; i++ {
-					Wi := W[i]
-					for e := 0; e < nL; e++ {
-						Wi[e] = evalW(i, e, xCur[e])
-					}
-				}
-			}
-		}
-		s.closePBlock(act)
-	}
-}
-
-// pSweepInc runs one p block sweep incrementally: pSweepRef with the
-// static cells cached. For block l a cell (i, e) is static when it is off
-// the block's active cells (openPBlock): its mixed value x stays exactly +0
-// and l holds no entry in tops[e], so the probe collapses to the column's
-// own worst load — the top-F insertion stats walked at x = 0 reproduce the
-// buffer-order sum tops[e].worstArb bit for bit (the first F non-l entries
-// are the first F entries, summed in the same order), and the knapsack walk
-// skips and merges nothing, which is worstKnap. Static utilizations and
-// their exp terms are therefore cached in sweepLSE like the r sweep's, and
-// a probe computes the kernel and math.Exp only at the active cells.
-//
-// The two colTop kernels differ only where a probe is evaluated: top-F
-// reads per-block insertion stats (sFm1 + max(x, aF), "others first, x
-// last"), the knapsack walks the buffer with l skipped and (x, l) merged
-// at its rank.
-func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
-	nL := s.g.NumLinks()
-	nI := len(s.reqs)
-	nT := nI * nL
-	loads, W := s.ar.loads, s.ar.W
-	arbF, knapU := s.arbF, s.knapU
-	knap := knapU != nil
-	sFm1, aF := s.ar.sFm1, s.ar.aF
 	xCur, xDir := s.ar.xCur, s.ar.xDir
 	u0 := s.ar.u0
 	usA, usB := s.ar.us[:nT], s.ar.us[nT:]
 	stamp := s.ar.stampE
+	// prevAct holds the last accepted block's active cells, the only ones
+	// whose W may differ from staticW. Seeded with every link, the first
+	// accept also rewrites where refreshW summed in index order (F >= nL).
 	prevAct := s.ar.active2
-	nPrev := 0
+	for e := range prevAct {
+		prevAct[e] = int32(e)
+	}
+	nPrev := nL
 	clear(xDir) // the r sweep leaves its last block's path behind
-	// No closure below escapes, so a warm sweep allocates nothing.
 	for i := 0; i < nI; i++ {
 		li, u0i := loads[i], u0[i]
-		if knap {
-			u := knapU[i]
-			for e := 0; e < nL; e++ {
-				w, _ := s.tops[e].worstKnap(u)
-				u0i[e] = (li[e] + w) / s.capac[e]
-			}
-			continue
-		}
-		F := arbF[i]
 		for e := 0; e < nL; e++ {
-			u0i[e] = (li[e] + s.tops[e].worstArb(F)) / s.capac[e]
+			u0i[e] = (li[e] + s.staticW(i, e)) / s.capac[e]
 		}
+	}
+	// No closure below escapes, so a warm sweep allocates nothing.
+	topF, knap := s.arbF != nil, s.knapU != nil
+	sFm1, aF := s.ar.sFm1, s.ar.aF
+	probeW := func(i, e int, l int32, x float64) float64 {
+		switch {
+		case topF:
+			return sFm1[i][e] + max(x, aF[i][e])
+		case knap:
+			return s.tops[e].worstKnapAt(s.knapU[i], l, x)
+		}
+		return s.probeModel(i, e, l, x)
 	}
 	lse := sweepLSE{u0: u0, expu: s.ar.expu, key: math.NaN(), mu: mu, stamp: stamp, rekeys: s.o.rekeys}
 	for l := 0; l < nL; l++ {
@@ -1532,25 +1358,7 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 		l32 := int32(l)
 		act := s.openPBlock(l, path)
 		gen := s.stampGen
-		// Insertion stats only where fresh evaluation happens.
-		if !knap {
-			for i := 0; i < nI; i++ {
-				F := arbF[i]
-				sfi, afi := sFm1[i], aF[i]
-				for _, e := range act {
-					sfi[e], afi[e] = s.tops[e].stats(l32, F)
-				}
-			}
-		}
-		evalW := func(i, e int, x float64) float64 {
-			if knap {
-				return s.tops[e].worstKnapAt(knapU[i], l32, x)
-			}
-			if x > aF[i][e] {
-				return sFm1[i][e] + x
-			}
-			return sFm1[i][e] + aF[i][e]
-		}
+		s.blockStats(l32, act)
 		lse.open(gen, act)
 		eval := func(ga, gb float64) (float64, float64) {
 			for i := 0; i < nI; i++ {
@@ -1560,8 +1368,8 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 					e := int(e32)
 					xa := (1-ga)*xCur[e] + ga*xDir[e]
 					xb := (1-gb)*xCur[e] + gb*xDir[e]
-					ra[e] = (li[e] + evalW(i, e, xa)) / s.capac[e]
-					rb[e] = (li[e] + evalW(i, e, xb)) / s.capac[e]
+					ra[e] = (li[e] + probeW(i, e, l32, xa)) / s.capac[e]
+					rb[e] = (li[e] + probeW(i, e, l32, xb)) / s.capac[e]
 				}
 			}
 			return lse.pair(usA, usB)
@@ -1572,44 +1380,81 @@ func (s *fwState) pSweepInc(pPaths [][]graph.LinkID, mu float64) {
 			continue
 		}
 		s.acceptP(l, gamma, path, act)
-		// The reference refresh rewrites every W cell. The knapsack walk
-		// has one summation order, so W always holds worstKnap of the
-		// current buffer and only the moved cells change. Top-F active
-		// cells take the insertion-stats value at the accepted x while
-		// static cells collapse back to the buffer-order worstArb sum;
-		// only the previous accepted block's active cells can hold
-		// insertion-order bits, so the rewrite touches prevAct \ act plus
-		// act — every other cell already stores worstArb of an unchanged
-		// top buffer.
-		// Either way the moved cells' static view is refreshed from
-		// their updated buffers.
+		// W takes the probe at the accepted x on the active cells and
+		// staticW on the previous block's others; every other cell already
+		// holds staticW of an unchanged column. The moved cells' static view
+		// follows their updated columns.
 		for i := 0; i < nI; i++ {
 			li, Wi := loads[i], W[i]
-			if knap {
-				u := knapU[i]
-				for _, e32 := range act {
-					e := int(e32)
-					Wi[e], _ = s.tops[e].worstKnap(u)
-					lse.set(i, e, (li[e]+Wi[e])/s.capac[e])
-				}
-				continue
-			}
-			F := arbF[i]
 			for _, e32 := range prevAct[:nPrev] {
-				e := int(e32)
-				if stamp[e] != gen {
-					Wi[e] = s.tops[e].worstArb(F)
+				if e := int(e32); stamp[e] != gen {
+					Wi[e] = s.staticW(i, e)
 				}
 			}
 			for _, e32 := range act {
 				e := int(e32)
-				Wi[e] = evalW(i, e, xCur[e])
-				lse.set(i, e, (li[e]+s.tops[e].worstArb(F))/s.capac[e])
+				Wi[e] = probeW(i, e, l32, xCur[e])
+				lse.set(i, e, (li[e]+s.staticW(i, e))/s.capac[e])
 			}
 		}
 		nPrev = copy(prevAct, act)
 		s.closePBlock(act)
 	}
+}
+
+// staticW is requirement i's worst load on column e as the p sweep sees a
+// cell its block leaves alone: worstAt, except that top-F sums the colTop
+// buffer at every F, which is what probeW's insertion stats give at x = 0.
+func (s *fwState) staticW(i, e int) float64 {
+	if s.arbF != nil {
+		return s.tops[e].worstArb(s.arbF[i])
+	}
+	var top *colTop
+	if s.topK > 0 {
+		top = &s.tops[e]
+	}
+	return s.worstAt(i, top, &s.pcol[e])
+}
+
+// blockStats takes the per-block stats probeW reads, on the active cells of
+// protected link l's block: for top-F, the top-(F-1) sum and the F-th
+// largest of each column with entry l excluded (sFm1, aF); for the K=1
+// group kernel, the best SRLG and MLG sums avoiding l and through it, its
+// own entry removed. The other models need none.
+func (s *fwState) blockStats(l int32, act []int32) {
+	a := &s.ar
+	switch {
+	case s.arbF != nil:
+		for i, F := range s.arbF {
+			sfi, afi := a.sFm1[i], a.aF[i]
+			for _, e := range act {
+				sfi[e], afi[e] = s.tops[e].stats(l, F)
+			}
+		}
+	case s.grp1 != nil:
+		for i, m := range s.grp1 {
+			groupStats(m.SRLGs, s.pcol, act, graph.LinkID(l), a.grpS[i], a.grpSl[i], a.zero)
+			groupStats(m.MLGs, s.pcol, act, graph.LinkID(l), a.grpM[i], a.grpMl[i], a.zero)
+		}
+	}
+}
+
+// probeModel is the p sweep's probeW for the models without a colTop
+// kernel: the K=1 group kernel adds x to the best sum through l against
+// the best avoiding it, for the SRLGs and the MLGs apart; any other model
+// runs WorstLoad on column e scattered with entry l replaced.
+func (s *fwState) probeModel(i, e int, l int32, x float64) float64 {
+	a := &s.ar
+	if s.grp1 != nil {
+		return max(a.grpS[i][e], a.grpSl[i][e]+x) + max(a.grpM[i][e], a.grpMl[i][e]+x)
+	}
+	col := &s.pcol[e]
+	col.Scatter(a.zero)
+	a.zero[l] = x
+	w := s.reqs[i].model.WorstLoad(a.zero)
+	col.Clear(a.zero)
+	a.zero[l] = 0
+	return w
 }
 
 // globalStep moves every commodity toward its oracle path simultaneously
@@ -2090,16 +1935,17 @@ func (s *fwState) protNNZ() int64 {
 	return n
 }
 
-// groupStats fills, for every link e, best[e] = the largest positive group
-// sum over column pcol[e] treating index skip as absent among groups NOT
-// containing skip (0 when none), and withSkip[e] = the largest sum among
-// groups containing skip with skip's own entry removed (negative infinity
-// when no group contains skip). Each column is scattered into zero, an
-// all-zero scratch of the column length that is left all zero, and read
-// there: the dense column's values, group by group in the same order.
-func groupStats(groups [][]graph.LinkID, pcol []routing.SparseRow, skip graph.LinkID, best, withSkip, zero []float64) {
+// groupStats fills, for every link e in act, best[e] = the largest positive
+// group sum over column pcol[e] treating index skip as absent among groups
+// NOT containing skip (0 when none), and withSkip[e] = the largest sum
+// among groups containing skip with skip's own entry removed (negative
+// infinity when no group contains skip). Each column is scattered into
+// zero, an all-zero scratch of the column length that is left all zero,
+// and read there: the dense column's values, group by group in the same
+// order.
+func groupStats(groups [][]graph.LinkID, pcol []routing.SparseRow, act []int32, skip graph.LinkID, best, withSkip, zero []float64) {
 	negInf := math.Inf(-1)
-	for e := range best {
+	for _, e := range act {
 		best[e] = 0
 		withSkip[e] = negInf
 		col := &pcol[e]

@@ -20,14 +20,13 @@ func (k spfKernel) String() string {
 
 // TestSPFModeByteIdentity is the planner-level differential for the
 // shortest-path kernels: precomputed plans must be byte-identical on the
-// wire whichever kernel drives the hot loop — the flat reference (a full
-// SPF per oracle call and the reference p sweep), DynTrees rebuilt with
-// the binary heap (the production kernel below spf.DeltaCutoverNodes
-// nodes), or DynTrees rebuilt by delta-stepping — on ring5,
-// Abilene, and a small generated transit-stub topology. CI's bench-smoke
-// job runs this test; it is the end-to-end guarantee behind the solver's
-// kernel choice by node count. The degradation case holds the knapsack kernel's incremental p sweep
-// (incremental, delta) to its reference sweep (flat).
+// wire whichever kernel drives the p oracle — a full heap SPF per oracle
+// call (flat), DynTrees rebuilt with the binary heap (the production
+// kernel below spf.DeltaCutoverNodes nodes), or DynTrees rebuilt by
+// delta-stepping — on ring5, Abilene, and a small generated transit-stub
+// topology, for top-F and for the knapsack kernel of a degradation
+// envelope. CI's bench-smoke job runs this test; it is the end-to-end
+// guarantee behind the solver's kernel choice by node count.
 func TestSPFModeByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string

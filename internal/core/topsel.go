@@ -153,10 +153,11 @@ func (t *colTop) update(l int32, nv float64, K int) bool {
 	return true
 }
 
-// worstArb returns the sum of the top-F entries — sumTopK(col, F, nil)
-// bit for bit, valid for F < len(col) (the reference's small-F branch;
-// F >= len(col) switches to index-order summation and must use sumTopK
-// directly).
+// worstArb returns the sum of the top-F entries in buffer order. For
+// F < len(col) that is sumTopK(col, F, nil) bit for bit; at F >= len(col)
+// sumTopK sums in index order instead, and worstAt (refreshW, the global
+// step) takes WorstLoad there, while the p sweep's static cells keep
+// worstArb: the value its insertion stats give at x = 0 for every F.
 func (t *colTop) worstArb(F int) float64 {
 	n := t.n
 	if F < n {

@@ -245,12 +245,29 @@ func (n *Network) NextProtected(u graph.NodeID, lbl Label, f FlowKey) (nh NHLFE,
 // state and round version; the rows themselves are shared. Buffered
 // out-of-order rounds are not carried over.
 func (n *Network) Clone() *Network {
+	return n.cloneWith(n.state.Clone(), n.failed.Clone())
+}
+
+// Reprogrammed returns a clone of n that keeps st as its bookkeeping state
+// and programs its ILM from it; n's own state is not cloned. The base FIB
+// stays n's (it deliberately keeps the pre-failure routing, exactly as
+// OnFailure does). The transition scheduler uses this to materialize each
+// staged intermediate state on the previous round's network before
+// diffing the two.
+func (n *Network) Reprogrammed(st *core.State) *Network {
+	c := n.cloneWith(st, st.Failed())
+	c.programILM()
+	return c
+}
+
+// cloneWith is Clone with the given state and failure knowledge.
+func (n *Network) cloneWith(st *core.State, failed graph.LinkSet) *Network {
 	return &Network{
 		G:         n.G,
 		Routers:   n.Routers,
 		rows:      slices.Clone(n.rows),
-		state:     n.state.Clone(),
-		failed:    n.failed.Clone(),
+		state:     st,
+		failed:    failed,
 		nextRound: n.nextRound,
 	}
 }
@@ -290,17 +307,6 @@ func (n *Network) OnFailure(e graph.LinkID) error {
 	n.failed.Add(e)
 	n.programILM()
 	return nil
-}
-
-// ReprogramILM swaps in a new bookkeeping state and programs the ILM from
-// it, leaving the base FIB untouched (the FIB deliberately keeps the
-// pre-failure routing, exactly as OnFailure does). The transition
-// scheduler uses this to materialize each staged intermediate state on a
-// clone of the previous round's network before diffing the two.
-func (n *Network) ReprogramILM(st *core.State) {
-	n.state = st
-	n.failed = st.Failed()
-	n.programILM()
 }
 
 // programILM brings every ILM row in line with the state. Link l's label

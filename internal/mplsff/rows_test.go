@@ -60,8 +60,7 @@ func replay(t *testing.T, plan *core.Plan, ops []failOp) *core.State {
 
 // fresh builds a network from scratch for a recipe.
 func fresh(t *testing.T, plan *core.Plan, rec recipe) *Network {
-	n := Build(plan)
-	n.ReprogramILM(replay(t, plan, rec.ops))
+	n := Build(plan).Reprogrammed(replay(t, plan, rec.ops))
 	for od, entries := range rec.fib {
 		n.SetFIBRow(od, entries)
 	}
@@ -106,7 +105,7 @@ func failedOf(ops []failOp) graph.LinkSet {
 }
 
 // TestNetworkMatchesFreshBuild drives random clone chains through
-// OnFailure, ReprogramILM of states with FailWith interim detours (from
+// OnFailure, Reprogrammed of states with FailWith interim detours (from
 // the node's own failures or from an unrelated set), ApplyRound of a diff
 // to another network and SetFIBRow. After every step every FIB and ILM
 // row, the failed links' frozen rows included, equals a fresh Build of
@@ -175,9 +174,9 @@ func TestNetworkMatchesFreshBuild(t *testing.T) {
 						}
 					}
 					ops = append(ops, failOp{e: e, xi: xi})
-					c.net.ReprogramILM(replay(t, plan, ops))
+					c.net = x.net.Reprogrammed(replay(t, plan, ops))
 					c.rec.ops, c.stateOps, c.stale = ops, ops, false
-					return c, fmt.Sprintf("ReprogramILM(%d failures, interim %d)", len(ops), e)
+					return c, fmt.Sprintf("Reprogrammed(%d failures, interim %d)", len(ops), e)
 				default:
 					k := rng.Intn(len(plan.Comms))
 					od := [2]graph.NodeID{plan.Comms[k].Src, plan.Comms[k].Dst}

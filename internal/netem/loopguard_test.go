@@ -35,7 +35,7 @@ func craftLoopingView(t *testing.T) (view *mplsff.Network, u, dst graph.NodeID, 
 			t.Fatal(err)
 		}
 	}
-	view.ReprogramILM(st)
+	view = view.Reprogrammed(st)
 	dst = graph.NodeID(3)
 	view.SetFIBRow([2]graph.NodeID{u, dst}, []mplsff.NHLFE{{Out: e1, Ratio: 1}})
 	return view, u, dst, e1, e2

@@ -2,6 +2,7 @@ package protect
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/spf"
@@ -17,16 +18,24 @@ import (
 // the per-packet learning dynamics.
 type FCP struct {
 	G *graph.Graph
-	// scratch is a free list of per-call states, so one scheme value can
-	// serve concurrent scenario evaluations.
+
+	// mu guards the lazily built base trees so one scheme value can serve
+	// concurrent scenario evaluations.
+	mu sync.Mutex
+	// base[dst] is mask 0's reverse tree toward dst, the failure-free
+	// topology's: the same for every Loads call, so it is built once and
+	// read-only after.
+	base []*spf.Tree
+	// scratch is a free list of per-call states for the other masks.
 	scratch freeList[fcpScratch]
 }
 
 // fcpScratch is one Loads call's state, per mask of learned failures (bit
 // i for the i-th failed link): the down-set the mask's snapshot removes,
-// that snapshot's reverse trees, whether an OD pair's flow has reached the
-// mask, and the flow per (mask, node) state at mask·N + node. flow and
-// live are all zero between OD pairs.
+// that snapshot's reverse trees (unused for mask 0, whose are FCP.base),
+// whether an OD pair's flow has reached the mask, and the flow per
+// (mask, node) state at mask·N + node. flow and live are all zero between
+// OD pairs.
 type fcpScratch struct {
 	downs []graph.LinkSet
 	trees []spf.Trees
@@ -62,8 +71,27 @@ func (sc *fcpScratch) reset(fids []graph.LinkID, n int) int {
 // Name implements Scheme.
 func (s *FCP) Name() string { return "FCP" }
 
+// init builds the failure-free reverse tree of every destination once.
+func (s *FCP) init() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.base != nil {
+		return
+	}
+	c := s.G.CSR()
+	cost := spf.WeightCost(s.G)
+	var ts spf.Trees
+	var none graph.LinkSet
+	base := make([]*spf.Tree, c.N)
+	for dst := range base {
+		base[dst] = ts.To(c, graph.NodeID(dst), cost, &none)
+	}
+	s.base = base
+}
+
 // Loads implements Scheme.
 func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
+	s.init()
 	g := s.G
 	c := g.CSR()
 	cost := spf.WeightCost(g)
@@ -88,7 +116,10 @@ func (s *FCP) Loads(failed graph.LinkSet, d *traffic.Matrix) []float64 {
 				continue
 			}
 			down := &sc.downs[mask]
-			t := sc.trees[mask].To(c, b, cost, down)
+			t := s.base[b]
+			if mask > 0 {
+				t = sc.trees[mask].To(c, b, cost, down)
+			}
 			flow := sc.flow[mask*c.N : (mask+1)*c.N]
 			for _, n := range t.Order {
 				f := flow[n]

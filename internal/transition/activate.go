@@ -315,9 +315,7 @@ func (sc *scheduler) interimDetour(st *core.State, e graph.LinkID, alsoDown []gr
 // previous one, its ILM reprogrammed from the state. The base FIB keeps
 // the pre-failure routing, exactly like OnFailure.
 func (sc *scheduler) materialize(st *core.State) *mplsff.Network {
-	n := sc.net.Clone()
-	n.ReprogramILM(st)
-	return n
+	return sc.net.Reprogrammed(st)
 }
 
 // maxInto raises dst to the elementwise max of dst and src.
