@@ -39,12 +39,14 @@ cover:
 bench:
 	bash bench/run.sh
 
-# bench-smoke runs the hot-path gates (DESIGN.md §4–§8, §12):
-# zero-allocation kernels, sweeps and emulator hops (./internal/netem), the
+# bench-smoke runs the hot-path gates (DESIGN.md §4–§9, §12):
+# zero-allocation kernels, sweeps and emulator packets (./internal/netem),
+# the emulator's pointer-free event heap against container/heap, the
 # pinned-base allocation ceiling, worst-load differentials (the SRLG
 # selection against its sort among them), the SPF kernel's one-pass next
 # links against the two-pass derivation, the min-MLU line search against
-# the full scan, the prefix-sharing audit against a fresh replay, the dense
+# the full scan, the prefix-sharing audit against a fresh replay, lost
+# demand against a full per-row recompute on every audited state, the dense
 # oracles of the sparse commodity rows, of loop cancellation, of the
 # sparse protection half and of the row-by-row protection clean-up
 # (sanitizeProt), the per-OD oracle of the per-destination exact LP
@@ -60,14 +62,16 @@ bench:
 # included: 1 KB each; ./internal/protect), one value of each baseline
 # shared by four goroutines against a serial run
 # (TestSchemesConcurrentMatchSerial), the MPLS-ff rows of random
-# clone chains against a fresh Build and their allocation in proportion
-# to the rows a clone or a failure changes (./internal/mplsff); then,
+# clone chains against a fresh Build, their allocation in proportion
+# to the rows a clone or a failure changes, and the next-hop choice's
+# lone-entry shortcut and inline flow hash against the hashing path and
+# hash/fnv (./internal/mplsff); then,
 # verbosely, the SPF kernel plan differential (a heap SPF per oracle call,
 # against DynTrees rebuilt by the heap and by delta-stepping); then vet
 # plus the smoke test of the nested benchmark module (bench/ has its own
 # go.mod, so the root `go test ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestProtectionSweepPlanDigests|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestProtectionSweepPlanDigests|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestLostDemandMatchesFullRecompute|TestEventHeapMatchesContainerHeap|TestPickMatchesHashingPath|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

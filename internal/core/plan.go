@@ -952,11 +952,26 @@ func (s *State) SetDemands(demand func(a, b graph.NodeID) float64) {
 	}
 }
 
+// touchesDst reports whether override o of base row k lists a link into
+// or out of commodity k's destination: the only cells Plan.delivered
+// reads.
+func (p *Plan) touchesDst(k int, o override) bool {
+	dst := p.Comms[k].Dst
+	for _, l := range o.idx {
+		if e := p.G.Link(graph.LinkID(l)); e.Src == dst || e.Dst == dst {
+			return true
+		}
+	}
+	return false
+}
+
 // LostDemand returns the total demand dropped because reconfiguration hit
 // a partition (sum over commodities of demand × undelivered fraction).
-// The delivered share of a rewritten row is kept (overlay.dels) while the
-// state alone holds its lists, so a clone computes only the rows its own
-// reroutes rewrote.
+// A rewritten row whose override lists none of its destination's links
+// delivers the plan row's share bit for bit (DESIGN.md §9), so only the
+// other rewritten rows are recomputed. The delivered share of a rewritten
+// row is kept (overlay.dels) while the state alone holds its lists, so a
+// clone computes only the rows its own reroutes rewrote.
 func (s *State) LostDemand() float64 {
 	ix := s.plan.baseIndex()
 	h := &s.base
@@ -970,11 +985,12 @@ func (s *State) LostDemand() float64 {
 	j := 0
 	for k, del := range ix.delivered {
 		if j < len(h.own) && int(h.own[j]) == k {
-			if del = -1; h.dels != nil {
+			if h.dels != nil && h.dels[j] >= 0 {
 				del = h.dels[j]
-			}
-			if del < 0 {
-				del = s.plan.delivered(k, h.rows[j])
+			} else {
+				if o := h.rows[j]; s.plan.touchesDst(k, o) {
+					del = s.plan.delivered(k, o)
+				}
 				if h.mine {
 					h.dels[j] = del
 				}

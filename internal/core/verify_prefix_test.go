@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -90,4 +92,86 @@ func TestVerifySharedPrefixesMatchFreshReplay(t *testing.T) {
 		}
 		t.Logf("%s: %d scenarios, worst %v, %d partitions, %d violations", tc.name, got.Scenarios, got.WorstMLU, got.Partitions, got.Violations)
 	}
+}
+
+// lostRecompute is LostDemand with no shortcut: every row's delivered
+// share computed from its override, rewritten or not, in commodity order.
+func lostRecompute(s *State) float64 {
+	var lost float64
+	for k := range s.plan.Comms {
+		del := s.plan.delivered(k, s.base.find(k))
+		if d := s.demandOf(k); d != 0 {
+			lost += d * (1 - del)
+		}
+	}
+	return lost
+}
+
+// TestLostDemandMatchesFullRecompute holds LostDemand, which reuses the
+// plan row's delivered share for a rewritten row whose override misses
+// its destination's links, to a full per-row recompute, bit for bit: on
+// every state Verify(2, ·) replays on SBC F=2 — each single failure, then
+// a clone of it per second failure, as the prefix chain shares them — and
+// on Abilene with every link of Seattle failed, which strands demand.
+// Each state is asked twice, so the cached shares are checked too, and
+// both kinds of rewritten row must occur.
+func TestLostDemandMatchesFullRecompute(t *testing.T) {
+	var sbc, ab *Plan
+	for _, np := range statePlans(t) {
+		switch np.name {
+		case "sbc-f2":
+			sbc = np.plan
+		case "abilene-f1":
+			ab = np.plan
+		}
+	}
+	var reused, recomputed int
+	check := func(name string, st *State) float64 {
+		t.Helper()
+		want := lostRecompute(st)
+		for range 2 {
+			if got := st.LostDemand(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: LostDemand %v, full recompute %v", name, got, want)
+			}
+		}
+		for j, k := range st.base.own {
+			if st.plan.touchesDst(int(k), st.base.rows[j]) {
+				recomputed++
+			} else {
+				reused++
+			}
+		}
+		return want
+	}
+	nL := sbc.G.NumLinks()
+	for a := range nL {
+		one := NewState(sbc)
+		if err := one.FailAll(graph.LinkID(a)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sbc fail %d", a), one)
+		for b := a + 1; b < nL; b++ {
+			two := one.Clone()
+			if err := two.FailAll(graph.LinkID(b)); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("sbc fail %d,%d", a, b), two)
+		}
+	}
+	seattle, ok := ab.G.NodeByName("Seattle")
+	if !ok {
+		t.Fatal("no Seattle in Abilene")
+	}
+	cut := append(slices.Clone(ab.G.Out(seattle)), ab.G.In(seattle)...)
+	st := NewState(ab)
+	if err := st.FailAll(cut...); err != nil {
+		t.Fatal(err)
+	}
+	if lost := check("abilene without Seattle", st); lost <= 0 {
+		t.Fatalf("abilene without Seattle: lost %v, want demand stranded", lost)
+	}
+	if reused == 0 || recomputed == 0 {
+		t.Fatalf("rewritten rows: %d reuse the plan's share, %d are recomputed; want both", reused, recomputed)
+	}
+	t.Logf("rewritten rows: %d reuse the plan's share, %d recomputed", reused, recomputed)
 }

@@ -71,22 +71,25 @@ const HashBits = 6
 const hashBuckets = 1 << HashBits
 
 // Hash maps a flow to a bucket in [0, 2^HashBits), mixing the router's
-// private salt so different routers split independently.
+// private salt so different routers split independently: FNV-64a over the
+// flow's four fields, big-endian, then the salt — 24 bytes, fed as three
+// words.
 func (r *Router) Hash(f FlowKey) uint32 {
-	h := fnv.New64a()
-	var buf [12]byte
-	binary.BigEndian.PutUint32(buf[0:], f.SrcIP)
-	binary.BigEndian.PutUint32(buf[4:], f.DstIP)
-	binary.BigEndian.PutUint16(buf[8:], f.SrcPort)
-	binary.BigEndian.PutUint16(buf[10:], f.DstPort)
-	h.Write(buf[:])
-	h.Write(r.salt[:])
-	return uint32(h.Sum64() % hashBuckets)
+	h := fnv64a(14695981039346656037)
+	h.word(uint64(f.SrcIP)<<32 | uint64(f.DstIP))
+	h.word(uint64(f.SrcPort)<<48 | uint64(f.DstPort)<<32 | uint64(binary.BigEndian.Uint32(r.salt[:4])))
+	h.word(binary.BigEndian.Uint64(r.salt[4:]))
+	return uint32(h % hashBuckets)
 }
 
 // pick selects the entry whose cumulative ratio bucket contains the
-// flow's hash value. Entries with zero ratio are never selected.
+// flow's hash value. Entries with zero ratio are never selected. A lone
+// positive entry needs no hash: x = (h+0.5)/64·total is below total = cum
+// before rounding, so it rounds to at most cum and the entry is chosen.
 func (r *Router) pick(entries []entry, f FlowKey) (entry, bool) {
+	if len(entries) == 1 && entries[0].ratio > 0 {
+		return entries[0], true
+	}
 	var total float64
 	for _, e := range entries {
 		total += e.ratio

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -57,7 +58,10 @@ type Forwarder interface {
 	// Name labels the forwarder in results.
 	Name() string
 	// Forward picks the next link for pk at node u (pk may be mutated,
-	// e.g. label stack operations). ok=false drops the packet.
+	// e.g. label stack operations). ok=false drops the packet. pk lives
+	// in a slot the emulator reuses once the packet is delivered or
+	// dropped, so Forward may use pk, its Stack included, only during
+	// the call and must keep no reference to either.
 	Forward(u graph.NodeID, pk *Packet) (out graph.LinkID, ok bool)
 	// ApplyFailure informs the control plane that link e (already down in
 	// the data plane) is now known network-wide.
@@ -76,25 +80,44 @@ type FloodAware interface {
 	OnNotification(u graph.NodeID, e graph.LinkID)
 }
 
-// event is a scheduled action: a callback (fn != nil), or data packet pk
-// arriving over link out after hops prior hops (fn == nil). Hops are plain
-// values, so scheduling one allocates nothing.
+// event is a scheduled action, a plain value with no pointers, so the
+// heap moves it without write barriers and the collector never scans the
+// queue: ref >= 0 is the data packet in slot ref arriving over its
+// pending link, and ref < 0 is the callback in slot ^ref. at is the
+// event's time as timeKey gives it.
 type event struct {
-	at   float64
-	seq  int
-	fn   func()
-	pk   *Packet
-	out  graph.LinkID
-	hops int32
+	at  uint64
+	seq uint64
+	ref int32
 }
 
-// before orders events by (at, seq). seq is unique, so the order is total.
-func (e *event) before(o *event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+// timeKey maps a time to a key whose unsigned order is the times' float
+// order: a non-negative time's bits with the sign bit set, a negative
+// one's bits inverted. Adding 0 turns -0 into +0, which the float order
+// holds equal. keyTime inverts it.
+func timeKey(t float64) uint64 {
+	u := math.Float64bits(t + 0)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
 }
 
-// eventHeap is a 4-ary min-heap of events under before. The order is
-// total, so pops come out in one sequence whatever the arity or layout.
+// keyTime is the time whose key is k.
+func keyTime(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// less is 1 if a comes before b in (at, seq) order and 0 otherwise: the
+// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq).
+// seq is unique, so the order is total. Whether one event precedes
+// another is a coin toss a branch predictor cannot learn, so the heap
+// computes it as a value and never branches on it inside a family.
+func less(a, b *event) int {
+	_, c := bits.Sub64(a.seq, b.seq, 0)
+	_, c = bits.Sub64(a.at, b.at, c)
+	return int(c)
+}
+
+// eventHeap is a 4-ary min-heap of events under less. The order is total,
+// so pops come out in one sequence whatever the arity or layout.
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
@@ -102,7 +125,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !ev.before(&s[p]) {
+		if less(&ev, &s[p]) == 0 {
 			break
 		}
 		s[i] = s[p]
@@ -112,32 +135,32 @@ func (h *eventHeap) push(ev event) {
 	*h = s
 }
 
-// pop removes and returns the first event. The vacated slot is cleared so
-// the backing array keeps no dead packet or closure alive.
+// pop removes and returns the first event. The earliest of a full
+// family of four children is a branch-free tournament: the earlier of
+// each pair, then the earlier of the two winners.
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = event{}
 	s = s[:n]
 	*h = s
 	if n == 0 {
 		return top
 	}
 	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
+	for c := 1; c < n; c = 4*i + 1 {
 		m := c
-		for j, end := c+1, min(c+4, n); j < end; j++ {
-			if s[j].before(&s[m]) {
-				m = j
+		if c+3 < n {
+			a := c + less(&s[c+1], &s[c])
+			b := c + 2 + less(&s[c+3], &s[c+2])
+			m = a + (b-a)*less(&s[b], &s[a])
+		} else {
+			for j := c + 1; j < n; j++ {
+				m += (j - m) * less(&s[j], &s[m])
 			}
 		}
-		if !s[m].before(&last) {
+		if less(&s[m], &last) == 0 {
 			break
 		}
 		s[i] = s[m]
@@ -145,6 +168,36 @@ func (h *eventHeap) pop() event {
 	}
 	s[i] = last
 	return top
+}
+
+// slots is a growable array of reusable items: get hands out a released
+// index before it grows the array, and put releases one.
+type slots[T any] struct {
+	items []T
+	free  []int32
+}
+
+func (p *slots[T]) get() int32 {
+	if n := len(p.free); n > 0 {
+		i := p.free[n-1]
+		p.free = p.free[:n-1]
+		return i
+	}
+	var zero T
+	p.items = append(p.items, zero)
+	return int32(len(p.items) - 1)
+}
+
+func (p *slots[T]) put(i int32) { p.free = append(p.free, i) }
+
+// packetSlot holds a data, ping or echo packet and the link and hop
+// count of its one pending arrival. The emulator releases the slot when
+// the packet is delivered or dropped, and the next packet keeps the
+// slot's label-stack storage.
+type packetSlot struct {
+	pk   Packet
+	out  graph.LinkID
+	hops int
 }
 
 // Config parameterizes an emulation run.
@@ -264,8 +317,12 @@ type Emulator struct {
 	rng *rand.Rand
 
 	now    float64
-	seq    int
+	seq    uint64
 	events eventHeap
+	// packets and calls are the slots events name: the packets in flight
+	// and the scheduled callbacks.
+	packets slots[packetSlot]
+	calls   slots[func()]
 
 	linkUp   []bool
 	linkFree []float64 // time the link's transmitter becomes free
@@ -436,15 +493,35 @@ func (em *Emulator) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-func (em *Emulator) schedule(at float64, fn func()) {
+// enqueue queues the event ref at time at, after every event queued so
+// far for the same time.
+func (em *Emulator) enqueue(at float64, ref int32) {
 	em.seq++
-	em.events.push(event{at: at, seq: em.seq, fn: fn})
+	em.events.push(event{at: timeKey(at), seq: em.seq, ref: ref})
 }
 
-// scheduleHop schedules pk's arrival over link out after hops prior hops.
-func (em *Emulator) scheduleHop(at float64, pk *Packet, out graph.LinkID, hops int) {
-	em.seq++
-	em.events.push(event{at: at, seq: em.seq, pk: pk, out: out, hops: int32(hops)})
+func (em *Emulator) schedule(at float64, fn func()) {
+	c := em.calls.get()
+	em.calls.items[c] = fn
+	em.enqueue(at, ^c)
+}
+
+// scheduleHop schedules the arrival of packet slot i over link out after
+// hops prior hops.
+func (em *Emulator) scheduleHop(at float64, i int32, out graph.LinkID, hops int) {
+	s := &em.packets.items[i]
+	s.out, s.hops = out, hops
+	em.enqueue(at, i)
+}
+
+// send puts pk in a free packet slot, with the slot's label-stack storage,
+// and forwards it from its source.
+func (em *Emulator) send(pk Packet) {
+	i := em.packets.get()
+	s := &em.packets.items[i]
+	pk.Stack = s.pk.Stack[:0]
+	s.pk = pk
+	em.forward(pk.Src, i, 0)
 }
 
 // odIndex is pair (a, b)'s slot in the dense OD counters.
@@ -471,9 +548,8 @@ func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop f
 			if em.now >= stop {
 				return
 			}
-			pk := &Packet{Flow: flow, Src: a, Dst: b, Size: packetBytes, SentAt: em.now}
-			em.odOffered[od] += int64(pk.Size)
-			em.forward(a, pk, 0)
+			em.odOffered[od] += packetBytes
+			em.send(Packet{Flow: flow, Src: a, Dst: b, Size: packetBytes, SentAt: em.now})
 			em.schedule(em.now+em.rng.ExpFloat64()*mean, gen)
 		}
 		em.schedule(em.rng.Float64()*mean, gen)
@@ -489,8 +565,7 @@ func (em *Emulator) AddPing(a, b graph.NodeID, interval, stop float64) {
 		if em.now >= stop {
 			return
 		}
-		pk := &Packet{Flow: flow, Src: a, Dst: b, Size: 64, SentAt: em.now, Ping: true}
-		em.forward(a, pk, 0)
+		em.send(Packet{Flow: flow, Src: a, Dst: b, Size: 64, SentAt: em.now, Ping: true})
 		em.schedule(em.now+interval, gen)
 	}
 	em.schedule(0, gen)
@@ -726,33 +801,34 @@ func (em *Emulator) transmitCtrl(fwd Forwarder, out graph.LinkID, pk *Packet) {
 	em.schedule(arrive, deliver)
 }
 
-// forward routes pk at node u after hops prior hops.
-func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
+// forward routes the packet in slot i at node u after hops prior hops.
+func (em *Emulator) forward(u graph.NodeID, i int32, hops int) {
+	pk := &em.packets.items[i].pk
 	if u == pk.Dst {
-		em.deliver(u, pk)
+		em.deliver(u, i)
 		return
 	}
 	if hops > em.maxHops {
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
 	out, ok := em.cfg.Forwarder.Forward(u, pk)
 	if !ok {
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
 	em.inv.checkForward(u, out, pk)
 	if !em.linkUp[out] {
 		// Blackhole window: the data plane link is down but the control
 		// plane has not yet reacted.
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
 	link := em.g.Link(out)
 	rateBytes := em.rateBytes(out) // capacity is Mbps
 	backlog := (em.linkFree[out] - em.now) * rateBytes
 	if backlog > queueBytes {
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
 	em.inv.checkTx(out)
@@ -767,64 +843,71 @@ func (em *Emulator) forward(u graph.NodeID, pk *Packet, hops int) {
 	if ch := em.chaos; ch != nil && ch.cfg.dataDrop > 0 && ch.rng.Float64() < ch.cfg.dataDrop {
 		ch.droppedData.Inc()
 		em.trace.add(em.now, traceChaosDropData, int32(out), -1)
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
-	em.scheduleHop(depart+link.Delay/1000, pk, out, hops)
+	em.scheduleHop(depart+link.Delay/1000, i, out, hops)
 }
 
-// arrive hands pk, which crossed link out after hops prior hops, to the
-// link's far end.
-func (em *Emulator) arrive(pk *Packet, out graph.LinkID, hops int) {
-	if !em.linkUp[out] {
+// arrive hands the packet in slot i to the far end of its pending link.
+func (em *Emulator) arrive(i int32) {
+	s := &em.packets.items[i]
+	if !em.linkUp[s.out] {
 		// The link died while the packet was in flight.
-		em.drop(pk)
+		em.drop(i)
 		return
 	}
-	em.forward(em.g.Link(out).Dst, pk, hops+1)
+	em.forward(em.g.Link(s.out).Dst, i, s.hops+1)
 }
 
-func (em *Emulator) deliver(u graph.NodeID, pk *Packet) {
+// deliver ends the packet in slot i at its destination u. A ping turns
+// into its echo in the same slot.
+func (em *Emulator) deliver(u graph.NodeID, i int32) {
+	pk := &em.packets.items[i].pk
 	if pk.Ping {
 		if pk.Return {
 			em.RTT = append(em.RTT, [2]float64{pk.SentAt, em.now - pk.SentAt})
+			em.packets.put(i)
 			return
 		}
-		// Echo back.
-		echo := &Packet{
-			Flow: mplsff.FlowKey{SrcIP: pk.Flow.DstIP, DstIP: pk.Flow.SrcIP, SrcPort: pk.Flow.DstPort, DstPort: pk.Flow.SrcPort},
-			Src:  pk.Dst, Dst: pk.Src, Size: pk.Size,
-			SentAt: pk.SentAt, Ping: true, Return: true,
-		}
-		em.forward(u, echo, 0)
+		f := pk.Flow
+		pk.Flow = mplsff.FlowKey{SrcIP: f.DstIP, DstIP: f.SrcIP, SrcPort: f.DstPort, DstPort: f.SrcPort}
+		pk.Src, pk.Dst = pk.Dst, pk.Src
+		pk.Stack = pk.Stack[:0]
+		pk.Return = true
+		em.forward(u, i, 0)
 		return
 	}
 	em.odDelivered[em.odIndex(pk.Src, pk.Dst)] += int64(pk.Size)
 	em.obsDeliv.Inc()
+	em.packets.put(i)
 }
 
-func (em *Emulator) drop(pk *Packet) {
-	if pk.Ping {
-		return
+// drop ends the packet in slot i short of its destination.
+func (em *Emulator) drop(i int32) {
+	if pk := &em.packets.items[i].pk; !pk.Ping {
+		em.cur.DropsByDst[pk.Dst] += int64(pk.Size)
+		em.obsDrop.Inc()
 	}
-	em.cur.DropsByDst[pk.Dst] += int64(pk.Size)
-	em.obsDrop.Inc()
+	em.packets.put(i)
 }
 
 // Run processes events until the given time (events beyond it stay
 // queued).
 func (em *Emulator) Run(until float64) {
-	for len(em.events) > 0 {
-		if em.events[0].at > until {
-			break
-		}
+	end := timeKey(until)
+	for len(em.events) > 0 && em.events[0].at <= end {
 		ev := em.events.pop()
-		em.now = ev.at
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			em.arrive(ev.pk, ev.out, int(ev.hops))
+		em.now = keyTime(ev.at)
+		if ev.ref >= 0 {
+			em.arrive(ev.ref)
+			continue
 		}
+		c := ^ev.ref
+		fn := em.calls.items[c]
+		em.calls.items[c] = nil
+		em.calls.put(c)
+		fn()
 	}
 	em.now = until
 	em.closePhase(until)
