@@ -90,6 +90,36 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestChaosEnabledGolden pins the golden scenario with every fault on —
+// TestChaosDeterminism's control-packet drop, duplication and jitter,
+// data drops and desynchronized detection — to exact values, so the chaos
+// layer's draws and the event order they feed are held across changes,
+// not only run against run.
+func TestChaosEnabledGolden(t *testing.T) {
+	em := goldenScenario(t, Config{Chaos: ChaosConfig{
+		Enabled: true, Seed: 42,
+		CtrlDrop: 0.3, CtrlDup: 0.1, CtrlJitter: 0.005,
+		dataDrop: 0.02, detectJitter: 0.004,
+	}})
+	off, del, dr := sumPhases(em)
+	if em.CtrlBytes != 57600 || off != 57196500 || del != 53436000 || dr != 3408000 {
+		t.Errorf("ctrl %d, off/del/drop %d/%d/%d, golden 57600, 57196500/53436000/3408000", em.CtrlBytes, off, del, dr)
+	}
+	if len(em.RTT) != 15 || em.RefloodRoundsFired() != 352 {
+		t.Errorf("RTT samples %d, reflood rounds %d, golden 15, 352", len(em.RTT), em.RefloodRoundsFired())
+	}
+	if got := em.Fingerprint(); got != chaosGoldenFingerprint {
+		t.Errorf("Fingerprint = %#x, pinned %#x", got, chaosGoldenFingerprint)
+	}
+	if n := len(em.Violations()); n != 0 {
+		t.Errorf("chaos golden run recorded %d invariant violations", n)
+	}
+}
+
+// chaosGoldenFingerprint is the canonical digest of the golden scenario
+// with every chaos fault on.
+const chaosGoldenFingerprint uint64 = 0x23eea163232583b3
+
 // TestChaosSeedIsolation: with every fault probability at zero, the chaos
 // layer draws no randomness, so differing chaos seeds must not perturb
 // the emulation at all and every chaos-labelled counter stays zero.
