@@ -41,8 +41,10 @@ bench:
 
 # bench-smoke runs the hot-path gates (DESIGN.md §4–§9, §12):
 # zero-allocation kernels, sweeps and emulator packets (./internal/netem),
-# the emulator's pointer-free event heap against container/heap, the
-# pinned-base allocation ceiling, worst-load differentials (the SRLG
+# the emulator's pointer-free event heap and whole event queue against
+# container/heap, each link's data arrivals queued in order under every
+# chaos setting (TestLinkArrivalsInOrder), the pinned-base allocation
+# ceiling, worst-load differentials (the SRLG
 # selection against its sort among them), the SPF kernel's one-pass next
 # links against the two-pass derivation, the min-MLU line search against
 # the full scan, the prefix-sharing audit against a fresh replay, lost
@@ -63,7 +65,8 @@ bench:
 # shared by four goroutines against a serial run
 # (TestSchemesConcurrentMatchSerial), the MPLS-ff rows of random
 # clone chains against a fresh Build, their allocation in proportion
-# to the rows a clone or a failure changes, and the next-hop choice's
+# to the rows a clone or a failure changes, the rows' router index
+# against the entries it was laid out from, and the next-hop choice's
 # lone-entry shortcut and inline flow hash against the hashing path and
 # hash/fnv (./internal/mplsff); then,
 # verbosely, the SPF kernel plan differential (a heap SPF per oracle call,
@@ -71,7 +74,7 @@ bench:
 # plus the smoke test of the nested benchmark module (bench/ has its own
 # go.mod, so the root `go test ./...` never compiles it).
 bench-smoke:
-	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestProtectionSweepPlanDigests|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestLostDemandMatchesFullRecompute|TestEventHeapMatchesContainerHeap|TestPickMatchesHashingPath|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
+	$(GO) test -count=1 -run 'ZeroAlloc|TestPinnedPrecomputeAllocationCeiling|TestWorstLoadSelectionDifferential|TestColTop|TestSparseRowMatchesDenseRow|TestCancelLoopsMatchesDenseOracle|TestMinMLUMatchesDenseOracle|TestMinMLUExactMatchesPerODOracle|TestSparseProtectionMatchesDenseOracle|TestSanitizeProtMatchesDenseOracle|TestPlanBaseRowsAreCanonical|TestTernaryMinPairMatchesSingleProbe|TestSweepLSEMatchesDirectObjective|TestBenchmarkPlanDigest|TestProtectionSweepPlanDigests|TestEncodeBytesMatchesJSONOracle|TestEncodeAllocIsSteady|TestBaselineSchemesGolden|TestBaselineLoadsAllocation|TestSchemesConcurrentMatchSerial|TestGroupFailuresMatchesSortOracle|TestOnePassNextMatchesTwoPass|TestLineSearchMatchesFullScan|TestVerifySharedPrefixesMatchFreshReplay|TestLostDemandMatchesFullRecompute|TestEventHeapMatchesContainerHeap|TestLinkArrivalsInOrder|TestPickMatchesHashingPath|TestNetworkMatchesFreshBuild|TestNetworkAllocationIsProportionalToWhatChanges|TestRowIndexMatchesDrafts' . ./internal/core ./internal/spf ./internal/routing ./internal/mcf ./internal/exp ./internal/netem ./internal/protect ./internal/mplsff
 	$(GO) test -count=1 -run 'TestSPFModeByteIdentity' -v ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

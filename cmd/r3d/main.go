@@ -45,7 +45,7 @@ import (
 func main() {
 	var (
 		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		name     = flag.String("net", "abilene", "topology: abilene|level3|sbc|uunet|generated|usisp")
+		name     = flag.String("net", "abilene", "topology: abilene|level3|sbc|uunet|generated|generated1k|usisp")
 		topoFile = flag.String("topo", "", "load a topology file instead of a built-in")
 		tmFile   = flag.String("traffic", "", "load a traffic matrix file instead of gravity demands")
 		f        = flag.Int("f", 1, "number of overlapping link failures to protect against")
@@ -152,7 +152,7 @@ func loadInputs(name, topoFile, tmFile string, total float64, seed int64) (*grap
 		g, err = topo.Parse(r)
 		r.Close()
 	} else {
-		g, err = lookupTopo(name)
+		g, err = topo.ByName(name)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -176,24 +176,6 @@ func loadInputs(name, topoFile, tmFile string, total float64, seed int64) (*grap
 		d = traffic.Gravity(g, t, seed)
 	}
 	return g, d, nil
-}
-
-func lookupTopo(name string) (*graph.Graph, error) {
-	switch strings.ToLower(name) {
-	case "abilene":
-		return topo.Abilene(), nil
-	case "level3":
-		return topo.Level3(), nil
-	case "sbc":
-		return topo.SBC(), nil
-	case "uunet":
-		return topo.UUNet(), nil
-	case "generated":
-		return topo.Generated(), nil
-	case "usisp":
-		return topo.USISP(), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }
 
 func fatal(err error) {

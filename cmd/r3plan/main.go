@@ -80,7 +80,7 @@ func main() {
 		g, err = topo.Parse(r)
 		r.Close()
 	} else {
-		g, err = lookupTopo(*name)
+		g, err = topo.ByName(*name)
 	}
 	if err != nil {
 		fatal(err)
@@ -340,26 +340,6 @@ func printSequence(seq *transition.Sequence, title, interim, congestionFree, bes
 	} else {
 		fmt.Printf("verdict: %s; transient MLU bounded by %.4f\n", bestEffort, seq.TransientMLU)
 	}
-}
-
-func lookupTopo(name string) (*graph.Graph, error) {
-	switch strings.ToLower(name) {
-	case "abilene":
-		return topo.Abilene(), nil
-	case "level3":
-		return topo.Level3(), nil
-	case "sbc":
-		return topo.SBC(), nil
-	case "uunet":
-		return topo.UUNet(), nil
-	case "generated":
-		return topo.Generated(), nil
-	case "generated1k":
-		return topo.Generated1K(), nil
-	case "usisp":
-		return topo.USISP(), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }
 
 func demandTotal(flagVal float64, g *graph.Graph) float64 {

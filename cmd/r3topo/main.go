@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/topo"
@@ -21,27 +20,9 @@ import (
 )
 
 // builtin resolves a built-in topology by name, or nil.
-func builtin(name string) *graph.Graph {
-	switch name {
-	case "abilene":
-		return topo.Abilene()
-	case "level3":
-		return topo.Level3()
-	case "sbc":
-		return topo.SBC()
-	case "uunet":
-		return topo.UUNet()
-	case "generated":
-		return topo.Generated()
-	case "usisp":
-		return topo.USISP()
-	}
-	return nil
-}
-
 func main() {
 	var (
-		name   = flag.String("net", "abilene", "topology: abilene|level3|sbc|uunet|generated|usisp")
+		name   = flag.String("net", "abilene", "topology: abilene|level3|sbc|uunet|generated|generated1k|usisp")
 		file   = flag.String("file", "", "load a topology file instead of a built-in (see internal/topo format)")
 		dump   = flag.Bool("dump", false, "write the topology in the text format and exit")
 		groups = flag.Bool("groups", false, "print SRLGs and MLGs")
@@ -63,9 +44,9 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		g = builtin(strings.ToLower(*name))
-		if g == nil {
-			fmt.Fprintf(os.Stderr, "r3topo: unknown topology %q\n", *name)
+		var err error
+		if g, err = topo.ByName(*name); err != nil {
+			fmt.Fprintln(os.Stderr, "r3topo:", err)
 			os.Exit(2)
 		}
 	}

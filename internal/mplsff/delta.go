@@ -2,6 +2,7 @@ package mplsff
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -67,37 +68,59 @@ func Diff(old, next *Network) *Delta {
 			continue
 		}
 		d.rows = append(d.rows, rowChange{i, b})
-		// Walk both rows router by router.
-		for len(a) > 0 || len(b) > 0 {
-			u := graph.NodeID(math.MaxInt32)
-			if len(a) > 0 {
-				u = graph.NodeID(a[0].at)
+		// Walk both rows router by router: block by block through their
+		// indexes, and in each block through the union of the masks.
+		xa, xb := blocks(a), blocks(b)
+		for len(xa) > 0 || len(xb) > 0 {
+			blk := int32(math.MaxInt32)
+			if len(xa) > 0 {
+				blk = xa[0].key
 			}
-			if len(b) > 0 {
-				u = min(u, graph.NodeID(b[0].at))
+			if len(xb) > 0 {
+				blk = min(blk, xb[0].key)
 			}
-			sa, sb := seg(a, u), seg(b, u)
-			a, b = a[len(sa):], b[len(sb):]
-			if slices.Equal(sa, sb) {
-				continue
+			var mask uint64
+			if len(xa) > 0 && xa[0].key == blk {
+				mask |= routerMask(xa[0])
+				xa = xa[1:]
 			}
-			if !named[u] {
-				named[u] = true
-				d.wire += 8
+			if len(xb) > 0 && xb[0].key == blk {
+				mask |= routerMask(xb[0])
+				xb = xb[1:]
 			}
-			switch {
-			case i < fibRows:
-				d.wire += 16 + 24*len(sb)
-			case len(sb) == 0:
-				d.wire += 8
-			case sb[0].out == popOut:
-				d.wire += 16
-			default:
-				d.wire += 16 + 24*len(sb)
+			for ; mask != 0; mask &= mask - 1 {
+				u := graph.NodeID(blk<<6 | int32(bits.TrailingZeros64(mask)))
+				d.wire += routerWire(named, u, i < fibRows, seg(a, u), seg(b, u))
 			}
 		}
 	}
 	return d
+}
+
+// routerWire is what router u's part of a changed row costs on the wire
+// (see WireSize): nothing if its entries did not change, sa before and sb
+// after, plus its id the first time one of its parts changes.
+func routerWire(named []bool, u graph.NodeID, fib bool, sa, sb []entry) int {
+	// A key is the row index's, not the part's.
+	if slices.EqualFunc(sa, sb, func(x, y entry) bool { return x.out == y.out && x.ratio == y.ratio }) {
+		return 0
+	}
+	w := 0
+	if !named[u] {
+		named[u] = true
+		w += 8
+	}
+	switch {
+	case fib:
+		w += 16 + 24*len(sb)
+	case len(sb) == 0:
+		w += 8
+	case sb[0].out == popOut:
+		w += 16
+	default:
+		w += 16 + 24*len(sb)
+	}
+	return w
 }
 
 // ApplyDelta applies a delta unconditionally (no versioning): failures

@@ -11,6 +11,8 @@ import (
 	"cmp"
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -45,9 +47,18 @@ type NHLFE struct {
 	Ratio float64
 }
 
-// entry is how a table row stores one router's NHLFE: the router, the
-// out-link (popOut for the pop at a protected link's tail) and the ratio.
+// entry is how a table row stores one NHLFE: the out-link (popOut for
+// the pop at a protected link's tail) and the ratio. key belongs to the
+// row's router index (see index): in a row's i-th entry, for i below the
+// number of routers with entries in the row, it is where the i-th of
+// those routers' entries end.
 type entry struct {
+	key, out int32
+	ratio    float64
+}
+
+// draft is an entry being programmed, with the router it belongs to.
+type draft struct {
 	at, out int32
 	ratio   float64
 }
@@ -118,9 +129,10 @@ func (r *Router) pick(entries []entry, f FlowKey) (entry, bool) {
 // programmed from an R3 state. Its tables are rows: one base-FIB row per
 // OD pair at src·N+dst, then one ILM row per protected link at
 // N² + (label − ProtLabelBase). A row holds every router's entries,
-// routers ascending and each router's entries in out-link order; an
-// empty row is an absent one. Installed rows are never written, so
-// clones and deltas share them, and a change installs a new row.
+// routers ascending and each router's entries in out-link order, with
+// its router index behind them; an empty row is an absent one.
+// Installed rows are never written, so clones and deltas share them, and
+// a change installs a new row.
 type Network struct {
 	G *graph.Graph
 	// Routers never change after Build; clones share them.
@@ -139,8 +151,10 @@ type Network struct {
 	// pending until their predecessors apply.
 	nextRound int
 	pending   map[int]*Delta
-	// buf and prot are programming scratch, never shared with a clone.
-	buf  []entry
+	// buf, cand and prot are programming scratch, never shared with a
+	// clone: a row's drafts, the row they lay out, and a protection row.
+	buf  []draft
+	cand []entry
 	prot routing.SparseRow
 }
 
@@ -173,11 +187,16 @@ func Build(plan *core.Plan) *Network {
 		i := n.fib(c.Src, c.Dst)
 		// A repeated OD pair extends its row, each router's entries in
 		// commodity order.
-		n.buf = append(n.buf[:0], n.rows[i]...)
+		n.buf = n.buf[:0]
+		parts(n.rows[i], func(u graph.NodeID, part []entry) {
+			for _, e := range part {
+				n.buf = append(n.buf, draft{at: int32(u), out: e.out, ratio: e.ratio})
+			}
+		})
 		row := &plan.Base[k]
 		for j, l := range row.Idx {
 			if v := row.Val[j]; v > 1e-12 {
-				n.buf = append(n.buf, entry{at: int32(g.Link(graph.LinkID(l)).Src), out: l, ratio: v})
+				n.buf = append(n.buf, draft{at: int32(g.Link(graph.LinkID(l)).Src), out: l, ratio: v})
 			}
 		}
 		n.install(i)
@@ -192,35 +211,117 @@ func (n *Network) fib(src, dst graph.NodeID) int { return int(src)*len(n.Routers
 // ilm is the row index of link e's protection label.
 func (n *Network) ilm(e graph.LinkID) int { return len(n.Routers)*len(n.Routers) + int(e) }
 
-// install makes n.buf row i: stably sorted by router, so each router's
-// entries keep the order they were written in. A row with the same
-// entries stays installed; otherwise a new row replaces it, because the
-// installed one may be shared.
+// install makes n.buf row i, its drafts stably sorted by router, so each
+// router's entries keep the order they were written in. A row with the
+// same entries stays installed; otherwise a new row replaces it, because
+// the installed one may be shared.
 func (n *Network) install(i int) {
-	slices.SortStableFunc(n.buf, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
+	slices.SortStableFunc(n.buf, func(a, b draft) int { return cmp.Compare(a.at, b.at) })
+	cand := layout(&n.cand, n.buf)
 	switch {
-	case slices.Equal(n.rows[i], n.buf):
-	case len(n.buf) == 0:
+	case len(cand) == 0:
 		n.rows[i] = nil
+	case slices.Equal(full(n.rows[i]), full(cand)):
 	default:
-		n.rows[i] = append([]entry(nil), n.buf...)
+		row := make([]entry, len(cand), cap(cand))
+		copy(full(row), full(cand))
+		n.rows[i] = row
 	}
 }
 
-// seg returns router u's entries in a row.
-func seg(row []entry, u graph.NodeID) []entry {
-	at := int32(u)
-	lo, hi := 0, len(row)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); row[m].at < at {
-			lo = m + 1
-		} else {
-			hi = m
+// A row's router index lives in the row's own allocation. The i-th
+// entry's key holds where the entries of the row's i-th router end, and
+// behind the entries, past the row's length, come its blocks: one for
+// each block of 64 router IDs the row has entries in, in block order. A
+// block is an entry whose key is the block (router>>6), whose out counts
+// the row's routers in earlier blocks, and whose ratio holds the bits of
+// the block's router mask (bit router&63 set for each router with
+// entries). A router's rank among the row's routers is its block's count
+// plus the mask bits below it, and its entries run from the previous
+// rank's end to its own. The index adds one entry per block to a row,
+// and the keys it uses are the entries' own, so rows stay O(entries).
+
+// layout writes the row of sorted drafts ds, with its index, into the
+// storage of *scratch and returns it: length len(ds), capacity len(ds)
+// plus blocks.
+func layout(scratch *[]entry, ds []draft) []entry {
+	blocks := 0
+	for j, d := range ds {
+		if j == 0 || d.at>>6 != ds[j-1].at>>6 {
+			blocks++
 		}
 	}
-	for hi = lo; hi < len(row) && row[hi].at == at; hi++ {
+	nd := len(ds)
+	*scratch = slices.Grow((*scratch)[:0], nd+blocks)
+	dst := (*scratch)[:nd+blocks]
+	for j, d := range ds {
+		dst[j] = entry{out: d.out, ratio: d.ratio}
 	}
-	return row[lo:hi]
+	idx := dst[nd:]
+	rank, b, mask := 0, -1, uint64(0)
+	for j, d := range ds {
+		if j+1 < nd && ds[j+1].at == d.at {
+			continue
+		}
+		// d is router d.at's last entry.
+		dst[rank].key = int32(j + 1)
+		if b < 0 || d.at>>6 != idx[b].key {
+			if b >= 0 {
+				idx[b].ratio = math.Float64frombits(mask)
+			}
+			b, mask = b+1, 0
+			idx[b] = entry{key: d.at >> 6, out: int32(rank)}
+		}
+		mask |= 1 << (d.at & 63)
+		rank++
+	}
+	if b >= 0 {
+		idx[b].ratio = math.Float64frombits(mask)
+	}
+	return dst[: nd : nd+blocks]
+}
+
+// full is the whole of a row's allocation: its entries and its index.
+func full(row []entry) []entry { return row[:cap(row)] }
+
+// blocks is a row's index blocks.
+func blocks(row []entry) []entry { return row[len(row):cap(row)] }
+
+// routerMask is the router mask of block x.
+func routerMask(x entry) uint64 { return math.Float64bits(x.ratio) }
+
+// seg returns router u's entries in a row.
+func seg(row []entry, u graph.NodeID) []entry {
+	blk, bit := int32(u)>>6, uint(u)&63
+	for _, x := range blocks(row) {
+		if x.key < blk {
+			continue
+		}
+		mask := routerMask(x)
+		if x.key > blk || mask>>bit&1 == 0 {
+			return nil
+		}
+		r := int(x.out) + bits.OnesCount64(mask&(1<<bit-1))
+		lo := 0
+		if r > 0 {
+			lo = int(row[r-1].key)
+		}
+		return row[lo:row[r].key]
+	}
+	return nil
+}
+
+// parts calls fn with each router that has entries in a row, ascending,
+// and its entries.
+func parts(row []entry, fn func(u graph.NodeID, part []entry)) {
+	r, lo := 0, 0
+	for _, x := range blocks(row) {
+		for mask := routerMask(x); mask != 0; mask &= mask - 1 {
+			hi := int(row[r].key)
+			fn(graph.NodeID(x.key<<6|int32(bits.TrailingZeros64(mask))), row[lo:hi])
+			r, lo = r+1, hi
+		}
+	}
 }
 
 // NextBase returns router u's base-routing next hop for a flow of OD pair
@@ -283,7 +384,7 @@ func (n *Network) cloneWith(st *core.State, failed graph.LinkSet) *Network {
 func (n *Network) SetFIBRow(od [2]graph.NodeID, entries []NHLFE) {
 	n.buf = n.buf[:0]
 	for _, e := range entries {
-		n.buf = append(n.buf, entry{at: int32(n.G.Link(e.Out).Src), out: int32(e.Out), ratio: e.Ratio})
+		n.buf = append(n.buf, draft{at: int32(n.G.Link(e.Out).Src), out: int32(e.Out), ratio: e.Ratio})
 	}
 	n.install(n.fib(od[0], od[1]))
 }
@@ -323,10 +424,10 @@ func (n *Network) programILM() {
 	for l := range g.NumLinks() {
 		lid := graph.LinkID(l)
 		tail := g.Link(lid).Dst
-		n.buf = append(n.buf[:0], entry{at: int32(tail), out: popOut})
+		n.buf = append(n.buf[:0], draft{at: int32(tail), out: popOut})
 		hop := func(id graph.LinkID, v float64) {
 			if src := g.Link(id).Src; id != lid && src != tail && v > 1e-12 {
-				n.buf = append(n.buf, entry{at: int32(src), out: int32(id), ratio: v})
+				n.buf = append(n.buf, draft{at: int32(src), out: int32(id), ratio: v})
 			}
 		}
 		if xi := n.state.Detour(lid); xi != nil {

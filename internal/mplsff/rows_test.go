@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -71,7 +72,7 @@ func fresh(t *testing.T, plan *core.Plan, rec recipe) *Network {
 func deepRows(rows [][]entry) [][]entry {
 	cp := make([][]entry, len(rows))
 	for i, r := range rows {
-		cp[i] = append([]entry(nil), r...)
+		cp[i] = slices.Clone(full(r))[:len(r):cap(r)]
 	}
 	return cp
 }
@@ -83,12 +84,12 @@ func rowsDiffer(a, b [][]entry) int {
 		return 0
 	}
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
+		if len(a[i]) != len(b[i]) || cap(a[i]) != cap(b[i]) {
 			return i
 		}
-		for j, x := range a[i] {
-			y := b[i][j]
-			if x.at != y.at || x.out != y.out || math.Float64bits(x.ratio) != math.Float64bits(y.ratio) {
+		for j, x := range full(a[i]) {
+			y := full(b[i])[j]
+			if x.key != y.key || x.out != y.out || math.Float64bits(x.ratio) != math.Float64bits(y.ratio) {
 				return i
 			}
 		}
@@ -305,5 +306,59 @@ func TestNetworkAllocationIsProportionalToWhatChanges(t *testing.T) {
 				e, got, fail, changed, rowBytes)
 		}
 		t.Logf("link %d: OnFailure %d B, state %d B, %d of %d rows changed (%d B)", e, got, fail, changed, len(c.rows), rowBytes)
+	}
+}
+
+// TestRowIndexMatchesDrafts lays out random rows, their routers drawn
+// from up to 300 IDs so that a row spans one to five 64-router blocks,
+// and requires the index to give back exactly what was written: seg of
+// every router its entries in order, or none, and parts every router
+// with entries once, ascending. A row costs its entries plus one entry
+// per block it touches.
+func TestRowIndexMatchesDrafts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var scratch []entry
+	for trial := 0; trial < 500; trial++ {
+		nodes := 1 + rng.Intn(300)
+		var ds []draft
+		for range rng.Intn(40) {
+			ds = append(ds, draft{at: int32(rng.Intn(nodes)), out: int32(rng.Intn(1000)), ratio: rng.Float64()})
+		}
+		slices.SortStableFunc(ds, func(a, b draft) int { return int(a.at - b.at) })
+		row := layout(&scratch, ds)
+		blocks := 0
+		for j, d := range ds {
+			if j == 0 || d.at>>6 != ds[j-1].at>>6 {
+				blocks++
+			}
+		}
+		if len(row) != len(ds) || cap(row) != len(ds)+blocks {
+			t.Fatalf("trial %d: row of %d drafts in %d blocks has length %d, capacity %d", trial, len(ds), blocks, len(row), cap(row))
+		}
+		for u := range nodes {
+			var want []draft
+			for _, d := range ds {
+				if d.at == int32(u) {
+					want = append(want, d)
+				}
+			}
+			got := seg(row, graph.NodeID(u))
+			if !slices.EqualFunc(got, want, func(e entry, d draft) bool { return e.out == d.out && e.ratio == d.ratio }) {
+				t.Fatalf("trial %d: router %d's part is %v, its drafts %v", trial, u, got, want)
+			}
+		}
+		next := 0
+		parts(row, func(u graph.NodeID, part []entry) {
+			if next == len(ds) || int32(u) != ds[next].at {
+				t.Fatalf("trial %d: parts gives router %d at draft %d of %v", trial, u, next, ds)
+			}
+			if !slices.Equal(part, seg(row, u)) {
+				t.Fatalf("trial %d: parts gives router %d %v, seg %v", trial, u, part, seg(row, u))
+			}
+			next += len(part)
+		})
+		if next != len(ds) {
+			t.Fatalf("trial %d: parts covered %d of %d entries", trial, next, len(ds))
+		}
 	}
 }

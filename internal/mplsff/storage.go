@@ -50,14 +50,14 @@ func (n *Network) MeasureStorage() Storage {
 		if len(row) > 0 {
 			s.TotalILM++
 		}
-		for j, e := range row {
-			if j == 0 || row[j-1].at != e.at {
-				ilm[e.at]++
+		parts(row, func(u graph.NodeID, part []entry) {
+			ilm[u]++
+			for _, e := range part {
+				if e.out != popOut {
+					nhlfe[u]++
+				}
 			}
-			if e.out != popOut {
-				nhlfe[e.at]++
-			}
-		}
+		})
 	}
 	for u := range nN {
 		s.ILMEntries = max(s.ILMEntries, ilm[u])

@@ -18,7 +18,10 @@ import (
 // (loss on the wire, not admission control); Dup delivers a second,
 // independently jittered copy; Jitter adds a uniform extra delay in
 // [0, Jitter) seconds to the arrival, which reorders packets that left
-// in order.
+// in order. Only control packets are duplicated or delayed: a data
+// packet is only ever dropped, because the event queue relies on each
+// link's data arrivals coming in the order they were sent (eventQueue;
+// a violation is reported as "hop-order").
 type ChaosConfig struct {
 	// Enabled switches the layer on; a zero ChaosConfig is inert.
 	Enabled bool

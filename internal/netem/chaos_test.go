@@ -11,6 +11,15 @@ import (
 // failures, three seconds of emulation.
 func goldenScenario(t testing.TB, cfg Config) *Emulator {
 	t.Helper()
+	em, end := goldenEmulator(t, cfg)
+	em.Run(end)
+	return em
+}
+
+// goldenEmulator sets the golden scenario up and returns it unrun, with
+// the time it runs to.
+func goldenEmulator(t testing.TB, cfg Config) (*Emulator, float64) {
+	t.Helper()
 	g, d, _ := abileneSetup(t, 150)
 	plan := planForAbilene(t, 150)
 	cfg.G = g
@@ -23,8 +32,7 @@ func goldenScenario(t testing.TB, cfg Config) *Emulator {
 	em.AddPing(den, la, 0.2, 3.0)
 	em.FailAt(1.0, 0)
 	em.FailAt(1.5, 8)
-	em.Run(3.0)
-	return em
+	return em, 3.0
 }
 
 func sumPhases(em *Emulator) (off, del, dr int64) {

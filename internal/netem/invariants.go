@@ -24,7 +24,7 @@ type ViewInspector interface {
 // Violation is one invariant breach, timestamped in emulation seconds.
 type Violation struct {
 	At     float64
-	Kind   string // "stack-depth", "known-failed-tx", "dead-link-tx", "view-divergence", "capacity"
+	Kind   string // "stack-depth", "known-failed-tx", "dead-link-tx", "hop-order", "view-divergence", "capacity"
 	Detail string
 }
 

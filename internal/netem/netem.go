@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -80,96 +79,6 @@ type FloodAware interface {
 	OnNotification(u graph.NodeID, e graph.LinkID)
 }
 
-// event is a scheduled action, a plain value with no pointers, so the
-// heap moves it without write barriers and the collector never scans the
-// queue: ref >= 0 is the data packet in slot ref arriving over its
-// pending link, and ref < 0 is the callback in slot ^ref. at is the
-// event's time as timeKey gives it.
-type event struct {
-	at  uint64
-	seq uint64
-	ref int32
-}
-
-// timeKey maps a time to a key whose unsigned order is the times' float
-// order: a non-negative time's bits with the sign bit set, a negative
-// one's bits inverted. Adding 0 turns -0 into +0, which the float order
-// holds equal. keyTime inverts it.
-func timeKey(t float64) uint64 {
-	u := math.Float64bits(t + 0)
-	return u ^ (uint64(int64(u)>>63) | 1<<63)
-}
-
-// keyTime is the time whose key is k.
-func keyTime(k uint64) float64 {
-	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
-}
-
-// less is 1 if a comes before b in (at, seq) order and 0 otherwise: the
-// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq).
-// seq is unique, so the order is total. Whether one event precedes
-// another is a coin toss a branch predictor cannot learn, so the heap
-// computes it as a value and never branches on it inside a family.
-func less(a, b *event) int {
-	_, c := bits.Sub64(a.seq, b.seq, 0)
-	_, c = bits.Sub64(a.at, b.at, c)
-	return int(c)
-}
-
-// eventHeap is a 4-ary min-heap of events under less. The order is total,
-// so pops come out in one sequence whatever the arity or layout.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if less(&ev, &s[p]) == 0 {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = ev
-	*h = s
-}
-
-// pop removes and returns the first event. The earliest of a full
-// family of four children is a branch-free tournament: the earlier of
-// each pair, then the earlier of the two winners.
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for c := 1; c < n; c = 4*i + 1 {
-		m := c
-		if c+3 < n {
-			a := c + less(&s[c+1], &s[c])
-			b := c + 2 + less(&s[c+3], &s[c+2])
-			m = a + (b-a)*less(&s[b], &s[a])
-		} else {
-			for j := c + 1; j < n; j++ {
-				m += (j - m) * less(&s[j], &s[m])
-			}
-		}
-		if less(&s[m], &last) == 0 {
-			break
-		}
-		s[i] = s[m]
-		i = m
-	}
-	s[i] = last
-	return top
-}
-
 // slots is a growable array of reusable items: get hands out a released
 // index before it grows the array, and put releases one.
 type slots[T any] struct {
@@ -190,13 +99,12 @@ func (p *slots[T]) get() int32 {
 
 func (p *slots[T]) put(i int32) { p.free = append(p.free, i) }
 
-// packetSlot holds a data, ping or echo packet and the link and hop
-// count of its one pending arrival. The emulator releases the slot when
-// the packet is delivered or dropped, and the next packet keeps the
-// slot's label-stack storage.
+// packetSlot holds a data, ping or echo packet and the hop count of its
+// one pending arrival. The emulator releases the slot when the packet is
+// delivered or dropped, and the next packet keeps the slot's label-stack
+// storage.
 type packetSlot struct {
 	pk   Packet
-	out  graph.LinkID
 	hops int
 }
 
@@ -318,11 +226,13 @@ type Emulator struct {
 
 	now    float64
 	seq    uint64
-	events eventHeap
+	events eventQueue
 	// packets and calls are the slots events name: the packets in flight
-	// and the scheduled callbacks.
+	// and the scheduled callbacks. gens are the flow generators, each
+	// with at most one next packet queued.
 	packets slots[packetSlot]
 	calls   slots[func()]
+	gens    []func(g int)
 
 	linkUp   []bool
 	linkFree []float64 // time the link's transmitter becomes free
@@ -402,6 +312,7 @@ func New(cfg Config) *Emulator {
 		em.linkUp[i] = true
 	}
 	em.linkFree = make([]float64, cfg.G.NumLinks())
+	em.events = newEventQueue(cfg.G.NumLinks())
 	em.odOffered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
 	em.odDelivered = make([]int64, cfg.G.NumNodes()*cfg.G.NumNodes())
 	em.notifSeen = make([]graph.LinkSet, cfg.G.NumNodes())
@@ -493,35 +404,52 @@ func (em *Emulator) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// enqueue queues the event ref at time at, after every event queued so
-// far for the same time.
-func (em *Emulator) enqueue(at float64, ref int32) {
+// next is the event ref at time at, after every event queued so far for
+// the same time.
+func (em *Emulator) next(at float64, ref int32) event {
 	em.seq++
-	em.events.push(event{at: timeKey(at), seq: em.seq, ref: ref})
+	return event{at: timeKey(at), seq: em.seq, ref: ref}
 }
 
 func (em *Emulator) schedule(at float64, fn func()) {
 	c := em.calls.get()
 	em.calls.items[c] = fn
-	em.enqueue(at, ^c)
+	em.events.pushCall(em.next(at, c))
+}
+
+// generator adds a flow generator, called with its own number g, and
+// schedules its first call at time at. A call schedules the next with
+// scheduleGen, or ends the flow by scheduling none.
+func (em *Emulator) generator(at float64, gen func(g int)) {
+	em.gens = append(em.gens, gen)
+	em.scheduleGen(len(em.gens)-1, at)
+}
+
+// scheduleGen schedules generator g's next call.
+func (em *Emulator) scheduleGen(g int, at float64) {
+	em.events.pushGen(g, em.next(at, 0))
 }
 
 // scheduleHop schedules the arrival of packet slot i over link out after
 // hops prior hops.
 func (em *Emulator) scheduleHop(at float64, i int32, out graph.LinkID, hops int) {
-	s := &em.packets.items[i]
-	s.out, s.hops = out, hops
-	em.enqueue(at, i)
+	em.packets.items[i].hops = hops
+	if !em.events.pushHop(int(out), em.next(at, i)) {
+		// The link's arrivals would leave (at, seq) order, which the
+		// queue's merge relies on: report it and drop the packet.
+		em.inv.fail("hop-order", "arrival over link %d at %v precedes the link's last queued arrival", out, at)
+		em.drop(i)
+	}
 }
 
-// send puts pk in a free packet slot, with the slot's label-stack storage,
-// and forwards it from its source.
-func (em *Emulator) send(pk Packet) {
+// send puts a new packet in a free packet slot, with the slot's
+// label-stack storage, and forwards it from its source.
+func (em *Emulator) send(flow mplsff.FlowKey, src, dst graph.NodeID, size int, ping bool) {
 	i := em.packets.get()
-	s := &em.packets.items[i]
-	pk.Stack = s.pk.Stack[:0]
-	s.pk = pk
-	em.forward(pk.Src, i, 0)
+	pk := &em.packets.items[i].pk
+	stack := pk.Stack[:0]
+	*pk = Packet{Flow: flow, Src: src, Dst: dst, Size: size, Stack: stack, SentAt: em.now, Ping: ping}
+	em.forward(src, i, 0)
 }
 
 // odIndex is pair (a, b)'s slot in the dense OD counters.
@@ -543,16 +471,14 @@ func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop f
 			DstPort: 80,
 		}
 		mean := packetBytes / perFlow
-		var gen func()
-		gen = func() {
+		em.generator(em.rng.Float64()*mean, func(g int) {
 			if em.now >= stop {
 				return
 			}
 			em.odOffered[od] += packetBytes
-			em.send(Packet{Flow: flow, Src: a, Dst: b, Size: packetBytes, SentAt: em.now})
-			em.schedule(em.now+em.rng.ExpFloat64()*mean, gen)
-		}
-		em.schedule(em.rng.Float64()*mean, gen)
+			em.send(flow, a, b, packetBytes, false)
+			em.scheduleGen(g, em.now+em.rng.ExpFloat64()*mean)
+		})
 	}
 }
 
@@ -560,15 +486,13 @@ func (em *Emulator) AddCBRTraffic(a, b graph.NodeID, bytesPerSec float64, stop f
 // interval; the echo is recorded in RTT.
 func (em *Emulator) AddPing(a, b graph.NodeID, interval, stop float64) {
 	flow := mplsff.FlowKey{SrcIP: uint32(a)<<8 | 1, DstIP: uint32(b)<<8 | 1, SrcPort: 7, DstPort: 7}
-	var gen func()
-	gen = func() {
+	em.generator(0, func(g int) {
 		if em.now >= stop {
 			return
 		}
-		em.send(Packet{Flow: flow, Src: a, Dst: b, Size: 64, SentAt: em.now, Ping: true})
-		em.schedule(em.now+interval, gen)
-	}
-	em.schedule(0, gen)
+		em.send(flow, a, b, 64, true)
+		em.scheduleGen(g, em.now+interval)
+	})
 }
 
 // MarkPhaseAt schedules a measurement-phase boundary at time t without
@@ -849,15 +773,14 @@ func (em *Emulator) forward(u graph.NodeID, i int32, hops int) {
 	em.scheduleHop(depart+link.Delay/1000, i, out, hops)
 }
 
-// arrive hands the packet in slot i to the far end of its pending link.
-func (em *Emulator) arrive(i int32) {
-	s := &em.packets.items[i]
-	if !em.linkUp[s.out] {
+// arrive hands the packet in slot i to the far end of link out.
+func (em *Emulator) arrive(out graph.LinkID, i int32) {
+	if !em.linkUp[out] {
 		// The link died while the packet was in flight.
 		em.drop(i)
 		return
 	}
-	em.forward(em.g.Link(s.out).Dst, i, s.hops+1)
+	em.forward(em.g.Link(out).Dst, i, em.packets.items[i].hops+1)
 }
 
 // deliver ends the packet in slot i at its destination u. A ping turns
@@ -896,14 +819,21 @@ func (em *Emulator) drop(i int32) {
 // queued).
 func (em *Emulator) Run(until float64) {
 	end := timeKey(until)
-	for len(em.events) > 0 && em.events[0].at <= end {
-		ev := em.events.pop()
+	for {
+		ev, from, src, ok := em.events.pop(end)
+		if !ok {
+			break
+		}
 		em.now = keyTime(ev.at)
-		if ev.ref >= 0 {
-			em.arrive(ev.ref)
+		switch from {
+		case fromHop:
+			em.arrive(graph.LinkID(src), ev.ref)
+			continue
+		case fromGen:
+			em.gens[src](src)
 			continue
 		}
-		c := ^ev.ref
+		c := ev.ref
 		fn := em.calls.items[c]
 		em.calls.items[c] = nil
 		em.calls.put(c)

@@ -74,9 +74,18 @@ func oneShotRef(t testing.TB, plan *core.Plan, fails []graph.LinkID) *mplsff.Net
 // settling period for the flood.
 func runStaged(t *testing.T, plan *core.Plan, seq *transition.Sequence, fails []graph.LinkID, chaos ChaosConfig, seed int64, withTraffic bool) (*Emulator, *R3DistributedForwarder) {
 	t.Helper()
+	em, fw, end := stagedEmulator(plan, seq, fails, Config{Seed: seed, Chaos: chaos}, withTraffic)
+	em.Run(end)
+	return em, fw
+}
+
+// stagedEmulator sets runStaged's rollout up on cfg and returns it unrun,
+// with the time it runs to.
+func stagedEmulator(plan *core.Plan, seq *transition.Sequence, fails []graph.LinkID, cfg Config, withTraffic bool) (*Emulator, *R3DistributedForwarder, float64) {
 	g := plan.G
 	fw := NewR3Distributed(plan)
-	em := New(Config{G: g, Forwarder: fw, Seed: seed, Chaos: chaos})
+	cfg.G, cfg.Forwarder = g, fw
+	em := New(cfg)
 	if withTraffic {
 		addTM(em, traffic.Gravity(g, 100, 42), 1.5)
 	}
@@ -86,8 +95,7 @@ func runStaged(t *testing.T, plan *core.Plan, seq *transition.Sequence, fails []
 	for i, r := range seq.Rounds {
 		em.StageRoundAt(t0+0.02+float64(i)*spacing, 0, r.Seq, r.Delta)
 	}
-	em.Run(t0 + 0.02 + float64(len(seq.Rounds))*spacing + 1.2)
-	return em, fw
+	return em, fw, t0 + 0.02 + float64(len(seq.Rounds))*spacing + 1.2
 }
 
 // assertStagedFinal checks the differential property: every router's view

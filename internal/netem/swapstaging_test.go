@@ -83,9 +83,18 @@ func swapPlanPair(t testing.TB) (*core.Plan, *core.Plan) {
 // old plan and the sequence's rounds are injected at router 0.
 func runSwapStaged(t *testing.T, old *core.Plan, seq *transition.Sequence, chaos ChaosConfig, seed int64, withTraffic bool) (*Emulator, *R3DistributedForwarder) {
 	t.Helper()
+	em, fw, end := swapEmulator(old, seq, Config{Seed: seed, Chaos: chaos}, withTraffic)
+	em.Run(end)
+	return em, fw
+}
+
+// swapEmulator sets runSwapStaged's swap up on cfg and returns it unrun,
+// with the time it runs to.
+func swapEmulator(old *core.Plan, seq *transition.Sequence, cfg Config, withTraffic bool) (*Emulator, *R3DistributedForwarder, float64) {
 	g := old.G
 	fw := NewR3Distributed(old)
-	em := New(Config{G: g, Forwarder: fw, Seed: seed, Chaos: chaos})
+	cfg.G, cfg.Forwarder = g, fw
+	em := New(cfg)
 	if withTraffic {
 		addTM(em, traffic.Gravity(g, 100, 42), 1.5)
 	}
@@ -93,8 +102,7 @@ func runSwapStaged(t *testing.T, old *core.Plan, seq *transition.Sequence, chaos
 	for i, r := range seq.Rounds {
 		em.StageRoundAt(t0+float64(i)*spacing, 0, r.Seq, r.Delta)
 	}
-	em.Run(t0 + float64(len(seq.Rounds))*spacing + 1.2)
-	return em, fw
+	return em, fw, t0 + float64(len(seq.Rounds))*spacing + 1.2
 }
 
 // assertSwapFinal checks the differential property: every router's view

@@ -9,7 +9,12 @@
 // run of the test suite and benchmarks sees identical networks.
 package topo
 
-import "repro/internal/graph"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/graph"
+)
 
 // OC192 is the capacity (in Mbps) used for Rocketfuel topology links, as in
 // the paper.
@@ -182,6 +187,28 @@ func addUSISPGroups(g *graph.Graph) {
 		}
 		g.AddMLG(a.ID, a.Reverse)
 	}
+}
+
+// ByName returns the built-in topology the commands' -net flag names, in
+// any case: abilene, level3, sbc, uunet, generated, generated1k or usisp.
+func ByName(name string) (*graph.Graph, error) {
+	switch strings.ToLower(name) {
+	case "abilene":
+		return Abilene(), nil
+	case "level3":
+		return Level3(), nil
+	case "sbc":
+		return SBC(), nil
+	case "uunet":
+		return UUNet(), nil
+	case "generated":
+		return Generated(), nil
+	case "generated1k":
+		return Generated1K(), nil
+	case "usisp":
+		return USISP(), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q", name)
 }
 
 // All returns the six evaluation topologies in the order of the paper's

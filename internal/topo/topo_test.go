@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -201,5 +202,29 @@ func TestGenerated1KShape(t *testing.T) {
 		if tc.name == "Generated1K" {
 			t.Fatal("Generated1K must stay out of the Table 1 catalog")
 		}
+	}
+}
+
+// TestByNameResolvesEveryBuiltIn holds the commands' -net names to their
+// constructors: each name, in lower and upper case, gives the graph its
+// constructor builds, and an unknown name is an error.
+func TestByNameResolvesEveryBuiltIn(t *testing.T) {
+	for name, build := range map[string]func() *graph.Graph{
+		"abilene": Abilene, "level3": Level3, "sbc": SBC, "uunet": UUNet,
+		"generated": Generated, "generated1k": Generated1K, "usisp": USISP,
+	} {
+		want := graph.Digest(build())
+		for _, n := range []string{name, strings.ToUpper(name)} {
+			g, err := ByName(n)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", n, err)
+			}
+			if got := graph.Digest(g); got != want {
+				t.Errorf("ByName(%q) digest %016x, %s's constructor %016x", n, got, name, want)
+			}
+		}
+	}
+	if g, err := ByName("abilene2"); err == nil {
+		t.Errorf("ByName(\"abilene2\") = %s, want an error", g.Name)
 	}
 }
