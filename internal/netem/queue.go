@@ -175,15 +175,18 @@ func (t *tourney) first() (int, *event) {
 func (t *tourney) set(s int, ev event) {
 	tree, head := t.tree, t.head
 	head[s] = ev
-	w := int32(s)
+	w, at, seq := int32(s), ev.at, ev.seq
 	for i := len(tree)/2 + s; i > 1; i >>= 1 {
 		o := tree[i^1]
 		ho := &head[o]
-		lt := less(ho, &ev)
-		w ^= (w ^ o) & -int32(lt)
-		m := -uint64(lt)
-		ev.at ^= (ev.at ^ ho.at) & m
-		ev.seq ^= (ev.seq ^ ho.seq) & m
+		// less(ho, the winner so far), on scalars the compiler keeps in
+		// registers.
+		_, c := bits.Sub64(ho.seq, seq, 0)
+		_, c = bits.Sub64(ho.at, at, c)
+		w ^= (w ^ o) & -int32(c)
+		m := -c
+		at ^= (at ^ ho.at) & m
+		seq ^= (seq ^ ho.seq) & m
 		tree[i>>1] = w
 	}
 }
@@ -253,8 +256,10 @@ func (q *eventQueue) settle() {
 // arrival: the link's order, which pop relies on, would break.
 func (q *eventQueue) pushHop(l int, ev event) bool {
 	a := &q.links[l]
-	if a.n > 0 && less(&ev, a.last()) == 1 {
-		return false
+	if a.n > 0 {
+		if last := a.last(); ev.at < last.at || ev.at == last.at && ev.seq < last.seq {
+			return false
+		}
 	}
 	a.push(ev)
 	if a.n == 1 {
