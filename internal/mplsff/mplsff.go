@@ -49,7 +49,7 @@ type NHLFE struct {
 
 // entry is how a table row stores one NHLFE: the out-link (popOut for
 // the pop at a protected link's tail) and the ratio. key belongs to the
-// row's router index (see index): in a row's i-th entry, for i below the
+// row's router index (see layout): in a row's i-th entry, for i below the
 // number of routers with entries in the row, it is where the i-th of
 // those routers' entries end.
 type entry struct {
