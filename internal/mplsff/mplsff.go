@@ -73,6 +73,25 @@ type Router struct {
 	// salt is the 96-bit router-private number mixed into the flow hash
 	// so splits at different routers are independent (§4.2).
 	salt [12]byte
+	// salted[x] is the hash of a flow whose FNV state after its own
+	// twelve bytes has low bits x: the state's low k bits after a byte
+	// depend only on its low k bits before and on the byte, and Hash
+	// keeps the low HashBits bits, so the salt's twelve steps fold into
+	// this table.
+	salted [hashBuckets]uint8
+}
+
+// newRouter is router v with the given salt.
+func newRouter(v graph.NodeID, salt [12]byte) *Router {
+	r := &Router{Node: v, salt: salt}
+	for x := range r.salted {
+		h := fnv64a(x)
+		for _, b := range salt {
+			h = (h ^ fnv64a(b)) * 1099511628211
+		}
+		r.salted[x] = uint8(h % hashBuckets)
+	}
+	return r
 }
 
 // HashBits is the width of the splitting hash (the paper uses 6 bits).
@@ -83,14 +102,15 @@ const hashBuckets = 1 << HashBits
 
 // Hash maps a flow to a bucket in [0, 2^HashBits), mixing the router's
 // private salt so different routers split independently: FNV-64a over the
-// flow's four fields, big-endian, then the salt — 24 bytes, fed as three
-// words.
+// flow's four fields, big-endian, then the salt — 24 bytes, the flow's
+// twelve fed as a word and four bytes, the salt's through salted.
 func (r *Router) Hash(f FlowKey) uint32 {
 	h := fnv64a(14695981039346656037)
 	h.word(uint64(f.SrcIP)<<32 | uint64(f.DstIP))
-	h.word(uint64(f.SrcPort)<<48 | uint64(f.DstPort)<<32 | uint64(binary.BigEndian.Uint32(r.salt[:4])))
-	h.word(binary.BigEndian.Uint64(r.salt[4:]))
-	return uint32(h % hashBuckets)
+	for ports, s := uint32(f.SrcPort)<<16|uint32(f.DstPort), 24; s >= 0; s -= 8 {
+		h = (h ^ fnv64a(byte(ports>>s))) * 1099511628211
+	}
+	return uint32(r.salted[h%hashBuckets])
 }
 
 // pick selects the entry whose cumulative ratio bucket contains the
@@ -175,13 +195,13 @@ func Build(plan *core.Plan) *Network {
 	for v := range n.Routers {
 		// Router-private 96-bit salt derived from the node ID; any
 		// unpredictable per-router value works.
-		r := &Router{Node: graph.NodeID(v)}
 		h := fnv.New128a()
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], uint32(v)^0x5bd1e995)
 		h.Write(b[:])
-		copy(r.salt[:], h.Sum(nil))
-		n.Routers[v] = r
+		var salt [12]byte
+		copy(salt[:], h.Sum(nil))
+		n.Routers[v] = newRouter(graph.NodeID(v), salt)
 	}
 	for k, c := range plan.Comms {
 		i := n.fib(c.Src, c.Dst)

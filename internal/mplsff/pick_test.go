@@ -67,8 +67,9 @@ func TestPickMatchesHashingPath(t *testing.T) {
 	}
 	var lone, loneHit int
 	for trial := 0; trial < 50000; trial++ {
-		r := &Router{}
-		rng.Read(r.salt[:])
+		var salt [12]byte
+		rng.Read(salt[:])
+		r := newRouter(0, salt)
 		f := FlowKey{SrcIP: rng.Uint32(), DstIP: rng.Uint32(), SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32())}
 		if got, want := r.Hash(f), fnvHash(r, f); got != want {
 			t.Fatalf("trial %d: Hash(%+v) = %d, hash/fnv %d", trial, f, got, want)
